@@ -7,7 +7,7 @@ but almost all of the pipeline's start-up cost is question-independent:
 
 * **per-model** (once per session) — encoding the tables, fitting the
   model, the per-sample gradient matrix, the Hessian with its
-  factorization/eigendecomposition and rotated curvature caches
+  factorization and rank-one curvature factors
   (:class:`repro.influence.ModelArtifacts`), and the level-1 predicate
   alphabet with its packed tidlists
   (:class:`repro.mining.AlphabetCache`);
@@ -430,8 +430,8 @@ class AuditSession:
 
         ``fit`` builds the artifacts and alphabet *containers*; the heavy
         entries inside (per-sample gradients, the Hessian factorization,
-        the exact-variant eigenbasis rotations, the packed tidlists, the
-        per-group fairness contexts) are built lazily by the first query.
+        the rank-one Hessian factors, the packed tidlists, the per-group
+        fairness contexts) are built lazily by the first query.
         ``warm()`` runs those builds up front, so after it returns, queries
         against the configured (estimator, engine, group) defaults are pure
         reads of shared state — the property the frozen-session sanitizer
@@ -448,12 +448,9 @@ class AuditSession:
             self.context_for(group)
         name = estimator if estimator is not None else self.config.estimator
         kwargs = self._estimator_kwargs_for(name)
-        family = "second_order" if name in ("exact", "series") else name
-        variant = name if name in ("exact", "series") else kwargs.get("variant", "exact")
         self.artifacts.warm(
             damping=float(kwargs.get("damping", 0.0)),  # type: ignore[arg-type]
-            exact=family == "second_order" and variant == "exact",
-            learning_rate=family == "one_step_gd"
+            learning_rate=name == "one_step_gd"
             and kwargs.get("learning_rate", "auto") == "auto",
         )
         cfg = self.config
@@ -694,7 +691,7 @@ class AuditSession:
 
         The dataset, the encoded training matrix, the influence artifacts
         (gradients, Hessian, solver factorizations/eigendecompositions,
-        rotated curvature caches) and the candidate alphabet are all
+        rank-one curvature factors) and the candidate alphabet are all
         *patched* for the edit — nothing heavy is rebuilt, which is the
         point: the counters under ``session.stats`` show ``*_builds`` /
         ``hessian_factorizations`` unchanged and the edit cost under

@@ -4,10 +4,9 @@ Every influence estimator's "start-up" cost (the fixed cost the paper's
 Figure 5 measures) splits cleanly in two:
 
 * **per-model** — the per-sample training gradient matrix, the training
-  Hessian, its Cholesky factorization and (for the Woodbury-batched exact
-  second-order variant) its eigendecomposition with the rotated gradient /
-  curvature caches, the rank-one Hessian factors, and the one-step "auto"
-  learning rate.  None of these depend on the fairness metric, the
+  Hessian, its Cholesky factorization, the rank-one Hessian factors, and
+  the one-step "auto" learning rate.  None of these depend on the fairness
+  metric, the
   protected group, or the estimator's evaluation mode — only on the fitted
   model and the training matrix.
 * **per-query** — ∇_θF of the metric surrogate, the original bias, and the
@@ -22,7 +21,7 @@ cheap per-query state.  Without an explicit bundle every estimator builds
 a private one, so the single-estimator construction path is unchanged.
 
 ``stats`` counts the heavy builds (``per_sample_grad_builds``,
-``hessian_builds``, ``hessian_factorizations``, ``exact_rotation_builds``)
+``hessian_builds``, ``hessian_factorizations``, ``rank_one_factor_builds``)
 so callers — the audit benchmark in particular — can *assert* that a
 multi-query workload paid for each exactly once.
 """
@@ -74,7 +73,6 @@ class ModelArtifacts:
         self._hessian: np.ndarray | None = None
         self._solvers: dict[float, HessianSolver] = {}
         self._factors: tuple[np.ndarray, np.ndarray, float] | None | str = "unset"
-        self._exact_rot: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._auto_learning_rate: float | None = None
         # Extent caches: packed-mask bytes → metric-independent per-row
         # results (g_S gradient sums; per-estimator-spec Δθ rows).  Off by
@@ -85,8 +83,8 @@ class ModelArtifacts:
         self._param_change_cache: dict[tuple, np.ndarray] = {}
         self._update_state: tuple[np.ndarray, float] | None = None
         # One re-entrant lock covers every lazy build and extent cache, so a
-        # cold bundle can serve mixed concurrent queries: exact_rotation
-        # re-enters hessian_factors/solver/per_sample_grads while held.
+        # cold bundle can serve mixed concurrent queries: update_search_state
+        # re-enters hessian/auto_learning_rate while held.
         self._lock = threading.RLock()
         # Monotone staleness token: bumped by apply_edit.  Estimators record
         # it at construction and refuse to score once it moves on.
@@ -98,10 +96,8 @@ class ModelArtifacts:
                 "hessian_factorizations": 0,
                 "rank_one_factor_builds": 0,
                 "learning_rate_builds": 0,
-                "exact_rotation_builds": 0,
                 "edits": 0,
                 "solver_updates": 0,
-                "exact_rotation_patches": 0,
                 "gradient_sum_cache_hits": 0,
                 "gradient_sum_cache_misses": 0,
                 "param_change_cache_hits": 0,
@@ -224,44 +220,6 @@ class ModelArtifacts:
             trace.add("cache_hits")
         return self._factors  # type: ignore[return-value]
 
-    def exact_rotation(self, damping: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenbasis-rotated (per-sample grads, √w-scaled curvature rows).
-
-        The Woodbury-batched exact second-order path works in the
-        eigenbasis of the damped Hessian; rotating the (n, p) gradient and
-        curvature matrices costs two n·p² GEMMs, paid once per damping and
-        reused by every exact estimator sharing the bundle (θ* is fixed,
-        so the rotation never changes).  Requires usable factors — callers
-        check :meth:`hessian_factors` first.
-        """
-        key = float(damping)
-        if key not in self._exact_rot:
-            with self._lock:
-                if key not in self._exact_rot:
-                    trace.add("cache_misses")
-                    with trace.span("artifacts.exact_rotation", n=self.num_train) as s:
-                        factors = self.hessian_factors()
-                        if factors is None:
-                            raise ValueError(
-                                "model exposes no rank-one Hessian factors to rotate"
-                            )
-                        phi, weights, _ = factors
-                        eigvecs = self.solver(key).eigendecomposition()[1]
-                        curved = weights > 0.0
-                        sqrt_w = np.sqrt(weights, where=curved, out=np.zeros_like(weights))
-                        p = eigvecs.shape[0]
-                        s.add("gemm_flops", 2.0 * 2 * self.num_train * p * p)
-                        self._exact_rot[key] = (
-                            self.per_sample_grads @ eigvecs,
-                            (phi * sqrt_w[:, None]) @ eigvecs,
-                        )
-                    self.stats.inc("exact_rotation_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._exact_rot[key]
-
     # ------------------------------------------------------------------
     def apply_edit(
         self,
@@ -282,15 +240,14 @@ class ModelArtifacts:
 
         Nothing is rebuilt.  The Hessian is patched through the subset
         identity ``n'·H' = n·H − k·H(removed) + k·H(added) + Δ(relabelled)``
-        (the L2 terms cancel exactly); the gradient matrix, rank-one
-        factors, and exact-rotation row caches are patched row-wise; and
-        every cached :class:`HessianSolver` is advanced through
+        (the L2 terms cancel exactly); the gradient matrix and rank-one
+        factors are patched row-wise; and every cached
+        :class:`HessianSolver` is advanced through
         :meth:`HessianSolver.updated` — a rank-k eigenbasis update when the
         model exposes Hessian factors, a dense congruence otherwise, never
         a Cholesky refactorization (``hessian_factorizations`` stays put;
-        the new work lands under ``solver_updates`` /
-        ``exact_rotation_patches``).  Unbuilt caches stay lazy and will be
-        built against the edited data on first use.
+        the new work lands under ``solver_updates``).  Unbuilt caches stay
+        lazy and will be built against the edited data on first use.
 
         θ is *not* refit — influence debugging asks "how would the bias
         move if we trained on the edited data", and every estimator measures
@@ -398,14 +355,14 @@ class ModelArtifacts:
                 update_vectors = np.vstack(vec_parts)
                 update_weights = np.concatenate(weight_parts) / n_new
 
-        # -- solvers (and their exact-rotation row caches) -----------------
+        # -- solvers ----------------------------------------------------------
         scale = n / n_new
         for key, old_solver in list(self._solvers.items()):
             if new_hessian is None:
                 raise RuntimeError("solver cache exists without a built hessian")
             if update_vectors is not None:
                 shift = (old_solver.damping_used + l2_ridge) * (1.0 - scale)
-                new_solver, W = old_solver.updated(
+                self._solvers[key] = old_solver.updated(
                     new_hessian,
                     update_vectors=update_vectors,
                     update_weights=update_weights,
@@ -413,27 +370,7 @@ class ModelArtifacts:
                     shift=shift,
                 )
             else:
-                new_solver, W = old_solver.updated(new_hessian)
-            if key in self._exact_rot:
-                Q = old_solver.eigendecomposition()[1]
-                grad_rot, curve_rot = self._exact_rot[key]
-                if relabel.size:
-                    grad_rot = grad_rot.copy()
-                    curve_rot = curve_rot.copy()
-                    curved = w_rel > 0.0
-                    sqrt_w = np.sqrt(w_rel, where=curved, out=np.zeros_like(w_rel))
-                    grad_rot[relabel] = grads_rel @ Q
-                    curve_rot[relabel] = (phi_rel * sqrt_w[:, None]) @ Q
-                grad_rot = grad_rot[keep]
-                curve_rot = curve_rot[keep]
-                if k_add:
-                    curved = w_add > 0.0
-                    sqrt_w = np.sqrt(w_add, where=curved, out=np.zeros_like(w_add))
-                    grad_rot = np.vstack([grad_rot, grads_add @ Q])
-                    curve_rot = np.vstack([curve_rot, (phi_add * sqrt_w[:, None]) @ Q])
-                self._exact_rot[key] = (grad_rot @ W, curve_rot @ W)
-                self.stats.inc("exact_rotation_patches")
-            self._solvers[key] = new_solver
+                self._solvers[key] = old_solver.updated(new_hessian)
             self.stats.inc("solver_updates")
 
         # -- row-wise caches and the data itself ---------------------------
@@ -639,31 +576,20 @@ class ModelArtifacts:
         return self._update_state
 
     # ------------------------------------------------------------------
-    def warm(
-        self,
-        damping: float = 0.0,
-        exact: bool = False,
-        learning_rate: bool = False,
-    ) -> "ModelArtifacts":
+    def warm(self, damping: float = 0.0, learning_rate: bool = False) -> "ModelArtifacts":
         """Eagerly build every cache a read-only serving path would touch.
 
-        After ``warm()`` the query methods (``solver``, ``per_sample_grads``,
-        ``exact_rotation`` for the warmed damping, …) are pure reads: the
-        frozen/concurrent read path never triggers a lazy build.  ``exact``
-        additionally builds the eigendecomposition and rotated curvature
-        caches of the Woodbury-batched exact path (skipped automatically
-        when the model exposes no usable factors); ``learning_rate`` builds
-        the shared one-step η.  Idempotent — every build is counted by its
-        own stats entry exactly once.
+        After ``warm()`` the query methods (``solver`` for the warmed
+        damping, ``per_sample_grads``, ``hessian_factors``, …) are pure
+        reads: the frozen/concurrent read path never triggers a lazy build.
+        ``learning_rate`` additionally builds the shared one-step η.
+        Idempotent — every build is counted by its own stats entry exactly
+        once.
         """
         _ = self.per_sample_grads
         _ = self.hessian
-        solver = self.solver(damping)
-        factors = self.hessian_factors()
-        if exact:
-            _ = solver.eigendecomposition()
-            if factors is not None and factors[1].min() >= 0.0:
-                _ = self.exact_rotation(damping)
+        _ = self.solver(damping)
+        _ = self.hessian_factors()
         if learning_rate:
             _ = self.auto_learning_rate()
         return self

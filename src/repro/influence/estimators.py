@@ -20,8 +20,8 @@ bias — lives in a :class:`repro.influence.artifacts.ModelArtifacts`
 bundle; by default each estimator builds a private bundle, and passing a
 shared one (``make_estimator(..., artifacts=...)``) lets estimators of
 *different* metrics, protected groups, and second-order variants reuse
-one gradient matrix, one Hessian factorization, and one set of rotated
-curvature caches — the per-model vs per-query split
+one gradient matrix, one Hessian factorization, and one set of rank-one
+curvature factors — the per-model vs per-query split
 :class:`repro.core.AuditSession` amortizes across a whole audit.  After
 start-up the two query paths differ:
 
@@ -37,13 +37,13 @@ start-up the two query paths differ:
   call amortized over m subsets — the amortized batch influence queries the
   lattice search (``repro.patterns.lattice``) is built on.  The exact
   second-order variant is the one closed form whose per-subset matrix
-  differs across the batch (``n·H − m·H_S``); its batch path solves each
-  subset as a rank-|S| Woodbury downdate of the cached eigendecomposition
-  — one shifted multi-RHS solve plus an |S|×|S| capacitance system per
-  subset, block-batched — instead of a fresh O(p³) refactorization,
-  falling back to the per-subset dense path only when |S| ≥ p or the
-  downdate is detected ill-conditioned (see
-  ``repro.influence.second_order``).
+  differs across the batch (``n·H − m·H_S``); its batch path stacks
+  them.  Each subset costs an O(|S|·p²) gather of its own curvature rows
+  into one padded batched matmul, plus an O(p³/3) share of one batched
+  Cholesky and O(p²) of one batched solve, with the group's transient
+  memory under a fixed byte budget whatever n is.  Only a matrix that
+  fails the Cholesky is refactorized on its own, with the scalar path's
+  damping escalation (see ``repro.influence.second_order``).
 
 Batches are given either as an (m, n) boolean mask matrix (rows = subsets)
 or as a sequence of per-subset index arrays; results are aligned with the
@@ -552,7 +552,7 @@ def make_estimator(
 
     Pass ``artifacts=ModelArtifacts(model, X_train, y_train)`` to share the
     metric-independent start-up caches (per-sample gradients, Hessian
-    factorization, rotated curvature rows) across many estimators of the
+    factorization, rank-one curvature factors) across many estimators of the
     same fitted model — the amortization a multi-metric, multi-group audit
     lives on.  Omitted, each estimator builds a private bundle.
     """

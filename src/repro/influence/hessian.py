@@ -5,6 +5,8 @@ a Cholesky factorization is the fast path.  Models whose Hessian is only
 positive *semi*-definite in corner cases (squared hinge with no active
 margins, Gauss-Newton at saturation) fall back to adaptive damping — the same
 trick Koh & Liang apply — and, as a last resort, a conjugate-gradient solve.
+:class:`StackedHessianSolver` applies the same factorize-then-escalate
+contract to a whole stack of matrices at once.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ class HessianSolver:
         update_weights: np.ndarray | None = None,
         scale: float = 1.0,
         shift: float = 0.0,
-    ) -> tuple["HessianSolver", np.ndarray]:
+    ) -> "HessianSolver":
         """A solver for ``new_hessian`` derived from this solver's eigenbasis.
 
         With rank-k factors the caller certifies the identity
@@ -144,10 +146,6 @@ class HessianSolver:
         factors the dense congruence ``T = Qᵀ(new_hessian + d₀·I)Q`` is
         used instead — same rotation trick, O(p³) GEMMs but still no
         factorization.
-
-        Returns ``(solver, W)``; ``W`` is the basis change from the old
-        eigenbasis to the new, so row caches rotated by ``Q`` (the exact
-        second-order rotation caches) become current via one ``@ W``.
         """
         rank = -1 if update_vectors is None else int(np.shape(update_vectors)[0])
         with trace.span("hessian.update", dim=self.dim, rank=rank):
@@ -168,22 +166,15 @@ class HessianSolver:
                     matrix = matrix + self.damping_used * np.eye(self.dim)
                 core = eigvecs.T @ matrix @ eigvecs
             new_eigvals, W = linalg.eigh(core, check_finite=False)
-            solver = HessianSolver.from_eigendecomposition(
+            return HessianSolver.from_eigendecomposition(
                 new_hessian, new_eigvals, eigvecs @ W, damping=self.damping_used
             )
-            return solver, W
 
     def eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition ``(eigvals, eigvecs)`` of the damped matrix.
 
-        Computed lazily and cached.  A Cholesky factor cannot absorb a
-        per-system scalar shift, but in the eigenbasis ``(M + s·I)⁻¹`` is a
-        diagonal rescale, so one O(p³) decomposition serves solves against
-        *every* shift.  The Woodbury-batched exact second-order influence
-        path consumes this decomposition directly (it fuses the rescale
-        into its whitened capacitance algebra); :meth:`shifted_solve_many`
-        is the standalone-solve form of the same primitive for other
-        callers.
+        Computed lazily and cached; :meth:`updated` starts every rank-k
+        edit from it, so an edited solver never refactorizes.
         """
         if self._eig is None:
             with self._lock:
@@ -195,33 +186,6 @@ class HessianSolver:
                         self._eig = linalg.eigh(matrix, check_finite=False)
                     self.stats.inc("eigendecompositions")
         return self._eig
-
-    def shifted_solve_many(self, B: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-        """Solve ``(M + shift_k·I) x_k = b_k`` for every row ``b_k`` of B.
-
-        ``M`` is the damped matrix this solver factorized; ``shifts`` is a
-        scalar per row (broadcast from a scalar applies one shift to all).
-        Returns the solutions as rows, aligned with ``B``.  Raises
-        ``LinAlgError`` when any shifted matrix is not positive definite —
-        callers batching over subsets should pre-screen shifts against
-        ``eigendecomposition()[0]`` and route offenders to a fallback.
-        """
-        B = np.asarray(B, dtype=np.float64)
-        if B.ndim != 2 or B.shape[1] != self.dim:
-            raise ValueError(f"B must have shape (k, {self.dim}), got {B.shape}")
-        shifts = np.broadcast_to(np.asarray(shifts, dtype=np.float64), (B.shape[0],))
-        if B.shape[0] == 0:
-            return np.zeros_like(B)
-        with trace.span("hessian.solve", n=self.dim, rhs=B.shape[0], shifted=True) as s:
-            eigvals, eigvecs = self.eigendecomposition()
-            denom = eigvals[None, :] + shifts[:, None]  # (k, p)
-            if denom.min() <= 0.0:
-                raise np.linalg.LinAlgError(
-                    "shifted matrix is not positive definite (eigenvalue "
-                    f"{denom.min():.3e} after shift)"
-                )
-            s.add("solve_flops", 4.0 * self.dim * self.dim * B.shape[0])
-            return ((B @ eigvecs) / denom) @ eigvecs.T
 
     def _factorize(self, hessian: np.ndarray, damping: float):
         with trace.span("hessian.factorize", dim=self.dim) as s:
@@ -285,6 +249,79 @@ class HessianSolver:
         if self.damping_used:
             out = out + self.damping_used * x
         return out
+
+
+class StackedHessianSolver(HessianSolver):
+    """Solves ``A_k x_k = b_k`` against a stack of g symmetric (p, p) matrices.
+
+    The stacked form of constructing one solver per matrix, for callers
+    that need a different matrix per right-hand side.  Built by
+    :meth:`factorize`, never by the constructor, and answered by
+    :meth:`solve_many`, which pairs row k of its right-hand side with
+    matrix k.  The single-matrix views of :class:`HessianSolver`
+    (``solve``, ``apply``, ``factor``, ``eigendecomposition``,
+    ``updated``) do not apply to a stack.
+    """
+
+    @classmethod
+    def factorize(cls, matrices: np.ndarray, damping: float = 0.0) -> "StackedHessianSolver":
+        """One batched Cholesky of ``A_k + damping·I`` over the whole stack.
+
+        The Cholesky is also the positive-definiteness test.  A matrix
+        that fails it runs the constructor's ×10 damping escalation on its
+        own, so every solve equals ``HessianSolver(A_k, damping)``'s up to
+        rounding; ``escalated`` marks those matrices.  Only lower
+        triangles are read on the batched path.
+        """
+        matrices = np.asarray(matrices, dtype=np.float64)
+        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+            raise ValueError(f"matrices must have shape (g, p, p), got {matrices.shape}")
+        g, p = matrices.shape[:2]
+        stack = cls.__new__(cls)
+        stack.dim = p
+        stack.hessian = matrices
+        stack.damping_used = damping
+        stack._eig = None
+        stack.escalated = np.zeros(g, dtype=bool)
+        damped = matrices + damping * np.eye(p) if damping else matrices
+        try:
+            stack._factor = np.linalg.cholesky(damped)
+        except np.linalg.LinAlgError:
+            # Some matrix is not positive definite: find which, one by one.
+            stack._factor = np.empty_like(damped)
+            for k in range(g):
+                try:
+                    stack._factor[k] = np.linalg.cholesky(damped[k])
+                except np.linalg.LinAlgError:
+                    stack.escalated[k] = True
+                    stack._factor[k] = np.eye(p)
+        stack._escalations = {
+            int(k): HessianSolver(matrices[k], damping=damping)
+            for k in np.flatnonzero(stack.escalated)
+        }
+        return stack
+
+    def solve_many(self, B: np.ndarray) -> np.ndarray:
+        """Rows ``x_k = A_k⁻¹ b_k`` for a (g, p) right-hand side, as (g, p).
+
+        Forward then back substitution, vectorized across the stack: 2p
+        steps of O(g·p) work each, where one LAPACK call per matrix would
+        pay the dispatch overhead g times.
+        """
+        B = np.asarray(B, dtype=np.float64)
+        lower = self._factor
+        if B.shape != lower.shape[:2]:
+            raise ValueError(f"B must have shape {lower.shape[:2]}, got {B.shape}")
+        y = np.empty_like(B)
+        for i in range(self.dim):
+            y[:, i] = (B[:, i] - np.einsum("kj,kj->k", lower[:, i, :i], y[:, :i])) / lower[:, i, i]
+        x = np.empty_like(B)
+        for i in range(self.dim - 1, -1, -1):
+            tail = np.einsum("kj,kj->k", lower[:, i + 1 :, i], x[:, i + 1 :])
+            x[:, i] = (y[:, i] - tail) / lower[:, i, i]
+        for k, solver in self._escalations.items():
+            x[k] = solver.solve(B[k])
+        return x
 
 
 def largest_eigenvalue(hessian: np.ndarray) -> float:

@@ -12,25 +12,27 @@ Two variants are provided:
       Δθ = (n·H − m·H_S)⁻¹ g_S.
 
   This is the closed form the series below truncates; it is exact for
-  quadratic losses.  Per-subset queries factorize the reduced matrix
-  directly; *batched* queries avoid the per-subset O(p³) refactorization
-  via a Woodbury downdate of the one cached factorization.  With the
-  rank-one factors ``m·H_S = Σ_{i∈S} w_i φ_i φ_iᵀ + m·ridge·I`` the
-  reduced matrix is a rank-|S| downdate of a scalar-shifted base,
+  quadratic losses.  Every subset needs its own reduced matrix, so a
+  per-subset query builds and factorizes it directly.  A *batched* query
+  sends all of its subsets through one stacked dense path instead.  With
+  the model's rank-one factors ``m·H_S = Σ_{i∈S} w_i φ_i φ_iᵀ + m·ridge·I``,
+  each reduced matrix is
 
-      n·H − m·H_S + d·I = B_m − V Vᵀ,
-      B_m = n·H + (d − m·ridge)·I,   V = [√w_i φ_i]_{i∈S, w_i>0},
+      n·H − (V_S·w_S)ᵀ V_S − m·ridge·I,   V_S = [φ_i]_{i∈S, w_i≠0},
 
-  so each subset costs one diagonal rescale in the cached eigenbasis
-  (:meth:`HessianSolver.eigendecomposition`; the shift depends on |S|, so
-  no single Cholesky factor can serve the batch) plus one |S|×|S|
-  capacitance system ``C = I − Vᵀ B_m⁻¹ V``, solved for the whole batch
-  as padded rank-bucketed block factorizations.  Subsets fall back to the
-  per-subset dense
-  refactorization when the capacitance would be at least p×p (``|S| ≥ p``
-  counting rows with nonzero curvature weight — the downdate is then no
-  cheaper than refactorizing), when the model exposes no usable factors,
-  or when the shifted spectrum / capacitance is detected ill-conditioned
+  built from the subset's own curvature rows.  Subsets are rank-sorted by
+  their count of curvature rows and cut into groups whose widest rank is
+  under twice the narrowest.  Each group gathers its rows into a padded
+  (g, r, p) tensor, forms every reduced matrix with one batched matmul,
+  and solves them all through one :class:`StackedHessianSolver`: one
+  batched Cholesky, which is also the positive-definiteness test, then one
+  batched solve.  Only matrices that fail the Cholesky run the ×10 damping
+  escalation, one at a time.  A group's padded rows, reduced matrices and
+  factors stay under ``_STACK_BYTES`` whatever n is: the group shrinks as
+  its rank grows, and a rank too wide for even one subset is gathered in
+  row slabs.  No (n, p²) outer-product table is ever built.  Models
+  without rank-one factors, or with a negative weight (the Gram is built
+  from √w-scaled rows), fall back to the per-subset loop
   (``exact_batch_stats`` counts every routing decision).
 
 * ``variant="series"`` — the first-order Neumann expansion of that solve,
@@ -48,38 +50,32 @@ Two variants are provided:
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
 
 from repro.fairness.metrics import FairnessContext, FairnessMetric
 from repro.influence.artifacts import ModelArtifacts
 from repro.influence.estimators import InfluenceEstimator
-from repro.influence.hessian import HessianSolver
+from repro.influence.hessian import HessianSolver, StackedHessianSolver
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
 from repro.obs.metrics import StatsView
 
-# Batched exact queries process at most this many subsets at a time, so the
-# padded (block, r_max, p) downdate tensors stay chunk-bounded however large
-# the batch is (mirrors estimators._PACKED_CHUNK).
-_EXACT_BLOCK = 256
-
-# A capacitance (or shifted-spectrum) eigenvalue ratio below this routes the
-# subset to the dense fallback: the Woodbury solve would amplify rounding
-# error past the batch == loop contract instead of failing loudly.
-_EXACT_RCOND = 1e-10
+# Byte budget for one stacked group's transients: the padded curvature rows
+# plus each subset's reduced matrix and its Cholesky factor.  Fixed, so the
+# exact batch path's scratch memory does not grow with the training-set
+# size.
+_STACK_BYTES = 1 << 24
 
 
 class SecondOrderInfluence(InfluenceEstimator):
     """Eq. 10: group influence with the curvature correction.
 
     ``exact_batch_stats`` counts, cumulatively over all batched queries of
-    the ``"exact"`` variant, how each subset was routed: ``"woodbury"``
-    (capacitance downdate against the cached factorization),
-    ``"fallback_size"`` (|S| ≥ p — refactorizing is no slower),
-    ``"fallback_cond"`` (ill-conditioned shifted spectrum or capacitance,
-    detected before solving), and ``"fallback_factors"`` (the model exposes
-    no usable rank-one Hessian factors).  Every fallback runs the same
-    per-subset dense refactorization as the scalar :meth:`param_change`.
+    the ``"exact"`` variant, how each non-empty subset was routed:
+    ``"stacked"`` (solved by the batched Cholesky), ``"escalated"`` (its
+    reduced matrix failed that Cholesky and went through the scalar damping
+    escalation) and ``"fallback_factors"`` (the model exposes no usable
+    rank-one Hessian factors, so the subset ran the per-subset
+    :meth:`param_change`).
     """
 
     def __init__(
@@ -99,24 +95,17 @@ class SecondOrderInfluence(InfluenceEstimator):
         super().__init__(model, X_train, y_train, metric, test_ctx, evaluation, artifacts)
         self.variant = variant
         self.damping = damping
-        # Hessian, factorization, rank-one factors, and the eigenbasis
-        # rotations all live in the (possibly shared) artifacts bundle:
-        # estimators of different metrics / groups / variants with the same
-        # damping reuse one factorization and one set of rotated caches.
+        # Hessian, factorization and rank-one factors all live in the
+        # (possibly shared) artifacts bundle: estimators of different
+        # metrics / groups / variants with the same damping reuse them.
         self.hessian = self.artifacts.hessian
         self.solver = self.artifacts.solver(damping)
         # Per-estimator registry: routing counts are asserted per instance
         # by the equivalence/fuzz suites, so the namespace is private, and
         # the lock inside StatsView.inc makes every bump exact under
-        # concurrent batched queries (this retires the old lossy-increment
-        # pragma on the fallback_factors site).
+        # concurrent batched queries.
         self.exact_batch_stats = StatsView(
-            {
-                "woodbury": 0,
-                "fallback_size": 0,
-                "fallback_cond": 0,
-                "fallback_factors": 0,
-            },
+            {"stacked": 0, "escalated": 0, "fallback_factors": 0},
             namespace="exact_batch",
         )
 
@@ -125,16 +114,13 @@ class SecondOrderInfluence(InfluenceEstimator):
 
     def warm(self) -> "SecondOrderInfluence":
         super().warm()
-        factors = self._hessian_factors()
-        if self.variant == "exact" and factors is not None and factors[1].min() >= 0.0:
-            _ = self.solver.eigendecomposition()
-            _ = self.artifacts.exact_rotation(self.damping)
+        _ = self.artifacts.hessian_factors()
         return self
 
     def param_change(self, indices: np.ndarray) -> np.ndarray:
         # The whole per-subset preparation (validation, gradient sum, the
-        # subset Hessian, the reduced matrix) is one leaf span so the dense
-        # fallback's cost attribution lands on a measurable name.
+        # subset Hessian, the reduced matrix) is one leaf span so the
+        # per-subset path's cost attribution lands on a measurable name.
         with trace.span("influence.subset_hessian") as prep_span:
             indices = self._subset_size_ok(indices)
             if indices.size == 0:
@@ -165,27 +151,34 @@ class SecondOrderInfluence(InfluenceEstimator):
         multi-RHS solve for ``u_S = H⁻¹ g_S``, three matrix products for
         every ``H_S u_S``, and one more multi-RHS solve for the correction.
         The ``"exact"`` variant solves a *different* reduced matrix
-        ``n·H − m·H_S`` per subset; with rank-one factors that is a
-        rank-|S| Woodbury downdate of a scalar-shifted base, so the batch
-        becomes shifted solves in the cached eigenbasis plus one small
-        capacitance system per subset (see the module docstring), with a
-        per-subset dense-refactorization fallback.  Models without factor
-        structure fall back to the scalar loop for both variants.  Both
-        entry representations — dense (m, n) masks and packed uint8
-        batches — funnel through this hook, so the lattice and the mining
-        engine take the same fast path.
+        ``n·H − m·H_S`` per subset, so its batch runs the stacked dense
+        path (see the module docstring).  Models without factor structure
+        fall back to the scalar loop for both variants.  Both entry
+        representations — dense (m, n) masks and packed uint8 batches —
+        funnel through this hook, so the lattice and the mining engine take
+        the same fast path.
         """
         num_subsets = masks.shape[0]
         if num_subsets == 0:
             return np.zeros((0, self.model.num_params))
-        factors = self._hessian_factors()
         if self.variant == "exact":
-            if factors is None or factors[1].min() < 0.0:
-                # No rank-one structure (or weights that cannot be √-split
-                # into a symmetric downdate): every subset refactorizes.
+            factors = self._stacking_factors()
+            if factors is None:
                 self.exact_batch_stats.inc("fallback_factors", num_subsets)
                 return super()._param_change_from_masks(masks)
-            return self._exact_param_change_from_masks(masks, factors)
+            curved = factors[1] != 0.0
+            flat = bool(curved.all())
+            sizes = masks.sum(axis=1)
+            ranks = sizes if flat else sizes - masks[:, ~curved].sum(axis=1)
+
+            def rows_of(j: int) -> np.ndarray:
+                return np.flatnonzero(masks[j] if flat else masks[j] & curved)
+
+            def grads_of(group: np.ndarray) -> np.ndarray:
+                return masks[group].astype(np.float64) @ self.per_sample_grads
+
+            return self._stacked_param_changes(sizes, ranks, rows_of, grads_of, factors)
+        factors = self.artifacts.hessian_factors()
         if factors is None:
             return super()._param_change_from_masks(masks)
         phi, weights, ridge = factors
@@ -209,198 +202,91 @@ class SecondOrderInfluence(InfluenceEstimator):
         deltas[sizes == 0] = 0.0  # matches the scalar empty-subset shortcut
         return deltas
 
-    def _exact_param_change_from_masks(
-        self, masks: np.ndarray, factors: tuple[np.ndarray, np.ndarray, float]
+    def _param_changes_indices(self, idxs: list[np.ndarray]) -> np.ndarray:
+        """Index-streamed exact batches ride the stacked path as well: each
+        subset's curvature rows are its own index array, so nothing is
+        unpacked to (m, n) masks."""
+        if not idxs or self.variant != "exact":
+            return super()._param_changes_indices(idxs)
+        factors = self._stacking_factors()
+        if factors is None:
+            self.exact_batch_stats.inc("fallback_factors", len(idxs))
+            return super()._param_changes_indices(idxs)
+        curved = factors[1] != 0.0
+        kept = [idx[curved[idx]] for idx in idxs]
+        sizes = np.array([idx.size for idx in idxs])
+        ranks = np.array([idx.size for idx in kept])
+
+        def grads_of(group: np.ndarray) -> np.ndarray:
+            return np.stack([self.per_sample_grads[idxs[j]].sum(axis=0) for j in group])
+
+        return self._stacked_param_changes(sizes, ranks, kept.__getitem__, grads_of, factors)
+
+    def _stacking_factors(self) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """The rank-one factors, when the stacked path can use them: its
+        Gram of √w-scaled rows needs every weight w_i ≥ 0."""
+        factors = self.artifacts.hessian_factors()
+        return factors if factors is not None and factors[1].min() >= 0.0 else None
+
+    def _stacked_param_changes(
+        self,
+        sizes: np.ndarray,
+        ranks: np.ndarray,
+        rows_of,
+        grads_of,
+        factors: tuple[np.ndarray, np.ndarray, float],
     ) -> np.ndarray:
-        """Woodbury-batched exact Δθ's (see the module docstring).
+        """Exact Δθ's through the stacked dense path (see the module docstring).
 
-        For each subset S: ``(n·H − m·H_S + d·I) = B_m − V Vᵀ`` with
-        ``B_m = n·H + (d − m·ridge)·I`` and ``V`` the √w-scaled curvature
-        rows of S, so
-
-            Δθ = B_m⁻¹ g_S + B_m⁻¹ V (I − Vᵀ B_m⁻¹ V)⁻¹ Vᵀ B_m⁻¹ g_S.
-
-        ``B_m⁻¹`` rides the solver's cached eigendecomposition (the shift
-        depends on |S|, so no single Cholesky factor can serve the batch);
-        the capacitance systems are solved as padded block factorizations
-        per _EXACT_BLOCK subsets with a per-subset conditioning detector
-        (see :meth:`_solve_capacitance`).  Zero-curvature rows (w_i = 0)
-        drop out of V exactly.  Subsets with |S| ≥ p curvature rows, a
-        nonpositive shifted spectrum, or a capacitance condition estimate
-        below _EXACT_RCOND are routed to the scalar dense path instead.
+        ``sizes`` is |S| and ``ranks`` the count of curvature rows
+        (w_i ≠ 0) per subset; ``rows_of(j)`` returns subset j's curvature
+        rows and ``grads_of(group)`` the gradient sums g_S of a group of
+        subsets.  Empty subsets are answered with zeros, as in
+        :meth:`param_change`.
         """
         phi, weights, ridge = factors
         n, p = self.num_train, self.model.num_params
-        d = self.damping
-        d0 = self.solver.damping_used
-        eigvals, eigvecs = self.solver.eigendecomposition()
-        curved = weights > 0.0
-        all_curved = bool(curved.all())
-        # Eigenbasis-rotated per-sample gradients and √w-scaled curvature
-        # rows, built lazily on the first batched exact query (θ* is fixed,
-        # so they never change) and shared through the artifacts bundle:
-        # masks hit the eigenbasis directly and the per-call rotation GEMMs
-        # disappear — for every estimator riding the bundle, not just this
-        # one.
-        psg_rot, phi_rot = self.artifacts.exact_rotation(self.damping)
-        stats = self.exact_batch_stats
-        deltas = np.empty((masks.shape[0], p))
-        for start in range(0, masks.shape[0], _EXACT_BLOCK):
-            block = masks[start : start + _EXACT_BLOCK]
-            sizes = block.sum(axis=1)
-            # B_m = n·(M + s·I) for the solver's damped matrix M, so one
-            # cached eigendecomposition serves every subset size.
-            shifts = (d - sizes * ridge) / n - d0
-            spectrum_lo = eigvals[0] + shifts
-            spectrum_ok = spectrum_lo > _EXACT_RCOND * np.abs(eigvals[-1] + shifts)
-            blockc = block if all_curved else block & curved[None, :]
-            ranks = sizes if all_curved else blockc.sum(axis=1)
-            # A-priori conditioning certificate: the damped reduced matrix
-            # is Σ_{i∉S} w φφᵀ + γ·I with γ = (n−m)·ridge + d, so
-            # λmin(C) ≥ γ / λmax(B_m) and λmax(C) ≤ 1.  Subsets whose bound
-            # clears the routing threshold with three orders of margin are
-            # *provably* well-conditioned and skip per-subset detection
-            # entirely; only the rest (e.g. unregularized models) pay it.
-            gamma = (n - sizes) * ridge + d
-            spectrum_hi = n * (eigvals[-1] + shifts)
-            assured = (spectrum_hi > 0) & (gamma > _EXACT_RCOND * 1e3 * spectrum_hi)
-            take = spectrum_ok & (ranks < p)
-            stats.inc("fallback_size", int((ranks >= p).sum()))
-            stats.inc("fallback_cond", int((~spectrum_ok & (ranks < p)).sum()))
-            wood = np.flatnonzero(take)
-            if wood.size:
-                # Process the Woodbury subsets rank-sorted in power-of-two
-                # buckets: the capacitance stage pads every subset in a
-                # bucket to the widest rank, so bucketing bounds the padding
-                # waste at 2x instead of letting one wide subset inflate the
-                # whole block.
-                wood = wood[np.argsort(ranks[wood], kind="stable")]
-                # Everything below runs in the *whitened* eigenbasis of the
-                # damped matrix: with s = 1/√denom, B_m⁻¹ = diag(s)·diag(s),
-                # the capacitance is the symmetric I − Tsq Tsqᵀ for
-                # Tsq = V Q diag(s), and only the finished Δθ's rotate back.
-                sqrt_inv = 1.0 / np.sqrt(n * (eigvals[None, :] + shifts[wood, None]))
-                with trace.span("influence.gemm", m=int(wood.size), n=n, p=p) as sp:
-                    sp.add("gemm_flops", 2.0 * wood.size * n * p)
-                    g_hat = (block[wood].astype(np.float64) @ psg_rot) * sqrt_inv
-                # np.nonzero walks the gathered mask rows in batch order, so
-                # the flat curvature rows line up with the rank-sorted
-                # subsets.
-                cat = np.nonzero(blockc[wood])[1]
-                offsets = np.concatenate([[0], np.cumsum(ranks[wood])])
-                wr = ranks[wood]
-                bad = np.zeros(wood.size, dtype=bool)
-                block_assured = bool(assured[wood].all())
-                with trace.span("influence.capacitance", subsets=int(wood.size)):
-                    lo = 0
-                    while lo < wood.size:
-                        width = max(int(wr[lo]), 1)
-                        hi = int(np.searchsorted(wr, 2 * width, side="left"))
-                        hi = max(hi, lo + 1)
-                        bad[lo:hi] = self._exact_capacitance_correction(
-                            g_hat[lo:hi],
-                            sqrt_inv[lo:hi],
-                            phi_rot,
-                            cat[offsets[lo] : offsets[hi]],
-                            wr[lo:hi],
-                            block_assured,
-                        )
-                        lo = hi
-                stats.inc("fallback_cond", int(bad.sum()))
-                stats.inc("woodbury", int((~bad).sum()))
-                with trace.span("influence.gemm", m=int((~bad).sum()), n=p, p=p, kind="rotate") as sp:
-                    sp.add("gemm_flops", 2.0 * (~bad).sum() * p * p)
-                    deltas[start + wood[~bad]] = (g_hat * sqrt_inv)[~bad] @ eigvecs.T
-                take[wood[bad]] = False
-            fallback = np.flatnonzero(~take)
-            if fallback.size:
-                with trace.span("influence.dense_fallback", subsets=int(fallback.size)):
-                    for j in fallback:
-                        deltas[start + j] = self.param_change(np.flatnonzero(block[j]))
+        deltas = np.zeros((len(sizes), p))
+        order = np.flatnonzero(sizes)
+        order = order[np.argsort(ranks[order], kind="stable")]
+        sorted_ranks = ranks[order]
+        base = n * self.hessian
+        diagonal = np.arange(p)
+        # Bytes per padded row, and per subset for its reduced matrix, one
+        # matmul temporary and its Cholesky factor.
+        per_row, per_subset = 8 * p, 24 * p * p
+        stacked = escalated = 0
+        with trace.span("influence.stacked", subsets=int(order.size), p=p) as span:
+            lo = 0
+            while lo < order.size:
+                end = int(np.searchsorted(sorted_ranks, 2 * max(sorted_ranks[lo], 1)))
+                widest = int(sorted_ranks[end - 1])
+                g = max(1, min(end - lo, _STACK_BYTES // (per_subset + widest * per_row)))
+                group = order[lo : lo + g]
+                lo += g
+                counts = ranks[group]
+                rows = np.concatenate([rows_of(j) for j in group])
+                owner = np.repeat(np.arange(g), counts)
+                slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+                # (V_S·w_S)ᵀV_S as the Gram of √w-scaled rows, padded with
+                # zero rows; one slab unless a single subset's rows overflow.
+                slab = max(1, min(widest, (_STACK_BYTES // g - per_subset) // per_row))
+                grams = np.zeros((g, p, p)) if widest == 0 else None
+                for s0 in range(0, widest, slab):
+                    take = (slots >= s0) & (slots < s0 + slab)
+                    r = rows[take]
+                    padded = np.zeros((g, min(slab, widest - s0), p))
+                    padded[owner[take], slots[take] - s0] = phi[r] * np.sqrt(weights[r])[:, None]
+                    part = padded.transpose(0, 2, 1) @ padded
+                    grams = part if grams is None else np.add(grams, part, out=grams)
+                reduced = np.subtract(base, grams, out=grams)
+                reduced[:, diagonal, diagonal] -= (sizes[group] * ridge)[:, None]
+                solver = StackedHessianSolver.factorize(reduced, self.damping)
+                deltas[group] = solver.solve_many(grads_of(group))
+                span.add("gemm_flops", 2.0 * g * widest * p * p + 2.0 * sizes[group].sum() * p)
+                span.add("solve_flops", g * (p**3 / 3.0 + 2.0 * p * p))
+                escalated += int(solver.escalated.sum())
+                stacked += g - int(solver.escalated.sum())
+        self.exact_batch_stats.inc("stacked", stacked)
+        self.exact_batch_stats.inc("escalated", escalated)
         return deltas
-
-    def _exact_capacitance_correction(
-        self,
-        g_hat: np.ndarray,
-        sqrt_inv: np.ndarray,
-        phi_rot: np.ndarray,
-        cat: np.ndarray,
-        ranks: np.ndarray,
-        assured: bool = False,
-    ) -> np.ndarray:
-        """Apply ``(I − Tsq Tsqᵀ)``'s Woodbury correction to ``g_hat``.
-
-        In the whitened basis the downdated solve is simply
-
-            Δθ_hat = ĝ + Tsqᵀ C⁻¹ Tsq ĝ,   C = I − Tsq Tsqᵀ,
-
-        with ``Tsq`` the bucket's √denom-whitened curvature rows, gathered
-        by ``cat`` (training-row index per flat row, back to back per
-        subset) and scattered into a tensor padded to the bucket's widest
-        downdate rank.  Padding rows of Tsq are zero, so each padded
-        capacitance is the true one plus an identity block and the
-        block-batched factorizations stay exact.  The correction is added
-        to ``g_hat`` in place.  Returns the boolean mask of subsets whose
-        capacitance failed the conditioning test (their rows are left
-        unfinished — the caller reroutes them to the dense path).
-        """
-        num, rmax = len(ranks), int(ranks.max(initial=0))
-        if rmax == 0:
-            return np.zeros(num, dtype=bool)
-        row_of = np.repeat(np.arange(num), ranks)
-        slot_of = np.arange(len(row_of)) - np.repeat(np.cumsum(ranks) - ranks, ranks)
-        Tsq = np.zeros((num, rmax, phi_rot.shape[1]))
-        Tsq[row_of, slot_of] = phi_rot[cat] * sqrt_inv[row_of]
-        C = np.eye(rmax)[None, :, :] - Tsq @ Tsq.transpose(0, 2, 1)
-        t = (Tsq @ g_hat[:, :, None])[:, :, 0]
-        z, bad = self._solve_capacitance(C, t, assured)
-        g_hat[~bad] += (z[:, None, :] @ Tsq)[:, 0, :][~bad]
-        return bad
-
-    def _solve_capacitance(
-        self, C: np.ndarray, t: np.ndarray, assured: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Solve every capacitance system ``C_j z_j = t_j`` in the block.
-
-        ``assured=True`` means every subset carries the a-priori
-        positive-definiteness/conditioning certificate (see the caller), so
-        one batched solve is all that is needed.  Without the certificate:
-        one batched Cholesky over the stack — which is also the
-        positive-definiteness test — with ill-conditioning screened by the
-        Cholesky pivot ratio min(L_jj²)/max(L_jj²) (a near-singular
-        capacitance shows up as a collapsed pivot); only the screened
-        suspects pay a LAPACK ``dpocon`` reciprocal condition estimate
-        (the screen is six orders of magnitude more lenient than the
-        routing threshold, so a subset must clear a wide margin to skip
-        confirmation).  If any capacitance in the stack is not even PD the
-        whole bucket retries on the robust eigendecomposition path, which
-        pins down the offending subsets individually.  Returns
-        ``(z, bad)``; rows of ``z`` flagged bad are unusable and must be
-        rerouted.
-        """
-        if assured:
-            return np.linalg.solve(C, t[:, :, None])[:, :, 0], np.zeros(C.shape[0], dtype=bool)
-        try:
-            L = np.linalg.cholesky(C)
-        except np.linalg.LinAlgError:
-            return self._solve_capacitance_eigh(C, t)
-        pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
-        suspect = pivots.min(axis=1) <= (_EXACT_RCOND * 1e6) * pivots.max(axis=1)
-        bad = np.zeros(C.shape[0], dtype=bool)
-        for j in np.flatnonzero(suspect):
-            anorm = float(np.abs(C[j]).sum(axis=0).max())
-            rcond, info = lapack.dpocon(L[j], anorm, uplo="L")
-            bad[j] = info != 0 or rcond <= _EXACT_RCOND
-        return np.linalg.solve(C, t[:, :, None])[:, :, 0], bad
-
-    @staticmethod
-    def _solve_capacitance_eigh(C: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lam, Qc = np.linalg.eigh(C)
-        bad = (lam[:, 0] <= 0.0) | (lam[:, 0] <= _EXACT_RCOND * lam[:, -1])
-        lam_safe = np.where(lam <= 0.0, 1.0, lam)
-        t_hat = (Qc.transpose(0, 2, 1) @ t[:, :, None])[:, :, 0]
-        z = (Qc @ (t_hat / lam_safe)[:, :, None])[:, :, 0]
-        return z, bad
-
-    def _hessian_factors(self) -> tuple[np.ndarray, np.ndarray, float] | None:
-        return self.artifacts.hessian_factors()

@@ -277,43 +277,27 @@ class PredicateAlphabet:
         Returns ``(left, right, patterns)``: for every entry index pair
         ``i < j`` (in the lattice's enumeration order) whose merge is a
         genuine two-predicate, satisfiable, not-yet-seen pattern, the
-        parallel index arrays and the merged :class:`Pattern` objects.
-        The skeleton depends only on the entry *predicates* — never on
-        masks or data — so it survives edits as long as the entry list
-        does; :meth:`apply_edit` invalidates it when the support filter
-        changes the entries.  Built lazily and cached: the incremental
-        delta-audit path replays one search's worth of structural work
-        here once, then reuses it across every (metric, estimator) query
-        and every subsequent edit.
+        parallel index arrays and the merged :class:`Pattern` objects —
+        the lattice's own level-2 enumeration
+        (:func:`repro.patterns.lattice.merge_pairs`), so skeleton order is
+        the order of ``LatticeRecord.pair_left/right``.  The skeleton
+        depends only on the entry *predicates* — never on masks or data —
+        so it survives edits as long as the entry list does;
+        :meth:`apply_edit` invalidates it when the support filter changes
+        the entries.  Built lazily and cached: the incremental delta-audit
+        path replays one search's worth of structural work here once, then
+        reuses it across every (metric, estimator) query and every
+        subsequent edit.
         """
         if self._skeleton is None:
             with self._lock:
                 if self._skeleton is None:
-                    from repro.patterns.pattern import Pattern
+                    from repro.patterns.lattice import PredicateIndex, merge_pairs
 
                     trace.add("cache_misses")
-                    predicates = [predicate for predicate, _ in self.entries]
-                    left: list[int] = []
-                    right: list[int] = []
-                    patterns: list = []
-                    seen = set()
-                    singles = [Pattern([predicate]) for predicate in predicates]
-                    for i in range(len(singles)):
-                        for j in range(i + 1, len(singles)):
-                            merged = singles[i].merge(singles[j])
-                            if len(merged) != 2 or merged in seen:
-                                continue
-                            seen.add(merged)
-                            if not merged.is_satisfiable():
-                                continue
-                            left.append(i)
-                            right.append(j)
-                            patterns.append(merged)
-                    self._skeleton = (
-                        np.array(left, dtype=np.int64),
-                        np.array(right, dtype=np.int64),
-                        patterns,
-                    )
+                    index, ids = PredicateIndex.of([predicate for predicate, _ in self.entries])
+                    left, right, merged, _ = merge_pairs(ids[:, None], index.conflicts)
+                    self._skeleton = (left, right, [index.pattern(row) for row in merged])
                     self._stats.inc("skeleton_builds")
                 else:
                     trace.add("cache_hits")

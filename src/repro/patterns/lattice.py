@@ -17,12 +17,21 @@ prune the exponential space (paper §4.2):
    R = 1, and letting such junk estimates veto every refinement would cut
    off exactly the coherent subgroups the search exists to find.
 
-Pair enumeration is done by bucketing each level-(i−1) pattern under all of
-its (i−2)-predicate subsets; two patterns share a bucket iff they differ in
-exactly one predicate, so the enumeration is complete without the quadratic
-all-pairs scan.  A candidate reachable through several parent pairs is
-evaluated once, against the first pair that produces it (pair order is
-deterministic, so the search is reproducible).
+Each level's gather runs on arrays.  A level stores its patterns as rows
+of predicate ids — the level-1 predicates numbered in canonical sort
+order, so an ascending row is the pattern's canonical form — next to their
+masks packed to ``ceil(n/8)`` bytes (:class:`LevelState`).  Pairs are
+enumerated by bucketing every pattern under each of its one-shorter
+sub-rows: two patterns share a bucket iff they differ in exactly one
+predicate, so the enumeration is complete without an all-pairs scan.
+Buckets are visited in order of first appearance and pairs within a bucket
+in row order.  That order is part of the answer: a candidate reachable
+through several parent pairs is evaluated once, against the first pair
+that produces it, and that pair's parents set its responsibility bar.
+Only the two predicates the parents do not share can conflict, so
+satisfiability is one lookup in a K×K conflict table; support is an AND of
+packed rows plus a popcount.  :class:`Pattern` objects are built only for
+candidates that enter the result.
 
 Influence queries are *batched*: each level first gathers every merge that
 survives the structural checks (dedup, satisfiability, support), then asks
@@ -44,7 +53,11 @@ from repro.influence.estimators import InfluenceEstimator
 from repro.obs import trace
 from repro.patterns.candidates import generate_single_predicates
 from repro.patterns.pattern import Pattern
+from repro.patterns.predicate import Predicate
 from repro.tabular import Table
+
+# Bytes of packed pair masks ANDed at a time during a level's gather.
+_GATHER_BYTES = 1 << 22
 
 
 @dataclass
@@ -139,6 +152,170 @@ class LatticeResult:
     @property
     def num_candidates(self) -> int:
         return len(self.candidates)
+
+
+@dataclass(frozen=True)
+class PredicateIndex:
+    """The level-1 predicates numbered in canonical (sort-key) order.
+
+    An ascending row of ids is therefore a pattern's canonical predicate
+    order.  ``conflicts[a, b]`` is True when predicates a and b cannot both
+    hold (:meth:`Predicate.conflicts_with`, asked of the earlier one, as
+    :meth:`Pattern.is_satisfiable` does).
+    """
+
+    predicates: list[Predicate]
+    conflicts: np.ndarray
+
+    @classmethod
+    def of(cls, predicates: list[Predicate]) -> tuple["PredicateIndex", np.ndarray]:
+        """The index over ``predicates`` and each one's id (equal ones share)."""
+        ordered = sorted(set(predicates), key=Predicate.sort_key)
+        conflicts = np.zeros((len(ordered), len(ordered)), dtype=bool)
+        for a, first in enumerate(ordered):
+            # Sort keys lead with the feature, so a feature's predicates are
+            # contiguous and only they can conflict.
+            for b in range(a + 1, len(ordered)):
+                if ordered[b].feature != first.feature:
+                    break
+                conflicts[a, b] = conflicts[b, a] = first.conflicts_with(ordered[b])
+        ids = {predicate: i for i, predicate in enumerate(ordered)}
+        return cls(ordered, conflicts), np.array([ids[p] for p in predicates], dtype=np.int64)
+
+    def pattern(self, row: np.ndarray) -> Pattern:
+        return Pattern([self.predicates[k] for k in row])
+
+
+@dataclass
+class LevelState:
+    """One lattice level's patterns, row-aligned arrays."""
+
+    rows: np.ndarray  # (N, level) ascending predicate ids
+    packed: np.ndarray  # (N, ceil(n/8)) packed row masks
+    sizes: np.ndarray  # (N,) covered-row counts
+    responsibilities: np.ndarray
+    bias_changes: np.ndarray
+
+
+@dataclass
+class LevelMerges:
+    """A level's merges that pass dedup, satisfiability and support, in pair order."""
+
+    left: np.ndarray  # parent indices into the LevelState
+    right: np.ndarray
+    rows: np.ndarray  # (m, level + 1) merged predicate ids
+    packed: np.ndarray
+    sizes: np.ndarray
+    known: np.ndarray  # 0 = evaluate; 1/2 = extent collapsed onto the left/right parent
+    bars: np.ndarray  # the responsibility each merge must strictly exceed
+    tried: int  # pairs enumerated: the level's num_merges_tried
+
+
+def merge_pairs(rows: np.ndarray, conflicts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Structural merges of one level: ``(left, right, merged rows, pairs tried)``.
+
+    ``rows`` holds the level's patterns as ascending id rows.  Every pair
+    differing in exactly one id is tried, in bucket order (see the module
+    docstring).  A pair survives when its merge is one id longer than its
+    parents, no earlier pair produced the same merge, and its two unshared
+    predicates do not conflict.
+    """
+    num, size = rows.shape
+    # Element e = (pattern e // size, dropped column e % size); its key is
+    # the pattern's row without that column.
+    keys = np.stack([np.delete(rows, d, axis=1) for d in range(size)], axis=1)
+    keys = keys.reshape(num * size, size - 1)
+    if size == 1:
+        bucket = np.zeros(num, dtype=np.int64)  # every pair shares the empty key
+    else:
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(first.size)
+        bucket = rank[inverse.reshape(-1)]
+    order = np.argsort(bucket, kind="stable")
+    counts = np.bincount(bucket)
+    local = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    later = np.repeat(counts, counts) - 1 - local  # partners after each element
+    left_at = np.repeat(np.arange(order.size), later)
+    right_at = left_at + 1 + np.arange(left_at.size) - np.repeat(np.cumsum(later) - later, later)
+    left, right = order[left_at], order[right_at]
+    tried = left.size
+    # Each side's unshared predicate is the id its element dropped.
+    x_left, x_right = rows.reshape(-1)[left], rows.reshape(-1)[right]
+    grown = x_left != x_right
+    left, right, x_left, x_right = left[grown], right[grown], x_left[grown], x_right[grown]
+    merged = np.sort(np.column_stack([keys[left], x_left, x_right]), axis=1)
+    fresh = np.zeros(left.size, dtype=bool)
+    fresh[np.unique(merged, axis=0, return_index=True)[1]] = True
+    keep = fresh & ~conflicts[x_left, x_right]
+    return left[keep] // size, right[keep] // size, merged[keep], tried
+
+
+def gather_level(
+    level: LevelState,
+    index: PredicateIndex,
+    num_rows: int,
+    support_threshold: float,
+    max_responsibility: float,
+) -> LevelMerges:
+    """The next level's merges that pass the structural checks and support.
+
+    Masks are ANDed ``_GATHER_BYTES`` of packed pairs at a time and only
+    supported merges keep theirs.  A merge whose extent equals a parent's
+    (``known`` 1 or 2) reuses that parent's evaluation downstream.
+    """
+    from repro.mining.bitset import popcount  # repro.mining imports this module
+
+    left, right, rows, tried = merge_pairs(level.rows, index.conflicts)
+    step = max(1, _GATHER_BYTES // max(level.packed.shape[1], 1))
+    kept = [np.zeros(0, dtype=np.int64)]
+    packed = [level.packed[:0]]
+    sizes = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, left.size, step):
+        block = level.packed[left[start : start + step]]
+        block &= level.packed[right[start : start + step]]
+        counts = popcount(block)
+        supported = counts / num_rows > support_threshold
+        kept.append(start + np.flatnonzero(supported))
+        packed.append(block[supported])
+        sizes.append(counts[supported])
+    kept = np.concatenate(kept)
+    left, right, sizes = left[kept], right[kept], np.concatenate(sizes)
+    # mask ⊆ each parent's, so an equal size means an equal row set.
+    known = np.where(
+        sizes == level.sizes[left], 1, np.where(sizes == level.sizes[right], 2, 0)
+    ).astype(np.int8)
+    return LevelMerges(
+        left=left,
+        right=right,
+        rows=rows[kept],
+        packed=np.concatenate(packed),
+        sizes=sizes,
+        known=known,
+        bars=np.maximum(
+            _root_cause(level.responsibilities[left], max_responsibility),
+            _root_cause(level.responsibilities[right], max_responsibility),
+        ),
+        tried=tried,
+    )
+
+
+def _parent_bar(resp_a: float, resp_b: float, cap: float) -> float:
+    """The responsibility a merged child must strictly exceed.
+
+    Only parents inside the root-cause window (0, cap] count; children of
+    two out-of-window parents face no responsibility bar (support pruning
+    still applies).  :func:`gather_level` applies the same rule to whole
+    arrays through :func:`_root_cause`.
+    """
+    valid = [r for r in (resp_a, resp_b) if 0.0 < r <= cap]
+    return max(valid) if valid else -np.inf
+
+
+def _root_cause(responsibilities: np.ndarray, cap: float) -> np.ndarray:
+    """Responsibilities inside the root-cause window (0, cap]; −inf outside."""
+    inside = (responsibilities > 0.0) & (responsibilities <= cap)
+    return np.where(inside, responsibilities, -np.inf)
 
 
 def compute_candidates(
@@ -237,129 +414,119 @@ def compute_candidates(
             # paper notes such patterns have no explanatory value, and no
             # model can be retrained without any training rows.
             entries = [(predicate, mask) for predicate, mask in singles if not mask.all()]
-        survivors: list[tuple[Pattern, np.ndarray]] = [
-            (Pattern([predicate]), mask) for predicate, mask in entries
-        ]
+        predicates = [predicate for predicate, _ in entries]
+        index, ids = PredicateIndex.of(predicates)
+        masks = (
+            np.stack([mask for _, mask in entries])
+            if entries
+            else np.zeros((0, num_rows), dtype=bool)
+        )
+        packed = np.packbits(masks, axis=1)
         responsibilities, bias_changes = _evaluate_all(
-            estimator, [mask for _, mask in survivors], batch, batch_size
+            estimator, packed, num_rows, batch, batch_size
         )
-        num_evaluated = len(survivors)
-        current: list[tuple[Pattern, np.ndarray, int, float, float]] = []
-        for (pattern, mask), resp, dbias in zip(survivors, responsibilities, bias_changes):
-            current.append((pattern, mask, int(mask.sum()), resp, dbias))
-            if resp >= min_responsibility:
-                all_stats.append(_stats(pattern, mask, resp, dbias, num_rows))
+        num_evaluated = len(entries)
+        current = LevelState(
+            ids[:, None], packed, masks.sum(axis=1), responsibilities, bias_changes
+        )
+        for k in np.flatnonzero(responsibilities >= min_responsibility):
+            all_stats.append(
+                _stats(Pattern([predicates[k]]), current, k, num_rows)
+            )
         levels.append(
-            LatticeLevelStats(1, len(current), num_singles, time.perf_counter() - start)
+            LatticeLevelStats(1, len(entries), num_singles, time.perf_counter() - start)
         )
-        level_span.set(candidates=len(current), evaluated=len(survivors))
+        level_span.set(candidates=len(entries), evaluated=len(entries))
 
     # Depth-2 searches are structurally replayable under data edits; record
     # the per-merge state the incremental re-audit needs (see LatticeRecord).
     recording = max_predicates <= 2
-    responsibilities_level1, bias_changes_level1 = responsibilities, bias_changes
-    rec_pairs: list[tuple[int, int, int, int, float, float, bool]] = []
+    pairs = dict(
+        pair_left=np.zeros(0, dtype=np.int64),
+        pair_right=np.zeros(0, dtype=np.int64),
+        pair_sizes=np.zeros(0, dtype=np.int64),
+        pair_known=np.zeros(0, dtype=np.int8),
+        pair_responsibilities=np.zeros(0),
+        pair_bias_changes=np.zeros(0),
+        pair_in_result=np.zeros(0, dtype=bool),
+    )
 
     # --- levels 2..max ----------------------------------------------------
     level = 2
-    while current and level <= max_predicates:
+    while len(current.rows) and level <= max_predicates:
         start = time.perf_counter()
         with trace.span("lattice.level", level=level) as level_span:
-            merges_tried = 0
-            seen: set[Pattern] = set()
             # Gather phase: structural pruning only (dedup, satisfiability,
             # support).  Influence is deferred so the whole level is one batch.
-            # A merge whose row set collapses onto one parent's (a redundant
+            with trace.span("lattice.gather"):
+                merges = gather_level(
+                    current, index, num_rows, support_threshold, max_responsibility
+                )
+
+            # Evaluate phase: one batched influence query per chunk.  A merge
+            # whose row set collapses onto one parent's (a redundant
             # predicate) has *exactly* that parent's responsibility, so the
             # parent's evaluation is reused — the influence query would only
             # reproduce it up to floating-point noise, and the strict pruning
             # comparison must not hinge on that noise.
-            merged_survivors: list[
-                tuple[Pattern, np.ndarray, int, float, tuple[float, float] | None, int, int, int]
-            ] = []
-            with trace.span("lattice.gather"):
-                for i_a, i_b in _mergeable_pairs(current):
-                    pattern_a, mask_a, size_a, resp_a, dbias_a = current[i_a]
-                    pattern_b, mask_b, size_b, resp_b, dbias_b = current[i_b]
-                    merges_tried += 1
-                    merged = pattern_a.merge(pattern_b)
-                    if len(merged) != level or merged in seen:
-                        continue
-                    seen.add(merged)
-                    if not merged.is_satisfiable():
-                        continue
-                    mask = mask_a & mask_b
-                    size = int(mask.sum())
-                    support = size / num_rows
-                    if support <= support_threshold:
-                        continue
-                    if size == size_a:  # mask ⊆ mask_a, so equal sizes ⇒ equal sets
-                        known, known_code = (resp_a, dbias_a), 1
-                    elif size == size_b:
-                        known, known_code = (resp_b, dbias_b), 2
-                    else:
-                        known, known_code = None, 0
-                    merged_survivors.append(
-                        (
-                            merged,
-                            mask,
-                            size,
-                            _parent_bar(resp_a, resp_b, max_responsibility),
-                            known,
-                            i_a,
-                            i_b,
-                            known_code,
-                        )
-                    )
-
-            # Evaluate phase: one batched influence query per chunk.
-            to_evaluate = [row[1] for row in merged_survivors if row[4] is None]
-            responsibilities, bias_changes = _evaluate_all(
-                estimator, to_evaluate, batch, batch_size
+            fresh = merges.known == 0
+            resp = np.empty(len(merges.sizes))
+            dbias = np.empty(len(merges.sizes))
+            resp[fresh], dbias[fresh] = _evaluate_all(
+                estimator, merges.packed[fresh], num_rows, batch, batch_size
             )
-            num_evaluated += len(to_evaluate)
+            num_evaluated += int(fresh.sum())
+            for code, parents in ((1, merges.left), (2, merges.right)):
+                collapsed = merges.known == code
+                resp[collapsed] = current.responsibilities[parents[collapsed]]
+                dbias[collapsed] = current.bias_changes[parents[collapsed]]
 
             # Prune phase: heuristic 2 against the recorded parent bars.
-            next_level = []
-            evaluated = iter(zip(responsibilities, bias_changes))
             with trace.span("lattice.prune"):
-                for merged, mask, size, bar, known, i_a, i_b, known_code in merged_survivors:
-                    resp, dbias = known if known is not None else next(evaluated)
-                    in_result = False
-                    if not (prune_by_responsibility and resp <= bar):
-                        next_level.append((merged, mask, size, resp, dbias))
-                        if resp >= min_responsibility:
-                            all_stats.append(_stats(merged, mask, resp, dbias, num_rows))
-                            in_result = True
-                    if recording and level == 2:
-                        rec_pairs.append(
-                            (i_a, i_b, size, known_code, float(resp), float(dbias), in_result)
-                        )
+                survive = (
+                    ~(resp <= merges.bars)
+                    if prune_by_responsibility
+                    else np.ones(len(resp), dtype=bool)
+                )
+                in_result = survive & (resp >= min_responsibility)
+                current = LevelState(
+                    merges.rows[survive],
+                    merges.packed[survive],
+                    merges.sizes[survive],
+                    resp[survive],
+                    dbias[survive],
+                )
+                merged = LevelState(merges.rows, merges.packed, merges.sizes, resp, dbias)
+                for j in np.flatnonzero(in_result):
+                    all_stats.append(_stats(index.pattern(merges.rows[j]), merged, j, num_rows))
+                if recording:
+                    pairs.update(
+                        pair_left=merges.left,
+                        pair_right=merges.right,
+                        pair_sizes=merges.sizes,
+                        pair_known=merges.known,
+                        pair_responsibilities=resp,
+                        pair_bias_changes=dbias,
+                        pair_in_result=in_result,
+                    )
 
             levels.append(
                 LatticeLevelStats(
-                    level, len(next_level), merges_tried, time.perf_counter() - start
+                    level, len(current.rows), merges.tried, time.perf_counter() - start
                 )
             )
             level_span.set(
-                candidates=len(next_level), merges=merges_tried, evaluated=len(to_evaluate)
+                candidates=len(current.rows), merges=merges.tried, evaluated=int(fresh.sum())
             )
-        current = next_level
         level += 1
 
     record = None
     if recording:
         record = LatticeRecord(
             num_entries=len(entries),
-            level1_responsibilities=np.asarray(responsibilities_level1, dtype=np.float64),
-            level1_bias_changes=np.asarray(bias_changes_level1, dtype=np.float64),
-            pair_left=np.array([r[0] for r in rec_pairs], dtype=np.int64),
-            pair_right=np.array([r[1] for r in rec_pairs], dtype=np.int64),
-            pair_sizes=np.array([r[2] for r in rec_pairs], dtype=np.int64),
-            pair_known=np.array([r[3] for r in rec_pairs], dtype=np.int8),
-            pair_responsibilities=np.array([r[4] for r in rec_pairs], dtype=np.float64),
-            pair_bias_changes=np.array([r[5] for r in rec_pairs], dtype=np.float64),
-            pair_in_result=np.array([r[6] for r in rec_pairs], dtype=bool),
+            level1_responsibilities=np.asarray(responsibilities, dtype=np.float64),
+            level1_bias_changes=np.asarray(bias_changes, dtype=np.float64),
+            **pairs,
         )
     return LatticeResult(
         candidates=all_stats, levels=levels, num_evaluated=num_evaluated, record=record
@@ -367,53 +534,6 @@ def compute_candidates(
 
 
 # ----------------------------------------------------------------------
-def _parent_bar(resp_a: float, resp_b: float, cap: float) -> float:
-    """The responsibility a merged child must strictly exceed.
-
-    Only parents inside the root-cause window (0, cap] count; children of
-    two out-of-window parents face no responsibility bar (support pruning
-    still applies).
-    """
-    valid = [r for r in (resp_a, resp_b) if 0.0 < r <= cap]
-    return max(valid) if valid else -np.inf
-
-
-def _mergeable_pairs(patterns: list[tuple]):
-    """Yield index pairs of patterns differing in exactly one predicate.
-
-    ``patterns`` is a list of tuples whose first element is the
-    :class:`Pattern`; the remaining elements (masks, statistics) are
-    ignored here.  Each pattern is filed under every (size−1)-subset of its
-    predicates; two patterns land in the same bucket iff they share that
-    subset, i.e. differ in exactly one predicate.  For level 1 every pair
-    qualifies (the shared subset is empty).
-    """
-    if not patterns:
-        return
-    size = len(patterns[0][0])
-    if size == 1:
-        for i in range(len(patterns)):
-            for j in range(i + 1, len(patterns)):
-                yield i, j
-        return
-    buckets: dict[tuple, list[int]] = {}
-    for idx, entry in enumerate(patterns):
-        preds = entry[0].predicates
-        for drop in range(len(preds)):
-            key = tuple(
-                p.sort_key() for k, p in enumerate(preds) if k != drop
-            )
-            buckets.setdefault(key, []).append(idx)
-    emitted: set[tuple[int, int]] = set()
-    for members in buckets.values():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                pair = (members[a], members[b])
-                if pair not in emitted:
-                    emitted.add(pair)
-                    yield pair
-
-
 def _evaluate(estimator: InfluenceEstimator, mask: np.ndarray) -> tuple[float, float]:
     indices = np.flatnonzero(mask)
     dbias = estimator.bias_change(indices)
@@ -432,26 +552,32 @@ def _baseline(estimator: InfluenceEstimator) -> float:
 
 def _evaluate_all(
     estimator: InfluenceEstimator,
-    masks: list[np.ndarray],
+    packed: np.ndarray,
+    num_rows: int,
     batch: bool,
     batch_size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Responsibilities and bias changes for a level's candidate masks.
+    """Responsibilities and bias changes for a level's packed candidate masks.
 
-    The batched path stacks the masks into (m, n) matrices of at most
+    The batched path unpacks the masks into (m, n) matrices of at most
     ``batch_size`` rows and issues one ``bias_change_batch`` per chunk; the
     loop path queries candidates one at a time.  Both return arrays aligned
-    with ``masks``.
+    with ``packed``.
     """
-    if not masks:
+    if not len(packed):
         empty = np.zeros(0)
         return empty, empty
     if not batch:
-        pairs = [_evaluate(estimator, mask) for mask in masks]
+        pairs = [
+            _evaluate(estimator, np.unpackbits(row, count=num_rows).view(bool))
+            for row in packed
+        ]
         return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
     chunks = [
-        estimator.bias_change_batch(np.stack(masks[start : start + batch_size]))
-        for start in range(0, len(masks), batch_size)
+        estimator.bias_change_batch(
+            np.unpackbits(packed[start : start + batch_size], axis=1, count=num_rows).view(bool)
+        )
+        for start in range(0, len(packed), batch_size)
     ]
     bias_changes = np.concatenate(chunks)
     baseline = _baseline(estimator)
@@ -462,15 +588,14 @@ def _evaluate_all(
     return responsibilities, bias_changes
 
 
-def _stats(
-    pattern: Pattern, mask: np.ndarray, resp: float, dbias: float, num_rows: int
-) -> PatternStats:
+def _stats(pattern: Pattern, level: LevelState, j: int, num_rows: int) -> PatternStats:
+    size = int(level.sizes[j])
     return PatternStats(
         pattern=pattern,
-        support=float(mask.sum() / num_rows),
-        size=int(mask.sum()),
-        responsibility=resp,
-        bias_change=dbias,
-        _packed_mask=np.packbits(mask),
+        support=float(size / num_rows),
+        size=size,
+        responsibility=level.responsibilities[j],
+        bias_change=level.bias_changes[j],
+        _packed_mask=level.packed[j].copy(),
         _num_rows=num_rows,
     )

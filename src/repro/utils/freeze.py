@@ -106,7 +106,7 @@ def freeze_session(session) -> Freezer:
     """Freeze a fitted session's shared read state; returns the Freezer.
 
     Covers the encoded matrices, the influence artifacts bundle (gradients,
-    Hessian, factorizations, rotation caches, the model's parameters), the
+    Hessian, factorizations, rank-one factors, the model's parameters), the
     alphabet cache (predicate masks, packed tidlists), and the cached
     fairness contexts.  Caller-owned raw tables are deliberately not
     walked (``AlphabetCache.table`` / the datasets): the contract covers

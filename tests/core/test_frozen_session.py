@@ -13,7 +13,7 @@ shared state (the RL001 contract, enforced statically by
 
 The cold-session variant (no ``warm()``) is the harder contract: every
 lazy build — per-sample gradients, the Hessian factorization, the
-exact-variant rotations, packed tidlists, the pair skeleton, the extent
+rank-one Hessian factors, packed tidlists, the pair skeleton, the extent
 caches, the ``context_for`` memo — races under the hammer, and each sits
 behind a double-checked lock (or a first-build-wins ``setdefault`` under
 the session lock), so the pool builds each exactly once and every answer

@@ -2,8 +2,8 @@
 
 The edit path never refactorizes or rebuilds — it patches the training
 matrix, the per-sample gradient matrix, the mean Hessian (subset-Hessian
-identity), every cached solver (rank-k eigenbasis update), and the
-exact-rotation row caches.  Each patched cache is pinned against a
+identity), every cached solver (rank-k eigenbasis update), and the rank-one
+Hessian factors.  Each patched cache is pinned against a
 ``ModelArtifacts`` built from scratch on the edited data, and the stats
 counters prove nothing heavy ran.  Version stamping: estimators built
 before an edit must refuse to score afterwards.
@@ -61,7 +61,7 @@ class TestPatchedCachesMatchRebuild:
         _ = artifacts.per_sample_grads
         _ = artifacts.hessian
         solver = artifacts.solver(DAMPING)
-        artifacts.exact_rotation(DAMPING)
+        _ = artifacts.hessian_factors()
         artifacts.apply_edit(
             remove_indices=remove,
             relabel_indices=relabel,
@@ -89,14 +89,12 @@ class TestPatchedCachesMatchRebuild:
         # updated eigenbasis) — hessian_factorizations pins that no Cholesky
         # ran; test_counters_prove_no_refactorization covers the accounting.
         assert artifacts.solver(DAMPING) is not solver
-        rg, rc = artifacts.exact_rotation(DAMPING)
-        rg_f, rc_f = fresh.exact_rotation(DAMPING)
-        # The patched rotation lives in a different (updated, possibly
-        # sign/order-permuted) eigenbasis, so compare the basis-independent
-        # Gram and cross products the exact downdates consume.
-        np.testing.assert_allclose(rg @ rg.T, rg_f @ rg_f.T, atol=1e-7)
-        np.testing.assert_allclose(rc @ rc.T, rc_f @ rc_f.T, atol=1e-7)
-        np.testing.assert_allclose(rg @ rc.T, rg_f @ rc_f.T, atol=1e-7)
+        # The stacked exact path gathers reduced matrices from these rows.
+        phi, weights, ridge = artifacts.hessian_factors()
+        phi_f, weights_f, ridge_f = fresh.hessian_factors()
+        np.testing.assert_allclose(phi, phi_f, atol=1e-12)
+        np.testing.assert_allclose(weights, weights_f, atol=1e-12)
+        assert ridge == ridge_f
 
     def test_counters_prove_no_refactorization(self, artifacts, X_train):
         _ = artifacts.per_sample_grads

@@ -65,11 +65,11 @@ class TestSharing:
             atol=1e-12,
         )
 
-    def test_exact_rotation_cached_per_damping(self, artifacts):
-        first = artifacts.exact_rotation(0.0)
-        second = artifacts.exact_rotation(0.0)
+    def test_hessian_factors_built_once(self, artifacts):
+        first = artifacts.hessian_factors()
+        second = artifacts.hessian_factors()
         assert first[0] is second[0] and first[1] is second[1]
-        assert artifacts.stats["exact_rotation_builds"] == 1
+        assert artifacts.stats["rank_one_factor_builds"] == 1
 
     def test_auto_learning_rate_matches_helper(self, artifacts):
         from repro.influence import auto_learning_rate

@@ -1,14 +1,14 @@
-"""Cross-estimator equivalence for the Woodbury-batched ``exact`` variant.
+"""Cross-estimator equivalence for the stacked batch of the ``exact`` variant.
 
 The acceptance contract of the batched exact second-order path: for every
-built-in model × fairness metric × damping ∈ {0, 1e-3}, the Woodbury/
-capacitance batch must reproduce the per-subset dense-refactorization loop
-to 1e-8 — including the edge batches (empty subset, singletons, a subset
-duplicated within the batch, near-full subsets) and batches that straddle
-the ``|S| ≥ p`` crossover where individual subsets route to the dense
-fallback mid-batch — for both dense boolean-mask and packed uint8 inputs.
-Any drift between the downdate algebra and the scalar Newton step fails
-here first.
+built-in model × fairness metric × damping ∈ {0, 1e-3}, the stacked batch
+(reduced matrices gathered from each subset's curvature rows, one batched
+Cholesky and solve) must reproduce the per-subset dense-refactorization
+loop to 1e-8 — including the edge batches (empty subset, singletons, a
+subset duplicated within the batch, near-full subsets) and subsets on
+either side of |S| = p — for both dense boolean-mask and packed uint8
+inputs.  Any drift between the stacked gather and the scalar Newton step
+fails here first.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.influence.second_order as second_order_mod
 from repro.fairness import FairnessContext, get_metric, list_metrics
 from repro.influence import make_estimator
+from repro.influence.hessian import HessianSolver
 from repro.models import LinearSVM, LogisticRegression, NeuralNetwork
 
 ATOL = 1e-8
@@ -34,8 +36,8 @@ DAMPINGS = [0.0, 1e-3]
 def exact_data():
     """Small synthetic problem with a protected attribute and clear signal.
 
-    Sized so that the crossover |S| >= p is reachable by modest subsets for
-    every model (p = 6 for the linear models, 22 for the 3-unit network).
+    Sized so that |S| >= p is reachable by modest subsets for every model
+    (p = 6 for the linear models, 22 for the 3-unit network).
     """
     rng = np.random.default_rng(42)
     n = 210
@@ -82,7 +84,7 @@ def get_exact(exact_data, fitted_models):
 
 
 def edge_subsets(num_train: int, p: int) -> list[np.ndarray]:
-    """Empty / singleton / duplicated / near-full / crossover-straddling."""
+    """Empty / singleton / duplicated / near-full / either side of |S| = p."""
     rng = np.random.default_rng(3)
     pick = lambda size: np.sort(rng.choice(num_train, size=size, replace=False))
     duplicated = pick(7)
@@ -91,9 +93,9 @@ def edge_subsets(num_train: int, p: int) -> list[np.ndarray]:
         np.array([int(rng.integers(num_train))]),  # singleton
         duplicated,
         duplicated.copy(),  # the same subset twice in one batch
-        np.arange(num_train - 1),  # near-full (always past the crossover)
-        pick(min(max(p - 1, 1), num_train - 2)),  # just below |S| >= p
-        pick(min(p, num_train - 2)),  # exactly at the crossover
+        np.arange(num_train - 1),  # near-full: the widest padded gather
+        pick(min(max(p - 1, 1), num_train - 2)),  # just below |S| = p
+        pick(min(p, num_train - 2)),  # exactly p
         pick(min(p + 3, num_train - 2)),  # just above
     ]
     subsets += [pick(int(s)) for s in rng.integers(2, num_train // 3, size=6)]
@@ -110,7 +112,7 @@ def _mask_matrix(subsets, n):
 @pytest.mark.parametrize("model_name", sorted(MODEL_BUILDERS))
 @pytest.mark.parametrize("metric_name", list_metrics())
 @pytest.mark.parametrize("damping", DAMPINGS, ids=["d0", "d1e-3"])
-class TestWoodburyMatchesDenseLoop:
+class TestStackedMatchesDenseLoop:
     def test_param_change(self, model_name, metric_name, damping, get_exact):
         est = get_exact(model_name, metric_name, damping)
         subsets = edge_subsets(est.num_train, est.model.num_params)
@@ -144,15 +146,49 @@ class TestWoodburyMatchesDenseLoop:
         )
 
 
+@pytest.mark.parametrize("model_name", ["logistic_regression", "linear_svm"])
+def test_row_slabs_under_a_tiny_byte_budget(model_name, get_exact, monkeypatch):
+    """A budget too small for one subset's curvature rows: groups of one,
+    rows gathered five at a time, still equal to the dense loop."""
+    est = get_exact(model_name, "statistical_parity", 1e-3)
+    p = est.model.num_params
+    monkeypatch.setattr(second_order_mod, "_STACK_BYTES", 24 * p * p + 8 * p * 5)
+    subsets = edge_subsets(est.num_train, p)
+    loop = np.stack([est.param_change(s) for s in subsets])
+    np.testing.assert_allclose(est.param_change_batch(subsets), loop, atol=ATOL, rtol=0.0)
+
+
 class TestRoutingAccounting:
-    def test_straddling_batch_splits_between_paths(self, get_exact):
-        est = get_exact("logistic_regression", "statistical_parity", 0.0)
+    def test_every_subset_rides_the_stacked_path(self, exact_data, fitted_models, monkeypatch):
+        """No |S| crossover: small and wide subsets alike are solved by the
+        batched Cholesky, and no per-subset solver is constructed."""
+        X_train, y_train, ctx = exact_data
+        est = make_estimator(
+            "exact", fitted_models["logistic_regression"], X_train, y_train,
+            get_metric("statistical_parity"), ctx, evaluation="smooth",
+        )
         p = est.model.num_params
-        before = dict(est.exact_batch_stats)
         subsets = [np.arange(3), np.arange(p - 1), np.arange(p), np.arange(p + 10)]
+        constructed = []
+        original_init = HessianSolver.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(HessianSolver, "__init__", counting_init)
         est.param_change_batch(subsets)
-        assert est.exact_batch_stats["woodbury"] >= before["woodbury"] + 2
-        assert est.exact_batch_stats["fallback_size"] >= before["fallback_size"] + 2
+        assert dict(est.exact_batch_stats) == {
+            "stacked": len(subsets), "escalated": 0, "fallback_factors": 0,
+        }
+        assert constructed == []
+
+    def test_empty_subsets_are_not_routed(self, get_exact):
+        est = get_exact("logistic_regression", "statistical_parity", 0.0)
+        before = dict(est.exact_batch_stats)
+        deltas = est.param_change_batch([np.array([], dtype=np.int64), np.arange(5)])
+        assert np.all(deltas[0] == 0.0)
+        assert est.exact_batch_stats["stacked"] == before["stacked"] + 1
 
     def test_fd_hessian_routes_whole_batch_to_loop(self, exact_data):
         X_train, y_train, ctx = exact_data
@@ -168,7 +204,7 @@ class TestRoutingAccounting:
         batch = est.param_change_batch(subsets)
         np.testing.assert_allclose(batch, loop, atol=ATOL, rtol=0.0)
         assert est.exact_batch_stats["fallback_factors"] == len(subsets)
-        assert est.exact_batch_stats["woodbury"] == 0
+        assert est.exact_batch_stats["stacked"] == 0
 
 
 class TestExactAlias:

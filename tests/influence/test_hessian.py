@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.influence.hessian import HessianSolver, conjugate_gradient_solve
+from repro.influence.hessian import (
+    HessianSolver,
+    StackedHessianSolver,
+    conjugate_gradient_solve,
+)
 
 
 @pytest.fixture
@@ -84,46 +88,52 @@ class TestEigendecomposition:
         np.testing.assert_allclose(eigvals, solver.damping_used, atol=1e-15)
 
 
-class TestShiftedSolveMany:
-    def test_zero_shift_matches_solve(self, spd_matrix):
-        solver = HessianSolver(spd_matrix)
-        B = np.random.default_rng(3).normal(size=(5, 8))
-        np.testing.assert_allclose(
-            solver.shifted_solve_many(B, np.zeros(5)), solver.solve_many(B), atol=1e-10
-        )
+def _spd_stack(count: int, dim: int = 8, seed: int = 3) -> np.ndarray:
+    A = np.random.default_rng(seed).normal(size=(count, dim, dim))
+    return A @ A.transpose(0, 2, 1) + 0.5 * np.eye(dim)
 
-    def test_per_row_shifts(self, spd_matrix):
-        solver = HessianSolver(spd_matrix)
-        B = np.random.default_rng(4).normal(size=(3, 8))
-        shifts = np.array([0.1, 1.0, 7.5])
-        out = solver.shifted_solve_many(B, shifts)
-        for row, shift, x in zip(B, shifts, out):
-            expected = np.linalg.solve(spd_matrix + shift * np.eye(8), row)
-            np.testing.assert_allclose(x, expected, atol=1e-10)
 
-    def test_scalar_shift_broadcasts(self, spd_matrix):
-        solver = HessianSolver(spd_matrix)
+class TestStackedHessianSolver:
+    @pytest.mark.parametrize("damping", [0.0, 1e-3])
+    def test_matches_scalar_solver(self, damping):
+        stack = _spd_stack(5)
+        B = np.random.default_rng(4).normal(size=(5, 8))
+        solver = StackedHessianSolver.factorize(stack, damping)
+        assert not solver.escalated.any()
+        for A, b, row in zip(stack, B, solver.solve_many(B)):
+            np.testing.assert_allclose(
+                row, HessianSolver(A, damping=damping).solve(b), atol=1e-10
+            )
+
+    def test_escalation_parity_with_scalar_constructor(self):
+        """Matrices failing the batched Cholesky get the constructor's ×10
+        damping escalation, one at a time; the rest stay stacked."""
+        stack = _spd_stack(4)
+        stack[1] = np.zeros((8, 8))  # singular: escalates to 1e-8
+        stack[3] = np.diag([1.0] * 7 + [-1e-3])  # indefinite
         B = np.random.default_rng(5).normal(size=(4, 8))
-        np.testing.assert_allclose(
-            solver.shifted_solve_many(B, 0.5),
-            solver.shifted_solve_many(B, np.full(4, 0.5)),
-            atol=1e-14,
-        )
+        solver = StackedHessianSolver.factorize(stack)
+        np.testing.assert_array_equal(solver.escalated, [False, True, False, True])
+        for A, b, row in zip(stack, B, solver.solve_many(B)):
+            np.testing.assert_allclose(row, HessianSolver(A).solve(b), rtol=1e-12)
 
-    def test_empty_batch(self, spd_matrix):
-        solver = HessianSolver(spd_matrix)
-        assert solver.shifted_solve_many(np.zeros((0, 8)), np.zeros(0)).shape == (0, 8)
+    def test_empty_stack(self):
+        solver = StackedHessianSolver.factorize(np.zeros((0, 8, 8)))
+        assert solver.solve_many(np.zeros((0, 8))).shape == (0, 8)
+        assert solver.escalated.shape == (0,)
 
-    def test_nonpositive_shifted_spectrum_raises(self, spd_matrix):
-        solver = HessianSolver(spd_matrix)
-        eigvals, _ = solver.eigendecomposition()
-        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            solver.shifted_solve_many(np.ones((1, 8)), -(eigvals[0] + 1e-9))
-
-    def test_rejects_wrong_width(self, spd_matrix):
-        solver = HessianSolver(spd_matrix)
+    def test_rejects_nonsquare_stack(self):
         with pytest.raises(ValueError, match="shape"):
-            solver.shifted_solve_many(np.ones((2, 7)), np.zeros(2))
+            StackedHessianSolver.factorize(np.zeros((2, 8, 7)))
+
+    def test_rejects_unstacked_matrix(self, spd_matrix):
+        with pytest.raises(ValueError, match="shape"):
+            StackedHessianSolver.factorize(spd_matrix)
+
+    def test_rejects_mismatched_rhs(self):
+        solver = StackedHessianSolver.factorize(_spd_stack(3))
+        with pytest.raises(ValueError, match="shape"):
+            solver.solve_many(np.zeros((2, 8)))
 
 
 class TestConjugateGradient:

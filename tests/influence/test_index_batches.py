@@ -21,6 +21,7 @@ ESTIMATOR_SETUPS = [
     ("first_order", {"evaluation": "linear"}),
     ("first_order", {"evaluation": "smooth"}),
     ("second_order", {"variant": "series", "evaluation": "smooth"}),
+    ("second_order", {"variant": "exact", "evaluation": "linear"}),
     ("one_step_gd", {"evaluation": "hard"}),
 ]
 

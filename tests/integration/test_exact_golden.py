@@ -2,9 +2,9 @@
 
 The engine-equivalence suite pins the series/default path; this locks the
 *exact* Newton-step estimator end to end for both candidate engines — the
-Woodbury batch drives the whole search, so any drift in the downdate
-algebra, the fallback routing, or the engine plumbing shows up as a
-changed pattern or score here.  Values generated from the seed pipeline
+stacked batch drives the whole search, so any drift in the stacked gather,
+the escalation routing, or the engine plumbing shows up as a changed
+pattern or score here.  Values generated from the seed pipeline
 (German 800 / seed 11 / split 0.25 / logistic l2=1e-3, smooth evaluation,
 max_predicates=2, tau=0.05).
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import GopherExplainer
+from repro.influence.hessian import HessianSolver
 from repro.models import LogisticRegression
 
 GOLDEN_TOP3 = [
@@ -35,12 +36,23 @@ def exact_explanations(request, german_train, german_test):
         support_threshold=0.05,
     )
     gopher.fit(german_train, german_test)
-    return request.param, gopher, gopher.explain(k=3, verify=False)
+    gopher.estimator.warm()
+    constructed = []
+    original_init = HessianSolver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(self)
+        original_init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(HessianSolver, "__init__", counting_init)
+        result = gopher.explain(k=3, verify=False)
+    return request.param, gopher, result, len(constructed)
 
 
 class TestExactGolden:
     def test_top3_patterns_and_scores(self, exact_explanations):
-        engine, _, result = exact_explanations
+        engine, _, result, _ = exact_explanations
         assert len(result.explanations) == 3
         for explanation, (pattern, resp, support, bias) in zip(result, GOLDEN_TOP3):
             assert str(explanation.pattern) == pattern, f"engine={engine}"
@@ -52,16 +64,20 @@ class TestExactGolden:
         """Evaluation-count accounting must stay wired under the exact path
         (the miner evaluates one candidate per distinct extent, so it never
         exceeds the lattice's count on this workload)."""
-        engine, _, result = exact_explanations
+        engine, _, result, _ = exact_explanations
         assert result.lattice.num_evaluated > 0
         expected = {"lattice": 2273, "mining": 2133}
         assert result.lattice.num_evaluated == expected[engine]
 
-    def test_search_ran_on_woodbury_batches(self, exact_explanations):
-        """The search must actually exercise the batched exact fast path —
-        if every candidate fell back to the dense loop the golden values
-        would still pass but the tentpole would be dead code."""
-        _, gopher, _ = exact_explanations
+    def test_search_ran_on_stacked_batches(self, exact_explanations):
+        """The search must actually exercise the stacked exact path — if
+        every candidate fell back to a per-subset solver the golden values
+        would still pass but the batch path would be dead code."""
+        _, gopher, result, constructed = exact_explanations
         stats = gopher.estimator.exact_batch_stats
-        assert stats["woodbury"] > 0
+        # Each distinct extent is solved once (the session's extent cache
+        # serves repeats), so stacked counts distinct evaluated extents.
+        assert 0 < stats["stacked"] <= result.lattice.num_evaluated
+        assert stats["escalated"] == 0
         assert stats["fallback_factors"] == 0
+        assert constructed == 0  # no per-subset HessianSolver during the search

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from oracles.lattice_gather import _mergeable_pairs
 
 from repro.patterns import compute_candidates
-from repro.patterns.lattice import _mergeable_pairs
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Predicate
 

@@ -109,7 +109,6 @@ REPRO_CONTRACTS = ContractSet(
         ("ModelArtifacts", "hessian"): BuildContract("hessian_builds"),
         ("ModelArtifacts", "solver"): BuildContract("hessian_factorizations"),
         ("ModelArtifacts", "hessian_factors"): BuildContract("rank_one_factor_builds"),
-        ("ModelArtifacts", "exact_rotation"): BuildContract("exact_rotation_builds"),
         ("ModelArtifacts", "auto_learning_rate"): BuildContract("learning_rate_builds"),
         ("ModelArtifacts", "gradient_sums"): BuildContract("gradient_sum_cache_misses"),
         ("ModelArtifacts", "cached_param_changes"): BuildContract(
