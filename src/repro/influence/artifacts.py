@@ -51,8 +51,8 @@ class ModelArtifacts:
     X_train / y_train:
         The encoded training data the model was fitted on.
 
-    All caches are lazy: a first-order estimator never triggers the
-    eigendecomposition, a retraining estimator never builds the Hessian.
+    All caches are lazy: a first-order estimator never builds the rank-one
+    factors, a retraining estimator never builds the Hessian.
     """
 
     def __init__(
@@ -183,10 +183,9 @@ class ModelArtifacts:
     def solver(self, damping: float = 0.0) -> HessianSolver:
         """The shared :class:`HessianSolver` for a damping value.
 
-        One factorization (and, lazily, one eigendecomposition) serves
-        every estimator requesting the same damping — estimators of
-        different metrics, groups, and second-order variants all hit the
-        same cached factor.
+        One factorization serves every estimator requesting the same
+        damping — estimators of different metrics, groups, and
+        second-order variants all hit the same cached factor.
         """
         key = float(damping)
         if key not in self._solvers:

@@ -211,7 +211,9 @@ class LevelMerges:
     tried: int  # pairs enumerated: the level's num_merges_tried
 
 
-def merge_pairs(rows: np.ndarray, conflicts: np.ndarray) -> tuple[np.ndarray, ...]:
+def merge_pairs(
+    rows: np.ndarray, conflicts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Structural merges of one level: ``(left, right, merged rows, pairs tried)``.
 
     ``rows`` holds the level's patterns as ascending id rows.  Every pair
@@ -496,9 +498,9 @@ def compute_candidates(
                     resp[survive],
                     dbias[survive],
                 )
-                merged = LevelState(merges.rows, merges.packed, merges.sizes, resp, dbias)
+                scored = LevelState(merges.rows, merges.packed, merges.sizes, resp, dbias)
                 for j in np.flatnonzero(in_result):
-                    all_stats.append(_stats(index.pattern(merges.rows[j]), merged, j, num_rows))
+                    all_stats.append(_stats(index.pattern(merges.rows[j]), scored, j, num_rows))
                 if recording:
                     pairs.update(
                         pair_left=merges.left,
