@@ -174,8 +174,10 @@ class SecondOrderInfluence(InfluenceEstimator):
             def rows_of(j: int) -> np.ndarray:
                 return np.flatnonzero(masks[j] if flat else masks[j] & curved)
 
+            grads = self.per_sample_grads
+
             def grads_of(group: np.ndarray) -> np.ndarray:
-                return masks[group].astype(np.float64) @ self.per_sample_grads
+                return masks[group].astype(np.float64) @ grads
 
             return self._stacked_param_changes(sizes, ranks, rows_of, grads_of, factors)
         factors = self.artifacts.hessian_factors()
@@ -217,8 +219,10 @@ class SecondOrderInfluence(InfluenceEstimator):
         sizes = np.array([idx.size for idx in idxs])
         ranks = np.array([idx.size for idx in kept])
 
+        grads = self.per_sample_grads
+
         def grads_of(group: np.ndarray) -> np.ndarray:
-            return np.stack([self.per_sample_grads[idxs[j]].sum(axis=0) for j in group])
+            return np.stack([grads[idxs[j]].sum(axis=0) for j in group])
 
         return self._stacked_param_changes(sizes, ranks, kept.__getitem__, grads_of, factors)
 
