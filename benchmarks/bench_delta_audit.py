@@ -16,6 +16,9 @@ Three claims, asserted:
    session over the edited data with the *same* fitted model and encoder
    (no model refit on either side — influence debugging measures edits
    from the current optimum, so training cost is excluded from both).
+   The replay takes tens of milliseconds, so one scheduler hiccup can
+   halve a single reading: each side is timed as the best of several
+   independent rounds, every round on a freshly fitted session.
 2. **Identical answers** — the replayed ranking equals re-running the
    engine search through the patched session, patterns and
    responsibilities to 1e-8, with ``recheck="never"`` pinning the fast
@@ -68,9 +71,10 @@ def _assert_identical(delta_after, fresh, abs_tol=1e-8):
 def test_delta_audit(benchmark, smoke):
     rows = 400 if smoke else 1000
     bar = 3.0 if smoke else 5.0
+    rounds = 5 if smoke else 3
     bundle = build_pipeline("german", "logistic_regression", n_rows=rows, seed=1)
 
-    def run():
+    def one_round():
         session = AuditSession(bundle.model, **CONFIG)
         session.fit(bundle.train, bundle.test)
         session.audit(metrics=METRICS, k=3)  # the "before" side, warm
@@ -125,6 +129,13 @@ def test_delta_audit(benchmark, smoke):
         ]
         return delta_seconds, cold_seconds, delta, evaluated
 
+    def run():
+        results = [one_round() for _ in range(rounds)]
+        _, _, delta, evaluated = results[0]
+        delta_seconds = min(r[0] for r in results)
+        cold_seconds = min(r[1] for r in results)
+        return delta_seconds, cold_seconds, delta, evaluated
+
     delta_seconds, cold_seconds, delta, evaluated = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
@@ -158,7 +169,8 @@ def test_delta_audit(benchmark, smoke):
             "per-query record replay with drift-screened boundary re-scores; "
             "cold = new AuditSession.fit + full engine searches over the edited "
             "data (same fitted model/encoder on both sides; timing baseline "
-            "only — a cold session re-bins the edited table).  Asserted: the "
+            f"only — a cold session re-bins the edited table); totals are the "
+            f"best of {rounds} rounds.  Asserted: the "
             "replay equals re-running the engine through the patched session "
             "(patterns + responsibilities to 1e-8) and every query certified "
             "under recheck='never'",

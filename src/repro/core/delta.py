@@ -116,7 +116,6 @@ class ReplayGeometry:
     sizes1: np.ndarray
     skeleton_keys: np.ndarray
     num_skeleton: int
-    patterns: list
     pairs: np.ndarray
     sizes2: np.ndarray
     packed2: np.ndarray
@@ -145,7 +144,7 @@ def replay_geometry(alphabet: PredicateAlphabet, support_threshold: float) -> Re
         sizes1 = np.zeros(0, dtype=np.int64)
 
     # The full structural pair space, re-ANDed against the patched masks.
-    left, right, patterns = alphabet.pair_skeleton()
+    left, right = alphabet.pair_skeleton()
     num_sk = len(left)
     pair_packed = packed1[left] & packed1[right] if num_sk else np.zeros_like(packed1[:0])
     pair_sizes = np.asarray(popcount(pair_packed)).reshape(-1)
@@ -170,7 +169,6 @@ def replay_geometry(alphabet: PredicateAlphabet, support_threshold: float) -> Re
         sizes1=sizes1,
         skeleton_keys=left * num_entries + right if num_entries else left,
         num_skeleton=num_sk,
-        patterns=patterns,
         pairs=pairs,
         sizes2=sizes2,
         packed2=packed2,
@@ -213,7 +211,6 @@ def replay_search(
 
     num_entries = geometry.num_entries
     packed1, sizes1 = geometry.packed1, geometry.sizes1
-    patterns = geometry.patterns
     pairs = geometry.pairs
     num_pairs = len(pairs)
     sizes2, packed2 = geometry.sizes2, geometry.packed2
@@ -291,7 +288,7 @@ def replay_search(
         for e in np.flatnonzero(in_result):
             built.append(
                 PatternStats(
-                    pattern=patterns[pairs[e]],
+                    pattern=Pattern([entries[pair_left[e]][0], entries[pair_right[e]][0]]),
                     support=float(sizes2[e] / n),
                     size=int(sizes2[e]),
                     responsibility=float(resp2[e]),

@@ -279,9 +279,6 @@ class StackedHessianSolver(HessianSolver):
         g, p = matrices.shape[:2]
         stack = cls.__new__(cls)
         stack.dim = p
-        stack.hessian = matrices
-        stack.damping_used = damping
-        stack._eig = None
         stack.escalated = np.zeros(g, dtype=bool)
         damped = matrices + damping * np.eye(p) if damping else matrices
         try:

@@ -22,12 +22,12 @@ Two variants are provided:
 
   built from the subset's own curvature rows.  Subsets are rank-sorted by
   their count of curvature rows and cut into groups whose widest rank is
-  under twice the narrowest.  Each group gathers its rows into a padded
-  (g, r, p) tensor, forms every reduced matrix with one batched matmul,
-  and solves them all through one :class:`StackedHessianSolver`: one
-  batched Cholesky, which is also the positive-definiteness test, then one
-  batched solve.  Only matrices that fail the Cholesky run the ×10 damping
-  escalation, one at a time.  A group's padded rows, reduced matrices and
+  under twice the narrowest.  Each group gathers its rows into a (g, r, p)
+  tensor padded to its own widest rank r, forms every reduced matrix with
+  one batched matmul, and solves them all through one
+  :class:`StackedHessianSolver`: one batched Cholesky, which is also the
+  positive-definiteness test, then one batched solve.  Only matrices that
+  fail the Cholesky run the ×10 damping escalation, one at a time.  A group's padded rows, reduced matrices and
   factors stay under ``_STACK_BYTES`` whatever n is: the group shrinks as
   its rank grows, and a rank too wide for even one subset is gathered in
   row slabs.  No (n, p²) outer-product table is ever built.  Models
@@ -171,8 +171,8 @@ class SecondOrderInfluence(InfluenceEstimator):
             sizes = masks.sum(axis=1)
             ranks = sizes if flat else sizes - masks[:, ~curved].sum(axis=1)
 
-            def rows_of(j: int) -> np.ndarray:
-                return np.flatnonzero(masks[j] if flat else masks[j] & curved)
+            def rows_of(group: np.ndarray) -> np.ndarray:
+                return np.nonzero(masks[group] if flat else masks[group] & curved)[1]
 
             grads = self.per_sample_grads
 
@@ -221,10 +221,13 @@ class SecondOrderInfluence(InfluenceEstimator):
 
         grads = self.per_sample_grads
 
+        def rows_of(group: np.ndarray) -> np.ndarray:
+            return np.concatenate([kept[j] for j in group])
+
         def grads_of(group: np.ndarray) -> np.ndarray:
             return np.stack([grads[idxs[j]].sum(axis=0) for j in group])
 
-        return self._stacked_param_changes(sizes, ranks, kept.__getitem__, grads_of, factors)
+        return self._stacked_param_changes(sizes, ranks, rows_of, grads_of, factors)
 
     def _stacking_factors(self) -> tuple[np.ndarray, np.ndarray, float] | None:
         """The rank-one factors, when the stacked path can use them: its
@@ -243,10 +246,10 @@ class SecondOrderInfluence(InfluenceEstimator):
         """Exact Δθ's through the stacked dense path (see the module docstring).
 
         ``sizes`` is |S| and ``ranks`` the count of curvature rows
-        (w_i ≠ 0) per subset; ``rows_of(j)`` returns subset j's curvature
-        rows and ``grads_of(group)`` the gradient sums g_S of a group of
-        subsets.  Empty subsets are answered with zeros, as in
-        :meth:`param_change`.
+        (w_i ≠ 0) per subset; ``rows_of(group)`` returns the curvature rows
+        of a group of subsets, concatenated in group order, and
+        ``grads_of(group)`` their gradient sums g_S.  Empty subsets are
+        answered with zeros, as in :meth:`param_change`.
         """
         phi, weights, ridge = factors
         n, p = self.num_train, self.model.num_params
@@ -256,31 +259,37 @@ class SecondOrderInfluence(InfluenceEstimator):
         sorted_ranks = ranks[order]
         base = n * self.hessian
         diagonal = np.arange(p)
-        # Bytes per padded row, and per subset for its reduced matrix, one
-        # matmul temporary and its Cholesky factor.
-        per_row, per_subset = 8 * p, 24 * p * p
+        # Bytes per padded row (its values, index and scale), and per subset
+        # for its reduced matrix, one matmul temporary and its Cholesky factor.
+        per_row, per_subset = 8 * (p + 2), 24 * p * p
         stacked = escalated = 0
         with trace.span("influence.stacked", subsets=int(order.size), p=p) as span:
             lo = 0
             while lo < order.size:
+                # The next group: ranks under twice the narrowest, as many
+                # subsets as fit the budget when padded to their own widest.
                 end = int(np.searchsorted(sorted_ranks, 2 * max(sorted_ranks[lo], 1)))
-                widest = int(sorted_ranks[end - 1])
-                g = max(1, min(end - lo, _STACK_BYTES // (per_subset + widest * per_row)))
+                cost = np.arange(1, end - lo + 1) * (per_subset + sorted_ranks[lo:end] * per_row)
+                g = max(1, int(np.searchsorted(cost, _STACK_BYTES, side="right")))
                 group = order[lo : lo + g]
                 lo += g
                 counts = ranks[group]
-                rows = np.concatenate([rows_of(j) for j in group])
-                owner = np.repeat(np.arange(g), counts)
-                slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-                # (V_S·w_S)ᵀV_S as the Gram of √w-scaled rows, padded with
-                # zero rows; one slab unless a single subset's rows overflow.
+                widest = int(counts[-1])
+                # Slot (k, s) holds subset k's s-th curvature row; padding
+                # slots point at row 0 with a zero scale.
+                filled = np.arange(widest) < counts[:, None]
+                rows = rows_of(group)
+                index = np.zeros((g, widest), dtype=np.intp)
+                index[filled] = rows
+                scale = np.zeros((g, widest))
+                scale[filled] = np.sqrt(weights[rows])
+                # (V_S·w_S)ᵀV_S as the Gram of √w-scaled rows; one slab
+                # unless a single subset's rows overflow the budget.
                 slab = max(1, min(widest, (_STACK_BYTES // g - per_subset) // per_row))
                 grams = np.zeros((g, p, p)) if widest == 0 else None
                 for s0 in range(0, widest, slab):
-                    take = (slots >= s0) & (slots < s0 + slab)
-                    r = rows[take]
-                    padded = np.zeros((g, min(slab, widest - s0), p))
-                    padded[owner[take], slots[take] - s0] = phi[r] * np.sqrt(weights[r])[:, None]
+                    padded = phi[index[:, s0 : s0 + slab]]
+                    padded *= scale[:, s0 : s0 + slab, None]
                     part = padded.transpose(0, 2, 1) @ padded
                     grams = part if grams is None else np.add(grams, part, out=grams)
                 reduced = np.subtract(base, grams, out=grams)

@@ -125,7 +125,7 @@ class PredicateAlphabet:
         self._evaluated: dict[Predicate, np.ndarray] = {}
         self._build(table)
         self._miner_items: tuple[list[Predicate], np.ndarray] | None = None
-        self._skeleton: tuple[np.ndarray, np.ndarray, list] | None = None
+        self._skeleton: tuple[np.ndarray, np.ndarray] | None = None
         # Guards the lazy views (miner_items / pair_skeleton) so a cold
         # alphabet shared across threads builds each exactly once.
         self._lock = threading.Lock()
@@ -271,18 +271,19 @@ class PredicateAlphabet:
             tids = pack_rows(np.stack([mask for _, mask in ordered]))
         return predicates, tids
 
-    def pair_skeleton(self) -> tuple[np.ndarray, np.ndarray, list]:
+    def pair_skeleton(self) -> tuple[np.ndarray, np.ndarray]:
         """The structural level-2 merge skeleton over the current entries.
 
-        Returns ``(left, right, patterns)``: for every entry index pair
-        ``i < j`` (in the lattice's enumeration order) whose merge is a
-        genuine two-predicate, satisfiable, not-yet-seen pattern, the
-        parallel index arrays and the merged :class:`Pattern` objects —
-        the lattice's own level-2 enumeration
+        Returns ``(left, right)``: for every entry index pair ``i < j`` (in
+        the lattice's enumeration order) whose merge is a genuine
+        two-predicate, satisfiable, not-yet-seen pattern, the parallel
+        entry index arrays — the lattice's own level-2 enumeration
         (:func:`repro.patterns.lattice.merge_pairs`), so skeleton order is
-        the order of ``LatticeRecord.pair_left/right``.  The skeleton
-        depends only on the entry *predicates* — never on masks or data —
-        so it survives edits as long as the entry list does;
+        the order of ``LatticeRecord.pair_left/right``.  Pair ``(i, j)``
+        is the pattern of entries i and j's predicates; callers build
+        :class:`Pattern` objects only for the pairs they report.  The
+        skeleton depends only on the entry *predicates* — never on masks or
+        data — so it survives edits as long as the entry list does;
         :meth:`apply_edit` invalidates it when the support filter changes
         the entries.  Built lazily and cached: the incremental delta-audit
         path replays one search's worth of structural work here once, then
@@ -296,8 +297,8 @@ class PredicateAlphabet:
 
                     trace.add("cache_misses")
                     index, ids = PredicateIndex.of([predicate for predicate, _ in self.entries])
-                    left, right, merged, _ = merge_pairs(ids[:, None], index.conflicts)
-                    self._skeleton = (left, right, [index.pattern(row) for row in merged])
+                    left, right, _, _ = merge_pairs(ids[:, None], index.conflicts)
+                    self._skeleton = (left, right)
                     self._stats.inc("skeleton_builds")
                 else:
                     trace.add("cache_hits")

@@ -230,7 +230,7 @@ def merge_pairs(
     if size == 1:
         bucket = np.zeros(num, dtype=np.int64)  # every pair shares the empty key
     else:
-        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        _, first, inverse = np.unique(_row_codes(keys), return_index=True, return_inverse=True)
         rank = np.empty(first.size, dtype=np.int64)
         rank[np.argsort(first)] = np.arange(first.size)
         bucket = rank[inverse.reshape(-1)]
@@ -248,9 +248,23 @@ def merge_pairs(
     left, right, x_left, x_right = left[grown], right[grown], x_left[grown], x_right[grown]
     merged = np.sort(np.column_stack([keys[left], x_left, x_right]), axis=1)
     fresh = np.zeros(left.size, dtype=bool)
-    fresh[np.unique(merged, axis=0, return_index=True)[1]] = True
+    fresh[np.unique(_row_codes(merged), return_index=True)[1]] = True
     keep = fresh & ~conflicts[x_left, x_right]
     return left[keep] // size, right[keep] // size, merged[keep], tried
+
+
+def _row_codes(rows: np.ndarray) -> np.ndarray:
+    """One integer per row of non-negative ids, equal iff the rows are.
+
+    ``np.unique`` over these is ``np.unique(rows, axis=0)`` without its slow
+    structured-dtype sort.  Each column folds into the running code, which
+    is then re-ranked below the row count, so no width overflows.
+    """
+    codes = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T:
+        codes = codes * (int(column.max(initial=0)) + 1) + column
+        codes = np.unique(codes, return_inverse=True)[1].reshape(-1)
+    return codes
 
 
 def gather_level(

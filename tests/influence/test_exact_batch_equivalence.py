@@ -152,7 +152,7 @@ def test_row_slabs_under_a_tiny_byte_budget(model_name, get_exact, monkeypatch):
     rows gathered five at a time, still equal to the dense loop."""
     est = get_exact(model_name, "statistical_parity", 1e-3)
     p = est.model.num_params
-    monkeypatch.setattr(second_order_mod, "_STACK_BYTES", 24 * p * p + 8 * p * 5)
+    monkeypatch.setattr(second_order_mod, "_STACK_BYTES", 24 * p * p + 8 * (p + 2) * 5)
     subsets = edge_subsets(est.num_train, p)
     loop = np.stack([est.param_change(s) for s in subsets])
     np.testing.assert_allclose(est.param_change_batch(subsets), loop, atol=ATOL, rtol=0.0)
