@@ -106,11 +106,11 @@ def _run_workload(rows: int, k: int = 3):
 
     _assert_identical(fresh_answers, result, view_updates)
     stats = session.stats
-    assert stats["update_context_builds"] == 1, (
-        f"update context built {stats['update_context_builds']}× across "
+    assert stats["influence.update_context_builds"] == 1, (
+        f"update context built {stats['influence.update_context_builds']}× across "
         f"{len(METRICS)} repair views; the shared half failed to amortize"
     )
-    assert stats["param_change_cache_hits"] > 0
+    assert stats["influence.param_change_cache_hits"] > 0
     return fresh_seconds, session_seconds, result, session
 
 
@@ -123,12 +123,12 @@ def _assert_one_compute_per_distinct_extent(session: AuditSession):
     repeated audit over the same grid recomputes nothing at all.
     """
     stats = session.stats
-    assert stats["param_change_cache_misses"] == len(
+    assert stats["influence.param_change_cache_misses"] == len(
         session.artifacts._param_change_cache
     ), "an already-cached extent was recomputed"
-    misses = stats["param_change_cache_misses"]
+    misses = stats["influence.param_change_cache_misses"]
     session.audit(metrics=METRICS, k=3, verify=False)
-    assert session.stats["param_change_cache_misses"] == misses, (
+    assert session.stats["influence.param_change_cache_misses"] == misses, (
         "re-auditing the same grid recomputed Δθ rows"
     )
 
@@ -159,7 +159,7 @@ def test_audit_amortization(benchmark, smoke):
                     f"{fresh_s:.2f}",
                     f"{session_s:.2f}",
                     f"{speedup:.1f}x",
-                    stats["param_change_cache_hits"],
+                    stats["influence.param_change_cache_hits"],
                     "yes",
                 ]
             ],

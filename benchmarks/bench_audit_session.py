@@ -115,14 +115,18 @@ def _run_audit(dataset: str, rows: int, model_factory, engine: str, k: int = 3):
 
     _assert_identical(f"{dataset} ({engine})", fresh_sets, result)
     stats = session.stats
-    for counter in ("hessian_factorizations", "per_sample_grad_builds", "alphabet_builds"):
+    for counter in (
+        "influence.hessian_factorizations",
+        "influence.per_sample_grad_builds",
+        "mining.alphabet_builds",
+    ):
         assert stats[counter] == 1, (
             f"{dataset} ({engine}): {counter} = {stats[counter]} after a "
             f"{len(result)}-query audit; the session failed to amortize"
         )
     if engine == "mining":
-        assert stats["tidlist_builds"] == 1, (
-            f"{dataset} (mining): tidlist_builds = {stats['tidlist_builds']}"
+        assert stats["mining.tidlist_builds"] == 1, (
+            f"{dataset} (mining): tidlist_builds = {stats['mining.tidlist_builds']}"
         )
     return fresh_seconds, session_seconds, result, stats
 

@@ -9,8 +9,9 @@ Two experiments:
    sizes.  The mask matrix is pre-built outside the timed region, so the
    comparison isolates the influence queries themselves.
 2. **End-to-end lattice search** — ``compute_candidates`` on the Adult
-   workload with ``batch=False`` vs ``batch=True``, asserting the candidate
-   sets are identical and reporting the wall-time drop.
+   workload with the per-candidate loop of ``oracles.lattice_loop`` vs the
+   batched search, asserting the candidate sets are identical and
+   reporting the wall-time drop.
 
 Expected shape: batch throughput grows with batch size (one GEMM amortized
 over m subsets) while the loop stays flat; first-order at m ≥ 256 clears
@@ -28,6 +29,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+from oracles.lattice_loop import LoopEstimator
 
 from repro.bench import build_pipeline, emit, render_table, subset_mask_matrix
 from repro.influence import make_estimator
@@ -111,10 +113,10 @@ def _lattice_rows() -> list[list[object]]:
             **kwargs,
         )
         start = time.perf_counter()
-        loop = compute_candidates(bundle.train.table, estimator, 0.05, 3, batch=False)
+        loop = compute_candidates(bundle.train.table, LoopEstimator(estimator), 0.05, 3)
         loop_s = time.perf_counter() - start
         start = time.perf_counter()
-        batched = compute_candidates(bundle.train.table, estimator, 0.05, 3, batch=True)
+        batched = compute_candidates(bundle.train.table, estimator, 0.05, 3)
         batch_s = time.perf_counter() - start
         identical = [s.pattern for s in loop.candidates] == [
             s.pattern for s in batched.candidates

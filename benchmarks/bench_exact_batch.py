@@ -18,8 +18,9 @@ Three claims:
    there is no |S| crossover, nothing escalates and nothing falls back to
    the per-subset loop (asserted from ``exact_batch_stats``).
 3. **End-to-end parity** — the full lattice search under
-   ``estimator="exact"`` with ``batch=False`` (per-subset loop) vs the
-   default batched search must produce identical top-k explanations
+   ``estimator="exact"`` with the per-subset loop of
+   ``oracles.lattice_loop`` vs the batched search must produce identical
+   top-k explanations
    (patterns and scores to 1e-10; also pinned by
    ``tests/integration/test_exact_golden.py``).
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+from oracles.lattice_loop import LoopEstimator
 
 from repro.bench import build_pipeline, emit, render_table, subset_mask_matrix
 from repro.influence import make_estimator
@@ -112,13 +114,11 @@ def _parity_rows(bundle, estimator, max_predicates):
     rows = []
     start = time.perf_counter()
     loop = compute_candidates(
-        bundle.train.table, estimator, 0.05, max_predicates, batch=False
+        bundle.train.table, LoopEstimator(estimator), 0.05, max_predicates
     )
     loop_s = time.perf_counter() - start
     start = time.perf_counter()
-    batched = compute_candidates(
-        bundle.train.table, estimator, 0.05, max_predicates, batch=True
-    )
+    batched = compute_candidates(bundle.train.table, estimator, 0.05, max_predicates)
     batch_s = time.perf_counter() - start
     top_loop, _ = select_top_k(loop, TOP_K, containment_threshold=0.5)
     top_batch, _ = select_top_k(batched, TOP_K, containment_threshold=0.5)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 from repro.bench import emit, render_table
 from repro.datasets import TabularEncoder, load_german, train_test_split

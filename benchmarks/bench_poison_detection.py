@@ -14,7 +14,6 @@ clusters contain ~70% (or more) of the poisoned points.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.bench import emit, render_table
 from repro.cluster import local_outlier_factor

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-import pytest
-
 from repro.bench import build_pipeline, emit, render_table
 from repro.influence import FirstOrderInfluence
 from repro.patterns import compute_candidates, select_top_k

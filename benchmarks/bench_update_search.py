@@ -11,9 +11,9 @@ Two workloads on German Credit, both over the planted Table-4 patterns:
    this workload is where the engine must clear ≥5× (asserted; ≥2× under
    ``--smoke``).
 
-Both workloads assert the batched engine reproduces the ``batch=False``
-reference outputs: the same δ per pattern, the same estimated bias change,
-and the same described update.  A third experiment reports the
+Both workloads assert the batched engine reproduces the outputs of the
+per-coordinate loop in ``oracles.update_loop``: the same δ per pattern, the
+same estimated bias change, and the same described update.  A third experiment reports the
 ``verify=True`` ground-truth retrains through the shared process-parallel
 helper (serial vs one-worker-per-CPU; informational — single-CPU runners
 show ~1×).
@@ -25,6 +25,7 @@ import os
 import time
 
 import numpy as np
+from oracles import update_loop
 
 from repro.bench import build_pipeline, emit, render_table
 from repro.patterns import Pattern, Predicate
@@ -74,8 +75,8 @@ def _run(smoke: bool):
         bundle.model, bundle.X_train, bundle.train.labels, bundle.metric, bundle.test_ctx
     )
 
-    def search(**kwargs):
-        return find_update_explanations(
+    def search(engine=find_update_explanations, **kwargs):
+        return engine(
             bundle.model, bundle.encoder, bundle.X_train, bundle.train.labels,
             bundle.metric, bundle.test_ctx, PATTERNS, subsets,
             num_steps=num_steps, context=context, **kwargs,
@@ -84,8 +85,11 @@ def _run(smoke: bool):
     all_features = set(bundle.train.table.column_names)
     rows, speedups = [], {}
     for label, allowed in [("pattern features", None), ("full repair", all_features)]:
-        loop_s, loop = _best_of(lambda a=allowed: search(batch=False, allowed_features=a), repeats)
-        batch_s, batched = _best_of(lambda a=allowed: search(batch=True, allowed_features=a), repeats)
+        loop_s, loop = _best_of(
+            lambda a=allowed: search(update_loop.find_update_explanations, allowed_features=a),
+            repeats,
+        )
+        batch_s, batched = _best_of(lambda a=allowed: search(allowed_features=a), repeats)
         _assert_identical(batched, loop)
         speedups[label] = loop_s / batch_s
         rows.append(
@@ -100,8 +104,8 @@ def _run(smoke: bool):
         )
 
     verify_rows = []
-    serial_s, _ = _best_of(lambda: search(batch=True, verify=True, n_jobs=1), 1)
-    parallel_s, _ = _best_of(lambda: search(batch=True, verify=True, n_jobs=None), 1)
+    serial_s, _ = _best_of(lambda: search(verify=True, n_jobs=1), 1)
+    parallel_s, _ = _best_of(lambda: search(verify=True, n_jobs=None), 1)
     verify_rows.append(
         [
             len(PATTERNS),

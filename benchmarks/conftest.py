@@ -8,6 +8,7 @@ full experiment result (the paper-shaped table) is emitted through
 
 from __future__ import annotations
 
+import sys
 import time
 from pathlib import Path
 
@@ -17,6 +18,10 @@ from repro.bench import build_pipeline
 
 _RESULTS_DIR = Path(__file__).parent / "results"
 _SESSION_START = time.time()
+
+# The loop-vs-batch benchmarks compare against the reference loops the
+# equivalence suites use, importable as ``oracles.*`` from tests/.
+sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 
 
 def pytest_addoption(parser):

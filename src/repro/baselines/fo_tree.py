@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.baselines.decision_tree import DecisionTreeRegressor, TreeNode
 from repro.influence.first_order import FirstOrderInfluence
 from repro.tabular import Table

@@ -184,9 +184,7 @@ def _explain_impl(args: argparse.Namespace, tracer: Tracer | None) -> int:
             print()
             print(delta.render())
         counters = ", ".join(
-            f"{name}={value}"
-            for name, value in sorted(session.stats.items())
-            if "." in name  # the namespaced keys; flat twins are deprecated aliases
+            f"{name}={value}" for name, value in sorted(session.stats.items())
         )
         print()
         print(f"(session cache counters: {counters})")

@@ -31,7 +31,8 @@ edit, the post-edit search output can therefore be *replayed*:
    ``score + margin`` clears both its filter boundary and the k-th
    interestingness; any actual entrant triggers a re-selection.  Pairs
    that cannot reach the top-k even with the margin are left with their
-   (slightly stale) recorded score.
+   (slightly stale) recorded score, marked unscored in the refreshed
+   record so a chained replay scores them exactly.
 
 The margin in step 3 is the one empirical element: a filtered-out pair
 whose score moved past its boundary by more than twice the largest drift
@@ -374,8 +375,9 @@ def replay_search(
             filter_seconds += reselect_seconds
 
     # Refresh the record so successive delta audits chain off this one.
-    # Screened-out pairs keep their (now slightly stale) pre-edit score;
-    # their boundary distance is what justified not re-scoring them.
+    # Screened-out pairs keep their (now stale) pre-edit score, marked
+    # pair_known = -1: the next replay calibrates its screen against one
+    # edit's drift, so it must score those pairs exactly.
     new_record = LatticeRecord(
         num_entries=num_entries,
         level1_responsibilities=resp1,
@@ -383,7 +385,7 @@ def replay_search(
         pair_left=pair_left,
         pair_right=pair_right,
         pair_sizes=sizes2,
-        pair_known=known_post,
+        pair_known=np.where(scored, known_post, -1).astype(np.int8),
         pair_responsibilities=np.where(scored, resp2, resp_pre),
         pair_bias_changes=np.where(scored, bias2, rec_bias[pairs]),
         pair_in_result=in_result,

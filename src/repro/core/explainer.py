@@ -217,15 +217,13 @@ class GopherExplainer:
         allowed_features: set[str] | None = None,
         learning_rate: float = 0.25,
         num_steps: int = 120,
-        batch: bool = True,
     ):
         """Section 5: one update-based explanation per removal explanation.
 
         For every pattern in ``explanations``, search for the homogeneous
         update of its subset that maximally reduces bias.  All patterns run
         through one vectorized engine pass sharing the explainer's cached
-        :class:`repro.updates.UpdateSearchContext` (``batch=False`` keeps
-        the per-coordinate reference loop).  Returns a renderable
+        :class:`repro.updates.UpdateSearchContext`.  Returns a renderable
         :class:`repro.updates.UpdateExplanationSet`, aligned with the input.
 
         Each update's ``removal_bias_change`` reference comes from the
@@ -258,7 +256,6 @@ class GopherExplainer:
             verify=verify,
             removal_bias_changes=removal_changes,
             removal_sources=removal_sources,
-            batch=batch,
             context=self._update_context(),
             n_jobs=self.config.retrain_jobs,
         )

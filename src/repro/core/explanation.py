@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mining.engine import CandidateResult
-from repro.patterns.lattice import LatticeResult, PatternStats
+from repro.patterns.lattice import CandidateResult, PatternStats
 from repro.patterns.pattern import Pattern
 
 
@@ -68,7 +67,7 @@ class ExplanationSet:
     original_bias: float
     search_seconds: float
     filter_seconds: float
-    lattice: LatticeResult | CandidateResult
+    lattice: CandidateResult
 
     def __len__(self) -> int:
         return len(self.explanations)

@@ -45,11 +45,11 @@ from repro.fairness.report import FairnessReport, fairness_report
 from repro.influence.artifacts import ModelArtifacts
 from repro.influence.estimators import InfluenceEstimator, make_estimator
 from repro.mining.alphabet import AlphabetCache
-from repro.mining.engine import CandidateResult
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
 from repro.obs.cost import CostReport
 from repro.obs.metrics import MetricsRegistry
+from repro.patterns.lattice import CandidateResult
 
 # "exact" and "series" are first-class names for the two second-order
 # variants (see make_estimator); for kwarg-inheritance purposes they are
@@ -467,36 +467,21 @@ class AuditSession:
     # ------------------------------------------------------------------
     @property
     def stats(self) -> dict[str, int]:
-        """Merged cache counters: influence artifacts + candidate alphabet.
+        """The session's cache counters, namespaced by their layer.
 
-        Counters are namespaced by their layer — ``influence.*``
-        (``influence.hessian_factorizations``, ``influence.solver_updates``,
-        …) and ``mining.*`` (``mining.alphabet_builds``,
-        ``mining.tidlist_patches``, …) — so the two layers can never
-        silently shadow each other in the merge.  The historical flat names
-        (``hessian_factorizations``, ``alphabet_builds``, …) are kept as
-        deprecated read aliases of the same values.  A well-amortized audit
-        shows 1 (or 0, for caches its estimator never touches) on every
-        build counter; after :meth:`delta_audit` the build counters are
-        *still* 1 and the edit work shows up under the ``*_patches`` /
-        ``solver_updates`` counters instead.
+        ``influence.*`` (``influence.hessian_factorizations``,
+        ``influence.solver_updates``, …), ``mining.*``
+        (``mining.alphabet_builds``, ``mining.tidlist_patches``, …) and
+        ``engine.*`` — the shared caches register their counters straight
+        into the session registry, so the two layers can never shadow each
+        other.  A well-amortized audit shows 1 (or 0, for caches its
+        estimator never touches) on every build counter; after
+        :meth:`delta_audit` the build counters are *still* 1 and the edit
+        work shows up under the ``*_patches`` / ``solver_updates`` counters
+        instead.
         """
         self._require_fitted()
-        assert self.artifacts is not None and self.alphabet_cache is not None
-        # The shared caches register namespaced counters straight into the
-        # session registry, so the snapshot already carries the
-        # ``influence.*`` / ``mining.*`` (and ``engine.*``) names.
-        merged: dict[str, int] = dict(self.metrics.snapshot()["counters"])
-        # Deprecated flat aliases (pre-namespacing callers key on these).
-        # Every namespaced counter gets one; the cache views win on the
-        # historical influence.* / mining.* names.
-        for key, value in list(merged.items()):
-            _, _, bare = key.partition(".")
-            if bare:
-                merged.setdefault(bare, value)
-        merged.update(self.artifacts.stats)
-        merged.update(self.alphabet_cache.stats)
-        return merged
+        return dict(self.metrics.snapshot()["counters"])
 
     def context_for(self, group: ProtectedGroup | None = None) -> FairnessContext:
         """The cached test-side context of a protected group.
@@ -915,7 +900,6 @@ class AuditSession:
             lattice=CandidateResult(
                 candidates=replay.candidates,
                 levels=[],
-                engine="delta",
                 num_evaluated=replay.num_evaluated,
                 record=replay.record,
             ),

@@ -23,13 +23,11 @@ from repro.mining.bitset import (
     popcount,
     unpack_rows,
 )
-from repro.mining.closed import MinedCandidates, mine_closed_candidates
+from repro.mining.closed import mine_closed_candidates
 from repro.mining.engine import (
     CandidateEngine,
-    CandidateResult,
     ClosedMiningEngine,
     LatticeEngine,
-    as_candidate_result,
     list_engines,
     make_engine,
 )
@@ -37,12 +35,9 @@ from repro.mining.engine import (
 __all__ = [
     "AlphabetCache",
     "CandidateEngine",
-    "CandidateResult",
     "ClosedMiningEngine",
     "LatticeEngine",
-    "MinedCandidates",
     "PredicateAlphabet",
-    "as_candidate_result",
     "resolve_alphabet",
     "covers_all",
     "extent_key",

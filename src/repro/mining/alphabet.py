@@ -20,8 +20,7 @@ normalized through
 tuples, sets, and single names all hit one cache entry.  Both engines
 accept a cache through their ``generate(..., alphabet_cache=...)``
 parameter (:class:`repro.core.AuditSession` threads one through every
-query); without a cache each search builds a throwaway alphabet exactly
-as before.
+query); without a cache each search builds a throwaway alphabet.
 
 Under a :class:`repro.datasets.DataEdit` the cache is *patched*, not
 rebuilt: every predicate's mask keeps its bits for surviving rows, gains
@@ -77,7 +76,9 @@ class PredicateAlphabet:
     entire data" and have no explanatory value); ``num_generated`` keeps
     the pre-filter count the lattice reports as level-1 merges tried.
     Masks are shared read-only across queries — consumers combine them
-    with fresh ANDs and never mutate them in place.
+    with fresh ANDs and never mutate them in place.  Every search and
+    cache path builds its level 1 here, so this constructor is where a τ
+    outside [0, 1) is rejected.
 
     Every evaluated mask — including below-support ones — is retained in
     ``_evaluated``: an edit can push a predicate across the support
@@ -104,6 +105,8 @@ class PredicateAlphabet:
         packed: bool | None = None,
         block_rows: int | None = None,
     ) -> None:
+        if not 0.0 <= support_threshold < 1.0:
+            raise ValueError(f"support_threshold must be in [0, 1), got {support_threshold}")
         self.support_threshold = float(support_threshold)
         self.num_bins = int(num_bins)
         self.exclude_features = normalize_exclude_features(exclude_features)

@@ -61,7 +61,7 @@ estimator switch to the sparse index representation below the
 batches directly — no pack/unpack round trip), and flush groups are
 byte-capped, so the frontier's peak memory is bounded by constants and
 by extent sizes, not by the table's row count.  ``projection="never"``
-preserves the flat traversal byte-for-byte; all modes visit the same
+preserves the flat traversal byte-for-byte; both modes visit the same
 nodes and emit identical candidates (the projection property suite and
 the engine-equivalence suite pin this).
 
@@ -126,7 +126,13 @@ from repro.mining.bitset import (
     unpack_rows,
 )
 from repro.obs import trace
-from repro.patterns.lattice import LatticeLevelStats, PatternStats, _baseline, _parent_bar
+from repro.patterns.lattice import (
+    CandidateResult,
+    LatticeLevelStats,
+    PatternStats,
+    _baseline,
+    _parent_bar,
+)
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Predicate
 from repro.tabular import Table
@@ -236,25 +242,6 @@ class _Node:
         return self.items[-1] if self.items else -1
 
 
-@dataclass
-class MinedCandidates:
-    """Raw miner output, wrapped into a ``CandidateResult`` by the engine.
-
-    ``levels`` maps the miner's per-depth accounting onto the lattice's
-    Table-7 shape: candidates = nodes surviving pruning at that depth,
-    merges tried = attempted extensions, seconds = that depth's share of
-    *influence-evaluation* time (flushes of the packed buffer).  Bitset
-    traversal and the emission replay are not in any depth bucket, so the
-    per-depth seconds sum to less than the engine's wall time — unlike
-    the lattice, whose level timers are wall-clock per level.
-    """
-
-    candidates: list[PatternStats]
-    levels: list[LatticeLevelStats]
-    num_evaluated: int
-    num_closed: int
-
-
 class _InfluenceCache:
     """Extent-keyed influence results, filled by batched packed queries.
 
@@ -344,7 +331,7 @@ def mine_closed_candidates(
     batch_size: int = 1024,
     alphabet=None,
     projection: str = "auto",
-) -> MinedCandidates:
+) -> CandidateResult:
     """Mine all closed candidate explanations of ``table``.
 
     Parameters mirror :func:`repro.patterns.lattice.compute_candidates`
@@ -366,19 +353,25 @@ def mine_closed_candidates(
     descendants then pay ``count/8`` bytes per AND — and switches global
     tidlists to the sparse index representation for keys, scoring, and
     co-parent lookups where the density rule of ``repro.mining.bitset``
-    says indices are cheaper.  ``"always"`` projects at every eligible
-    branch regardless of shrinkage (the property suite's worst case).
-    All three traverse the identical node set and emit identical
-    candidates; they differ only in representation.
+    says indices are cheaper.  Both traverse the identical node set and
+    emit identical candidates; they differ only in representation.
+
+    ``levels`` maps the miner's per-depth accounting onto the lattice's
+    Table-7 shape: candidates = nodes surviving pruning at that depth,
+    merges tried = attempted extensions, seconds = that depth's share of
+    *influence-evaluation* time (flushes of the packed buffer).  Bitset
+    traversal and the emission replay are not in any depth bucket, so the
+    per-depth seconds sum to less than the search's wall time — unlike
+    the lattice, whose level timers are wall-clock per level.  The number
+    of distinct extents visited is the ``closed`` attribute of the
+    ``mining.frontier`` span.
     """
     if max_predicates < 1:
         raise ValueError(f"max_predicates must be >= 1, got {max_predicates}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if projection not in ("auto", "always", "never"):
-        raise ValueError(
-            f"projection must be 'auto', 'always', or 'never', got {projection!r}"
-        )
+    if projection not in ("auto", "never"):
+        raise ValueError(f"projection must be 'auto' or 'never', got {projection!r}")
     num_rows = table.num_rows
     if num_rows != estimator.num_train:
         raise ValueError(
@@ -402,12 +395,10 @@ def mine_closed_candidates(
     # queries.
     predicates, tids = alphabet.miner_items()
     if not predicates:
-        return MinedCandidates([], [LatticeLevelStats(1, 0, 0, time.perf_counter() - start)], 0, 0)
+        return CandidateResult([], [LatticeLevelStats(1, 0, 0, time.perf_counter() - start)])
     num_items = len(predicates)
 
-    use_digest = projection == "always" or (
-        projection == "auto" and num_rows >= _AUTO_DIGEST_MIN_ROWS
-    )
+    use_digest = projection == "auto" and num_rows >= _AUTO_DIGEST_MIN_ROWS
     if use_digest:
         # Two-tier extent identity, branch chosen by the *global* density
         # rule so every representation of the same row set lands in the
@@ -565,15 +556,11 @@ def mine_closed_candidates(
         # Branch projection: once an extent has shrunk well below its
         # current coordinate space, re-pack it so every descendant AND and
         # popcount runs over count/8 bytes.  The root level never projects
-        # (children of the root are the items themselves); "always" skips
-        # only the shrinkage test, not the depth gate.
+        # (children of the root are the items themselves).
         do_project = (
             use_digest
             and node.depth >= 1
-            and (
-                projection == "always"
-                or node.count * _PROJECT_SHRINK <= space.num_local
-            )
+            and node.count * _PROJECT_SHRINK <= space.num_local
         )
         if do_project:
             child_space = project(node)
@@ -780,9 +767,8 @@ def mine_closed_candidates(
                         emitted.append(node)
                 if node.depth < max_predicates:
                     expandable.append(node)
-        num_closed = len(visited_keys)
         frontier_span.set(
-            closed=num_closed, emitted=len(emitted), evaluated=cache.num_evaluated
+            closed=len(visited_keys), emitted=len(emitted), evaluated=cache.num_evaluated
         )
     replay = _GeneratorReplay(
         predicates, tids, cache, max_predicates, prune_by_responsibility, max_responsibility
@@ -819,7 +805,7 @@ def mine_closed_candidates(
         for depth in range(1, max_predicates + 1)
         if tried.get(depth) or survivors.get(depth) or depth == 1
     ]
-    return MinedCandidates(candidates, levels, cache.num_evaluated, num_closed)
+    return CandidateResult(candidates, levels, cache.num_evaluated)
 
 
 # ----------------------------------------------------------------------

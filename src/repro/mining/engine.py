@@ -9,8 +9,9 @@ to rank — has two interchangeable implementations:
   :mod:`repro.mining.closed`, which evaluates one candidate per distinct
   extent and streams influence scoring off packed masks.
 
-Both satisfy the :class:`CandidateEngine` protocol and return a
-:class:`CandidateResult`, which :func:`repro.patterns.select_top_k` and
+Both satisfy the :class:`CandidateEngine` protocol and return the
+:class:`~repro.patterns.lattice.CandidateResult` their search function
+builds, which :func:`repro.patterns.select_top_k` and
 :class:`repro.core.GopherExplainer` consume interchangeably.  The engine
 equivalence suite pins identical top-k explanations on the benchmark
 workloads (German, Adult, the planted-bias synthetic set); the engines
@@ -22,41 +23,12 @@ applied along (see the pruning notes in :mod:`repro.mining.closed`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.influence.estimators import InfluenceEstimator
 from repro.mining.alphabet import AlphabetCache, resolve_alphabet
-from repro.patterns.lattice import (
-    LatticeLevelStats,
-    LatticeRecord,
-    LatticeResult,
-    PatternStats,
-    compute_candidates,
-)
+from repro.patterns.lattice import CandidateResult, compute_candidates
 from repro.tabular import Table
-
-
-@dataclass
-class CandidateResult:
-    """Scored candidates plus engine-level accounting, engine-agnostic.
-
-    ``num_evaluated`` counts influence evaluations actually issued — the
-    quantity the closed miner reduces (one per distinct extent) relative
-    to the lattice (one per surviving pattern).  ``levels`` reports
-    per-level (lattice) or per-depth (miner) search statistics in the
-    shape of the paper's Table 7.
-    """
-
-    candidates: list[PatternStats]
-    levels: list[LatticeLevelStats]
-    engine: str
-    num_evaluated: int
-    record: LatticeRecord | None = None
-
-    @property
-    def num_candidates(self) -> int:
-        return len(self.candidates)
 
 
 @runtime_checkable
@@ -94,9 +66,6 @@ class LatticeEngine:
 
     name = "lattice"
 
-    def __init__(self, batch: bool = True) -> None:
-        self.batch = batch
-
     def generate(
         self,
         table: Table,
@@ -112,7 +81,7 @@ class LatticeEngine:
         batch_size: int = 1024,
         alphabet_cache: AlphabetCache | None = None,
     ) -> CandidateResult:
-        lattice = compute_candidates(
+        return compute_candidates(
             table,
             estimator,
             support_threshold=support_threshold,
@@ -122,18 +91,10 @@ class LatticeEngine:
             prune_by_responsibility=prune_by_responsibility,
             min_responsibility=min_responsibility,
             max_responsibility=max_responsibility,
-            batch=self.batch,
             batch_size=batch_size,
             alphabet=resolve_alphabet(
                 table, alphabet_cache, support_threshold, num_bins, exclude_features
             ),
-        )
-        return CandidateResult(
-            candidates=lattice.candidates,
-            levels=lattice.levels,
-            engine=self.name,
-            num_evaluated=lattice.num_evaluated,
-            record=lattice.record,
         )
 
 
@@ -144,8 +105,7 @@ class ClosedMiningEngine:
     :func:`repro.mining.closed.mine_closed_candidates` — ``"auto"``
     (default) projects shrunken branches into local coordinate spaces so
     deep nodes pay proportional to their parent extent, ``"never"`` is
-    the flat full-width traversal, ``"always"`` projects every eligible
-    branch.  All three emit identical candidates.
+    the flat full-width traversal.  Both emit identical candidates.
     """
 
     name = "mining"
@@ -170,7 +130,7 @@ class ClosedMiningEngine:
     ) -> CandidateResult:
         from repro.mining.closed import mine_closed_candidates
 
-        mined = mine_closed_candidates(
+        return mine_closed_candidates(
             table,
             estimator,
             support_threshold=support_threshold,
@@ -185,12 +145,6 @@ class ClosedMiningEngine:
                 table, alphabet_cache, support_threshold, num_bins, exclude_features
             ),
             projection=self.projection,
-        )
-        return CandidateResult(
-            candidates=mined.candidates,
-            levels=mined.levels,
-            engine=self.name,
-            num_evaluated=mined.num_evaluated,
         )
 
 
@@ -214,16 +168,3 @@ def make_engine(name: str, **kwargs: object) -> CandidateEngine:
             f"unknown candidate engine {name!r}; available: {sorted(_ENGINES)}"
         ) from None
     return cls(**kwargs)  # type: ignore[arg-type]
-
-
-def as_candidate_result(result: CandidateResult | LatticeResult) -> CandidateResult:
-    """Normalize a raw :class:`LatticeResult` to the engine-agnostic type."""
-    if isinstance(result, CandidateResult):
-        return result
-    return CandidateResult(
-        candidates=result.candidates,
-        levels=result.levels,
-        engine="lattice",
-        num_evaluated=result.num_evaluated,
-        record=result.record,
-    )

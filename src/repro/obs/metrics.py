@@ -12,10 +12,9 @@ grew independently.  Three metric kinds:
 * **histograms** — timing distributions over *fixed* bucket edges, so
   snapshots from different processes are mergeable bucket-by-bucket.
 
-:class:`StatsView` is the compatibility bridge: a dict-shaped view over
-one namespace of a registry, so ``artifacts.stats["hessian_builds"]``
-and ``dict(cache.stats)`` keep working while the underlying storage
-becomes shared, namespaced, and lock-protected.  Counter bumps go
+:class:`StatsView` is a dict-shaped view over one namespace of a
+registry: ``artifacts.stats["hessian_builds"]`` reads the shared,
+lock-protected ``influence.hessian_builds`` counter.  Counter bumps go
 through :meth:`StatsView.inc`, which ``tools/reprolint`` (RL002)
 recognises as counter discipline.
 """
@@ -172,10 +171,10 @@ class StatsView(MutableMapping):
 
     Declared counters are passed as a dict literal (so static counter
     discipline can read them off the AST) and registered under
-    ``{namespace}.{key}``; the view exposes them under their short keys,
-    preserving every existing ``stats["key"]`` call site.  ``inc`` is the
-    thread-safe increment; plain ``view[key] += 1`` still works but is
-    read-modify-write and reserved for single-threaded build paths.
+    ``{namespace}.{key}``; the view exposes them under their short keys.
+    ``inc`` is the thread-safe increment; plain ``view[key] += 1`` still
+    works but is read-modify-write and reserved for single-threaded build
+    paths.
     """
 
     __slots__ = ("_keys", "_namespace", "_registry")

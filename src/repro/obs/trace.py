@@ -32,9 +32,8 @@ import threading
 import time
 from typing import Any
 
-# The single clock every observability consumer shares.  ``Timer``
-# (repro.utils.timing) routes through this so benchmark timings and span
-# durations are directly comparable.
+# The single clock every observability consumer shares, so timings taken
+# outside a span and span durations are directly comparable.
 clock = time.perf_counter
 
 _COST_KEYS = ("gemm_flops", "solve_flops", "evaluations", "cache_hits", "cache_misses")

@@ -8,11 +8,10 @@ merge) — and :func:`select_top_k` implements Algorithm 2, the diversity
 filter based on containment scores.
 """
 
-from repro.patterns.candidates import generate_single_predicates
 from repro.patterns.containment import containment, max_containment
 from repro.patterns.lattice import (
+    CandidateResult,
     LatticeLevelStats,
-    LatticeResult,
     PatternStats,
     compute_candidates,
 )
@@ -21,14 +20,13 @@ from repro.patterns.predicate import Predicate
 from repro.patterns.topk import select_top_k
 
 __all__ = [
+    "CandidateResult",
     "LatticeLevelStats",
-    "LatticeResult",
     "Pattern",
     "PatternStats",
     "Predicate",
     "compute_candidates",
     "containment",
-    "generate_single_predicates",
     "max_containment",
     "select_top_k",
 ]

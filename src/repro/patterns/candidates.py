@@ -6,11 +6,12 @@ number of possible values, we can apply binning") and yield a ``>=`` / ``<``
 pair per threshold; numeric features with few distinct values additionally
 yield equality predicates (e.g. ``installment_rate = 4`` in German Credit).
 
-The *spec* enumeration (which predicates exist, in which canonical order) is
-split out as :func:`iter_predicate_specs` from the mask evaluation + support
-filter of :func:`generate_single_predicates`, so the alphabet cache can
-re-enumerate specs over an edited table and patch masks per predicate while
-reproducing the fresh build byte for byte — including its ordering.
+This module holds the *spec* enumeration (which predicates exist, in which
+canonical order), :func:`iter_predicate_specs`.  Mask evaluation and the
+support filter live in :class:`repro.mining.alphabet.PredicateAlphabet`,
+which re-enumerates specs over an edited table and patches masks per
+predicate while reproducing the fresh build byte for byte — including its
+ordering.
 """
 
 from __future__ import annotations
@@ -83,31 +84,3 @@ def iter_predicate_specs(
         for threshold in thresholds:
             for op in (">=", "<"):
                 yield Predicate(name, op, float(threshold))
-
-
-def generate_single_predicates(
-    table: Table,
-    support_threshold: float,
-    num_bins: int = 4,
-    exclude_features: Iterable[str] | str | None = None,
-) -> list[tuple[Predicate, np.ndarray]]:
-    """Return (predicate, mask) pairs whose support *strictly* exceeds τ.
-
-    The comparison is strict — a predicate covering exactly
-    ``support_threshold`` of the rows is dropped — matching the merge
-    levels of :func:`repro.patterns.lattice.compute_candidates`, so the
-    support rule is uniform across the whole lattice.
-
-    Masks are returned alongside predicates because the lattice reuses them
-    for merging; computing each base mask exactly once is what keeps level-1
-    generation linear in the data size.
-    """
-    if not 0.0 <= support_threshold < 1.0:
-        raise ValueError(f"support_threshold must be in [0, 1), got {support_threshold}")
-    n = table.num_rows
-    out: list[tuple[Predicate, np.ndarray]] = []
-    for predicate in iter_predicate_specs(table, num_bins, exclude_features):
-        mask = predicate.mask(table)
-        if mask.sum() / n > support_threshold:
-            out.append((predicate, mask))
-    return out

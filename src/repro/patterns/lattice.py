@@ -38,8 +38,7 @@ survives the structural checks (dedup, satisfiability, support), then asks
 the estimator for all bias changes in one ``bias_change_batch`` call per
 ``batch_size`` chunk — one BLAS-level pass per lattice level instead of
 thousands of tiny per-candidate queries (see the cost model in
-``repro.influence.estimators``).  ``batch=False`` keeps the per-candidate
-loop for comparison; both paths return identical candidates.
+``repro.influence.estimators``).
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ import numpy as np
 
 from repro.influence.estimators import InfluenceEstimator
 from repro.obs import trace
-from repro.patterns.candidates import generate_single_predicates
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Predicate
 from repro.tabular import Table
@@ -115,7 +113,9 @@ class LatticeRecord:
 
     ``pair_known`` mirrors the parent-reuse short-circuit (0 = evaluated,
     1/2 = extent collapsed onto the left/right parent, whose evaluation was
-    reused verbatim); ``pair_in_result`` marks merges that survived the
+    reused verbatim); a replayed record writes −1 for a pair the replay
+    did not re-score, whose stored score is therefore stale and must not
+    seed the next replay; ``pair_in_result`` marks merges that survived the
     responsibility bar and the minimum-responsibility filter into
     ``candidates``.  Searches deeper than two levels do not record — their
     level-3+ frontier depends on scores and cannot be replayed structurally.
@@ -134,14 +134,18 @@ class LatticeRecord:
 
 
 @dataclass
-class LatticeResult:
-    """Everything Algorithm 1 returns: candidates plus per-level stats.
+class CandidateResult:
+    """Scored candidates plus per-level accounting, from either engine.
 
-    ``num_evaluated`` counts the influence evaluations actually issued —
-    merges that reuse a parent's evaluation (collapsed row sets) are
-    excluded.  The closed-pattern miner (``repro.mining``) reports the
-    same counter, which is how the candidate-space reduction of mining
-    closed extents is measured.
+    :func:`compute_candidates`, the closed-pattern miner
+    (:func:`repro.mining.closed.mine_closed_candidates`) and the delta
+    replay all return this.  ``num_evaluated`` counts the influence
+    evaluations actually issued — merges that reuse a parent's evaluation
+    (collapsed row sets) are excluded — which is how the miner's
+    candidate-space reduction (one evaluation per distinct extent) is
+    measured.  ``levels`` reports per-level (lattice) or per-depth (miner)
+    search statistics in the shape of the paper's Table 7.  ``record`` is
+    the replay state of a depth-≤2 lattice search (None otherwise).
     """
 
     candidates: list[PatternStats]
@@ -344,10 +348,9 @@ def compute_candidates(
     prune_by_responsibility: bool = True,
     min_responsibility: float = 0.0,
     max_responsibility: float = 1.25,
-    batch: bool = True,
     batch_size: int = 1024,
     alphabet=None,
-) -> LatticeResult:
+) -> CandidateResult:
     """Run Algorithm 1 over ``table`` and return all surviving candidates.
 
     Parameters
@@ -378,11 +381,6 @@ def compute_candidates(
         Root-cause cap for the pruning comparison: parents whose estimated
         responsibility falls outside (0, max_responsibility] do not veto
         their children (see the module docstring).
-    batch:
-        Evaluate each level's surviving candidates through the estimator's
-        batched influence API (the default).  ``False`` restores the
-        per-candidate query loop — same results, kept for benchmarking the
-        batch speedup and as a low-memory fallback.
     batch_size:
         Maximum candidates per batched influence call; bounds the (m, n)
         mask matrix handed to the estimator.
@@ -390,8 +388,8 @@ def compute_candidates(
         A pre-built level-1 :class:`repro.mining.alphabet.PredicateAlphabet`
         for *this* table and *these* generation parameters, letting many
         searches (different metrics, groups, estimators) share one
-        predicate/mask build.  ``None`` generates the level-1 candidates
-        locally, exactly as before.
+        predicate/mask build.  ``None`` builds a throwaway boolean-mask
+        alphabet for this call.
     """
     if max_predicates < 1:
         raise ValueError(f"max_predicates must be >= 1, got {max_predicates}")
@@ -410,26 +408,21 @@ def compute_candidates(
     # --- level 1 ---------------------------------------------------------
     start = time.perf_counter()
     with trace.span("lattice.level", level=1) as level_span:
-        if alphabet is not None:
-            if getattr(alphabet, "packed", False):
-                raise ValueError(
-                    "the lattice engine consumes boolean level-1 masks and cannot "
-                    "run on a packed (out-of-core) alphabet; use engine='mining' "
-                    "for tables this large"
-                )
-            # Shared pre-built alphabet: full-coverage predicates (which would
-            # "remove the entire data") are already filtered out of entries.
-            entries = alphabet.entries
-            num_singles = alphabet.num_generated
-        else:
-            singles = generate_single_predicates(
-                table, support_threshold, num_bins, exclude_features
+        if alphabet is None:
+            from repro.mining.alphabet import PredicateAlphabet  # repro.mining imports this module
+
+            alphabet = PredicateAlphabet(
+                table, support_threshold, num_bins, exclude_features, packed=False
             )
-            num_singles = len(singles)
-            # A full-coverage pattern would "remove the entire data" — the
-            # paper notes such patterns have no explanatory value, and no
-            # model can be retrained without any training rows.
-            entries = [(predicate, mask) for predicate, mask in singles if not mask.all()]
+        elif alphabet.packed:
+            raise ValueError(
+                "the lattice engine consumes boolean level-1 masks and cannot "
+                "run on a packed (out-of-core) alphabet; use engine='mining' "
+                "for tables this large"
+            )
+        # Full-coverage predicates (which would "remove the entire data")
+        # are already filtered out of the alphabet's entries.
+        entries = alphabet.entries
         predicates = [predicate for predicate, _ in entries]
         index, ids = PredicateIndex.of(predicates)
         masks = (
@@ -438,9 +431,7 @@ def compute_candidates(
             else np.zeros((0, num_rows), dtype=bool)
         )
         packed = np.packbits(masks, axis=1)
-        responsibilities, bias_changes = _evaluate_all(
-            estimator, packed, num_rows, batch, batch_size
-        )
+        responsibilities, bias_changes = _evaluate_all(estimator, packed, num_rows, batch_size)
         num_evaluated = len(entries)
         current = LevelState(
             ids[:, None], packed, masks.sum(axis=1), responsibilities, bias_changes
@@ -450,7 +441,9 @@ def compute_candidates(
                 _stats(Pattern([predicates[k]]), current, k, num_rows)
             )
         levels.append(
-            LatticeLevelStats(1, len(entries), num_singles, time.perf_counter() - start)
+            LatticeLevelStats(
+                1, len(entries), alphabet.num_generated, time.perf_counter() - start
+            )
         )
         level_span.set(candidates=len(entries), evaluated=len(entries))
 
@@ -489,7 +482,7 @@ def compute_candidates(
             resp = np.empty(len(merges.sizes))
             dbias = np.empty(len(merges.sizes))
             resp[fresh], dbias[fresh] = _evaluate_all(
-                estimator, merges.packed[fresh], num_rows, batch, batch_size
+                estimator, merges.packed[fresh], num_rows, batch_size
             )
             num_evaluated += int(fresh.sum())
             for code, parents in ((1, merges.left), (2, merges.right)):
@@ -544,20 +537,12 @@ def compute_candidates(
             level1_bias_changes=np.asarray(bias_changes, dtype=np.float64),
             **pairs,
         )
-    return LatticeResult(
+    return CandidateResult(
         candidates=all_stats, levels=levels, num_evaluated=num_evaluated, record=record
     )
 
 
 # ----------------------------------------------------------------------
-def _evaluate(estimator: InfluenceEstimator, mask: np.ndarray) -> tuple[float, float]:
-    indices = np.flatnonzero(mask)
-    dbias = estimator.bias_change(indices)
-    baseline = _baseline(estimator)
-    resp = -dbias / baseline if baseline != 0.0 else 0.0
-    return float(resp), float(dbias)
-
-
 def _baseline(estimator: InfluenceEstimator) -> float:
     return (
         estimator.original_surrogate
@@ -570,25 +555,17 @@ def _evaluate_all(
     estimator: InfluenceEstimator,
     packed: np.ndarray,
     num_rows: int,
-    batch: bool,
     batch_size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities and bias changes for a level's packed candidate masks.
 
-    The batched path unpacks the masks into (m, n) matrices of at most
-    ``batch_size`` rows and issues one ``bias_change_batch`` per chunk; the
-    loop path queries candidates one at a time.  Both return arrays aligned
-    with ``packed``.
+    The masks are unpacked into (m, n) matrices of at most ``batch_size``
+    rows, one ``bias_change_batch`` per chunk; the arrays returned are
+    aligned with ``packed``.
     """
     if not len(packed):
         empty = np.zeros(0)
         return empty, empty
-    if not batch:
-        pairs = [
-            _evaluate(estimator, np.unpackbits(row, count=num_rows).view(bool))
-            for row in packed
-        ]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
     chunks = [
         estimator.bias_change_batch(
             np.unpackbits(packed[start : start + batch_size], axis=1, count=num_rows).view(bool)

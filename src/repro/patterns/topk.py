@@ -7,11 +7,11 @@ import time
 import numpy as np
 
 from repro.patterns.containment import containment
-from repro.patterns.lattice import LatticeResult, PatternStats
+from repro.patterns.lattice import CandidateResult, PatternStats
 
 
 def select_top_k(
-    candidates: list[PatternStats] | LatticeResult,
+    candidates: list[PatternStats] | CandidateResult,
     k: int,
     containment_threshold: float = 0.75,
     require_positive_responsibility: bool = True,
@@ -20,11 +20,9 @@ def select_top_k(
 ) -> tuple[list[PatternStats], float]:
     """Pick the k most interesting, mutually diverse candidates.
 
-    ``candidates`` is either a plain list of :class:`PatternStats` or any
-    candidate-generation result carrying a ``candidates`` list — the
-    :class:`LatticeResult` of the lattice search or the engine-agnostic
-    :class:`repro.mining.engine.CandidateResult` either backend returns —
-    which is unwrapped to its candidate list.
+    ``candidates`` is either a plain list of :class:`PatternStats` or the
+    :class:`CandidateResult` either search engine returns, which is
+    unwrapped to its candidate list.
 
     Candidates are visited in descending interestingness order (ties broken
     by the canonical pattern order, giving the deterministic tie-break
@@ -49,10 +47,8 @@ def select_top_k(
     Returns ``(selected, filter_seconds)`` — the filtering time is reported
     separately because Table 7 tracks it independently of search time.
     """
-    if not isinstance(candidates, list):
-        # LatticeResult, CandidateResult, or anything else shaped like a
-        # candidate-generation result.
-        candidates = list(candidates.candidates)
+    if isinstance(candidates, CandidateResult):
+        candidates = candidates.candidates
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0.0 < containment_threshold <= 1.0:

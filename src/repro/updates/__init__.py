@@ -16,7 +16,6 @@ from repro.updates.projected_gd import (
     UpdateExplanation,
     UpdateExplanationSet,
     UpdateSearchContext,
-    find_update_explanation,
     find_update_explanations,
 )
 
@@ -27,6 +26,5 @@ __all__ = [
     "UpdateSearchContext",
     "apply_delta",
     "describe_update",
-    "find_update_explanation",
     "find_update_explanations",
 ]

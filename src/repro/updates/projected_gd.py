@@ -23,22 +23,18 @@ and the per-sample training gradients — owned by one
 :class:`UpdateSearchContext` shared across every pattern and backoff scale,
 and a per-pattern **search**:
 
-* **ascent** — each step needs ∇_δJ over the active coordinates.  The
-  batched path evaluates it as *one* stacked ``per_sample_grads`` call over
-  all 2·|active| centrally-perturbed copies of the subset (or, for models
-  with the analytic :meth:`~repro.models.base.TwiceDifferentiableClassifier.input_grads`
-  hook, a single closed-form call), where the ``batch=False`` loop issues
-  2·|active| objective evaluations per step from Python.
+* **ascent** — each step needs ∇_δJ over the active coordinates of every
+  still-live pattern.  Models that override the analytic
+  :meth:`~repro.models.base.TwiceDifferentiableClassifier.input_grads` hook
+  (all built-in models do) answer it in one closed-form call; any other
+  model gets one stacked ``per_sample_grads`` call over all 2·|active|
+  centrally-perturbed copies of every subset.
 * **backoff scoring** — Eq. 14 at every pattern × scale candidate is one
   concatenated gradient pass plus one vectorized metric evaluation over the
   stacked θ_p's, replacing a fresh Hessian eigendecomposition and metric
   call per scale.
 * **verification** — ground-truth retrains for all updates go through the
   shared process-parallel helper (:func:`repro.influence.parallel.retrain_thetas`).
-
-``batch=False`` keeps the per-coordinate finite-difference loop (with the
-fixed sign conventions) for equivalence testing, mirroring the lattice
-search's ``batch`` flag.
 """
 
 from __future__ import annotations
@@ -303,8 +299,6 @@ def find_update_explanations(
     verify: bool = False,
     removal_bias_changes: list[float | None] | None = None,
     removal_sources: list[str | None] | None = None,
-    batch: bool = True,
-    use_input_grads: bool = True,
     context: UpdateSearchContext | None = None,
     n_jobs: int | None = None,
 ) -> UpdateExplanationSet:
@@ -328,12 +322,6 @@ def find_update_explanations(
         Optional aligned reference ΔF's of *removing* each subset (and where
         each number came from, e.g. ``"ground_truth"`` / ``"estimated"``),
         enabling ``direction_vs_removal``.
-    batch:
-        ``False`` runs the per-coordinate finite-difference loop and scores
-        backoff scales one at a time — kept for equivalence testing.
-    use_input_grads:
-        Allow the analytic ``input_grads`` fast path when the model has one
-        (batched path only); disable to force stacked finite differences.
     context:
         A pre-built :class:`UpdateSearchContext` to share start-up work
         across calls; one is built on the fly when omitted.
@@ -375,40 +363,22 @@ def find_update_explanations(
             )
             for pattern, subset_X in zip(patterns, subset_Xs)
         ]
-        if batch:
-            # One ascent over all k patterns: active sets rarely overlap, so
-            # the k per-step model calls collapse into one stacked call over
-            # every still-live pattern (see _ascend_all).
-            with trace.span(
-                "update.ascent",
-                patterns=len(patterns),
-                rows=int(sum(indices.size for indices in subsets)),
-            ):
-                deltas = _ascend_all(
-                    model, subset_Xs, subset_ys, context.ascent_grad_f, domains,
-                    learning_rate, num_steps, use_input_grads=use_input_grads,
-                )
-        else:
-            deltas = []
-            for subset_X, subset_y, domain, indices in zip(
-                subset_Xs, subset_ys, domains, subsets
-            ):
-                with trace.span(
-                    "update.ascent",
-                    rows=int(indices.size),
-                    features=len(domain.allowed_features),
-                ):
-                    deltas.append(
-                        _ascend_loop(
-                            model, subset_X, subset_y, context.ascent_grad_f, domain,
-                            learning_rate, num_steps,
-                        )
-                    )
-        score = _score_backoff_batch if batch else _score_backoff_loop
+        # One ascent over all k patterns: active sets rarely overlap, so
+        # the k per-step model calls collapse into one stacked call over
+        # every still-live pattern (see _ascend_all).
+        with trace.span(
+            "update.ascent",
+            patterns=len(patterns),
+            rows=int(sum(indices.size for indices in subsets)),
+        ):
+            deltas = _ascend_all(
+                model, subset_Xs, subset_ys, context.ascent_grad_f, domains,
+                learning_rate, num_steps,
+            )
         with trace.span(
             "update.score", scales=len(_BACKOFF_SCALES) * len(patterns)
         ):
-            best_rows, best_changes = score(context, domains, subsets, deltas)
+            best_rows, best_changes = _score_backoff(context, domains, subsets, deltas)
     search_seconds = time.perf_counter() - start
 
     verify_seconds = 0.0
@@ -421,7 +391,7 @@ def find_update_explanations(
             ]
             thetas = retrain_thetas(
                 model, context.X_train, context.y_train, tasks,
-                warm_start=context.theta, n_jobs=n_jobs if batch else 1,
+                warm_start=context.theta, n_jobs=n_jobs,
             )
             after = metric.value_batch(model, test_ctx, thetas)
             gt_changes = [float(a - context.original_bias) for a in after]
@@ -453,42 +423,6 @@ def find_update_explanations(
     )
 
 
-def find_update_explanation(
-    model: TwiceDifferentiableClassifier,
-    encoder: TabularEncoder,
-    X_train: np.ndarray,
-    y_train: np.ndarray,
-    metric: FairnessMetric,
-    test_ctx: FairnessContext,
-    pattern: Pattern,
-    subset_indices: np.ndarray,
-    allowed_features: set[str] | None = None,
-    learning_rate: float = 0.25,
-    num_steps: int = 120,
-    verify: bool = False,
-    removal_bias_change: float | None = None,
-    removal_source: str | None = None,
-    batch: bool = True,
-    use_input_grads: bool = True,
-    context: UpdateSearchContext | None = None,
-) -> UpdateExplanation:
-    """Single-pattern convenience wrapper around :func:`find_update_explanations`."""
-    result = find_update_explanations(
-        model, encoder, X_train, y_train, metric, test_ctx,
-        [pattern], [subset_indices],
-        allowed_features=allowed_features,
-        learning_rate=learning_rate,
-        num_steps=num_steps,
-        verify=verify,
-        removal_bias_changes=[removal_bias_change],
-        removal_sources=[removal_source],
-        batch=batch,
-        use_input_grads=use_input_grads,
-        context=context,
-    )
-    return result[0]
-
-
 def _aligned(values: list | None, count: int, name: str) -> list:
     if values is None:
         return [None] * count
@@ -500,88 +434,8 @@ def _aligned(values: list | None, count: int, name: str) -> list:
 # ----------------------------------------------------------------------
 # Continuous ascent
 # ----------------------------------------------------------------------
-def _objective(
-    model: TwiceDifferentiableClassifier,
-    subset_X: np.ndarray,
-    subset_y: np.ndarray,
-    grad_f: np.ndarray,
-    delta: np.ndarray,
-) -> float:
-    grads = model.per_sample_grads(subset_X + delta, subset_y)
-    return float(grad_f @ grads.sum(axis=0))
-
-
-def _ascend_loop(
-    model: TwiceDifferentiableClassifier,
-    subset_X: np.ndarray,
-    subset_y: np.ndarray,
-    grad_f: np.ndarray,
-    domain: UpdateDomain,
-    learning_rate: float,
-    num_steps: int,
-    use_input_grads: bool = False,
-) -> np.ndarray:
-    """Per-coordinate central differences — the reference ``batch=False`` path."""
-    dim = subset_X.shape[1]
-    delta = np.zeros(dim)
-    active = np.flatnonzero(domain.mask)
-    eps = 1e-4
-    for _ in range(num_steps):
-        grad = np.zeros(dim)
-        for j in active:
-            step = np.zeros(dim)
-            step[j] = eps
-            plus = _objective(model, subset_X, subset_y, grad_f, delta + step)
-            minus = _objective(model, subset_X, subset_y, grad_f, delta - step)
-            grad[j] = (plus - minus) / (2.0 * eps)
-        norm = np.linalg.norm(grad)
-        if norm < 1e-12:
-            break
-        new_delta = domain.project_delta(delta + learning_rate * grad / norm)
-        if np.allclose(new_delta, delta, atol=1e-10):
-            break
-        delta = new_delta
-    return delta
-
-
 def _supports_input_grads(model: TwiceDifferentiableClassifier) -> bool:
     return type(model).input_grads is not TwiceDifferentiableClassifier.input_grads
-
-
-def _ascend_batch(
-    model: TwiceDifferentiableClassifier,
-    subset_X: np.ndarray,
-    subset_y: np.ndarray,
-    grad_f: np.ndarray,
-    domain: UpdateDomain,
-    learning_rate: float,
-    num_steps: int,
-    use_input_grads: bool = True,
-) -> np.ndarray:
-    """One stacked (or analytic) gradient evaluation per ascent step."""
-    dim = subset_X.shape[1]
-    delta = np.zeros(dim)
-    active = np.flatnonzero(domain.mask)
-    if active.size == 0:
-        return delta
-    analytic = use_input_grads and _supports_input_grads(model)
-    eps = 1e-4
-    for _ in range(num_steps):
-        base = subset_X + delta
-        if analytic:
-            full = model.input_grads(base, subset_y, grad_f).sum(axis=0)
-            grad = np.zeros(dim)
-            grad[active] = full[active]
-        else:
-            grad = _stacked_fd_grad(model, base, subset_y, grad_f, active, eps, dim)
-        norm = np.linalg.norm(grad)
-        if norm < 1e-12:
-            break
-        new_delta = domain.project_delta(delta + learning_rate * grad / norm)
-        if np.allclose(new_delta, delta, atol=1e-10):
-            break
-        delta = new_delta
-    return delta
 
 
 def _ascend_all(
@@ -592,25 +446,24 @@ def _ascend_all(
     domains: list[UpdateDomain],
     learning_rate: float,
     num_steps: int,
-    use_input_grads: bool = True,
 ) -> list[np.ndarray]:
     """Ascend all k patterns together: one model call per step, not k.
 
-    Each pattern keeps its own δ, projection, and convergence test —
-    identical per-pattern arithmetic to :func:`_ascend_batch` — but the
+    Each pattern keeps its own δ, projection, and convergence test, but the
     per-step gradient evaluations of every still-live pattern concatenate
-    into a single ``input_grads`` (or stacked finite-difference
-    ``per_sample_grads``) call.  The built-in models evaluate gradients
-    row-wise, so each pattern's slice of the concatenated result matches
-    its standalone evaluation; converged patterns drop out of the stack,
-    so late steps shrink toward the hardest pattern alone.
+    into a single ``input_grads`` call — or, for a model without that
+    hook, a single stacked finite-difference ``per_sample_grads`` call.
+    The built-in models evaluate gradients row-wise, so each pattern's
+    slice of the concatenated result matches its standalone evaluation;
+    converged patterns drop out of the stack, so late steps shrink toward
+    the hardest pattern alone.
     """
     deltas = [np.zeros(subset_X.shape[1]) for subset_X in subset_Xs]
     actives = [np.flatnonzero(domain.mask) for domain in domains]
     live = [i for i in range(len(domains)) if actives[i].size]
     if not live:
         return deltas
-    analytic = use_input_grads and _supports_input_grads(model)
+    analytic = _supports_input_grads(model)
     eps = 1e-4
     for _ in range(num_steps):
         bases = [subset_Xs[i] + deltas[i] for i in live]
@@ -659,9 +512,9 @@ def _stacked_fd_grad_all(
 ) -> list[np.ndarray]:
     """Central-difference ∇_δJ for many patterns in one stacked model call.
 
-    Builds each pattern's 2·|active| centrally-perturbed copies exactly as
-    :func:`_stacked_fd_grad` does, concatenates every pattern's stack, and
-    splits the single ``per_sample_grads`` result back per pattern.
+    Builds each pattern's 2·|active| copies, shifted by ±eps along one
+    active coordinate each, concatenates every pattern's stack, and splits
+    the single ``per_sample_grads`` result back per pattern.
     """
     blocks, labels = [], []
     for base, subset_y, active in zip(bases, subset_ys, actives):
@@ -688,47 +541,9 @@ def _stacked_fd_grad_all(
     return out
 
 
-def _stacked_fd_grad(
-    model: TwiceDifferentiableClassifier,
-    base: np.ndarray,
-    subset_y: np.ndarray,
-    grad_f: np.ndarray,
-    active: np.ndarray,
-    eps: float,
-    dim: int,
-) -> np.ndarray:
-    """∇_δJ by central differences, all 2·|active| copies in one model call."""
-    s = base.shape[0]
-    a = active.size
-    stacked = np.repeat(base[None, :, :], 2 * a, axis=0)
-    arange = np.arange(a)
-    stacked[arange, :, active] += eps
-    stacked[a + arange, :, active] -= eps
-    grads = model.per_sample_grads(stacked.reshape(2 * a * s, dim), np.tile(subset_y, 2 * a))
-    values = grads.reshape(2 * a, s, -1).sum(axis=1) @ grad_f
-    grad = np.zeros(dim)
-    grad[active] = (values[:a] - values[a:]) / (2.0 * eps)
-    return grad
-
-
 # ----------------------------------------------------------------------
 # Backoff-scale scoring (Eq. 14 at the projected candidates)
 # ----------------------------------------------------------------------
-def _one_step_bias_change(
-    context: UpdateSearchContext,
-    subset_indices: np.ndarray,
-    updated_rows: np.ndarray,
-) -> float:
-    """Eq. 14 evaluated at one projected update, at the context's shared η."""
-    new_sum = context.model.per_sample_grads(
-        updated_rows, context.y_train[subset_indices]
-    ).sum(axis=0)
-    diff = new_sum - context.subset_grad_sum(subset_indices)
-    theta_p = context.one_step_thetas(diff[None, :])[0]
-    after = context.metric.value(context.model, context.test_ctx, theta_p)
-    return float(after - context.original_bias)
-
-
 def _backoff_candidates(
     context: UpdateSearchContext,
     domains: list[UpdateDomain],
@@ -754,26 +569,7 @@ def _pick_scale(context: UpdateSearchContext, changes: np.ndarray) -> int:
     return int(np.argmin(np.abs(context.original_bias + changes)))
 
 
-def _score_backoff_loop(
-    context: UpdateSearchContext,
-    domains: list[UpdateDomain],
-    subsets: list[np.ndarray],
-    deltas: list[np.ndarray],
-) -> tuple[list[np.ndarray], list[float]]:
-    best_rows, best_changes = [], []
-    for indices, scaled_rows in zip(
-        subsets, _backoff_candidates(context, domains, subsets, deltas)
-    ):
-        changes = np.array(
-            [_one_step_bias_change(context, indices, rows) for rows in scaled_rows]
-        )
-        k = _pick_scale(context, changes)
-        best_rows.append(scaled_rows[k])
-        best_changes.append(float(changes[k]))
-    return best_rows, best_changes
-
-
-def _score_backoff_batch(
+def _score_backoff(
     context: UpdateSearchContext,
     domains: list[UpdateDomain],
     subsets: list[np.ndarray],

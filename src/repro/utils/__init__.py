@@ -1,8 +1,7 @@
-"""Shared utilities: seeded randomness, timing, validation, write-sanitizing."""
+"""Shared utilities: seeded randomness, validation, write-sanitizing."""
 
 from repro.utils.freeze import Freezer, freeze_session, install_session_sanitizer
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timing import Timer, timed
 from repro.utils.validation import (
     check_1d,
     check_2d,
@@ -12,7 +11,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "Freezer",
-    "Timer",
     "check_1d",
     "check_2d",
     "check_binary_labels",
@@ -21,5 +19,4 @@ __all__ = [
     "freeze_session",
     "install_session_sanitizer",
     "spawn_rngs",
-    "timed",
 ]

@@ -1,10 +1,8 @@
 """Tests for the FO-tree baseline explainer."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import FOTreeExplainer
-from repro.influence import FirstOrderInfluence
 
 
 @pytest.fixture(scope="module")

@@ -108,9 +108,9 @@ class TestAccounting:
             if span.name == "influence.gemm" and "kind" not in span.attrs
         )
         stats = session.stats
-        assert stats["gradient_sum_cache_misses"] > 0
-        assert gemm_rows == stats["gradient_sum_cache_misses"]
-        assert stats["gradient_sum_cache_misses"] == len(
+        assert stats["influence.gradient_sum_cache_misses"] > 0
+        assert gemm_rows == stats["influence.gradient_sum_cache_misses"]
+        assert stats["influence.gradient_sum_cache_misses"] == len(
             session.artifacts._grad_sum_cache
         )
         # Within one estimator family the Δθ cache fronts the g_S cache
@@ -118,19 +118,19 @@ class TestAccounting:
         # *second* gradient-sum family re-enumerates the same extents.
         view = session.explainer(metric=METRICS[0], estimator="one_step_gd")
         view.explain(k=2, verify=False)
-        assert session.stats["gradient_sum_cache_hits"] > 0
+        assert session.stats["influence.gradient_sum_cache_hits"] > 0
 
     def test_later_metrics_recompute_no_param_changes(
         self, lr_model, german_train, german_test
     ):
         session = AuditSession(lr_model, **SEARCH).fit(german_train, german_test)
         session.audit(metrics=[METRICS[0]], k=2, verify=False)
-        misses = session.stats["param_change_cache_misses"]
+        misses = session.stats["influence.param_change_cache_misses"]
         assert misses > 0
         session.audit(metrics=METRICS[1:], k=2, verify=False)
         # Every later metric re-enumerates the same extents: all hits.
-        assert session.stats["param_change_cache_misses"] == misses
-        assert session.stats["param_change_cache_hits"] > 0
+        assert session.stats["influence.param_change_cache_misses"] == misses
+        assert session.stats["influence.param_change_cache_hits"] > 0
 
     def test_one_update_context_build_per_audit(
         self, lr_model, german_train, german_test
@@ -142,7 +142,7 @@ class TestAccounting:
             view.explain_updates(query.explanations, verify=False)
         # Three metric views repaired their explanations; the Hessian/η
         # half of the search context was built exactly once.
-        assert session.stats["update_context_builds"] == 1
+        assert session.stats["influence.update_context_builds"] == 1
 
     def test_bare_estimator_keeps_per_call_accounting(self, fo_estimator):
         # Estimators built outside a session never key or cache extents:

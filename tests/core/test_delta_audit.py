@@ -23,11 +23,19 @@ import numpy as np
 import pytest
 
 from repro.core import AuditSession
-from repro.datasets import random_edit
+from repro.datasets import load_german, random_edit, train_test_split
 from repro.models import LogisticRegression
 
 SEARCH = dict(max_predicates=2, support_threshold=0.05, estimator="series")
 METRICS = ["statistical_parity", "equal_opportunity"]
+# The closed edit loop's search: smooth series scores, three metrics.
+REPAIR_LOOP = dict(
+    max_predicates=2,
+    support_threshold=0.05,
+    estimator="series",
+    estimator_kwargs={"evaluation": "smooth"},
+)
+REPAIR_METRICS = ["statistical_parity", "equal_opportunity", "average_odds"]
 # Edit seed chosen so every kind leaves the level-1 alphabet stable on the
 # fixture split (most seeds do; a crossing seed would merely exercise the
 # fallback path, which test_recheck_never_raises_* pins separately).
@@ -36,6 +44,25 @@ EDIT_SEED = 3
 
 def make_session(lr_model, train, test, **overrides):
     return AuditSession(lr_model, **{**SEARCH, **overrides}).fit(train, test)
+
+
+def assert_chain_matches_oracle(sess, edits, metrics, k=3):
+    """Delta-audit every edit in turn, so each replay chains off the last.
+
+    An oracle session with the same model and encoder takes each edit
+    through ``apply_edit`` and audits afresh; every link must match it.
+    ``edits`` holds ``(kind, count, seed)`` triples for :func:`random_edit`.
+    """
+    # Warming builds the oracle's alphabet before the first edit, so both
+    # sessions keep the pre-edit pattern language (bin edges).
+    oracle = AuditSession(sess.model, sess.config).fit(
+        sess.train_data, sess.test_data, encoder=sess.encoder
+    ).warm()
+    for kind, count, seed in edits:
+        edit = random_edit(sess.train_data, kind, count, seed=seed)
+        delta = sess.delta_audit(edit, metrics=metrics, k=k)
+        oracle.apply_edit(edit)
+        assert_matching_audits(delta.after, oracle.audit(metrics=metrics, k=k))
 
 
 def assert_matching_audits(left, right, abs_tol=1e-8):
@@ -82,23 +109,39 @@ class TestDeltaEqualsFreshReaudit:
     def test_chained_edits(self, lr_model, german_train, german_test):
         """A remove → relabel → add sequence stays equivalent at every step."""
         sess = make_session(lr_model, german_train, german_test)
-        sess.audit(metrics=METRICS, k=3)
-        for step, kind in enumerate(["remove", "relabel", "add"]):
-            edit = random_edit(sess.train_data, kind, count=5, seed=EDIT_SEED + step)
-            delta = sess.delta_audit(edit, metrics=METRICS, k=3)
-            assert_matching_audits(delta.after, sess.audit(metrics=METRICS, k=3))
+        edits = [
+            (kind, 5, EDIT_SEED + step)
+            for step, kind in enumerate(["remove", "relabel", "add"])
+        ]
+        assert_chain_matches_oracle(sess, edits, METRICS)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fuzz_random_edit_sequences(self, lr_model, german_train, german_test, seed):
         """Seeded random edit sequences: delta == fresh whether or not certified."""
         rng = np.random.default_rng(seed)
+        edits = [
+            (
+                ("remove", "relabel", "add")[rng.integers(0, 3)],
+                int(rng.integers(1, 20)),
+                int(rng.integers(1 << 16)),
+            )
+            for _ in range(3)
+        ]
         sess = make_session(lr_model, german_train, german_test)
-        for _ in range(3):
-            kind = ("remove", "relabel", "add")[rng.integers(0, 3)]
-            count = int(rng.integers(1, 20))
-            edit = random_edit(sess.train_data, kind, count, seed=int(rng.integers(1 << 16)))
-            delta = sess.delta_audit(edit, metrics=["statistical_parity"], k=3)
-            assert_matching_audits(delta.after, sess.audit(metrics=["statistical_parity"], k=3))
+        assert_chain_matches_oracle(sess, edits, ["statistical_parity"])
+
+    @pytest.mark.parametrize("data_seed,edit_seed", [(2, 10000), (3, 23000)])
+    def test_chained_relabels_rescore_screened_pairs(self, data_seed, edit_seed):
+        """A pair the boundary screen skipped keeps a score several edits
+        old; a replay of a replay must re-score it, not calibrate it
+        against one edit's drift (the seed-2 chain diverged on its 4th
+        link when it did)."""
+        train, test = train_test_split(
+            load_german(1000, seed=data_seed), 0.25, seed=data_seed
+        )
+        sess = AuditSession(LogisticRegression(l2_reg=1e-3), **REPAIR_LOOP).fit(train, test)
+        edits = [("relabel", 8, edit_seed + step) for step in range(6)]
+        assert_chain_matches_oracle(sess, edits, REPAIR_METRICS)
 
 
 class TestRelabelFullPipelineOracle:
@@ -145,7 +188,7 @@ class TestCertificateAndCounters:
         assert delta.num_researched == 0
         for q in delta.queries:
             assert q.certified and not q.recheck_ran and q.reason == ""
-            assert q.after.lattice.engine == "delta"
+            assert q.after.lattice.levels == []  # the replay ran no search level
 
     def test_no_heavy_rebuilds(self, certified):
         sess, _, before, delta = certified

@@ -86,10 +86,10 @@ class TestAccounting:
         )
         assert isinstance(result, AuditResult)
         assert len(result) == 3
-        assert session.stats["hessian_factorizations"] == 1
-        assert session.stats["hessian_builds"] == 1
-        assert session.stats["per_sample_grad_builds"] == 1
-        assert session.stats["alphabet_builds"] == 1
+        assert session.stats["influence.hessian_factorizations"] == 1
+        assert session.stats["influence.hessian_builds"] == 1
+        assert session.stats["influence.per_sample_grad_builds"] == 1
+        assert session.stats["mining.alphabet_builds"] == 1
 
     def test_one_tidlist_build_under_mining_engine(self, lr_model, german_train, german_test):
         session = AuditSession(lr_model, engine="mining", **SEARCH).fit(
@@ -100,25 +100,26 @@ class TestAccounting:
             groups=[german_train.protected, GENDER],
             k=2,
         )
-        assert session.stats["tidlist_builds"] == 1
-        assert session.stats["alphabet_builds"] == 1
-        assert session.stats["hessian_factorizations"] == 1
+        assert session.stats["mining.tidlist_builds"] == 1
+        assert session.stats["mining.alphabet_builds"] == 1
+        assert session.stats["influence.hessian_factorizations"] == 1
 
     def test_repeated_explain_on_one_view_reuses_alphabet(self, session):
-        before = session.stats["alphabet_builds"]
+        before = session.stats["mining.alphabet_builds"]
         view = session.explainer(metric="statistical_parity")
         view.explain(k=1, verify=False)
         view.explain(k=1, verify=False)
-        assert session.stats["alphabet_builds"] == max(before, 1)
+        assert session.stats["mining.alphabet_builds"] == max(before, 1)
 
     def test_distinct_search_params_build_distinct_alphabets(self, session):
         view = session.explainer(metric="statistical_parity")
         before = dict(session.stats)
         view.config.support_threshold = 0.2
         view.explain(k=1, verify=False)
-        assert session.stats["alphabet_builds"] == before["alphabet_builds"] + 1
+        assert session.stats["mining.alphabet_builds"] == before["mining.alphabet_builds"] + 1
         # ... but never a second factorization.
-        assert session.stats["hessian_factorizations"] == before["hessian_factorizations"]
+        key = "influence.hessian_factorizations"
+        assert session.stats[key] == before[key]
 
 
 class TestAuditResult:
@@ -159,7 +160,7 @@ class TestAuditResult:
         assert {r["protected_attribute"] for r in records} == {"age", "gender"}
 
     def test_stats_snapshot_attached(self, audit):
-        assert audit.stats["hessian_factorizations"] == 1
+        assert audit.stats["influence.hessian_factorizations"] == 1
         assert audit.setup_seconds >= 0.0
 
 
@@ -251,7 +252,7 @@ class TestReviewRegressions:
         assert exact.estimator.variant == "exact"
         assert exact.estimator.damping == 1e-3
         assert exact.estimator.solver is default.estimator.solver
-        assert session.stats["hessian_factorizations"] == 1
+        assert session.stats["influence.hessian_factorizations"] == 1
 
     def test_same_family_keeps_config_kwargs(self, lr_model, german_train, german_test):
         session = AuditSession(
@@ -318,23 +319,22 @@ class TestSessionSurface:
 
 
 class TestStatsNamespacing:
-    """session.stats: namespaced influence.*/mining.* keys + flat aliases."""
+    """session.stats: namespaced influence.*/mining.*/engine.* keys only."""
 
-    def test_every_counter_is_namespaced_with_flat_alias(self, session):
+    def test_every_counter_is_namespaced(self, session):
         session.audit(metrics=["statistical_parity"], k=2)
         stats = session.stats
-        namespaced = {k for k in stats if "." in k}
-        flat = {k for k in stats if "." not in k}
-        assert namespaced and flat
-        for key in namespaced:
-            _, bare = key.split(".", 1)
-            assert bare in flat
-            assert stats[key] == stats[bare], key
-        # Every flat alias is backed by exactly one namespaced twin — the
-        # two layers never shadow each other under distinct names.
-        for key in flat:
-            twins = [k for k in namespaced if k.endswith("." + key)]
-            assert len(twins) == 1, key
+        assert stats and all(
+            key.split(".", 1)[0] in ("influence", "mining", "engine") for key in stats
+        )
+        # Each cache's dict-shaped view reads its own namespace of the
+        # session registry.
+        for prefix, view in (
+            ("influence.", session.artifacts.stats),
+            ("mining.", session.alphabet_cache.stats),
+        ):
+            for key, value in view.items():
+                assert stats[prefix + key] == value, key
 
     def test_expected_layers_present(self, session):
         stats = session.stats

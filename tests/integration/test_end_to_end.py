@@ -1,6 +1,5 @@
 """Cross-module integration tests: the full Gopher story on each dataset."""
 
-import numpy as np
 import pytest
 
 from repro.core import GopherExplainer

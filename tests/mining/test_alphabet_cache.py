@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import DataEdit, random_edit
-from repro.mining import AlphabetCache, pack_rows
+from repro.mining import AlphabetCache, make_engine, pack_rows
+from repro.patterns import compute_candidates
 
 TAU = 0.05
 
@@ -66,6 +67,26 @@ class TestKeyNormalization:
     def test_foreign_table_refused(self, cache, german_test):
         with pytest.raises(ValueError, match="different table"):
             cache.check_table(german_test.table)
+
+
+@pytest.mark.parametrize("tau", [-0.2, 1.0, 1.5])
+@pytest.mark.parametrize("path", ["mining_engine", "alphabet_cache", "bare_lattice"])
+def test_support_threshold_outside_unit_interval_rejected(
+    path, tau, cache, german_train, fo_estimator
+):
+    """Every level-1 build validates τ, so no path searches with a τ that
+    keeps nothing (≥ 1) or everything (< 0)."""
+    search = {
+        "mining_engine": lambda: make_engine("mining").generate(
+            german_train.table, fo_estimator, support_threshold=tau
+        ),
+        "alphabet_cache": lambda: cache.get(tau),
+        "bare_lattice": lambda: compute_candidates(
+            german_train.table, fo_estimator, support_threshold=tau
+        ),
+    }[path]
+    with pytest.raises(ValueError, match=r"support_threshold must be in \[0, 1\)"):
+        search()
 
 
 class TestFrozenLanguageUnderEdits:

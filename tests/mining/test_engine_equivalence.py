@@ -12,15 +12,13 @@ import pytest
 from repro.core import GopherConfig, GopherExplainer
 from repro.mining import (
     CandidateEngine,
-    CandidateResult,
     ClosedMiningEngine,
     LatticeEngine,
-    as_candidate_result,
     list_engines,
     make_engine,
 )
 from repro.models import LogisticRegression
-from repro.patterns import compute_candidates, select_top_k
+from repro.patterns import CandidateResult, compute_candidates, select_top_k
 
 
 def top_k_pairs(result, k):
@@ -133,7 +131,15 @@ class TestProjectedEngineEquivalence:
     """The projected miner must match the *lattice* too, not just the flat
     miner — the engine acceptance contract is projection-independent."""
 
-    @pytest.mark.parametrize("projection", ["always", "auto"])
+    @pytest.fixture(autouse=True)
+    def _auto_projects_at_test_scale(self, monkeypatch):
+        """"auto" runs the flat search below _AUTO_DIGEST_MIN_ROWS rows;
+        drop the gate so these hundreds-of-rows tables project."""
+        import repro.mining.closed as closed_mod
+
+        monkeypatch.setattr(closed_mod, "_AUTO_DIGEST_MIN_ROWS", 0)
+
+    @pytest.mark.parametrize("projection", ["never", "auto"])
     def test_projected_mining_matches_lattice(
         self, projection, german_train, german_series_estimator
     ):
@@ -151,9 +157,7 @@ class TestProjectedEngineEquivalence:
         table, estimator = synth_setup
         opts = dict(support_threshold=0.05, max_predicates=3)
         lattice = make_engine("lattice").generate(table, estimator, **opts)
-        mined = make_engine("mining", projection="always").generate(
-            table, estimator, **opts
-        )
+        mined = make_engine("mining").generate(table, estimator, **opts)
         assert_identical_top_k(lattice, mined, 5)
 
 
@@ -180,21 +184,22 @@ class TestEngineProtocol:
             german_train.table, german_series_estimator,
             support_threshold=0.05, max_predicates=2,
         )
-        assert wrapped.engine == "lattice"
+        assert isinstance(wrapped, CandidateResult)
         assert wrapped.num_evaluated == direct.num_evaluated
         assert [s.pattern for s in wrapped.candidates] == [
             s.pattern for s in direct.candidates
         ]
 
-    def test_as_candidate_result(self, german_train, german_series_estimator):
+    def test_search_functions_return_candidate_result(
+        self, german_train, german_series_estimator
+    ):
         direct = compute_candidates(
             german_train.table, german_series_estimator,
             support_threshold=0.05, max_predicates=1,
         )
-        wrapped = as_candidate_result(direct)
-        assert isinstance(wrapped, CandidateResult)
-        assert wrapped.num_candidates == direct.num_candidates
-        assert as_candidate_result(wrapped) is wrapped
+        assert isinstance(direct, CandidateResult)
+        assert direct.num_candidates == len(direct.candidates) > 0
+        assert direct.record is not None  # depth <= 2: replayable
 
     def test_select_top_k_accepts_candidate_result(
         self, german_train, german_series_estimator
@@ -235,7 +240,7 @@ class TestExplainerIntegration:
     def test_mining_result_carries_engine_accounting(self, explanations):
         result = explanations["mining"].lattice
         assert isinstance(result, CandidateResult)
-        assert result.engine == "mining"
+        assert result.record is None  # only lattice searches are replayable
         assert result.num_evaluated > 0
         assert result.num_candidates > 0
 

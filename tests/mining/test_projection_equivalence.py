@@ -1,11 +1,11 @@
 """Conditional-database projection must be invisible in the results.
 
-``projection="never"`` is the historical flat traversal; ``"auto"`` and
-``"always"`` re-pack shrunken branches into local coordinate spaces, swap
-extent identity to digests, and stream sparse extents to the estimator as
-index batches.  Across randomized instances — including support
-thresholds below the 1/SPARSE_DENSITY density cutoff, where the sparse
-representation actually carries survivors — all three modes must emit
+``projection="never"`` is the flat traversal; ``"auto"`` re-packs
+shrunken branches into local coordinate spaces, swaps extent identity to
+digests, and streams sparse extents to the estimator as index batches.
+Across randomized instances — including support thresholds below the
+1/SPARSE_DENSITY density cutoff, where the sparse representation actually
+carries survivors — both modes must visit the same closed extents and emit
 identical candidates, scores, masks, and evaluation counts, on bool and
 packed (out-of-core) alphabets alike.
 """
@@ -24,7 +24,7 @@ from repro.models import LogisticRegression
 from repro.obs.trace import Tracer, tracing
 from repro.tabular import Table
 
-MODES = ("never", "auto", "always")
+MODES = ("never", "auto")
 
 
 @pytest.fixture(autouse=True)
@@ -106,9 +106,20 @@ def correlated_instance(seed=0, n=900, k=40):
     return table, estimator
 
 
-def assert_identical(a, b):
+def mine(table, estimator, **kwargs):
+    """Mine under a tracer; the number of closed extents visited rides the
+    ``mining.frontier`` span."""
+    tracer = Tracer()
+    with tracing(tracer):
+        result = mine_closed_candidates(table, estimator, **kwargs)
+    (frontier,) = (s for s in tracer.walk() if s.name == "mining.frontier")
+    return result, frontier.attrs["closed"]
+
+
+def assert_identical(mined_a, mined_b):
+    (a, closed_a), (b, closed_b) = mined_a, mined_b
     assert a.num_evaluated == b.num_evaluated
-    assert a.num_closed == b.num_closed
+    assert closed_a == closed_b
     assert len(a.candidates) == len(b.candidates)
     for x, y in zip(a.candidates, b.candidates):
         assert str(x.pattern) == str(y.pattern)
@@ -119,32 +130,31 @@ def assert_identical(a, b):
         np.testing.assert_array_equal(x._packed_mask, y._packed_mask)
 
 
-class TestThreeModeEquivalence:
+class TestModeEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("tau,depth", [(0.05, 3), (0.02, 3)])
     def test_modes_emit_identical_results(self, seed, tau, depth):
         table, estimator = scale_instance(seed)
         results = {
-            mode: mine_closed_candidates(
+            mode: mine(
                 table, estimator, support_threshold=tau,
                 max_predicates=depth, projection=mode,
             )
             for mode in MODES
         }
-        assert results["never"].candidates  # non-vacuous instance
+        assert results["never"][0].candidates  # non-vacuous instance
         assert_identical(results["never"], results["auto"])
-        assert_identical(results["never"], results["always"])
 
     def test_sparse_survivors_below_density_cutoff(self):
         """τ < 1/SPARSE_DENSITY forces surviving extents through the sparse
         index path; the flat mode must still be matched exactly."""
         table, estimator = scale_instance(17, n=900)
         never, auto = (
-            mine_closed_candidates(
+            mine(
                 table, estimator, support_threshold=0.02,
                 max_predicates=4, projection=mode,
             )
-            for mode in ("never", "auto")
+            for mode in MODES
         )
         assert_identical(never, auto)
 
@@ -152,15 +162,14 @@ class TestThreeModeEquivalence:
         """The instance whose co-parents compress to index form must also
         match the flat traversal exactly."""
         table, estimator = correlated_instance()
-        results = {
-            mode: mine_closed_candidates(
+        never, auto = (
+            mine(
                 table, estimator, support_threshold=0.015,
                 max_predicates=3, projection=mode,
             )
             for mode in MODES
-        }
-        assert_identical(results["never"], results["auto"])
-        assert_identical(results["never"], results["always"])
+        )
+        assert_identical(never, auto)
 
     def test_packed_alphabet_equivalence(self):
         """An out-of-core (packed) alphabet feeds the same mining results."""
@@ -168,27 +177,24 @@ class TestThreeModeEquivalence:
         plain = PredicateAlphabet(table, 0.03, 4, None)
         packed = PredicateAlphabet(table, 0.03, 4, None, packed=True)
         assert packed.packed and not plain.packed
-        a = mine_closed_candidates(
-            table, estimator, support_threshold=0.03, max_predicates=3, alphabet=plain
-        )
-        b = mine_closed_candidates(
-            table, estimator, support_threshold=0.03, max_predicates=3, alphabet=packed
-        )
+        a = mine(table, estimator, support_threshold=0.03, max_predicates=3, alphabet=plain)
+        b = mine(table, estimator, support_threshold=0.03, max_predicates=3, alphabet=packed)
         assert_identical(a, b)
 
     def test_engine_kwarg_round_trip(self):
         table, estimator = scale_instance(2, n=400)
         default = make_engine("mining")
-        always = make_engine("mining", projection="always")
-        assert default.projection == "auto" and always.projection == "always"
+        never = make_engine("mining", projection="never")
+        assert default.projection == "auto" and never.projection == "never"
         ra = default.generate(table, estimator, support_threshold=0.05, max_predicates=2)
-        rb = always.generate(table, estimator, support_threshold=0.05, max_predicates=2)
+        rb = never.generate(table, estimator, support_threshold=0.05, max_predicates=2)
         assert [str(c.pattern) for c in ra.candidates] == [str(c.pattern) for c in rb.candidates]
 
-    def test_invalid_projection_rejected(self):
+    @pytest.mark.parametrize("projection", ["sometimes", "always"])
+    def test_invalid_projection_rejected(self, projection):
         table, estimator = scale_instance(2, n=400)
         with pytest.raises(ValueError, match="projection"):
-            mine_closed_candidates(table, estimator, projection="sometimes")
+            mine_closed_candidates(table, estimator, projection=projection)
 
 
 class TestObservabilityAndCounters:
@@ -222,11 +228,11 @@ class TestObservabilityAndCounters:
         machinery is only paid where projection can pay for it."""
         table, estimator = scale_instance(3)
         alphabet = PredicateAlphabet(table, 0.05, 4, None)
-        auto = mine_closed_candidates(
+        auto = mine(
             table, estimator, support_threshold=0.05,
             max_predicates=3, projection="auto", alphabet=alphabet,
         )
-        never = mine_closed_candidates(
+        never = mine(
             table, estimator, support_threshold=0.05,
             max_predicates=3, projection="never", alphabet=alphabet,
         )

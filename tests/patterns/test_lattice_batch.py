@@ -1,18 +1,18 @@
 """Regression tests for the batched lattice search.
 
-Golden guarantee: ``compute_candidates`` with ``batch=True`` (the default)
-returns *the identical candidate set* — patterns, supports,
-responsibilities — and identical per-level accounting as the per-candidate
-query loop (``batch=False``), on the seeded synthetic dataset.  Plus the
-support-threshold boundary: a pattern covering exactly τ of the rows is
-excluded at every lattice level, matching the "strictly more than τ"
-contract.
+Golden guarantee: ``compute_candidates`` returns *the identical candidate
+set* — patterns, supports, responsibilities — and identical per-level
+accounting as the per-candidate query loop of ``oracles.lattice_loop``, on
+the seeded synthetic dataset.  Plus the support-threshold boundary: a
+pattern covering exactly τ of the rows is excluded at every lattice level,
+on both paths, matching the "strictly more than τ" contract.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.lattice_loop import LoopEstimator
 
 from repro.fairness import FairnessContext, get_metric
 from repro.influence import make_estimator
@@ -27,8 +27,8 @@ from repro.tabular import Table
 def lattice_pair(request, german_train, fo_estimator, so_estimator):
     estimator = {"first_order": fo_estimator, "second_order": so_estimator}[request.param]
     kwargs = dict(support_threshold=0.05, max_predicates=3)
-    loop = compute_candidates(german_train.table, estimator, batch=False, **kwargs)
-    batched = compute_candidates(german_train.table, estimator, batch=True, **kwargs)
+    loop = compute_candidates(german_train.table, LoopEstimator(estimator), **kwargs)
+    batched = compute_candidates(german_train.table, estimator, **kwargs)
     return loop, batched
 
 
@@ -126,12 +126,11 @@ class TestSupportBoundary:
         table, estimator = boundary_setup
         result = compute_candidates(
             table,
-            estimator,
+            estimator if batch else LoopEstimator(estimator),
             support_threshold=self.TAU,
             max_predicates=2,
             prune_by_responsibility=False,
             min_responsibility=-np.inf,
-            batch=batch,
         )
         return result.candidates
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tabular import CategoricalColumn, NumericColumn, Table
+from repro.tabular import NumericColumn, Table
 
 
 @pytest.fixture

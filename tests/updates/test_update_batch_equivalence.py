@@ -1,22 +1,22 @@
 """Batch-vs-loop equivalence for the vectorized §5 update-search engine.
 
 The batched engine must produce the same δ's, estimated bias changes, and
-described updates as the ``batch=False`` per-coordinate reference loop —
-both through the stacked finite-difference path and through the analytic
-``input_grads`` fast path — mirroring PR 1's estimator-equivalence suite.
+described updates as the per-coordinate reference loop of
+``oracles.update_loop`` — both through the analytic ``input_grads`` ascent
+and, for a model without that hook, through the stacked finite-difference
+ascent — mirroring the estimator-equivalence suite.
 """
 
 import json
 
 import numpy as np
 import pytest
+from oracles import update_loop
 
+from repro.models import LogisticRegression
+from repro.models.base import TwiceDifferentiableClassifier
 from repro.patterns import Pattern, Predicate
-from repro.updates import (
-    UpdateSearchContext,
-    find_update_explanation,
-    find_update_explanations,
-)
+from repro.updates import UpdateSearchContext, find_update_explanations
 
 # Single-feature (numeric and categorical), multi-feature, and
 # all-categorical patterns — the shapes the engine special-cases least.
@@ -29,6 +29,13 @@ PATTERNS = [
 
 DELTA_ATOL = 1e-6
 CHANGE_ATOL = 1e-9
+
+
+class FiniteDifferenceLR(LogisticRegression):
+    """Logistic regression without analytic input gradients, so the engine
+    ascends by stacked finite differences."""
+
+    input_grads = TwiceDifferentiableClassifier.input_grads
 
 
 @pytest.fixture(scope="module")
@@ -46,21 +53,33 @@ def context(lr_model, X_train, german_train, sp_metric, test_ctx):
 
 
 @pytest.fixture(scope="module")
-def engine(lr_model, encoder, X_train, german_train, sp_metric, test_ctx, subsets, context):
-    def run(**kwargs):
+def engine(encoder, X_train, german_train, sp_metric, test_ctx, subsets, context):
+    def run(search=find_update_explanations, **kwargs):
         kwargs.setdefault("num_steps", 40)
         kwargs.setdefault("context", context)
-        return find_update_explanations(
-            lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-            PATTERNS, subsets, **kwargs,
+        return search(
+            kwargs["context"].model, encoder, X_train, german_train.labels, sp_metric,
+            test_ctx, PATTERNS, subsets, **kwargs,
         )
 
     return run
 
 
 @pytest.fixture(scope="module")
-def loop_result(engine):
-    return engine(batch=False)
+def loop(engine):
+    return lambda **kwargs: engine(update_loop.find_update_explanations, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def loop_result(loop):
+    return loop()
+
+
+@pytest.fixture(scope="module")
+def fd_context(lr_model, X_train, german_train, sp_metric, test_ctx):
+    model = FiniteDifferenceLR(lr_model.l2_reg)
+    model.theta = lr_model.theta
+    return UpdateSearchContext(model, X_train, german_train.labels, sp_metric, test_ctx)
 
 
 def _assert_equivalent(batched, loop):
@@ -75,21 +94,19 @@ def _assert_equivalent(batched, loop):
 
 class TestBatchEquivalence:
     def test_analytic_fast_path_matches_loop(self, engine, loop_result):
-        _assert_equivalent(engine(batch=True), loop_result)
+        _assert_equivalent(engine(), loop_result)
 
-    def test_stacked_fd_matches_loop(self, engine, loop_result):
-        _assert_equivalent(engine(batch=True, use_input_grads=False), loop_result)
+    def test_stacked_fd_matches_loop(self, engine, loop_result, fd_context):
+        _assert_equivalent(engine(context=fd_context), loop_result)
 
-    def test_allowed_features_override(self, engine, loop_result):
+    def test_allowed_features_override(self, engine, loop):
         allowed = {"gender", "age", "housing", "amount"}
-        batched = engine(batch=True, allowed_features=allowed)
-        loop = engine(batch=False, allowed_features=allowed)
-        _assert_equivalent(batched, loop)
+        _assert_equivalent(engine(allowed_features=allowed), loop(allowed_features=allowed))
 
-    def test_verified_changes_match(self, engine):
-        batched = engine(batch=True, verify=True, num_steps=15)
-        loop = engine(batch=False, verify=True, num_steps=15)
-        for b, l in zip(batched, loop):
+    def test_verified_changes_match(self, engine, loop):
+        batched = engine(verify=True, num_steps=15)
+        reference = loop(verify=True, num_steps=15)
+        for b, l in zip(batched, reference):
             assert b.gt_bias_change is not None and l.gt_bias_change is not None
             assert b.gt_bias_change == pytest.approx(l.gt_bias_change, abs=1e-8)
 
@@ -97,22 +114,22 @@ class TestBatchEquivalence:
         self, lr_model, encoder, X_train, german_train, sp_metric, test_ctx,
         subsets, engine,
     ):
-        shared = engine(batch=True)
+        shared = engine()
         fresh = find_update_explanations(
             lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
             PATTERNS, subsets, num_steps=40,
         )
         _assert_equivalent(fresh, shared)
 
-    def test_singular_wrapper_matches_engine(
+    def test_single_pattern_matches_engine(
         self, lr_model, encoder, X_train, german_train, sp_metric, test_ctx,
         subsets, engine, context,
     ):
-        single = find_update_explanation(
+        single = find_update_explanations(
             lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-            PATTERNS[0], subsets[0], num_steps=40, context=context,
+            PATTERNS[:1], subsets[:1], num_steps=40, context=context,
         )
-        _assert_equivalent([single], [engine(batch=True)[0]])
+        _assert_equivalent(single, engine()[:1])
 
 
 class TestEngineResult:
@@ -140,16 +157,16 @@ class TestEngineResult:
             )
 
     def test_empty_pattern_list(self, lr_model, encoder, X_train, german_train,
-                                sp_metric, test_ctx, context):
+                                sp_metric, test_ctx, context, fd_context):
         # Zero surviving explanations (e.g. an over-tight support threshold)
-        # must yield an empty set on both paths, not a concatenate crash.
-        for batch in (True, False):
+        # must yield an empty set on both ascents, not a concatenate crash.
+        for ctx in (context, fd_context):
             result = find_update_explanations(
-                lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-                [], [], batch=batch, context=context,
+                ctx.model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
+                [], [], context=ctx,
             )
             assert len(result) == 0
-            assert result.original_bias == pytest.approx(context.original_bias)
+            assert result.original_bias == pytest.approx(ctx.original_bias)
 
     def test_empty_subset_rejected(self, lr_model, encoder, X_train, german_train,
                                    sp_metric, test_ctx):
@@ -160,7 +177,7 @@ class TestEngineResult:
             )
 
     def test_set_protocol_and_timings(self, engine):
-        result = engine(batch=True)
+        result = engine()
         assert len(result) == len(PATTERNS)
         assert [u.pattern for u in result] == PATTERNS
         assert result[0] is result.updates[0]
@@ -169,7 +186,7 @@ class TestEngineResult:
         assert result.metric_name == "statistical_parity"
 
     def test_render_and_records(self, engine):
-        result = engine(batch=True, removal_bias_changes=[-0.05] * len(PATTERNS),
+        result = engine(removal_bias_changes=[-0.05] * len(PATTERNS),
                         removal_sources=["estimated"] * len(PATTERNS))
         text = result.render()
         assert "Update-based explanations" in text
@@ -179,4 +196,4 @@ class TestEngineResult:
         assert all(r["removal_bias_source"] == "estimated" for r in records)
 
     def test_render_without_removal_reference(self, engine):
-        assert "n/a" in engine(batch=True).render()
+        assert "n/a" in engine().render()
