@@ -1,28 +1,27 @@
-"""Stacked exact second-order influence vs the per-subset loop.
+"""The exact second-order kernel vs the dense per-subset oracle.
 
 The ``exact`` variant solves a *different* reduced matrix ``n·H − m·H_S``
-per subset, so per subset it was the one influence path the lattice could
-not amortize: every query paid a fresh subset-Hessian build plus a solver
-construction.  The batch path gathers each subset's curvature rows into
-one padded batched matmul per rank group and solves the whole group with
-one batched Cholesky and one batched solve (see
-``repro.influence.second_order``).
+per subset.  Every exact query now runs one kernel per subset: the lower
+triangle of ``n·H − m·ridge·I`` downdated by one ``dsyrk`` of the
+subset's curvature rows, then one ``dpotrf`` and one ``dpotrs`` (see
+``repro.influence.second_order``).  The reference is the dense step of
+``oracles.exact_loop``: ``model.hessian(X_S)``, ``n·H − m·H_S`` and a
+fresh ``HessianSolver`` per subset.
 
 Three claims:
 
-1. **Query throughput** — m ``bias_change`` calls in a loop vs one
-   ``bias_change_batch`` over the same subsets (sizes drawn on both sides
-   of |S| = p), for growing batch sizes on German/logistic.  Asserted ≥2×
-   at m ≥ 256 (relaxed to 1.5× under ``--smoke`` for shared CI runners).
-2. **One route** — every subset of those batches rides the stacked path:
-   there is no |S| crossover, nothing escalates and nothing falls back to
-   the per-subset loop (asserted from ``exact_batch_stats``).
+1. **Query throughput** — the oracle's m ``bias_change`` calls in a loop
+   vs one ``bias_change_batch`` over the same subsets (sizes drawn on both
+   sides of |S| = p), for growing batch sizes on German/logistic.
+   Asserted ≥2× at m ≥ 256 (relaxed to 1.5× under ``--smoke`` for shared
+   CI runners).
+2. **One route** — every subset of those batches is solved in the batch's
+   one kernel span: there is no |S| crossover and nothing escalates
+   (asserted from the span's ``subsets`` and ``escalated``).
 3. **End-to-end parity** — the full lattice search under
-   ``estimator="exact"`` with the per-subset loop of
-   ``oracles.lattice_loop`` vs the batched search must produce identical
-   top-k explanations
-   (patterns and scores to 1e-10; also pinned by
-   ``tests/integration/test_exact_golden.py``).
+   ``estimator="exact"`` with the oracle's per-subset loop vs the batched
+   search must produce identical top-k explanations (patterns and scores
+   to 1e-10; also pinned by ``tests/integration/test_exact_golden.py``).
 
 ``--smoke`` shrinks the dataset and batch list for CI and keeps every
 assertion (parity and routing are structural, not tuning outcomes).
@@ -33,10 +32,12 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from oracles.lattice_loop import LoopEstimator
+from oracles.exact_loop import ExactLoopEstimator
 
 from repro.bench import build_pipeline, emit, render_table, subset_mask_matrix
 from repro.influence import make_estimator
+from repro.obs import trace
+from repro.obs.trace import Tracer
 from repro.patterns import select_top_k
 from repro.patterns.lattice import compute_candidates
 from repro.utils.rng import ensure_rng
@@ -76,26 +77,26 @@ def _best_of_pair(fn_a, fn_b, repeats: int = 5) -> tuple[float, float]:
 
 def _throughput_rows(estimator, batch_sizes):
     rows, speedups = [], {}
+    oracle = ExactLoopEstimator(estimator)
     estimator.bias_change_batch([np.arange(10)])  # warm every cache
     for batch_size in batch_sizes:
         subsets = _random_subsets(
             estimator.num_train, estimator.model.num_params, batch_size
         )
         masks = subset_mask_matrix(subsets, estimator.num_train)
-        before = dict(estimator.exact_batch_stats)
-        estimator.bias_change_batch(masks)
-        stacked = estimator.exact_batch_stats["stacked"] - before["stacked"]
-        assert stacked == batch_size, "every subset must ride the stacked path"
-        assert estimator.exact_batch_stats["escalated"] == before["escalated"]
-        assert estimator.exact_batch_stats["fallback_factors"] == 0
+        with trace.tracing(Tracer()) as tracer:
+            estimator.bias_change_batch(masks)
+        (span,) = [s for s in tracer.walk() if s.name == "hessian.reduced_solve"]
+        assert span.attrs["subsets"] == batch_size, "every subset must ride the kernel"
+        assert span.attrs["escalated"] == 0
         loop_s, batch_s = _best_of_pair(
-            lambda: [estimator.bias_change(s) for s in subsets],
+            lambda: [oracle.bias_change(s) for s in subsets],
             lambda: estimator.bias_change_batch(masks),
         )
-        loop = np.array([estimator.bias_change(s) for s in subsets])
+        loop = oracle.bias_change_batch(subsets)
         batch = estimator.bias_change_batch(masks)
         max_err = float(np.abs(batch - loop).max())
-        assert max_err < 1e-8, f"batched exact diverged from the loop: {max_err:.2e}"
+        assert max_err < 1e-8, f"the exact kernel diverged from the oracle: {max_err:.2e}"
         speedup = loop_s / batch_s
         speedups[batch_size] = speedup
         rows.append(
@@ -114,7 +115,7 @@ def _parity_rows(bundle, estimator, max_predicates):
     rows = []
     start = time.perf_counter()
     loop = compute_candidates(
-        bundle.train.table, LoopEstimator(estimator), 0.05, max_predicates
+        bundle.train.table, ExactLoopEstimator(estimator), 0.05, max_predicates
     )
     loop_s = time.perf_counter() - start
     start = time.perf_counter()
@@ -123,7 +124,7 @@ def _parity_rows(bundle, estimator, max_predicates):
     top_loop, _ = select_top_k(loop, TOP_K, containment_threshold=0.5)
     top_batch, _ = select_top_k(batched, TOP_K, containment_threshold=0.5)
     assert [s.pattern for s in top_loop] == [s.pattern for s in top_batch], (
-        "batched exact lattice search changed the top-k explanations"
+        "the exact kernel's lattice search changed the top-k explanations"
     )
     for a, b in zip(top_loop, top_batch):
         assert abs(a.responsibility - b.responsibility) < 1e-10
@@ -155,8 +156,8 @@ def test_exact_batch_throughput(benchmark, smoke):
     throughput, speedups, parity = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(
         render_table(
-            f"Stacked exact influence (German {rows_count}, loop vs one batch call)",
-            ["batch", "loop subsets/s", "batch subsets/s", "speedup", "max |Δ|"],
+            f"Exact influence kernel (German {rows_count}, oracle loop vs one batch call)",
+            ["batch", "oracle subsets/s", "batch subsets/s", "speedup", "max |Δ|"],
             throughput,
             note="subset sizes on both sides of |S| = p; masks pre-built outside the timer",
         ),
@@ -165,13 +166,13 @@ def test_exact_batch_throughput(benchmark, smoke):
     emit(
         render_table(
             f"Exact-estimator lattice search end-to-end (German {rows_count})",
-            ["estimator", "candidates", "loop (s)", "batch (s)", "speedup", "identical top-k"],
+            ["estimator", "candidates", "oracle (s)", "batch (s)", "speedup", "identical top-k"],
             parity,
             note=f"identical = same top-{TOP_K} patterns and scores from both paths",
         ),
         filename="exact_batch_lattice.txt",
     )
-    # The speed floor: >=2x on batched exact queries at m >= 256.
+    # The speed floor: >=2x over the oracle on batched exact queries at m >= 256.
     for batch_size in batch_sizes:
         if batch_size < 256:
             continue

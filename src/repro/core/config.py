@@ -24,8 +24,9 @@ class GopherConfig:
         ``"series"`` name its two variants directly (the exact Newton step
         on the reduced objective vs the Eq. 10 Neumann truncation) — both
         run the search through batched influence queries, the exact variant
-        via one stacked batch of reduced-matrix Cholesky solves.  Switch to
-        ``"first_order"`` for the fastest search on large candidate spaces.
+        with one LAPACK factor-and-solve of its reduced matrix per subset.
+        Switch to ``"first_order"`` for the fastest search on large
+        candidate spaces.
     estimator_kwargs:
         Extra keyword arguments for the estimator constructor.
     engine:

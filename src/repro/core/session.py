@@ -802,6 +802,8 @@ class AuditSession:
                         bq, view, k, verify, recheck, level1_stable, alphabet, geometry
                     )
                     query_span.set(certified=certified, recheck_ran=recheck_ran)
+                    if reason:
+                        query_span.set(reason=reason)
                 seconds = time.perf_counter() - t0
                 self.metrics.observe("audit.query_seconds", seconds)
                 cost = (

@@ -443,9 +443,9 @@ class ModelArtifacts:
         per metric.  With caching on, each distinct extent pays its GEMM
         and solve exactly once and later metrics serve the cached rows.
         Off by default: a bare estimator built without a session keeps
-        per-call accounting (its ``exact_batch_stats`` routing counters
-        reflect executed work), and single-query workloads skip the keying
-        overhead.  :class:`repro.core.AuditSession` enables it at ``fit``.
+        per-call accounting (its spans' FLOPs reflect executed work), and
+        single-query workloads skip the keying overhead.
+        :class:`repro.core.AuditSession` enables it at ``fit``.
         """
         self._extent_caching = True
         return self

@@ -37,13 +37,13 @@ start-up the two query paths differ:
   call amortized over m subsets — the amortized batch influence queries the
   lattice search (``repro.patterns.lattice``) is built on.  The exact
   second-order variant is the one closed form whose per-subset matrix
-  differs across the batch (``n·H − m·H_S``); its batch path stacks
-  them.  Each subset costs an O(|S|·p²) gather of its own curvature rows
-  into one padded batched matmul, plus an O(p³/3) share of one batched
-  Cholesky and O(p²) of one batched solve, with the group's transient
-  memory under a fixed byte budget whatever n is.  Only a matrix that
-  fails the Cholesky is refactorized on its own, with the scalar path's
-  damping escalation (see ``repro.influence.second_order``).
+  differs across the batch (``n·H − m·H_S``), so its scalar and batch
+  queries share one per-subset kernel: one O(r·p²) ``dsyrk`` downdate by
+  the subset's r curvature rows, one O(p³/3) ``dpotrf`` and one O(p²)
+  ``dpotrs``.  Only one (p, p) matrix is alive at a time, and a matrix
+  that fails ``dpotrf`` takes the damping escalation of
+  :class:`repro.influence.hessian.HessianSolver` (see
+  ``repro.influence.second_order``).
 
 Batches are given either as an (m, n) boolean mask matrix (rows = subsets)
 or as a sequence of per-subset index arrays; results are aligned with the

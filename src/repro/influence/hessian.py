@@ -5,16 +5,18 @@ a Cholesky factorization is the fast path.  Models whose Hessian is only
 positive *semi*-definite in corner cases (squared hinge with no active
 margins, Gauss-Newton at saturation) fall back to adaptive damping — the same
 trick Koh & Liang apply — and, as a last resort, a conjugate-gradient solve.
-:class:`StackedHessianSolver` applies the same factorize-then-escalate
-contract to a whole stack of matrices at once.
+:class:`ReducedHessianSolver` applies the same factorize-then-escalate
+contract to a batch of matrices, one LAPACK factor-and-solve each.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import LinearOperator, cg
 
 from repro.obs import trace
@@ -38,8 +40,7 @@ class HessianSolver:
         if hessian.ndim != 2 or hessian.shape[0] != hessian.shape[1]:
             raise ValueError(f"hessian must be square, got shape {hessian.shape}")
         # Cheap max-abs check: np.allclose costs ~80µs of broadcasting
-        # machinery per call, which dominates the ctor when the exact
-        # estimator's dense fallback builds thousands of small solvers.
+        # machinery per call.
         tolerance = 1e-8 + 1e-5 * np.abs(hessian).max(initial=0.0)
         if np.abs(hessian - hessian.T).max(initial=0.0) > tolerance:
             raise ValueError("hessian must be symmetric")
@@ -189,19 +190,9 @@ class HessianSolver:
 
     def _factorize(self, hessian: np.ndarray, damping: float):
         with trace.span("hessian.factorize", dim=self.dim) as s:
-            ridge = damping
-            for attempt in range(8):
-                try:
-                    matrix = hessian if ridge == 0.0 else hessian + ridge * np.eye(self.dim)
-                    factor = linalg.cho_factor(matrix, check_finite=False)
-                    self.damping_used = ridge
-                    s.set(damping=ridge, attempts=attempt + 1)
-                    return factor
-                except linalg.LinAlgError:
-                    ridge = max(ridge * 10.0, 1e-8)
-            raise np.linalg.LinAlgError(
-                f"hessian could not be factorized even with damping {ridge:.1e}"
-            )
+            factor, self.damping_used, attempts = _cholesky(hessian, damping)
+            s.set(damping=self.damping_used, attempts=attempts)
+            return factor, True
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Return H⁻¹ b for a vector or a column-stack of vectors (p, k).
@@ -251,74 +242,79 @@ class HessianSolver:
         return out
 
 
-class StackedHessianSolver(HessianSolver):
-    """Solves ``A_k x_k = b_k`` against a stack of g symmetric (p, p) matrices.
+def _cholesky(matrix: np.ndarray, damping: float) -> tuple[np.ndarray, float, int]:
+    """Lower Cholesky factor of ``matrix + ridge·I``, reading the lower triangle.
 
-    The stacked form of constructing one solver per matrix, for callers
-    that need a different matrix per right-hand side.  Built by
-    :meth:`factorize`, never by the constructor, and answered by
-    :meth:`solve_many`, which pairs row k of its right-hand side with
-    matrix k.  The single-matrix views of :class:`HessianSolver`
-    (``solve``, ``apply``, ``factor``, ``eigendecomposition``,
-    ``updated``) do not apply to a stack.
+    ``ridge`` starts at ``damping`` and grows ×10 (from at least 1e-8)
+    until ``dpotrf`` succeeds, for at most 8 attempts.  Returns the factor,
+    the ridge used and the attempt count; ``matrix`` is never overwritten.
+    """
+    ridge = damping
+    for attempt in range(8):
+        shifted = matrix if ridge == 0.0 else matrix + ridge * np.eye(matrix.shape[0])
+        factor, info = lapack.dpotrf(shifted, lower=1, clean=0)
+        if info == 0:
+            return factor, ridge, attempt + 1
+        ridge = max(ridge * 10.0, 1e-8)
+    raise np.linalg.LinAlgError(f"hessian could not be factorized even with damping {ridge:.1e}")
+
+
+class ReducedHessianSolver(HessianSolver):
+    """Solves ``A_k x_k = b_k`` with a different matrix for every right-hand side.
+
+    The exact second-order estimator reduces the Hessian differently for
+    every subset.  :meth:`solve_many` answers a batch of such systems one
+    at a time with raw LAPACK — an optional ``dsyrk`` downdate, one
+    ``dpotrf`` and one ``dpotrs`` per matrix — so only one (p, p) matrix
+    is alive at a time.  Built by :meth:`with_damping`, never by the
+    constructor: there is no single matrix to factorize, and the
+    single-matrix views of :class:`HessianSolver` (``solve``, ``apply``,
+    ``factor``, ``eigendecomposition``, ``updated``) do not apply.
     """
 
     @classmethod
-    def factorize(cls, matrices: np.ndarray, damping: float = 0.0) -> "StackedHessianSolver":
-        """One batched Cholesky of ``A_k + damping·I`` over the whole stack.
+    def with_damping(cls, damping: float = 0.0) -> "ReducedHessianSolver":
+        """A solver whose damping escalation starts at ``damping``."""
+        solver = cls.__new__(cls)
+        solver.damping = float(damping)
+        return solver
 
-        The Cholesky is also the positive-definiteness test.  A matrix
-        that fails it runs the constructor's ×10 damping escalation on its
-        own, so every solve equals ``HessianSolver(A_k, damping)``'s up to
-        rounding; ``escalated`` marks those matrices.  Only lower
-        triangles are read on the batched path.
-        """
-        matrices = np.asarray(matrices, dtype=np.float64)
-        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
-            raise ValueError(f"matrices must have shape (g, p, p), got {matrices.shape}")
-        g, p = matrices.shape[:2]
-        stack = cls.__new__(cls)
-        stack.dim = p
-        stack.escalated = np.zeros(g, dtype=bool)
-        damped = matrices + damping * np.eye(p) if damping else matrices
-        try:
-            stack._factor = np.linalg.cholesky(damped)
-        except np.linalg.LinAlgError:
-            # Some matrix is not positive definite: find which, one by one.
-            stack._factor = np.empty_like(damped)
-            for k in range(g):
-                try:
-                    stack._factor[k] = np.linalg.cholesky(damped[k])
-                except np.linalg.LinAlgError:
-                    stack.escalated[k] = True
-                    stack._factor[k] = np.eye(p)
-        stack._escalations = {
-            int(k): HessianSolver(matrices[k], damping=damping)
-            for k in np.flatnonzero(stack.escalated)
-        }
-        return stack
+    def solve_many(self, B, matrices, downdates=None, rhs_flops: float = 0.0) -> np.ndarray:
+        """Rows ``x_k = (A_k − V_kᵀV_k)⁻¹ b_k`` for a (g, p) right-hand side, as (g, p).
 
-    def solve_many(self, B: np.ndarray) -> np.ndarray:
-        """Rows ``x_k = A_k⁻¹ b_k`` for a (g, p) right-hand side, as (g, p).
-
-        Forward then back substitution, vectorized across the stack: 2p
-        steps of O(g·p) work each, where one LAPACK call per matrix would
-        pay the dispatch overhead g times.
+        ``matrices`` yields the g (p, p) matrices ``A_k``; only their lower
+        triangles are read, and each may be overwritten.  ``downdates``
+        optionally yields each matrix's (r_k, p) rows ``V_k``, subtracted
+        with one ``dsyrk``.  A matrix that fails ``dpotrf`` runs
+        :class:`HessianSolver`'s ×10 damping escalation, so every row
+        equals ``HessianSolver(A_k − V_kᵀV_k, damping).solve(b_k)`` up to
+        rounding.  One span covers the batch: ``subsets``, ``escalated``
+        (matrices that needed more than ``damping``), ``gemm_flops`` (the
+        ``dsyrk`` Grams plus ``rhs_flops``, the caller's cost of forming
+        B) and ``solve_flops``.
         """
         B = np.asarray(B, dtype=np.float64)
-        lower = self._factor
-        if B.shape != lower.shape[:2]:
-            raise ValueError(f"B must have shape {lower.shape[:2]}, got {B.shape}")
-        y = np.empty_like(B)
-        for i in range(self.dim):
-            y[:, i] = (B[:, i] - np.einsum("kj,kj->k", lower[:, i, :i], y[:, :i])) / lower[:, i, i]
-        x = np.empty_like(B)
-        for i in range(self.dim - 1, -1, -1):
-            tail = np.einsum("kj,kj->k", lower[:, i + 1 :, i], x[:, i + 1 :])
-            x[:, i] = (y[:, i] - tail) / lower[:, i, i]
-        for k, solver in self._escalations.items():
-            x[k] = solver.solve(B[k])
-        return x
+        if B.ndim != 2:
+            raise ValueError(f"B must have shape (g, p), got {B.shape}")
+        g, p = B.shape
+        if downdates is None:
+            downdates = itertools.repeat(None, g)
+        X = np.empty_like(B)
+        escalated, gram_flops = 0, 0.0
+        with trace.span("hessian.reduced_solve", subsets=g, p=p) as span:
+            for k, (b, matrix, rows) in enumerate(zip(B, matrices, downdates, strict=True)):
+                if matrix.shape != (p, p):
+                    raise ValueError(f"matrix {k} has shape {matrix.shape}, expected {(p, p)}")
+                if rows is not None:
+                    matrix = blas.dsyrk(-1.0, rows.T, beta=1.0, c=matrix, lower=1, overwrite_c=1)
+                    gram_flops += rows.shape[0] * p * (p + 1.0)
+                factor, _, attempts = _cholesky(matrix, self.damping)
+                escalated += attempts > 1
+                X[k] = lapack.dpotrs(factor, b, lower=1)[0]
+            span.set(escalated=escalated)
+            span.add("gemm_flops", gram_flops + rhs_flops)
+            span.add("solve_flops", g * (p**3 / 3.0 + 2.0 * p * p))
+        return X
 
 
 def largest_eigenvalue(hessian: np.ndarray) -> float:

@@ -1,13 +1,12 @@
 """A typed, thread-safe metrics registry for the shared caches.
 
 The registry replaces the ad-hoc counter dicts that ``ModelArtifacts``,
-``AlphabetCache``, ``HessianSolver``, and the exact-batch router each
-grew independently.  Three metric kinds:
+``AlphabetCache`` and ``HessianSolver`` each grew independently.  Three
+metric kinds:
 
-* **counters** — monotonically increasing integers (cache builds,
-  routing decisions); incremented under the registry lock, so counts
-  stay exact under concurrent serving — this is what retires the lossy
-  ``fallback_factors`` increment from the PR 7 worklist;
+* **counters** — monotonically increasing integers (cache builds and
+  hits); incremented under the registry lock, so counts stay exact under
+  concurrent serving;
 * **gauges** — last-written values (sizes, versions);
 * **histograms** — timing distributions over *fixed* bucket edges, so
   snapshots from different processes are mergeable bucket-by-bucket.

@@ -6,8 +6,9 @@ Instrumented code never checks whether tracing is on — it always calls
 helpers, and when tracing is disabled those route to a shared
 :class:`NullTracer` whose span object is a reusable no-op.  The disabled
 path is therefore one function call plus an empty context manager —
-cheap enough to leave in the hot loops permanently (the overhead bound
-is asserted by ``tests/obs/test_overhead.py``).
+cheap enough to leave in the hot loops permanently, since spans open per
+batch and per stage, never per subset (asserted structurally by
+``tests/obs/test_audit_observability.py``).
 
 Exports
 -------

@@ -146,7 +146,7 @@ class TestAccounting:
 
     def test_bare_estimator_keeps_per_call_accounting(self, fo_estimator):
         # Estimators built outside a session never key or cache extents:
-        # exact_batch_stats-style accounting reflects executed work.
+        # per-call accounting reflects executed work.
         assert fo_estimator.artifacts.extent_caching is False
         rng = np.random.default_rng(3)
         masks = rng.random((6, fo_estimator.num_train)) < 0.1

@@ -25,6 +25,8 @@ import pytest
 from repro.core import AuditSession
 from repro.datasets import load_german, random_edit, train_test_split
 from repro.models import LogisticRegression
+from repro.obs import trace
+from repro.obs.trace import Tracer
 
 SEARCH = dict(max_predicates=2, support_threshold=0.05, estimator="series")
 METRICS = ["statistical_parity", "equal_opportunity"]
@@ -261,13 +263,18 @@ class TestRecheckPolicies:
     def test_auto_falls_back_and_stays_correct(
         self, lr_model, german_train, german_test
     ):
-        """Refused certificates silently re-search — and the answers still match."""
+        """Refused certificates silently re-search — and the answers still
+        match; the trace says why each query fell back."""
         sess = make_session(lr_model, german_train, german_test, engine="mining")
         edit = random_edit(sess.train_data, "remove", count=8, seed=EDIT_SEED)
-        delta = sess.delta_audit(edit, metrics=["statistical_parity"], k=3)
-        for q in delta.queries:
+        with trace.tracing(Tracer()) as tracer:
+            delta = sess.delta_audit(edit, metrics=["statistical_parity"], k=3)
+        spans = [span for span in tracer.walk() if span.name == "delta.query"]
+        assert len(spans) == len(delta.queries)
+        for q, span in zip(delta.queries, spans):
             assert not q.certified and q.recheck_ran
             assert q.reason != ""
+            assert span.attrs["reason"] == q.reason
         assert_matching_audits(
             delta.after, sess.audit(metrics=["statistical_parity"], k=3)
         )

@@ -89,7 +89,7 @@ class TestPatchedCachesMatchRebuild:
         # updated eigenbasis) — hessian_factorizations pins that no Cholesky
         # ran; test_counters_prove_no_refactorization covers the accounting.
         assert artifacts.solver(DAMPING) is not solver
-        # The stacked exact path gathers reduced matrices from these rows.
+        # The exact kernel downdates its reduced matrices by these rows.
         phi, weights, ridge = artifacts.hessian_factors()
         phi_f, weights_f, ridge_f = fresh.hessian_factors()
         np.testing.assert_allclose(phi, phi_f, atol=1e-12)

@@ -1,26 +1,28 @@
-"""Cross-estimator equivalence for the stacked batch of the ``exact`` variant.
+"""Every entry point of the ``exact`` variant against the dense per-subset oracle.
 
-The acceptance contract of the batched exact second-order path: for every
-built-in model × fairness metric × damping ∈ {0, 1e-3}, the stacked batch
-(reduced matrices gathered from each subset's curvature rows, one batched
-Cholesky and solve) must reproduce the per-subset dense-refactorization
-loop to 1e-8 — including the edge batches (empty subset, singletons, a
-subset duplicated within the batch, near-full subsets) and subsets on
-either side of |S| = p — for both dense boolean-mask and packed uint8
-inputs.  Any drift between the stacked gather and the scalar Newton step
-fails here first.
+The acceptance contract of the exact second-order path: for every
+built-in model × fairness metric × damping ∈ {0, 1e-3}, the scalar query
+and the mask, packed uint8 and index-streamed batches — all answered by
+one LAPACK kernel (a ``dsyrk`` downdate of ``n·H`` by each subset's
+curvature rows, then ``dpotrf`` and ``dpotrs``) — must reproduce the dense
+step of :mod:`oracles.exact_loop` (``model.hessian(X_S)``,
+``n·H − m·H_S``, a fresh ``HessianSolver``) to 1e-8.  The batches include
+the edge cases: an empty subset, singletons, a subset duplicated within
+the batch, near-full subsets and subsets on either side of |S| = p.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.exact_loop import ExactLoopEstimator
 
-import repro.influence.second_order as second_order_mod
 from repro.fairness import FairnessContext, get_metric, list_metrics
 from repro.influence import make_estimator
 from repro.influence.hessian import HessianSolver
 from repro.models import LinearSVM, LogisticRegression, NeuralNetwork
+from repro.obs import trace
+from repro.obs.trace import Tracer
 
 ATOL = 1e-8
 
@@ -109,62 +111,69 @@ def _mask_matrix(subsets, n):
     return masks
 
 
+def _kernel_spans(tracer):
+    return [span for span in tracer.walk() if span.name == "hessian.reduced_solve"]
+
+
 @pytest.mark.parametrize("model_name", sorted(MODEL_BUILDERS))
 @pytest.mark.parametrize("metric_name", list_metrics())
 @pytest.mark.parametrize("damping", DAMPINGS, ids=["d0", "d1e-3"])
-class TestStackedMatchesDenseLoop:
+class TestKernelMatchesDenseOracle:
     def test_param_change(self, model_name, metric_name, damping, get_exact):
         est = get_exact(model_name, metric_name, damping)
         subsets = edge_subsets(est.num_train, est.model.num_params)
-        loop = np.stack([est.param_change(s) for s in subsets])
-        batch = est.param_change_batch(subsets)
-        np.testing.assert_allclose(batch, loop, atol=ATOL, rtol=0.0)
+        oracle = ExactLoopEstimator(est).param_change_batch(subsets)
+        scalar = np.stack([est.param_change(s) for s in subsets])
+        np.testing.assert_allclose(scalar, oracle, atol=ATOL, rtol=0.0)
+        np.testing.assert_allclose(est.param_change_batch(subsets), oracle, atol=ATOL, rtol=0.0)
 
     def test_bias_change(self, model_name, metric_name, damping, get_exact):
         est = get_exact(model_name, metric_name, damping)
         subsets = edge_subsets(est.num_train, est.model.num_params)
-        loop = np.array([est.bias_change(s) for s in subsets])
-        batch = est.bias_change_batch(subsets)
-        np.testing.assert_allclose(batch, loop, atol=ATOL, rtol=0.0)
+        oracle = ExactLoopEstimator(est).bias_change_batch(subsets)
+        scalar = np.array([est.bias_change(s) for s in subsets])
+        np.testing.assert_allclose(scalar, oracle, atol=ATOL, rtol=0.0)
+        np.testing.assert_allclose(est.bias_change_batch(subsets), oracle, atol=ATOL, rtol=0.0)
 
     def test_packed_input_matches_dense(self, model_name, metric_name, damping, get_exact):
         est = get_exact(model_name, metric_name, damping)
         subsets = edge_subsets(est.num_train, est.model.num_params)
         masks = _mask_matrix(subsets, est.num_train)
         packed = np.packbits(masks, axis=1)
+        oracle = ExactLoopEstimator(est)
+        bias = est.bias_change_batch(packed, num_rows=est.num_train)
+        np.testing.assert_allclose(bias, oracle.bias_change_batch(subsets), atol=ATOL, rtol=0.0)
+        np.testing.assert_allclose(bias, est.bias_change_batch(masks), atol=1e-12, rtol=0.0)
+        deltas = est.param_change_batch(packed, num_rows=est.num_train)
+        np.testing.assert_allclose(deltas, oracle.param_change_batch(subsets), atol=ATOL, rtol=0.0)
+        np.testing.assert_allclose(deltas, est.param_change_batch(masks), atol=1e-12, rtol=0.0)
+
+    def test_index_input(self, model_name, metric_name, damping, get_exact):
+        est = get_exact(model_name, metric_name, damping)
+        subsets = edge_subsets(est.num_train, est.model.num_params)
+        oracle = ExactLoopEstimator(est)
         np.testing.assert_allclose(
-            est.bias_change_batch(packed, num_rows=est.num_train),
-            est.bias_change_batch(masks),
-            atol=1e-12,
+            est.bias_change_batch(subsets, num_rows=est.num_train),
+            oracle.bias_change_batch(subsets),
+            atol=ATOL,
             rtol=0.0,
         )
         np.testing.assert_allclose(
-            est.param_change_batch(packed, num_rows=est.num_train),
-            est.param_change_batch(masks),
-            atol=1e-12,
+            est.param_change_batch(subsets, num_rows=est.num_train),
+            oracle.param_change_batch(subsets),
+            atol=ATOL,
             rtol=0.0,
         )
 
 
-@pytest.mark.parametrize("model_name", ["logistic_regression", "linear_svm"])
-def test_row_slabs_under_a_tiny_byte_budget(model_name, get_exact, monkeypatch):
-    """A budget too small for one subset's curvature rows: groups of one,
-    rows gathered five at a time, still equal to the dense loop."""
-    est = get_exact(model_name, "statistical_parity", 1e-3)
-    p = est.model.num_params
-    monkeypatch.setattr(second_order_mod, "_STACK_BYTES", 24 * p * p + 8 * (p + 2) * 5)
-    subsets = edge_subsets(est.num_train, p)
-    loop = np.stack([est.param_change(s) for s in subsets])
-    np.testing.assert_allclose(est.param_change_batch(subsets), loop, atol=ATOL, rtol=0.0)
-
-
-class TestRoutingAccounting:
-    def test_every_subset_rides_the_stacked_path(self, exact_data, fitted_models, monkeypatch):
-        """No |S| crossover: small and wide subsets alike are solved by the
-        batched Cholesky, and no per-subset solver is constructed."""
+class TestKernelSpan:
+    def test_one_span_solves_every_subset(self, exact_data, fitted_models, monkeypatch):
+        """No |S| crossover: small and wide subsets alike are solved in the
+        batch's one kernel span, with the FLOPs of the work it did, and no
+        per-subset solver is constructed."""
         X_train, y_train, ctx = exact_data
         est = make_estimator(
-            "exact", fitted_models["logistic_regression"], X_train, y_train,
+            "exact", fitted_models["linear_svm"], X_train, y_train,
             get_metric("statistical_parity"), ctx, evaluation="smooth",
         )
         p = est.model.num_params
@@ -177,20 +186,35 @@ class TestRoutingAccounting:
             original_init(self, *args, **kwargs)
 
         monkeypatch.setattr(HessianSolver, "__init__", counting_init)
-        est.param_change_batch(subsets)
-        assert dict(est.exact_batch_stats) == {
-            "stacked": len(subsets), "escalated": 0, "fallback_factors": 0,
-        }
+        with trace.tracing(Tracer()) as tracer:
+            est.param_change_batch(subsets)
+        (span,) = _kernel_spans(tracer)
+        assert span.attrs["subsets"] == len(subsets)
+        assert span.attrs["escalated"] == 0
+        # dsyrk Grams over the curvature rows (w_i ≠ 0; the SVM's inactive
+        # margins have w_i = 0) plus the gradient sums.
+        weights = est.artifacts.hessian_factors()[1]
+        ranks = [int(np.count_nonzero(weights[s])) for s in subsets]
+        sizes = [s.size for s in subsets]
+        assert sum(ranks) < sum(sizes)
+        assert span.attrs["gemm_flops"] == pytest.approx(
+            sum(ranks) * p * (p + 1) + 2.0 * sum(sizes) * p
+        )
+        assert span.attrs["solve_flops"] == pytest.approx(len(subsets) * (p**3 / 3 + 2 * p * p))
         assert constructed == []
 
-    def test_empty_subsets_are_not_routed(self, get_exact):
+    def test_empty_subsets_never_reach_the_kernel(self, get_exact):
         est = get_exact("logistic_regression", "statistical_parity", 0.0)
-        before = dict(est.exact_batch_stats)
-        deltas = est.param_change_batch([np.array([], dtype=np.int64), np.arange(5)])
+        with trace.tracing(Tracer()) as tracer:
+            deltas = est.param_change_batch([np.array([], dtype=np.int64), np.arange(5)])
         assert np.all(deltas[0] == 0.0)
-        assert est.exact_batch_stats["stacked"] == before["stacked"] + 1
+        (span,) = _kernel_spans(tracer)
+        assert span.attrs["subsets"] == 1
 
-    def test_fd_hessian_routes_whole_batch_to_loop(self, exact_data):
+    def test_fd_hessian_runs_dense_matrices_through_the_kernel(self, exact_data):
+        """Without rank-one factors each reduced matrix is built from
+        ``model.hessian(X_S)`` and factorized by the same kernel, with no
+        ``dsyrk`` work on the span."""
         X_train, y_train, ctx = exact_data
         model = NeuralNetwork(
             hidden_units=2, l2_reg=1e-3, seed=0, max_iter=60, hessian_mode="exact_fd"
@@ -200,11 +224,16 @@ class TestRoutingAccounting:
             get_metric("statistical_parity"), ctx, evaluation="smooth",
         )
         subsets = [np.arange(4), np.arange(9)]
-        loop = np.stack([est.param_change(s) for s in subsets])
-        batch = est.param_change_batch(subsets)
-        np.testing.assert_allclose(batch, loop, atol=ATOL, rtol=0.0)
-        assert est.exact_batch_stats["fallback_factors"] == len(subsets)
-        assert est.exact_batch_stats["stacked"] == 0
+        oracle = ExactLoopEstimator(est).param_change_batch(subsets)
+        with trace.tracing(Tracer()) as tracer:
+            batch = est.param_change_batch(subsets)
+        np.testing.assert_allclose(batch, oracle, atol=ATOL, rtol=0.0)
+        scalar = np.stack([est.param_change(s) for s in subsets])
+        np.testing.assert_allclose(scalar, oracle, atol=ATOL, rtol=0.0)
+        (span,) = _kernel_spans(tracer)
+        assert span.attrs["subsets"] == len(subsets)
+        p = model.num_params
+        assert span.attrs["gemm_flops"] == 2.0 * p * sum(s.size for s in subsets)
 
 
 class TestExactAlias:

@@ -1,20 +1,24 @@
-"""Seeded fuzz for the stacked batch of the exact path.
+"""Seeded fuzz for the exact path's kernel.
 
-Random tables × random mask batches: whatever the draw, the batched exact
-query must agree with the per-subset dense loop to 1e-8, and a genuinely
-rank-deficient reduced matrix must be *detected* by the batched Cholesky
-and escalated (reproducing the scalar damping escalation) rather than
-silently solved.
+Random tables × random batches: whatever the draw, the scalar and batched
+exact queries must agree with the dense per-subset step of
+:mod:`oracles.exact_loop` to 1e-8, and a genuinely rank-deficient reduced
+matrix must be *detected* by the kernel's ``dpotrf`` and escalated
+(reproducing ``HessianSolver``'s damping escalation) rather than silently
+solved.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.exact_loop import ExactLoopEstimator
 
 from repro.fairness import FairnessContext, get_metric
 from repro.influence import make_estimator
 from repro.models import LinearSVM, LogisticRegression
+from repro.obs import trace
+from repro.obs.trace import Tracer
 
 NUM_TABLES = 40
 ATOL = 1e-8
@@ -48,7 +52,7 @@ def _random_problem(seed: int):
 
 def _random_batch(rng: np.random.Generator, n: int, p: int) -> list[np.ndarray]:
     """Half the subsets drawn below |S| = p, half anywhere in [0, n), so
-    one batch mixes narrow and wide padded gathers."""
+    one batch mixes narrow and wide downdates."""
     subsets = []
     for k in range(int(rng.integers(6, 11))):
         hi = min(p, n - 1) if k % 2 else n - 1
@@ -57,51 +61,53 @@ def _random_batch(rng: np.random.Generator, n: int, p: int) -> list[np.ndarray]:
     return subsets
 
 
+def _kernel_spans(tracer):
+    return [span for span in tracer.walk() if span.name == "hessian.reduced_solve"]
+
+
 @pytest.mark.parametrize("seed", range(NUM_TABLES))
 def test_fuzz_batch_matches_loop(seed):
     est, rng = _random_problem(seed)
     subsets = _random_batch(rng, est.num_train, est.model.num_params)
-    loop = np.stack([est.param_change(s) for s in subsets])
+    oracle = ExactLoopEstimator(est)
+    expected = oracle.param_change_batch(subsets)
     batch = est.param_change_batch(subsets)
-    np.testing.assert_allclose(batch, loop, atol=ATOL, rtol=0.0)
-    bias_loop = np.array([est.bias_change(s) for s in subsets])
+    np.testing.assert_allclose(batch, expected, atol=ATOL, rtol=0.0)
+    scalar = np.stack([est.param_change(s) for s in subsets])
+    np.testing.assert_allclose(scalar, expected, atol=ATOL, rtol=0.0)
     bias_batch = est.bias_change_batch(subsets)
-    np.testing.assert_allclose(bias_batch, bias_loop, atol=ATOL, rtol=0.0)
+    np.testing.assert_allclose(bias_batch, oracle.bias_change_batch(subsets), atol=ATOL, rtol=0.0)
     if seed % 5 == 0:  # spot-check the packed and index entry points on the same draw
         masks = np.zeros((len(subsets), est.num_train), dtype=bool)
         for j, idx in enumerate(subsets):
             masks[j, idx] = True
-        packed = np.packbits(masks, axis=1)
-        np.testing.assert_allclose(
-            est.param_change_batch(packed, num_rows=est.num_train),
-            batch,
-            atol=1e-12,
-            rtol=0.0,
-        )
-        np.testing.assert_allclose(
-            est.param_change_batch(subsets, num_rows=est.num_train),
-            batch,
-            atol=1e-10,
-            rtol=0.0,
-        )
+        packed = est.param_change_batch(np.packbits(masks, axis=1), num_rows=est.num_train)
+        np.testing.assert_allclose(packed, expected, atol=ATOL, rtol=0.0)
+        np.testing.assert_allclose(packed, batch, atol=1e-12, rtol=0.0)
+        indexed = est.param_change_batch(subsets, num_rows=est.num_train)
+        np.testing.assert_allclose(indexed, expected, atol=ATOL, rtol=0.0)
+        np.testing.assert_allclose(indexed, batch, atol=1e-10, rtol=0.0)
 
 
-def test_fuzz_exercises_stacked_path():
-    """The fuzz is only meaningful if the fast path actually runs: every
-    non-empty subset of a fuzz batch, narrow or wide, is solved stacked."""
+def test_fuzz_exercises_the_kernel():
+    """The fuzz is only meaningful if the kernel actually runs: every
+    non-empty subset of a fuzz batch, narrow or wide, is solved in the
+    batch's one kernel span without escalating."""
     est, rng = _random_problem(0)
     subsets = _random_batch(rng, est.num_train, est.model.num_params)
-    est.param_change_batch(subsets)
-    nonempty = sum(1 for s in subsets if s.size)
-    assert est.exact_batch_stats["stacked"] == nonempty
-    assert est.exact_batch_stats["escalated"] == 0
+    with trace.tracing(Tracer()) as tracer:
+        est.param_change_batch(subsets)
+    (span,) = _kernel_spans(tracer)
+    assert span.attrs["subsets"] == sum(1 for s in subsets if s.size)
+    assert span.attrs["escalated"] == 0
 
 
 def test_rank_deficient_subset_escalates():
     """An unregularized model whose complement rows are rank deficient makes
-    ``n·H − m·H_S`` exactly singular: the batched Cholesky must reject it,
-    and the escalated solve must still match the scalar loop (which
-    escalates damping the same way), not return a silently garbage one."""
+    ``n·H − m·H_S`` exactly singular: the kernel's ``dpotrf`` must reject
+    it, and the escalated solve must still match the dense oracle (whose
+    ``HessianSolver`` escalates damping the same way), not return a
+    silently garbage one."""
     rng = np.random.default_rng(7)
     base = rng.normal(size=(3, 3))
     X = np.vstack([base, np.tile(rng.normal(size=3), (27, 1))])
@@ -119,10 +125,11 @@ def test_rank_deficient_subset_escalates():
     )
     # Removing the three distinct rows leaves only 27 copies of one point:
     # rank-1 complement, p = 4, |S| = 3 < p, ridge = damping = 0.
-    singular_subset = np.arange(3)
-    healthy_subset = np.arange(3, 10)
-    batch = est.param_change_batch([singular_subset, healthy_subset])
-    assert est.exact_batch_stats["escalated"] >= 1
-    loop = np.stack([est.param_change(s) for s in (singular_subset, healthy_subset)])
-    np.testing.assert_allclose(batch, loop, atol=ATOL, rtol=0.0)
+    subsets = [np.arange(3), np.arange(3, 10)]
+    with trace.tracing(Tracer()) as tracer:
+        batch = est.param_change_batch(subsets)
+    (span,) = _kernel_spans(tracer)
+    assert span.attrs["escalated"] >= 1
+    expected = ExactLoopEstimator(est).param_change_batch(subsets)
+    np.testing.assert_allclose(batch, expected, atol=ATOL, rtol=0.0)
     assert np.isfinite(batch).all()

@@ -5,9 +5,11 @@ import pytest
 
 from repro.influence.hessian import (
     HessianSolver,
-    StackedHessianSolver,
+    ReducedHessianSolver,
     conjugate_gradient_solve,
 )
+from repro.obs import trace
+from repro.obs.trace import Tracer
 
 
 @pytest.fixture
@@ -93,47 +95,82 @@ def _spd_stack(count: int, dim: int = 8, seed: int = 3) -> np.ndarray:
     return A @ A.transpose(0, 2, 1) + 0.5 * np.eye(dim)
 
 
-class TestStackedHessianSolver:
+def _kernel_solve(matrices, B, damping=0.0, downdates=None):
+    """The kernel's rows and its one span, over lower triangles only."""
+    with trace.tracing(Tracer()) as tracer:
+        X = ReducedHessianSolver.with_damping(damping).solve_many(
+            B, [np.tril(A) for A in matrices], downdates
+        )
+    (span,) = [s for s in tracer.walk() if s.name == "hessian.reduced_solve"]
+    return X, span
+
+
+class TestReducedHessianSolver:
     @pytest.mark.parametrize("damping", [0.0, 1e-3])
     def test_matches_scalar_solver(self, damping):
         stack = _spd_stack(5)
         B = np.random.default_rng(4).normal(size=(5, 8))
-        solver = StackedHessianSolver.factorize(stack, damping)
-        assert not solver.escalated.any()
-        for A, b, row in zip(stack, B, solver.solve_many(B)):
+        X, span = _kernel_solve(stack, B, damping)
+        assert span.attrs["escalated"] == 0
+        for A, b, row in zip(stack, B, X):
             np.testing.assert_allclose(
                 row, HessianSolver(A, damping=damping).solve(b), atol=1e-10
             )
 
+    def test_downdates_subtract_the_gram(self):
+        """Matrix k is ``A_k − V_kᵀV_k`` for the rows ``V_k`` given with it,
+        one ``dsyrk`` each, counted as r·p·(p+1) GEMM FLOPs."""
+        rng = np.random.default_rng(6)
+        rows = [rng.normal(size=(r, 8)) for r in (0, 2, 11)]
+        stack = _spd_stack(3) + np.stack([V.T @ V for V in rows])
+        B = rng.normal(size=(3, 8))
+        X, span = _kernel_solve(stack, B, downdates=rows)
+        for A, V, b, row in zip(stack, rows, B, X):
+            np.testing.assert_allclose(row, HessianSolver(A - V.T @ V).solve(b), atol=1e-10)
+        assert span.attrs["gemm_flops"] == 13 * 8 * 9
+        assert span.attrs["solve_flops"] == pytest.approx(3 * (8**3 / 3 + 2 * 8 * 8))
+
     def test_escalation_parity_with_scalar_constructor(self):
-        """Matrices failing the batched Cholesky get the constructor's ×10
-        damping escalation, one at a time; the rest stay stacked."""
+        """Matrices failing ``dpotrf`` get the constructor's ×10 damping
+        escalation; the rest are solved at the requested damping."""
         stack = _spd_stack(4)
         stack[1] = np.zeros((8, 8))  # singular: escalates to 1e-8
         stack[3] = np.diag([1.0] * 7 + [-1e-3])  # indefinite
         B = np.random.default_rng(5).normal(size=(4, 8))
-        solver = StackedHessianSolver.factorize(stack)
-        np.testing.assert_array_equal(solver.escalated, [False, True, False, True])
-        for A, b, row in zip(stack, B, solver.solve_many(B)):
+        X, span = _kernel_solve(stack, B)
+        assert span.attrs["escalated"] == 2
+        for A, b, row in zip(stack, B, X):
             np.testing.assert_allclose(row, HessianSolver(A).solve(b), rtol=1e-12)
+        # The ladder itself: 0 → 1e-8 for the zero matrix, and up to 1e-2
+        # for the eigenvalue −1e-3 (at 1e-3 the pivot is exactly zero).
+        np.testing.assert_allclose(X[1], B[1] / 1e-8, rtol=1e-12)
+        np.testing.assert_allclose(X[3], B[3] / (np.diag(stack[3]) + 1e-2), rtol=1e-12)
 
-    def test_empty_stack(self):
-        solver = StackedHessianSolver.factorize(np.zeros((0, 8, 8)))
-        assert solver.solve_many(np.zeros((0, 8))).shape == (0, 8)
-        assert solver.escalated.shape == (0,)
+    def test_unfixable_matrix_raises_like_the_constructor(self):
+        """No step of the ×10 ladder makes ``−I`` positive definite."""
+        with pytest.raises(np.linalg.LinAlgError) as scalar:
+            HessianSolver(-np.eye(8))
+        with pytest.raises(np.linalg.LinAlgError) as kernel:
+            ReducedHessianSolver.with_damping().solve_many(np.ones((1, 8)), [-np.eye(8)])
+        assert str(kernel.value) == str(scalar.value)
 
-    def test_rejects_nonsquare_stack(self):
+    def test_empty_batch(self):
+        X, span = _kernel_solve(np.zeros((0, 8, 8)), np.zeros((0, 8)))
+        assert X.shape == (0, 8)
+        assert span.attrs["subsets"] == 0
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_rejects_mismatched_rhs(self, count):
+        kernel = ReducedHessianSolver.with_damping()
+        with pytest.raises(ValueError):
+            kernel.solve_many(np.zeros((3, 8)), list(_spd_stack(count)))
+
+    def test_rejects_misshapen_matrix(self):
+        kernel = ReducedHessianSolver.with_damping()
         with pytest.raises(ValueError, match="shape"):
-            StackedHessianSolver.factorize(np.zeros((2, 8, 7)))
-
-    def test_rejects_unstacked_matrix(self, spd_matrix):
+            kernel.solve_many(np.zeros((1, 8)), [np.eye(7)])
         with pytest.raises(ValueError, match="shape"):
-            StackedHessianSolver.factorize(spd_matrix)
-
-    def test_rejects_mismatched_rhs(self):
-        solver = StackedHessianSolver.factorize(_spd_stack(3))
-        with pytest.raises(ValueError, match="shape"):
-            solver.solve_many(np.zeros((2, 8)))
+            kernel.solve_many(np.zeros(8), [np.eye(8)])
 
 
 class TestConjugateGradient:

@@ -2,9 +2,9 @@
 
 The engine-equivalence suite pins the series/default path; this locks the
 *exact* Newton-step estimator end to end for both candidate engines — the
-stacked batch drives the whole search, so any drift in the stacked gather,
-the escalation routing, or the engine plumbing shows up as a changed
-pattern or score here.  Values generated from the seed pipeline
+exact kernel drives the whole search, so any drift in its downdate, the
+damping escalation, or the engine plumbing shows up as a changed pattern
+or score here.  Values generated from the seed pipeline
 (German 800 / seed 11 / split 0.25 / logistic l2=1e-3, smooth evaluation,
 max_predicates=2, tau=0.05).
 """
@@ -16,6 +16,8 @@ import pytest
 from repro.core import GopherExplainer
 from repro.influence.hessian import HessianSolver
 from repro.models import LogisticRegression
+from repro.obs import trace
+from repro.obs.trace import Tracer
 
 GOLDEN_TOP3 = [
     ("age >= 45 ∧ gender = Female", 0.490129445513, 0.121667, -0.077968713542),
@@ -44,10 +46,10 @@ def exact_explanations(request, german_train, german_test):
         constructed.append(self)
         original_init(self, *args, **kwargs)
 
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, trace.tracing(Tracer()) as tracer:
         patch.setattr(HessianSolver, "__init__", counting_init)
         result = gopher.explain(k=3, verify=False)
-    return request.param, gopher, result, len(constructed)
+    return request.param, tracer, result, len(constructed)
 
 
 class TestExactGolden:
@@ -69,15 +71,16 @@ class TestExactGolden:
         expected = {"lattice": 2273, "mining": 2133}
         assert result.lattice.num_evaluated == expected[engine]
 
-    def test_search_ran_on_stacked_batches(self, exact_explanations):
-        """The search must actually exercise the stacked exact path — if
-        every candidate fell back to a per-subset solver the golden values
-        would still pass but the batch path would be dead code."""
-        _, gopher, result, constructed = exact_explanations
-        stats = gopher.estimator.exact_batch_stats
+    def test_search_ran_on_the_kernel(self, exact_explanations):
+        """The search must actually run the exact kernel in batches — if
+        every candidate were solved on its own the golden values would
+        still pass but the batch entry points would be dead code."""
+        _, tracer, result, constructed = exact_explanations
+        spans = [span for span in tracer.walk() if span.name == "hessian.reduced_solve"]
         # Each distinct extent is solved once (the session's extent cache
-        # serves repeats), so stacked counts distinct evaluated extents.
-        assert 0 < stats["stacked"] <= result.lattice.num_evaluated
-        assert stats["escalated"] == 0
-        assert stats["fallback_factors"] == 0
+        # serves repeats), so the kernel solves at most the evaluated count.
+        solved = sum(span.attrs["subsets"] for span in spans)
+        assert 0 < solved <= result.lattice.num_evaluated
+        assert len(spans) < solved / 10
+        assert all(span.attrs["escalated"] == 0 for span in spans)
         assert constructed == 0  # no per-subset HessianSolver during the search

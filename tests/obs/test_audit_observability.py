@@ -2,12 +2,11 @@
 
 One traced audit must tell a complete cost story: every query's leaf
 spans are the named search stages, exactly one query pays the GEMM/solve
-FLOPs for the shared extent set (in the stacked exact solve) while the
-rest are served entirely from the session's extent caches, the combined
-export passes the same validator CI runs over
-``--trace-out`` files, and the *disabled* tracer's bound — span volume
-x measured null-span cost — stays under 3% of the traced wall time, so
-leaving the instrumentation in the hot loops is free.
+FLOPs for the shared extent set (in the exact kernel) while the rest are
+served entirely from the session's extent caches, the combined export
+passes the same validator CI runs over ``--trace-out`` files, and the
+trace stays bounded: the audit opens spans per batch, never per subset,
+so leaving the instrumentation in the hot loops is free.
 """
 
 from collections import Counter
@@ -25,16 +24,14 @@ SEARCH = dict(max_predicates=2, support_threshold=0.05)
 def traced_audit(lr_model, german_train, german_test):
     session = AuditSession(lr_model, **SEARCH).fit(german_train, german_test)
     tracer = Tracer()
-    start = trace.clock()
     with trace.tracing(tracer):
         result = session.audit(k=2, verify=False)
-    wall = trace.clock() - start
-    return session, tracer, result, wall
+    return session, tracer, result
 
 
 class TestCostAttribution:
     def test_every_query_carries_a_cost_report(self, traced_audit):
-        _, _, result, _ = traced_audit
+        _, _, result = traced_audit
         assert len(result.queries) > 0
         for query in result.queries:
             assert query.cost is not None
@@ -47,10 +44,10 @@ class TestCostAttribution:
 
         Structural rather than a wall-clock ratio: every query runs the
         search stages; exactly one query — the one that pays for the
-        shared extents — runs the stacked exact solve, which scores every
-        extent it misses; and no query builds a per-subset solver.
+        shared extents — runs the exact kernel, which scores every extent
+        it misses; and no query builds a per-subset solver.
         """
-        _, tracer, result, _ = traced_audit
+        _, tracer, result = traced_audit
         queries = [span for span in tracer.walk() if span.name == "audit.query"]
         assert len(queries) == len(result.queries)
         stages = {"lattice.gather", "lattice.prune", "influence.evaluate", "explain.filter"}
@@ -60,11 +57,13 @@ class TestCostAttribution:
             assert stages <= set(leaves)
             assert "influence.subset_hessian" not in leaves
             assert leaves["hessian.factorize"] <= 1  # the shared solver, built once
-            if "influence.stacked" in leaves:
+            if "hessian.reduced_solve" in leaves:
                 solving.append(span)
         assert len(solving) == 1
         solved = sum(
-            node.attrs["subsets"] for node in solving[0].walk() if node.name == "influence.stacked"
+            node.attrs["subsets"]
+            for node in solving[0].walk()
+            if node.name == "hessian.reduced_solve"
         )
         paying = [q.cost for q in result.queries if q.cost.gemm_flops > 0]
         assert 0 < solved <= paying[0].cache_misses
@@ -78,7 +77,7 @@ class TestCostAttribution:
         cache misses) and each later query is served entirely from the
         session's extent caches — zero fresh FLOPs, perfect hit ratio.
         """
-        _, _, result, _ = traced_audit
+        _, _, result = traced_audit
         costs = [query.cost for query in result.queries]
         for cost in costs:
             assert cost.influence_evaluations > 0
@@ -107,7 +106,7 @@ class TestCostAttribution:
 
 class TestTraceShape:
     def test_span_tree_has_the_expected_stages(self, traced_audit):
-        _, tracer, _, _ = traced_audit
+        _, tracer, _ = traced_audit
         names = {span.name for span in tracer.walk()}
         assert {"audit.grid", "audit.query", "explain.search",
                 "explain.filter"} <= names
@@ -116,39 +115,31 @@ class TestTraceShape:
 
     def test_export_passes_the_ci_validator(self, traced_audit):
         validate_trace = pytest.importorskip("tools.validate_trace")
-        _, tracer, _, _ = traced_audit
+        _, tracer, _ = traced_audit
         summary = validate_trace.validate(tracer.export())
         assert summary.startswith("ok:")
 
     def test_query_seconds_histogram_observed(self, traced_audit):
-        session, _, result, _ = traced_audit
+        session, _, result = traced_audit
         hist = session.metrics.snapshot()["histograms"]["audit.query_seconds"]
         assert hist["count"] >= len(result.queries)
         assert hist["sum"] > 0
 
 
 class TestDisabledOverhead:
-    def test_null_span_bound_is_under_3pct_of_wall(self, traced_audit):
-        """Span volume x null-span unit cost must be <3% of the traced wall.
+    def test_span_count_is_under_1pct_of_subsets_scored(self, traced_audit):
+        """Spans are opened per batch and per stage, never per subset.
 
-        A direct timed A/B of two audits is noisy on shared CI runners, so
-        the bound is synthetic: measure the per-call cost of the disabled
-        path (``trace.span`` returning the shared null span), multiply by
-        the number of spans this exact audit emits, and compare against
-        the traced run's wall clock.
+        Structural rather than a wall-clock ratio: the audit scores
+        thousands of candidate subsets, and the trace must stay two orders
+        of magnitude smaller — a span per scored subset (say, one per
+        kernel solve) would break the bound at once, on any machine.
         """
-        _, tracer, _, wall = traced_audit
-        reps = 200_000
-        assert trace.get_tracer().enabled is False  # module default
-        start = trace.clock()
-        for _ in range(reps):
-            with trace.span("audit.query", metric="x"):
-                pass
-        per_call = (trace.clock() - start) / reps
-        bound = tracer.span_count() * per_call
-        assert bound < 0.03 * wall, (
-            f"{tracer.span_count()} spans x {per_call * 1e9:.0f}ns "
-            f"= {bound * 1e3:.1f}ms vs 3% of {wall * 1e3:.0f}ms"
+        _, tracer, result = traced_audit
+        scored = sum(query.cost.influence_evaluations for query in result.queries)
+        assert scored > 1000
+        assert tracer.span_count() < 0.01 * scored, (
+            f"{tracer.span_count()} spans for {scored} scored subsets"
         )
 
     def test_disabled_helpers_return_the_shared_null_span(self):

@@ -71,7 +71,7 @@ class TestCommands:
         assert "Top-" in out
 
     def test_explain_exact_with_mining_engine_runs(self, capsys):
-        """--estimator exact rides the stacked batch through the miner's
+        """--estimator exact rides the exact kernel through the miner's
         packed frontiers end to end."""
         code = main(
             [
