@@ -35,12 +35,13 @@ class GopherConfig:
         packed-bitset closed-pattern miner (``repro.mining``), which
         evaluates one candidate per distinct extent and streams influence
         scoring off packed masks instead of (m, n) boolean matrices.  The
-        miners' top-k output is identical on the benchmark workloads
-        (pinned by tests and ``bench_candidate_mining``); in general the
         two engines apply heuristic 2 along different search paths — the
         lattice against its first producing merge pair, the miner
-        order-independently — so adversarial instances can rank the deep
-        tie-heavy tail differently (see ``repro.mining.closed``).
+        order-independently — so their top-k can differ: on
+        ``load_german(1000, seed=d)`` for d = 0–5 (first-order, τ = 0.05,
+        depth 3, k = 3) it differs in 12–15 of 24 (dataset, metric) cells,
+        depending on the train/test split (see ``repro.mining.closed`` and
+        the ROADMAP item "One candidate engine").
     search_batch_size:
         Candidates buffered per batched influence call during the search
         (both engines).

@@ -133,8 +133,9 @@ class GopherExplainer:
 
         Candidate generation goes through the configured engine —
         ``engine="lattice"`` for the paper's level-wise search,
-        ``engine="mining"`` for the packed-bitset closed-pattern miner;
-        both produce the same top-k.  With ``verify=True`` each selected
+        ``engine="mining"`` for the packed-bitset closed-pattern miner.
+        The two can return different top-k at depth 3 (see
+        ``GopherConfig.engine``).  With ``verify=True`` each selected
         explanation's subset is actually removed and the model retrained,
         filling the ground-truth Δbias fields the paper's tables report.
         """

@@ -354,10 +354,9 @@ class AuditSession:
         self.last_audit: AuditResult | None = None
         self._last_audit_key: tuple | None = None
         # One registry per session: the shared caches register their
-        # namespaced counters into it, queries observe timings, and
-        # ``session.stats`` is a read view over it.
+        # namespaced counters into it, and ``session.stats`` is a read view
+        # over it.
         self.metrics = MetricsRegistry()
-        self.metrics.register_histogram("audit.query_seconds")
         # Guards the context memo and the last-audit bookmark so the read
         # path stays race-free under concurrent serving.
         self._lock = threading.Lock()
@@ -405,7 +404,6 @@ class AuditSession:
         # A refit is a fresh start-up: counters restart from zero so the
         # exactly-once amortization assertions stay meaningful.
         self.metrics = MetricsRegistry()
-        self.metrics.register_histogram("audit.query_seconds")
         self.artifacts = ModelArtifacts(
             self.model, self.X_train, train.labels, metrics=self.metrics
         )
@@ -639,7 +637,6 @@ class AuditSession:
                         )
                         explanations = view.explain(k=k, verify=verify)
                     seconds = time.perf_counter() - start
-                    self.metrics.observe("audit.query_seconds", seconds)
                     cost = (
                         CostReport.from_span(query_span)
                         if trace.get_tracer().enabled
@@ -805,7 +802,6 @@ class AuditSession:
                     if reason:
                         query_span.set(reason=reason)
                 seconds = time.perf_counter() - t0
-                self.metrics.observe("audit.query_seconds", seconds)
                 cost = (
                     CostReport.from_span(query_span)
                     if trace.get_tracer().enabled

@@ -8,6 +8,12 @@ the *favorable* outcome.  Values are oriented as
 
 computed on the favorable outcome, so positive F means the privileged group
 receives the favorable outcome more often: bias against the protected group.
+
+Each metric is one reduction, ``_difference(scores, ctx)``, written along
+axis 0 of an array whose rows are the n test rows.  The same code turns an
+(n,) score vector into F, an (n, m) score matrix — one column per perturbed
+parameter vector — into m values, and, for the mean-gap metrics, the (n, p)
+favorable-probability gradients into ∇_θF.
 """
 
 from __future__ import annotations
@@ -20,26 +26,6 @@ from repro.models.base import TwiceDifferentiableClassifier
 from repro.utils.validation import check_2d, check_binary_labels
 
 _EPS = 1e-9
-
-
-def _stale_batch_reduction(metric: "FairnessMetric", scalar_name: str, batch_name: str) -> bool:
-    """True when the vectorized batch reduction would bypass a subclass's
-    scalar override.
-
-    A batch reduction (e.g. ``_difference_batch``) is only trustworthy if it
-    is defined at — or below — the class that defines the scalar hook it
-    mirrors; a subclass overriding just the scalar hook must fall back to a
-    per-column loop over it, or batch and scalar APIs silently diverge.
-    """
-    cls = type(metric)
-
-    def definer(name: str) -> type:
-        for klass in cls.__mro__:
-            if name in klass.__dict__:
-                return klass
-        return FairnessMetric
-
-    return not issubclass(definer(batch_name), definer(scalar_name))
 
 
 @dataclass(frozen=True)
@@ -88,7 +74,17 @@ class FairnessContext:
 
 
 class FairnessMetric:
-    """Base class: hard value, smooth surrogate, and surrogate gradient."""
+    """Base class: hard value, smooth surrogate, and surrogate gradient.
+
+    A metric defines one reduction, :meth:`_difference`, along axis 0 of a
+    score array whose rows are the test rows.  The scalar and batch paths
+    all reduce through :meth:`_reduce`, which raises unless the result has
+    shape ``scores.shape[1:]``: a reduction collapsing a whole (n, m)
+    matrix would otherwise broadcast one number over m parameter vectors.
+    A subclass overriding the public :meth:`value` or :meth:`surrogate`
+    gets a loop over its own method in the batch paths — slower, but never
+    a different number than the scalar API.
+    """
 
     name: str = "fairness"
 
@@ -101,7 +97,7 @@ class FairnessMetric:
     ) -> float:
         """F(θ, D_test) using thresholded predictions."""
         fav_pred = self._favorable_hard(model, ctx, theta)
-        return self._difference(fav_pred.astype(np.float64), ctx)
+        return float(self._reduce(fav_pred.astype(np.float64), ctx))
 
     # -- smooth surrogate ------------------------------------------------
     def surrogate(
@@ -111,7 +107,7 @@ class FairnessMetric:
         theta: np.ndarray | None = None,
     ) -> float:
         """F with indicators replaced by predicted probabilities."""
-        return self._difference(self._favorable_proba(model, ctx, theta), ctx)
+        return float(self._reduce(self._favorable_proba(model, ctx, theta), ctx))
 
     def grad_theta(
         self,
@@ -132,19 +128,15 @@ class FairnessMetric:
         """``[value(model, ctx, θ) for θ in thetas]`` as one vectorized pass.
 
         ``thetas`` has shape (m, p); the result has shape (m,).  One call to
-        ``predict_proba_many`` replaces m model evaluations, and the group
-        difference is reduced along the batch axis — this is what lets the
+        ``predict_many`` replaces m model evaluations, and the reduction
+        runs once over the (n, m) prediction matrix — this is what lets the
         ``"hard"`` and ``"smooth"`` evaluation modes of the influence
         estimators score hundreds of perturbed parameter vectors per call.
-
-        A subclass that customizes :meth:`value` without touching the batch
-        path gets a loop over its own ``value`` — slower, but never a
-        different number than the scalar API.
         """
         if type(self).value is not FairnessMetric.value:
             return np.array([self.value(model, ctx, theta) for theta in thetas])
         fav_pred = self._favorable_hard_many(model, ctx, thetas)
-        return self._batch_difference(fav_pred.astype(np.float64), ctx)
+        return self._reduce(fav_pred.astype(np.float64), ctx)
 
     def surrogate_batch(
         self,
@@ -155,7 +147,7 @@ class FairnessMetric:
         """Smooth-surrogate counterpart of :meth:`value_batch` — shape (m,)."""
         if type(self).surrogate is not FairnessMetric.surrogate:
             return np.array([self.surrogate(model, ctx, theta) for theta in thetas])
-        return self._batch_difference(self._favorable_proba_many(model, ctx, thetas), ctx)
+        return self._reduce(self._favorable_proba_many(model, ctx, thetas), ctx)
 
     # -- shared helpers ---------------------------------------------------
     def _favorable_hard(
@@ -201,42 +193,33 @@ class FairnessMetric:
         proba = model.predict_proba_many(ctx.X, thetas)
         return proba if ctx.favorable_label == 1 else 1.0 - proba
 
-    def _difference(self, scores: np.ndarray, ctx: FairnessContext) -> float:
+    def _difference(self, scores: np.ndarray, ctx: FairnessContext) -> np.ndarray:
+        """The metric's group difference, reduced along axis 0 of ``scores``."""
         raise NotImplementedError
 
-    def _difference_batch(self, scores: np.ndarray, ctx: FairnessContext) -> np.ndarray:
-        """Group difference per column of an (n, m) score matrix.
-
-        Subclasses override with an axis-0 reduction; this fallback keeps
-        user-defined metrics working at per-column cost.
-        """
-        return np.array(
-            [self._difference(scores[:, j], ctx) for j in range(scores.shape[1])]
-        )
-
-    def _batch_difference(self, scores: np.ndarray, ctx: FairnessContext) -> np.ndarray:
-        """Use the vectorized reduction only when it is in sync with the
-        scalar ``_difference`` (see :func:`_stale_batch_reduction`)."""
-        if _stale_batch_reduction(self, "_difference", "_difference_batch"):
-            return FairnessMetric._difference_batch(self, scores, ctx)
-        return self._difference_batch(scores, ctx)
+    def _reduce(self, scores: np.ndarray, ctx: FairnessContext) -> np.ndarray:
+        """:meth:`_difference`, checked to have reduced axis 0 and only it."""
+        out = np.asarray(self._difference(scores, ctx))
+        if out.shape != scores.shape[1:]:
+            raise ValueError(
+                f"{type(self).__name__}._difference must reduce along axis 0 only: "
+                f"scores of shape {scores.shape} gave shape {out.shape}, "
+                f"expected {scores.shape[1:]}"
+            )
+        return out
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
 
-class StatisticalParity(FairnessMetric):
-    """P(ŷ = fav | privileged) − P(ŷ = fav | protected)."""
+class _MeanGapMetric(FairnessMetric):
+    """A metric whose reduction is a fixed combination of group means.
 
-    name = "statistical_parity"
-
-    def _difference(self, scores: np.ndarray, ctx: FairnessContext) -> float:
-        priv = ctx.privileged
-        return float(scores[priv].mean() - scores[~priv].mean())
-
-    def _difference_batch(self, scores: np.ndarray, ctx: FairnessContext) -> np.ndarray:
-        priv = ctx.privileged
-        return scores[priv].mean(axis=0) - scores[~priv].mean(axis=0)
+    A difference of group means is linear in the scores, so the reduction
+    applied to the (n, p) favorable-probability gradients is exactly ∇_θ of
+    the surrogate.  A subclass whose ``_difference`` is not linear in the
+    scores must override :meth:`grad_theta`.
+    """
 
     def grad_theta(
         self,
@@ -244,12 +227,20 @@ class StatisticalParity(FairnessMetric):
         ctx: FairnessContext,
         theta: np.ndarray | None = None,
     ) -> np.ndarray:
-        grad = self._favorable_grad(model, ctx, theta)
+        return self._reduce(self._favorable_grad(model, ctx, theta), ctx)
+
+
+class StatisticalParity(_MeanGapMetric):
+    """P(ŷ = fav | privileged) − P(ŷ = fav | protected)."""
+
+    name = "statistical_parity"
+
+    def _difference(self, scores: np.ndarray, ctx: FairnessContext) -> np.ndarray:
         priv = ctx.privileged
-        return grad[priv].mean(axis=0) - grad[~priv].mean(axis=0)
+        return scores[priv].mean(axis=0) - scores[~priv].mean(axis=0)
 
 
-class EqualOpportunity(FairnessMetric):
+class EqualOpportunity(_MeanGapMetric):
     """True-favorable rate difference among rows whose true label is favorable."""
 
     name = "equal_opportunity"
@@ -262,26 +253,10 @@ class EqualOpportunity(FairnessMetric):
             )
         return mask
 
-    def _difference(self, scores: np.ndarray, ctx: FairnessContext) -> float:
-        mask = self._qualifying(ctx)
-        priv = ctx.privileged
-        return float(scores[mask & priv].mean() - scores[mask & ~priv].mean())
-
-    def _difference_batch(self, scores: np.ndarray, ctx: FairnessContext) -> np.ndarray:
+    def _difference(self, scores: np.ndarray, ctx: FairnessContext) -> np.ndarray:
         mask = self._qualifying(ctx)
         priv = ctx.privileged
         return scores[mask & priv].mean(axis=0) - scores[mask & ~priv].mean(axis=0)
-
-    def grad_theta(
-        self,
-        model: TwiceDifferentiableClassifier,
-        ctx: FairnessContext,
-        theta: np.ndarray | None = None,
-    ) -> np.ndarray:
-        mask = self._qualifying(ctx)
-        grad = self._favorable_grad(model, ctx, theta)
-        priv = ctx.privileged
-        return grad[mask & priv].mean(axis=0) - grad[mask & ~priv].mean(axis=0)
 
 
 class PredictiveParity(FairnessMetric):
@@ -294,68 +269,17 @@ class PredictiveParity(FairnessMetric):
 
     name = "predictive_parity"
 
-    def value(
-        self,
-        model: TwiceDifferentiableClassifier,
-        ctx: FairnessContext,
-        theta: np.ndarray | None = None,
-    ) -> float:
-        fav_pred = self._favorable_hard(model, ctx, theta).astype(np.float64)
-        return self._ppv_difference(fav_pred, ctx)
-
-    def surrogate(
-        self,
-        model: TwiceDifferentiableClassifier,
-        ctx: FairnessContext,
-        theta: np.ndarray | None = None,
-    ) -> float:
-        return self._ppv_difference(self._favorable_proba(model, ctx, theta), ctx)
-
-    def value_batch(
-        self,
-        model: TwiceDifferentiableClassifier,
-        ctx: FairnessContext,
-        thetas: np.ndarray,
-    ) -> np.ndarray:
-        if type(self).value is not PredictiveParity.value:
-            return np.array([self.value(model, ctx, theta) for theta in thetas])
-        fav_pred = self._favorable_hard_many(model, ctx, thetas).astype(np.float64)
-        return self._batch_ppv_difference(fav_pred, ctx)
-
-    def surrogate_batch(
-        self,
-        model: TwiceDifferentiableClassifier,
-        ctx: FairnessContext,
-        thetas: np.ndarray,
-    ) -> np.ndarray:
-        if type(self).surrogate is not PredictiveParity.surrogate:
-            return np.array([self.surrogate(model, ctx, theta) for theta in thetas])
-        return self._batch_ppv_difference(self._favorable_proba_many(model, ctx, thetas), ctx)
-
-    def _batch_ppv_difference(self, scores: np.ndarray, ctx: FairnessContext) -> np.ndarray:
-        if _stale_batch_reduction(self, "_ppv_difference", "_ppv_difference_batch"):
-            return np.array(
-                [self._ppv_difference(scores[:, j], ctx) for j in range(scores.shape[1])]
-            )
-        return self._ppv_difference_batch(scores, ctx)
-
-    def _ppv_difference(self, scores: np.ndarray, ctx: FairnessContext) -> float:
+    def _difference(self, scores: np.ndarray, ctx: FairnessContext) -> np.ndarray:
         fav_true = ctx.favorable_true.astype(np.float64)
         priv = ctx.privileged
-
-        def ppv(mask: np.ndarray) -> float:
-            denom = scores[mask].sum()
-            return float((fav_true[mask] * scores[mask]).sum() / (denom + _EPS))
-
-        return ppv(priv) - ppv(~priv)
-
-    def _ppv_difference_batch(self, scores: np.ndarray, ctx: FairnessContext) -> np.ndarray:
-        fav_true = ctx.favorable_true.astype(np.float64)
-        priv = ctx.privileged
+        # Broadcast the weights down axis 0 rather than taking a dot
+        # product: BLAS would sum in a different order than ``sum``.
+        weight_shape = (-1,) + (1,) * (scores.ndim - 1)
 
         def ppv(mask: np.ndarray) -> np.ndarray:
-            denom = scores[mask].sum(axis=0)
-            return (fav_true[mask, None] * scores[mask]).sum(axis=0) / (denom + _EPS)
+            s = scores[mask]
+            num = (fav_true[mask].reshape(weight_shape) * s).sum(axis=0)
+            return num / (s.sum(axis=0) + _EPS)
 
         return ppv(priv) - ppv(~priv)
 
@@ -381,7 +305,7 @@ class PredictiveParity(FairnessMetric):
         return ppv_grad(priv) - ppv_grad(~priv)
 
 
-class AverageOdds(FairnessMetric):
+class AverageOdds(_MeanGapMetric):
     """Average odds difference: the mean of the favorable-rate gaps among
     truly-favorable and truly-unfavorable rows.
 
@@ -403,16 +327,7 @@ class AverageOdds(FairnessMetric):
                 )
         return fav, unfav
 
-    def _difference(self, scores: np.ndarray, ctx: FairnessContext) -> float:
-        fav, unfav = self._conditioned(ctx)
-        priv = ctx.privileged
-
-        def gap(mask: np.ndarray) -> float:
-            return float(scores[mask & priv].mean() - scores[mask & ~priv].mean())
-
-        return 0.5 * (gap(fav) + gap(unfav))
-
-    def _difference_batch(self, scores: np.ndarray, ctx: FairnessContext) -> np.ndarray:
+    def _difference(self, scores: np.ndarray, ctx: FairnessContext) -> np.ndarray:
         fav, unfav = self._conditioned(ctx)
         priv = ctx.privileged
 
@@ -420,21 +335,6 @@ class AverageOdds(FairnessMetric):
             return scores[mask & priv].mean(axis=0) - scores[mask & ~priv].mean(axis=0)
 
         return 0.5 * (gap(fav) + gap(unfav))
-
-    def grad_theta(
-        self,
-        model: TwiceDifferentiableClassifier,
-        ctx: FairnessContext,
-        theta: np.ndarray | None = None,
-    ) -> np.ndarray:
-        fav, unfav = self._conditioned(ctx)
-        grad = self._favorable_grad(model, ctx, theta)
-        priv = ctx.privileged
-
-        def gap_grad(mask: np.ndarray) -> np.ndarray:
-            return grad[mask & priv].mean(axis=0) - grad[mask & ~priv].mean(axis=0)
-
-        return 0.5 * (gap_grad(fav) + gap_grad(unfav))
 
 
 _METRICS: dict[str, type[FairnessMetric]] = {

@@ -30,10 +30,7 @@ from repro.obs import trace
 # feeding the GEMM — the allocation that used to dominate mining peaks at
 # scale).  It streams the mask/point-influence fold over byte-column blocks
 # instead, holding at most _MASK_BLOCK_BYTES unpacked mask cells (and 8×
-# that in float) at a time, for any batch above _STREAM_MIN_ROWS training
-# rows.  The threshold exists for tests to force either path; at 0 the
-# blocked fold is the linear packed path.
-_STREAM_MIN_ROWS = 0
+# that in float) at a time.
 _MASK_BLOCK_BYTES = 1 << 23
 
 
@@ -128,7 +125,7 @@ class FirstOrderInfluence(InfluenceEstimator):
             return masks.astype(np.float64) @ self.point_influences()
 
     def _packed_bias_change(self, packed: np.ndarray) -> np.ndarray:
-        if self.evaluation != "linear" or self.num_train <= _STREAM_MIN_ROWS:
+        if self.evaluation != "linear":
             return super()._packed_bias_change(packed)
         from repro.mining.bitset import popcount
 

@@ -4,9 +4,9 @@ The Hessian of a strictly convex L2-regularized loss is positive definite, so
 a Cholesky factorization is the fast path.  Models whose Hessian is only
 positive *semi*-definite in corner cases (squared hinge with no active
 margins, Gauss-Newton at saturation) fall back to adaptive damping — the same
-trick Koh & Liang apply — and, as a last resort, a conjugate-gradient solve.
-:class:`ReducedHessianSolver` applies the same factorize-then-escalate
-contract to a batch of matrices, one LAPACK factor-and-solve each.
+trick Koh & Liang apply.  :class:`ReducedHessianSolver` applies the same
+factorize-then-escalate contract to a batch of matrices, one LAPACK
+factor-and-solve each.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import threading
 import numpy as np
 from scipy import linalg
 from scipy.linalg import blas, lapack
-from scipy.sparse.linalg import LinearOperator, cg
 
 from repro.obs import trace
 from repro.obs.metrics import StatsView
@@ -206,10 +205,11 @@ class HessianSolver:
             raise ValueError(f"right-hand side has leading dimension {b.shape[0]}, expected {self.dim}")
         rhs = 1 if b.ndim == 1 else b.shape[1]
         with trace.span("hessian.solve", n=self.dim, rhs=rhs) as s:
-            s.add("solve_flops", 2.0 * self.dim * self.dim * rhs)
             if self._factor is not None:
+                s.add("solve_flops", 2.0 * self.dim * self.dim * rhs)
                 return linalg.cho_solve(self._factor, b, check_finite=False)
             eigvals, eigvecs = self._eig  # type: ignore[misc]
+            s.add("solve_flops", 4.0 * self.dim * self.dim * rhs)
             proj = eigvecs.T @ b
             proj = proj / (eigvals if proj.ndim == 1 else eigvals[:, None])
             return eigvecs @ proj
@@ -326,23 +326,3 @@ def largest_eigenvalue(hessian: np.ndarray) -> float:
     """
     hessian = np.asarray(hessian, dtype=np.float64)
     return float(np.linalg.eigvalsh(hessian).max())
-
-
-def conjugate_gradient_solve(
-    hessian_vector_product,
-    b: np.ndarray,
-    dim: int,
-    tol: float = 1e-8,
-    max_iter: int | None = None,
-) -> np.ndarray:
-    """Matrix-free H⁻¹b via conjugate gradients.
-
-    Useful when p is large enough that materializing H is wasteful; the
-    library's models are small so this is an alternative path, exercised in
-    tests and available for user-supplied models.
-    """
-    op = LinearOperator((dim, dim), matvec=hessian_vector_product)
-    x, info = cg(op, np.asarray(b, dtype=np.float64), rtol=tol, maxiter=max_iter)
-    if info > 0:
-        raise RuntimeError(f"conjugate gradient did not converge within {info} iterations")
-    return x

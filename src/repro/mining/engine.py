@@ -1,7 +1,7 @@
 """Pluggable candidate-generation backends for the Gopher pipeline.
 
 Algorithm 1's job — produce scored candidate explanations for Algorithm 2
-to rank — has two interchangeable implementations:
+to rank — has two implementations:
 
 * :class:`LatticeEngine` — the level-wise lattice search of
   :func:`repro.patterns.lattice.compute_candidates` (the paper's layout);
@@ -12,13 +12,16 @@ to rank — has two interchangeable implementations:
 Both satisfy the :class:`CandidateEngine` protocol and return the
 :class:`~repro.patterns.lattice.CandidateResult` their search function
 builds, which :func:`repro.patterns.select_top_k` and
-:class:`repro.core.GopherExplainer` consume interchangeably.  The engine
-equivalence suite pins identical top-k explanations on the benchmark
-workloads (German, Adult, the planted-bias synthetic set); the engines
-differ in how many candidates they evaluate (``num_evaluated``), in peak
-memory (the miner never holds an (m, n) boolean mask matrix), and — on
-adversarial tie-heavy instances — in which search path heuristic 2 is
-applied along (see the pruning notes in :mod:`repro.mining.closed`).
+:class:`repro.core.GopherExplainer` consume alike.  The engines differ in
+how many candidates they evaluate (``num_evaluated``), in peak memory (the
+miner never holds an (m, n) boolean mask matrix), and in which search path
+heuristic 2 is applied along (see the pruning notes in
+:mod:`repro.mining.closed`) — so their answers differ too.  On
+``load_german(1000, seed=d)`` for d = 0–5 (first-order, τ = 0.05, depth 3,
+k = 3) they return a different top-3 in 12–15 of 24 (dataset, metric)
+cells, depending on the train/test split; the engine equivalence suite
+pins only fixtures where they agree.  The ROADMAP item "One candidate
+engine" tracks closing the gap.
 """
 
 from __future__ import annotations

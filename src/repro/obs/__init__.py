@@ -6,9 +6,8 @@ Three layers, always compiled in, near-free when disabled:
   (``trace.span`` / ``trace.add``), exported as structured JSON, Chrome
   ``trace_event`` (Perfetto-loadable), or a terminal tree;
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of
-  counters / gauges / fixed-bucket histograms that the shared caches
-  register into, each cache reading its own namespace through a
-  dict-shaped :class:`StatsView`;
+  counters that the shared caches register into, each cache reading its
+  own namespace through a dict-shaped :class:`StatsView`;
 * :mod:`repro.obs.cost` — per-query :class:`CostReport` (GEMM/solve
   FLOPs from recorded shapes, influence evaluations, cache hit ratios,
   ``%self`` wall-time breakdown) derived from one query's span subtree.

@@ -6,8 +6,9 @@ solve as span attributes; this module folds them into FLOP estimates:
 * **GEMM** — ``(m × n) @ (n × p)`` costs ``2·m·n·p`` FLOPs, recorded by
   the instrumentation as an accumulated ``gemm_flops`` attribute;
 * **solve** — a factorized ``p×p`` system solved against ``k`` right
-  hand sides costs ``2·p²·k`` (two triangular sweeps, same count for
-  the eigenbasis route), recorded as ``solve_flops``.
+  hand sides costs ``2·p²·k`` through a Cholesky factor (two triangular
+  sweeps) and ``4·p²·k`` in an eigenbasis (two ``(p × p) @ (p × k)``
+  GEMMs), recorded as ``solve_flops``.
 
 Cache hit/miss figures come from ``trace.add("cache_hits", 1)`` calls
 at the artifact accessors, and ``evaluations`` counts influence
@@ -161,5 +162,5 @@ def gemm_flops(m: int, n: int, p: int) -> float:
 
 
 def solve_flops(p: int, rhs: int) -> float:
-    """FLOPs of solving a factorized ``p×p`` system for ``rhs`` columns."""
+    """FLOPs of solving a Cholesky-factorized ``p×p`` system for ``rhs`` columns."""
     return 2.0 * p * p * rhs

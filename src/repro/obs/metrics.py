@@ -1,15 +1,11 @@
-"""A typed, thread-safe metrics registry for the shared caches.
+"""A typed, thread-safe counter registry for the shared caches.
 
 The registry replaces the ad-hoc counter dicts that ``ModelArtifacts``,
-``AlphabetCache`` and ``HessianSolver`` each grew independently.  Three
-metric kinds:
-
-* **counters** — monotonically increasing integers (cache builds and
-  hits); incremented under the registry lock, so counts stay exact under
-  concurrent serving;
-* **gauges** — last-written values (sizes, versions);
-* **histograms** — timing distributions over *fixed* bucket edges, so
-  snapshots from different processes are mergeable bucket-by-bucket.
+``AlphabetCache`` and ``HessianSolver`` each grew independently.  It holds
+one metric kind — **counters**, monotonically increasing integers (cache
+builds and hits) incremented under the registry lock, so counts stay exact
+under concurrent serving.  Timings live in the spans of
+:mod:`repro.obs.trace`, not here.
 
 :class:`StatsView` is a dict-shaped view over one namespace of a
 registry: ``artifacts.stats["hessian_builds"]`` reads the shared,
@@ -21,44 +17,15 @@ recognises as counter discipline.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
 from collections.abc import Iterator, MutableMapping
-from typing import Any
-
-_DEFAULT_EDGES = (0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10.0)
-
-
-class _Histogram:
-    __slots__ = ("counts", "edges", "observations", "total")
-
-    def __init__(self, edges: tuple[float, ...]) -> None:
-        self.edges = edges
-        self.counts = [0] * (len(edges) + 1)
-        self.total = 0.0
-        self.observations = 0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect_right(self.edges, value)] += 1
-        self.total += value
-        self.observations += 1
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "sum": self.total,
-            "count": self.observations,
-        }
 
 
 class MetricsRegistry:
-    """Namespaced counters, gauges, and fixed-bucket timing histograms."""
+    """Namespaced, lock-protected integer counters."""
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._counters: dict[str, int] = {}
-        self._gauges: dict[str, float] = {}
-        self._histograms: dict[str, _Histogram] = {}
 
     # -- counters -------------------------------------------------------
     def register_counter(self, name: str, initial: int = 0) -> None:
@@ -84,85 +51,11 @@ class MetricsRegistry:
                 raise KeyError(name)
             return default
 
-    # -- gauges ---------------------------------------------------------
-    def set_gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            self._gauges[name] = value
-
-    # -- histograms -----------------------------------------------------
-    def register_histogram(
-        self, name: str, edges: tuple[float, ...] = _DEFAULT_EDGES
-    ) -> None:
-        with self._lock:
-            if name not in self._histograms:
-                self._histograms[name] = _Histogram(tuple(edges))
-
-    def observe(self, name: str, value: float) -> None:
-        with self._lock:
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = self._histograms[name] = _Histogram(_DEFAULT_EDGES)
-            hist.observe(value)
-
     # -- export ---------------------------------------------------------
-    def snapshot(self) -> dict[str, Any]:
-        """A point-in-time copy: ``{"counters", "gauges", "histograms"}``."""
+    def snapshot(self) -> dict[str, dict[str, int]]:
+        """A point-in-time copy: ``{"counters": {name: value}}``."""
         with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {k: h.snapshot() for k, h in self._histograms.items()},
-            }
-
-    def diff(self, before: dict[str, Any]) -> dict[str, Any]:
-        """Counter/gauge deltas and histogram count deltas since ``before``."""
-        now = self.snapshot()
-        counters = {
-            name: value - before.get("counters", {}).get(name, 0)
-            for name, value in now["counters"].items()
-        }
-        gauges = {
-            name: value - before.get("gauges", {}).get(name, 0.0)
-            for name, value in now["gauges"].items()
-        }
-        histograms = {}
-        for name, snap in now["histograms"].items():
-            prev = before.get("histograms", {}).get(name, {})
-            histograms[name] = {
-                "count": snap["count"] - prev.get("count", 0),
-                "sum": snap["sum"] - prev.get("sum", 0.0),
-            }
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-    def to_prometheus_text(self) -> str:
-        """Prometheus exposition format (names sanitised ``.`` → ``_``)."""
-        lines: list[str] = []
-        snap = self.snapshot()
-        for name in sorted(snap["counters"]):
-            metric = _sanitise(name)
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {snap['counters'][name]}")
-        for name in sorted(snap["gauges"]):
-            metric = _sanitise(name)
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {snap['gauges'][name]}")
-        for name in sorted(snap["histograms"]):
-            hist = snap["histograms"][name]
-            metric = _sanitise(name)
-            lines.append(f"# TYPE {metric} histogram")
-            cumulative = 0
-            for edge, count in zip(hist["edges"], hist["counts"]):
-                cumulative += count
-                lines.append(f'{metric}_bucket{{le="{edge}"}} {cumulative}')
-            cumulative += hist["counts"][-1]
-            lines.append(f'{metric}_bucket{{le="+Inf"}} {cumulative}')
-            lines.append(f"{metric}_sum {hist['sum']}")
-            lines.append(f"{metric}_count {hist['count']}")
-        return "\n".join(lines) + "\n"
-
-
-def _sanitise(name: str) -> str:
-    return name.replace(".", "_").replace("-", "_")
+            return {"counters": dict(self._counters)}
 
 
 class StatsView(MutableMapping):

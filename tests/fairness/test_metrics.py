@@ -256,15 +256,40 @@ class TestBatchSubclassFallback:
         assert (batch >= 0).all()
 
     def test_ppv_difference_hook_override(self, biased_setup):
+        """Predictive parity's reduction is the same ``_difference`` hook.
+
+        With the groups swapped the PPV gap is negative at both θ and −θ,
+        so the override must act for the batch to come out non-negative.
+        """
         model, ctx = biased_setup
+        swapped = FairnessContext(ctx.X, ctx.y, ~ctx.privileged)
 
         class AbsPPV(PredictiveParity):
-            def _ppv_difference(self, scores, ctx):
-                return abs(super()._ppv_difference(scores, ctx))
+            def _difference(self, scores, ctx):
+                return abs(super()._difference(scores, ctx))
 
         metric = AbsPPV()
         assert model.theta is not None
         thetas = np.stack([model.theta, -model.theta])
-        batch = metric.surrogate_batch(model, ctx, thetas)
-        scalar = [metric.surrogate(model, ctx, t) for t in thetas]
+        assert (PredictiveParity().surrogate_batch(model, swapped, thetas) < 0).all()
+        batch = metric.surrogate_batch(model, swapped, thetas)
+        scalar = [metric.surrogate(model, swapped, t) for t in thetas]
         np.testing.assert_allclose(batch, scalar, atol=1e-12, rtol=0.0)
+        assert (batch >= 0).all()
+
+    def test_whole_matrix_reduction_is_rejected(self, biased_setup):
+        """A ``_difference`` that collapses the (n, m) matrix to one number
+        would broadcast it over every parameter vector; the batch paths
+        raise instead."""
+        model, ctx = biased_setup
+
+        class Collapsing(StatisticalParity):
+            def _difference(self, scores, ctx):
+                return float(scores[ctx.privileged].mean() - scores[~ctx.privileged].mean())
+
+        metric = Collapsing()
+        thetas = self._thetas(model)
+        assert np.isfinite(metric.value(model, ctx))  # (n,) -> () is fine
+        for batch in (metric.value_batch, metric.surrogate_batch):
+            with pytest.raises(ValueError, match=r"_difference must reduce along axis 0"):
+                batch(model, ctx, thetas)

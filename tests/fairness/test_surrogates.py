@@ -46,9 +46,11 @@ class TestSurrogateValues:
 
 
 class TestSurrogateGradients:
+    @pytest.mark.parametrize("favorable_label", [0, 1])
     @pytest.mark.parametrize("name", list_metrics())
-    def test_grad_matches_finite_differences(self, setup, name):
-        model, ctx = setup
+    def test_grad_matches_finite_differences(self, setup, name, favorable_label):
+        model, base = setup
+        ctx = FairnessContext(base.X, base.y, base.privileged, favorable_label)
         metric = get_metric(name)
         theta = model.theta
         analytic = metric.grad_theta(model, ctx)

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.influence.hessian import (
-    HessianSolver,
-    ReducedHessianSolver,
-    conjugate_gradient_solve,
-)
+from repro.influence.hessian import HessianSolver, ReducedHessianSolver
 from repro.obs import trace
 from repro.obs.trace import Tracer
 
@@ -88,6 +84,23 @@ class TestEigendecomposition:
         eigvals, _ = solver.eigendecomposition()
         # The decomposition is of the *damped* matrix, consistent with solve().
         np.testing.assert_allclose(eigvals, solver.damping_used, atol=1e-15)
+
+
+class TestSolveFlops:
+    def test_solve_and_solve_many_record_the_same_work(self, spd_matrix):
+        """``solve(B.T)`` and ``solve_many(B)`` do the same work, so their
+        spans carry the same ``solve_flops``: 2·p²·k through the Cholesky
+        factor, 4·p²·k (two GEMMs) in the eigenbasis of an updated solver."""
+        p, k = spd_matrix.shape[0], 5
+        B = np.random.default_rng(1).normal(size=(k, p))
+        fresh = HessianSolver(spd_matrix)
+        updated = fresh.updated(spd_matrix + np.eye(p))
+        for solver, per_entry in ((fresh, 2.0), (updated, 4.0)):
+            with trace.tracing(Tracer()) as tracer:
+                solver.solve(B.T)
+                solver.solve_many(B)
+            flops = [s.attrs["solve_flops"] for s in tracer.walk() if s.name == "hessian.solve"]
+            assert flops == [per_entry * p * p * k] * 2
 
 
 def _spd_stack(count: int, dim: int = 8, seed: int = 3) -> np.ndarray:
@@ -171,17 +184,3 @@ class TestReducedHessianSolver:
             kernel.solve_many(np.zeros((1, 8)), [np.eye(7)])
         with pytest.raises(ValueError, match="shape"):
             kernel.solve_many(np.zeros(8), [np.eye(8)])
-
-
-class TestConjugateGradient:
-    def test_matches_direct_solve(self, spd_matrix):
-        b = np.arange(8.0)
-        direct = np.linalg.solve(spd_matrix, b)
-        cg = conjugate_gradient_solve(lambda v: spd_matrix @ v, b, dim=8)
-        np.testing.assert_allclose(cg, direct, atol=1e-6)
-
-    def test_nonconvergence_raises(self, spd_matrix):
-        with pytest.raises(RuntimeError, match="converge"):
-            conjugate_gradient_solve(
-                lambda v: spd_matrix @ v, np.ones(8), dim=8, tol=1e-14, max_iter=1
-            )

@@ -88,29 +88,26 @@ class TestIndexEqualsMask:
 
 
 class TestBlockedPackedGemm:
-    """The >_STREAM_MIN_ROWS row-blocked linear fold, forced small."""
+    """The linear packed path's row-blocked fold, with a tiny block budget."""
 
     def test_blocked_equals_unblocked(self, fo_estimator, monkeypatch):
         subsets = random_subsets(fo_estimator.num_train, 20, seed=6)
         masks = to_masks(subsets, fo_estimator.num_train)
-        packed = pack_rows(masks)
-        # Force the historical chunk-unpack path for the reference value…
-        monkeypatch.setattr(first_order_mod, "_STREAM_MIN_ROWS", 10**12)
-        expected = fo_estimator.bias_change_batch(packed, num_rows=fo_estimator.num_train)
-        # …then the blocked fold with a tiny byte budget (many column blocks).
-        monkeypatch.setattr(first_order_mod, "_STREAM_MIN_ROWS", 1)
+        # The boolean masks take the one-GEMM mask path for the reference…
+        expected = fo_estimator.bias_change_batch(masks)
+        # …and the packed masks the blocked fold, split into many column blocks.
         monkeypatch.setattr(first_order_mod, "_MASK_BLOCK_BYTES", 512)
-        blocked = fo_estimator.bias_change_batch(packed, num_rows=fo_estimator.num_train)
+        blocked = fo_estimator.bias_change_batch(
+            pack_rows(masks), num_rows=fo_estimator.num_train
+        )
         np.testing.assert_allclose(blocked, expected, atol=1e-12, rtol=0)
 
-    def test_blocked_entire_train_set_guard(self, fo_estimator, monkeypatch):
-        monkeypatch.setattr(first_order_mod, "_STREAM_MIN_ROWS", 1)
+    def test_blocked_entire_train_set_guard(self, fo_estimator):
         full = pack_rows(np.ones((1, fo_estimator.num_train), dtype=bool))
         with pytest.raises(ValueError, match="entire training set"):
             fo_estimator.bias_change_batch(full, num_rows=fo_estimator.num_train)
 
-    def test_blocked_empty_batch(self, fo_estimator, monkeypatch):
-        monkeypatch.setattr(first_order_mod, "_STREAM_MIN_ROWS", 1)
+    def test_blocked_empty_batch(self, fo_estimator):
         empty = np.zeros((0, (fo_estimator.num_train + 7) // 8), dtype=np.uint8)
         assert fo_estimator.bias_change_batch(empty, num_rows=fo_estimator.num_train).shape == (0,)
 

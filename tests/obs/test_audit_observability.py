@@ -119,11 +119,16 @@ class TestTraceShape:
         summary = validate_trace.validate(tracer.export())
         assert summary.startswith("ok:")
 
-    def test_query_seconds_histogram_observed(self, traced_audit):
-        session, _, result = traced_audit
-        hist = session.metrics.snapshot()["histograms"]["audit.query_seconds"]
-        assert hist["count"] >= len(result.queries)
-        assert hist["sum"] > 0
+    def test_query_seconds_cover_their_span(self, traced_audit):
+        """``AuditQuery.seconds`` is timed on the tracer's clock around the
+        query's ``audit.query`` span, so it can never be shorter."""
+        _, tracer, result = traced_audit
+        spans = [span for span in tracer.walk() if span.name == "audit.query"]
+        assert len(spans) == len(result.queries)
+        for query, span in zip(result.queries, spans):
+            assert span.attrs["metric"] == query.metric
+            assert query.seconds > 0
+            assert query.seconds >= span.seconds
 
 
 class TestDisabledOverhead:

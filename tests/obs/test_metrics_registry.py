@@ -42,65 +42,6 @@ class TestSnapshotDiff:
         assert snap["counters"]["a"] == 1
         assert reg.get("a") == 2
 
-    def test_diff_counters_gauges_histograms(self):
-        reg = MetricsRegistry()
-        reg.inc("builds", 2)
-        reg.set_gauge("size", 10.0)
-        reg.observe("latency", 0.05)
-        before = reg.snapshot()
-        reg.inc("builds", 3)
-        reg.set_gauge("size", 25.0)
-        reg.observe("latency", 0.2)
-        reg.observe("latency", 0.3)
-        delta = reg.diff(before)
-        assert delta["counters"]["builds"] == 3
-        assert delta["gauges"]["size"] == 15.0
-        assert delta["histograms"]["latency"]["count"] == 2
-        assert delta["histograms"]["latency"]["sum"] == pytest.approx(0.5)
-
-    def test_diff_against_empty_before(self):
-        reg = MetricsRegistry()
-        reg.inc("a", 4)
-        assert reg.diff({})["counters"]["a"] == 4
-
-
-class TestHistograms:
-    def test_fixed_edges_bucketing(self):
-        reg = MetricsRegistry()
-        reg.register_histogram("t", edges=(0.1, 1.0))
-        for value in (0.05, 0.5, 0.5, 5.0):
-            reg.observe("t", value)
-        snap = reg.snapshot()["histograms"]["t"]
-        assert snap["edges"] == [0.1, 1.0]
-        assert snap["counts"] == [1, 2, 1]
-        assert snap["count"] == 4
-        assert snap["sum"] == pytest.approx(6.05)
-
-    def test_observe_auto_creates_with_default_edges(self):
-        reg = MetricsRegistry()
-        reg.observe("q", 0.01)
-        snap = reg.snapshot()["histograms"]["q"]
-        assert snap["count"] == 1
-        assert len(snap["counts"]) == len(snap["edges"]) + 1
-
-
-class TestPrometheus:
-    def test_exposition_format(self):
-        reg = MetricsRegistry()
-        reg.inc("influence.cache_hits", 5)
-        reg.set_gauge("alphabet.size", 42.0)
-        reg.register_histogram("audit.query_seconds", edges=(0.1,))
-        reg.observe("audit.query_seconds", 0.05)
-        reg.observe("audit.query_seconds", 0.5)
-        text = reg.to_prometheus_text()
-        assert "# TYPE influence_cache_hits counter" in text
-        assert "influence_cache_hits 5" in text
-        assert "alphabet_size 42.0" in text
-        assert '_bucket{le="0.1"} 1' in text
-        assert '_bucket{le="+Inf"} 2' in text
-        assert "audit_query_seconds_count 2" in text
-        assert text.endswith("\n")
-
 
 class TestConcurrency:
     def test_concurrent_increments_are_exact(self):
