@@ -293,3 +293,17 @@ class TestBatchSubclassFallback:
         for batch in (metric.value_batch, metric.surrogate_batch):
             with pytest.raises(ValueError, match=r"_difference must reduce along axis 0"):
                 batch(model, ctx, thetas)
+
+    def test_whole_matrix_gradient_is_rejected(self, biased_setup):
+        """The mean-gap ``grad_theta`` reduces the (n, p) probability
+        gradients through the same checked hook, so a collapsing
+        ``_difference`` cannot pass off one number as ∇_θF."""
+        model, ctx = biased_setup
+
+        class Collapsing(StatisticalParity):
+            def _difference(self, scores, ctx):
+                return float(scores[ctx.privileged].mean() - scores[~ctx.privileged].mean())
+
+        with pytest.raises(ValueError, match=r"Collapsing\._difference must reduce along axis 0"):
+            Collapsing().grad_theta(model, ctx)
+        assert StatisticalParity().grad_theta(model, ctx).shape == model.theta.shape

@@ -85,6 +85,22 @@ class TestEigendecomposition:
         # The decomposition is of the *damped* matrix, consistent with solve().
         np.testing.assert_allclose(eigvals, solver.damping_used, atol=1e-15)
 
+    def test_updated_solver_solves_the_new_matrix(self, spd_matrix):
+        """An updated solver has no Cholesky factor: ``solve`` (vector and
+        column-stack) and ``solve_many`` all run in the rotated eigenbasis
+        and must match a dense solve of the new matrix."""
+        p = spd_matrix.shape[0]
+        rng = np.random.default_rng(2)
+        U = rng.normal(size=(2, p))
+        new = spd_matrix + U.T @ U
+        B = rng.normal(size=(3, p))
+        expected = np.linalg.solve(new, B.T)
+        fresh = HessianSolver(spd_matrix)
+        for updated in (fresh.updated(new), fresh.updated(new, U, np.ones(2))):
+            np.testing.assert_allclose(updated.solve(B[0]), expected[:, 0], atol=1e-10)
+            np.testing.assert_allclose(updated.solve(B.T), expected, atol=1e-10)
+            np.testing.assert_allclose(updated.solve_many(B), expected.T, atol=1e-10)
+
 
 class TestSolveFlops:
     def test_solve_and_solve_many_record_the_same_work(self, spd_matrix):

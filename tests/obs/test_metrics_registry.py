@@ -42,6 +42,15 @@ class TestSnapshotDiff:
         assert snap["counters"]["a"] == 1
         assert reg.get("a") == 2
 
+    def test_snapshot_holds_only_counters(self):
+        """Counters are the registry's one metric kind; a view's counters
+        appear under their namespaced names."""
+        reg = MetricsRegistry()
+        view = StatsView({"builds": 0}, registry=reg, namespace="influence")
+        view.inc("builds")
+        reg.inc("hits", 3)
+        assert reg.snapshot() == {"counters": {"influence.builds": 1, "hits": 3}}
+
 
 class TestConcurrency:
     def test_concurrent_increments_are_exact(self):
