@@ -9,20 +9,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.base import TwiceDifferentiableClassifier
-from repro.models.optim import minimize_loss
+from repro.models.linear import LinearClassifier, _sigmoid
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row cross-entropy of logits z against 0/1 labels."""
+    # log(1 + e^-z) for y=1 and log(1 + e^z) for y=0, computed stably.
+    return np.logaddexp(0.0, z) - y * z
 
 
-class LogisticRegression(TwiceDifferentiableClassifier):
+def _log_loss_derivatives(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """∂/∂z and ∂²/∂z² of :func:`_log_loss`: σ(z) − y and σ(z)(1 − σ(z))."""
+    p = _sigmoid(z)
+    return p - y, p * (1.0 - p)
+
+
+class LogisticRegression(LinearClassifier):
     """Binary logistic regression: p(x) = σ(θᵀ[x, 1]).
 
     Parameters
@@ -35,125 +37,8 @@ class LogisticRegression(TwiceDifferentiableClassifier):
         L-BFGS iteration cap.
     """
 
+    _row_loss = staticmethod(_log_loss)
+    _row_derivatives = staticmethod(_log_loss_derivatives)
+
     def __init__(self, l2_reg: float = 1e-3, fit_intercept: bool = True, max_iter: int = 500):
-        if l2_reg < 0:
-            raise ValueError(f"l2_reg must be non-negative, got {l2_reg}")
-        self.l2_reg = float(l2_reg)
-        self.fit_intercept = bool(fit_intercept)
-        self.max_iter = int(max_iter)
-        self.theta: np.ndarray | None = None
-        self._num_features: int | None = None
-
-    # ------------------------------------------------------------------
-    def clone(self) -> "LogisticRegression":
-        return LogisticRegression(self.l2_reg, self.fit_intercept, self.max_iter)
-
-    @property
-    def num_params(self) -> int:
-        if self._num_features is None:
-            raise RuntimeError("model has no feature dimension yet; call fit() first")
-        return self._num_features + (1 if self.fit_intercept else 0)
-
-    def _augment(self, X: np.ndarray) -> np.ndarray:
-        if self._num_features is None:
-            self._num_features = X.shape[1]
-        elif X.shape[1] != self._num_features:
-            raise ValueError(f"X has {X.shape[1]} features, expected {self._num_features}")
-        if self.fit_intercept:
-            return np.hstack([X, np.ones((len(X), 1))])
-        return X
-
-    # ------------------------------------------------------------------
-    def fit(
-        self, X: np.ndarray, y: np.ndarray, warm_start: np.ndarray | None = None
-    ) -> "LogisticRegression":
-        X, y = self._check_xy(X, y)
-        self._num_features = X.shape[1]
-        x0 = warm_start if warm_start is not None else np.zeros(self.num_params)
-        self.theta = minimize_loss(
-            lambda t: self.loss(X, y, t),
-            lambda t: self.grad(X, y, t),
-            x0,
-            max_iter=self.max_iter,
-        )
-        return self
-
-    def predict_proba(self, X: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        Xa = self._augment(X)
-        return _sigmoid(Xa @ self._resolve_theta(theta))
-
-    def predict_proba_many(self, X: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        thetas = self._check_theta_stack(thetas)
-        Xa = self._augment(np.asarray(X, dtype=np.float64))
-        return _sigmoid(Xa @ thetas.T)
-
-    # ------------------------------------------------------------------
-    def per_sample_losses(
-        self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None
-    ) -> np.ndarray:
-        X, y = self._check_xy(X, y)
-        th = self._resolve_theta(theta)
-        z = self._augment(X) @ th
-        # log(1 + e^-z) for y=1 and log(1 + e^z) for y=0, computed stably.
-        softplus = np.logaddexp(0.0, z)
-        nll = softplus - y * z
-        return nll + 0.5 * self.l2_reg * float(th @ th)
-
-    def per_sample_grads(
-        self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None
-    ) -> np.ndarray:
-        X, y = self._check_xy(X, y)
-        th = self._resolve_theta(theta)
-        Xa = self._augment(X)
-        residual = _sigmoid(Xa @ th) - y
-        return residual[:, None] * Xa + self.l2_reg * th[None, :]
-
-    def hessian(
-        self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None
-    ) -> np.ndarray:
-        X, y = self._check_xy(X, y)
-        th = self._resolve_theta(theta)
-        Xa = self._augment(X)
-        p = _sigmoid(Xa @ th)
-        weights = p * (1.0 - p)
-        hess = (Xa * weights[:, None]).T @ Xa / len(Xa)
-        hess += self.l2_reg * np.eye(self.num_params)
-        return hess
-
-    def hessian_factors(
-        self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        X, y = self._check_xy(X, y)
-        th = self._resolve_theta(theta)
-        Xa = self._augment(X)
-        p = _sigmoid(Xa @ th)
-        return Xa, p * (1.0 - p), self.l2_reg
-
-    def input_grads(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        vector: np.ndarray,
-        theta: np.ndarray | None = None,
-    ) -> np.ndarray:
-        # vᵀ∇_θℓ(z, θ) = (σ(θᵀx̃) − y)(vᵀx̃) + λ vᵀθ, so per input coordinate
-        #   ∇_x = σ'(θᵀx̃)(vᵀx̃) θ_x + (σ(θᵀx̃) − y) v_x
-        # with θ_x, v_x the non-intercept slices (the L2 term is constant in x).
-        X, y = self._check_xy(X, y)
-        th = self._resolve_theta(theta)
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (self.num_params,):
-            raise ValueError(f"vector shape {vector.shape} != ({self.num_params},)")
-        Xa = self._augment(X)
-        p = _sigmoid(Xa @ th)
-        d = X.shape[1]
-        curvature = p * (1.0 - p) * (Xa @ vector)
-        return curvature[:, None] * th[None, :d] + (p - y)[:, None] * vector[None, :d]
-
-    def grad_proba(self, X: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        th = self._resolve_theta(theta)
-        Xa = self._augment(X)
-        p = _sigmoid(Xa @ th)
-        return (p * (1.0 - p))[:, None] * Xa
+        super().__init__(l2_reg, fit_intercept, max_iter)

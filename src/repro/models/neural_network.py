@@ -21,9 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.base import TwiceDifferentiableClassifier
-from repro.models.logistic_regression import _sigmoid
+from repro.models.linear import _sigmoid
+from repro.models.logistic_regression import _log_loss
 from repro.models.optim import minimize_loss
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_finite
 
 
 class NeuralNetwork(TwiceDifferentiableClassifier):
@@ -101,15 +103,25 @@ class NeuralNetwork(TwiceDifferentiableClassifier):
     def fit(
         self, X: np.ndarray, y: np.ndarray, warm_start: np.ndarray | None = None
     ) -> "NeuralNetwork":
+        """Fit θ* by L-BFGS-B from ``warm_start`` (the seeded init by default).
+
+        (X, y) is validated once, and a NaN or ±inf feature raises
+        ``ValueError``.  Each evaluation runs one forward pass and returns
+        the mean cross-entropy and the mean of the backpropagated
+        per-sample gradients, both computed from it.
+        """
         X, y = self._check_xy(X, y)
+        check_finite(X, "X")
         self._num_features = X.shape[1]
         x0 = warm_start if warm_start is not None else self._init_theta(X.shape[1])
-        self.theta = minimize_loss(
-            lambda t: self.loss(X, y, t),
-            lambda t: self.grad(X, y, t),
-            x0,
-            max_iter=self.max_iter,
-        )
+
+        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+            a, z = self._forward(X, theta)
+            losses = _log_loss(z, y) + 0.5 * self.l2_reg * float(theta @ theta)
+            grads = self._chain_from_dz(X, a, _sigmoid(z) - y, theta)
+            return float(np.mean(losses)), (grads + self.l2_reg * theta).mean(axis=0)
+
+        self.theta = minimize_loss(objective, x0, max_iter=self.max_iter)
         return self
 
     def predict_proba(self, X: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
@@ -124,8 +136,7 @@ class NeuralNetwork(TwiceDifferentiableClassifier):
         X, y = self._check_xy(X, y)
         th = self._resolve_theta(theta)
         _, z = self._forward(X, th)
-        nll = np.logaddexp(0.0, z) - y * z
-        return nll + 0.5 * self.l2_reg * float(th @ th)
+        return _log_loss(z, y) + 0.5 * self.l2_reg * float(th @ th)
 
     def per_sample_grads(
         self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None
@@ -133,9 +144,7 @@ class NeuralNetwork(TwiceDifferentiableClassifier):
         X, y = self._check_xy(X, y)
         th = self._resolve_theta(theta)
         a, z = self._forward(X, th)
-        dz = _sigmoid(z) - y
-        grads = self._chain_from_dz(X, a, dz, th)
-        return grads + self.l2_reg * th[None, :]
+        return self._chain_from_dz(X, a, _sigmoid(z) - y, th) + self.l2_reg * th[None, :]
 
     def grad_proba(self, X: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
         X = self._check_features(X)

@@ -16,140 +16,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.base import TwiceDifferentiableClassifier
-from repro.models.logistic_regression import _sigmoid
-from repro.models.optim import minimize_loss
+from repro.models.linear import LinearClassifier
 
 
-class LinearSVM(TwiceDifferentiableClassifier):
+def _squared_hinge(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row ``max(0, 1 − ỹz)²`` with ỹ = 2y − 1."""
+    return np.maximum(0.0, 1.0 - (2.0 * y - 1.0) * z) ** 2
+
+
+def _squared_hinge_derivatives(
+    z: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """∂/∂z and ∂²/∂z² of :func:`_squared_hinge`: −2·max(0, 1 − ỹz)·ỹ and 2·1[ỹz < 1].
+
+    The second derivative is taken as 0 at the kink ỹz = 1, where the
+    first one is 0 too.
+    """
+    signed = 2.0 * y - 1.0
+    slack = np.maximum(0.0, 1.0 - signed * z)
+    return -2.0 * slack * signed, 2.0 * (slack > 0.0).astype(np.float64)
+
+
+class LinearSVM(LinearClassifier):
     """L2-regularized linear SVM with squared-hinge loss."""
 
+    _row_loss = staticmethod(_squared_hinge)
+    _row_derivatives = staticmethod(_squared_hinge_derivatives)
+
     def __init__(self, l2_reg: float = 1e-2, fit_intercept: bool = True, max_iter: int = 500):
-        if l2_reg < 0:
-            raise ValueError(f"l2_reg must be non-negative, got {l2_reg}")
-        self.l2_reg = float(l2_reg)
-        self.fit_intercept = bool(fit_intercept)
-        self.max_iter = int(max_iter)
-        self.theta: np.ndarray | None = None
-        self._num_features: int | None = None
-
-    # ------------------------------------------------------------------
-    def clone(self) -> "LinearSVM":
-        return LinearSVM(self.l2_reg, self.fit_intercept, self.max_iter)
-
-    @property
-    def num_params(self) -> int:
-        if self._num_features is None:
-            raise RuntimeError("model has no feature dimension yet; call fit() first")
-        return self._num_features + (1 if self.fit_intercept else 0)
-
-    def _augment(self, X: np.ndarray) -> np.ndarray:
-        if self._num_features is None:
-            self._num_features = X.shape[1]
-        elif X.shape[1] != self._num_features:
-            raise ValueError(f"X has {X.shape[1]} features, expected {self._num_features}")
-        if self.fit_intercept:
-            return np.hstack([X, np.ones((len(X), 1))])
-        return X
-
-    # ------------------------------------------------------------------
-    def fit(self, X: np.ndarray, y: np.ndarray, warm_start: np.ndarray | None = None) -> "LinearSVM":
-        X, y = self._check_xy(X, y)
-        self._num_features = X.shape[1]
-        x0 = warm_start if warm_start is not None else np.zeros(self.num_params)
-        self.theta = minimize_loss(
-            lambda t: self.loss(X, y, t),
-            lambda t: self.grad(X, y, t),
-            x0,
-            max_iter=self.max_iter,
-        )
-        return self
-
-    def decision_function(self, X: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
-        """Raw margin θᵀ[x, 1]."""
-        X = np.asarray(X, dtype=np.float64)
-        return self._augment(X) @ self._resolve_theta(theta)
-
-    def predict_proba(self, X: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
-        return _sigmoid(self.decision_function(X, theta))
-
-    def predict_proba_many(self, X: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        thetas = self._check_theta_stack(thetas)
-        Xa = self._augment(np.asarray(X, dtype=np.float64))
-        return _sigmoid(Xa @ thetas.T)
-
-    # ------------------------------------------------------------------
-    def per_sample_losses(
-        self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None
-    ) -> np.ndarray:
-        X, y = self._check_xy(X, y)
-        th = self._resolve_theta(theta)
-        margins = (2.0 * y - 1.0) * (self._augment(X) @ th)
-        slack = np.maximum(0.0, 1.0 - margins)
-        return slack**2 + 0.5 * self.l2_reg * float(th @ th)
-
-    def per_sample_grads(
-        self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None
-    ) -> np.ndarray:
-        X, y = self._check_xy(X, y)
-        th = self._resolve_theta(theta)
-        Xa = self._augment(X)
-        signed = 2.0 * y - 1.0
-        slack = np.maximum(0.0, 1.0 - signed * (Xa @ th))
-        return (-2.0 * slack * signed)[:, None] * Xa + self.l2_reg * th[None, :]
-
-    def hessian(
-        self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None
-    ) -> np.ndarray:
-        X, y = self._check_xy(X, y)
-        th = self._resolve_theta(theta)
-        Xa = self._augment(X)
-        signed = 2.0 * y - 1.0
-        active = (signed * (Xa @ th)) < 1.0
-        weights = 2.0 * active.astype(np.float64)
-        hess = (Xa * weights[:, None]).T @ Xa / len(Xa)
-        hess += self.l2_reg * np.eye(self.num_params)
-        return hess
-
-    def hessian_factors(
-        self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        X, y = self._check_xy(X, y)
-        th = self._resolve_theta(theta)
-        Xa = self._augment(X)
-        signed = 2.0 * y - 1.0
-        active = (signed * (Xa @ th)) < 1.0
-        return Xa, 2.0 * active.astype(np.float64), self.l2_reg
-
-    def input_grads(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        vector: np.ndarray,
-        theta: np.ndarray | None = None,
-    ) -> np.ndarray:
-        # vᵀ∇_θℓ(z, θ) = −2·max(0, 1 − m)·ỹ·(vᵀx̃) + λ vᵀθ with m = ỹ·θᵀx̃,
-        # ỹ = 2y − 1.  Differentiating in x (the L2 term is constant, ỹ² = 1):
-        #   ∇_x = 2·1[m < 1]·(vᵀx̃)·θ_x − 2·max(0, 1 − m)·ỹ·v_x
-        # with θ_x, v_x the non-intercept slices.  The active-margin
-        # indicator matches the subgradient convention of per_sample_grads
-        # (zero exactly at the kink m = 1).
-        X, y = self._check_xy(X, y)
-        th = self._resolve_theta(theta)
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (self.num_params,):
-            raise ValueError(f"vector shape {vector.shape} != ({self.num_params},)")
-        Xa = self._augment(X)
-        signed = 2.0 * y - 1.0
-        slack = np.maximum(0.0, 1.0 - signed * (Xa @ th))
-        active = (slack > 0.0).astype(np.float64)
-        d = X.shape[1]
-        curvature = 2.0 * active * (Xa @ vector)
-        return curvature[:, None] * th[None, :d] + (-2.0 * slack * signed)[:, None] * vector[None, :d]
-
-    def grad_proba(self, X: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        th = self._resolve_theta(theta)
-        Xa = self._augment(X)
-        p = _sigmoid(Xa @ th)
-        return (p * (1.0 - p))[:, None] * Xa
+        super().__init__(l2_reg, fit_intercept, max_iter)

@@ -12,7 +12,8 @@ solve as span attributes; this module folds them into FLOP estimates:
 
 Cache hit/miss figures come from ``trace.add("cache_hits", 1)`` calls
 at the artifact accessors, and ``evaluations`` counts influence
-evaluations (subsets scored).  :meth:`CostReport.from_span` walks one
+evaluations (subsets scored); a ``model.fit`` span's ``evaluations`` are
+objective calls and are left out.  :meth:`CostReport.from_span` walks one
 query's subtree, sums those attributes, and aggregates wall time per
 span name with a ``%self`` breakdown (time spent in a span but not in
 any of its children) so a profile shows where each query's milliseconds
@@ -75,6 +76,8 @@ class CostReport:
         per_name: dict[str, list[float]] = {}
         for node in span.walk():
             for key in totals:
+                if key == "evaluations" and node.name == "model.fit":
+                    continue
                 value = node.attrs.get(key)
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
                     totals[key] += value

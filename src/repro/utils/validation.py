@@ -25,6 +25,20 @@ def check_2d(array: np.ndarray, name: str = "array") -> np.ndarray:
     return arr
 
 
+def check_finite(array: np.ndarray, name: str = "array") -> None:
+    """Raise ``ValueError`` if a 2-D ``array`` holds NaN or ±inf.
+
+    The message names the first bad column and counts the bad rows.
+    """
+    bad = ~np.isfinite(array)
+    if bad.any():
+        column = int(np.flatnonzero(bad.any(axis=0))[0])
+        rows = int(bad.any(axis=1).sum())
+        raise ValueError(
+            f"{name} has NaN or inf in {rows} row(s), first in column {column}"
+        )
+
+
 def check_same_length(a: np.ndarray, b: np.ndarray, names: tuple[str, str] = ("a", "b")) -> None:
     """Raise ``ValueError`` unless ``a`` and ``b`` have equal first dimension."""
     if len(a) != len(b):

@@ -7,7 +7,7 @@ from repro.core import GopherExplainer
 from repro.datasets import Dataset, ProtectedGroup, load_german, train_test_split
 from repro.fairness import FairnessContext, get_metric
 from repro.influence import FirstOrderInfluence
-from repro.models import LogisticRegression
+from repro.models import LinearSVM, LogisticRegression, NeuralNetwork
 from repro.tabular import Table
 
 
@@ -105,3 +105,25 @@ class TestDegenerateSearchInputs:
         gopher.fit(train, test)
         result = gopher.explain(k=50, verify=False)
         assert len(result) <= 50  # returns what exists, no error
+
+
+class TestNonFiniteFeatures:
+    """A NaN or ±inf feature must not fit silently to the starting θ."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("model", [LogisticRegression, LinearSVM, NeuralNetwork])
+    def test_fit_raises_naming_x(self, model, bad, tiny_xy):
+        X, y = tiny_xy
+        X = X.copy()
+        X[7, 2] = bad
+        with pytest.raises(ValueError, match=r"X has NaN or inf in 1 row\(s\), first in column 2"):
+            model().fit(X, y)
+
+    def test_message_counts_rows_and_names_the_first_column(self, tiny_xy):
+        X, y = tiny_xy
+        X = X.copy()
+        X[3, 3] = np.nan
+        X[9, 1] = np.inf
+        X[9, 3] = -np.inf
+        with pytest.raises(ValueError, match=r"in 2 row\(s\), first in column 1"):
+            LogisticRegression().fit(X, y)

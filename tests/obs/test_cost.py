@@ -48,6 +48,17 @@ class TestFromSpan:
             assert line.count == 1
             assert line.self_seconds <= line.total_seconds
 
+    def test_fit_objective_calls_are_not_influence_evaluations(self):
+        tracer = Tracer()
+        with tracer.span("update.verify") as verify:
+            with tracer.span("model.fit", params=5) as fit:
+                fit.set(evaluations=37, iterations=30, status=0)
+            with tracer.span("influence.batch") as batch:
+                batch.add("evaluations", 4)
+        report = CostReport.from_span(verify)
+        assert report.influence_evaluations == 4
+        assert {line.name for line in report.lines} >= {"model.fit", "influence.batch"}
+
     def test_repeated_span_names_fold_into_one_line(self):
         tracer = Tracer()
         with tracer.span("q") as q:
