@@ -72,7 +72,7 @@ def test_ablation_support_threshold(benchmark, setup):
             result = compute_candidates(
                 bundle.train.table, estimator, tau, max_predicates=2
             )
-            top, _ = select_top_k(result.candidates, 3, 0.5)
+            top = select_top_k(result.candidates, 3, 0.5)
             best = top[0].responsibility if top else float("nan")
             rows.append([f"{tau:.0%}", result.num_candidates, f"{best:.2%}"])
         return rows
@@ -98,7 +98,7 @@ def test_ablation_containment_threshold(benchmark, setup):
     def run():
         rows = []
         for c in (0.25, 0.5, 0.75, 1.0):
-            top, _ = select_top_k(result.candidates, 3, c)
+            top = select_top_k(result.candidates, 3, c)
             overlap = 0.0
             masks = [s.mask() for s in top]
             for i in range(len(masks)):

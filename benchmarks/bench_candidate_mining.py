@@ -80,8 +80,8 @@ def _traced_generate(engine_name: str, table, estimator, max_predicates: int):
 
 
 def _assert_identical_top_k(name, lattice, mined, k=TOP_K):
-    top_lattice, _ = select_top_k(lattice, k, containment_threshold=0.5)
-    top_mined, _ = select_top_k(mined, k, containment_threshold=0.5)
+    top_lattice = select_top_k(lattice, k, containment_threshold=0.5)
+    top_mined = select_top_k(mined, k, containment_threshold=0.5)
     assert [s.pattern for s in top_lattice] == [s.pattern for s in top_mined], (
         f"{name}: top-{k} patterns diverged between engines:\n"
         f"  lattice: {[str(s.pattern) for s in top_lattice]}\n"

@@ -121,8 +121,8 @@ def _parity_rows(bundle, estimator, max_predicates):
     start = time.perf_counter()
     batched = compute_candidates(bundle.train.table, estimator, 0.05, max_predicates)
     batch_s = time.perf_counter() - start
-    top_loop, _ = select_top_k(loop, TOP_K, containment_threshold=0.5)
-    top_batch, _ = select_top_k(batched, TOP_K, containment_threshold=0.5)
+    top_loop = select_top_k(loop, TOP_K, containment_threshold=0.5)
+    top_batch = select_top_k(batched, TOP_K, containment_threshold=0.5)
     assert [s.pattern for s in top_loop] == [s.pattern for s in top_batch], (
         "the exact kernel's lattice search changed the top-k explanations"
     )

@@ -15,6 +15,7 @@ import os
 
 from repro.bench import build_pipeline, emit, render_table
 from repro.influence import FirstOrderInfluence
+from repro.obs import trace
 from repro.patterns import compute_candidates, select_top_k
 
 MAX_LEVEL = int(os.environ.get("REPRO_TABLE7_MAX_LEVEL", "5"))
@@ -34,13 +35,14 @@ def _run(max_level: int) -> list[list[object]]:
             max_predicates=level,
             num_bins=6,
         )
-        _, filter_seconds = select_top_k(result.candidates, k=5, containment_threshold=0.5)
+        with trace.span("explain.filter", k=5) as filter_span:
+            select_top_k(result.candidates, k=5, containment_threshold=0.5)
         execution = sum(lv.seconds for lv in result.levels)
         rows.append(
             [
                 level,
                 f"{execution:.2f}",
-                f"{filter_seconds * 1000:.0f}",
+                f"{filter_span.seconds * 1000:.0f}",
                 result.num_candidates,
                 sum(lv.num_merges_tried for lv in result.levels),
             ]

@@ -79,14 +79,6 @@ class DeltaReplay:
     record: LatticeRecord
 
 
-def _baseline(estimator) -> float:
-    return (
-        estimator.original_surrogate
-        if estimator.evaluation == "smooth"
-        else estimator.original_bias
-    )
-
-
 def _batch_scores(estimator, packed: np.ndarray, num_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities and bias changes for packed masks (empty-safe)."""
     if packed.shape[0] == 0:
@@ -94,7 +86,7 @@ def _batch_scores(estimator, packed: np.ndarray, num_rows: int) -> tuple[np.ndar
         return empty, empty
     with trace.span("delta.score", m=int(packed.shape[0])):
         bias = estimator.bias_change_batch(packed, num_rows=num_rows)
-        base = _baseline(estimator)
+        base = estimator.baseline
         resp = -bias / base if base != 0.0 else np.zeros_like(bias)
     return resp, bias
 
@@ -306,6 +298,17 @@ def replay_search(
         else None
     )
 
+    def select(pool: list[PatternStats]) -> tuple[list[PatternStats], float]:
+        with trace.span("delta.filter", k=k) as filter_span:
+            chosen = select_top_k(
+                pool,
+                k,
+                config.containment_threshold,
+                exclude_features_only=protected_only,
+                max_responsibility=config.max_responsibility,
+            )
+        return chosen, filter_span.seconds
+
     # Phase-1 selection over the exactly-scored pool.
     supports2 = geometry.supports2
     scored = ~np.isnan(resp2)
@@ -313,13 +316,7 @@ def replay_search(
     if prune:
         in_result &= resp2 > bars
     candidates = build_candidates()
-    selected, filter_seconds = select_top_k(
-        candidates,
-        k,
-        config.containment_threshold,
-        exclude_features_only=protected_only,
-        max_responsibility=config.max_responsibility,
-    )
+    selected, filter_seconds = select(candidates)
 
     # Boundary screen for pairs the pre-edit search evaluated but filtered
     # out.  A support-banded drift envelope, calibrated from everything
@@ -365,13 +362,7 @@ def replay_search(
         if np.any(rescore & in_result):
             # An actual entrant: rebuild the pool and re-select.
             candidates = build_candidates()
-            selected, reselect_seconds = select_top_k(
-                candidates,
-                k,
-                config.containment_threshold,
-                exclude_features_only=protected_only,
-                max_responsibility=config.max_responsibility,
-            )
+            selected, reselect_seconds = select(candidates)
             filter_seconds += reselect_seconds
 
     # Refresh the record so successive delta audits chain off this one.

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.config import GopherConfig
@@ -144,7 +142,6 @@ class GopherExplainer:
         assert self.session is not None and self.protected_group is not None
         cfg = self.config
 
-        start = time.perf_counter()
         engine = make_engine(cfg.engine)
         self.session.metrics.inc(f"engine.{cfg.engine}_searches")
         with trace.span("explain.search", engine=cfg.engine) as search_span:
@@ -163,12 +160,11 @@ class GopherExplainer:
             search_span.set(
                 candidates=lattice.num_candidates, evaluated=lattice.num_evaluated
             )
-        search_seconds = time.perf_counter() - start
         protected_only = (
             {self.protected_group.attribute} if cfg.exclude_protected_only else None
         )
-        with trace.span("explain.filter", k=k):
-            selected, filter_seconds = select_top_k(
+        with trace.span("explain.filter", k=k) as filter_span:
+            selected = select_top_k(
                 lattice,
                 k,
                 cfg.containment_threshold,
@@ -183,8 +179,8 @@ class GopherExplainer:
             explanations=explanations,
             metric_name=cfg.metric,
             original_bias=self.original_bias,
-            search_seconds=search_seconds,
-            filter_seconds=filter_seconds,
+            search_seconds=search_span.seconds,
+            filter_seconds=filter_span.seconds,
             lattice=lattice,
         )
 

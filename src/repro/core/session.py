@@ -28,7 +28,6 @@ the Hessian exactly once" is an assertable property, not a hope — see
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -383,39 +382,39 @@ class AuditSession:
         edited data this way, reusing the original encoder so the encoded
         matrices agree bit for bit).
         """
-        start = time.perf_counter()
-        if test is None:
-            train, test = train_test_split(train, self.config.test_fraction, self.config.seed)
-        self.train_data, self.test_data = train, test
-        self.encoder = encoder if encoder is not None else TabularEncoder().fit(train.table)
-        self.X_train = self.encoder.transform(train.table)
-        self.X_test = self.encoder.transform(test.table)
-        if self.model.theta is None:
-            self.model.fit(self.X_train, train.labels)
-        else:
-            expected = self.model.num_features
-            if expected is not None and expected != self.X_train.shape[1]:
-                raise ValueError(
-                    f"pre-fitted model was trained on {expected} features but this "
-                    f"dataset encodes to {self.X_train.shape[1]}; the model belongs "
-                    "to a different encoding — refit it (or pass an unfitted model) "
-                    "before starting a session"
-                )
-        # A refit is a fresh start-up: counters restart from zero so the
-        # exactly-once amortization assertions stay meaningful.
-        self.metrics = MetricsRegistry()
-        self.artifacts = ModelArtifacts(
-            self.model, self.X_train, train.labels, metrics=self.metrics
-        )
-        # Sessions answer many queries over metric-independent candidate
-        # masks, so cross-metric extent caching (g_S gradient sums and
-        # per-estimator-spec Δθ rows) pays; bare estimators keep it off.
-        self.artifacts.enable_extent_caching()
-        self.alphabet_cache = AlphabetCache(train.table, metrics=self.metrics)
-        self._contexts = {}
-        self.last_audit = None
-        self._last_audit_key = None
-        self.setup_seconds = time.perf_counter() - start
+        with trace.span("session.fit") as fit_span:
+            if test is None:
+                train, test = train_test_split(train, self.config.test_fraction, self.config.seed)
+            self.train_data, self.test_data = train, test
+            self.encoder = encoder if encoder is not None else TabularEncoder().fit(train.table)
+            self.X_train = self.encoder.transform(train.table)
+            self.X_test = self.encoder.transform(test.table)
+            if self.model.theta is None:
+                self.model.fit(self.X_train, train.labels)
+            else:
+                expected = self.model.num_features
+                if expected is not None and expected != self.X_train.shape[1]:
+                    raise ValueError(
+                        f"pre-fitted model was trained on {expected} features but this "
+                        f"dataset encodes to {self.X_train.shape[1]}; the model belongs "
+                        "to a different encoding — refit it (or pass an unfitted model) "
+                        "before starting a session"
+                    )
+            # A refit is a fresh start-up: counters restart from zero so the
+            # exactly-once amortization assertions stay meaningful.
+            self.metrics = MetricsRegistry()
+            self.artifacts = ModelArtifacts(
+                self.model, self.X_train, train.labels, metrics=self.metrics
+            )
+            # Sessions answer many queries over metric-independent candidate
+            # masks, so cross-metric extent caching (g_S gradient sums and
+            # per-estimator-spec Δθ rows) pays; bare estimators keep it off.
+            self.artifacts.enable_extent_caching()
+            self.alphabet_cache = AlphabetCache(train.table, metrics=self.metrics)
+            self._contexts = {}
+            self.last_audit = None
+            self._last_audit_key = None
+        self.setup_seconds = fit_span.seconds
         return self
 
     def warm(
@@ -628,7 +627,6 @@ class AuditSession:
         ):
             for group in group_list:
                 for metric in metric_names:
-                    start = time.perf_counter()
                     with trace.span(
                         "audit.query", metric=metric, group=group.describe()
                     ) as query_span:
@@ -636,7 +634,6 @@ class AuditSession:
                             metric=metric, group=group, estimator=estimator
                         )
                         explanations = view.explain(k=k, verify=verify)
-                    seconds = time.perf_counter() - start
                     cost = (
                         CostReport.from_span(query_span)
                         if trace.get_tracer().enabled
@@ -647,7 +644,7 @@ class AuditSession:
                             metric=metric,
                             group=group,
                             explanations=explanations,
-                            seconds=seconds,
+                            seconds=query_span.seconds,
                             cost=cost,
                         )
                     )
@@ -749,96 +746,95 @@ class AuditSession:
             raise ValueError(
                 f'recheck must be "auto", "always", or "never", got {recheck!r}'
             )
-        start = time.perf_counter()
-        assert self.test_data is not None and self.artifacts is not None
-        metric_names = list(metrics) if metrics is not None else list_metrics()
-        group_list = list(groups) if groups is not None else [self.test_data.protected]
-        key = self._audit_key(metric_names, group_list, k, verify, estimator)
-        with self._lock:
-            last_audit, last_key = self.last_audit, self._last_audit_key
-        if last_audit is not None and last_key == key:
-            before = last_audit
-        else:
-            before = self.audit(
-                metrics=metric_names, groups=group_list, k=k, verify=verify,
-                estimator=estimator,
+        with trace.span("delta.audit") as audit_span:
+            assert self.test_data is not None and self.artifacts is not None
+            metric_names = list(metrics) if metrics is not None else list_metrics()
+            group_list = list(groups) if groups is not None else [self.test_data.protected]
+            key = self._audit_key(metric_names, group_list, k, verify, estimator)
+            with self._lock:
+                last_audit, last_key = self.last_audit, self._last_audit_key
+            if last_audit is not None and last_key == key:
+                before = last_audit
+            else:
+                before = self.audit(
+                    metrics=metric_names, groups=group_list, k=k, verify=verify,
+                    estimator=estimator,
+                )
+
+            # Certificate input (1): the level-1 alphabet of the audit's search
+            # key, captured on both sides of the edit.
+            cfg = self.config
+            assert self.alphabet_cache is not None
+            alphabet = self.alphabet_cache.get(
+                cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None
             )
+            specs_before = [predicate for predicate, _ in alphabet.entries]
+            self.apply_edit(edit)
+            alphabet = self.alphabet_cache.get(
+                cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None
+            )
+            level1_stable = specs_before == [predicate for predicate, _ in alphabet.entries]
+            # The replay's structural state (packing, skeleton AND, support
+            # filter) is metric-independent: build it once for the whole grid.
+            geometry = None
+            if level1_stable and recheck != "always" and cfg.max_predicates <= 2:
+                with trace.span("delta.geometry"):
+                    geometry = replay_geometry(alphabet, cfg.support_threshold)
 
-        # Certificate input (1): the level-1 alphabet of the audit's search
-        # key, captured on both sides of the edit.
-        cfg = self.config
-        assert self.alphabet_cache is not None
-        alphabet = self.alphabet_cache.get(
-            cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None
-        )
-        specs_before = [predicate for predicate, _ in alphabet.entries]
-        self.apply_edit(edit)
-        alphabet = self.alphabet_cache.get(
-            cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None
-        )
-        level1_stable = specs_before == [predicate for predicate, _ in alphabet.entries]
-        # The replay's structural state (packing, skeleton AND, support
-        # filter) is metric-independent: build it once for the whole grid.
-        geometry = None
-        if level1_stable and recheck != "always" and cfg.max_predicates <= 2:
-            with trace.span("delta.geometry"):
-                geometry = replay_geometry(alphabet, cfg.support_threshold)
-
-        delta_queries: list[DeltaQuery] = []
-        after_queries: list[AuditQuery] = []
-        with trace.span("delta.grid", queries=len(before.queries)):
-            for bq in before.queries:
-                t0 = time.perf_counter()
-                with trace.span(
-                    "delta.query", metric=bq.metric, group=bq.group.describe()
-                ) as query_span:
-                    view = self.explainer(
-                        metric=bq.metric, group=bq.group, estimator=estimator
+            delta_queries: list[DeltaQuery] = []
+            after_queries: list[AuditQuery] = []
+            with trace.span("delta.grid", queries=len(before.queries)):
+                for bq in before.queries:
+                    with trace.span(
+                        "delta.query", metric=bq.metric, group=bq.group.describe()
+                    ) as query_span:
+                        view = self.explainer(
+                            metric=bq.metric, group=bq.group, estimator=estimator
+                        )
+                        after_set, certified, recheck_ran, reason = self._delta_query(
+                            bq, view, k, verify, recheck, level1_stable, alphabet, geometry
+                        )
+                        query_span.set(certified=certified, recheck_ran=recheck_ran)
+                        if reason:
+                            query_span.set(reason=reason)
+                    seconds = query_span.seconds
+                    cost = (
+                        CostReport.from_span(query_span)
+                        if trace.get_tracer().enabled
+                        else None
                     )
-                    after_set, certified, recheck_ran, reason = self._delta_query(
-                        bq, view, k, verify, recheck, level1_stable, alphabet, geometry
+                    delta_queries.append(
+                        DeltaQuery(
+                            metric=bq.metric,
+                            group=bq.group,
+                            before=bq.explanations,
+                            after=after_set,
+                            certified=certified,
+                            recheck_ran=recheck_ran,
+                            seconds=seconds,
+                            reason=reason,
+                            cost=cost,
+                        )
                     )
-                    query_span.set(certified=certified, recheck_ran=recheck_ran)
-                    if reason:
-                        query_span.set(reason=reason)
-                seconds = time.perf_counter() - t0
-                cost = (
-                    CostReport.from_span(query_span)
-                    if trace.get_tracer().enabled
-                    else None
-                )
-                delta_queries.append(
-                    DeltaQuery(
-                        metric=bq.metric,
-                        group=bq.group,
-                        before=bq.explanations,
-                        after=after_set,
-                        certified=certified,
-                        recheck_ran=recheck_ran,
-                        seconds=seconds,
-                        reason=reason,
-                        cost=cost,
+                    after_queries.append(
+                        AuditQuery(
+                            metric=bq.metric, group=bq.group,
+                            explanations=after_set, seconds=seconds, cost=cost,
+                        )
                     )
-                )
-                after_queries.append(
-                    AuditQuery(
-                        metric=bq.metric, group=bq.group,
-                        explanations=after_set, seconds=seconds, cost=cost,
-                    )
-                )
-        after = AuditResult(
-            queries=after_queries, setup_seconds=self.setup_seconds,
-            stats=dict(self.stats),
-        )
-        with self._lock:
-            self.last_audit = after
-            self._last_audit_key = key
+            after = AuditResult(
+                queries=after_queries, setup_seconds=self.setup_seconds,
+                stats=dict(self.stats),
+            )
+            with self._lock:
+                self.last_audit = after
+                self._last_audit_key = key
         return DeltaAuditResult(
             edit=edit,
             queries=delta_queries,
             before=before,
             after=after,
-            seconds=time.perf_counter() - start,
+            seconds=audit_span.seconds,
             stats=dict(self.stats),
         )
 
@@ -858,7 +854,6 @@ class AuditSession:
         if recheck == "always":
             return view.explain(k=k, verify=verify), False, True, "recheck forced"
 
-        search_start = time.perf_counter()
         if level1_stable:
             record = getattr(before_query.explanations.lattice, "record", None)
             with trace.span("delta.replay", metric=cfg.metric) as replay_span:
@@ -882,7 +877,6 @@ class AuditSession:
                     f"({reason}) and recheck='never' forbids the fresh search"
                 )
             return view.explain(k=k, verify=verify), False, True, reason
-        search_seconds = time.perf_counter() - search_start
 
         explanations = [
             Explanation.from_stats(i + 1, s) for i, s in enumerate(replay.selected)
@@ -893,7 +887,7 @@ class AuditSession:
             explanations=explanations,
             metric_name=cfg.metric,
             original_bias=view.original_bias,
-            search_seconds=search_seconds,
+            search_seconds=replay_span.seconds,
             filter_seconds=replay.filter_seconds,
             lattice=CandidateResult(
                 candidates=replay.candidates,

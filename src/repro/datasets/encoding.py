@@ -46,6 +46,8 @@ class TabularEncoder:
     Categorical columns become one-hot blocks (all categories kept — Gopher
     needs to decode updates back to *named* category flips, so no category is
     dropped).  Numeric columns are z-standardized using training statistics.
+    ``fit`` and ``transform`` reject NaN or ±inf numeric cells by column
+    name: every table (train, test, added rows) becomes a matrix here.
     """
 
     def __init__(self) -> None:
@@ -71,6 +73,7 @@ class TabularEncoder:
                 )
                 self.feature_names.extend(f"{name}={c}" for c in categories)
             elif isinstance(column, NumericColumn):
+                _check_finite(name, column.values)
                 std = float(column.values.std())
                 group = EncodedGroup(
                     column=name,
@@ -118,6 +121,7 @@ class TabularEncoder:
             else:
                 if not isinstance(column, NumericColumn):
                     raise TypeError(f"column {group.column!r} changed type since fit")
+                _check_finite(group.column, column.values)
                 out[:, group.start] = (column.values - group.mean) / group.std
         return out
 
@@ -173,3 +177,9 @@ class TabularEncoder:
     def _require_fitted(self) -> None:
         if not self._fitted:
             raise RuntimeError("encoder is not fitted; call fit() first")
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise ValueError(f"column {name!r} has NaN or inf in {bad} row(s)")

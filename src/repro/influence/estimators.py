@@ -204,18 +204,22 @@ class InfluenceEstimator(ABC):
         after = self.metric.value(self.model, self.test_ctx, theta_new)
         return float(after - self.original_bias)
 
-    def responsibility(self, indices: np.ndarray) -> float:
-        """Causal responsibility R_F(S) of Definition 3.2 (estimated).
+    @property
+    def baseline(self) -> float:
+        """The original bias matching the evaluation mode.
 
-        The denominator matches the evaluation mode, so responsibility is
-        the *relative* bias reduction under the same measuring stick.
+        ``original_surrogate`` under ``evaluation="smooth"``, else
+        ``original_bias``.  It is the denominator of every responsibility,
+        so R is the *relative* bias reduction under the same measuring
+        stick as ΔF.
         """
-        baseline = (
-            self.original_surrogate if self.evaluation == "smooth" else self.original_bias
-        )
-        if baseline == 0.0:
+        return self.original_surrogate if self.evaluation == "smooth" else self.original_bias
+
+    def responsibility(self, indices: np.ndarray) -> float:
+        """Causal responsibility R_F(S) of Definition 3.2 (estimated): −ΔF / baseline."""
+        if self.baseline == 0.0:
             raise ZeroDivisionError("original bias is zero; responsibility is undefined")
-        return -self.bias_change(indices) / baseline
+        return -self.bias_change(indices) / self.baseline
 
     # -- the batched estimator contract -----------------------------------
     def param_change_batch(self, subsets, num_rows: int | None = None) -> np.ndarray:
@@ -351,12 +355,9 @@ class InfluenceEstimator(ABC):
 
     def responsibility_batch(self, subsets, num_rows: int | None = None) -> np.ndarray:
         """Causal responsibility R_F(S) for every subset — shape (m,)."""
-        baseline = (
-            self.original_surrogate if self.evaluation == "smooth" else self.original_bias
-        )
-        if baseline == 0.0:
+        if self.baseline == 0.0:
             raise ZeroDivisionError("original bias is zero; responsibility is undefined")
-        return -self.bias_change_batch(subsets, num_rows=num_rows) / baseline
+        return -self.bias_change_batch(subsets, num_rows=num_rows) / self.baseline
 
     # -- helpers ----------------------------------------------------------
     def _check_fresh(self) -> None:

@@ -48,17 +48,10 @@ class RetrainInfluence(InfluenceEstimator):
     def retrained_theta(self, indices: np.ndarray) -> np.ndarray:
         """Fit a clone on D ∖ S and return its parameters."""
         indices = self._subset_size_ok(indices)
-        keep = np.setdiff1d(np.arange(self.num_train), indices)
-        if keep.size == 0:
-            raise ValueError("cannot remove the entire training set")
-        y_keep = self.y_train[keep]
-        if len(np.unique(y_keep)) < 2:
-            raise ValueError("removal leaves a single class; the model is degenerate")
-        clone = self.model.clone()
-        start = self.theta.copy() if self.warm_start else None
-        clone.fit(self.X_train[keep], y_keep, warm_start=start)
-        assert clone.theta is not None
-        return clone.theta
+        return retrain_thetas(
+            self.model, self.X_train, self.y_train, [RetrainTask(indices)],
+            warm_start=self.theta if self.warm_start else None, n_jobs=1,
+        )[0]
 
     def param_change(self, indices: np.ndarray) -> np.ndarray:
         return self.retrained_theta(indices) - self.theta

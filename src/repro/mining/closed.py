@@ -109,7 +109,6 @@ candidate engine" tracks closing the gap.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,7 +134,6 @@ from repro.patterns.lattice import (
     CandidateResult,
     LatticeLevelStats,
     PatternStats,
-    _baseline,
     _parent_bar,
 )
 from repro.patterns.pattern import Pattern
@@ -270,7 +268,7 @@ class _InfluenceCache:
         self.num_rows = num_rows
         self.batch_size = batch_size
         self.key_fn = key_fn
-        self.baseline = _baseline(estimator)
+        self.baseline = estimator.baseline
         self.by_key: dict[object, tuple[float, float]] = {}
         self.num_evaluated = 0
 
@@ -364,12 +362,15 @@ def mine_closed_candidates(
     ``levels`` maps the miner's per-depth accounting onto the lattice's
     Table-7 shape: candidates = nodes surviving pruning at that depth,
     merges tried = attempted extensions, seconds = that depth's share of
-    *influence-evaluation* time (flushes of the packed buffer).  Bitset
-    traversal and the emission replay are not in any depth bucket, so the
-    per-depth seconds sum to less than the search's wall time — unlike
-    the lattice, whose level timers are wall-clock per level.  The number
-    of distinct extents visited is the ``closed`` attribute of the
-    ``mining.frontier`` span.
+    *influence-evaluation* time: each flush of the packed buffer runs in
+    one ``mining.batch`` span, whose seconds are split evenly over the
+    nodes it scored.  Bitset traversal and the emission replay are not in
+    any depth bucket, so the per-depth seconds sum to less than the
+    search's wall time — unlike the lattice, whose level seconds are its
+    whole ``lattice.level`` spans.  An empty alphabet reports one level-1
+    row with zero seconds, since no flush ran.  The number of distinct
+    extents visited is the ``closed`` attribute of the ``mining.frontier``
+    span.
     """
     if max_predicates < 1:
         raise ValueError(f"max_predicates must be >= 1, got {max_predicates}")
@@ -384,7 +385,6 @@ def mine_closed_candidates(
             f"({estimator.num_train}); patterns quantify over the training data"
         )
 
-    start = time.perf_counter()
     if alphabet is None:
         alphabet = PredicateAlphabet(
             table, support_threshold, num_bins, exclude_features
@@ -400,7 +400,7 @@ def mine_closed_candidates(
     # queries.
     predicates, tids = alphabet.miner_items()
     if not predicates:
-        return CandidateResult([], [LatticeLevelStats(1, 0, 0, time.perf_counter() - start)])
+        return CandidateResult([], [LatticeLevelStats(1, 0, 0, 0.0)])
     num_items = len(predicates)
 
     use_digest = projection == "auto" and num_rows >= _AUTO_DIGEST_MIN_ROWS
@@ -727,27 +727,27 @@ def mine_closed_candidates(
                 continue
             batch = pending[:batch_size]
             del pending[: len(batch)]
-            flush_start = time.perf_counter()
-            if use_digest:
-                # Expand local extents to global tidlists in byte-capped
-                # groups: the global forms are scoring transients, so the
-                # flush never holds batch_size full-width rows at once —
-                # the peak the memory-bound benchmark asserts on.
-                group: list[tuple[object, np.ndarray]] = []
-                group_bytes = 0
-                for node in batch:
-                    tid = global_tid(node)
-                    group.append((node.key, tid))
-                    group_bytes += tid.nbytes
-                    if group_bytes >= _FLUSH_GROUP_BYTES:
+            with trace.span("mining.batch", nodes=len(batch)) as batch_span:
+                if use_digest:
+                    # Expand local extents to global tidlists in byte-capped
+                    # groups: the global forms are scoring transients, so the
+                    # flush never holds batch_size full-width rows at once —
+                    # the peak the memory-bound benchmark asserts on.
+                    group: list[tuple[object, np.ndarray]] = []
+                    group_bytes = 0
+                    for node in batch:
+                        tid = global_tid(node)
+                        group.append((node.key, tid))
+                        group_bytes += tid.nbytes
+                        if group_bytes >= _FLUSH_GROUP_BYTES:
+                            cache.evaluate_pairs(group)
+                            group = []
+                            group_bytes = 0
+                    if group:
                         cache.evaluate_pairs(group)
-                        group = []
-                        group_bytes = 0
-                if group:
-                    cache.evaluate_pairs(group)
-            else:
-                cache.evaluate_pairs([(node.key, node.extent) for node in batch])
-            flush_seconds = time.perf_counter() - flush_start
+                else:
+                    cache.evaluate_pairs([(node.key, node.extent) for node in batch])
+            flush_seconds = batch_span.seconds
             for node in batch:
                 key = node.key
                 visited_keys.add(key)

@@ -4,7 +4,9 @@ Three layers, always compiled in, near-free when disabled:
 
 * :mod:`repro.obs.trace` — hierarchical spans over the whole query path
   (``trace.span`` / ``trace.add``), exported as structured JSON, Chrome
-  ``trace_event`` (Perfetto-loadable), or a terminal tree;
+  ``trace_event`` (Perfetto-loadable), or a terminal tree.  It holds the
+  library's only clock: with tracing off a span still times itself, and
+  every duration a result object reports is read off its span;
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of
   counters that the shared caches register into, each cache reading its
   own namespace through a dict-shaped :class:`StatsView`;
@@ -17,7 +19,6 @@ from repro.obs import trace
 from repro.obs.cost import CostLine, CostReport, gemm_flops, solve_flops
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.obs.trace import (
-    NULL_SPAN,
     NULL_TRACER,
     NullTracer,
     Span,
@@ -30,7 +31,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "NULL_SPAN",
     "NULL_TRACER",
     "CostLine",
     "CostReport",

@@ -1,13 +1,17 @@
-"""Hierarchical tracing for the audit query path.
+"""Hierarchical tracing for the audit query path, and its one clock.
 
 One :class:`Tracer` records a tree of :class:`Span` objects per thread.
 Instrumented code never checks whether tracing is on — it always calls
 ``trace.span(...)`` / ``trace.add(...)`` through the module-level
 helpers, and when tracing is disabled those route to a shared
-:class:`NullTracer` whose span object is a reusable no-op.  The disabled
-path is therefore one function call plus an empty context manager —
-cheap enough to leave in the hot loops permanently, since spans open per
-batch and per stage, never per subset (asserted structurally by
+:class:`NullTracer` whose spans only *time themselves*: a fresh two-slot
+object reads :data:`clock` on entry and exit, records no attributes and
+joins no tree.  Every duration the library reports is read off the
+``seconds`` of the span that brackets its work, traced or not, so
+:data:`clock` is the only clock in ``src``.  The disabled path is one
+call, one small allocation and two clock reads — cheap enough to leave
+in the hot loops permanently, since spans open per batch and per stage,
+never per subset (asserted structurally by
 ``tests/obs/test_audit_observability.py``).
 
 Exports
@@ -33,8 +37,8 @@ import threading
 import time
 from typing import Any
 
-# The single clock every observability consumer shares, so timings taken
-# outside a span and span durations are directly comparable.
+# The single clock of the library: traced and untraced spans both read it,
+# so every reported duration is on the same time base.
 clock = time.perf_counter
 
 _COST_KEYS = ("gemm_flops", "solve_flops", "evaluations", "cache_hits", "cache_misses")
@@ -272,35 +276,45 @@ def _format_attrs(attrs: dict[str, Any], limit: int = 4) -> str:
     return " [" + " ".join(parts) + "]"
 
 
-class _NullSpan:
-    """Shared no-op span: every method returns in O(1) with no allocation."""
+class _TimedSpan:
+    """Disabled-mode span: times itself on :data:`clock`, records nothing else.
 
-    __slots__ = ()
+    Fresh per ``span()`` call, so nested and concurrent spans keep their
+    own windows; ``clock`` is looked up at call time, so tests can patch it.
+    """
 
-    def __enter__(self) -> "_NullSpan":
+    __slots__ = ("end", "start")
+
+    def __init__(self) -> None:
+        self.start = self.end = 0.0
+
+    def __enter__(self) -> "_TimedSpan":
+        self.start = clock()
         return self
 
     def __exit__(self, *exc_info: object) -> bool:
+        self.end = clock()
         return False
 
-    def set(self, **attrs: Any) -> "_NullSpan":
+    def set(self, **attrs: Any) -> "_TimedSpan":
         return self
 
-    def add(self, key: str, n: float = 1) -> "_NullSpan":
+    def add(self, key: str, n: float = 1) -> "_TimedSpan":
         return self
 
-
-NULL_SPAN = _NullSpan()
+    @property
+    def seconds(self) -> float:
+        return max(0.0, self.end - self.start)
 
 
 class NullTracer:
-    """Disabled-mode tracer: hands out the shared :data:`NULL_SPAN`."""
+    """Disabled-mode tracer: hands out self-timing :class:`_TimedSpan` objects."""
 
     __slots__ = ()
     enabled = False
 
-    def span(self, name: str, **attrs: Any) -> _NullSpan:
-        return NULL_SPAN
+    def span(self, name: str, **attrs: Any) -> _TimedSpan:
+        return _TimedSpan()
 
     def add(self, key: str, n: float = 1) -> None:
         return None
@@ -337,7 +351,7 @@ def disable() -> None:
 
 
 def span(name: str, **attrs: Any):
-    """Open a span on the current tracer (no-op when tracing is off)."""
+    """Open a span on the current tracer (timing only when tracing is off)."""
     return _current.span(name, **attrs)
 
 

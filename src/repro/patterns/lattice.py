@@ -43,7 +43,6 @@ thousands of tiny per-candidate queries (see the cost model in
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,7 +87,11 @@ class PatternStats:
 
 @dataclass
 class LatticeLevelStats:
-    """Per-level accounting reported in the paper's Table 7."""
+    """Per-level accounting reported in the paper's Table 7.
+
+    ``seconds`` is the level's ``lattice.level`` span (the miner reports
+    each depth's share of its ``mining.batch`` spans instead).
+    """
 
     level: int
     num_candidates: int
@@ -406,7 +409,6 @@ def compute_candidates(
     all_stats: list[PatternStats] = []
 
     # --- level 1 ---------------------------------------------------------
-    start = time.perf_counter()
     with trace.span("lattice.level", level=1) as level_span:
         if alphabet is None:
             from repro.mining.alphabet import PredicateAlphabet  # repro.mining imports this module
@@ -440,12 +442,10 @@ def compute_candidates(
             all_stats.append(
                 _stats(Pattern([predicates[k]]), current, k, num_rows)
             )
-        levels.append(
-            LatticeLevelStats(
-                1, len(entries), alphabet.num_generated, time.perf_counter() - start
-            )
-        )
         level_span.set(candidates=len(entries), evaluated=len(entries))
+    levels.append(
+        LatticeLevelStats(1, len(entries), alphabet.num_generated, level_span.seconds)
+    )
 
     # Depth-2 searches are structurally replayable under data edits; record
     # the per-merge state the incremental re-audit needs (see LatticeRecord).
@@ -463,7 +463,6 @@ def compute_candidates(
     # --- levels 2..max ----------------------------------------------------
     level = 2
     while len(current.rows) and level <= max_predicates:
-        start = time.perf_counter()
         with trace.span("lattice.level", level=level) as level_span:
             # Gather phase: structural pruning only (dedup, satisfiability,
             # support).  Influence is deferred so the whole level is one batch.
@@ -519,14 +518,12 @@ def compute_candidates(
                         pair_in_result=in_result,
                     )
 
-            levels.append(
-                LatticeLevelStats(
-                    level, len(current.rows), merges.tried, time.perf_counter() - start
-                )
-            )
             level_span.set(
                 candidates=len(current.rows), merges=merges.tried, evaluated=int(fresh.sum())
             )
+        levels.append(
+            LatticeLevelStats(level, len(current.rows), merges.tried, level_span.seconds)
+        )
         level += 1
 
     record = None
@@ -543,14 +540,6 @@ def compute_candidates(
 
 
 # ----------------------------------------------------------------------
-def _baseline(estimator: InfluenceEstimator) -> float:
-    return (
-        estimator.original_surrogate
-        if estimator.evaluation == "smooth"
-        else estimator.original_bias
-    )
-
-
 def _evaluate_all(
     estimator: InfluenceEstimator,
     packed: np.ndarray,
@@ -573,7 +562,7 @@ def _evaluate_all(
         for start in range(0, len(packed), batch_size)
     ]
     bias_changes = np.concatenate(chunks)
-    baseline = _baseline(estimator)
+    baseline = estimator.baseline
     if baseline != 0.0:
         responsibilities = -bias_changes / baseline
     else:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.patterns.containment import containment
@@ -17,7 +15,7 @@ def select_top_k(
     require_positive_responsibility: bool = True,
     exclude_features_only: set[str] | None = None,
     max_responsibility: float = 1.25,
-) -> tuple[list[PatternStats], float]:
+) -> list[PatternStats]:
     """Pick the k most interesting, mutually diverse candidates.
 
     ``candidates`` is either a plain list of :class:`PatternStats` or the
@@ -44,8 +42,9 @@ def select_top_k(
     the paper's result tables never contain one, while the attribute freely
     appears *combined* with other predicates.
 
-    Returns ``(selected, filter_seconds)`` — the filtering time is reported
-    separately because Table 7 tracks it independently of search time.
+    Returns the selected candidates, best first.  Callers that report the
+    filtering time (Table 7 tracks it apart from search time) read it off
+    the span they open around this call.
     """
     if isinstance(candidates, CandidateResult):
         candidates = candidates.candidates
@@ -57,7 +56,6 @@ def select_top_k(
         )
     if max_responsibility <= 0:
         raise ValueError(f"max_responsibility must be positive, got {max_responsibility}")
-    start = time.perf_counter()
     pool = [
         c
         for c in candidates
@@ -79,4 +77,4 @@ def select_top_k(
         selected_masks.append(mask)
         if len(selected) == k:
             break
-    return selected, time.perf_counter() - start
+    return selected

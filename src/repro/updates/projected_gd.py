@@ -39,7 +39,6 @@ and a per-pattern **search**:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -351,8 +350,9 @@ def find_update_explanations(
             search_seconds=0.0,
         )
 
-    start = time.perf_counter()
-    with trace.span("update.search", patterns=len(patterns), steps=num_steps):
+    with trace.span(
+        "update.search", patterns=len(patterns), steps=num_steps
+    ) as search_span:
         subset_Xs = [context.X_train[indices] for indices in subsets]
         subset_ys = [context.y_train[indices] for indices in subsets]
         domains = [
@@ -379,13 +379,11 @@ def find_update_explanations(
             "update.score", scales=len(_BACKOFF_SCALES) * len(patterns)
         ):
             best_rows, best_changes = _score_backoff(context, domains, subsets, deltas)
-    search_seconds = time.perf_counter() - start
 
     verify_seconds = 0.0
     gt_changes: list[float | None] = [None] * len(patterns)
     if verify:
-        start = time.perf_counter()
-        with trace.span("update.verify", retrains=len(subsets)):
+        with trace.span("update.verify", retrains=len(subsets)) as verify_span:
             tasks = [
                 RetrainTask(indices, rows) for indices, rows in zip(subsets, best_rows)
             ]
@@ -395,7 +393,7 @@ def find_update_explanations(
             )
             after = metric.value_batch(model, test_ctx, thetas)
             gt_changes = [float(a - context.original_bias) for a in after]
-        verify_seconds = time.perf_counter() - start
+        verify_seconds = verify_span.seconds
 
     updates = []
     for i, (pattern, indices) in enumerate(zip(patterns, subsets)):
@@ -418,7 +416,7 @@ def find_update_explanations(
         updates=updates,
         metric_name=metric.name,
         original_bias=context.original_bias,
-        search_seconds=search_seconds,
+        search_seconds=search_span.seconds,
         verify_seconds=verify_seconds,
     )
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import GopherExplainer
-from repro.datasets import Dataset, ProtectedGroup, load_german, train_test_split
+from repro.core import AuditSession, GopherExplainer
+from repro.datasets import DataEdit, Dataset, ProtectedGroup, load_german, train_test_split
 from repro.fairness import FairnessContext, get_metric
 from repro.influence import FirstOrderInfluence
 from repro.models import LinearSVM, LogisticRegression, NeuralNetwork
-from repro.tabular import Table
+from repro.tabular import NumericColumn, Table
 
 
 class TestZeroBias:
@@ -127,3 +127,70 @@ class TestNonFiniteFeatures:
         X[9, 3] = -np.inf
         with pytest.raises(ValueError, match=r"in 2 row\(s\), first in column 1"):
             LogisticRegression().fit(X, y)
+
+
+def with_bad_cell(data: Dataset, row: int, value: float) -> Dataset:
+    """``data`` with one ``duration`` cell replaced, columns kept in order."""
+    table = data.table
+    values = table.column("duration").values.copy()
+    values[row] = value
+    columns = [
+        NumericColumn(name, values) if name == "duration" else table.column(name)
+        for name in table.column_names
+    ]
+    return Dataset(data.name, Table(columns), data.labels, data.protected, data.favorable_label)
+
+
+@pytest.fixture(scope="module")
+def repair_session(lr_model, german_train, german_test):
+    """A series/smooth depth-2 session that has audited once."""
+    session = AuditSession(
+        lr_model,
+        max_predicates=2,
+        support_threshold=0.05,
+        estimator="series",
+        estimator_kwargs={"evaluation": "smooth"},
+    ).fit(german_train, german_test)
+    session.audit(metrics=["statistical_parity"], k=3)
+    return session
+
+
+BAD_CELL = r"column 'duration' has NaN or inf in 1 row\(s\)"
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+
+
+class TestNonFiniteCells:
+    """A NaN or ±inf table cell is refused where tables become matrices,
+    on every path into a session — never a silent 0.0 bias or empty top-k."""
+
+    @NON_FINITE
+    def test_pre_fitted_model_with_bad_train_cell(self, bad, lr_model, german_train, german_test):
+        session = AuditSession(lr_model, estimator="first_order")
+        with pytest.raises(ValueError, match=BAD_CELL):
+            session.fit(with_bad_cell(german_train, 5, bad), german_test)
+
+    @NON_FINITE
+    def test_bad_test_cell(self, bad, german_train, german_test):
+        session = AuditSession(LogisticRegression(l2_reg=1e-3), estimator="first_order")
+        with pytest.raises(ValueError, match=BAD_CELL):
+            session.fit(german_train, with_bad_cell(german_test, 5, bad))
+
+    @NON_FINITE
+    def test_bad_added_row(self, bad, repair_session):
+        added = with_bad_cell(repair_session.train_data.subset([0, 1, 2, 3]), 2, bad)
+        with pytest.raises(ValueError, match=BAD_CELL):
+            repair_session.delta_audit(
+                DataEdit.add(added.table, added.labels), metrics=["statistical_parity"], k=3
+            )
+
+    def test_refused_edit_leaves_the_session_unedited(self, repair_session):
+        stats, X_train = repair_session.stats, repair_session.X_train.copy()
+        train = repair_session.train_data
+        added = with_bad_cell(train.subset([0, 1, 2, 3]), 1, np.nan)
+        with pytest.raises(ValueError, match=BAD_CELL):
+            repair_session.delta_audit(
+                DataEdit.add(added.table, added.labels), metrics=["statistical_parity"], k=3
+            )
+        assert repair_session.stats == stats
+        assert repair_session.train_data is train
+        np.testing.assert_array_equal(repair_session.X_train, X_train)

@@ -22,7 +22,7 @@ from repro.patterns import CandidateResult, compute_candidates, select_top_k
 
 
 def top_k_pairs(result, k):
-    selected, _ = select_top_k(result, k, containment_threshold=0.5)
+    selected = select_top_k(result, k, containment_threshold=0.5)
     return [(s.pattern, s.responsibility, s.support, s.bias_change) for s in selected]
 
 
@@ -208,7 +208,7 @@ class TestEngineProtocol:
             german_train.table, german_series_estimator,
             support_threshold=0.05, max_predicates=1,
         )
-        selected, _ = select_top_k(result, 2, containment_threshold=0.99)
+        selected = select_top_k(result, 2, containment_threshold=0.99)
         assert 1 <= len(selected) <= 2
 
 

@@ -9,15 +9,21 @@ trace stays bounded: the audit opens spans per batch, never per subset,
 so leaving the instrumentation in the hot loops is free.
 """
 
+import itertools
 from collections import Counter
 
 import pytest
 
 from repro.core import AuditSession
+from repro.datasets import random_edit
 from repro.obs import trace
-from repro.obs.trace import NULL_SPAN, Tracer
+from repro.obs.trace import Tracer
 
 SEARCH = dict(max_predicates=2, support_threshold=0.05)
+LIFECYCLE_METRICS = ["statistical_parity", "equal_opportunity"]
+# Leaves the level-1 alphabet stable on the fixture split, so every delta
+# query is a certified replay.
+EDIT_SEED = 3
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +33,31 @@ def traced_audit(lr_model, german_train, german_test):
     with trace.tracing(tracer):
         result = session.audit(k=2, verify=False)
     return session, tracer, result
+
+
+def run_lifecycle(lr_model, train, test):
+    """A session's fit, an audit, a verified update search and a delta audit."""
+    session = AuditSession(lr_model, retrain_jobs=1, **SEARCH).fit(train, test)
+    result = session.audit(metrics=LIFECYCLE_METRICS, k=2, verify=False)
+    updates = session.explainer(metric=LIFECYCLE_METRICS[0]).explain_updates(
+        result[0].explanations, verify=True, num_steps=10
+    )
+    edit = random_edit(session.train_data, "remove", count=4, seed=EDIT_SEED)
+    delta = session.delta_audit(edit, metrics=LIFECYCLE_METRICS, k=2, recheck="never")
+    return session, result, updates, delta
+
+
+@pytest.fixture(scope="module")
+def traced_lifecycle(lr_model, german_train, german_test):
+    tracer = Tracer()
+    with trace.tracing(tracer):
+        run = run_lifecycle(lr_model, german_train, german_test)
+    return tracer, run
+
+
+def named(root, name: str) -> list:
+    """Spans called ``name`` under a tracer or span, in depth-first order."""
+    return [span for span in root.walk() if span.name == name]
 
 
 class TestCostAttribution:
@@ -119,16 +150,86 @@ class TestTraceShape:
         summary = validate_trace.validate(tracer.export())
         assert summary.startswith("ok:")
 
-    def test_query_seconds_cover_their_span(self, traced_audit):
-        """``AuditQuery.seconds`` is timed on the tracer's clock around the
-        query's ``audit.query`` span, so it can never be shorter."""
-        _, tracer, result = traced_audit
-        spans = [span for span in tracer.walk() if span.name == "audit.query"]
-        assert len(spans) == len(result.queries)
-        for query, span in zip(result.queries, spans):
+    def test_query_seconds_cover_their_span(self, traced_lifecycle):
+        """Every reported duration is read off the span that brackets its
+        work, so it equals that span's duration exactly."""
+        tracer, (session, result, updates, delta) = traced_lifecycle
+        (fit,) = named(tracer, "session.fit")
+        assert session.setup_seconds == result.setup_seconds == fit.seconds > 0
+
+        queries = named(tracer, "audit.query")
+        assert len(queries) == len(result.queries)
+        for query, span in zip(result.queries, queries):
             assert span.attrs["metric"] == query.metric
-            assert query.seconds > 0
-            assert query.seconds >= span.seconds
+            assert query.seconds == span.seconds > 0
+            (search,) = named(span, "explain.search")
+            (selection,) = named(span, "explain.filter")
+            assert query.explanations.search_seconds == search.seconds
+            assert query.explanations.filter_seconds == selection.seconds
+            levels = query.explanations.lattice.levels
+            assert len(levels) == 2
+            assert [lv.seconds for lv in levels] == [
+                s.seconds for s in named(span, "lattice.level")
+            ]
+
+        (update_search,) = named(tracer, "update.search")
+        (update_verify,) = named(tracer, "update.verify")
+        assert updates.search_seconds == update_search.seconds > 0
+        assert updates.verify_seconds == update_verify.seconds > 0
+
+        (audit,) = named(tracer, "delta.audit")
+        assert delta.seconds == audit.seconds > 0
+        delta_queries = named(audit, "delta.query")
+        assert len(delta_queries) == len(delta.queries)
+        for query, after, span in zip(delta.queries, delta.after, delta_queries):
+            assert query.certified
+            assert query.seconds == after.seconds == span.seconds > 0
+            (replay,) = named(span, "delta.replay")
+            selections = named(span, "delta.filter")
+            assert 1 <= len(selections) <= 2
+            assert query.after.search_seconds == replay.seconds
+            assert query.after.filter_seconds == sum(s.seconds for s in selections)
+
+
+class TestUntracedDurations:
+    def test_every_duration_reads_the_module_clock(
+        self, lr_model, german_train, german_test, monkeypatch
+    ):
+        """With tracing off, spans still time themselves on ``trace.clock``.
+
+        A fake clock that advances exactly 1.0 per read makes every
+        reported duration a positive whole number of reads — which holds
+        only if each one is a span's exit reading minus its entry reading.
+        """
+        ticks = itertools.count()
+        monkeypatch.setattr(trace, "clock", lambda: float(next(ticks)))
+        assert not trace.get_tracer().enabled
+        session, result, updates, delta = run_lifecycle(lr_model, german_train, german_test)
+        durations = [("setup", session.setup_seconds), ("setup", result.setup_seconds)]
+        for query in result:
+            explanations = query.explanations
+            durations += [
+                ("audit.query", query.seconds),
+                ("explain.search", explanations.search_seconds),
+                ("explain.filter", explanations.filter_seconds),
+            ]
+            durations += [("lattice.level", lv.seconds) for lv in explanations.lattice.levels]
+        durations += [
+            ("update.search", updates.search_seconds),
+            ("update.verify", updates.verify_seconds),
+            ("delta.audit", delta.seconds),
+        ]
+        for query in delta:
+            assert query.certified
+            durations += [
+                ("delta.query", query.seconds),
+                ("delta.replay", query.after.search_seconds),
+                ("delta.filter", query.after.filter_seconds),
+            ]
+        assert len(durations) > 15
+        for name, seconds in durations:
+            assert seconds >= 1.0 and seconds == int(seconds), (name, seconds)
+        assert all(query.cost is None for query in result)
 
 
 class TestDisabledOverhead:
@@ -147,6 +248,10 @@ class TestDisabledOverhead:
             f"{tracer.span_count()} spans for {scored} scored subsets"
         )
 
-    def test_disabled_helpers_return_the_shared_null_span(self):
-        assert trace.span("anything", k=1) is NULL_SPAN
-        assert trace.add("gemm_flops", 5.0) is None
+    def test_disabled_helpers_return_self_timing_spans(self):
+        with trace.span("anything", k=1) as span:
+            assert trace.add("gemm_flops", 5.0) is None
+            assert trace.get_tracer().current() is None  # joined no tree
+        assert span.set(metric="spd") is span
+        assert not hasattr(span, "attrs")  # recorded no attributes
+        assert span.seconds >= 0.0

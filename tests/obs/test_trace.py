@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs import trace
-from repro.obs.trace import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
+from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -154,10 +154,21 @@ class TestExports:
         assert "influence.batch" not in text
 
 
+def assert_timing_only(span) -> None:
+    """A disabled span has closed with a duration and recorded nothing else."""
+    assert not isinstance(span, Span)
+    assert not hasattr(span, "attrs")  # no attributes, set or added
+    assert not hasattr(span, "children")  # no tree to join
+    assert span.seconds >= 0.0
+
+
 class TestModuleHelpers:
     def test_disabled_by_default_routes_to_null(self):
         assert isinstance(trace.get_tracer(), NullTracer)
-        assert trace.span("anything", k=1) is NULL_SPAN
+        with trace.span("anything", k=1) as s:
+            trace.add("cache_hits")
+            assert trace.get_tracer().current() is None
+        assert_timing_only(s)
 
     def test_enable_disable_roundtrip(self):
         tracer = trace.enable()
@@ -186,11 +197,23 @@ class TestModuleHelpers:
 
 
 class TestNullPath:
-    def test_null_span_is_shared_and_chainable(self):
-        assert NULL_TRACER.span("x", k=1) is NULL_SPAN
-        with NULL_SPAN as s:
-            assert s.set(a=1) is NULL_SPAN
-            assert s.add("gemm_flops", 5) is NULL_SPAN
+    def test_null_spans_are_fresh_and_chainable(self):
+        outer = NULL_TRACER.span("x", k=1)
+        with outer:
+            with NULL_TRACER.span("y") as inner:
+                assert inner.set(a=1) is inner
+                assert inner.add("gemm_flops", 5) is inner
+        assert inner is not outer
+        assert outer.start <= inner.start <= inner.end <= outer.end
+        assert_timing_only(outer)
+        assert_timing_only(inner)
+
+    def test_null_span_reads_the_module_clock_at_call_time(self, monkeypatch):
+        readings = iter([10.0, 12.5])
+        monkeypatch.setattr(trace, "clock", lambda: next(readings))
+        with NULL_TRACER.span("x") as s:
+            assert s.seconds == 0.0  # reads 0 until it closes
+        assert s.seconds == 2.5
 
     def test_null_tracer_flags(self):
         assert NULL_TRACER.enabled is False

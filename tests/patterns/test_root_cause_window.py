@@ -35,12 +35,12 @@ class TestSelectionWindow:
             make_stats("broad", [1] * 8 + [0] * 2, 1.6),   # overshoots
             make_stats("tight", [0] * 8 + [1] * 2, 0.5),
         ]
-        selected, _ = select_top_k(pool, k=2, containment_threshold=0.99)
+        selected = select_top_k(pool, k=2, containment_threshold=0.99)
         assert [str(s.pattern) for s in selected] == ["tight = v"]
 
     def test_cap_configurable(self):
         pool = [make_stats("broad", [1, 1, 0, 0], 1.6)]
-        selected, _ = select_top_k(
+        selected = select_top_k(
             pool, k=1, containment_threshold=0.99, max_responsibility=float("inf")
         )
         assert len(selected) == 1
@@ -52,5 +52,5 @@ class TestSelectionWindow:
     def test_near_one_estimates_kept(self):
         """Near-total fixes (R slightly above 1) survive the default slack."""
         pool = [make_stats("fix", [1, 1, 0, 0], 1.05)]
-        selected, _ = select_top_k(pool, k=1, containment_threshold=0.99)
+        selected = select_top_k(pool, k=1, containment_threshold=0.99)
         assert len(selected) == 1

@@ -54,6 +54,9 @@ class ContractSet:
     #: Path suffixes where linalg factorizations of Hessian-shaped state
     #: are allowed (RL004).
     factorization_authority: tuple[str, ...] = ("influence/hessian.py",)
+    #: Path suffixes allowed to read a ``time`` clock (RL006); every other
+    #: module times its work with a trace span.
+    clock_authority: tuple[str, ...] = ("obs/trace.py",)
     #: Regex an argument must match to count as Hessian-shaped (RL004).
     hessian_pattern: str = r"(?i)hess"
     #: Path fragments whose divisions RL005 audits.

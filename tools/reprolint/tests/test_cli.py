@@ -36,5 +36,5 @@ def test_missing_path_exits_two(capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005"):
+    for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
         assert rule_id in out

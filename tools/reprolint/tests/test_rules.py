@@ -16,6 +16,7 @@ from tools.reprolint.rules.rl002_counters import RULE as RL002
 from tools.reprolint.rules.rl003_packed import RULE as RL003
 from tools.reprolint.rules.rl004_factorization import RULE as RL004
 from tools.reprolint.rules.rl005_nan import RULE as RL005
+from tools.reprolint.rules.rl006_clock import RULE as RL006
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -153,3 +154,24 @@ def test_rl005_accepts_eps_clamp_guard_pow_and_docstring():
 def test_rl005_ignores_files_outside_metric_paths():
     off_path = ContractSet(metric_paths=("somewhere-else/",))
     assert analyze("rl005_bad.py", off_path, RL005) == []
+
+
+# -- RL006 ---------------------------------------------------------------
+
+RL006_CONTRACTS = ContractSet(clock_authority=("rl006_authority.py",))
+
+
+def test_rl006_flags_clock_reads_outside_authority():
+    findings = analyze("rl006_bad.py", RL006_CONTRACTS, RL006)
+    assert len(findings) == 2
+    messages = [f.message for f in findings]
+    # Module attribute access and a renamed ``from time import``.
+    assert any(m.startswith("time.perf_counter outside the clock authority") for m in messages)
+    assert any(m.startswith("time.monotonic outside the clock authority") for m in messages)
+    assert all("rl006_authority.py" in m and "trace span" in m for m in messages)
+    # time.sleep reads no clock.
+    assert not any("sleep" in m for m in messages)
+
+
+def test_rl006_authority_file_is_exempt():
+    assert analyze("rl006_authority.py", RL006_CONTRACTS, RL006) == []
