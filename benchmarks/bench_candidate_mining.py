@@ -37,8 +37,8 @@ import tracemalloc
 from repro.bench import build_pipeline, emit, render_table
 from repro.influence import make_estimator
 from repro.influence.estimators import _PACKED_CHUNK
-from repro.mining import make_engine
-from repro.patterns import select_top_k
+from repro.mining import mine_closed_candidates
+from repro.patterns import compute_candidates, select_top_k
 
 TOP_K = 5
 SEARCH = dict(support_threshold=0.05, max_predicates=3)
@@ -65,10 +65,10 @@ def _build(dataset: str, rows: int, seed: int = 1):
 
 def _traced_generate(engine_name: str, table, estimator, max_predicates: int):
     """Run one engine under tracemalloc; returns (result, seconds, peak_bytes)."""
-    engine = make_engine(engine_name)
+    search = {"lattice": compute_candidates, "mining": mine_closed_candidates}[engine_name]
     tracemalloc.start()
     start = time.perf_counter()
-    result = engine.generate(
+    result = search(
         table, estimator,
         support_threshold=SEARCH["support_threshold"],
         max_predicates=max_predicates,

@@ -1,4 +1,4 @@
-"""Million-row mining: projection + compressed tidlists + row blocks.
+"""Million-row mining: projection + compressed tidlists.
 
 Two claims about the conditional-database machinery of the closed-pattern
 miner (``projection="auto"``), measured on the first-order estimator's
@@ -98,12 +98,10 @@ def _build(dataset: str, n_rows: int, support_threshold: float):
         bundle.metric, bundle.test_ctx,
     )
     # Warm every shared lazy build — per-sample gradients, the packed
-    # (and, past a million rows, block-streamed) tidlist matrix — so the
-    # traced region below sees the search and only the search.
+    # tidlist matrix — so the traced region below sees the search and only
+    # the search.
     estimator.warm()
-    alphabet = PredicateAlphabet(
-        bundle.train.table, support_threshold, NUM_BINS, None, packed=True
-    ).warm()
+    alphabet = PredicateAlphabet(bundle.train.table, support_threshold, NUM_BINS, None).warm()
     return bundle, estimator, alphabet
 
 

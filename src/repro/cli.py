@@ -39,6 +39,7 @@ import numpy as np
 from repro.bench.workloads import DATASETS, MODELS, build_pipeline
 from repro.cluster import local_outlier_factor
 from repro.core import AuditSession, GopherExplainer
+from repro.core.config import ENGINES, ESTIMATORS
 from repro.datasets import TabularEncoder, random_edit, train_test_split
 from repro.fairness import FairnessContext, fairness_report, get_metric, list_metrics
 from repro.influence import make_estimator
@@ -64,12 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     explain = sub.add_parser("explain", help="top-k explanations for model bias")
     add_common(explain)
     explain.add_argument("-k", type=int, default=3, help="number of explanations")
-    explain.add_argument("--estimator", default="second_order",
-                         choices=["first_order", "second_order", "exact", "series",
-                                  "one_step_gd", "retrain"],
+    explain.add_argument("--estimator", default="second_order", choices=ESTIMATORS,
                          help="influence estimator; 'exact'/'series' pick the "
                          "second-order variant directly (both are batched)")
-    explain.add_argument("--engine", default="lattice", choices=["lattice", "mining"],
+    explain.add_argument("--engine", default="lattice", choices=ENGINES,
                          help="candidate-generation backend: the level-wise lattice "
                          "search or the packed-bitset closed-pattern miner")
     explain.add_argument("--support", type=float, default=0.05, help="support threshold tau")

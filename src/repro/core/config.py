@@ -6,8 +6,9 @@ from dataclasses import dataclass, field
 
 from repro.fairness.metrics import list_metrics
 
-_ESTIMATORS = ("first_order", "second_order", "exact", "series", "one_step_gd", "retrain")
-_ENGINES = ("lattice", "mining")
+#: The accepted ``estimator`` and ``engine`` names (the CLI offers the same).
+ESTIMATORS = ("first_order", "second_order", "exact", "series", "one_step_gd", "retrain")
+ENGINES = ("lattice", "mining")
 
 
 @dataclass
@@ -30,9 +31,11 @@ class GopherConfig:
     estimator_kwargs:
         Extra keyword arguments for the estimator constructor.
     engine:
-        Candidate-generation backend for Algorithm 1.  ``"lattice"`` is
-        the paper's level-wise merge search; ``"mining"`` is the
-        packed-bitset closed-pattern miner (``repro.mining``), which
+        Which search runs Algorithm 1.  ``"lattice"`` is the paper's
+        level-wise merge search
+        (:func:`repro.patterns.lattice.compute_candidates`); ``"mining"`` is
+        the packed-bitset closed-pattern miner
+        (:func:`repro.mining.closed.mine_closed_candidates`), which
         evaluates one candidate per distinct extent and streams influence
         scoring off packed masks instead of (m, n) boolean matrices.  The
         two engines apply heuristic 2 along different search paths — the
@@ -96,10 +99,10 @@ class GopherConfig:
     def __post_init__(self) -> None:
         if self.metric not in list_metrics():
             raise ValueError(f"unknown metric {self.metric!r}; available: {list_metrics()}")
-        if self.estimator not in _ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}; available: {_ESTIMATORS}")
-        if self.engine not in _ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; available: {_ENGINES}")
+        if self.estimator not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {self.estimator!r}; available: {ESTIMATORS}")
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}; available: {ENGINES}")
         if self.search_batch_size < 1:
             raise ValueError(f"search_batch_size must be >= 1, got {self.search_batch_size}")
         if not 0.0 <= self.support_threshold < 1.0:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mining.alphabet import PredicateAlphabet
-from repro.mining.bitset import pack_rows, popcount
+from repro.mining.bitset import popcount
 from repro.obs import trace
 from repro.patterns.lattice import LatticeRecord, PatternStats
 from repro.patterns.pattern import Pattern
@@ -96,10 +96,11 @@ class ReplayGeometry:
     """Metric-independent structural state shared by one edit's replays.
 
     Everything here is a function of the patched alphabet and the search
-    parameters (τ) alone — packing, the skeleton AND, the post-edit
-    support filter, and the parent-collapse flags.  One ``delta_audit``
-    builds it once and reuses it across every (metric, group, estimator)
-    query of the grid; only the influence scores differ per query.
+    parameters (τ) alone — the level-1 entry matrix, the skeleton AND, the
+    post-edit support filter, and the parent-collapse flags.  One
+    ``delta_audit`` builds it once and reuses it across every (metric,
+    group, estimator) query of the grid; only the influence scores differ
+    per query.
     """
 
     num_entries: int
@@ -120,21 +121,11 @@ class ReplayGeometry:
 
 def replay_geometry(alphabet: PredicateAlphabet, support_threshold: float) -> ReplayGeometry:
     """Build the shared structural state for replays against ``alphabet``."""
-    if getattr(alphabet, "packed", False):
-        raise ValueError(
-            "delta replay consumes boolean level-1 masks and cannot run on a "
-            "packed (out-of-core) alphabet"
-        )
     entries = alphabet.entries
     n = alphabet.num_rows
     num_entries = len(entries)
-    if num_entries:
-        masks1 = np.stack([mask for _, mask in entries])
-        packed1 = pack_rows(masks1)
-        sizes1 = masks1.sum(axis=1)
-    else:
-        packed1 = np.zeros((0, (n + 7) // 8), dtype=np.uint8)
-        sizes1 = np.zeros(0, dtype=np.int64)
+    packed1 = alphabet.entry_matrix()
+    sizes1 = popcount(packed1)
 
     # The full structural pair space, re-ANDed against the patched masks.
     left, right = alphabet.pair_skeleton()

@@ -13,9 +13,11 @@ from repro.fairness.metrics import FairnessContext, get_metric
 from repro.fairness.report import FairnessReport, fairness_report
 from repro.influence.estimators import InfluenceEstimator
 from repro.influence.retrain import RetrainInfluence
-from repro.mining.engine import make_engine
+from repro.mining.alphabet import resolve_alphabet
+from repro.mining.closed import mine_closed_candidates
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
+from repro.patterns.lattice import compute_candidates
 from repro.patterns.pattern import Pattern
 from repro.patterns.topk import select_top_k
 
@@ -129,11 +131,14 @@ class GopherExplainer:
     def explain(self, k: int = 3, verify: bool = True) -> ExplanationSet:
         """Compute the top-k diverse explanations (Algorithms 1 + 2).
 
-        Candidate generation goes through the configured engine —
-        ``engine="lattice"`` for the paper's level-wise search,
-        ``engine="mining"`` for the packed-bitset closed-pattern miner.
-        The two can return different top-k at depth 3 (see
-        ``GopherConfig.engine``).  With ``verify=True`` each selected
+        Candidate generation calls the search ``cfg.engine`` names —
+        :func:`~repro.patterns.lattice.compute_candidates` for
+        ``engine="lattice"`` (the paper's level-wise search),
+        :func:`~repro.mining.closed.mine_closed_candidates` for
+        ``engine="mining"`` (the packed-bitset closed-pattern miner) — over
+        the session's cached predicate alphabet.  The two can return
+        different top-k at depth 3 (see ``GopherConfig.engine``).  With
+        ``verify=True`` each selected
         explanation's subset is actually removed and the model retrained,
         filling the ground-truth Δbias fields the paper's tables report.
         """
@@ -142,20 +147,29 @@ class GopherExplainer:
         assert self.session is not None and self.protected_group is not None
         cfg = self.config
 
-        engine = make_engine(cfg.engine)
+        # Looked up per call, so a wrapper rebinding either name is honoured.
+        search = compute_candidates if cfg.engine == "lattice" else mine_closed_candidates
+        table = self.train_data.table
+        exclude = cfg.exclude_features or None
         self.session.metrics.inc(f"engine.{cfg.engine}_searches")
         with trace.span("explain.search", engine=cfg.engine) as search_span:
-            lattice = engine.generate(
-                self.train_data.table,
+            lattice = search(
+                table,
                 self.estimator,
                 support_threshold=cfg.support_threshold,
                 max_predicates=cfg.max_predicates,
                 num_bins=cfg.num_bins,
-                exclude_features=cfg.exclude_features or None,
+                exclude_features=exclude,
                 prune_by_responsibility=cfg.prune_by_responsibility,
                 max_responsibility=cfg.max_responsibility,
                 batch_size=cfg.search_batch_size,
-                alphabet_cache=self.session.alphabet_cache,
+                alphabet=resolve_alphabet(
+                    table,
+                    self.session.alphabet_cache,
+                    cfg.support_threshold,
+                    cfg.num_bins,
+                    exclude,
+                ),
             )
             search_span.set(
                 candidates=lattice.num_candidates, evaluated=lattice.num_evaluated
@@ -269,11 +283,10 @@ class GopherExplainer:
             from repro.updates.projected_gd import UpdateSearchContext
 
             assert self.train_data is not None and self.X_train is not None
-            assert self.test_ctx is not None
+            assert self.test_ctx is not None and self.session is not None
             self._update_ctx = UpdateSearchContext(
                 self.model, self.X_train, self.train_data.labels, self.metric,
-                self.test_ctx,
-                artifacts=None if self.session is None else self.session.artifacts,
+                self.test_ctx, artifacts=self.session.artifacts,
             )
         return self._update_ctx
 

@@ -60,6 +60,16 @@ def _same_estimator_family(a: str, b: str) -> bool:
     return a == b or (a in _SECOND_ORDER_NAMES and b in _SECOND_ORDER_NAMES)
 
 
+def _require_two_classes(labels: np.ndarray, name: str) -> None:
+    """Refuse labels of one class: the model is degenerate and every
+    influence estimate would explain a bias that is not there."""
+    classes = np.unique(labels)
+    if classes.size < 2:
+        raise ValueError(
+            f"{name} hold a single class {classes.tolist()}; the model is degenerate"
+        )
+
+
 @dataclass
 class AuditQuery:
     """One (metric, protected group) cell of an audit and its answer."""
@@ -380,11 +390,13 @@ class AuditSession:
         required when the model was fitted under another session's encoding
         (the delta-vs-fresh equivalence harness rebuilds a session on
         edited data this way, reusing the original encoder so the encoded
-        matrices agree bit for bit).
+        matrices agree bit for bit).  Training labels of a single class are
+        refused.
         """
         with trace.span("session.fit") as fit_span:
             if test is None:
                 train, test = train_test_split(train, self.config.test_fraction, self.config.seed)
+            _require_two_classes(train.labels, "training labels")
             self.train_data, self.test_data = train, test
             self.encoder = encoder if encoder is not None else TabularEncoder().fit(train.table)
             self.X_train = self.encoder.transform(train.table)
@@ -407,8 +419,8 @@ class AuditSession:
                 self.model, self.X_train, train.labels, metrics=self.metrics
             )
             # Sessions answer many queries over metric-independent candidate
-            # masks, so cross-metric extent caching (g_S gradient sums and
-            # per-estimator-spec Δθ rows) pays; bare estimators keep it off.
+            # masks, so cross-metric caching of per-extent Δθ rows pays; bare
+            # estimators keep it off.
             self.artifacts.enable_extent_caching()
             self.alphabet_cache = AlphabetCache(train.table, metrics=self.metrics)
             self._contexts = {}
@@ -679,12 +691,15 @@ class AuditSession:
         the test split, encoder, and cached fairness contexts are
         untouched.  Estimators built before the edit are invalidated via
         the artifacts' version stamp; views and estimators must be minted
-        anew (``delta_audit`` does all of this for you).
+        anew (``delta_audit`` does all of this for you).  An edit that
+        leaves the training labels a single class is refused before any
+        cache is patched.
         """
         self._require_fitted()
         assert self.train_data is not None and self.encoder is not None
         assert self.artifacts is not None and self.alphabet_cache is not None
         new_train = self.train_data.apply_edit(edit)
+        _require_two_classes(new_train.labels, "edited training labels")
         X_add = y_add = None
         if edit.num_added:
             X_add = self.encoder.transform(edit.add_table)
@@ -774,7 +789,7 @@ class AuditSession:
                 cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None
             )
             level1_stable = specs_before == [predicate for predicate, _ in alphabet.entries]
-            # The replay's structural state (packing, skeleton AND, support
+            # The replay's structural state (level-1 rows, skeleton AND, support
             # filter) is metric-independent: build it once for the whole grid.
             geometry = None
             if level1_stable and recheck != "always" and cfg.max_predicates <= 2:

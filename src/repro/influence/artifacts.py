@@ -74,12 +74,10 @@ class ModelArtifacts:
         self._solvers: dict[float, HessianSolver] = {}
         self._factors: tuple[np.ndarray, np.ndarray, float] | None | str = "unset"
         self._auto_learning_rate: float | None = None
-        # Extent caches: packed-mask bytes → metric-independent per-row
-        # results (g_S gradient sums; per-estimator-spec Δθ rows).  Off by
+        # Extent cache: (estimator spec, packed-mask bytes) → Δθ row.  Off by
         # default so bare estimators keep per-instance accounting; sessions
-        # switch them on via enable_extent_caching().
+        # switch it on via enable_extent_caching().
         self._extent_caching = False
-        self._grad_sum_cache: dict[bytes, np.ndarray] = {}
         self._param_change_cache: dict[tuple, np.ndarray] = {}
         self._update_state: tuple[np.ndarray, float] | None = None
         # One re-entrant lock covers every lazy build and extent cache, so a
@@ -98,8 +96,6 @@ class ModelArtifacts:
                 "learning_rate_builds": 0,
                 "edits": 0,
                 "solver_updates": 0,
-                "gradient_sum_cache_hits": 0,
-                "gradient_sum_cache_misses": 0,
                 "param_change_cache_hits": 0,
                 "param_change_cache_misses": 0,
                 "update_context_builds": 0,
@@ -405,9 +401,8 @@ class ModelArtifacts:
         self.num_train = n_new
         self._auto_learning_rate = None
         # Extent keys refer to pre-edit row indices and the cached rows to
-        # pre-edit gradients; both restart empty.  The update-search state
-        # holds the pre-edit Hessian/η and is re-derived lazily.
-        self._grad_sum_cache.clear()
+        # pre-edit gradients; the cache restarts empty.  The update-search
+        # state holds the pre-edit Hessian/η and is re-derived lazily.
         self._param_change_cache.clear()
         self._update_state = None
         self.version += 1
@@ -432,16 +427,16 @@ class ModelArtifacts:
     # ------------------------------------------------------------------
     @property
     def extent_caching(self) -> bool:
-        """Whether the extent → gradient-sum / Δθ caches are live."""
+        """Whether the extent → Δθ cache is live."""
         return self._extent_caching
 
     def enable_extent_caching(self) -> "ModelArtifacts":
-        """Switch on the cross-query extent caches.
+        """Switch on the cross-query extent cache.
 
         Candidate masks are metric-independent, so within one audit the
         same extent is re-summed (``g_S = M @ grads``) and re-solved once
         per metric.  With caching on, each distinct extent pays its GEMM
-        and solve exactly once and later metrics serve the cached rows.
+        and solve exactly once and later metrics serve the cached Δθ rows.
         Off by default: a bare estimator built without a session keeps
         per-call accounting (its spans' FLOPs reflect executed work), and
         single-query workloads skip the keying overhead.
@@ -461,49 +456,20 @@ class ModelArtifacts:
         return [row.tobytes() for row in packed]
 
     def gradient_sums(self, masks: np.ndarray) -> np.ndarray:
-        """``g_S = M @ grads`` rows, served from the extent cache when on.
+        """``g_S = M @ grads``: one row per mask, in one GEMM.
 
-        This is the one GEMM every gradient-sum-based estimator (first
-        order, Neumann series, one-step GD) opens a query with.  The GEMM
-        span and its FLOPs are recorded only for rows actually computed —
-        a cache hit must not re-attribute work to the query's CostReport.
+        This is the GEMM every gradient-sum-based estimator (first order,
+        Neumann series, one-step GD) opens a query with.  Under a session,
+        :meth:`cached_param_changes` hands it only novel extents, so the
+        ``influence.gemm`` span's FLOPs count executed work.
         """
         mask_f = np.asarray(masks).astype(np.float64)
         grads = self.per_sample_grads
         m, n = mask_f.shape
         p = grads.shape[1]
-        if not self._extent_caching:
-            with trace.span("influence.gemm", m=m, n=n, p=p) as s:
-                s.add("gemm_flops", 2.0 * m * n * p)
-                return mask_f @ grads
-        keys = self._extent_keys(masks)
-        with self._lock:
-            cache = self._grad_sum_cache
-            compute_rows: list[int] = []
-            novel: set[bytes] = set()
-            for i, key in enumerate(keys):
-                if key not in cache and key not in novel:
-                    novel.add(key)
-                    compute_rows.append(i)
-            hits = m - len(compute_rows)
-            self.stats.inc("gradient_sum_cache_hits", hits)
-            self.stats.inc("gradient_sum_cache_misses", len(compute_rows))
-            trace.add("cache_hits", hits)
-            trace.add("cache_misses", len(compute_rows))
-            if compute_rows:
-                block = mask_f if len(compute_rows) == m else mask_f[np.asarray(compute_rows)]
-                k = block.shape[0]
-                with trace.span("influence.gemm", m=k, n=n, p=p) as s:
-                    s.add("gemm_flops", 2.0 * k * n * p)
-                    computed = block @ grads
-                for j, i in enumerate(compute_rows):
-                    cache[keys[i]] = computed[j].copy()
-                if hits == 0 and len(compute_rows) == m:
-                    return computed
-            out = np.empty((m, p), dtype=np.float64)
-            for i, key in enumerate(keys):
-                out[i] = cache[key]
-            return out
+        with trace.span("influence.gemm", m=m, n=n, p=p) as s:
+            s.add("gemm_flops", 2.0 * m * n * p)
+            return mask_f @ grads
 
     def cached_param_changes(self, spec: tuple, masks: np.ndarray, compute) -> np.ndarray:
         """Per-row Δθ for removal extents, computing only novel extents.

@@ -1,26 +1,27 @@
-"""Per-dataset cache of the level-1 predicate alphabet and packed tidlists.
+"""Per-dataset cache of the level-1 predicate alphabet as packed tidlists.
 
-Both candidate-generation backends start from the same state: every single
-predicate whose support strictly exceeds τ, with its boolean row mask —
-the lattice's level 1 and the miner's item alphabet.  Building it scans
-every column, bins every numeric feature, and materializes one (n,) mask
-per predicate; the miner additionally sorts the alphabet
-frequency-ascending and packs the masks into the (K, ceil(n/8)) tidlist
-matrix its bitset traversal runs on.  None of that depends on the model,
-the metric, or the protected group — only on the training table and the
-generation parameters (τ, bins, excluded features) — so an interactive
-audit re-running the search for every (metric, group, engine) pair
-should pay it once.
+Both candidate searches start from the same state: every single predicate
+whose support strictly exceeds τ, with its row mask stored as a packed
+``uint8`` row of ``ceil(n/8)`` bytes — the lattice's level 1 and the
+miner's item alphabet.  Building it scans every column, bins every numeric
+feature, and evaluates one predicate at a time, packing each mask as soon
+as it is evaluated, so one ``(n,)`` boolean array is alive at a time; the
+miner additionally sorts the alphabet frequency-ascending and stacks the
+rows into the (K, ceil(n/8)) tidlist matrix its bitset traversal runs on.
+None of that depends on the model, the metric, or the protected group —
+only on the training table and the generation parameters (τ, bins,
+excluded features) — so an interactive audit re-running the search for
+every (metric, group, engine) pair should pay it once.
 
 :class:`PredicateAlphabet` is the built state for one parameter key;
 :class:`AlphabetCache` owns one table and hands out alphabets keyed by
 ``(support_threshold, num_bins, exclude_features)`` — the exclude part
 normalized through
 :func:`repro.patterns.candidates.normalize_exclude_features`, so lists,
-tuples, sets, and single names all hit one cache entry.  Both engines
-accept a cache through their ``generate(..., alphabet_cache=...)``
-parameter (:class:`repro.core.AuditSession` threads one through every
-query); without a cache each search builds a throwaway alphabet.
+tuples, sets, and single names all hit one cache entry.
+:meth:`repro.core.GopherExplainer.explain` resolves the session's alphabet
+through :func:`resolve_alphabet` and hands it to either search; without
+one, each search builds a throwaway alphabet.
 
 Under a :class:`repro.datasets.DataEdit` the cache is *patched*, not
 rebuilt: every predicate's mask keeps its bits for surviving rows, gains
@@ -57,42 +58,26 @@ from repro.patterns.candidates import iter_predicate_specs, normalize_exclude_fe
 from repro.patterns.predicate import Predicate
 from repro.tabular import Table
 
-#: Above this row count the alphabet stores *packed* masks and builds them
-#: by streaming row blocks off the table — the (K, n) bool dict would cost
-#: K·n bytes (tens of GB at 10M rows × 60 predicates) where packed costs
-#: K·n/8.
-_PACKED_AUTO_ROWS = 1_000_000
-
-#: Rows per streamed block (a multiple of 8, so every block but the last
-#: packs to a whole number of bytes and block outputs concatenate exactly).
-_BLOCK_ROWS = 262_144
-
 
 class PredicateAlphabet:
     """The level-1 search state for one (table, τ, bins, exclude) key.
 
-    ``entries`` is the list of ``(predicate, mask)`` pairs both engines
+    ``entries`` is the list of ``(predicate, mask)`` pairs both searches
     consume, full-coverage predicates already dropped (they "remove the
-    entire data" and have no explanatory value); ``num_generated`` keeps
-    the pre-filter count the lattice reports as level-1 merges tried.
-    Masks are shared read-only across queries — consumers combine them
-    with fresh ANDs and never mutate them in place.  Every search and
-    cache path builds its level 1 here, so this constructor is where a τ
-    outside [0, 1) is rejected.
+    entire data" and have no explanatory value).  Every mask is a packed
+    ``uint8`` row of ``ceil(n/8)`` bytes
+    (:func:`~repro.mining.bitset.pack_rows`;
+    :func:`~repro.mining.bitset.unpack_rows` reads it back).
+    ``num_generated`` keeps the pre-filter count the lattice reports as
+    level-1 merges tried.  Masks are shared read-only across queries —
+    consumers combine them with fresh ANDs and never mutate them in place.
+    Every search and cache path builds its level 1 here, so this
+    constructor is where a τ outside [0, 1) is rejected.
 
     Every evaluated mask — including below-support ones — is retained in
     ``_evaluated``: an edit can push a predicate across the support
     threshold in either direction, so :meth:`apply_edit` must re-filter
     the *full* spec set, not just the surviving entries.
-
-    Above ``_PACKED_AUTO_ROWS`` rows (or with ``packed=True``) the
-    alphabet stores packed ``uint8`` masks instead of booleans and builds
-    them by streaming row blocks off the table (:meth:`_build_packed`) —
-    the out-of-core mode the million-row miner runs on.  ``entries`` then
-    holds packed rows; consumers that require boolean masks (the lattice,
-    the delta-replay path) must check :attr:`packed` and refuse rather
-    than misread bytes as booleans.  The miner is representation-agnostic:
-    :meth:`miner_items` already serves packed tidlists in both modes.
     """
 
     def __init__(
@@ -102,8 +87,6 @@ class PredicateAlphabet:
         num_bins: int,
         exclude_features=None,
         stats: MutableMapping[str, int] | None = None,
-        packed: bool | None = None,
-        block_rows: int | None = None,
     ) -> None:
         if not 0.0 <= support_threshold < 1.0:
             raise ValueError(f"support_threshold must be in [0, 1), got {support_threshold}")
@@ -114,17 +97,10 @@ class PredicateAlphabet:
         self._stats.setdefault("tidlist_builds", 0)
         self._stats.setdefault("tidlist_patches", 0)
         self._stats.setdefault("skeleton_builds", 0)
-        self._stats.setdefault("block_streams", 0)
         self._stats.setdefault("projection_builds", 0)
         self._stats.setdefault("tidlist_compressions", 0)
         self._stats.setdefault("sparse_dispatch_hits", 0)
         self._stats.setdefault("dense_dispatch_hits", 0)
-        self.packed = bool(
-            packed if packed is not None else table.num_rows >= _PACKED_AUTO_ROWS
-        )
-        self._block_rows = int(block_rows) if block_rows else _BLOCK_ROWS
-        if self._block_rows % 8:
-            raise ValueError(f"block_rows must be a multiple of 8, got {self._block_rows}")
         self._evaluated: dict[Predicate, np.ndarray] = {}
         self._build(table)
         self._miner_items: tuple[list[Predicate], np.ndarray] | None = None
@@ -134,65 +110,16 @@ class PredicateAlphabet:
         self._lock = threading.Lock()
 
     def _build(self, table: Table) -> None:
-        """Evaluate every spec of ``table`` in canonical order — the full build."""
-        if self.packed:
-            self._build_packed(table)
-            return
+        """Evaluate and pack every spec of ``table`` in canonical order."""
         with trace.span("alphabet.build", rows=table.num_rows) as s:
             evaluated: dict[Predicate, np.ndarray] = {}
             for predicate in iter_predicate_specs(table, self.num_bins, self.exclude_features):
                 if predicate not in evaluated:
-                    evaluated[predicate] = predicate.mask(table)
+                    evaluated[predicate] = pack_rows(predicate.mask(table))
             self._evaluated = evaluated
             self.num_rows = table.num_rows
             self._filter_entries()
             s.set(predicates=len(evaluated), entries=len(self.entries))
-
-    def _build_packed(self, table: Table) -> None:
-        """The out-of-core build: stream row blocks, store packed masks.
-
-        Specs are derived once from the full table (bin edges need the whole
-        column), then each block of ``_block_rows`` rows is materialized as a
-        sub-table and every predicate evaluated against it; the block's bits
-        land in the predicate's packed buffer at ``block_start // 8``.  Peak
-        transient memory is one block's sub-table plus one ``(block_rows,)``
-        bool mask — independent of ``n`` — on top of the ``K · n/8`` packed
-        output that *is* the alphabet.
-        """
-        with trace.span("alphabet.block_build", rows=table.num_rows) as s:
-            n = table.num_rows
-            width = packed_width(n)
-            specs = list(
-                dict.fromkeys(
-                    iter_predicate_specs(table, self.num_bins, self.exclude_features)
-                )
-            )
-            evaluated: dict[Predicate, np.ndarray] = {
-                predicate: np.zeros(width, dtype=np.uint8) for predicate in specs
-            }
-            blocks = 0
-            for start in range(0, n, self._block_rows):
-                stop = min(start + self._block_rows, n)
-                block = table.take(np.arange(start, stop))
-                for predicate in specs:
-                    packed = np.packbits(predicate.mask(block))
-                    evaluated[predicate][start // 8 : start // 8 + packed.size] = packed
-                blocks += 1
-            self._evaluated = evaluated
-            self.num_rows = n
-            self._filter_entries()
-            self._stats.inc("block_streams", blocks)
-            s.set(
-                predicates=len(evaluated),
-                entries=len(self.entries),
-                blocks=blocks,
-                block_rows=self._block_rows,
-            )
-
-    def _support_count(self, mask: np.ndarray) -> int:
-        """Covered-row count of a stored mask in either representation,
-        pinned to a python int (no 32-bit accumulator on any path)."""
-        return int(popcount(mask)) if self.packed else int(mask.sum(dtype=np.int64))
 
     def _filter_entries(self) -> None:
         """Re-run the support filter over ``_evaluated`` (canonical order)."""
@@ -200,7 +127,7 @@ class PredicateAlphabet:
         singles = [
             (predicate, mask, count)
             for predicate, mask in self._evaluated.items()
-            for count in (self._support_count(mask),)
+            for count in (popcount(mask),)
             if count / n > self.support_threshold
         ]
         self.num_generated = len(singles)
@@ -212,16 +139,17 @@ class PredicateAlphabet:
     def apply_edit(self, edit, new_table: Table) -> None:
         """Patch the alphabet for a :class:`repro.datasets.DataEdit`.
 
-        Surviving rows keep their evaluated bits (``mask[keep]``), added
-        rows are evaluated only against the small added sub-table, and the
+        One predicate at a time, the packed mask is unpacked, keeps the
+        bits of surviving rows, gains bits for the added rows (evaluated
+        only against the small added sub-table) and is re-packed; then the
         support filter re-runs over the patched masks.  The predicate set
         itself is frozen — bin edges are *not* re-derived from the edited
         table (see the module docstring for why), so an edit can move
         predicates across the support threshold but never mint or retire
         specs.  Relabel-only edits are a no-op (a predicate mask never
-        depends on labels).  A previously-built miner view is re-packed
-        from the patched masks (``tidlist_patches``), never re-derived
-        from scratch.
+        depends on labels).  A previously-built miner view is re-sorted and
+        re-stacked from the patched masks (``tidlist_patches``), never
+        re-derived from scratch.
         """
         if new_table.num_rows != self.num_rows - edit.num_removed + edit.num_added:
             raise ValueError(
@@ -235,18 +163,11 @@ class PredicateAlphabet:
             keep[list(edit.remove_indices)] = False
         patched: dict[Predicate, np.ndarray] = {}
         for predicate, mask in self._evaluated.items():
-            if self.packed:
-                # One predicate at a time: the O(n) bool form is a transient,
-                # never K of them at once.
-                new_mask = unpack_rows(mask, self.num_rows)[keep]
-                if edit.num_added:
-                    new_mask = np.concatenate([new_mask, predicate.mask(edit.add_table)])
-                patched[predicate] = pack_rows(new_mask)
-                continue
-            new_mask = mask[keep]
+            # The (n,) boolean form is a transient, never K of them at once.
+            new_mask = unpack_rows(mask, self.num_rows)[keep]
             if edit.num_added:
                 new_mask = np.concatenate([new_mask, predicate.mask(edit.add_table)])
-            patched[predicate] = new_mask
+            patched[predicate] = pack_rows(new_mask)
         old_entry_predicates = [predicate for predicate, _ in self.entries]
         self._evaluated = patched
         self.num_rows = new_table.num_rows
@@ -260,19 +181,16 @@ class PredicateAlphabet:
             self._stats.inc("tidlist_patches")
 
     # ------------------------------------------------------------------
+    def entry_matrix(self) -> np.ndarray:
+        """The entries' masks as a fresh (K, ceil(n/8)) matrix, in entry order."""
+        return _stack(self.entries, self.num_rows)
+
     def _pack_items(self) -> tuple[list[Predicate], np.ndarray]:
         ordered = sorted(
             self.entries,
-            key=lambda pair: (self._support_count(pair[1]), pair[0].sort_key()),
+            key=lambda pair: (popcount(pair[1]), pair[0].sort_key()),
         )
-        predicates = [predicate for predicate, _ in ordered]
-        if not ordered:
-            tids = np.zeros((0, (self.num_rows + 7) // 8), dtype=np.uint8)
-        elif self.packed:
-            tids = np.stack([mask for _, mask in ordered])
-        else:
-            tids = pack_rows(np.stack([mask for _, mask in ordered]))
-        return predicates, tids
+        return [predicate for predicate, _ in ordered], _stack(ordered, self.num_rows)
 
     def pair_skeleton(self) -> tuple[np.ndarray, np.ndarray]:
         """The structural level-2 merge skeleton over the current entries.
@@ -312,9 +230,9 @@ class PredicateAlphabet:
     def miner_items(self) -> tuple[list[Predicate], np.ndarray]:
         """The miner's view: frequency-ascending predicates + packed tids.
 
-        Built lazily (lattice-only workloads never pack) and cached — the
-        sort order and the (K, ceil(n/8)) uint8 tidlist matrix are
-        deterministic functions of the alphabet, so one build serves every
+        Built lazily (lattice-only workloads never sort or stack) and
+        cached — the sort order and the (K, ceil(n/8)) uint8 tidlist matrix
+        are deterministic functions of the alphabet, so one build serves every
         mining query of the audit.  See :mod:`repro.mining.closed` for why
         the order must be frequency-ascending with sort-key tie-breaks.
         """
@@ -334,7 +252,7 @@ class PredicateAlphabet:
     def warm(self, miner: bool = True, skeleton: bool = False) -> "PredicateAlphabet":
         """Eagerly build the lazy views so shared reads never trigger a build.
 
-        ``miner`` packs the tidlist matrix (what the bitset engine reads);
+        ``miner`` sorts and stacks the tidlist matrix (what the miner reads);
         ``skeleton`` additionally enumerates the level-2 merge skeleton the
         incremental delta path replays.  Idempotent — each build is counted
         by its own stats entry exactly once.
@@ -351,7 +269,6 @@ class PredicateAlphabet:
         tidlist_compressions: int = 0,
         sparse_dispatch_hits: int = 0,
         dense_dispatch_hits: int = 0,
-        block_streams: int = 0,
     ) -> None:
         """Flush one search's worth of mining-layer counters.
 
@@ -371,16 +288,21 @@ class PredicateAlphabet:
             self._stats.inc("sparse_dispatch_hits", sparse_dispatch_hits)
         if dense_dispatch_hits:
             self._stats.inc("dense_dispatch_hits", dense_dispatch_hits)
-        if block_streams:
-            self._stats.inc("block_streams", block_streams)
+
+
+def _stack(entries: list[tuple[Predicate, np.ndarray]], num_rows: int) -> np.ndarray:
+    """Stack the packed masks of ``entries``; zero rows when there are none."""
+    if not entries:
+        return np.zeros((0, packed_width(num_rows)), dtype=np.uint8)
+    return np.stack([mask for _, mask in entries])
 
 
 class AlphabetCache:
     """Alphabets of one training table, shared across search queries.
 
-    The cache is bound to a table *instance*: engines handed a cache for a
-    different table refuse it rather than silently serving masks for the
-    wrong rows.  :meth:`apply_edit` rebinds the cache to the edited table
+    The cache is bound to a table *instance*: :func:`resolve_alphabet`
+    refuses a cache built for a different table rather than silently
+    serving masks for the wrong rows.  :meth:`apply_edit` rebinds the cache to the edited table
     after patching every cached alphabet in place.
     """
 
@@ -397,7 +319,6 @@ class AlphabetCache:
                 "skeleton_builds": 0,
                 "alphabet_patches": 0,
                 "tidlist_patches": 0,
-                "block_streams": 0,
                 "projection_builds": 0,
                 "tidlist_compressions": 0,
                 "sparse_dispatch_hits": 0,

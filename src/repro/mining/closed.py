@@ -338,8 +338,9 @@ def mine_closed_candidates(
     """Mine all closed candidate explanations of ``table``.
 
     Parameters mirror :func:`repro.patterns.lattice.compute_candidates`
-    exactly — the two are interchangeable candidate-generation backends
-    behind :class:`repro.mining.engine.CandidateEngine`.  ``batch_size``
+    exactly — the two are interchangeable candidate searches, and
+    :meth:`repro.core.GopherExplainer.explain` calls the one
+    ``GopherConfig.engine`` names.  ``batch_size``
     bounds how many packed extents are buffered per influence call (the
     boolean unpack inside the estimator is further chunked, so it does not
     bound mask memory — the packed representation does).  ``alphabet`` is

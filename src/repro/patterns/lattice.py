@@ -391,8 +391,9 @@ def compute_candidates(
         A pre-built level-1 :class:`repro.mining.alphabet.PredicateAlphabet`
         for *this* table and *these* generation parameters, letting many
         searches (different metrics, groups, estimators) share one
-        predicate/mask build.  ``None`` builds a throwaway boolean-mask
-        alphabet for this call.
+        predicate/mask build; level 1 is its packed
+        :meth:`~repro.mining.alphabet.PredicateAlphabet.entry_matrix`.
+        ``None`` builds a throwaway alphabet for this call.
     """
     if max_predicates < 1:
         raise ValueError(f"max_predicates must be >= 1, got {max_predicates}")
@@ -410,34 +411,21 @@ def compute_candidates(
 
     # --- level 1 ---------------------------------------------------------
     with trace.span("lattice.level", level=1) as level_span:
-        if alphabet is None:
-            from repro.mining.alphabet import PredicateAlphabet  # repro.mining imports this module
+        # repro.mining imports this module.
+        from repro.mining.alphabet import PredicateAlphabet
+        from repro.mining.bitset import popcount
 
-            alphabet = PredicateAlphabet(
-                table, support_threshold, num_bins, exclude_features, packed=False
-            )
-        elif alphabet.packed:
-            raise ValueError(
-                "the lattice engine consumes boolean level-1 masks and cannot "
-                "run on a packed (out-of-core) alphabet; use engine='mining' "
-                "for tables this large"
-            )
+        if alphabet is None:
+            alphabet = PredicateAlphabet(table, support_threshold, num_bins, exclude_features)
         # Full-coverage predicates (which would "remove the entire data")
         # are already filtered out of the alphabet's entries.
         entries = alphabet.entries
         predicates = [predicate for predicate, _ in entries]
         index, ids = PredicateIndex.of(predicates)
-        masks = (
-            np.stack([mask for _, mask in entries])
-            if entries
-            else np.zeros((0, num_rows), dtype=bool)
-        )
-        packed = np.packbits(masks, axis=1)
+        packed = alphabet.entry_matrix()
         responsibilities, bias_changes = _evaluate_all(estimator, packed, num_rows, batch_size)
         num_evaluated = len(entries)
-        current = LevelState(
-            ids[:, None], packed, masks.sum(axis=1), responsibilities, bias_changes
-        )
+        current = LevelState(ids[:, None], packed, popcount(packed), responsibilities, bias_changes)
         for k in np.flatnonzero(responsibilities >= min_responsibility):
             all_stats.append(
                 _stats(Pattern([predicates[k]]), current, k, num_rows)

@@ -46,7 +46,6 @@ import numpy as np
 from repro.datasets.encoding import TabularEncoder
 from repro.fairness.metrics import FairnessContext, FairnessMetric
 from repro.influence.artifacts import ModelArtifacts
-from repro.influence.one_step_gd import auto_learning_rate
 from repro.influence.parallel import RetrainTask, retrain_thetas
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
@@ -209,14 +208,13 @@ class UpdateSearchContext:
     original bias, and the per-sample training gradients that seed every
     update's old-gradient sums.
 
-    Handed a shared :class:`~repro.influence.artifacts.ModelArtifacts`
-    bundle, the context splits further: the metric-*independent* half
-    (Hessian, η, train grads) is served from
+    The metric-*independent* half (Hessian, η, train grads) is served
+    from a :class:`~repro.influence.artifacts.ModelArtifacts` bundle's
     :meth:`~repro.influence.artifacts.ModelArtifacts.update_search_state`
     — built once per bundle however many metric views call
     ``explain_updates`` — and only ∇F plus the original bias are computed
-    per context.  Standalone construction (no bundle) computes everything
-    itself, exactly as before.
+    per context.  Without a shared bundle the context builds a private
+    one, as :class:`~repro.influence.estimators.InfluenceEstimator` does.
     """
 
     def __init__(
@@ -237,31 +235,20 @@ class UpdateSearchContext:
         self.test_ctx = test_ctx
         self.theta = np.asarray(model.theta, dtype=np.float64)
         self.num_train = len(self.X_train)
-        self._artifacts = artifacts
-        if artifacts is not None:
-            artifacts.check_compatible(model, X_train, y_train)
-            self.hessian, self.learning_rate = artifacts.update_search_state()
-            with trace.span("update.grad_f", n=self.num_train, metric=metric.name):
-                self.grad_f = metric.grad_theta(model, test_ctx)
-                self.original_bias = float(metric.value(model, test_ctx))
+        if artifacts is None:
+            artifacts = ModelArtifacts(model, X_train, y_train)
         else:
-            with trace.span(
-                "update.context", n=self.num_train, metric=metric.name
-            ):
-                self.grad_f = metric.grad_theta(model, test_ctx)
-                self.original_bias = float(metric.value(model, test_ctx))
-                self.hessian = model.hessian(self.X_train, self.y_train)
-                self.learning_rate = auto_learning_rate(self.hessian)
-        self._train_grads: np.ndarray | None = None
+            artifacts.check_compatible(model, X_train, y_train)
+        self._artifacts = artifacts
+        self.hessian, self.learning_rate = artifacts.update_search_state()
+        with trace.span("update.grad_f", n=self.num_train, metric=metric.name):
+            self.grad_f = metric.grad_theta(model, test_ctx)
+            self.original_bias = float(metric.value(model, test_ctx))
 
     @property
     def train_grads(self) -> np.ndarray:
         """∇_θℓ(z_i, θ*) for all training rows, shape (n, p) (cached)."""
-        if self._artifacts is not None:
-            return self._artifacts.per_sample_grads
-        if self._train_grads is None:
-            self._train_grads = self.model.per_sample_grads(self.X_train, self.y_train)
-        return self._train_grads
+        return self._artifacts.per_sample_grads
 
     @property
     def ascent_grad_f(self) -> np.ndarray:

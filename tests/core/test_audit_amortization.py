@@ -1,8 +1,8 @@
 """Within-audit amortization: cached answers must equal per-query answers.
 
 A multi-metric audit serves every metric after the first largely from the
-session's extent caches — ``g_S`` gradient sums and per-estimator-spec
-Δθ rows keyed by packed extent bytes — and every ``explain_updates``
+session's extent cache — per-estimator-spec Δθ rows keyed by packed
+extent bytes — and every ``explain_updates``
 view shares one metric-independent update context.  These tests pin the
 two halves of that contract:
 
@@ -100,25 +100,17 @@ class TestAccounting:
         with trace.tracing(tracer):
             session.audit(metrics=METRICS, k=2, verify=False)
         # Raw g_S GEMM spans (the kind-less influence.gemm spans) cover
-        # exactly the cache-miss rows: one row per distinct extent,
+        # exactly the Δθ cache's miss rows: one row per distinct extent,
         # however many metrics re-enumerated it.
         gemm_rows = sum(
             span.attrs["m"]
             for span in tracer.walk()
             if span.name == "influence.gemm" and "kind" not in span.attrs
         )
-        stats = session.stats
-        assert stats["influence.gradient_sum_cache_misses"] > 0
-        assert gemm_rows == stats["influence.gradient_sum_cache_misses"]
-        assert stats["influence.gradient_sum_cache_misses"] == len(
-            session.artifacts._grad_sum_cache
-        )
-        # Within one estimator family the Δθ cache fronts the g_S cache
-        # (later metrics never reach it), so raw-row reuse shows up when a
-        # *second* gradient-sum family re-enumerates the same extents.
-        view = session.explainer(metric=METRICS[0], estimator="one_step_gd")
-        view.explain(k=2, verify=False)
-        assert session.stats["influence.gradient_sum_cache_hits"] > 0
+        misses = session.stats["influence.param_change_cache_misses"]
+        assert misses > 0
+        assert gemm_rows == misses
+        assert misses == len(session.artifacts._param_change_cache)
 
     def test_later_metrics_recompute_no_param_changes(
         self, lr_model, german_train, german_test
@@ -152,7 +144,6 @@ class TestAccounting:
         masks = rng.random((6, fo_estimator.num_train)) < 0.1
         fo_estimator.param_change_batch(masks)
         assert fo_estimator.artifacts.stats["param_change_cache_misses"] == 0
-        assert fo_estimator.artifacts.stats["gradient_sum_cache_misses"] == 0
 
     def test_apply_edit_invalidates_extent_caches(
         self, lr_model, german_train, german_test
@@ -164,7 +155,7 @@ class TestAccounting:
         assert session.artifacts._param_change_cache
         edit = random_edit(session.train_data, "relabel", 5, seed=0)
         session.delta_audit(edit, k=2, verify=False)
-        # The edit moved the model: every cached g_S / Δθ row is stale
+        # The edit moved the model: every cached Δθ row is stale
         # and must have been dropped, not served.
         artifacts = session.artifacts
         before = dict(artifacts.stats)

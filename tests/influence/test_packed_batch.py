@@ -63,15 +63,34 @@ class TestPackedEqualsBoolean:
 
 
 class TestStreamingChunks:
-    def test_batch_larger_than_unpack_chunk(self, fo_estimator):
-        count = _PACKED_CHUNK + 37  # force at least two unpack chunks
-        masks = random_mask_matrix(fo_estimator.num_train, count, seed=4)
-        expected = fo_estimator.bias_change_batch(masks)
-        packed = fo_estimator.bias_change_batch(
-            pack_rows(masks), num_rows=fo_estimator.num_train
+    # First-order linear scores ΔF by folding byte columns; every other
+    # packed path unpacks _PACKED_CHUNK subsets at a time and crosses a chunk.
+    @pytest.mark.parametrize(
+        "setup", [ESTIMATOR_SETUPS[0], ESTIMATOR_SETUPS[2], ESTIMATOR_SETUPS[3]],
+        ids=["first_order-linear", "series-smooth", "exact-smooth"],
+    )
+    def test_batch_larger_than_unpack_chunk(
+        self, setup, lr_model, X_train, german_train, sp_metric, test_ctx
+    ):
+        name, kwargs = setup
+        estimator = make_estimator(
+            name, lr_model, X_train, german_train.labels, sp_metric, test_ctx, **kwargs
         )
-        assert packed.shape == (count,)
-        np.testing.assert_allclose(packed, expected, atol=1e-12, rtol=0)
+        count = _PACKED_CHUNK + 37  # force at least two unpack chunks
+        masks = random_mask_matrix(estimator.num_train, count, seed=4)
+        packed = pack_rows(masks)
+        n = estimator.num_train
+        bias = estimator.bias_change_batch(packed, num_rows=n)
+        assert bias.shape == (count,)
+        np.testing.assert_allclose(
+            bias, estimator.bias_change_batch(masks), atol=1e-12, rtol=0
+        )
+        np.testing.assert_allclose(
+            estimator.param_change_batch(packed, num_rows=n),
+            estimator.param_change_batch(masks),
+            atol=1e-12,
+            rtol=0,
+        )
 
     def test_empty_packed_batch(self, fo_estimator):
         packed = np.zeros((0, (fo_estimator.num_train + 7) // 8), dtype=np.uint8)

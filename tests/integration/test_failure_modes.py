@@ -194,3 +194,57 @@ class TestNonFiniteCells:
         assert repair_session.stats == stats
         assert repair_session.train_data is train
         np.testing.assert_array_equal(repair_session.X_train, X_train)
+
+
+def with_labels(data: Dataset, label: int) -> Dataset:
+    """``data`` with every label set to ``label``."""
+    labels = np.full(data.num_rows, label, dtype=data.labels.dtype)
+    return Dataset(data.name, data.table, labels, data.protected, data.favorable_label)
+
+
+SINGLE_CLASS = r"training labels hold a single class"
+ONE_CLASS = pytest.mark.parametrize("label", [0, 1])
+
+
+class TestSingleClassLabels:
+    """Training labels of one class leave a degenerate model: the audit
+    would report confident explanations of a bias of exactly zero."""
+
+    @ONE_CLASS
+    def test_fit_with_unfitted_model(self, label, german_train, german_test):
+        session = AuditSession(LogisticRegression(l2_reg=1e-3), estimator="second_order")
+        with pytest.raises(ValueError, match=SINGLE_CLASS):
+            session.fit(with_labels(german_train, label), german_test)
+
+    @ONE_CLASS
+    def test_fit_with_pre_fitted_model(self, label, lr_model, german_train, german_test):
+        session = AuditSession(lr_model, estimator="first_order")
+        with pytest.raises(ValueError, match=SINGLE_CLASS):
+            session.fit(with_labels(german_train, label), german_test)
+
+    @ONE_CLASS
+    def test_relabel_all_edit(self, label, repair_session):
+        rows = np.arange(repair_session.train_data.num_rows)
+        edit = DataEdit.relabel(rows, np.full(rows.size, label))
+        with pytest.raises(ValueError, match=SINGLE_CLASS):
+            repair_session.delta_audit(edit, metrics=["statistical_parity"], k=3)
+
+    @ONE_CLASS
+    def test_edit_removing_every_row_of_one_class(self, label, repair_session):
+        labels = repair_session.train_data.labels
+        with pytest.raises(ValueError, match=SINGLE_CLASS):
+            repair_session.apply_edit(DataEdit.remove(np.flatnonzero(labels != label)))
+
+    def test_refused_edit_leaves_the_session_unedited(self, repair_session):
+        stats, X_train = repair_session.stats, repair_session.X_train.copy()
+        train = repair_session.train_data
+        rows = np.arange(train.num_rows)
+        for edit in (
+            DataEdit.relabel(rows, np.ones(rows.size, dtype=np.int64)),
+            DataEdit.remove(np.flatnonzero(train.labels == 0)),
+        ):
+            with pytest.raises(ValueError, match=SINGLE_CLASS):
+                repair_session.delta_audit(edit, metrics=["statistical_parity"], k=3)
+        assert repair_session.stats == stats
+        assert repair_session.train_data is train
+        np.testing.assert_array_equal(repair_session.X_train, X_train)

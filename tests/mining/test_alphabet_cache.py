@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import DataEdit, random_edit
-from repro.mining import AlphabetCache, make_engine, pack_rows
+from repro.mining import AlphabetCache, mine_closed_candidates, pack_rows, unpack_rows
 from repro.patterns import compute_candidates
 
 TAU = 0.05
@@ -77,7 +77,7 @@ def test_support_threshold_outside_unit_interval_rejected(
     """Every level-1 build validates τ, so no path searches with a τ that
     keeps nothing (≥ 1) or everything (< 0)."""
     search = {
-        "mining_engine": lambda: make_engine("mining").generate(
+        "mining_engine": lambda: mine_closed_candidates(
             german_train.table, fo_estimator, support_threshold=tau
         ),
         "alphabet_cache": lambda: cache.get(tau),
@@ -106,7 +106,9 @@ class TestFrozenLanguageUnderEdits:
         )
         cache.apply_edit(edit, edited.table)
         for predicate, mask in alphabet._evaluated.items():
-            np.testing.assert_array_equal(mask, predicate.mask(edited.table))
+            np.testing.assert_array_equal(
+                unpack_rows(mask, edited.num_rows), predicate.mask(edited.table)
+            )
 
     def test_patched_masks_match_reevaluation_with_adds(self, cache, german_train):
         alphabet = cache.get(TAU)
@@ -115,7 +117,9 @@ class TestFrozenLanguageUnderEdits:
         cache.apply_edit(edit, edited.table)
         assert alphabet.num_rows == edited.num_rows
         for predicate, mask in alphabet._evaluated.items():
-            np.testing.assert_array_equal(mask, predicate.mask(edited.table))
+            np.testing.assert_array_equal(
+                unpack_rows(mask, edited.num_rows), predicate.mask(edited.table)
+            )
 
     def test_relabel_only_edit_is_a_structural_noop(self, cache, german_train):
         alphabet = cache.get(TAU)
@@ -143,9 +147,8 @@ class TestFrozenLanguageUnderEdits:
         # so the frequency-ascending order may too) and re-packing the
         # patched masks.  (Not a fresh cache on the edited table: that
         # would re-derive bin edges — the frozen language forbids it.)
-        ordered = sorted(
-            alphabet.entries, key=lambda pair: (int(pair[1].sum()), pair[0].sort_key())
-        )
+        masks = [(p, unpack_rows(m, edited.num_rows)) for p, m in alphabet.entries]
+        ordered = sorted(masks, key=lambda pair: (int(pair[1].sum()), pair[0].sort_key()))
         patched_preds, patched_tids = alphabet.miner_items()
         assert patched_preds == [p for p, _ in ordered]
         np.testing.assert_array_equal(
@@ -159,7 +162,11 @@ class TestFrozenLanguageUnderEdits:
         assert alphabet._skeleton is not None
         # Remove precisely the supporting rows of the thinnest entry so it
         # falls below τ — a guaranteed entry-list change.
-        thinnest = min(alphabet.entries, key=lambda pair: pair[1].sum())
+        n = german_train.num_rows
+        thinnest = min(
+            ((p, unpack_rows(m, n)) for p, m in alphabet.entries),
+            key=lambda pair: pair[1].sum(),
+        )
         drop = np.flatnonzero(thinnest[1])[: int(thinnest[1].sum() * 0.6)]
         edit = DataEdit.remove(drop)
         cache.apply_edit(edit, german_train.apply_edit(edit).table)

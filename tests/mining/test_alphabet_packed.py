@@ -1,10 +1,8 @@
-"""Out-of-core (packed, block-streamed) alphabet mode.
+"""The level-1 alphabet stores every mask as a packed ``uint8`` row.
 
-The packed build streams row blocks off the table into per-predicate
-packed buffers; it must produce bit-identical tidlists to the in-memory
-boolean build, survive edits through the same patch path, refuse the
-boolean-mask consumers (lattice, delta replay), and account its block
-streams.
+The build packs each predicate's mask as it is evaluated, and an edit
+patches one predicate at a time; both must leave every stored row equal
+to the predicate evaluated against the current table.
 """
 
 import numpy as np
@@ -12,54 +10,28 @@ import pytest
 
 from repro.datasets import random_edit
 from repro.mining.alphabet import PredicateAlphabet
-from repro.mining.bitset import unpack_rows
+from repro.mining.bitset import packed_width, unpack_rows
 
 TAU = 0.05
 
 
-@pytest.fixture(scope="module")
-def both_alphabets(german_train):
-    plain = PredicateAlphabet(german_train.table, TAU, 4, None)
-    packed = PredicateAlphabet(german_train.table, TAU, 4, None, packed=True, block_rows=64)
-    return plain, packed
-
-
-class TestPackedBuildEquivalence:
-    def test_same_predicates_and_masks(self, both_alphabets):
-        plain, packed = both_alphabets
-        assert packed.packed and not plain.packed
-        assert [p for p, _ in packed.entries] == [p for p, _ in plain.entries]
-        assert packed.num_generated == plain.num_generated
-        for (_, bool_mask), (_, packed_mask) in zip(plain.entries, packed.entries):
+class TestPackedBuild:
+    def test_every_entry_unpacks_to_its_predicate_mask(self, german_train):
+        table = german_train.table
+        alphabet = PredicateAlphabet(table, TAU, 4, None)
+        assert alphabet.entries
+        for predicate, mask in alphabet.entries:
+            assert mask.dtype == np.uint8
+            assert mask.shape == (packed_width(table.num_rows),)
             np.testing.assert_array_equal(
-                unpack_rows(packed_mask, packed.num_rows), bool_mask
+                unpack_rows(mask, table.num_rows), predicate.mask(table)
             )
-
-    def test_same_miner_view(self, both_alphabets):
-        plain, packed = both_alphabets
-        plain_preds, plain_tids = plain.miner_items()
-        packed_preds, packed_tids = packed.miner_items()
-        assert packed_preds == plain_preds
-        np.testing.assert_array_equal(packed_tids, plain_tids)
-
-    def test_block_streams_accounted(self, german_train):
-        alphabet = PredicateAlphabet(
-            german_train.table, TAU, 4, None, packed=True, block_rows=256
-        )
-        expected_blocks = -(-german_train.table.num_rows // 256)
-        assert alphabet._stats["block_streams"] == expected_blocks
-
-    def test_block_rows_must_be_byte_aligned(self, german_train):
-        with pytest.raises(ValueError, match="multiple of 8"):
-            PredicateAlphabet(german_train.table, TAU, 4, None, packed=True, block_rows=100)
 
 
 class TestPackedEdits:
     @pytest.mark.parametrize("kind", ["remove", "add"])
     def test_apply_edit_matches_reevaluation(self, german_train, kind):
-        alphabet = PredicateAlphabet(
-            german_train.table, TAU, 4, None, packed=True, block_rows=64
-        )
+        alphabet = PredicateAlphabet(german_train.table, TAU, 4, None)
         edit = random_edit(german_train, kind, count=25, seed=5)
         edited = german_train.apply_edit(edit)
         alphabet.apply_edit(edit, edited.table)
@@ -68,34 +40,3 @@ class TestPackedEdits:
             np.testing.assert_array_equal(
                 unpack_rows(mask, alphabet.num_rows), predicate.mask(edited.table)
             )
-
-    def test_edited_packed_equals_edited_plain(self, german_train):
-        plain = PredicateAlphabet(german_train.table, TAU, 4, None)
-        packed = PredicateAlphabet(german_train.table, TAU, 4, None, packed=True)
-        edit = random_edit(german_train, "remove", count=30, seed=9)
-        edited = german_train.apply_edit(edit)
-        plain.apply_edit(edit, edited.table)
-        packed.apply_edit(edit, edited.table)
-        assert [p for p, _ in packed.entries] == [p for p, _ in plain.entries]
-        _, plain_tids = plain.miner_items()
-        _, packed_tids = packed.miner_items()
-        np.testing.assert_array_equal(packed_tids, plain_tids)
-
-
-class TestBooleanConsumersRefuse:
-    def test_lattice_refuses_packed_alphabet(self, german_train, fo_estimator):
-        from repro.patterns.lattice import compute_candidates
-
-        packed = PredicateAlphabet(german_train.table, TAU, 4, None, packed=True)
-        with pytest.raises(ValueError, match="packed"):
-            compute_candidates(
-                german_train.table, fo_estimator,
-                support_threshold=TAU, max_predicates=2, alphabet=packed,
-            )
-
-    def test_delta_replay_refuses_packed_alphabet(self, german_train):
-        from repro.core.delta import replay_geometry
-
-        packed = PredicateAlphabet(german_train.table, TAU, 4, None, packed=True)
-        with pytest.raises(ValueError, match="packed"):
-            replay_geometry(packed, support_threshold=TAU)

@@ -13,7 +13,7 @@ import pytest
 from repro.datasets.encoding import TabularEncoder
 from repro.fairness import FairnessContext, get_metric
 from repro.influence import make_estimator
-from repro.mining import PredicateAlphabet, mine_closed_candidates
+from repro.mining import PredicateAlphabet, mine_closed_candidates, unpack_rows
 from repro.models import LogisticRegression
 from repro.tabular import Table
 
@@ -88,7 +88,10 @@ class TestClosedEnumerationProperties:
         predicate would strictly shrink it, so one candidate per extent
         loses no pattern."""
         table, _, result = mined_instance
-        alphabet = [mask for _, mask in PredicateAlphabet(table, TAU, 4).entries]
+        alphabet = [
+            unpack_rows(mask, table.num_rows)
+            for _, mask in PredicateAlphabet(table, TAU, 4).entries
+        ]
         for candidate in result.candidates:
             extent = candidate.mask()
             closure = np.ones_like(extent)

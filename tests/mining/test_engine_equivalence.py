@@ -10,13 +10,7 @@ candidates (one per distinct extent).
 import pytest
 
 from repro.core import GopherConfig, GopherExplainer
-from repro.mining import (
-    CandidateEngine,
-    ClosedMiningEngine,
-    LatticeEngine,
-    list_engines,
-    make_engine,
-)
+from repro.mining import mine_closed_candidates
 from repro.models import LogisticRegression
 from repro.patterns import CandidateResult, compute_candidates, select_top_k
 
@@ -42,10 +36,10 @@ class TestGermanEquivalence:
     @pytest.fixture(scope="class", params=[2, 3], ids=["mp2", "mp3"])
     def engine_pair(self, request, german_train, german_series_estimator):
         opts = dict(support_threshold=0.05, max_predicates=request.param)
-        lattice = make_engine("lattice").generate(
+        lattice = compute_candidates(
             german_train.table, german_series_estimator, **opts
         )
-        mined = make_engine("mining").generate(
+        mined = mine_closed_candidates(
             german_train.table, german_series_estimator, **opts
         )
         return lattice, mined
@@ -66,10 +60,10 @@ class TestGermanEquivalence:
         opts = dict(
             support_threshold=0.05, max_predicates=2, prune_by_responsibility=False
         )
-        lattice = make_engine("lattice").generate(
+        lattice = compute_candidates(
             german_train.table, german_series_estimator, **opts
         )
-        mined = make_engine("mining").generate(
+        mined = mine_closed_candidates(
             german_train.table, german_series_estimator, **opts
         )
         assert_identical_top_k(lattice, mined, 5)
@@ -77,10 +71,10 @@ class TestGermanEquivalence:
 
     def test_fewer_candidates_evaluated(self, german_train, german_series_estimator):
         opts = dict(support_threshold=0.05, max_predicates=2)
-        lattice = make_engine("lattice").generate(
+        lattice = compute_candidates(
             german_train.table, german_series_estimator, **opts
         )
-        mined = make_engine("mining").generate(
+        mined = mine_closed_candidates(
             german_train.table, german_series_estimator, **opts
         )
         assert mined.num_evaluated < lattice.num_evaluated
@@ -99,10 +93,10 @@ class TestGermanEquivalence:
         formability, closing the gap — pinned here at both depths.
         """
         opts = dict(support_threshold=0.05, max_predicates=mp)
-        lattice = make_engine("lattice").generate(
+        lattice = compute_candidates(
             german_train.table, german_series_estimator, **opts
         )
-        mined = make_engine("mining").generate(
+        mined = mine_closed_candidates(
             german_train.table, german_series_estimator, **opts
         )
         assert mined.num_evaluated <= lattice.num_evaluated
@@ -113,8 +107,8 @@ class TestSyntheticEquivalence:
     def engine_pair(self, request, synth_setup):
         table, estimator = synth_setup
         opts = dict(support_threshold=0.05, max_predicates=request.param)
-        lattice = make_engine("lattice").generate(table, estimator, **opts)
-        mined = make_engine("mining").generate(table, estimator, **opts)
+        lattice = compute_candidates(table, estimator, **opts)
+        mined = mine_closed_candidates(table, estimator, **opts)
         return lattice, mined
 
     @pytest.mark.parametrize("k", [1, 3, 5, 10])
@@ -144,11 +138,11 @@ class TestProjectedEngineEquivalence:
         self, projection, german_train, german_series_estimator
     ):
         opts = dict(support_threshold=0.05, max_predicates=3)
-        lattice = make_engine("lattice").generate(
+        lattice = compute_candidates(
             german_train.table, german_series_estimator, **opts
         )
-        mined = make_engine("mining", projection=projection).generate(
-            german_train.table, german_series_estimator, **opts
+        mined = mine_closed_candidates(
+            german_train.table, german_series_estimator, projection=projection, **opts
         )
         assert_identical_top_k(lattice, mined, 5)
         assert mined.num_evaluated <= lattice.num_evaluated
@@ -156,40 +150,12 @@ class TestProjectedEngineEquivalence:
     def test_projected_mining_matches_lattice_synthetic(self, synth_setup):
         table, estimator = synth_setup
         opts = dict(support_threshold=0.05, max_predicates=3)
-        lattice = make_engine("lattice").generate(table, estimator, **opts)
-        mined = make_engine("mining").generate(table, estimator, **opts)
+        lattice = compute_candidates(table, estimator, **opts)
+        mined = mine_closed_candidates(table, estimator, **opts)
         assert_identical_top_k(lattice, mined, 5)
 
 
 class TestEngineProtocol:
-    def test_list_engines(self):
-        assert list_engines() == ["lattice", "mining"]
-
-    def test_make_engine_unknown(self):
-        with pytest.raises(ValueError, match="unknown candidate engine"):
-            make_engine("apriori")
-
-    def test_both_satisfy_protocol(self):
-        assert isinstance(LatticeEngine(), CandidateEngine)
-        assert isinstance(ClosedMiningEngine(), CandidateEngine)
-
-    def test_lattice_engine_wraps_compute_candidates(
-        self, german_train, german_series_estimator
-    ):
-        direct = compute_candidates(
-            german_train.table, german_series_estimator,
-            support_threshold=0.05, max_predicates=2,
-        )
-        wrapped = LatticeEngine().generate(
-            german_train.table, german_series_estimator,
-            support_threshold=0.05, max_predicates=2,
-        )
-        assert isinstance(wrapped, CandidateResult)
-        assert wrapped.num_evaluated == direct.num_evaluated
-        assert [s.pattern for s in wrapped.candidates] == [
-            s.pattern for s in direct.candidates
-        ]
-
     def test_search_functions_return_candidate_result(
         self, german_train, german_series_estimator
     ):
@@ -204,7 +170,7 @@ class TestEngineProtocol:
     def test_select_top_k_accepts_candidate_result(
         self, german_train, german_series_estimator
     ):
-        result = ClosedMiningEngine().generate(
+        result = mine_closed_candidates(
             german_train.table, german_series_estimator,
             support_threshold=0.05, max_predicates=1,
         )

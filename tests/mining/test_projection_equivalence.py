@@ -6,8 +6,7 @@ digests, and streams sparse extents to the estimator as index batches.
 Across randomized instances — including support thresholds below the
 1/SPARSE_DENSITY density cutoff, where the sparse representation actually
 carries survivors — both modes must visit the same closed extents and emit
-identical candidates, scores, masks, and evaluation counts, on bool and
-packed (out-of-core) alphabets alike.
+identical candidates, scores, masks, and evaluation counts.
 """
 
 import numpy as np
@@ -19,7 +18,6 @@ from repro.fairness import FairnessContext, get_metric
 from repro.influence import make_estimator
 from repro.mining import mine_closed_candidates
 from repro.mining.alphabet import PredicateAlphabet
-from repro.mining.engine import make_engine
 from repro.models import LogisticRegression
 from repro.obs.trace import Tracer, tracing
 from repro.tabular import Table
@@ -170,25 +168,6 @@ class TestModeEquivalence:
             for mode in MODES
         )
         assert_identical(never, auto)
-
-    def test_packed_alphabet_equivalence(self):
-        """An out-of-core (packed) alphabet feeds the same mining results."""
-        table, estimator = scale_instance(5)
-        plain = PredicateAlphabet(table, 0.03, 4, None)
-        packed = PredicateAlphabet(table, 0.03, 4, None, packed=True)
-        assert packed.packed and not plain.packed
-        a = mine(table, estimator, support_threshold=0.03, max_predicates=3, alphabet=plain)
-        b = mine(table, estimator, support_threshold=0.03, max_predicates=3, alphabet=packed)
-        assert_identical(a, b)
-
-    def test_engine_kwarg_round_trip(self):
-        table, estimator = scale_instance(2, n=400)
-        default = make_engine("mining")
-        never = make_engine("mining", projection="never")
-        assert default.projection == "auto" and never.projection == "never"
-        ra = default.generate(table, estimator, support_threshold=0.05, max_predicates=2)
-        rb = never.generate(table, estimator, support_threshold=0.05, max_predicates=2)
-        assert [str(c.pattern) for c in ra.candidates] == [str(c.pattern) for c in rb.candidates]
 
     @pytest.mark.parametrize("projection", ["sometimes", "always"])
     def test_invalid_projection_rejected(self, projection):

@@ -88,9 +88,12 @@ class TestFromSpan:
 
 
 class TestCacheHitFlopHonesty:
-    """Attributed FLOPs must equal executed work: a hit on the extent
+    """Attributed FLOPs must equal executed work: a hit on the Δθ extent
     cache serves stored rows and may not re-record an ``influence.gemm``
     span, and a partial hit records a span sized to the miss rows only."""
+
+    #: Any estimator spec; the kernel below is the g_S GEMM alone.
+    SPEC = ("gemm_only",)
 
     @pytest.fixture()
     def artifacts(self, lr_model, X_train, german_train):
@@ -100,6 +103,9 @@ class TestCacheHitFlopHonesty:
             lr_model, X_train, german_train.labels
         ).enable_extent_caching()
 
+    def param_changes(self, artifacts, masks):
+        return artifacts.cached_param_changes(self.SPEC, masks, artifacts.gradient_sums)
+
     def test_cache_hit_does_not_re_record_gemm_flops(self, artifacts, X_train):
         rng = np.random.default_rng(5)
         n = X_train.shape[0]
@@ -108,32 +114,32 @@ class TestCacheHitFlopHonesty:
         tracer = Tracer()
         with trace.tracing(tracer):
             with trace.span("audit.query") as cold:
-                artifacts.gradient_sums(masks)
+                self.param_changes(artifacts, masks)
             with trace.span("audit.query") as warm:
-                artifacts.gradient_sums(masks)
+                self.param_changes(artifacts, masks)
         cold_report = CostReport.from_span(cold)
         assert cold_report.gemm_flops == gemm_flops(6, n, p)
-        assert artifacts.stats["gradient_sum_cache_misses"] == 6
+        assert artifacts.stats["param_change_cache_misses"] == 6
         warm_report = CostReport.from_span(warm)
         assert warm_report.gemm_flops == 0.0
-        assert artifacts.stats["gradient_sum_cache_hits"] == 6
+        assert artifacts.stats["param_change_cache_hits"] == 6
         assert not any(s.name == "influence.gemm" for s in warm.walk())
 
     def test_partial_hit_attributes_only_computed_rows(self, artifacts, X_train):
         rng = np.random.default_rng(6)
         n = X_train.shape[0]
         seen = rng.random((4, n)) < 0.1
-        artifacts.gradient_sums(seen)
+        self.param_changes(artifacts, seen)
         p = artifacts.per_sample_grads.shape[1]
         mixed = np.vstack([seen[:2], rng.random((3, n)) < 0.1])
         tracer = Tracer()
         with trace.tracing(tracer):
             with trace.span("audit.query") as q:
-                artifacts.gradient_sums(mixed)
+                self.param_changes(artifacts, mixed)
         report = CostReport.from_span(q)
         assert report.gemm_flops == gemm_flops(3, n, p)
-        assert artifacts.stats["gradient_sum_cache_hits"] == 2
-        assert artifacts.stats["gradient_sum_cache_misses"] == 4 + 3
+        assert artifacts.stats["param_change_cache_hits"] == 2
+        assert artifacts.stats["param_change_cache_misses"] == 4 + 3
 
 
 class TestExports:

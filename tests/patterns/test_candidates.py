@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from repro.mining.alphabet import PredicateAlphabet
+from repro.mining.bitset import unpack_rows
 from repro.tabular import Table
 
 
 def level1_entries(table, support_threshold, num_bins=4, exclude_features=None):
-    """The level-1 (predicate, mask) entries the lattice starts from."""
-    return PredicateAlphabet(
-        table, support_threshold, num_bins, exclude_features, packed=False
-    ).entries
+    """The level-1 (predicate, boolean mask) entries the lattice starts from."""
+    alphabet = PredicateAlphabet(table, support_threshold, num_bins, exclude_features)
+    return [(p, unpack_rows(mask, table.num_rows)) for p, mask in alphabet.entries]
 
 
 @pytest.fixture

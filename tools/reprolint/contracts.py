@@ -113,7 +113,6 @@ REPRO_CONTRACTS = ContractSet(
         ("ModelArtifacts", "solver"): BuildContract("hessian_factorizations"),
         ("ModelArtifacts", "hessian_factors"): BuildContract("rank_one_factor_builds"),
         ("ModelArtifacts", "auto_learning_rate"): BuildContract("learning_rate_builds"),
-        ("ModelArtifacts", "gradient_sums"): BuildContract("gradient_sum_cache_misses"),
         ("ModelArtifacts", "cached_param_changes"): BuildContract(
             "param_change_cache_misses"
         ),
@@ -152,9 +151,6 @@ REPRO_CONTRACTS = ContractSet(
         ),
         ("PredicateAlphabet", "_build"): BuildContract(
             None, reason="constructor helper, called from __init__ only"
-        ),
-        ("PredicateAlphabet", "_build_packed"): BuildContract(
-            "block_streams", stats_attr="_stats"
         ),
         ("PredicateAlphabet", "record_mining_counters"): BuildContract(
             "projection_builds", stats_attr="_stats"
