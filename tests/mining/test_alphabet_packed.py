@@ -10,7 +10,7 @@ import pytest
 
 from repro.datasets import random_edit
 from repro.mining.alphabet import PredicateAlphabet
-from repro.mining.bitset import packed_width, unpack_rows
+from repro.mining.bitset import packed_width, popcount, unpack_rows
 
 TAU = 0.05
 
@@ -27,6 +27,19 @@ class TestPackedBuild:
                 unpack_rows(mask, table.num_rows), predicate.mask(table)
             )
 
+    def test_same_miner_view(self, german_train):
+        """The miner's view holds the same rows as the entries, sorted by
+        ascending support."""
+        alphabet = PredicateAlphabet(german_train.table, TAU, 4, None)
+        predicates, tids = alphabet.miner_items()
+        entry_masks = dict(alphabet.entries)
+        assert sorted(map(str, predicates)) == sorted(str(p) for p in entry_masks)
+        assert tids.shape == (len(entry_masks), packed_width(alphabet.num_rows))
+        for predicate, row in zip(predicates, tids):
+            np.testing.assert_array_equal(row, entry_masks[predicate])
+        supports = [popcount(row) for row in tids]
+        assert supports == sorted(supports)
+
 
 class TestPackedEdits:
     @pytest.mark.parametrize("kind", ["remove", "add"])
@@ -40,3 +53,20 @@ class TestPackedEdits:
             np.testing.assert_array_equal(
                 unpack_rows(mask, alphabet.num_rows), predicate.mask(edited.table)
             )
+
+    def test_edited_packed_equals_edited_plain(self, german_train):
+        """A miner view built before an edit and patched by it equals the
+        view an alphabet builds fresh after the same edit."""
+        patched = PredicateAlphabet(german_train.table, TAU, 4, None).warm()
+        fresh = PredicateAlphabet(german_train.table, TAU, 4, None)
+        edit = random_edit(german_train, "remove", count=30, seed=9)
+        edited = german_train.apply_edit(edit)
+        patched.apply_edit(edit, edited.table)
+        fresh.apply_edit(edit, edited.table)
+        assert [p for p, _ in patched.entries] == [p for p, _ in fresh.entries]
+        patched_preds, patched_tids = patched.miner_items()
+        fresh_preds, fresh_tids = fresh.miner_items()
+        assert patched_preds == fresh_preds
+        np.testing.assert_array_equal(patched_tids, fresh_tids)
+        assert patched._stats["tidlist_patches"] == 1
+        assert fresh._stats["tidlist_patches"] == 0

@@ -9,7 +9,9 @@ candidates (one per distinct extent).
 
 import pytest
 
+from repro.cli import build_parser
 from repro.core import GopherConfig, GopherExplainer
+from repro.core.config import ENGINES
 from repro.mining import mine_closed_candidates
 from repro.models import LogisticRegression
 from repro.patterns import CandidateResult, compute_candidates, select_top_k
@@ -156,6 +158,15 @@ class TestProjectedEngineEquivalence:
 
 
 class TestEngineProtocol:
+    def test_list_engines(self):
+        """The CLI offers exactly the engines GopherConfig accepts."""
+        assert ENGINES == ("lattice", "mining")
+        for engine in ENGINES:
+            args = build_parser().parse_args(["explain", "--engine", engine])
+            assert GopherConfig(engine=args.engine).engine == engine
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["explain", "--engine", "apriori"])
+
     def test_search_functions_return_candidate_result(
         self, german_train, german_series_estimator
     ):
@@ -180,9 +191,9 @@ class TestEngineProtocol:
 
 class TestExplainerIntegration:
     @pytest.fixture(scope="class")
-    def explanations(self, german_train, german_test):
+    def explainers(self, german_train, german_test):
         out = {}
-        for engine in ("lattice", "mining"):
+        for engine in ENGINES:
             gopher = GopherExplainer(
                 LogisticRegression(l2_reg=1e-3),
                 metric="statistical_parity",
@@ -192,9 +203,43 @@ class TestExplainerIntegration:
                 max_predicates=2,
                 support_threshold=0.05,
             )
-            gopher.fit(german_train, german_test)
-            out[engine] = gopher.explain(k=3, verify=False)
+            out[engine] = gopher.fit(german_train, german_test)
         return out
+
+    @pytest.fixture(scope="class")
+    def explanations(self, explainers):
+        return {
+            engine: gopher.explain(k=3, verify=False)
+            for engine, gopher in explainers.items()
+        }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_explainer_runs_the_configured_search(
+        self, explainers, explanations, german_train, engine
+    ):
+        """``explain`` returns what a direct call of the engine's search
+        function gives on the explainer's estimator and configuration."""
+        gopher = explainers[engine]
+        cfg = gopher.config
+        search = compute_candidates if engine == "lattice" else mine_closed_candidates
+        direct = search(
+            german_train.table,
+            gopher.estimator,
+            support_threshold=cfg.support_threshold,
+            max_predicates=cfg.max_predicates,
+            num_bins=cfg.num_bins,
+            exclude_features=cfg.exclude_features or None,
+            prune_by_responsibility=cfg.prune_by_responsibility,
+            max_responsibility=cfg.max_responsibility,
+        )
+        via_explainer = explanations[engine].lattice
+        assert isinstance(via_explainer, CandidateResult)
+        assert via_explainer.num_evaluated == direct.num_evaluated
+        assert [c.pattern for c in via_explainer.candidates] == [
+            c.pattern for c in direct.candidates
+        ]
+        for a, b in zip(via_explainer.candidates, direct.candidates):
+            assert a.responsibility == pytest.approx(b.responsibility, abs=1e-10)
 
     def test_identical_explanations(self, explanations):
         lattice, mined = explanations["lattice"], explanations["mining"]

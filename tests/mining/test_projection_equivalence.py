@@ -169,6 +169,17 @@ class TestModeEquivalence:
         )
         assert_identical(never, auto)
 
+    def test_packed_alphabet_equivalence(self):
+        """An alphabet built ahead of the search feeds the same mining
+        results as the one the search builds for itself."""
+        table, estimator = scale_instance(5)
+        supplied = PredicateAlphabet(table, 0.03, 4, None)
+        a = mine(table, estimator, support_threshold=0.03, max_predicates=3)
+        b = mine(
+            table, estimator, support_threshold=0.03, max_predicates=3, alphabet=supplied
+        )
+        assert_identical(a, b)
+
     @pytest.mark.parametrize("projection", ["sometimes", "always"])
     def test_invalid_projection_rejected(self, projection):
         table, estimator = scale_instance(2, n=400)
