@@ -755,6 +755,9 @@ class AuditSession:
         grid when one exists, else a fresh pre-edit audit run first.
         Returns a :class:`DeltaAuditResult`; its ``after`` side becomes the
         session's ``last_audit``, so successive edits chain naturally.
+        When tracing is on, the ``delta.audit`` span carries
+        ``grad_norm_before`` and ``grad_norm_after``: ‖∇L(θ; D)‖ on the
+        training rows before and after the edit, since θ is not refit.
         """
         self._require_fitted()
         if recheck not in ("auto", "always", "never"):
@@ -784,7 +787,15 @@ class AuditSession:
                 cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None
             )
             specs_before = [predicate for predicate, _ in alphabet.entries]
+            # apply_edit never refits, so every answer after the edit is
+            # expanded around a θ that is no longer the optimum; the trace
+            # records how far off it is, ‖∇L(θ; D)‖ on both sides.
+            traced = trace.get_tracer().enabled
+            if traced:
+                audit_span.set(grad_norm_before=self._gradient_norm())
             self.apply_edit(edit)
+            if traced:
+                audit_span.set(grad_norm_after=self._gradient_norm())
             alphabet = self.alphabet_cache.get(
                 cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None
             )
@@ -852,6 +863,12 @@ class AuditSession:
             seconds=audit_span.seconds,
             stats=dict(self.stats),
         )
+
+    def _gradient_norm(self) -> float:
+        """‖∇L(θ; D)‖ of the fitted θ on the current (possibly edited)
+        training rows: the norm of the mean patched per-sample gradient."""
+        assert self.artifacts is not None
+        return float(np.linalg.norm(self.artifacts.per_sample_grads.mean(axis=0)))
 
     def _delta_query(
         self,

@@ -38,10 +38,15 @@ per-rank diffs that mean something.  A relabel-only edit leaves the
 table (and therefore every mask) untouched.  Rebuild the session when
 the cumulative edit volume warrants re-binning.
 
-``stats`` counts ``alphabet_builds`` / ``tidlist_builds`` (full builds)
-and ``alphabet_patches`` / ``tidlist_patches`` (edit-time patches), so the
-audit and delta-audit benchmarks can assert a whole multi-query audit
-built each exactly once — and that re-audits after an edit built nothing.
+The closed miner's digest search keeps its *extent identities* here too
+(:class:`ExtentIdentities`): the rows an item set covers are a function of
+the alphabet alone, so every query of the session reads the same keys.
+
+``stats`` counts ``alphabet_builds`` / ``tidlist_builds`` /
+``identity_builds`` (full builds) and ``alphabet_patches`` /
+``tidlist_patches`` (edit-time patches), so the audit and delta-audit
+benchmarks can assert a whole multi-query audit built each exactly once —
+and that re-audits after an edit built nothing.
 """
 
 from __future__ import annotations
@@ -78,6 +83,14 @@ class PredicateAlphabet:
     ``_evaluated``: an edit can push a predicate across the support
     threshold in either direction, so :meth:`apply_edit` must re-filter
     the *full* spec set, not just the surviving entries.
+
+    Three views are built lazily under one lock, once per alphabet, and
+    shared by every query: :meth:`miner_items` (the miner's sorted, stacked
+    tidlists), :meth:`pair_skeleton` (the lattice's level-2 merge pairs)
+    and :meth:`extent_identities` (the digest miner's extent keys and
+    generator sets).  :meth:`warm` builds them up front.  An edit that
+    changes rows re-stacks the miner view, empties the identities, and
+    drops the skeleton when the entry list changed.
     """
 
     def __init__(
@@ -101,12 +114,17 @@ class PredicateAlphabet:
         self._stats.setdefault("tidlist_compressions", 0)
         self._stats.setdefault("sparse_dispatch_hits", 0)
         self._stats.setdefault("dense_dispatch_hits", 0)
+        self._stats.setdefault("identity_builds", 0)
+        self._stats.setdefault("identity_hits", 0)
+        self._stats.setdefault("identity_misses", 0)
         self._evaluated: dict[Predicate, np.ndarray] = {}
         self._build(table)
         self._miner_items: tuple[list[Predicate], np.ndarray] | None = None
         self._skeleton: tuple[np.ndarray, np.ndarray] | None = None
-        # Guards the lazy views (miner_items / pair_skeleton) so a cold
-        # alphabet shared across threads builds each exactly once.
+        self._identities: ExtentIdentities | None = None
+        # Guards the lazy views (miner_items / pair_skeleton /
+        # extent_identities) so a cold alphabet shared across threads
+        # builds each exactly once.
         self._lock = threading.Lock()
 
     def _build(self, table: Table) -> None:
@@ -149,7 +167,9 @@ class PredicateAlphabet:
         specs.  Relabel-only edits are a no-op (a predicate mask never
         depends on labels).  A previously-built miner view is re-sorted and
         re-stacked from the patched masks (``tidlist_patches``), never
-        re-derived from scratch.
+        re-derived from scratch.  A built extent-identity store is replaced
+        by an empty one seeded for the new row count: every count, key and
+        digest row value it held described the old rows.
         """
         if new_table.num_rows != self.num_rows - edit.num_removed + edit.num_added:
             raise ValueError(
@@ -176,6 +196,8 @@ class PredicateAlphabet:
             # The support filter moved an entry in or out: the level-2
             # merge skeleton no longer describes the entry list.
             self._skeleton = None
+        if self._identities is not None:
+            self._identities = ExtentIdentities(self.num_rows)
         if self._miner_items is not None:
             self._miner_items = self._pack_items()
             self._stats.inc("tidlist_patches")
@@ -249,16 +271,37 @@ class PredicateAlphabet:
             trace.add("cache_hits")
         return self._miner_items
 
+    def extent_identities(self) -> "ExtentIdentities":
+        """The digest miner's extent-identity store for this alphabet.
+
+        Built lazily (empty, plus its digest row values) and shared by
+        every mining query until an edit changes rows; see
+        :class:`ExtentIdentities`.
+        """
+        if self._identities is None:
+            with self._lock:
+                if self._identities is None:
+                    trace.add("cache_misses")
+                    self._identities = ExtentIdentities(self.num_rows)
+                    self._stats.inc("identity_builds")
+                else:
+                    trace.add("cache_hits")
+        else:
+            trace.add("cache_hits")
+        return self._identities
+
     def warm(self, miner: bool = True, skeleton: bool = False) -> "PredicateAlphabet":
         """Eagerly build the lazy views so shared reads never trigger a build.
 
-        ``miner`` sorts and stacks the tidlist matrix (what the miner reads);
-        ``skeleton`` additionally enumerates the level-2 merge skeleton the
-        incremental delta path replays.  Idempotent — each build is counted
-        by its own stats entry exactly once.
+        ``miner`` sorts and stacks the tidlist matrix and builds the extent
+        identity store (what the miner reads); ``skeleton`` additionally
+        enumerates the level-2 merge skeleton the incremental delta path
+        replays.  Idempotent — each build is counted by its own stats entry
+        exactly once.
         """
         if miner:
             _ = self.miner_items()
+            _ = self.extent_identities()
         if skeleton:
             _ = self.pair_skeleton()
         return self
@@ -269,16 +312,24 @@ class PredicateAlphabet:
         tidlist_compressions: int = 0,
         sparse_dispatch_hits: int = 0,
         dense_dispatch_hits: int = 0,
+        identity_hits: int = 0,
+        identity_misses: int = 0,
     ) -> None:
         """Flush one search's worth of mining-layer counters.
 
-        The miner tallies its hot-loop events (conditional-database
-        projections, dense→sparse tidlist compressions, representation
-        dispatch hits) in plain local ints — bumping the lock-protected
-        registry per lattice node would put a mutex in the innermost loop —
-        and flushes them here once per search, so the benchmarks and RL002
-        see them through the same :class:`~repro.obs.metrics.StatsView` as
-        every other mining counter.
+        The miner tallies its hot-loop events in plain local ints — bumping
+        the lock-protected registry per lattice node would put a mutex in
+        the innermost loop — and flushes them here once per search, so the
+        benchmarks and RL002 see them through the same
+        :class:`~repro.obs.metrics.StatsView` as every other mining counter:
+
+        * ``projection_builds`` — conditional databases built;
+        * ``tidlist_compressions`` — dense→sparse tidlist conversions;
+        * ``sparse_dispatch_hits`` / ``dense_dispatch_hits`` — co-parent
+          refinements actually run, by the co-parent's representation (a
+          lookup answered by the identity store runs none);
+        * ``identity_hits`` / ``identity_misses`` — item-path keys read
+          from, or computed and added to, :class:`ExtentIdentities`.
         """
         if projection_builds:
             self._stats.inc("projection_builds", projection_builds)
@@ -288,6 +339,10 @@ class PredicateAlphabet:
             self._stats.inc("sparse_dispatch_hits", sparse_dispatch_hits)
         if dense_dispatch_hits:
             self._stats.inc("dense_dispatch_hits", dense_dispatch_hits)
+        if identity_hits:
+            self._stats.inc("identity_hits", identity_hits)
+        if identity_misses:
+            self._stats.inc("identity_misses", identity_misses)
 
 
 def _stack(entries: list[tuple[Predicate, np.ndarray]], num_rows: int) -> np.ndarray:
@@ -295,6 +350,91 @@ def _stack(entries: list[tuple[Predicate, np.ndarray]], num_rows: int) -> np.nda
     if not entries:
         return np.zeros((0, packed_width(num_rows)), dtype=np.uint8)
     return np.stack([mask for _, mask in entries])
+
+
+#: Seed of the digest search's per-row values, XORed with the row count;
+#: fixed so a search is reproducible run to run.
+_DIGEST_SEED = 0x9E3779B97F4A7C15
+
+
+class ExtentIdentities:
+    """Metric-independent extent identities of one alphabet's digest search.
+
+    The closed miner's digest search keys every extent it touches by
+    ``(count, value)``; :mod:`repro.mining.closed` lists what a key costs.
+    The rows an item set covers depend only on the alphabet, never on the
+    model, metric or group, so one store serves every query on it:
+
+    * ``hvals`` — the digest's per-row ``uint64`` values, seeded by the
+      row count;
+    * ``paths`` — ascending miner-order item tuple → the key of the extent
+      it covers (a key's first element is the extent's row count);
+    * ``generators`` — ``(max_predicates, extent key)`` → the extent's
+      generator combos.
+
+    An insert writes the value any other query computes for the same
+    path, so queries racing on one store are benign under the GIL.
+    :meth:`PredicateAlphabet.apply_edit` empties the store (and re-seeds
+    ``hvals``) on every edit that changes rows.
+    """
+
+    def __init__(self, num_rows: int) -> None:
+        self.hvals = np.random.default_rng(_DIGEST_SEED ^ num_rows).integers(
+            0, np.iinfo(np.uint64).max, size=num_rows, dtype=np.uint64
+        )
+        self.paths: dict[tuple[int, ...], tuple[int, int]] = {}
+        self.generators: dict[tuple[int, tuple[int, int]], tuple[tuple[int, ...], ...]] = {}
+
+    def key_of(self, path: tuple[int, ...]) -> tuple[int, int] | None:
+        """The stored key of the extent ``path`` covers, or None."""
+        return self.paths.get(path)
+
+    def add_key(self, path: tuple[int, ...], key: tuple[int, int]) -> None:
+        self.paths[path] = key
+
+    def generators_of(
+        self, max_predicates: int, key: tuple[int, int]
+    ) -> tuple[tuple[int, ...], ...] | None:
+        """The stored generators of extent ``key`` up to ``max_predicates``
+        items, or None."""
+        return self.generators.get((max_predicates, key))
+
+    def add_generators(
+        self, max_predicates: int, key: tuple[int, int], combos: tuple[tuple[int, ...], ...]
+    ) -> None:
+        self.generators[(max_predicates, key)] = combos
+
+
+def search_alphabet(
+    table: Table,
+    alphabet: PredicateAlphabet | None,
+    support_threshold: float,
+    num_bins: int,
+    exclude_features,
+) -> PredicateAlphabet:
+    """The alphabet one search runs on.
+
+    ``None`` builds a throwaway alphabet for the search's parameters.  A
+    supplied alphabet must have been built for them: one built for another
+    τ, bin count, exclusion set or row count would search (and key extents
+    over) the wrong predicates, so the ``ValueError`` names the first field
+    that differs.
+    """
+    if alphabet is None:
+        return PredicateAlphabet(table, support_threshold, num_bins, exclude_features)
+    exclude = normalize_exclude_features(exclude_features)
+    for name, built, asked in (
+        ("support_threshold", alphabet.support_threshold, float(support_threshold)),
+        ("num_bins", alphabet.num_bins, int(num_bins)),
+        ("exclude_features", sorted(alphabet.exclude_features), sorted(exclude)),
+        ("num_rows", alphabet.num_rows, table.num_rows),
+    ):
+        if built != asked:
+            raise ValueError(
+                f"alphabet was built with {name}={built!r} but the search asks "
+                f"for {name}={asked!r}"
+            )
+    return alphabet
 
 
 class AlphabetCache:
@@ -323,6 +463,9 @@ class AlphabetCache:
                 "tidlist_compressions": 0,
                 "sparse_dispatch_hits": 0,
                 "dense_dispatch_hits": 0,
+                "identity_builds": 0,
+                "identity_hits": 0,
+                "identity_misses": 0,
             },
             registry=metrics,
             namespace="mining",

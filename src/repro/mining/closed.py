@@ -47,6 +47,37 @@ Memory per search path is ``O(depth · n/8)`` for the extents plus the
 ``O(batch_size · n/8)`` packed buffer, instead of the
 ``O(level_width · n)`` boolean masks the lattice holds per level.
 
+Extent identity
+---------------
+Every frontier child, descent-bar co-parent, level-1 item and replayed
+sub-pattern needs a hashable key for its extent.  The flat search keys an
+extent by its packed bytes (one ``n/8`` copy).  The digest search (below)
+keys it by ``(count, value)``, and what that costs depends on the form the
+extent arrives in.  Measured per key in one four-metric
+``scale_mining_audit`` grid before the store below existed (dataset 0,
+seed 0, 54,229 keys; 2-vCPU Xeon VM, timer overhead included):
+
+* an already-sparse index tidlist — a gather-sum over ``count`` values,
+  the only ``O(count)`` case: 38 µs (268 keys);
+* a packed tidlist whose count is sparse-eligible — an unpack and
+  ``flatnonzero`` over its whole space: 30 µs in a projected space
+  (22,188 keys), 163 µs for a full-width global row (5,441 keys);
+* a dense packed tidlist in the root space — one ``n/8`` copy and a
+  hash: 27 µs (20,573 keys);
+* a dense packed tidlist in a projected space — the ``(n,)`` global mask
+  rebuilt, packed and hashed: 94 µs (5,759 keys).
+
+Those 54,229 keys covered only 7,457 distinct item sets, because a key
+depends only on the rows an item set covers, never on the metric, and
+the co-parent and replay lookups re-key sets the frontier already keyed.
+So the digest search reads and fills the alphabet's
+:class:`~repro.mining.alphabet.ExtentIdentities`: one key per ascending
+item path (the count is the key's first element, so a stored child also
+skips its popcount), and the generator combos of each emitted extent per
+``max_predicates``.  Every query on the alphabet shares it, and an edit
+that changes rows empties it, so each distinct item set is keyed once
+between edits; ``identity_hits`` / ``identity_misses`` count the lookups.
+
 Conditional-database projection (``projection="auto"``, the default)
 replaces both ``n/8`` terms with *parent-extent-proportional* ones: a
 branch whose extent shrinks below ``1/_PROJECT_SHRINK`` of its space is
@@ -114,7 +145,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.influence.estimators import InfluenceEstimator
-from repro.mining.alphabet import PredicateAlphabet
+from repro.mining.alphabet import ExtentIdentities, search_alphabet
 from repro.mining.bitset import (
     bit_test,
     covers_all,
@@ -248,33 +279,24 @@ class _Node:
 class _InfluenceCache:
     """Extent-keyed influence results, filled by batched packed queries.
 
-    ``key_fn`` maps a *global* tidlist (packed row or sparse index array)
-    to its hashable identity — raw packed bytes for the unprojected
-    search, the digest key under projection.  Tidlists flow to the
-    estimator in whatever representation they arrive: packed rows are
-    stacked into one ``bias_change_batch(packed, num_rows=n)`` call and
-    sparse index arrays go through the estimator's index-streamed batch
-    entry *as indices* — no pack/unpack round-trip on either path.
+    Callers hand in ``(key, global tidlist)`` pairs, keyed by the search's
+    extent identity — raw packed bytes for the unprojected search, the
+    digest key under projection.  Tidlists flow to the estimator in
+    whatever representation they arrive: packed rows are stacked into one
+    ``bias_change_batch(packed, num_rows=n)`` call and sparse index arrays
+    go through the estimator's index-streamed batch entry *as indices* —
+    no pack/unpack round-trip on either path.  Results are per query: they
+    depend on the metric, so unlike extent identities they are never
+    shared.
     """
 
-    def __init__(
-        self,
-        estimator: InfluenceEstimator,
-        num_rows: int,
-        batch_size: int,
-        key_fn=extent_key,
-    ) -> None:
+    def __init__(self, estimator: InfluenceEstimator, num_rows: int, batch_size: int) -> None:
         self.estimator = estimator
         self.num_rows = num_rows
         self.batch_size = batch_size
-        self.key_fn = key_fn
         self.baseline = estimator.baseline
         self.by_key: dict[object, tuple[float, float]] = {}
         self.num_evaluated = 0
-
-    def evaluate(self, extents: list[np.ndarray]) -> None:
-        """Score every not-yet-seen extent, ``batch_size`` per packed call."""
-        self.evaluate_pairs([(self.key_fn(extent), extent) for extent in extents])
 
     def evaluate_pairs(self, pairs: list[tuple[object, np.ndarray]]) -> None:
         """Score every not-yet-seen ``(key, global tidlist)`` pair."""
@@ -313,13 +335,6 @@ class _InfluenceCache:
         for (key, _), resp, dbias in zip(pairs, responsibilities, bias_changes):
             self.by_key[key] = (float(resp), float(dbias))
 
-    def lookup(self, extent: np.ndarray) -> tuple[float, float]:
-        return self.by_key[self.key_fn(extent)]
-
-    def responsibility_of(self, extent: np.ndarray) -> float | None:
-        found = self.by_key.get(self.key_fn(extent))
-        return None if found is None else found[0]
-
 
 def mine_closed_candidates(
     table: Table,
@@ -345,9 +360,12 @@ def mine_closed_candidates(
     boolean unpack inside the estimator is further chunked, so it does not
     bound mask memory — the packed representation does).  ``alphabet`` is
     an optional pre-built :class:`repro.mining.alphabet.PredicateAlphabet`
-    whose frequency-ascending packed tidlists are reused instead of
-    re-generated — how an :class:`repro.core.AuditSession` shares one
-    tidlist build across every query of an audit.
+    whose frequency-ascending packed tidlists (and, in the digest search,
+    extent identities) are reused instead of re-generated — how an
+    :class:`repro.core.AuditSession` shares one tidlist build across every
+    query of an audit.  It must have been built for this table's row count
+    and this τ, bin count and exclusion set; a mismatch raises
+    ``ValueError`` naming the field.
 
     ``projection`` selects the conditional-database strategy.  ``"never"``
     is the flat traversal: every extension ANDs two global ``n/8``-byte
@@ -386,10 +404,7 @@ def mine_closed_candidates(
             f"({estimator.num_train}); patterns quantify over the training data"
         )
 
-    if alphabet is None:
-        alphabet = PredicateAlphabet(
-            table, support_threshold, num_bins, exclude_features
-        )
+    alphabet = search_alphabet(table, alphabet, support_threshold, num_bins, exclude_features)
     # Frequency-ascending item order (LCM's standard heuristic), sort-key
     # tie-broken for determinism, full-coverage predicates dropped.
     # Rarest-first matters beyond speed here: an item subsumed by another
@@ -413,26 +428,28 @@ def mine_closed_candidates(
         # * sparse-eligible (count·32 ≤ n) — set-homomorphic digest: each
         #   row carries a fixed random 64-bit value and the key is
         #   (count, Σ values mod 2⁶⁴).  O(count) from an index tidlist,
+        #   an unpack over the tidlist's space from a packed one;
         #   coordinate-space independent, O(8n) to store the values once.
-        # * dense — (count, hash of the global packed bytes).  One n/8
-        #   memcpy + siphash instead of an O(n) member extraction — the
-        #   extraction cost is exactly what made digest keys lose to the
-        #   flat search's raw-bytes keys on dense sub-extent lookups.
-        #   Only the 64-bit hash is retained, so the survived/defeated
-        #   caches stay O(1) per extent either way.
+        # * dense — (count, hash of the global packed bytes): one n/8 copy
+        #   in the root space, a rebuilt (n,) global mask in a projected
+        #   one (the module docstring lists measured costs).  Only the
+        #   64-bit hash is retained, so the survived/defeated caches stay
+        #   O(1) per extent either way.
         #
         # A sparse-eligible extent can never be packed-keyed (or vice
         # versa): eligibility depends only on the count, which both
         # branches carry.  A collision needs two same-size extents whose
         # digests or byte hashes agree mod 2⁶⁴: union-bound
         # ≈ (#distinct extents)² / 2⁶⁵, vanishing for any feasible
-        # search, and a false merge only skips one subtree re-walk.  The
-        # seed is fixed so a search is reproducible run-to-run.
-        hsource = np.random.default_rng(0x9E3779B97F4A7C15 ^ num_rows).integers(
-            0, np.iinfo(np.uint64).max, size=num_rows, dtype=np.uint64
-        )
+        # search, and a false merge only skips one subtree re-walk.
+        #
+        # The alphabet's identity store holds the seeded row values and
+        # one key per item path for every query on the alphabet; each
+        # lookup below reads it before it intersects or keys anything.
+        store = alphabet.extent_identities()
+        hsource = store.hvals
     else:
-        hsource = None
+        store = hsource = None
     root_space = _Space(None, num_rows, 0, tids, 0, None, hsource)
 
     def space_key(tid: np.ndarray, space: _Space, count: int | None = None):
@@ -457,7 +474,7 @@ def mine_closed_candidates(
         return (count, hash(extent_key(tid)))
 
     def global_key(tid: np.ndarray):
-        """Key of a tidlist already in global coordinates (the cache's view)."""
+        """Key of a tidlist already in global coordinates (the replay's view)."""
         return space_key(tid, root_space)
 
     # Hot-loop event tallies, flushed to the alphabet's StatsView once per
@@ -468,7 +485,24 @@ def mine_closed_candidates(
         "tidlist_compressions": 0,
         "sparse_dispatch_hits": 0,
         "dense_dispatch_hits": 0,
+        "identity_hits": 0,
+        "identity_misses": 0,
     }
+    coparent_hits = 0
+
+    def path_key(path: tuple[int, ...], tid: np.ndarray, space: _Space, count=None):
+        """``space_key`` of item path ``path``'s extent ``tid``, through the
+        identity store in the digest search."""
+        if store is None:
+            return space_key(tid, space, count)
+        key = store.key_of(path)
+        if key is None:
+            key = space_key(tid, space, count)
+            store.add_key(path, key)
+            counters["identity_misses"] += 1
+        else:
+            counters["identity_hits"] += 1
+        return key
 
     def project(node: _Node) -> _Space:
         """Re-pack ``node``'s extent into a dense local space (the
@@ -526,15 +560,14 @@ def mine_closed_candidates(
         mask[rows] = True
         return pack_rows(mask)
 
-    cache = _InfluenceCache(
-        estimator, num_rows, batch_size, key_fn=global_key if use_digest else extent_key
-    )
+    cache = _InfluenceCache(estimator, num_rows, batch_size)
     # Level-1 pre-pass: every distinct item extent in one batched sweep —
     # the same influence work Algorithm 1 spends on level 1, minus
     # duplicate extents — so every deeper node can form its pruning bar
-    # from its extension item's responsibility.
-    cache.evaluate(list(tids))
-    item_resp = np.array([cache.lookup(tids[j])[0] for j in range(num_items)])
+    # from its extension item's responsibility.  Each item is keyed once.
+    item_keys = [path_key((j,), tids[j], root_space) for j in range(num_items)]
+    cache.evaluate_pairs(list(zip(item_keys, tids)))
+    item_resp = np.array([cache.by_key[key][0] for key in item_keys])
 
     tried = _DepthCounter()
     survivors = _DepthCounter()
@@ -554,6 +587,7 @@ def mine_closed_candidates(
     defeated: set[bytes] = set()
 
     def children(node: _Node) -> list[_Node]:
+        nonlocal coparent_hits
         out: list[_Node] = []
         siblings: set[object] = set()
         space = node.space
@@ -613,12 +647,16 @@ def mine_closed_candidates(
                     co_parents.append((anc, co))
         for j in range(node.last_item + 1, num_items):
             tried.add(node.depth + 1, 1)
+            path = node.items + (j,)
+            # A stored key carries the child's count, so a hit skips both
+            # the popcount and the key.
+            known = None if store is None else store.key_of(path)
             if child_counts is not None:
                 extent = child_space.tids[j - child_space.base]
                 count = int(child_counts[j - child_space.base])
             else:
                 extent = intersect(node.extent, space.tid(j))
-                count = int(popcount(extent))
+                count = int(popcount(extent)) if known is None else known[0]
             if count == node.count:
                 # Item j covers the whole extent (it is in the closure):
                 # the pattern gains a redundant predicate and nothing
@@ -641,7 +679,11 @@ def mine_closed_candidates(
                 # estimator consumes the indices directly at scoring time.
                 extent = to_sparse(extent, child_space.num_local)
                 counters["tidlist_compressions"] += 1
-            key = space_key(extent, child_space, count)
+            if known is None:
+                key = path_key(path, extent, child_space, count)
+            else:
+                key = known
+                counters["identity_hits"] += 1
             if key in siblings:
                 # A sibling with a smaller extension item reached the same
                 # extent; its subtree covers a superset of this one's
@@ -671,17 +713,31 @@ def mine_closed_candidates(
                 # equivalence suite pins the workloads where they agree.
                 bar = _parent_bar(node.responsibility, -np.inf, max_responsibility)
                 formable = False
-                for anc, co in co_parents:
-                    item_tid = anc.tid(j)
-                    if co is None:
-                        sub = item_tid
-                    elif is_sparse(co):
-                        sub = co[bit_test(item_tid, co)]
-                        counters["sparse_dispatch_hits"] += 1
+                for drop, (anc, co) in enumerate(co_parents):
+                    if store is None:
+                        sub_path, sub_key = None, None
                     else:
-                        sub = intersect(co, item_tid)
-                        counters["dense_dispatch_hits"] += 1
-                    sub_key = space_key(sub, anc)
+                        sub_path = node.items[:drop] + node.items[drop + 1 :] + (j,)
+                        sub_key = store.key_of(sub_path)
+                    if sub_key is not None:
+                        # Keyed before — usually as a child, since the LIFO
+                        # frontier expands larger items first: no AND.
+                        coparent_hits += 1
+                        counters["identity_hits"] += 1
+                    else:
+                        item_tid = anc.tid(j)
+                        if co is None:
+                            sub = item_tid
+                        elif is_sparse(co):
+                            sub = co[bit_test(item_tid, co)]
+                            counters["sparse_dispatch_hits"] += 1
+                        else:
+                            sub = intersect(co, item_tid)
+                            counters["dense_dispatch_hits"] += 1
+                        sub_key = space_key(sub, anc)
+                        if store is not None:
+                            store.add_key(sub_path, sub_key)
+                            counters["identity_misses"] += 1
                     resp = survived.get(sub_key)
                     if resp is not None:
                         formable = True
@@ -696,7 +752,7 @@ def mine_closed_candidates(
                 _Node(
                     extent,
                     count,
-                    node.items + (j,),
+                    path,
                     node.depth + 1,
                     bar,
                     space=child_space,
@@ -774,19 +830,31 @@ def mine_closed_candidates(
                 if node.depth < max_predicates:
                     expandable.append(node)
         frontier_span.set(
-            closed=len(visited_keys), emitted=len(emitted), evaluated=cache.num_evaluated
+            closed=len(visited_keys),
+            emitted=len(emitted),
+            evaluated=cache.num_evaluated,
+            identity_hits=counters["identity_hits"],
+            identity_misses=counters["identity_misses"],
+            coparent_hits=coparent_hits,
         )
     replay = _GeneratorReplay(
-        predicates, tids, cache, max_predicates, prune_by_responsibility, max_responsibility
+        predicates,
+        tids,
+        cache,
+        global_key,
+        max_predicates,
+        prune_by_responsibility,
+        max_responsibility,
+        store,
     )
     candidates = []
-    with trace.span("mining.replay", extents=len(emitted)):
+    with trace.span("mining.replay", extents=len(emitted)) as replay_span:
         for node in emitted:
             # Emitted extents leave their local coordinate space here: the
             # replay gets the density-canonical global tidlist (covers_all
             # dispatches on it) and PatternStats the packed global mask.
             gtid = global_tid(node)
-            pattern = replay.representative(gtid, node.count)
+            pattern = replay.representative(node.key, gtid, node.count)
             if pattern is None:
                 # Every generator of this extent fails the lattice's strict
                 # improvement test against its own sub-patterns; Algorithm 1
@@ -803,6 +871,9 @@ def mine_closed_candidates(
                     _num_rows=num_rows,
                 )
             )
+        replay_span.set(identity_hits=replay.hits, identity_misses=replay.misses)
+    counters["identity_hits"] += replay.hits
+    counters["identity_misses"] += replay.misses
     alphabet.record_mining_counters(**counters)
     levels = [
         LatticeLevelStats(
@@ -853,11 +924,19 @@ class _GeneratorReplay:
     producing pair), and can only be stricter otherwise.  The engine
     equivalence suite pins the configurations where the two coincide.
 
-    Sub-pattern responsibilities come from the miner's extent cache;
-    sub-extents the traversal never scored (their canonical closed node
-    fell to support pruning of a different branch shape) are evaluated
-    lazily in one batched query per node — extents the lattice paid for
-    as ordinary level-(k−1) candidates anyway.
+    Sub-pattern responsibilities are read from the miner's extent cache by
+    extent key; sub-extents the traversal never scored (their canonical
+    closed node fell to support pruning of a different branch shape) are
+    evaluated lazily in one batched query per node — extents the lattice
+    paid for as ordinary level-(k−1) candidates anyway.
+
+    In the digest search, ``store`` is the alphabet's
+    :class:`~repro.mining.alphabet.ExtentIdentities`.  A sub-pattern's key
+    is read from it by the combo's ascending item path, and an extent's
+    generator combos by ``(max_predicates, extent key)``.  So a replay ANDs
+    and keys only the sub-extents no query of the session has keyed, and
+    enumerates only the generator sets no query has enumerated.  ``hits``
+    and ``misses`` tally the key lookups.
     """
 
     def __init__(
@@ -865,17 +944,22 @@ class _GeneratorReplay:
         predicates: list[Predicate],
         tids: np.ndarray,
         cache: _InfluenceCache,
+        key_fn,
         max_predicates: int,
         prune_by_responsibility: bool,
         max_responsibility: float,
+        store: ExtentIdentities | None,
     ) -> None:
         self.predicates = predicates
         self.tids = tids
         self.cache = cache
+        self.key_fn = key_fn
         self.max_predicates = max_predicates
         self.prune_by_responsibility = prune_by_responsibility
         self.max_responsibility = max_responsibility
+        self.store = store
         self._survives: dict[tuple[int, ...], bool] = {}
+        self.hits = self.misses = 0
 
     # -- generator enumeration -----------------------------------------
     def _pattern_key(self, combo: tuple[int, ...]) -> tuple:
@@ -887,7 +971,27 @@ class _GeneratorReplay:
             extent = extent & self.tids[j]
         return extent
 
-    def _generators(self, extent: np.ndarray, count: int) -> list[tuple[int, ...]]:
+    def _identity(self, combo: tuple[int, ...]) -> tuple[object, np.ndarray | None]:
+        """``(key, extent)`` of ``combo``'s item set; ``extent`` is None when
+        the identity store already held the key, so no AND ran."""
+        if self.store is not None:
+            path = tuple(sorted(combo))
+            key = self.store.key_of(path)
+            if key is not None:
+                self.hits += 1
+                return key, None
+        extent = self._extent_of(combo)
+        key = self.key_fn(extent)
+        if self.store is not None:
+            self.store.add_key(path, key)
+            self.misses += 1
+        return key, extent
+
+    def _responsibility(self, combo: tuple[int, ...]) -> float | None:
+        found = self.cache.by_key.get(self._identity(combo)[0])
+        return None if found is None else found[0]
+
+    def _generators(self, extent: np.ndarray, count: int) -> tuple[tuple[int, ...], ...]:
         """All generators of the extent with ≤ ``max_predicates`` items.
 
         ``extent`` is a *global* tidlist in either representation — the
@@ -914,22 +1018,24 @@ class _GeneratorReplay:
                 # always contains it — equal popcount means equal extent.
                 if int(popcount(self._extent_of(combo))) == count:
                     generators.append(combo)
-        return generators
+        return tuple(generators)
 
     # -- the survival replay -------------------------------------------
-    def _ensure_scored(self, combos: list[tuple[int, ...]]) -> None:
+    def _ensure_scored(self, combos: tuple[tuple[int, ...], ...]) -> None:
         """Lazily score every sub-pattern extent the replay will consult."""
-        needed: list[np.ndarray] = []
+        needed: list[tuple[object, np.ndarray]] = []
         for combo in combos:
             stack = [combo]
             while stack:
                 current = stack.pop()
                 if len(current) < 2 or current in self._survives:
                     continue
-                needed.append(self._extent_of(current))
+                key, extent = self._identity(current)
+                if key not in self.cache.by_key:
+                    needed.append((key, self._extent_of(current) if extent is None else extent))
                 for drop in range(len(current)):
                     stack.append(current[:drop] + current[drop + 1 :])
-        self.cache.evaluate(needed)
+        self.cache.evaluate_pairs(needed)
 
     def survives(self, combo: tuple[int, ...]) -> bool:
         if len(combo) == 1:
@@ -937,7 +1043,7 @@ class _GeneratorReplay:
         cached = self._survives.get(combo)
         if cached is not None:
             return cached
-        responsibility = self.cache.responsibility_of(self._extent_of(combo))
+        responsibility = self._responsibility(combo)
         assert responsibility is not None  # _ensure_scored ran first
         parents = [combo[:drop] + combo[drop + 1 :] for drop in range(len(combo))]
         surviving = [p for p in parents if self.survives(p)]
@@ -945,17 +1051,24 @@ class _GeneratorReplay:
         bars = [
             resp
             for p in surviving
-            if (resp := self.cache.responsibility_of(self._extent_of(p))) is not None
+            if (resp := self._responsibility(p)) is not None
             and 0.0 < resp <= self.max_responsibility
         ]
         alive = formable and (not bars or responsibility > max(bars))
         self._survives[combo] = alive
         return alive
 
-    def representative(self, extent: np.ndarray, count: int) -> Pattern | None:
-        """The surviving pattern Algorithm 2 would pick, or None if the
-        lattice's pruning leaves no pattern for this extent."""
-        generators = self._generators(extent, count)
+    def representative(self, key, extent: np.ndarray, count: int) -> Pattern | None:
+        """The surviving pattern Algorithm 2 would pick for the extent with
+        identity ``key``, or None if the lattice's pruning leaves no pattern
+        for it."""
+        generators = None
+        if self.store is not None:
+            generators = self.store.generators_of(self.max_predicates, key)
+        if generators is None:
+            generators = self._generators(extent, count)
+            if self.store is not None:
+                self.store.add_generators(self.max_predicates, key, generators)
         if not self.prune_by_responsibility:
             # Without heuristic 2 the lattice emits redundant-predicate
             # patterns too; the tie-break ranges over all generators.

@@ -393,7 +393,9 @@ def compute_candidates(
         searches (different metrics, groups, estimators) share one
         predicate/mask build; level 1 is its packed
         :meth:`~repro.mining.alphabet.PredicateAlphabet.entry_matrix`.
-        ``None`` builds a throwaway alphabet for this call.
+        ``None`` builds a throwaway alphabet for this call; an alphabet
+        built for another τ, bin count, exclusion set or row count raises
+        ``ValueError`` naming the field.
     """
     if max_predicates < 1:
         raise ValueError(f"max_predicates must be >= 1, got {max_predicates}")
@@ -412,11 +414,12 @@ def compute_candidates(
     # --- level 1 ---------------------------------------------------------
     with trace.span("lattice.level", level=1) as level_span:
         # repro.mining imports this module.
-        from repro.mining.alphabet import PredicateAlphabet
+        from repro.mining.alphabet import search_alphabet
         from repro.mining.bitset import popcount
 
-        if alphabet is None:
-            alphabet = PredicateAlphabet(table, support_threshold, num_bins, exclude_features)
+        alphabet = search_alphabet(
+            table, alphabet, support_threshold, num_bins, exclude_features
+        )
         # Full-coverage predicates (which would "remove the entire data")
         # are already filtered out of the alphabet's entries.
         entries = alphabet.entries

@@ -11,6 +11,11 @@ shared state (the RL001 contract, enforced statically by
   queries, replay geometry) across a thread pool against one frozen
   session and asserts every answer is identical to the serial run.
 
+The mining variants run ``engine="mining"`` with the digest search forced
+on below its row gate, so every query reads and inserts into one shared
+extent-identity store — the only cross-query state a read may still add
+to, since an insert writes the value any query would compute.
+
 The cold-session variant (no ``warm()``) is the harder contract: every
 lazy build — per-sample gradients, the Hessian factorization, the
 rank-one Hessian factors, packed tidlists, the pair skeleton, the extent
@@ -30,6 +35,7 @@ from repro.core.delta import replay_geometry
 from repro.utils.freeze import Freezer, freeze_session
 
 SEARCH = dict(max_predicates=2, support_threshold=0.05)
+MINING = dict(max_predicates=3, support_threshold=0.05, engine="mining")
 METRICS = ["statistical_parity", "equal_opportunity"]
 
 
@@ -39,6 +45,23 @@ def frozen_session(lr_model, german_train, german_test):
     session.warm(skeleton=True)
     freeze_session(session)
     return session
+
+
+@pytest.fixture()
+def frozen_mining_session(monkeypatch, lr_model, german_train, german_test):
+    """Builds warmed, frozen mining sessions whose searches use the digest
+    identity store (the German split is below the miner's row gate)."""
+    import repro.mining.closed as closed_mod
+
+    monkeypatch.setattr(closed_mod, "_AUTO_DIGEST_MIN_ROWS", 0)
+
+    def build() -> AuditSession:
+        session = AuditSession(lr_model, **MINING).fit(german_train, german_test)
+        session.warm(skeleton=True)
+        freeze_session(session)
+        return session
+
+    return build
 
 
 def _subset_masks(session: AuditSession) -> np.ndarray:
@@ -132,6 +155,34 @@ class TestHammer:
         _bias_batch(frozen_session, METRICS[1], _subset_masks(frozen_session))
         after = frozen_session.stats
         for counter, value in before.items():
+            if counter.endswith("builds") or "factoriz" in counter:
+                assert after[counter] == value, f"{counter} built during a read"
+
+    def test_mining_store_hammer(self, frozen_mining_session):
+        """Eight threads insert into one empty identity store, then read a
+        full one; both rounds return the serial session's answers."""
+        serial = [task() for task in _mixed_tasks(frozen_mining_session())]
+        session = frozen_mining_session()
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            racing = [f.result() for f in [pool.submit(t) for t in _mixed_tasks(session)]]
+        _assert_same(serial, racing)
+        assert session.stats["mining.identity_misses"] > 0
+        _hammer(session)
+        assert session.stats["mining.identity_hits"] > 0
+
+    def test_mining_queries_build_nothing(self, frozen_mining_session):
+        session = frozen_mining_session()
+        before = dict(session.stats)
+        _explain_key(session, METRICS[0])
+        _bias_batch(session, METRICS[1], _subset_masks(session))
+        after = session.stats
+        assert after["mining.identity_misses"] > before["mining.identity_misses"]
+        # projection_builds counts each search's own conditional databases,
+        # transient per-query work rather than a shared cache.
+        assert after["mining.projection_builds"] > before["mining.projection_builds"]
+        for counter, value in before.items():
+            if counter == "mining.projection_builds":
+                continue
             if counter.endswith("builds") or "factoriz" in counter:
                 assert after[counter] == value, f"{counter} built during a read"
 

@@ -19,6 +19,7 @@ import pytest
 
 from repro.datasets import DataEdit, random_edit
 from repro.mining import AlphabetCache, mine_closed_candidates, pack_rows, unpack_rows
+from repro.mining.alphabet import PredicateAlphabet
 from repro.patterns import compute_candidates
 
 TAU = 0.05
@@ -87,6 +88,60 @@ def test_support_threshold_outside_unit_interval_rejected(
     }[path]
     with pytest.raises(ValueError, match=r"support_threshold must be in \[0, 1\)"):
         search()
+
+
+class TestSuppliedAlphabetMustMatch:
+    """A search handed an alphabet built for other parameters refuses it,
+    naming the field, instead of searching the wrong predicates: an
+    unmatched exclusion set lets the protected attribute into the
+    candidates, and an unmatched τ or bin count changes the language."""
+
+    ENGINES = {"lattice": compute_candidates, "mining": mine_closed_candidates}
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize(
+        "field,built,asked",
+        [
+            ("support_threshold", {"support_threshold": 0.2}, {}),
+            ("support_threshold", {"support_threshold": 0.01}, {}),
+            ("num_bins", {"num_bins": 8}, {}),
+            ("exclude_features", {}, {"exclude_features": {"age"}}),
+            ("num_rows", {"rows": 8}, {}),
+        ],
+        ids=["tau-above", "tau-below", "num_bins", "exclude_features", "num_rows"],
+    )
+    def test_mismatch_named(self, engine, field, built, asked, german_train, fo_estimator):
+        table = german_train.table
+        params = {"support_threshold": TAU, "num_bins": 4, "exclude_features": None}
+        alphabet_table = table.take(np.arange(table.num_rows - built.get("rows", 0)))
+        alphabet = PredicateAlphabet(
+            alphabet_table,
+            built.get("support_threshold", TAU),
+            built.get("num_bins", 4),
+            built.get("exclude_features"),
+        )
+        params.update(asked)
+        with pytest.raises(ValueError, match=f"alphabet was built with {field}="):
+            self.ENGINES[engine](
+                table, fo_estimator, max_predicates=2, alphabet=alphabet, **params
+            )
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_equivalent_spellings_accepted(self, engine, german_train, fo_estimator):
+        """The check compares normalized parameters, as the cache keys them."""
+        table = german_train.table
+        alphabet = PredicateAlphabet(table, TAU, 4, ["age"])
+        supplied = self.ENGINES[engine](
+            table, fo_estimator, support_threshold=np.float64(TAU), num_bins=4,
+            exclude_features="age", max_predicates=2, alphabet=alphabet,
+        )
+        own = self.ENGINES[engine](
+            table, fo_estimator, support_threshold=TAU, num_bins=4,
+            exclude_features={"age"}, max_predicates=2,
+        )
+        assert [str(c.pattern) for c in supplied.candidates] == [
+            str(c.pattern) for c in own.candidates
+        ]
 
 
 class TestFrozenLanguageUnderEdits:

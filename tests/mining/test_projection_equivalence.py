@@ -7,17 +7,23 @@ Across randomized instances — including support thresholds below the
 1/SPARSE_DENSITY density cutoff, where the sparse representation actually
 carries survivors — both modes must visit the same closed extents and emit
 identical candidates, scores, masks, and evaluation counts.
+
+The projected (digest) search keys extents through its alphabet's
+:class:`~repro.mining.alphabet.ExtentIdentities` store, which every query
+on the alphabet shares until an edit empties it; sharing, emptying and
+missing the store must not change a single candidate either.
 """
 
 import numpy as np
 import pytest
 
+from repro.datasets import DataEdit
 from repro.datasets._synth import bernoulli
 from repro.datasets.encoding import TabularEncoder
-from repro.fairness import FairnessContext, get_metric
+from repro.fairness import FairnessContext, get_metric, list_metrics
 from repro.influence import make_estimator
-from repro.mining import mine_closed_candidates
-from repro.mining.alphabet import PredicateAlphabet
+from repro.mining import mine_closed_candidates, unpack_rows
+from repro.mining.alphabet import ExtentIdentities, PredicateAlphabet
 from repro.models import LogisticRegression
 from repro.obs.trace import Tracer, tracing
 from repro.tabular import Table
@@ -38,7 +44,7 @@ def _auto_projects_at_test_scale(request, monkeypatch):
     monkeypatch.setattr(closed_mod, "_AUTO_DIGEST_MIN_ROWS", 0)
 
 
-def scale_instance(seed, n=700):
+def scale_instance(seed, n=700, metric="statistical_parity"):
     """A mid-sized instance whose deep extents cross the density cutoff."""
     rng = np.random.default_rng(seed)
     cats = np.array([f"c{i}" for i in range(8)], dtype=object)
@@ -66,9 +72,7 @@ def scale_instance(seed, n=700):
     X = encoder.transform(table)
     model = LogisticRegression(l2_reg=1e-3).fit(X, y)
     ctx = FairnessContext(X=X, y=y, privileged=~b, favorable_label=1)
-    estimator = make_estimator(
-        "first_order", model, X, y, get_metric("statistical_parity"), ctx
-    )
+    estimator = make_estimator("first_order", model, X, y, get_metric(metric), ctx)
     return table, estimator
 
 
@@ -126,6 +130,25 @@ def assert_identical(mined_a, mined_b):
         assert abs(x.responsibility - y.responsibility) < 1e-10
         assert abs(x.bias_change - y.bias_change) < 1e-10
         np.testing.assert_array_equal(x._packed_mask, y._packed_mask)
+
+
+def assert_bit_identical(a, b):
+    """Two search results agree exactly: evaluation count, level stats, and
+    every candidate's pattern, size, support, scores (to the last bit) and
+    mask."""
+
+    def signature(result):
+        return (
+            result.num_evaluated,
+            [(lv.level, lv.num_candidates, lv.num_merges_tried) for lv in result.levels],
+            [
+                (str(c.pattern), c.size, c.support, repr(c.responsibility),
+                 repr(c.bias_change), c._packed_mask.tobytes())
+                for c in result.candidates
+            ],
+        )
+
+    assert signature(a) == signature(b)
 
 
 class TestModeEquivalence:
@@ -189,25 +212,61 @@ class TestModeEquivalence:
 
 class TestObservabilityAndCounters:
     def test_projection_spans_and_counters(self):
+        """The projected search opens its spans, and every co-parent lookup
+        is answered by the identity store or by a dispatch that runs.
+
+        The flat search walks the same traversal and dispatches every
+        co-parent lookup, so its dispatch count is the lookup count.  A
+        repeat search on the same alphabet keys nothing anew and returns
+        the same candidates.
+        """
         table, estimator = correlated_instance()
+        search = dict(support_threshold=0.015, max_predicates=3)
         alphabet = PredicateAlphabet(table, 0.015, 4, None)
         tracer = Tracer()
         with tracing(tracer):
-            mine_closed_candidates(
-                table, estimator, support_threshold=0.015,
-                max_predicates=3, projection="auto", alphabet=alphabet,
+            first = mine_closed_candidates(
+                table, estimator, projection="auto", alphabet=alphabet, **search
             )
-        names = set()
-
-        def walk(spans):
-            for span in spans:
-                names.add(span.name)
-                walk(span.children)
-
-        walk(tracer.roots)
+        names = {span.name for span in tracer.walk()}
         assert "mining.project" in names
         assert "mining.sparse_and" in names
-        assert alphabet._stats["projection_builds"] > 0
+        stats = alphabet._stats
+        assert stats["projection_builds"] > 0
+        assert stats["identity_hits"] > 0
+        assert stats["identity_misses"] > 0
+
+        (frontier,) = (s for s in tracer.walk() if s.name == "mining.frontier")
+        dispatches = stats["sparse_dispatch_hits"] + stats["dense_dispatch_hits"]
+        flat = PredicateAlphabet(table, 0.015, 4, None)
+        mine_closed_candidates(table, estimator, projection="never", alphabet=flat, **search)
+        lookups = flat._stats["dense_dispatch_hits"]
+        assert flat._stats["sparse_dispatch_hits"] == 0
+        assert lookups > 0
+        assert frontier.attrs["coparent_hits"] + dispatches == lookups
+
+        misses, hits = stats["identity_misses"], stats["identity_hits"]
+        second = mine_closed_candidates(
+            table, estimator, projection="auto", alphabet=alphabet, **search
+        )
+        assert stats["identity_misses"] == misses
+        assert stats["identity_hits"] > hits
+        assert stats["identity_builds"] == 1
+        assert_bit_identical(first, second)
+
+    def test_store_misses_run_both_dispatches(self, monkeypatch):
+        """With every store lookup missing, each co-parent refinement runs —
+        sparse and dense both — and the candidates do not change."""
+        table, estimator = correlated_instance()
+        search = dict(support_threshold=0.015, max_predicates=3, projection="auto")
+        reference = mine_closed_candidates(
+            table, estimator, alphabet=PredicateAlphabet(table, 0.015, 4, None), **search
+        )
+        monkeypatch.setattr(ExtentIdentities, "key_of", lambda self, path: None)
+        alphabet = PredicateAlphabet(table, 0.015, 4, None)
+        missed = mine_closed_candidates(table, estimator, alphabet=alphabet, **search)
+        assert_bit_identical(reference, missed)
+        assert alphabet._stats["identity_hits"] == 0
         assert alphabet._stats["sparse_dispatch_hits"] > 0
         assert alphabet._stats["dense_dispatch_hits"] > 0
 
@@ -239,3 +298,85 @@ class TestObservabilityAndCounters:
         )
         assert alphabet._stats["projection_builds"] == 0
         assert alphabet._stats["tidlist_compressions"] == 0
+
+
+class TestSharedIdentityStore:
+    SEARCH = dict(support_threshold=0.02, max_predicates=3, projection="auto")
+
+    def test_metric_queries_share_one_store(self):
+        """Four metric searches on one alphabet return, bit for bit, what
+        each returns on an alphabet of its own, and the later ones reuse
+        the identities the earlier ones keyed."""
+        shared = None
+        fresh_misses = 0
+        for metric in list_metrics():
+            table, estimator = scale_instance(5, metric=metric)
+            if shared is None:
+                shared = PredicateAlphabet(table, 0.02, 4, None)
+            own = PredicateAlphabet(table, 0.02, 4, None)
+            alone = mine_closed_candidates(table, estimator, alphabet=own, **self.SEARCH)
+            reused = mine_closed_candidates(table, estimator, alphabet=shared, **self.SEARCH)
+            assert_bit_identical(alone, reused)
+            assert alone.candidates
+            fresh_misses += own._stats["identity_misses"]
+        assert shared._stats["identity_builds"] == 1
+        assert 0 < shared._stats["identity_misses"] < fresh_misses
+
+    def test_searches_of_other_depths_share_one_store(self):
+        """Generator sets are keyed by depth as well as by extent: a depth-3
+        search stores 3-item generators a depth-2 search must not report,
+        and the reverse.  Pruning is off, so every extent is reported under
+        the smallest of all its generators and a stale set shows at once."""
+        table, estimator = correlated_instance()
+        search = dict(support_threshold=0.015, projection="auto", prune_by_responsibility=False)
+        shared = PredicateAlphabet(table, 0.015, 4, None)
+        for depth in (3, 2, 4):
+            alone = mine_closed_candidates(
+                table, estimator, max_predicates=depth,
+                alphabet=PredicateAlphabet(table, 0.015, 4, None), **search,
+            )
+            reused = mine_closed_candidates(
+                table, estimator, max_predicates=depth, alphabet=shared, **search
+            )
+            assert_bit_identical(alone, reused)
+        assert shared._stats["identity_builds"] == 1
+
+    def test_row_edit_empties_the_store(self):
+        """After a remove edit that shrinks a mined extent, mining on the
+        patched alphabet equals mining on one built over the edited table.
+
+        ``score`` is excluded so the edit cannot move a bin edge: the fresh
+        alphabet then has exactly the patched alphabet's predicates.
+        """
+        table, estimator = scale_instance(2)
+        exclude = {"score"}
+        alphabet = PredicateAlphabet(table, 0.02, 4, exclude)
+        before = mine_closed_candidates(
+            table, estimator, alphabet=alphabet, exclude_features=exclude, **self.SEARCH
+        )
+        deep = max(
+            (c for c in before.candidates if len(c.pattern) >= 2), key=lambda c: c.size
+        )
+        removed = np.flatnonzero(unpack_rows(deep._packed_mask, table.num_rows))[:10]
+        edit = DataEdit.remove(removed)
+        keep = np.ones(table.num_rows, dtype=bool)
+        keep[removed] = False
+        edited = table.take(np.flatnonzero(keep))
+        alphabet.apply_edit(edit, edited)
+        edited_estimator = make_estimator(
+            "first_order", estimator.model, estimator.X_train[keep],
+            estimator.y_train[keep], estimator.metric, estimator.test_ctx,
+        )
+        after = mine_closed_candidates(
+            edited, edited_estimator, alphabet=alphabet, exclude_features=exclude,
+            **self.SEARCH,
+        )
+        fresh = mine_closed_candidates(
+            edited, edited_estimator, alphabet=PredicateAlphabet(edited, 0.02, 4, exclude),
+            exclude_features=exclude, **self.SEARCH,
+        )
+        assert_bit_identical(fresh, after)
+        # The edit shrank an extent the first search keyed and emitted.
+        assert deep.pattern.mask(edited).sum() == deep.size - len(removed)
+        # The edit emptied the store in place; the search built no other.
+        assert alphabet._stats["identity_builds"] == 1

@@ -12,6 +12,7 @@ so leaving the instrumentation in the hot loops is free.
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core import AuditSession
@@ -230,6 +231,48 @@ class TestUntracedDurations:
         for name, seconds in durations:
             assert seconds >= 1.0 and seconds == int(seconds), (name, seconds)
         assert all(query.cost is None for query in result)
+
+
+class TestEditedGradientNorm:
+    @pytest.mark.parametrize("kind", ["relabel", "remove", "add"])
+    def test_delta_audit_span_carries_gradient_norms(
+        self, kind, lr_model, german_train, german_test
+    ):
+        """``apply_edit`` never refits, so the ``delta.audit`` span records
+        ‖∇L(θ; D)‖ before and after the edit, read off the patched
+        per-sample gradients; each equals recomputing them from scratch."""
+        session = AuditSession(lr_model, **SEARCH).fit(german_train, german_test)
+        metrics = LIFECYCLE_METRICS[:1]
+        session.audit(metrics=metrics, k=2, verify=False)
+        X, y = session.X_train, session.train_data.labels
+        edit = random_edit(session.train_data, kind, count=8, seed=EDIT_SEED)
+        tracer = Tracer()
+        with trace.tracing(tracer):
+            session.delta_audit(edit, metrics=metrics, k=2)
+        (span,) = named(tracer, "delta.audit")
+
+        def norm(X, y):
+            return np.linalg.norm(session.model.per_sample_grads(X, y).mean(axis=0))
+
+        before, after = span.attrs["grad_norm_before"], span.attrs["grad_norm_after"]
+        assert before == pytest.approx(norm(X, y), rel=1e-12, abs=1e-15)
+        assert after == pytest.approx(
+            norm(session.X_train, session.train_data.labels), rel=1e-12, abs=1e-15
+        )
+        assert after > before
+
+    def test_untraced_delta_audit_computes_no_norm(
+        self, lr_model, german_train, german_test, monkeypatch
+    ):
+        session = AuditSession(lr_model, **SEARCH).fit(german_train, german_test)
+
+        def refuse(self):
+            raise AssertionError("gradient norm computed with tracing off")
+
+        monkeypatch.setattr(AuditSession, "_gradient_norm", refuse)
+        assert not trace.get_tracer().enabled
+        edit = random_edit(session.train_data, "remove", count=8, seed=EDIT_SEED)
+        session.delta_audit(edit, metrics=LIFECYCLE_METRICS[:1], k=2)
 
 
 class TestDisabledOverhead:

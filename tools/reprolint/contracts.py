@@ -76,6 +76,7 @@ REPRO_CONTRACTS = ContractSet(
             "ModelArtifacts",
             "HessianSolver",
             "PredicateAlphabet",
+            "ExtentIdentities",
             "AlphabetCache",
             "AuditSession",
             "FairnessContext",
@@ -146,6 +147,9 @@ REPRO_CONTRACTS = ContractSet(
         ("PredicateAlphabet", "pair_skeleton"): BuildContract(
             "skeleton_builds", stats_attr="_stats"
         ),
+        ("PredicateAlphabet", "extent_identities"): BuildContract(
+            "identity_builds", stats_attr="_stats"
+        ),
         ("PredicateAlphabet", "apply_edit"): BuildContract(
             "tidlist_patches", stats_attr="_stats", kind="edit"
         ),
@@ -160,6 +164,18 @@ REPRO_CONTRACTS = ContractSet(
         ),
         ("PredicateAlphabet", "warm"): BuildContract(
             None, reason="eager driver: every build it triggers is counted by its own entry"
+        ),
+        ("ExtentIdentities", "add_key"): BuildContract(
+            None,
+            reason="per-path extent-key memo shared by every mining query; an insert "
+            "writes the key any query computes for that path, so a racing double "
+            "insert is benign under the GIL",
+        ),
+        ("ExtentIdentities", "add_generators"): BuildContract(
+            None,
+            reason="per-extent generator-set memo shared by every mining query; an "
+            "insert writes the set any query enumerates for that (depth, extent), so "
+            "a racing double insert is benign under the GIL",
         ),
         ("AlphabetCache", "get"): BuildContract("alphabet_builds"),
         ("AlphabetCache", "apply_edit"): BuildContract("alphabet_patches", kind="edit"),
