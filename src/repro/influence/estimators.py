@@ -63,7 +63,12 @@ m — this is the streaming path the closed-pattern mining engine
 (``repro.mining``) relies on to never materialize a full (m, n) bool
 matrix.  Handing the miner's buffers over as giant unpacked bool matrices
 is deprecated in favour of this path; results are bit-identical because
-each chunk runs the exact same mask pipeline.
+each chunk runs the exact same mask pipeline.  First-order under linear
+evaluation never unpacks a chunk: its boolean and packed paths share one
+fold over column blocks of training rows, each cast into one reused
+L2-sized float64 buffer before its GEMV with the point influences.  The
+two paths run the same GEMV calls and agree bit for bit.  Padding bits
+past row n in a packed row's last byte are refused.
 
 With ``num_rows`` the batch entry points also accept an *index-streamed*
 batch: a plain sequence of per-subset sorted index arrays (the miner's
@@ -409,6 +414,11 @@ class InfluenceEstimator(ABC):
                 f"packed mask matrix has {packed.shape[1]} byte columns, expected "
                 f"{width} for {num_rows} rows"
             )
+        # The last byte's low ``pad`` bits lie past row n; a set one would
+        # count toward the popcount guard but be ignored by every scorer.
+        pad = 8 * width - num_rows
+        if pad and packed.shape[0] and bool((packed[:, -1] & ((1 << pad) - 1)).any()):
+            raise ValueError(f"packed masks set padding bits past num_rows={num_rows}")
         return packed
 
     @staticmethod
@@ -444,7 +454,8 @@ class InfluenceEstimator(ABC):
         """Unpack a packed batch ``_PACKED_CHUNK`` subsets at a time."""
         for start in range(0, packed.shape[0], _PACKED_CHUNK):
             chunk = packed[start : start + _PACKED_CHUNK]
-            yield np.unpackbits(chunk, axis=1, count=self.num_train).astype(bool)
+            # unpackbits returns a fresh 0/1 buffer, so the bool view is free.
+            yield np.unpackbits(chunk, axis=1, count=self.num_train).view(np.bool_)
 
     def _packed_bias_change(self, packed: np.ndarray) -> np.ndarray:
         """Chunked ΔF over a packed batch via the public boolean-mask path,

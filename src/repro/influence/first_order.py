@@ -25,13 +25,13 @@ from repro.influence.estimators import InfluenceEstimator
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
 
-# The linear packed path never unpacks whole _PACKED_CHUNK-subset mask
-# blocks (each O(chunk · n) bytes, with an O(chunk · n · 8) float cast
-# feeding the GEMM — the allocation that used to dominate mining peaks at
-# scale).  It streams the mask/point-influence fold over byte-column blocks
-# instead, holding at most _MASK_BLOCK_BYTES unpacked mask cells (and 8×
-# that in float) at a time.
-_MASK_BLOCK_BYTES = 1 << 23
+# The linear mask paths (boolean and packed) fold the mask/point-influence
+# product over column blocks of training rows, casting each block into one
+# reused float64 buffer of at most this many bytes before its GEMV.  At
+# 1 MiB the buffer stays in L2, so the cast and the GEMV that reads it
+# never go out to DRAM, as a float cast of a whole batch (8 bytes per mask
+# bit) would.
+_FOLD_BUFFER_BYTES = 1 << 20
 
 
 class FirstOrderInfluence(InfluenceEstimator):
@@ -114,45 +114,52 @@ class FirstOrderInfluence(InfluenceEstimator):
         masks = self._check_batch(subsets)
         # Linearized ΔF is additive over points, so the whole batch is one
         # mask-matrix / point-influence product — no solve at all.
-        with trace.span(
-            "influence.batch",
-            estimator=type(self).__name__,
-            m=int(masks.shape[0]),
-            n=self.num_train,
-        ) as s:
-            s.add("evaluations", int(masks.shape[0]))
-            s.add("gemm_flops", 2.0 * masks.shape[0] * masks.shape[1])
-            return masks.astype(np.float64) @ self.point_influences()
+        return self._fold(masks.shape[0], lambda c0, c1: masks[:, c0:c1])
 
     def _packed_bias_change(self, packed: np.ndarray) -> np.ndarray:
         if self.evaluation != "linear":
             return super()._packed_bias_change(packed)
         from repro.mining.bitset import popcount
 
-        m = int(packed.shape[0])
-        if m == 0:
-            return np.zeros(0)
         counts = np.atleast_1d(popcount(packed))
         if counts.size and int(counts.max()) >= self.num_train:
-            # Mirrors _check_batch's guard without unpacking: padding bits
-            # are zero, so only the full-training-set mask reaches n.
+            # Mirrors _check_batch's guard without unpacking: _check_packed
+            # refuses padding bits, so only the full-training-set mask
+            # reaches n.
             raise ValueError("cannot remove the entire training set")
+        return self._fold(
+            packed.shape[0],
+            lambda c0, c1: np.unpackbits(
+                packed[:, c0 // 8 : (c1 + 7) // 8], axis=1, count=c1 - c0
+            ),
+        )
+
+    def _fold(self, m: int, columns) -> np.ndarray:
+        """ΔF of m masks, one L2-sized block of training rows at a time.
+
+        ``columns(c0, c1)`` returns the masks' 0/1 cells for rows c0..c1 as
+        an (m, c1 − c0) array.  Blocks span a multiple of 8 rows, so a
+        packed batch splits on byte boundaries, and both mask paths cast
+        into the same buffer shape: they run the same GEMV calls and agree
+        bit for bit.
+        """
+        if m == 0:
+            return np.zeros(0)
+        n = self.num_train
         pi = self.point_influences()
-        block_bytes = max(1, _MASK_BLOCK_BYTES // (8 * m))
+        step = 8 * max(1, _FOLD_BUFFER_BYTES // (64 * m))
+        buffer = np.empty((m, min(step, n)))
         out = np.zeros(m)
         with trace.span(
-            "influence.batch",
-            estimator=type(self).__name__,
-            m=m,
-            n=self.num_train,
+            "influence.batch", estimator=type(self).__name__, m=m, n=n
         ) as s:
             s.add("evaluations", m)
-            s.add("gemm_flops", 2.0 * m * self.num_train)
-            for b0 in range(0, packed.shape[1], block_bytes):
-                b1 = min(b0 + block_bytes, packed.shape[1])
-                cols = min(self.num_train - b0 * 8, (b1 - b0) * 8)
-                block = np.unpackbits(packed[:, b0:b1], axis=1, count=cols)
-                out += block.astype(np.float64) @ pi[b0 * 8 : b0 * 8 + cols]
+            s.add("gemm_flops", 2.0 * m * n)
+            for c0 in range(0, n, step):
+                c1 = min(c0 + step, n)
+                block = buffer[:, : c1 - c0]
+                np.copyto(block, columns(c0, c1))
+                out += block @ pi[c0:c1]
         return out
 
     def point_influences(self) -> np.ndarray:

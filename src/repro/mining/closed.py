@@ -35,10 +35,11 @@ Cost model
   boolean masks.
 * **per buffer** — frontier nodes are buffered up to ``batch_size`` packed
   extents and scored in one ``bias_change_batch(packed, num_rows=n)``
-  call; the estimator unpacks the buffer chunk-by-chunk internally, so the
-  search never materializes an (m, n) boolean mask matrix (one unpack +
-  one GEMM per chunk — the packed cost model of
-  ``repro.influence.estimators``).
+  call, so the search never materializes an (m, n) boolean mask matrix.
+  The GEMM estimators unpack the buffer chunk by chunk (one unpack + one
+  GEMM per chunk); first-order folds it over L2-sized column blocks (one
+  unpack, cast and GEMV per block) — the packed cost model of
+  ``repro.influence.estimators``.
 * **per emitted extent** — one broadcast AND + popcount against the
   ``(K, n/8)`` tidlist matrix to recover the closure, then the generator
   replay of :class:`_GeneratorReplay` to pick the reported pattern.
@@ -488,7 +489,9 @@ def mine_closed_candidates(
         "identity_hits": 0,
         "identity_misses": 0,
     }
-    coparent_hits = 0
+    # Set on the ``mining.frontier`` span: one span per node would outnumber
+    # the subsets scored.
+    coparent_nodes = coparents_built = coparent_hits = 0
 
     def path_key(path: tuple[int, ...], tid: np.ndarray, space: _Space, count=None):
         """``space_key`` of item path ``path``'s extent ``tid``, through the
@@ -587,7 +590,7 @@ def mine_closed_candidates(
     defeated: set[bytes] = set()
 
     def children(node: _Node) -> list[_Node]:
-        nonlocal coparent_hits
+        nonlocal coparent_nodes, coparents_built, coparent_hits
         out: list[_Node] = []
         siblings: set[object] = set()
         space = node.space
@@ -623,28 +626,29 @@ def mine_closed_candidates(
             # refinement below is then an O(count) bit gather instead of
             # a full-width AND.
             co_parents: list[tuple[_Space, np.ndarray | None]] = []
-            with trace.span("mining.sparse_and", drops=node.depth):
-                for drop in range(node.depth):
-                    anc = space
-                    while anc.parent is not None and anc.depth > drop:
-                        anc = anc.parent
-                    kept = [
-                        item
-                        for pos, item in enumerate(node.items)
-                        if pos != drop and pos >= anc.depth
-                    ]
-                    if kept:
-                        co = anc.tid(kept[0])
-                        for item in kept[1:]:
-                            co = intersect(co, anc.tid(item))
-                        if use_digest and sparse_eligible(int(popcount(co)), anc.num_local):
-                            co = np.flatnonzero(unpack_rows(co, anc.num_local))
-                            counters["tidlist_compressions"] += 1
-                    else:
-                        # Every kept item is conditioned into the ancestor
-                        # space itself: the co-parent is the whole space.
-                        co = None
-                    co_parents.append((anc, co))
+            coparent_nodes += 1
+            coparents_built += node.depth
+            for drop in range(node.depth):
+                anc = space
+                while anc.parent is not None and anc.depth > drop:
+                    anc = anc.parent
+                kept = [
+                    item
+                    for pos, item in enumerate(node.items)
+                    if pos != drop and pos >= anc.depth
+                ]
+                if kept:
+                    co = anc.tid(kept[0])
+                    for item in kept[1:]:
+                        co = intersect(co, anc.tid(item))
+                    if use_digest and sparse_eligible(int(popcount(co)), anc.num_local):
+                        co = np.flatnonzero(unpack_rows(co, anc.num_local))
+                        counters["tidlist_compressions"] += 1
+                else:
+                    # Every kept item is conditioned into the ancestor
+                    # space itself: the co-parent is the whole space.
+                    co = None
+                co_parents.append((anc, co))
         for j in range(node.last_item + 1, num_items):
             tried.add(node.depth + 1, 1)
             path = node.items + (j,)
@@ -835,6 +839,8 @@ def mine_closed_candidates(
             evaluated=cache.num_evaluated,
             identity_hits=counters["identity_hits"],
             identity_misses=counters["identity_misses"],
+            coparent_nodes=coparent_nodes,
+            coparents_built=coparents_built,
             coparent_hits=coparent_hits,
         )
     replay = _GeneratorReplay(

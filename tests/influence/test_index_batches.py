@@ -4,8 +4,8 @@ With ``num_rows``, the batch entry points accept a sequence of per-subset
 index arrays — the miner's compressed sparse tidlists — and must answer
 identically (to 1e-10) to the boolean mask matrix encoding the same
 subsets, for every estimator family and entry point.  The suite also pins
-the first-order linear gather fast path, the row-blocked packed GEMM the
-out-of-core path switches to on huge training sets, and the validation
+the first-order linear gather fast path, the column-blocked fold of the
+packed path, and the validation
 errors that keep malformed batches from silently scoring wrong subsets.
 """
 
@@ -88,15 +88,15 @@ class TestIndexEqualsMask:
 
 
 class TestBlockedPackedGemm:
-    """The linear packed path's row-blocked fold, with a tiny block budget."""
+    """The linear packed path's column-blocked fold, with a tiny buffer."""
 
     def test_blocked_equals_unblocked(self, fo_estimator, monkeypatch):
         subsets = random_subsets(fo_estimator.num_train, 20, seed=6)
         masks = to_masks(subsets, fo_estimator.num_train)
-        # The boolean masks take the one-GEMM mask path for the reference…
+        # The boolean masks take the fold at its full buffer for the reference…
         expected = fo_estimator.bias_change_batch(masks)
-        # …and the packed masks the blocked fold, split into many column blocks.
-        monkeypatch.setattr(first_order_mod, "_MASK_BLOCK_BYTES", 512)
+        # …and the packed masks a tiny buffer, split into many column blocks.
+        monkeypatch.setattr(first_order_mod, "_FOLD_BUFFER_BYTES", 512)
         blocked = fo_estimator.bias_change_batch(
             pack_rows(masks), num_rows=fo_estimator.num_train
         )

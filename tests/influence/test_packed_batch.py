@@ -12,6 +12,7 @@ import pytest
 from repro.influence import make_estimator
 from repro.influence.estimators import _PACKED_CHUNK
 from repro.mining.bitset import pack_rows
+from repro.models import LogisticRegression
 from repro.utils.rng import ensure_rng
 
 ESTIMATOR_SETUPS = [
@@ -127,3 +128,34 @@ class TestPackedValidation:
         full = np.ones((1, fo_estimator.num_train), dtype=bool)
         with pytest.raises(ValueError, match="entire training set"):
             fo_estimator.bias_change_batch(pack_rows(full), num_rows=fo_estimator.num_train)
+
+
+class TestPaddingBits:
+    """Bits past row n in a packed row's last byte are refused by name.
+
+    Every scorer ignores them, while first-order's whole-training-set guard
+    counted them: a mask removing 149 of 150 rows with its two padding
+    bits set was refused as the entire training set by first-order and
+    scored by series.
+    """
+
+    @pytest.mark.parametrize(
+        "setup", [ESTIMATOR_SETUPS[0], ESTIMATOR_SETUPS[2], ESTIMATOR_SETUPS[3]],
+        ids=["first_order-linear", "series-smooth", "exact-smooth"],
+    )
+    def test_padding_bits_rejected(self, setup, X_train, german_train, sp_metric, test_ctx):
+        n = 150  # 19 bytes: the last one holds rows 144..149 and 2 padding bits
+        name, kwargs = setup
+        X, y = X_train[:n], german_train.labels[:n]
+        model = LogisticRegression(l2_reg=1e-3).fit(X, y)
+        estimator = make_estimator(name, model, X, y, sp_metric, test_ctx, **kwargs)
+        masks = np.zeros((2, n), dtype=bool)
+        masks[0, 3:9] = True
+        masks[1, 1:] = True
+        packed = pack_rows(masks)
+        assert estimator.bias_change_batch(packed, num_rows=n).shape == (2,)
+        for row in range(2):
+            padded = packed.copy()
+            padded[row, -1] |= 0b11
+            with pytest.raises(ValueError, match="num_rows=150"):
+                estimator.bias_change_batch(padded, num_rows=n)

@@ -212,8 +212,10 @@ class TestModeEquivalence:
 
 class TestObservabilityAndCounters:
     def test_projection_spans_and_counters(self):
-        """The projected search opens its spans, and every co-parent lookup
-        is answered by the identity store or by a dispatch that runs.
+        """The projected search opens its spans, counts its co-parent
+        builds on the frontier span instead of opening one span per node,
+        and every co-parent lookup is answered by the identity store or by
+        a dispatch that runs.
 
         The flat search walks the same traversal and dispatches every
         co-parent lookup, so its dispatch count is the lookup count.  A
@@ -230,13 +232,15 @@ class TestObservabilityAndCounters:
             )
         names = {span.name for span in tracer.walk()}
         assert "mining.project" in names
-        assert "mining.sparse_and" in names
+        assert "mining.sparse_and" not in names
         stats = alphabet._stats
         assert stats["projection_builds"] > 0
         assert stats["identity_hits"] > 0
         assert stats["identity_misses"] > 0
 
         (frontier,) = (s for s in tracer.walk() if s.name == "mining.frontier")
+        assert frontier.attrs["coparent_nodes"] > 0
+        assert frontier.attrs["coparents_built"] >= 2 * frontier.attrs["coparent_nodes"]
         dispatches = stats["sparse_dispatch_hits"] + stats["dense_dispatch_hits"]
         flat = PredicateAlphabet(table, 0.015, 4, None)
         mine_closed_candidates(table, estimator, projection="never", alphabet=flat, **search)
