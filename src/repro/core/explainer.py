@@ -90,13 +90,13 @@ class GopherExplainer:
     def _bind_session(self, session: AuditSession, group: ProtectedGroup | None) -> None:
         """Borrow a session's shared state and build this view's per-query
         half (context, estimator) for one protected group."""
-        assert session.train_data is not None
+        assert session.train_data is not None and session.test_data is not None
         self.session = session
         self.train_data = session.train_data
         self.test_data = session.test_data
         self.encoder = session.encoder
         self.X_train = session.X_train
-        self.protected_group = group if group is not None else session.train_data.protected
+        self.protected_group = group if group is not None else session.test_data.protected
         self.test_ctx = session.context_for(group)
         # The view's config is authoritative for its estimator: name and
         # kwargs were both derived (or given) on this config, so pass them

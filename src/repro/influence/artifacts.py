@@ -20,10 +20,14 @@ out) builds one bundle and hands it to every estimator via
 cheap per-query state.  Without an explicit bundle every estimator builds
 a private one, so the single-estimator construction path is unchanged.
 
-``stats`` counts the heavy builds (``per_sample_grad_builds``,
-``hessian_builds``, ``hessian_factorizations``, ``rank_one_factor_builds``)
-so callers — the audit benchmark in particular — can *assert* that a
-multi-query workload paid for each exactly once.
+Each cache is a :class:`~repro.obs.lazy.Lazy` slot, and ``stats`` counts
+its builds: ``per_sample_grad_builds``, ``hessian_builds``,
+``hessian_factorizations`` (one per damping), ``rank_one_factor_builds``,
+``learning_rate_builds`` and ``update_context_builds``.  Callers — the
+audit benchmark in particular — can *assert* that a multi-query workload
+paid for each exactly once.  Edits count under ``edits`` and
+``solver_updates``; the extent cache counts
+``param_change_cache_hits`` / ``param_change_cache_misses``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import numpy as np
 from repro.influence.hessian import HessianSolver
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
+from repro.obs.lazy import Lazy
 from repro.obs.metrics import MetricsRegistry, StatsView
 
 
@@ -69,21 +74,6 @@ class ModelArtifacts:
         self.y_train = np.asarray(y_train)
         self.theta = np.asarray(model.theta, dtype=np.float64).copy()
         self.num_train = len(self.X_train)
-        self._per_sample_grads: np.ndarray | None = None
-        self._hessian: np.ndarray | None = None
-        self._solvers: dict[float, HessianSolver] = {}
-        self._factors: tuple[np.ndarray, np.ndarray, float] | None | str = "unset"
-        self._auto_learning_rate: float | None = None
-        # Extent cache: (estimator spec, packed-mask bytes) → Δθ row.  Off by
-        # default so bare estimators keep per-instance accounting; sessions
-        # switch it on via enable_extent_caching().
-        self._extent_caching = False
-        self._param_change_cache: dict[tuple, np.ndarray] = {}
-        self._update_state: tuple[np.ndarray, float] | None = None
-        # One re-entrant lock covers every lazy build and extent cache, so a
-        # cold bundle can serve mixed concurrent queries: update_search_state
-        # re-enters hessian/auto_learning_rate while held.
-        self._lock = threading.RLock()
         # Monotone staleness token: bumped by apply_edit.  Estimators record
         # it at construction and refuse to score once it moves on.
         self.version = 0
@@ -103,6 +93,24 @@ class ModelArtifacts:
             registry=metrics,
             namespace="influence",
         )
+        # One re-entrant lock covers every slot and the extent cache, so a
+        # cold bundle can serve mixed concurrent queries: update_search_state
+        # re-enters hessian/auto_learning_rate while held.
+        self._lock = threading.RLock()
+        stats, lock = self.stats, self._lock
+        self._per_sample_grads = Lazy(
+            "artifacts.per_sample_grads", stats, "per_sample_grad_builds", lock
+        )
+        self._hessian = Lazy("artifacts.hessian", stats, "hessian_builds", lock)
+        self._solvers = Lazy("artifacts.solver", stats, "hessian_factorizations", lock)
+        self._factors = Lazy("artifacts.hessian_factors", stats, "rank_one_factor_builds", lock)
+        self._learning_rate = Lazy("artifacts.learning_rate", stats, "learning_rate_builds", lock)
+        self._update_state = Lazy("update.context", stats, "update_context_builds", lock)
+        # Extent cache: (estimator spec, packed-mask bytes) → Δθ row.  Off by
+        # default so bare estimators keep per-instance accounting; sessions
+        # switch it on via enable_extent_caching().
+        self._extent_caching = False
+        self._param_change_cache: dict[tuple, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def check_compatible(
@@ -145,36 +153,14 @@ class ModelArtifacts:
     @property
     def per_sample_grads(self) -> np.ndarray:
         """∇_θℓ(z_i, θ*) for all training rows, shape (n, p) — built once."""
-        if self._per_sample_grads is None:
-            with self._lock:
-                if self._per_sample_grads is None:
-                    trace.add("cache_misses")
-                    with trace.span("artifacts.per_sample_grads", n=self.num_train):
-                        self._per_sample_grads = self.model.per_sample_grads(
-                            self.X_train, self.y_train
-                        )
-                    self.stats.inc("per_sample_grad_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._per_sample_grads
+        return self._per_sample_grads.get(
+            lambda: self.model.per_sample_grads(self.X_train, self.y_train)
+        )
 
     @property
     def hessian(self) -> np.ndarray:
         """The mean training Hessian H(θ*) — built once."""
-        if self._hessian is None:
-            with self._lock:
-                if self._hessian is None:
-                    trace.add("cache_misses")
-                    with trace.span("artifacts.hessian", n=self.num_train):
-                        self._hessian = self.model.hessian(self.X_train, self.y_train)
-                    self.stats.inc("hessian_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._hessian
+        return self._hessian.get(lambda: self.model.hessian(self.X_train, self.y_train))
 
     def solver(self, damping: float = 0.0) -> HessianSolver:
         """The shared :class:`HessianSolver` for a damping value.
@@ -184,36 +170,17 @@ class ModelArtifacts:
         second-order variants all hit the same cached factor.
         """
         key = float(damping)
-        if key not in self._solvers:
-            with self._lock:
-                if key not in self._solvers:
-                    trace.add("cache_misses")
-                    self._solvers[key] = HessianSolver(self.hessian, damping=key)
-                    self.stats.inc("hessian_factorizations")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._solvers[key]
+        return self._solvers.get(lambda: HessianSolver(self.hessian, damping=key), key)
 
     def hessian_factors(self) -> tuple[np.ndarray, np.ndarray, float] | None:
         """The model's rank-one Hessian factors, or None if unavailable."""
-        if self._factors == "unset":
-            with self._lock:
-                if self._factors == "unset":
-                    trace.add("cache_misses")
-                    try:
-                        self._factors = self.model.hessian_factors(
-                            self.X_train, self.y_train
-                        )
-                    except NotImplementedError:
-                        self._factors = None
-                    self.stats.inc("rank_one_factor_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._factors  # type: ignore[return-value]
+        return self._factors.get(self._build_factors)
+
+    def _build_factors(self) -> tuple[np.ndarray, np.ndarray, float] | None:
+        try:
+            return self.model.hessian_factors(self.X_train, self.y_train)
+        except NotImplementedError:
+            return None
 
     # ------------------------------------------------------------------
     def apply_edit(
@@ -298,9 +265,9 @@ class ModelArtifacts:
         keep[remove] = False
 
         # -- mean Hessian: subset-Hessian identity, L2 terms cancel -------
-        new_hessian: np.ndarray | None = None
-        if self._hessian is not None:
-            total = self._hessian * n
+        new_hessian = hessian = self._hessian.peek()  # None while unbuilt
+        if hessian is not None:
+            total = hessian * n
             if relabel.size:
                 X_rel = self.X_train[relabel]
                 total = total + relabel.size * (
@@ -317,7 +284,8 @@ class ModelArtifacts:
 
         # -- fresh per-row state the patches below splice in --------------
         grads_rel = grads_add = None
-        if self._per_sample_grads is not None:
+        grads = self._per_sample_grads.peek()
+        if grads is not None:
             if relabel.size:
                 grads_rel = model.per_sample_grads(
                     self.X_train[relabel], y_patched[relabel]
@@ -326,7 +294,7 @@ class ModelArtifacts:
                 grads_add = model.per_sample_grads(X_add, y_add)
         phi_rel = w_rel = phi_add = w_add = None
         update_vectors = update_weights = None
-        factors = self._factors if isinstance(self._factors, tuple) else None
+        factors = self._factors.peek()
         if factors is not None:
             phi_old, w_old, l2_ridge = factors
             if relabel.size:
@@ -352,12 +320,12 @@ class ModelArtifacts:
 
         # -- solvers ----------------------------------------------------------
         scale = n / n_new
-        for key, old_solver in list(self._solvers.items()):
+        for key, old_solver in self._solvers.items():
             if new_hessian is None:
                 raise RuntimeError("solver cache exists without a built hessian")
             if update_vectors is not None:
                 shift = (old_solver.damping_used + l2_ridge) * (1.0 - scale)
-                self._solvers[key] = old_solver.updated(
+                solver = old_solver.updated(
                     new_hessian,
                     update_vectors=update_vectors,
                     update_weights=update_weights,
@@ -365,19 +333,19 @@ class ModelArtifacts:
                     shift=shift,
                 )
             else:
-                self._solvers[key] = old_solver.updated(new_hessian)
+                solver = old_solver.updated(new_hessian)
+            self._solvers.set(solver, key)
             self.stats.inc("solver_updates")
 
         # -- row-wise caches and the data itself ---------------------------
-        if self._per_sample_grads is not None:
-            grads = self._per_sample_grads
+        if grads is not None:
             if relabel.size:
                 grads = grads.copy()
                 grads[relabel] = grads_rel
             grads = grads[keep]
             if k_add:
                 grads = np.vstack([grads, grads_add])
-            self._per_sample_grads = grads
+            self._per_sample_grads.set(grads)
         if factors is not None:
             phi_new, w_new = phi_old, w_old
             if relabel.size:
@@ -388,9 +356,9 @@ class ModelArtifacts:
             if k_add:
                 phi_new = np.vstack([phi_new, phi_add])
                 w_new = np.concatenate([w_new, w_add])
-            self._factors = (phi_new, w_new, l2_ridge)
+            self._factors.set((phi_new, w_new, l2_ridge))
         if new_hessian is not None:
-            self._hessian = new_hessian
+            self._hessian.set(new_hessian)
         X_new = self.X_train[keep] if remove.size else self.X_train
         y_new = y_patched[keep] if remove.size else y_patched
         if k_add:
@@ -399,30 +367,25 @@ class ModelArtifacts:
         self.X_train = X_new
         self.y_train = y_new
         self.num_train = n_new
-        self._auto_learning_rate = None
         # Extent keys refer to pre-edit row indices and the cached rows to
-        # pre-edit gradients; the cache restarts empty.  The update-search
-        # state holds the pre-edit Hessian/η and is re-derived lazily.
+        # pre-edit gradients; the cache restarts empty.  η and the update-
+        # search state hold the pre-edit Hessian; their rebuilds name the edit.
         self._param_change_cache.clear()
-        self._update_state = None
+        counts = (("relabel", relabel.size), ("remove", remove.size), ("add", k_add))
+        reason = "edit(" + ", ".join(f"{kind} {k}" for kind, k in counts if k) + ")"
+        self._learning_rate.drop(reason)
+        self._update_state.drop(reason)
         self.version += 1
         self.stats.inc("edits")
 
     def auto_learning_rate(self) -> float:
         """η = 1/λ_max(H), the shared one-step surrogate step size."""
-        if self._auto_learning_rate is None:
-            with self._lock:
-                if self._auto_learning_rate is None:
-                    from repro.influence.one_step_gd import auto_learning_rate
+        return self._learning_rate.get(self._build_learning_rate)
 
-                    trace.add("cache_misses")
-                    self._auto_learning_rate = auto_learning_rate(self.hessian)
-                    self.stats.inc("learning_rate_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._auto_learning_rate
+    def _build_learning_rate(self) -> float:
+        from repro.influence.one_step_gd import auto_learning_rate
+
+        return auto_learning_rate(self.hessian)
 
     # ------------------------------------------------------------------
     @property
@@ -527,18 +490,7 @@ class ModelArtifacts:
         so a profiled audit shows exactly one build however many explainer
         views call ``explain_updates``.
         """
-        if self._update_state is None:
-            with self._lock:
-                if self._update_state is None:
-                    trace.add("cache_misses")
-                    with trace.span("update.context", n=self.num_train):
-                        self._update_state = (self.hessian, self.auto_learning_rate())
-                    self.stats.inc("update_context_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._update_state
+        return self._update_state.get(lambda: (self.hessian, self.auto_learning_rate()))
 
     # ------------------------------------------------------------------
     def warm(self, damping: float = 0.0, learning_rate: bool = False) -> "ModelArtifacts":

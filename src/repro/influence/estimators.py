@@ -109,6 +109,7 @@ from repro.fairness.metrics import FairnessContext, FairnessMetric
 from repro.influence.artifacts import ModelArtifacts
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
+from repro.obs.lazy import Lazy
 
 _EVALUATIONS = ("linear", "smooth", "hard")
 
@@ -150,29 +151,21 @@ class InfluenceEstimator(ABC):
         self._artifacts_version = artifacts.version
         self.original_bias = metric.value(model, test_ctx)
         self.original_surrogate = metric.surrogate(model, test_ctx)
-        self._grad_f: np.ndarray | None = None
+        self._grad_f = Lazy("influence.grad_f")
 
     # -- cached heavy pieces -------------------------------------------
     @property
     def grad_f(self) -> np.ndarray:
         """∇_θF(θ*) of the smooth surrogate (cached)."""
-        if self._grad_f is None:
-            trace.add("cache_misses")
-            with trace.span("influence.grad_f", metric=self.metric.name):
-                self._grad_f = self.metric.grad_theta(self.model, self.test_ctx)
-        else:
-            trace.add("cache_hits")
-        return self._grad_f
+        return self._grad_f.get(lambda: self.metric.grad_theta(self.model, self.test_ctx))
 
     def warm(self) -> "InfluenceEstimator":
-        """Eagerly build every cache the query methods would build lazily.
+        """Eagerly build every slot the query methods would build lazily.
 
-        After ``warm()`` the batch query surface is a pure read of this
-        estimator's state: no ``self`` attribute is assigned on any
-        subsequent query, so one estimator instance can serve concurrent
-        readers (and frozen-array sanitizer runs) without a lazy build
-        racing mid-query.  Subclasses extend this with their own memos.
-        Idempotent and cheap to re-call.
+        After ``warm()`` a batch query only reads built slots, so one
+        estimator instance can serve concurrent readers (and frozen-array
+        sanitizer runs) without a build running mid-query.  Subclasses
+        extend this with their own slots.  Idempotent and cheap to re-call.
         """
         _ = self.grad_f
         _ = self.per_sample_grads

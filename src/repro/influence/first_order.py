@@ -24,6 +24,7 @@ from repro.influence.artifacts import ModelArtifacts
 from repro.influence.estimators import InfluenceEstimator
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
+from repro.obs.lazy import Lazy
 
 # The linear mask paths (boolean and packed) fold the mask/point-influence
 # product over column blocks of training rows, casting each block into one
@@ -53,7 +54,7 @@ class FirstOrderInfluence(InfluenceEstimator):
         self.solver = self.artifacts.solver(damping)
         # s = H⁻¹ ∇F lets linearized ΔF(S) collapse to a dot product with g_S.
         self._stest = self.solver.solve(self.grad_f)
-        self._point_influences: np.ndarray | None = None
+        self._point_influences = Lazy("influence.point_influences")
 
     def _extent_cache_spec(self) -> tuple:
         return ("first_order", self.damping)
@@ -168,11 +169,9 @@ class FirstOrderInfluence(InfluenceEstimator):
         ``point_influences()[i]`` estimates ΔF when only row i is removed;
         subset estimates are sums of entries.  Cached after first call.
         """
-        if self._point_influences is None:
-            self._point_influences = (
-                self.per_sample_grads @ self._stest
-            ) / self.num_train
-        return self._point_influences
+        return self._point_influences.get(
+            lambda: (self.per_sample_grads @ self._stest) / self.num_train
+        )
 
     def warm(self) -> "FirstOrderInfluence":
         super().warm()

@@ -64,9 +64,8 @@ class HessianSolver:
         ``eigvals`` / ``eigvecs`` must decompose ``hessian + damping·I``.
         This is the construction :meth:`updated` uses: a rank-k or
         congruence update of an existing solver lands directly in the new
-        eigenbasis, and every solve can run there, so the Cholesky
-        factorization is never recomputed (the :attr:`factor` property
-        still materializes one lazily if some caller insists on it).
+        eigenbasis, and every solve runs there, so the Cholesky
+        factorization is never recomputed.
 
         The ridge escalation of :meth:`_factorize` is mirrored on the
         eigenvalues: the first ridge in the ×10 sequence starting at
@@ -102,25 +101,6 @@ class HessianSolver:
         raise np.linalg.LinAlgError(
             f"hessian could not be made positive definite even with damping {ridge:.1e}"
         )
-
-    @property
-    def factor(self):
-        """The ``scipy.linalg.cho_factor`` pair of the damped matrix.
-
-        Exposed so callers can run their own ``cho_solve`` variants (e.g.
-        triangular solves inside rank-k downdates) against the one cached
-        factorization instead of refactorizing.  For an eigendecomposition-
-        mode solver the factor is materialized lazily on first access —
-        solves never need it there.
-        """
-        if self._factor is None:
-            with self._lock:
-                if self._factor is None:
-                    matrix = self.hessian
-                    if self.damping_used:
-                        matrix = matrix + self.damping_used * np.eye(self.dim)
-                    self._factor = linalg.cho_factor(matrix, check_finite=False)
-        return self._factor
 
     def updated(
         self,
@@ -269,7 +249,7 @@ class ReducedHessianSolver(HessianSolver):
     is alive at a time.  Built by :meth:`with_damping`, never by the
     constructor: there is no single matrix to factorize, and the
     single-matrix views of :class:`HessianSolver` (``solve``, ``apply``,
-    ``factor``, ``eigendecomposition``, ``updated``) do not apply.
+    ``eigendecomposition``, ``updated``) do not apply.
     """
 
     @classmethod

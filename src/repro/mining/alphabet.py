@@ -51,13 +51,13 @@ and that re-audits after an edit built nothing.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import MutableMapping
 
 import numpy as np
 
 from repro.mining.bitset import pack_rows, packed_width, popcount, unpack_rows
 from repro.obs import trace
+from repro.obs.lazy import Lazy
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.patterns.candidates import iter_predicate_specs, normalize_exclude_features
 from repro.patterns.predicate import Predicate
@@ -84,13 +84,14 @@ class PredicateAlphabet:
     threshold in either direction, so :meth:`apply_edit` must re-filter
     the *full* spec set, not just the surviving entries.
 
-    Three views are built lazily under one lock, once per alphabet, and
-    shared by every query: :meth:`miner_items` (the miner's sorted, stacked
-    tidlists), :meth:`pair_skeleton` (the lattice's level-2 merge pairs)
-    and :meth:`extent_identities` (the digest miner's extent keys and
-    generator sets).  :meth:`warm` builds them up front.  An edit that
-    changes rows re-stacks the miner view, empties the identities, and
-    drops the skeleton when the entry list changed.
+    Three views are :class:`~repro.obs.lazy.Lazy` slots, built once per
+    alphabet and shared by every query: :meth:`miner_items` (the miner's
+    sorted, stacked tidlists), :meth:`pair_skeleton` (the lattice's level-2
+    merge pairs) and :meth:`extent_identities` (the digest miner's extent
+    keys and generator sets).  :meth:`warm` builds them up front.  An edit
+    that changes rows re-stacks a built miner view, replaces a built
+    identity store with an empty one, and drops the skeleton when the
+    entry list changed.
     """
 
     def __init__(
@@ -119,13 +120,9 @@ class PredicateAlphabet:
         self._stats.setdefault("identity_misses", 0)
         self._evaluated: dict[Predicate, np.ndarray] = {}
         self._build(table)
-        self._miner_items: tuple[list[Predicate], np.ndarray] | None = None
-        self._skeleton: tuple[np.ndarray, np.ndarray] | None = None
-        self._identities: ExtentIdentities | None = None
-        # Guards the lazy views (miner_items / pair_skeleton /
-        # extent_identities) so a cold alphabet shared across threads
-        # builds each exactly once.
-        self._lock = threading.Lock()
+        self._miner_items = Lazy("alphabet.pack_tidlists", self._stats, "tidlist_builds")
+        self._skeleton = Lazy("alphabet.pair_skeleton", self._stats, "skeleton_builds")
+        self._identities = Lazy("alphabet.extent_identities", self._stats, "identity_builds")
 
     def _build(self, table: Table) -> None:
         """Evaluate and pack every spec of ``table`` in canonical order."""
@@ -195,11 +192,11 @@ class PredicateAlphabet:
         if old_entry_predicates != [predicate for predicate, _ in self.entries]:
             # The support filter moved an entry in or out: the level-2
             # merge skeleton no longer describes the entry list.
-            self._skeleton = None
-        if self._identities is not None:
-            self._identities = ExtentIdentities(self.num_rows)
-        if self._miner_items is not None:
-            self._miner_items = self._pack_items()
+            self._skeleton.drop(edit.describe())
+        if self._identities.peek() is not None:
+            self._identities.set(ExtentIdentities(self.num_rows))
+        if self._miner_items.peek() is not None:
+            self._miner_items.set(self._pack_items())
             self._stats.inc("tidlist_patches")
 
     # ------------------------------------------------------------------
@@ -233,21 +230,14 @@ class PredicateAlphabet:
         reuses it across every (metric, estimator) query and every
         subsequent edit.
         """
-        if self._skeleton is None:
-            with self._lock:
-                if self._skeleton is None:
-                    from repro.patterns.lattice import PredicateIndex, merge_pairs
+        return self._skeleton.get(self._build_skeleton)
 
-                    trace.add("cache_misses")
-                    index, ids = PredicateIndex.of([predicate for predicate, _ in self.entries])
-                    left, right, _, _ = merge_pairs(ids[:, None], index.conflicts)
-                    self._skeleton = (left, right)
-                    self._stats.inc("skeleton_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._skeleton
+    def _build_skeleton(self) -> tuple[np.ndarray, np.ndarray]:
+        from repro.patterns.lattice import PredicateIndex, merge_pairs
+
+        index, ids = PredicateIndex.of([predicate for predicate, _ in self.entries])
+        left, right, _, _ = merge_pairs(ids[:, None], index.conflicts)
+        return left, right
 
     def miner_items(self) -> tuple[list[Predicate], np.ndarray]:
         """The miner's view: frequency-ascending predicates + packed tids.
@@ -258,18 +248,7 @@ class PredicateAlphabet:
         mining query of the audit.  See :mod:`repro.mining.closed` for why
         the order must be frequency-ascending with sort-key tie-breaks.
         """
-        if self._miner_items is None:
-            with self._lock:
-                if self._miner_items is None:
-                    trace.add("cache_misses")
-                    with trace.span("alphabet.pack_tidlists", entries=len(self.entries)):
-                        self._miner_items = self._pack_items()
-                    self._stats.inc("tidlist_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._miner_items
+        return self._miner_items.get(self._pack_items)
 
     def extent_identities(self) -> "ExtentIdentities":
         """The digest miner's extent-identity store for this alphabet.
@@ -278,17 +257,7 @@ class PredicateAlphabet:
         every mining query until an edit changes rows; see
         :class:`ExtentIdentities`.
         """
-        if self._identities is None:
-            with self._lock:
-                if self._identities is None:
-                    trace.add("cache_misses")
-                    self._identities = ExtentIdentities(self.num_rows)
-                    self._stats.inc("identity_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return self._identities
+        return self._identities.get(lambda: ExtentIdentities(self.num_rows))
 
     def warm(self, miner: bool = True, skeleton: bool = False) -> "PredicateAlphabet":
         """Eagerly build the lazy views so shared reads never trigger a build.
@@ -448,10 +417,6 @@ class AlphabetCache:
 
     def __init__(self, table: Table, metrics: MetricsRegistry | None = None) -> None:
         self.table = table
-        self._alphabets: dict[tuple, PredicateAlphabet] = {}
-        # Guards cache population so concurrent cold queries on a shared
-        # session build one alphabet per key, not one per thread.
-        self._lock = threading.Lock()
         self.stats = StatsView(
             {
                 "alphabet_builds": 0,
@@ -470,6 +435,7 @@ class AlphabetCache:
             registry=metrics,
             namespace="mining",
         )
+        self._alphabets = Lazy("alphabet.get", self.stats, "alphabet_builds")
 
     def get(
         self,
@@ -486,22 +452,10 @@ class AlphabetCache:
         """
         exclude = normalize_exclude_features(exclude_features)
         key = (float(support_threshold), int(num_bins), exclude)
-        alphabet = self._alphabets.get(key)
-        if alphabet is None:
-            with self._lock:
-                alphabet = self._alphabets.get(key)
-                if alphabet is None:
-                    trace.add("cache_misses")
-                    alphabet = PredicateAlphabet(
-                        self.table, support_threshold, num_bins, exclude, self.stats
-                    )
-                    self._alphabets[key] = alphabet
-                    self.stats.inc("alphabet_builds")
-                else:
-                    trace.add("cache_hits")
-        else:
-            trace.add("cache_hits")
-        return alphabet
+        return self._alphabets.get(
+            lambda: PredicateAlphabet(self.table, support_threshold, num_bins, exclude, self.stats),
+            key,
+        )
 
     def apply_edit(self, edit, new_table: Table) -> None:
         """Patch every cached alphabet for ``edit`` and rebind to ``new_table``.
@@ -513,7 +467,7 @@ class AlphabetCache:
         :meth:`check_table`'s identity check keeps passing.
         """
         if edit.changes_rows:
-            for alphabet in self._alphabets.values():
+            for _, alphabet in self._alphabets.items():
                 with trace.span("alphabet.patch", rows=new_table.num_rows):
                     alphabet.apply_edit(edit, new_table)
                 self.stats.inc("alphabet_patches")

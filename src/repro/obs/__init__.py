@@ -1,6 +1,6 @@
 """`repro.obs` — observability for the audit query path.
 
-Three layers, always compiled in, near-free when disabled:
+Four parts, always compiled in, near-free when disabled:
 
 * :mod:`repro.obs.trace` — hierarchical spans over the whole query path
   (``trace.span`` / ``trace.add``), exported as structured JSON, Chrome
@@ -10,6 +10,8 @@ Three layers, always compiled in, near-free when disabled:
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of
   counters that the shared caches register into, each cache reading its
   own namespace through a dict-shaped :class:`StatsView`;
+* :mod:`repro.obs.lazy` — :class:`Lazy`, the slot every shared cache builds
+  through, whose build span says why the read missed;
 * :mod:`repro.obs.cost` — per-query :class:`CostReport` (GEMM/solve
   FLOPs from recorded shapes, influence evaluations, cache hit ratios,
   ``%self`` wall-time breakdown) derived from one query's span subtree.
@@ -17,6 +19,7 @@ Three layers, always compiled in, near-free when disabled:
 
 from repro.obs import trace
 from repro.obs.cost import CostLine, CostReport, gemm_flops, solve_flops
+from repro.obs.lazy import Lazy
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.obs.trace import (
     NULL_TRACER,
@@ -34,6 +37,7 @@ __all__ = [
     "NULL_TRACER",
     "CostLine",
     "CostReport",
+    "Lazy",
     "MetricsRegistry",
     "NullTracer",
     "Span",

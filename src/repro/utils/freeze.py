@@ -10,9 +10,9 @@ fairness contexts — and flips every NumPy array it finds to
 ``ValueError: assignment destination is read-only`` at the write site,
 instead of silently corrupting an answer some other query later reads.
 
-Freezing guards *buffer mutation* only: attribute rebinding (a lazy cache
-assigning ``self._x = new_array``) is untouched, which is exactly the
-split RL001 polices statically.  Registered edit entry points
+Freezing guards *buffer mutation* only: storing a value (a lazy slot's
+build or ``set``) is untouched, which is exactly the split RL001 polices
+statically.  Registered edit entry points
 (:meth:`AuditSession.apply_edit`) patch shared buffers in place by
 design, so the :class:`Freezer` supports thaw → edit → refreeze;
 :func:`install_session_sanitizer` wires that protocol onto the session
@@ -107,8 +107,8 @@ def freeze_session(session) -> Freezer:
 
     Covers the encoded matrices, the influence artifacts bundle (gradients,
     Hessian, factorizations, rank-one factors, the model's parameters), the
-    alphabet cache (predicate masks, packed tidlists), and the cached
-    fairness contexts.  Caller-owned raw tables are deliberately not
+    alphabets (predicate masks, packed tidlists, skeleton, identity store),
+    and the cached fairness contexts.  Caller-owned raw tables are deliberately not
     walked (``AlphabetCache.table`` / the datasets): the contract covers
     state the *session* serves, not inputs the caller still owns.
     """

@@ -19,10 +19,9 @@ to, since an insert writes the value any query would compute.
 The cold-session variant (no ``warm()``) is the harder contract: every
 lazy build — per-sample gradients, the Hessian factorization, the
 rank-one Hessian factors, packed tidlists, the pair skeleton, the extent
-caches, the ``context_for`` memo — races under the hammer, and each sits
-behind a double-checked lock (or a first-build-wins ``setdefault`` under
-the session lock), so the pool builds each exactly once and every answer
-matches the serial run bit for bit.
+caches, the ``context_for`` memo — races under the hammer, and each is a
+``repro.obs.Lazy`` slot behind a double-checked lock, so the pool builds
+each exactly once and every answer matches the serial run bit for bit.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -32,6 +31,7 @@ import pytest
 
 from repro.core import AuditSession
 from repro.core.delta import replay_geometry
+from repro.datasets import DataEdit
 from repro.utils.freeze import Freezer, freeze_session
 
 SEARCH = dict(max_predicates=2, support_threshold=0.05)
@@ -111,6 +111,38 @@ def _assert_same(serial, hammered):
             assert expected == got
 
 
+def _slot_arrays(session: AuditSession) -> list[tuple[str, np.ndarray]]:
+    """(what, array) for every array the built caches of a warmed session
+    hold: artifacts, the configured alphabet and its views, the context."""
+    artifacts = session.artifacts
+    solver = artifacts.solver(0.0)
+    phi, weights, _ = artifacts.hessian_factors()
+    held = [
+        ("gradients", artifacts.per_sample_grads),
+        ("hessian", artifacts.hessian),
+        ("rank-one vectors", phi),
+        ("rank-one weights", weights),
+    ]
+    if solver._factor is not None:
+        held.append(("solver factor", solver._factor[0]))
+    else:
+        held += [("solver eigenbasis", array) for array in solver.eigendecomposition()]
+    cfg = session.config
+    alphabet = session.alphabet_cache.get(
+        cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None
+    )
+    held += [(f"mask of {predicate}", mask) for predicate, mask in alphabet.entries]
+    held.append(("miner tidlists", alphabet.miner_items()[1]))
+    held += [("skeleton", array) for array in alphabet.pair_skeleton()]
+    held.append(("identity hvals", alphabet.extent_identities().hvals))
+    held += [
+        (f"context {name}", value)
+        for name, value in vars(session.context_for()).items()
+        if isinstance(value, np.ndarray)
+    ]
+    return held
+
+
 def _hammer(session: AuditSession):
     tasks = _mixed_tasks(session)
     serial = [task() for task in tasks]
@@ -125,6 +157,23 @@ class TestFreezer:
             frozen_session.artifacts.per_sample_grads[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             frozen_session.X_test[0, 0] = 1.0
+
+    def test_every_array_of_a_built_slot_is_frozen(self, lr_model, german_train, german_test):
+        """On a warmed session, and again after a row-changing edit (when
+        the solver serves from an eigenbasis), freeze_session reaches
+        every array a built cache holds."""
+        session = AuditSession(lr_model, **SEARCH).fit(german_train, german_test)
+        session.warm(skeleton=True)
+        freezer = freeze_session(session)
+        for what, array in _slot_arrays(session):
+            assert not array.flags.writeable, what
+        freezer.thaw()
+        session.apply_edit(DataEdit.remove(range(8)))
+        session.warm(skeleton=True)
+        freeze_session(session)
+        assert session.artifacts.solver(0.0)._factor is None
+        for what, array in _slot_arrays(session):
+            assert not array.flags.writeable, what
 
     def test_thaw_restores_writeable(self):
         arrays = {"a": np.zeros(3), "b": (np.ones(2), "not-an-array")}

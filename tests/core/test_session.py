@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import AuditResult, AuditSession, GopherExplainer
-from repro.datasets import ProtectedGroup
+from repro.datasets import ProtectedGroup, load_german, train_test_split
 from repro.fairness import list_metrics
 from repro.models import LogisticRegression
 
@@ -220,6 +220,22 @@ class TestReviewRegressions:
         gopher.fit(german_train, german_test.with_protected(GENDER))
         expected = GENDER.privileged_mask(german_test.table)
         np.testing.assert_array_equal(gopher.test_ctx.privileged, expected)
+
+    def test_view_filters_on_the_group_it_measures(self):
+        """A view with no group measures the test split's declared group,
+        so it must also filter protected-only patterns on that group: its
+        top-k equals the audit's for the same (metric, group)."""
+        train, test = train_test_split(load_german(1000, seed=0), 0.25, 0)
+        assert train.protected.attribute == "age"
+        session = AuditSession(
+            LogisticRegression(), estimator="first_order", **SEARCH
+        ).fit(train, test.with_protected(GENDER))
+        view = session.explainer()
+        assert view.protected_group == GENDER
+        audited = session.audit(metrics=[session.config.metric], k=5).get(
+            session.config.metric, "gender"
+        )
+        assert_same_explanations(audited.explanations, view.explain(k=5, verify=False))
 
     def test_estimator_family_override_drops_foreign_kwargs(
         self, lr_model, german_train, german_test

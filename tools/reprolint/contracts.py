@@ -107,17 +107,15 @@ REPRO_CONTRACTS = ContractSet(
         ("", "repro.core.delta.replay_search"),
         ("", "repro.core.delta.replay_geometry"),
     ),
+    # Lazy slots (repro.obs.lazy) need no entry: a slot read writes no
+    # ``self`` attribute of its owner, RL002 checks each Lazy(...) counter,
+    # and RL001 sees the slot writes (``.set`` / ``.drop``) at their call
+    # sites.
     build_methods={
         # -- ModelArtifacts: the per-model cache bundle --------------------
-        ("ModelArtifacts", "per_sample_grads"): BuildContract("per_sample_grad_builds"),
-        ("ModelArtifacts", "hessian"): BuildContract("hessian_builds"),
-        ("ModelArtifacts", "solver"): BuildContract("hessian_factorizations"),
-        ("ModelArtifacts", "hessian_factors"): BuildContract("rank_one_factor_builds"),
-        ("ModelArtifacts", "auto_learning_rate"): BuildContract("learning_rate_builds"),
         ("ModelArtifacts", "cached_param_changes"): BuildContract(
             "param_change_cache_misses"
         ),
-        ("ModelArtifacts", "update_search_state"): BuildContract("update_context_builds"),
         ("ModelArtifacts", "enable_extent_caching"): BuildContract(
             None,
             reason="session start-up switch flipped by AuditSession.fit before the "
@@ -125,15 +123,10 @@ REPRO_CONTRACTS = ContractSet(
         ),
         ("ModelArtifacts", "apply_edit"): BuildContract("edits", kind="edit"),
         ("ModelArtifacts", "warm"): BuildContract(
-            None, reason="eager driver: every build it triggers is counted by its own entry"
+            None, reason="eager driver: every build it triggers is counted by its slot"
         ),
         # -- HessianSolver -------------------------------------------------
         ("HessianSolver", "eigendecomposition"): BuildContract("eigendecompositions"),
-        ("HessianSolver", "factor"): BuildContract(
-            None,
-            reason="lazy Cholesky materialization for explicit factor consumers; "
-            "eigendecomposition-mode solvers never touch it on the read path",
-        ),
         ("HessianSolver", "_factorize"): BuildContract(
             None, reason="constructor helper, called from __init__ only"
         ),
@@ -141,15 +134,6 @@ REPRO_CONTRACTS = ContractSet(
             None, reason="alternate constructor: writes initialize a brand-new instance"
         ),
         # -- PredicateAlphabet / AlphabetCache ----------------------------
-        ("PredicateAlphabet", "miner_items"): BuildContract(
-            "tidlist_builds", stats_attr="_stats"
-        ),
-        ("PredicateAlphabet", "pair_skeleton"): BuildContract(
-            "skeleton_builds", stats_attr="_stats"
-        ),
-        ("PredicateAlphabet", "extent_identities"): BuildContract(
-            "identity_builds", stats_attr="_stats"
-        ),
         ("PredicateAlphabet", "apply_edit"): BuildContract(
             "tidlist_patches", stats_attr="_stats", kind="edit"
         ),
@@ -163,7 +147,7 @@ REPRO_CONTRACTS = ContractSet(
             None, reason="constructor/edit helper of the counted _build/apply_edit entries"
         ),
         ("PredicateAlphabet", "warm"): BuildContract(
-            None, reason="eager driver: every build it triggers is counted by its own entry"
+            None, reason="eager driver: every build it triggers is counted by its slot"
         ),
         ("ExtentIdentities", "add_key"): BuildContract(
             None,
@@ -177,21 +161,10 @@ REPRO_CONTRACTS = ContractSet(
             "insert writes the set any query enumerates for that (depth, extent), so "
             "a racing double insert is benign under the GIL",
         ),
-        ("AlphabetCache", "get"): BuildContract("alphabet_builds"),
         ("AlphabetCache", "apply_edit"): BuildContract("alphabet_patches", kind="edit"),
         # -- Estimators ----------------------------------------------------
-        ("InfluenceEstimator", "grad_f"): BuildContract(
-            None,
-            reason="per-query ∇F memo, eagerly built by warm(); idempotent value, so a "
-            "racing double-build is benign under the GIL",
-        ),
         ("InfluenceEstimator", "warm"): BuildContract(
-            None, reason="eager driver: every build it triggers is counted by its own entry"
-        ),
-        ("FirstOrderInfluence", "point_influences"): BuildContract(
-            None,
-            reason="per-query influence memo, eagerly built by warm(); idempotent value, "
-            "so a racing double-build is benign under the GIL",
+            None, reason="eager driver: every build it triggers is counted by its slot"
         ),
         # -- Session -------------------------------------------------------
         ("AuditSession", "fit"): BuildContract(
@@ -200,7 +173,7 @@ REPRO_CONTRACTS = ContractSet(
             "before the session instance is shared with any reader",
         ),
         ("AuditSession", "warm"): BuildContract(
-            None, reason="eager driver: every build it triggers is counted by its own entry"
+            None, reason="eager driver: every build it triggers is counted by its slot"
         ),
         ("AuditSession", "audit"): BuildContract(
             None,

@@ -9,8 +9,11 @@ write the same attribute concurrently, and a reader can observe the
 half-initialized value.
 
 Detected write forms: ``self.attr = …``, ``self.attr[...] = …`` (any
-subscript depth), augmented assignments on either, ``del self.attr``, and
-``object.__setattr__(self, …)`` / ``setattr(self, …)``.  Constructors
+subscript depth), augmented assignments on either, ``del self.attr``,
+``object.__setattr__(self, …)`` / ``setattr(self, …)``, and the two slot
+writes ``self.attr.set(…)`` / ``self.attr.drop(…)`` — a lazy slot
+(``repro.obs.lazy.Lazy``) stores its own builds, so only an explicit
+``set`` or ``drop`` rewrites what its owner serves.  Constructors
 (``__init__`` / ``__post_init__`` / ``__new__``) are exempt — a not-yet-
 shared instance is thread-local by construction.
 """
@@ -24,6 +27,8 @@ from tools.reprolint.engine import Finding, Rule
 from tools.reprolint.model import ClassInfo, FunctionInfo, Project
 
 _CONSTRUCTORS = frozenset({"__init__", "__post_init__", "__new__"})
+#: Lazy-slot methods that write the slot, and how a finding words them.
+_SLOT_WRITES = {"set": "sets", "drop": "drops"}
 
 
 def resolve_read_roots(project: Project, contracts: ContractSet) -> list[FunctionInfo]:
@@ -82,6 +87,10 @@ def iter_self_writes(fn_node: ast.AST):
             name = None
             if isinstance(func, ast.Attribute):
                 name = func.attr
+                if name in _SLOT_WRITES:
+                    attr = _self_write_target(func.value)
+                    if attr is not None:
+                        yield node.lineno, f"{_SLOT_WRITES[name]} self.{attr}"
             elif isinstance(func, ast.Name):
                 name = func.id
             if name == "__setattr__" or name == "setattr":

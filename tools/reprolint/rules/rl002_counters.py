@@ -7,6 +7,11 @@ literal or a ``stats.setdefault("<counter>", …)`` call — so the dynamic
 exactly-once assertions the benchmarks make stay possible.  Registry
 drift (a registered method that no longer exists) and exempt entries
 without a written reason are also findings.
+
+A lazy slot (``Lazy(name, stats, counter, lock)``, :mod:`repro.obs.lazy`)
+bumps its counter itself on every build, so it needs no registry entry;
+instead every ``Lazy(...)`` call that names a counter must name a declared
+one, as a string literal.
 """
 
 from __future__ import annotations
@@ -78,6 +83,40 @@ def _bumps_counter(fn: FunctionInfo, stats_attr: str, counter: str) -> bool:
     return False
 
 
+def _lazy_counter(call: ast.Call) -> ast.expr | None:
+    """The counter argument of a ``Lazy(name, stats, counter, lock)`` call."""
+    if len(call.args) > 2:
+        return call.args[2]
+    for keyword in call.keywords:
+        if keyword.arg == "counter":
+            return keyword.value
+    return None
+
+
+def _check_lazy_slots(project: Project, declared: set[str]) -> list[Finding]:
+    findings: list[Finding] = []
+    for module in project.modules.values():
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            counter = _lazy_counter(node) if name == "Lazy" else None
+            if counter is None or (isinstance(counter, ast.Constant) and counter.value is None):
+                continue
+            if not (isinstance(counter, ast.Constant) and isinstance(counter.value, str)):
+                message = "Lazy slot names its counter by an expression, not a string literal"
+            elif counter.value not in declared:
+                message = (
+                    f'Lazy slot counter "{counter.value}" is not declared in any stats '
+                    "dict literal or setdefault"
+                )
+            else:
+                continue
+            findings.append(Finding("RL002", module.path, node.lineno, message))
+    return findings
+
+
 def _find_methods(project: Project, cls_name: str, meth: str) -> list[FunctionInfo]:
     out = []
     for cls in project.classes_by_name.get(cls_name, []):
@@ -87,8 +126,8 @@ def _find_methods(project: Project, cls_name: str, meth: str) -> list[FunctionIn
 
 
 def check(project: Project, contracts: ContractSet) -> list[Finding]:
-    findings: list[Finding] = []
     declared = _declared_counters(project)
+    findings = _check_lazy_slots(project, declared)
     for (cls_name, meth), contract in sorted(contracts.build_methods.items()):
         methods = _find_methods(project, cls_name, meth)
         if not methods:

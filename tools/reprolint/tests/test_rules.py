@@ -36,14 +36,18 @@ RL001_CONTRACTS = ContractSet(
 
 def test_rl001_flags_seeded_read_path_writes():
     findings = analyze("rl001_bad.py", RL001_CONTRACTS, RL001)
-    assert len(findings) == 3
+    assert len(findings) == 4
     messages = [f.message for f in findings]
     assert any("SharedCache.get assigns self._value" in m for m in messages)
     assert any("SharedCache._refresh mutates self.version" in m for m in messages)
     assert any("DerivedCache.get assigns self._hits" in m for m in messages)
-    # The helper finding must explain *how* the read API reaches it.
+    # The helper findings must explain *how* the read API reaches them.
     (refresh,) = [f for f in findings if "_refresh" in f.message]
     assert "via" in refresh.message and "get" in refresh.message
+    # A lazy slot's drop() is a write of the slot attribute.
+    (expire,) = [f for f in findings if "_expire" in f.message]
+    assert "SharedCache._expire drops self._slot" in expire.message
+    assert "via" in expire.message and "get" in expire.message
 
 
 def test_rl001_clean_when_writes_live_in_registered_build():
@@ -99,6 +103,18 @@ def test_rl002_accepts_registry_backed_inc_and_statsview_declaration():
     assert any('never bumps self.stats["never_bumped"]' in m for m in messages)
     assert any('counter "never_bumped" of Registry.broken is not declared' in m for m in messages)
     assert len(findings) == 2
+
+
+def test_rl002_flags_lazy_slots_with_undeclared_or_unnamed_counters():
+    findings = analyze("rl002_lazy_bad.py", ContractSet(), RL002)
+    assert len(findings) == 2
+    messages = [f.message for f in findings]
+    assert any('Lazy slot counter "bilds" is not declared' in m for m in messages)
+    assert any("names its counter by an expression" in m for m in messages)
+
+
+def test_rl002_clean_when_lazy_counters_are_declared():
+    assert analyze("rl002_lazy_good.py", ContractSet(), RL002) == []
 
 
 # -- RL003 ---------------------------------------------------------------
