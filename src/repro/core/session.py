@@ -439,30 +439,28 @@ class AuditSession:
         """Eagerly build every shared cache the audit read path touches.
 
         ``fit`` builds the artifacts and alphabet *containers*; the heavy
-        entries inside (per-sample gradients, the Hessian factorization,
-        the rank-one Hessian factors, the packed tidlists, the per-group
+        entries inside (per-sample gradients, the Hessian solver, the
+        rank-one Hessian factors, the packed tidlists, the per-group
         fairness contexts) are built lazily by the first query.
         ``warm()`` runs those builds up front, so after it returns, queries
         against the configured (estimator, engine, group) defaults are pure
         reads of shared state — the property the frozen-session sanitizer
-        and concurrent serving rely on.  ``groups`` defaults to the test
-        dataset's declared protected group; ``estimator`` to the config's;
-        ``skeleton=True`` additionally builds the level-2 merge skeleton
-        the incremental delta path replays.  Idempotent — every build it
-        triggers is counted once by that build's own stats entry.
+        and concurrent serving rely on.  The builds run through one
+        estimator's own ``warm``, so they are exactly the caches that
+        estimator reads (a one-step session factorizes no Hessian).
+        ``groups`` defaults to the test dataset's declared protected group;
+        ``estimator`` to the config's; ``skeleton=True`` additionally
+        builds the level-2 merge skeleton the incremental delta path
+        replays.  Idempotent — every build it triggers is counted once by
+        that build's own stats entry.
         """
         self._require_fitted()
-        assert self.artifacts is not None and self.alphabet_cache is not None
-        assert self.test_data is not None
-        for group in groups if groups is not None else [self.test_data.protected]:
+        assert self.alphabet_cache is not None and self.test_data is not None
+        if groups is None:
+            groups = [self.test_data.protected]
+        for group in groups:
             self.context_for(group)
-        name = estimator if estimator is not None else self.config.estimator
-        kwargs = self._estimator_kwargs_for(name)
-        self.artifacts.warm(
-            damping=float(kwargs.get("damping", 0.0)),  # type: ignore[arg-type]
-            learning_rate=name == "one_step_gd"
-            and kwargs.get("learning_rate", "auto") == "auto",
-        )
+        self.estimator_for(group=groups[0] if groups else None, estimator=estimator).warm()
         cfg = self.config
         alphabet = self.alphabet_cache.get(
             cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None
@@ -754,7 +752,11 @@ class AuditSession:
         session's ``last_audit``, so successive edits chain naturally.
         When tracing is on, the ``delta.audit`` span carries
         ``grad_norm_before`` and ``grad_norm_after``: ‖∇L(θ; D)‖ on the
-        training rows before and after the edit, since θ is not refit.
+        training rows before and after the edit, since θ is not refit, and
+        each ``delta.query`` span carries ``certified``, ``recheck_ran``
+        and, when a fresh search ran, ``refusal`` (the query's ``reason``;
+        a span's ``reason`` attribute is a cache miss's, see
+        :class:`repro.obs.Lazy`).
         """
         self._require_fitted()
         if recheck not in ("auto", "always", "never"):
@@ -819,7 +821,7 @@ class AuditSession:
                         )
                         query_span.set(certified=certified, recheck_ran=recheck_ran)
                         if reason:
-                            query_span.set(reason=reason)
+                            query_span.set(refusal=reason)
                     seconds = query_span.seconds
                     cost = (
                         CostReport.from_span(query_span)

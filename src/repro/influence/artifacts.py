@@ -491,22 +491,3 @@ class ModelArtifacts:
         views call ``explain_updates``.
         """
         return self._update_state.get(lambda: (self.hessian, self.auto_learning_rate()))
-
-    # ------------------------------------------------------------------
-    def warm(self, damping: float = 0.0, learning_rate: bool = False) -> "ModelArtifacts":
-        """Eagerly build every cache a read-only serving path would touch.
-
-        After ``warm()`` the query methods (``solver`` for the warmed
-        damping, ``per_sample_grads``, ``hessian_factors``, …) are pure
-        reads: the frozen/concurrent read path never triggers a lazy build.
-        ``learning_rate`` additionally builds the shared one-step η.
-        Idempotent — every build is counted by its own stats entry exactly
-        once.
-        """
-        _ = self.per_sample_grads
-        _ = self.hessian
-        _ = self.solver(damping)
-        _ = self.hessian_factors()
-        if learning_rate:
-            _ = self.auto_learning_rate()
-        return self

@@ -38,7 +38,7 @@ per-rank diffs that mean something.  A relabel-only edit leaves the
 table (and therefore every mask) untouched.  Rebuild the session when
 the cumulative edit volume warrants re-binning.
 
-The closed miner's digest search keeps its *extent identities* here too
+The closed miner keeps its *extent identities* here too
 (:class:`ExtentIdentities`): the rows an item set covers are a function of
 the alphabet alone, so every query of the session reads the same keys.
 
@@ -87,7 +87,7 @@ class PredicateAlphabet:
     Three views are :class:`~repro.obs.lazy.Lazy` slots, built once per
     alphabet and shared by every query: :meth:`miner_items` (the miner's
     sorted, stacked tidlists), :meth:`pair_skeleton` (the lattice's level-2
-    merge pairs) and :meth:`extent_identities` (the digest miner's extent
+    merge pairs) and :meth:`extent_identities` (the miner's extent
     keys and generator sets).  :meth:`warm` builds them up front.  An edit
     that changes rows re-stacks a built miner view, replaces a built
     identity store with an empty one, and drops the skeleton when the
@@ -251,7 +251,7 @@ class PredicateAlphabet:
         return self._miner_items.get(self._pack_items)
 
     def extent_identities(self) -> "ExtentIdentities":
-        """The digest miner's extent-identity store for this alphabet.
+        """The closed miner's extent-identity store for this alphabet.
 
         Built lazily (empty, plus its digest row values) and shared by
         every mining query until an edit changes rows; see
@@ -321,15 +321,15 @@ def _stack(entries: list[tuple[Predicate, np.ndarray]], num_rows: int) -> np.nda
     return np.stack([mask for _, mask in entries])
 
 
-#: Seed of the digest search's per-row values, XORed with the row count;
+#: Seed of the miner's per-row digest values, XORed with the row count;
 #: fixed so a search is reproducible run to run.
 _DIGEST_SEED = 0x9E3779B97F4A7C15
 
 
 class ExtentIdentities:
-    """Metric-independent extent identities of one alphabet's digest search.
+    """Metric-independent extent identities of one alphabet's closed miner.
 
-    The closed miner's digest search keys every extent it touches by
+    The closed miner keys every extent it touches by
     ``(count, value)``; :mod:`repro.mining.closed` lists what a key costs.
     The rows an item set covers depend only on the alphabet, never on the
     model, metric or group, so one store serves every query on it:

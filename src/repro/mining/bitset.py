@@ -31,8 +31,8 @@ array of row indices (``int32`` when the index fits, ``int64`` past
 wins once ``count · 32 ≤ num_rows`` (one 4-byte ``int32`` index per row
 versus one bit per table row, with a 4× hysteresis margin so borderline
 tidlists stay packed and dense-path popcounts stay vectorized).
-``intersect`` / ``popcount`` / ``covers_all`` / ``tid_key`` dispatch on
-the representation (``uint8`` dtype ⇒ packed, integer dtype ⇒ sparse):
+``intersect`` / ``popcount`` / ``covers_all`` dispatch on the
+representation (``uint8`` dtype ⇒ packed, integer dtype ⇒ sparse):
 
 * sparse × sparse — galloping intersection: binary-search the smaller
   list into the larger, ``O(|small| · log |large|)``.
@@ -189,15 +189,6 @@ def intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b[bit_test(a, b)]
 
 
-def tid_count(tid: np.ndarray) -> int:
-    """Row count of a tidlist in either representation (always a python int,
-    immune to 32-bit accumulator overflow)."""
-    tid = np.asarray(tid)
-    if is_sparse(tid):
-        return int(tid.size)
-    return int(popcount(tid))
-
-
 def popcount(packed: np.ndarray) -> np.ndarray | int:
     """Number of set bits per packed row (scalar for a single row).
 
@@ -248,21 +239,3 @@ def extent_key(packed: np.ndarray) -> bytes:
     """Hashable identity of a packed extent (padding bits are zero, so equal
     row sets always map to equal keys)."""
     return np.ascontiguousarray(packed).tobytes()
-
-
-def tid_key(tid: np.ndarray, num_rows: int) -> bytes:
-    """Hashable identity of a tidlist in *either* representation.
-
-    Equal row sets map to equal keys regardless of how the tidlist is
-    stored: the key canonicalizes through the density rule — index bytes
-    (prefixed to stay disjoint from packed bytes) below the
-    :data:`SPARSE_DENSITY` threshold, packed bytes above it — converting
-    whichever form it was handed.  ``O(min(count·log, n/8))`` like the
-    operations themselves.
-    """
-    tid = np.asarray(tid)
-    count = tid_count(tid)
-    if sparse_eligible(count, num_rows):
-        indices = to_sparse(tid, num_rows)
-        return b"s" + np.ascontiguousarray(indices.astype(np.int64, copy=False)).tobytes()
-    return extent_key(to_packed(tid, num_rows))

@@ -51,12 +51,11 @@ Memory per search path is ``O(depth · n/8)`` for the extents plus the
 Extent identity
 ---------------
 Every frontier child, descent-bar co-parent, level-1 item and replayed
-sub-pattern needs a hashable key for its extent.  The flat search keys an
-extent by its packed bytes (one ``n/8`` copy).  The digest search (below)
-keys it by ``(count, value)``, and what that costs depends on the form the
-extent arrives in.  Measured per key in one four-metric
-``scale_mining_audit`` grid before the store below existed (dataset 0,
-seed 0, 54,229 keys; 2-vCPU Xeon VM, timer overhead included):
+sub-pattern needs a hashable key for its extent.  The search keys it by
+``(count, value)``, and what that costs depends on the form the extent
+arrives in.  Measured per key in one four-metric ``scale_mining_audit``
+grid before the store below existed (dataset 0, seed 0, 54,229 keys;
+2-vCPU Xeon VM, timer overhead included):
 
 * an already-sparse index tidlist — a gather-sum over ``count`` values,
   the only ``O(count)`` case: 38 µs (268 keys);
@@ -71,7 +70,7 @@ seed 0, 54,229 keys; 2-vCPU Xeon VM, timer overhead included):
 Those 54,229 keys covered only 7,457 distinct item sets, because a key
 depends only on the rows an item set covers, never on the metric, and
 the co-parent and replay lookups re-key sets the frontier already keyed.
-So the digest search reads and fills the alphabet's
+So the search reads and fills the alphabet's
 :class:`~repro.mining.alphabet.ExtentIdentities`: one key per ascending
 item path (the count is the key's first element, so a stored child also
 skips its popcount), and the generator combos of each emitted extent per
@@ -79,23 +78,25 @@ skips its popcount), and the generator combos of each emitted extent per
 that changes rows empties it, so each distinct item set is keyed once
 between edits; ``identity_hits`` / ``identity_misses`` count the lookups.
 
-Conditional-database projection (``projection="auto"``, the default)
-replaces both ``n/8`` terms with *parent-extent-proportional* ones: a
-branch whose extent shrinks below ``1/_PROJECT_SHRINK`` of its space is
-re-packed into a dense local coordinate space (LCM2-style) carrying the
-still-extendable items' tidlists at ``ceil(count/8)`` bytes each, so the
-per-node AND/popcount below it costs ``count/8`` — and the one-off
-projection costs the same bytes one round of child ANDs would have.
-Extent identity switches from packed bytes (``n/8`` per retained key) to
-an O(1)-sized set-homomorphic digest, global tidlists handed to the
+Conditional-database projection replaces both ``n/8`` terms with
+*parent-extent-proportional* ones: a branch whose extent shrinks below
+``1/_PROJECT_SHRINK`` of its space is re-packed into a dense local
+coordinate space (LCM2-style) carrying the still-extendable items'
+tidlists at ``ceil(count/8)`` bytes each, so the per-node AND/popcount
+below it costs ``count/8`` — and the one-off projection costs the same
+bytes one round of child ANDs would have.  Extent identity is an
+O(1)-sized key (a set-homomorphic row digest, or a hash of the global
+packed bytes for a dense extent), global tidlists handed to the
 estimator switch to the sparse index representation below the
 ``repro.mining.bitset`` density threshold (the estimator consumes index
 batches directly — no pack/unpack round trip), and flush groups are
 byte-capped, so the frontier's peak memory is bounded by constants and
-by extent sizes, not by the table's row count.  ``projection="never"``
-preserves the flat traversal byte-for-byte; both modes visit the same
-nodes and emit identical candidates (the projection property suite and
-the engine-equivalence suite pin this).
+by extent sizes, not by the table's row count.  The ``mining.frontier``
+span counts the conditional databases it built (``projections``) rather
+than opening a span for each.  Representation never reaches the answer:
+the projection property suite mines every instance again with
+projection and index tidlists switched off and requires identical
+candidates.
 
 Pruning mirrors Algorithm 1: support must stay strictly above τ
 (anti-monotone, kills the subtree), and with ``prune_by_responsibility`` a
@@ -173,7 +174,7 @@ from repro.patterns.predicate import Predicate
 from repro.tabular import Table
 
 #: Project a branch once its extent is this many times smaller than its
-#: current coordinate space ("auto" mode).  Below 1/8 density the re-pack
+#: current coordinate space.  Below 1/8 density the re-pack
 #: pays for itself within one level: building the conditional database
 #: costs one pass over the remaining items' local tidlists — the same
 #: bytes a single round of child ANDs would have touched — and every
@@ -184,16 +185,6 @@ _PROJECT_SHRINK = 8
 #: Items per chunk when re-packing a conditional database: bounds the
 #: transient unpacked (items, count) bit matrix to chunk·count bytes.
 _PROJECT_ITEM_CHUNK = 64
-
-#: Below this many table rows, "auto" runs the flat (never-mode) search.
-#: The projection machinery adds per-node work the flat search doesn't
-#: do — member digests for sparse-eligible extents, a popcount per
-#: descent-bar lookup, dense→sparse compressions, conditional-database
-#: builds — and on a table small enough to sit in cache every full-width
-#: AND and scoring pass is already near-free, so there is nothing for
-#: that machinery to save.  Auto switches it on only once the byte
-#: traffic it removes is worth the bookkeeping it adds.
-_AUTO_DIGEST_MIN_ROWS = 1 << 17
 
 #: Byte cap on one flush group's materialized global tidlists.  Local
 #: extents are expanded to global coordinates only for scoring; capping
@@ -232,7 +223,7 @@ class _Space:
         tids: np.ndarray,
         depth: int,
         parent: "_Space | None",
-        hsource: np.ndarray | None,
+        hsource: np.ndarray,
     ) -> None:
         self.rows = rows
         self.num_local = num_local
@@ -250,7 +241,6 @@ class _Space:
     @property
     def hvals(self) -> np.ndarray:
         if self._hvals is None:
-            assert self._hsource is not None
             self._hvals = (
                 self._hsource if self.rows is None else self._hsource[self.rows]
             )
@@ -281,8 +271,7 @@ class _InfluenceCache:
     """Extent-keyed influence results, filled by batched packed queries.
 
     Callers hand in ``(key, global tidlist)`` pairs, keyed by the search's
-    extent identity — raw packed bytes for the unprojected search, the
-    digest key under projection.  Tidlists flow to the estimator in
+    digest extent identity.  Tidlists flow to the estimator in
     whatever representation they arrive: packed rows are stacked into one
     ``bias_change_batch(packed, num_rows=n)`` call and sparse index arrays
     go through the estimator's index-streamed batch entry *as indices* —
@@ -349,7 +338,6 @@ def mine_closed_candidates(
     max_responsibility: float = 1.25,
     batch_size: int = 1024,
     alphabet=None,
-    projection: str = "auto",
 ) -> CandidateResult:
     """Mine all closed candidate explanations of ``table``.
 
@@ -361,23 +349,20 @@ def mine_closed_candidates(
     boolean unpack inside the estimator is further chunked, so it does not
     bound mask memory — the packed representation does).  ``alphabet`` is
     an optional pre-built :class:`repro.mining.alphabet.PredicateAlphabet`
-    whose frequency-ascending packed tidlists (and, in the digest search,
-    extent identities) are reused instead of re-generated — how an
-    :class:`repro.core.AuditSession` shares one tidlist build across every
-    query of an audit.  It must have been built for this table's row count
-    and this τ, bin count and exclusion set; a mismatch raises
-    ``ValueError`` naming the field.
+    whose frequency-ascending packed tidlists and extent identities are
+    reused instead of re-generated — how an :class:`repro.core.AuditSession`
+    shares one tidlist build and one identity store across every query of
+    an audit.  It must have been built for this table's row count and this
+    τ, bin count and exclusion set; a mismatch raises ``ValueError`` naming
+    the field.
 
-    ``projection`` selects the conditional-database strategy.  ``"never"``
-    is the flat traversal: every extension ANDs two global ``n/8``-byte
-    rows and every extent key is its packed bytes.  ``"auto"`` (the
-    default) projects a node's extent into a dense local coordinate space
-    once it has shrunk below ``1/_PROJECT_SHRINK`` of its current space —
-    descendants then pay ``count/8`` bytes per AND — and switches global
+    The search projects a node's extent into a dense local coordinate
+    space once it has shrunk below ``1/_PROJECT_SHRINK`` of its current
+    space — descendants then pay ``count/8`` bytes per AND — and switches
     tidlists to the sparse index representation for keys, scoring, and
     co-parent lookups where the density rule of ``repro.mining.bitset``
-    says indices are cheaper.  Both traverse the identical node set and
-    emit identical candidates; they differ only in representation.
+    says indices are cheaper.  Neither changes which nodes are visited or
+    what is emitted; they change only representation.
 
     ``levels`` maps the miner's per-depth accounting onto the lattice's
     Table-7 shape: candidates = nodes surviving pruning at that depth,
@@ -390,14 +375,13 @@ def mine_closed_candidates(
     whole ``lattice.level`` spans.  An empty alphabet reports one level-1
     row with zero seconds, since no flush ran.  The number of distinct
     extents visited is the ``closed`` attribute of the ``mining.frontier``
-    span.
+    span, and the number of conditional databases built its
+    ``projections``.
     """
     if max_predicates < 1:
         raise ValueError(f"max_predicates must be >= 1, got {max_predicates}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if projection not in ("auto", "never"):
-        raise ValueError(f"projection must be 'auto' or 'never', got {projection!r}")
     num_rows = table.num_rows
     if num_rows != estimator.num_train:
         raise ValueError(
@@ -420,43 +404,36 @@ def mine_closed_candidates(
         return CandidateResult([], [LatticeLevelStats(1, 0, 0, 0.0)])
     num_items = len(predicates)
 
-    use_digest = projection == "auto" and num_rows >= _AUTO_DIGEST_MIN_ROWS
-    if use_digest:
-        # Two-tier extent identity, branch chosen by the *global* density
-        # rule so every representation of the same row set lands in the
-        # same branch:
-        #
-        # * sparse-eligible (count·32 ≤ n) — set-homomorphic digest: each
-        #   row carries a fixed random 64-bit value and the key is
-        #   (count, Σ values mod 2⁶⁴).  O(count) from an index tidlist,
-        #   an unpack over the tidlist's space from a packed one;
-        #   coordinate-space independent, O(8n) to store the values once.
-        # * dense — (count, hash of the global packed bytes): one n/8 copy
-        #   in the root space, a rebuilt (n,) global mask in a projected
-        #   one (the module docstring lists measured costs).  Only the
-        #   64-bit hash is retained, so the survived/defeated caches stay
-        #   O(1) per extent either way.
-        #
-        # A sparse-eligible extent can never be packed-keyed (or vice
-        # versa): eligibility depends only on the count, which both
-        # branches carry.  A collision needs two same-size extents whose
-        # digests or byte hashes agree mod 2⁶⁴: union-bound
-        # ≈ (#distinct extents)² / 2⁶⁵, vanishing for any feasible
-        # search, and a false merge only skips one subtree re-walk.
-        #
-        # The alphabet's identity store holds the seeded row values and
-        # one key per item path for every query on the alphabet; each
-        # lookup below reads it before it intersects or keys anything.
-        store = alphabet.extent_identities()
-        hsource = store.hvals
-    else:
-        store = hsource = None
+    # Two-tier extent identity, branch chosen by the *global* density rule
+    # so every representation of the same row set lands in the same branch:
+    #
+    # * sparse-eligible (count·32 ≤ n) — set-homomorphic digest: each row
+    #   carries a fixed random 64-bit value and the key is
+    #   (count, Σ values mod 2⁶⁴).  O(count) from an index tidlist, an
+    #   unpack over the tidlist's space from a packed one;
+    #   coordinate-space independent, O(8n) to store the values once.
+    # * dense — (count, hash of the global packed bytes): one n/8 copy in
+    #   the root space, a rebuilt (n,) global mask in a projected one (the
+    #   module docstring lists measured costs).  Only the 64-bit hash is
+    #   retained, so the survived/defeated caches stay O(1) per extent
+    #   either way.
+    #
+    # A sparse-eligible extent can never be packed-keyed (or vice versa):
+    # eligibility depends only on the count, which both branches carry.  A
+    # collision needs two same-size extents whose digests or byte hashes
+    # agree mod 2⁶⁴: union-bound ≈ (#distinct extents)² / 2⁶⁵, vanishing
+    # for any feasible search, and a false merge only skips one subtree
+    # re-walk.
+    #
+    # The alphabet's identity store holds the seeded row values and one
+    # key per item path for every query on the alphabet; each lookup below
+    # reads it before it intersects or keys anything.
+    store = alphabet.extent_identities()
+    hsource = store.hvals
     root_space = _Space(None, num_rows, 0, tids, 0, None, hsource)
 
     def space_key(tid: np.ndarray, space: _Space, count: int | None = None):
         """Hashable global identity of a tidlist local to ``space``."""
-        if not use_digest:
-            return extent_key(tid)
         if is_sparse(tid):
             return (int(tid.size), int(space.hvals[tid].sum(dtype=np.uint64)))
         if count is None:
@@ -495,9 +472,7 @@ def mine_closed_candidates(
 
     def path_key(path: tuple[int, ...], tid: np.ndarray, space: _Space, count=None):
         """``space_key`` of item path ``path``'s extent ``tid``, through the
-        identity store in the digest search."""
-        if store is None:
-            return space_key(tid, space, count)
+        identity store."""
         key = store.key_of(path)
         if key is None:
             key = space_key(tid, space, count)
@@ -512,38 +487,35 @@ def mine_closed_candidates(
         conditional database of its branch)."""
         space = node.space
         base = node.last_item + 1
-        with trace.span("mining.project", rows=node.count, depth=node.depth):
-            if is_sparse(node.extent):
-                members = node.extent
-            else:
-                members = np.flatnonzero(unpack_rows(node.extent, space.num_local))
-            rows = members if space.rows is None else space.rows[members]
-            sub = space.tids[base - space.base :]
-            cols = members >> 3
-            shifts = (7 - (members & 7)).astype(np.uint8)
-            local = np.empty((sub.shape[0], (members.size + 7) // 8), dtype=np.uint8)
-            # Chunk over items so the transient unpacked (items, count) bit
-            # matrix stays bounded regardless of alphabet size.
-            for s0 in range(0, sub.shape[0], _PROJECT_ITEM_CHUNK):
-                bits = (sub[s0 : s0 + _PROJECT_ITEM_CHUNK, cols] >> shifts) & np.uint8(1)
-                local[s0 : s0 + _PROJECT_ITEM_CHUNK] = np.packbits(bits, axis=1)
-            counters["projection_builds"] += 1
-            return _Space(rows, int(members.size), base, local, node.depth, space, hsource)
+        if is_sparse(node.extent):
+            members = node.extent
+        else:
+            members = np.flatnonzero(unpack_rows(node.extent, space.num_local))
+        rows = members if space.rows is None else space.rows[members]
+        sub = space.tids[base - space.base :]
+        cols = members >> 3
+        shifts = (7 - (members & 7)).astype(np.uint8)
+        local = np.empty((sub.shape[0], (members.size + 7) // 8), dtype=np.uint8)
+        # Chunk over items so the transient unpacked (items, count) bit
+        # matrix stays bounded regardless of alphabet size.
+        for s0 in range(0, sub.shape[0], _PROJECT_ITEM_CHUNK):
+            bits = (sub[s0 : s0 + _PROJECT_ITEM_CHUNK, cols] >> shifts) & np.uint8(1)
+            local[s0 : s0 + _PROJECT_ITEM_CHUNK] = np.packbits(bits, axis=1)
+        counters["projection_builds"] += 1
+        return _Space(rows, int(members.size), base, local, node.depth, space, hsource)
 
     def global_tid(node: _Node) -> np.ndarray:
         """``node``'s extent in global coordinates, density-canonical.
 
         Sparse-eligible extents come back as sorted global row indices
         (what the estimator's index-streamed batch path consumes
-        directly); denser ones as a packed global row.  In the
-        unprojected search every extent already *is* a packed global row
-        and is returned as-is — byte-identical to the historical path.
+        directly); denser ones as a packed global row.
         """
         space = node.space
         if space.rows is None:
             if is_sparse(node.extent):
                 return node.extent.astype(sparse_index_dtype(num_rows), copy=False)
-            if use_digest and sparse_eligible(node.count, num_rows):
+            if sparse_eligible(node.count, num_rows):
                 counters["tidlist_compressions"] += 1
                 return np.flatnonzero(unpack_rows(node.extent, num_rows)).astype(
                     sparse_index_dtype(num_rows), copy=False
@@ -586,8 +558,8 @@ def mine_closed_candidates(
     # The depth-first order visits (and batches) those sub-extents before P
     # is expanded in all but batch-boundary races, so the lookup almost
     # always resolves.
-    survived: dict[bytes, float] = {}
-    defeated: set[bytes] = set()
+    survived: dict[object, float] = {}
+    defeated: set[object] = set()
 
     def children(node: _Node) -> list[_Node]:
         nonlocal coparent_nodes, coparents_built, coparent_hits
@@ -600,12 +572,7 @@ def mine_closed_candidates(
         # current coordinate space, re-pack it so every descendant AND and
         # popcount runs over count/8 bytes.  The root level never projects
         # (children of the root are the items themselves).
-        do_project = (
-            use_digest
-            and node.depth >= 1
-            and node.count * _PROJECT_SHRINK <= space.num_local
-        )
-        if do_project:
+        if node.depth >= 1 and node.count * _PROJECT_SHRINK <= space.num_local:
             child_space = project(node)
             # One vectorized popcount over the conditional database gives
             # every extension's support at once.
@@ -641,7 +608,7 @@ def mine_closed_candidates(
                     co = anc.tid(kept[0])
                     for item in kept[1:]:
                         co = intersect(co, anc.tid(item))
-                    if use_digest and sparse_eligible(int(popcount(co)), anc.num_local):
+                    if sparse_eligible(int(popcount(co)), anc.num_local):
                         co = np.flatnonzero(unpack_rows(co, anc.num_local))
                         counters["tidlist_compressions"] += 1
                 else:
@@ -654,7 +621,7 @@ def mine_closed_candidates(
             path = node.items + (j,)
             # A stored key carries the child's count, so a hit skips both
             # the popcount and the key.
-            known = None if store is None else store.key_of(path)
+            known = store.key_of(path)
             if child_counts is not None:
                 extent = child_space.tids[j - child_space.base]
                 count = int(child_counts[j - child_space.base])
@@ -671,11 +638,7 @@ def mine_closed_candidates(
             # a float division there, and τ·n can round differently.
             if count / num_rows <= support_threshold:
                 continue
-            if (
-                use_digest
-                and not is_sparse(extent)
-                and sparse_eligible(count, child_space.num_local)
-            ):
+            if not is_sparse(extent) and sparse_eligible(count, child_space.num_local):
                 # Density-adaptive node extents: below the cutoff the
                 # surviving extent switches to index form at creation —
                 # its key costs O(count) instead of an O(num_local) member
@@ -718,11 +681,8 @@ def mine_closed_candidates(
                 bar = _parent_bar(node.responsibility, -np.inf, max_responsibility)
                 formable = False
                 for drop, (anc, co) in enumerate(co_parents):
-                    if store is None:
-                        sub_path, sub_key = None, None
-                    else:
-                        sub_path = node.items[:drop] + node.items[drop + 1 :] + (j,)
-                        sub_key = store.key_of(sub_path)
+                    sub_path = node.items[:drop] + node.items[drop + 1 :] + (j,)
+                    sub_key = store.key_of(sub_path)
                     if sub_key is not None:
                         # Keyed before — usually as a child, since the LIFO
                         # frontier expands larger items first: no AND.
@@ -739,9 +699,8 @@ def mine_closed_candidates(
                             sub = intersect(co, item_tid)
                             counters["dense_dispatch_hits"] += 1
                         sub_key = space_key(sub, anc)
-                        if store is not None:
-                            store.add_key(sub_path, sub_key)
-                            counters["identity_misses"] += 1
+                        store.add_key(sub_path, sub_key)
+                        counters["identity_misses"] += 1
                     resp = survived.get(sub_key)
                     if resp is not None:
                         formable = True
@@ -789,25 +748,22 @@ def mine_closed_candidates(
             batch = pending[:batch_size]
             del pending[: len(batch)]
             with trace.span("mining.batch", nodes=len(batch)) as batch_span:
-                if use_digest:
-                    # Expand local extents to global tidlists in byte-capped
-                    # groups: the global forms are scoring transients, so the
-                    # flush never holds batch_size full-width rows at once —
-                    # the peak the memory-bound benchmark asserts on.
-                    group: list[tuple[object, np.ndarray]] = []
-                    group_bytes = 0
-                    for node in batch:
-                        tid = global_tid(node)
-                        group.append((node.key, tid))
-                        group_bytes += tid.nbytes
-                        if group_bytes >= _FLUSH_GROUP_BYTES:
-                            cache.evaluate_pairs(group)
-                            group = []
-                            group_bytes = 0
-                    if group:
+                # Expand local extents to global tidlists in byte-capped
+                # groups: the global forms are scoring transients, so the
+                # flush never holds batch_size full-width rows at once — the
+                # peak the memory-bound benchmark asserts on.
+                group: list[tuple[object, np.ndarray]] = []
+                group_bytes = 0
+                for node in batch:
+                    tid = global_tid(node)
+                    group.append((node.key, tid))
+                    group_bytes += tid.nbytes
+                    if group_bytes >= _FLUSH_GROUP_BYTES:
                         cache.evaluate_pairs(group)
-                else:
-                    cache.evaluate_pairs([(node.key, node.extent) for node in batch])
+                        group = []
+                        group_bytes = 0
+                if group:
+                    cache.evaluate_pairs(group)
             flush_seconds = batch_span.seconds
             for node in batch:
                 key = node.key
@@ -839,6 +795,7 @@ def mine_closed_candidates(
             evaluated=cache.num_evaluated,
             identity_hits=counters["identity_hits"],
             identity_misses=counters["identity_misses"],
+            projections=counters["projection_builds"],
             coparent_nodes=coparent_nodes,
             coparents_built=coparents_built,
             coparent_hits=coparent_hits,
@@ -902,9 +859,6 @@ class _DepthCounter:
     def get(self, depth: int) -> float:
         return self.values.get(depth, 0.0)
 
-    def total(self) -> float:
-        return sum(self.values.values())
-
 
 class _GeneratorReplay:
     """Replays Algorithm 1's per-pattern pruning over generator sub-lattices.
@@ -936,7 +890,7 @@ class _GeneratorReplay:
     evaluated lazily in one batched query per node — extents the lattice
     paid for as ordinary level-(k−1) candidates anyway.
 
-    In the digest search, ``store`` is the alphabet's
+    ``store`` is the alphabet's
     :class:`~repro.mining.alphabet.ExtentIdentities`.  A sub-pattern's key
     is read from it by the combo's ascending item path, and an extent's
     generator combos by ``(max_predicates, extent key)``.  So a replay ANDs
@@ -954,7 +908,7 @@ class _GeneratorReplay:
         max_predicates: int,
         prune_by_responsibility: bool,
         max_responsibility: float,
-        store: ExtentIdentities | None,
+        store: ExtentIdentities,
     ) -> None:
         self.predicates = predicates
         self.tids = tids
@@ -980,17 +934,15 @@ class _GeneratorReplay:
     def _identity(self, combo: tuple[int, ...]) -> tuple[object, np.ndarray | None]:
         """``(key, extent)`` of ``combo``'s item set; ``extent`` is None when
         the identity store already held the key, so no AND ran."""
-        if self.store is not None:
-            path = tuple(sorted(combo))
-            key = self.store.key_of(path)
-            if key is not None:
-                self.hits += 1
-                return key, None
+        path = tuple(sorted(combo))
+        key = self.store.key_of(path)
+        if key is not None:
+            self.hits += 1
+            return key, None
         extent = self._extent_of(combo)
         key = self.key_fn(extent)
-        if self.store is not None:
-            self.store.add_key(path, key)
-            self.misses += 1
+        self.store.add_key(path, key)
+        self.misses += 1
         return key, extent
 
     def _responsibility(self, combo: tuple[int, ...]) -> float | None:
@@ -1068,13 +1020,10 @@ class _GeneratorReplay:
         """The surviving pattern Algorithm 2 would pick for the extent with
         identity ``key``, or None if the lattice's pruning leaves no pattern
         for it."""
-        generators = None
-        if self.store is not None:
-            generators = self.store.generators_of(self.max_predicates, key)
+        generators = self.store.generators_of(self.max_predicates, key)
         if generators is None:
             generators = self._generators(extent, count)
-            if self.store is not None:
-                self.store.add_generators(self.max_predicates, key, generators)
+            self.store.add_generators(self.max_predicates, key, generators)
         if not self.prune_by_responsibility:
             # Without heuristic 2 the lattice emits redundant-predicate
             # patterns too; the tie-break ranges over all generators.

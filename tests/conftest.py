@@ -26,14 +26,6 @@ if os.environ.get("REPRO_SANITIZE") == "1":
     install_session_sanitizer()
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "keep_auto_gate: do not drop the miner's auto-projection row-count "
-        "gate for this test (tests/mining/test_projection_equivalence.py)",
-    )
-
-
 @pytest.fixture(scope="session")
 def german():
     # Seed chosen so the fitted model shows a clear positive statistical

@@ -274,7 +274,7 @@ class TestRecheckPolicies:
         for q, span in zip(delta.queries, spans):
             assert not q.certified and q.recheck_ran
             assert q.reason != ""
-            assert span.attrs["reason"] == q.reason
+            assert span.attrs["refusal"] == q.reason
         assert_matching_audits(
             delta.after, sess.audit(metrics=["statistical_parity"], k=3)
         )

@@ -11,10 +11,10 @@ shared state (the RL001 contract, enforced statically by
   queries, replay geometry) across a thread pool against one frozen
   session and asserts every answer is identical to the serial run.
 
-The mining variants run ``engine="mining"`` with the digest search forced
-on below its row gate, so every query reads and inserts into one shared
-extent-identity store — the only cross-query state a read may still add
-to, since an insert writes the value any query would compute.
+The mining variants run ``engine="mining"``, whose every query reads and
+inserts into the alphabet's one shared extent-identity store — the only
+cross-query state a read may still add to, since an insert writes the
+value any query would compute.
 
 The cold-session variant (no ``warm()``) is the harder contract: every
 lazy build — per-sample gradients, the Hessian factorization, the
@@ -48,12 +48,9 @@ def frozen_session(lr_model, german_train, german_test):
 
 
 @pytest.fixture()
-def frozen_mining_session(monkeypatch, lr_model, german_train, german_test):
-    """Builds warmed, frozen mining sessions whose searches use the digest
-    identity store (the German split is below the miner's row gate)."""
-    import repro.mining.closed as closed_mod
-
-    monkeypatch.setattr(closed_mod, "_AUTO_DIGEST_MIN_ROWS", 0)
+def frozen_mining_session(lr_model, german_train, german_test):
+    """Builds warmed, frozen mining sessions; their searches share the
+    alphabet's extent-identity store."""
 
     def build() -> AuditSession:
         session = AuditSession(lr_model, **MINING).fit(german_train, german_test)

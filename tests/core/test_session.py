@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import AuditResult, AuditSession, GopherExplainer
-from repro.datasets import ProtectedGroup, load_german, train_test_split
+from repro.datasets import DataEdit, ProtectedGroup, load_german, train_test_split
 from repro.fairness import list_metrics
 from repro.models import LogisticRegression
 
@@ -102,6 +102,43 @@ class TestAccounting:
         )
         assert session.stats["mining.tidlist_builds"] == 1
         assert session.stats["mining.alphabet_builds"] == 1
+        assert session.stats["influence.hessian_factorizations"] == 1
+
+    def test_warmed_one_step_session_never_factorizes(
+        self, lr_model, german_train, german_test
+    ):
+        """warm() builds what the configured estimator reads, and a one-step
+        query reads no Hessian solver: none is built or updated through an
+        audit, an update search and an edit."""
+        session = AuditSession(lr_model, estimator="one_step_gd", **SEARCH).fit(
+            german_train, german_test
+        )
+        session.warm()
+        assert session.stats["influence.hessian_factorizations"] == 0
+        assert session.stats["influence.rank_one_factor_builds"] == 0
+        result = session.audit(metrics=["statistical_parity"], k=2)
+        session.explainer(metric="statistical_parity").explain_updates(
+            result[0].explanations, verify=False, num_steps=5
+        )
+        session.delta_audit(DataEdit.remove(range(8)), metrics=["statistical_parity"], k=2)
+        assert session.stats["influence.hessian_factorizations"] == 0
+        assert session.stats["influence.rank_one_factor_builds"] == 0
+        assert session.stats["influence.solver_updates"] == 0
+
+    def test_warmed_first_order_session_builds_no_factors(
+        self, lr_model, german_train, german_test
+    ):
+        """First-order scoring reads the solver, never the rank-one factors."""
+        session = AuditSession(lr_model, estimator="first_order", **SEARCH).fit(
+            german_train, german_test
+        )
+        session.warm()
+        assert session.stats["influence.hessian_factorizations"] == 1
+        assert session.stats["influence.rank_one_factor_builds"] == 0
+
+    def test_warm_with_no_groups(self, lr_model, german_train, german_test):
+        session = AuditSession(lr_model, **SEARCH).fit(german_train, german_test)
+        session.warm(groups=[])
         assert session.stats["influence.hessian_factorizations"] == 1
 
     def test_repeated_explain_on_one_view_reuses_alphabet(self, session):

@@ -1,7 +1,7 @@
 """Density-adaptive tidlist representations of ``repro.mining.bitset``.
 
 Every operation the miner dispatches on — intersection, popcount,
-coverage, keying — must give identical answers whether a tidlist arrives
+coverage — must give identical answers whether a tidlist arrives
 as a packed uint8 row or as a sorted index array, across the degenerate
 shapes (empty, singleton, all-rows) and across the density threshold.
 The int64 regression pins index dtype selection past the int32 range.
@@ -14,7 +14,6 @@ from repro.mining.bitset import (
     SPARSE_DENSITY,
     bit_test,
     covers_all,
-    extent_key,
     galloping_intersect,
     intersect,
     is_sparse,
@@ -22,8 +21,6 @@ from repro.mining.bitset import (
     popcount,
     sparse_eligible,
     sparse_index_dtype,
-    tid_count,
-    tid_key,
     to_packed,
     to_sparse,
     unpack_rows,
@@ -65,7 +62,7 @@ class TestRepresentationRoundTrip:
     def test_edge_masks(self, mask):
         packed, sparse = as_both(mask)
         assert is_sparse(sparse) and not is_sparse(packed)
-        assert tid_count(sparse) == tid_count(packed) == int(mask.sum())
+        assert popcount(sparse) == popcount(packed) == int(mask.sum())
         np.testing.assert_array_equal(unpack_rows(to_packed(sparse, N), N), mask)
         np.testing.assert_array_equal(to_sparse(packed, N), np.flatnonzero(mask))
 
@@ -127,27 +124,6 @@ class TestDispatchEquivalence:
         np.testing.assert_array_equal(galloping_intersect(b, a), np.intersect1d(a, b))
 
 
-class TestKeys:
-    def test_tid_key_equal_across_representations(self):
-        rng = np.random.default_rng(21)
-        sparse_mask = random_mask(rng, 1.0 / (2 * SPARSE_DENSITY))
-        dense_mask = random_mask(rng, 0.5)
-        for mask in (sparse_mask, dense_mask, *EDGE_MASKS):
-            packed, sparse = as_both(mask)
-            assert tid_key(packed, N) == tid_key(sparse, N)
-
-    def test_tid_key_distinguishes_distinct_extents(self):
-        a = np.array([1, 2, 3], dtype=np.int32)
-        b = np.array([1, 2, 4], dtype=np.int32)
-        assert tid_key(a, N) != tid_key(b, N)
-
-    def test_dense_tid_key_is_the_packed_extent_key(self):
-        rng = np.random.default_rng(22)
-        mask = random_mask(rng, 0.5)
-        packed, _ = as_both(mask)
-        assert tid_key(packed, N) == extent_key(packed)
-
-
 class TestDensityRule:
     def test_sparse_eligibility_threshold(self):
         assert sparse_eligible(0, 64)
@@ -162,12 +138,10 @@ class TestDensityRule:
         assert sparse_index_dtype(2**31) == np.int64
         assert sparse_index_dtype(10**10) == np.int64
 
-    def test_popcount_and_tid_count_dispatch(self):
+    def test_popcount_dispatch(self):
         sparse = np.arange(17, dtype=np.int64)
         assert popcount(sparse) == 17
-        assert tid_count(sparse) == 17
         packed = pack_rows(np.ones(17, dtype=bool))
         assert popcount(packed) == 17
-        assert tid_count(packed) == 17
         # 0-d / scalar uint8 inputs keep their historical behavior.
         assert popcount(np.uint8(255)) == 8

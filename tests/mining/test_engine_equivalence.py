@@ -124,27 +124,19 @@ class TestSyntheticEquivalence:
 
 
 class TestProjectedEngineEquivalence:
-    """The projected miner must match the *lattice* too, not just the flat
-    miner — the engine acceptance contract is projection-independent."""
+    """The miner projects conditional databases and keys extents by digest
+    at every table size; on these fixtures its top-5 must still be the
+    lattice's."""
 
-    @pytest.fixture(autouse=True)
-    def _auto_projects_at_test_scale(self, monkeypatch):
-        """"auto" runs the flat search below _AUTO_DIGEST_MIN_ROWS rows;
-        drop the gate so these hundreds-of-rows tables project."""
-        import repro.mining.closed as closed_mod
-
-        monkeypatch.setattr(closed_mod, "_AUTO_DIGEST_MIN_ROWS", 0)
-
-    @pytest.mark.parametrize("projection", ["never", "auto"])
     def test_projected_mining_matches_lattice(
-        self, projection, german_train, german_series_estimator
+        self, german_train, german_series_estimator
     ):
         opts = dict(support_threshold=0.05, max_predicates=3)
         lattice = compute_candidates(
             german_train.table, german_series_estimator, **opts
         )
         mined = mine_closed_candidates(
-            german_train.table, german_series_estimator, projection=projection, **opts
+            german_train.table, german_series_estimator, **opts
         )
         assert_identical_top_k(lattice, mined, 5)
         assert mined.num_evaluated <= lattice.num_evaluated

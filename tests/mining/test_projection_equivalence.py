@@ -1,22 +1,37 @@
-"""Conditional-database projection must be invisible in the results.
+"""The closed miner's representations must be invisible in its results.
 
-``projection="never"`` is the flat traversal; ``"auto"`` re-packs
-shrunken branches into local coordinate spaces, swaps extent identity to
-digests, and streams sparse extents to the estimator as index batches.
-Across randomized instances — including support thresholds below the
-1/SPARSE_DENSITY density cutoff, where the sparse representation actually
-carries survivors — both modes must visit the same closed extents and emit
-identical candidates, scores, masks, and evaluation counts.
+The miner has one traversal.  Inside it, a branch whose extent has shrunk
+below ``1/_PROJECT_SHRINK`` of its space is re-packed into a conditional
+database, and a tidlist below the ``1/SPARSE_DENSITY`` density cutoff of
+``repro.mining.bitset`` switches to sorted row indices (for keys, for
+co-parent refinement and for scoring).  Two references pin that neither
+changes an answer, across randomized instances — including support
+thresholds below the density cutoff, where index tidlists actually carry
+survivors:
 
-The projected (digest) search keys extents through its alphabet's
+* **representation invariance** — each instance is mined again with
+  projection switched off, with index tidlists switched off, and with
+  both; every run must visit the same closed extents and emit identical
+  candidates, scores, masks and evaluation counts, and must show that
+  its switch took effect;
+* **the lattice**, an independent engine, in the settings where the two
+  engines agree by construction (pruning off at depth 3, pruning on at
+  depth 2): the same set of extents, each under the same canonically
+  smallest pattern, with the same responsibility.
+
+The search keys extents through its alphabet's
 :class:`~repro.mining.alphabet.ExtentIdentities` store, which every query
 on the alphabet shares until an edit empties it; sharing, emptying and
 missing the store must not change a single candidate either.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
+import repro.mining.bitset as bitset
+import repro.mining.closed as closed
 from repro.datasets import DataEdit
 from repro.datasets._synth import bernoulli
 from repro.datasets.encoding import TabularEncoder
@@ -26,22 +41,8 @@ from repro.mining import mine_closed_candidates, unpack_rows
 from repro.mining.alphabet import ExtentIdentities, PredicateAlphabet
 from repro.models import LogisticRegression
 from repro.obs.trace import Tracer, tracing
+from repro.patterns import compute_candidates
 from repro.tabular import Table
-
-MODES = ("never", "auto")
-
-
-@pytest.fixture(autouse=True)
-def _auto_projects_at_test_scale(request, monkeypatch):
-    """"auto" falls back to the flat search below _AUTO_DIGEST_MIN_ROWS
-    (131072 rows); these instances are hundreds of rows, so drop the gate
-    to exercise the projected machinery.  TestAutoGate opts out to pin the
-    gate itself."""
-    if request.node.get_closest_marker("keep_auto_gate"):
-        return
-    import repro.mining.closed as closed_mod
-
-    monkeypatch.setattr(closed_mod, "_AUTO_DIGEST_MIN_ROWS", 0)
 
 
 def scale_instance(seed, n=700, metric="statistical_parity"):
@@ -108,6 +109,74 @@ def correlated_instance(seed=0, n=900, k=40):
     return table, estimator
 
 
+@functools.lru_cache(maxsize=None)
+def instance(kind, *args):
+    """A cached (table, estimator) pair; the tests only read it."""
+    build = correlated_instance if kind == "correlated" else scale_instance
+    return build(*args)
+
+
+#: (instance, τ, depth) triples: seeds 0–3 at two support floors, a deeper
+#: search below the density cutoff, and the instance whose co-parents
+#: compress to index form.
+DEPTH3_INSTANCES = [
+    *(
+        pytest.param(("scale", seed), tau, 3, id=f"scale{seed}-tau{tau}")
+        for seed in range(4)
+        for tau in (0.05, 0.02)
+    ),
+    pytest.param(("correlated",), 0.015, 3, id="correlated-tau0.015"),
+]
+INSTANCES = [
+    *DEPTH3_INSTANCES,
+    pytest.param(("scale", 17, 900), 0.02, 4, id="scale17-n900-tau0.02-depth4"),
+]
+
+#: A shrink factor or density no extent reaches: the switch is off.
+OFF = 2**60
+
+#: Each representation switch and the counters that must read 0 with it off.
+SWITCHES = {
+    "projection": ["projection_builds"],
+    "index": ["tidlist_compressions", "sparse_dispatch_hits"],
+    "both": ["projection_builds", "tidlist_compressions", "sparse_dispatch_hits"],
+}
+
+
+def switch_off(monkeypatch, switch):
+    if switch in ("projection", "both"):
+        monkeypatch.setattr(closed, "_PROJECT_SHRINK", OFF)
+    if switch in ("index", "both"):
+        monkeypatch.setattr(bitset, "SPARSE_DENSITY", OFF)
+
+
+def mine_counted(spec, tau, depth):
+    """Mine ``spec`` on a fresh alphabet: (result, closed extents, counters)."""
+    table, estimator = instance(*spec)
+    alphabet = PredicateAlphabet(table, tau, 4, None)
+    result, closed_extents = mine(
+        table, estimator, support_threshold=tau, max_predicates=depth, alphabet=alphabet
+    )
+    counters = {name: alphabet._stats[name] for name in SWITCHES["both"]}
+    return result, closed_extents, counters
+
+
+default_run = functools.lru_cache(maxsize=None)(mine_counted)
+
+
+def by_extent(candidates):
+    """Candidates grouped by packed mask: each extent's canonically
+    smallest pattern (Algorithm 2's tie-break order) and its
+    responsibility."""
+    out = {}
+    for c in candidates:
+        key = c._packed_mask.tobytes()
+        best = out.get(key)
+        if best is None or c.pattern.sort_key() < best[0].sort_key():
+            out[key] = (c.pattern, c.responsibility)
+    return out
+
+
 def mine(table, estimator, **kwargs):
     """Mine under a tracer; the number of closed extents visited rides the
     ``mining.frontier`` span."""
@@ -151,46 +220,26 @@ def assert_bit_identical(a, b):
     assert signature(a) == signature(b)
 
 
-class TestModeEquivalence:
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("tau,depth", [(0.05, 3), (0.02, 3)])
-    def test_modes_emit_identical_results(self, seed, tau, depth):
-        table, estimator = scale_instance(seed)
-        results = {
-            mode: mine(
-                table, estimator, support_threshold=tau,
-                max_predicates=depth, projection=mode,
-            )
-            for mode in MODES
-        }
-        assert results["never"][0].candidates  # non-vacuous instance
-        assert_identical(results["never"], results["auto"])
-
-    def test_sparse_survivors_below_density_cutoff(self):
-        """τ < 1/SPARSE_DENSITY forces surviving extents through the sparse
-        index path; the flat mode must still be matched exactly."""
-        table, estimator = scale_instance(17, n=900)
-        never, auto = (
-            mine(
-                table, estimator, support_threshold=0.02,
-                max_predicates=4, projection=mode,
-            )
-            for mode in MODES
-        )
-        assert_identical(never, auto)
-
-    def test_correlated_sparse_coparents_equivalent(self):
-        """The instance whose co-parents compress to index form must also
-        match the flat traversal exactly."""
-        table, estimator = correlated_instance()
-        never, auto = (
-            mine(
-                table, estimator, support_threshold=0.015,
-                max_predicates=3, projection=mode,
-            )
-            for mode in MODES
-        )
-        assert_identical(never, auto)
+class TestRepresentationInvariance:
+    @pytest.mark.parametrize("switch", list(SWITCHES))
+    @pytest.mark.parametrize("spec,tau,depth", INSTANCES)
+    def test_switching_a_representation_off_changes_nothing(
+        self, monkeypatch, spec, tau, depth, switch
+    ):
+        result, closed_extents, counters = default_run(spec, tau, depth)
+        assert result.candidates  # non-vacuous instance
+        # The default used what the switch turns off.  Index tidlists need
+        # an extent at or below the density cutoff, which only a support
+        # floor below it admits.
+        if switch != "index":
+            assert counters["projection_builds"] > 0
+        if switch != "projection" and tau * bitset.SPARSE_DENSITY < 1:
+            assert counters["tidlist_compressions"] > 0
+        switch_off(monkeypatch, switch)
+        variant, variant_closed, variant_counters = mine_counted(spec, tau, depth)
+        assert_identical((result, closed_extents), (variant, variant_closed))
+        for name in SWITCHES[switch]:
+            assert variant_counters[name] == 0, name
 
     def test_packed_alphabet_equivalence(self):
         """An alphabet built ahead of the search feeds the same mining
@@ -203,35 +252,59 @@ class TestModeEquivalence:
         )
         assert_identical(a, b)
 
-    @pytest.mark.parametrize("projection", ["sometimes", "always"])
-    def test_invalid_projection_rejected(self, projection):
-        table, estimator = scale_instance(2, n=400)
-        with pytest.raises(ValueError, match="projection"):
-            mine_closed_candidates(table, estimator, projection=projection)
+
+class TestLatticeReference:
+    """Without pruning, both engines report every extent above τ under its
+    smallest pattern; at depth 2 the miner's DFS parent and extension item
+    are exactly the lattice's merge pair.  (At depth 3 with pruning the
+    engines can differ — see :mod:`repro.mining.closed` — so that setting
+    is not asserted.)"""
+
+    @pytest.mark.parametrize(
+        "prune,search_depth",
+        [pytest.param(False, 3, id="unpruned-depth3"), pytest.param(True, 2, id="pruned-depth2")],
+    )
+    @pytest.mark.parametrize("spec,tau,depth", DEPTH3_INSTANCES)
+    def test_miner_extents_match_the_lattice(self, spec, tau, depth, prune, search_depth):
+        table, estimator = instance(*spec)
+        search = dict(
+            support_threshold=tau,
+            max_predicates=search_depth,
+            prune_by_responsibility=prune,
+        )
+        mined = mine_closed_candidates(table, estimator, **search).candidates
+        lattice = by_extent(compute_candidates(table, estimator, **search).candidates)
+        extents = by_extent(mined)
+        assert len(extents) == len(mined)  # one candidate per extent
+        assert extents.keys() == lattice.keys()
+        for key, (pattern, responsibility) in lattice.items():
+            mined_pattern, mined_responsibility = extents[key]
+            assert str(mined_pattern) == str(pattern)
+            assert abs(mined_responsibility - responsibility) <= 1e-12
 
 
 class TestObservabilityAndCounters:
-    def test_projection_spans_and_counters(self):
-        """The projected search opens its spans, counts its co-parent
-        builds on the frontier span instead of opening one span per node,
-        and every co-parent lookup is answered by the identity store or by
-        a dispatch that runs.
+    def test_projection_spans_and_counters(self, monkeypatch):
+        """The search counts its conditional databases and co-parent
+        builds on the frontier span instead of opening one span per
+        database or node, and every co-parent lookup is answered by the
+        identity store or by a dispatch that runs.
 
-        The flat search walks the same traversal and dispatches every
-        co-parent lookup, so its dispatch count is the lookup count.  A
-        repeat search on the same alphabet keys nothing anew and returns
-        the same candidates.
+        A search whose store misses every lookup, and which builds no
+        conditional database (inside one a co-parent can be the whole
+        space, which needs no refinement), dispatches every co-parent
+        lookup, so its dispatch count is the lookup count.  A repeat search
+        on the same alphabet keys nothing anew and returns the same
+        candidates.
         """
         table, estimator = correlated_instance()
         search = dict(support_threshold=0.015, max_predicates=3)
         alphabet = PredicateAlphabet(table, 0.015, 4, None)
         tracer = Tracer()
         with tracing(tracer):
-            first = mine_closed_candidates(
-                table, estimator, projection="auto", alphabet=alphabet, **search
-            )
+            first = mine_closed_candidates(table, estimator, alphabet=alphabet, **search)
         names = {span.name for span in tracer.walk()}
-        assert "mining.project" in names
+        assert "mining.project" not in names
         assert "mining.sparse_and" not in names
         stats = alphabet._stats
         assert stats["projection_builds"] > 0
@@ -239,30 +312,48 @@ class TestObservabilityAndCounters:
         assert stats["identity_misses"] > 0
 
         (frontier,) = (s for s in tracer.walk() if s.name == "mining.frontier")
+        assert frontier.attrs["projections"] == stats["projection_builds"]
         assert frontier.attrs["coparent_nodes"] > 0
         assert frontier.attrs["coparents_built"] >= 2 * frontier.attrs["coparent_nodes"]
         dispatches = stats["sparse_dispatch_hits"] + stats["dense_dispatch_hits"]
-        flat = PredicateAlphabet(table, 0.015, 4, None)
-        mine_closed_candidates(table, estimator, projection="never", alphabet=flat, **search)
-        lookups = flat._stats["dense_dispatch_hits"]
-        assert flat._stats["sparse_dispatch_hits"] == 0
-        assert lookups > 0
-        assert frontier.attrs["coparent_hits"] + dispatches == lookups
 
         misses, hits = stats["identity_misses"], stats["identity_hits"]
-        second = mine_closed_candidates(
-            table, estimator, projection="auto", alphabet=alphabet, **search
-        )
+        second = mine_closed_candidates(table, estimator, alphabet=alphabet, **search)
         assert stats["identity_misses"] == misses
         assert stats["identity_hits"] > hits
         assert stats["identity_builds"] == 1
         assert_bit_identical(first, second)
 
+        monkeypatch.setattr(ExtentIdentities, "key_of", lambda self, path: None)
+        switch_off(monkeypatch, "projection")
+        missed = PredicateAlphabet(table, 0.015, 4, None)
+        mine_closed_candidates(table, estimator, alphabet=missed, **search)
+        lookups = missed._stats["sparse_dispatch_hits"] + missed._stats["dense_dispatch_hits"]
+        assert lookups > 0
+        assert frontier.attrs["coparent_hits"] + dispatches == lookups
+
+    def test_frontier_children_are_batches(self):
+        """Inside the frontier the only spans are the scoring batches: the
+        conditional databases the search builds are a count, not spans."""
+        table, estimator = correlated_instance()
+        alphabet = PredicateAlphabet(table, 0.015, 4, None)
+        tracer = Tracer()
+        with tracing(tracer):
+            mine_closed_candidates(
+                table, estimator, support_threshold=0.015, max_predicates=3,
+                alphabet=alphabet,
+            )
+        (frontier,) = (s for s in tracer.walk() if s.name == "mining.frontier")
+        assert frontier.children
+        assert {child.name for child in frontier.children} == {"mining.batch"}
+        assert alphabet._stats["projection_builds"] > 0
+        assert frontier.attrs["projections"] == alphabet._stats["projection_builds"]
+
     def test_store_misses_run_both_dispatches(self, monkeypatch):
         """With every store lookup missing, each co-parent refinement runs —
         sparse and dense both — and the candidates do not change."""
         table, estimator = correlated_instance()
-        search = dict(support_threshold=0.015, max_predicates=3, projection="auto")
+        search = dict(support_threshold=0.015, max_predicates=3)
         reference = mine_closed_candidates(
             table, estimator, alphabet=PredicateAlphabet(table, 0.015, 4, None), **search
         )
@@ -274,38 +365,9 @@ class TestObservabilityAndCounters:
         assert alphabet._stats["sparse_dispatch_hits"] > 0
         assert alphabet._stats["dense_dispatch_hits"] > 0
 
-    @pytest.mark.keep_auto_gate
-    def test_auto_gate_runs_flat_below_min_rows(self):
-        """On a small table, "auto" is byte-for-byte the flat search: no
-        digest keys, no projections, no compressions — the overhead of the
-        machinery is only paid where projection can pay for it."""
-        table, estimator = scale_instance(3)
-        alphabet = PredicateAlphabet(table, 0.05, 4, None)
-        auto = mine(
-            table, estimator, support_threshold=0.05,
-            max_predicates=3, projection="auto", alphabet=alphabet,
-        )
-        never = mine(
-            table, estimator, support_threshold=0.05,
-            max_predicates=3, projection="never", alphabet=alphabet,
-        )
-        assert_identical(never, auto)
-        assert alphabet._stats["projection_builds"] == 0
-        assert alphabet._stats["tidlist_compressions"] == 0
-
-    def test_never_mode_records_no_projection_work(self):
-        table, estimator = scale_instance(7, n=400)
-        alphabet = PredicateAlphabet(table, 0.05, 4, None)
-        mine_closed_candidates(
-            table, estimator, support_threshold=0.05,
-            max_predicates=3, projection="never", alphabet=alphabet,
-        )
-        assert alphabet._stats["projection_builds"] == 0
-        assert alphabet._stats["tidlist_compressions"] == 0
-
 
 class TestSharedIdentityStore:
-    SEARCH = dict(support_threshold=0.02, max_predicates=3, projection="auto")
+    SEARCH = dict(support_threshold=0.02, max_predicates=3)
 
     def test_metric_queries_share_one_store(self):
         """Four metric searches on one alphabet return, bit for bit, what
@@ -332,7 +394,7 @@ class TestSharedIdentityStore:
         and the reverse.  Pruning is off, so every extent is reported under
         the smallest of all its generators and a stale set shows at once."""
         table, estimator = correlated_instance()
-        search = dict(support_threshold=0.015, projection="auto", prune_by_responsibility=False)
+        search = dict(support_threshold=0.015, prune_by_responsibility=False)
         shared = PredicateAlphabet(table, 0.015, 4, None)
         for depth in (3, 2, 4):
             alone = mine_closed_candidates(

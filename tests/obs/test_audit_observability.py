@@ -36,6 +36,20 @@ def traced_audit(lr_model, german_train, german_test):
     return session, tracer, result
 
 
+@pytest.fixture(scope="module")
+def traced_mining_audit(lr_model, german_train, german_test):
+    """A first-order miner audit at depth 3: the closed miner's frontier,
+    conditional databases and generator replay, traced."""
+    session = AuditSession(
+        lr_model, estimator="first_order", engine="mining",
+        max_predicates=3, support_threshold=0.05,
+    ).fit(german_train, german_test)
+    tracer = Tracer()
+    with trace.tracing(tracer):
+        result = session.audit(k=2, verify=False)
+    return session, tracer, result
+
+
 def run_lifecycle(lr_model, train, test):
     """A session's fit, an audit, a verified update search and a delta audit."""
     session = AuditSession(lr_model, retrain_jobs=1, **SEARCH).fit(train, test)
@@ -276,15 +290,17 @@ class TestEditedGradientNorm:
 
 
 class TestDisabledOverhead:
-    def test_span_count_is_under_1pct_of_subsets_scored(self, traced_audit):
+    @pytest.mark.parametrize("audit", ["traced_audit", "traced_mining_audit"])
+    def test_span_count_is_under_1pct_of_subsets_scored(self, request, audit):
         """Spans are opened per batch and per stage, never per subset.
 
         Structural rather than a wall-clock ratio: the audit scores
         thousands of candidate subsets, and the trace must stay two orders
         of magnitude smaller — a span per scored subset (say, one per
-        kernel solve) would break the bound at once, on any machine.
+        kernel solve, or one per conditional database the miner builds)
+        would break the bound at once, on any machine.  Both engines.
         """
-        _, tracer, result = traced_audit
+        _, tracer, result = request.getfixturevalue(audit)
         scored = sum(query.cost.influence_evaluations for query in result.queries)
         assert scored > 1000
         assert tracer.span_count() < 0.01 * scored, (

@@ -154,6 +154,9 @@ class TestSessionReasons:
             cache = session.alphabet_cache
             cache.get(0.05)
             cache.get(0.1)
+            # warm() builds through an estimator of its own (once more when
+            # the write-sanitizer's fit has warmed already).
+            warmed = len(_reasons(tracer)["influence.grad_f"])
             for _ in range(2):
                 session.estimator_for(metric=METRIC, estimator="first_order").warm()
         reasons = _reasons(tracer)
@@ -169,7 +172,8 @@ class TestSessionReasons:
         assert reasons["artifacts.solver"] == ["first use", "new key"]
         assert reasons["alphabet.get"] == ["first use", "new key"]
         # Every estimator holds its own slots: each build is a first use.
-        assert reasons["influence.grad_f"] == ["first use"] * 2
+        assert warmed >= 1
+        assert reasons["influence.grad_f"] == ["first use"] * (warmed + 2)
         assert reasons["influence.point_influences"] == ["first use"] * 2
 
     def test_a_rebuild_after_an_edit_names_the_edit(
@@ -194,3 +198,22 @@ class TestSessionReasons:
         # Patched in place by the edit, never rebuilt.
         assert reasons["artifacts.hessian"] == ["first use"]
         assert reasons["artifacts.per_sample_grads"] == ["first use"]
+
+    def test_a_refused_replay_is_not_a_miss_reason(
+        self, lr_model, german_train, german_test
+    ):
+        """``reason`` on a span is a cache miss's; a delta query's refusal
+        rides its own attribute."""
+        session = AuditSession(lr_model, **SEARCH).fit(german_train, german_test)
+        session.audit(metrics=[METRIC], k=2)
+        tracer = Tracer()
+        with trace.tracing(tracer):
+            delta = session.delta_audit(
+                DataEdit.remove(range(8)), metrics=[METRIC], k=2, recheck="always"
+            )
+        assert "delta.query" not in _reasons(tracer)
+        spans = [span for span in tracer.walk() if span.name == "delta.query"]
+        assert len(spans) == len(delta.queries) > 0
+        for query, span in zip(delta.queries, spans):
+            assert query.reason == "recheck forced"
+            assert span.attrs["refusal"] == query.reason

@@ -122,9 +122,6 @@ REPRO_CONTRACTS = ContractSet(
             "instance is shared; bare estimators never call it",
         ),
         ("ModelArtifacts", "apply_edit"): BuildContract("edits", kind="edit"),
-        ("ModelArtifacts", "warm"): BuildContract(
-            None, reason="eager driver: every build it triggers is counted by its slot"
-        ),
         # -- HessianSolver -------------------------------------------------
         ("HessianSolver", "eigendecomposition"): BuildContract("eigendecompositions"),
         ("HessianSolver", "_factorize"): BuildContract(
