@@ -6,7 +6,7 @@ positive *semi*-definite in corner cases (squared hinge with no active
 margins, Gauss-Newton at saturation) fall back to adaptive damping — the same
 trick Koh & Liang apply.  :class:`ReducedHessianSolver` applies the same
 factorize-then-escalate contract to a batch of matrices, one LAPACK
-factor-and-solve each.
+``dposv`` each.
 """
 
 from __future__ import annotations
@@ -242,14 +242,10 @@ def _cholesky(matrix: np.ndarray, damping: float) -> tuple[np.ndarray, float, in
 class ReducedHessianSolver(HessianSolver):
     """Solves ``A_k x_k = b_k`` with a different matrix for every right-hand side.
 
-    The exact second-order estimator reduces the Hessian differently for
-    every subset.  :meth:`solve_many` answers a batch of such systems one
-    at a time with raw LAPACK — an optional ``dsyrk`` downdate, one
-    ``dpotrf`` and one ``dpotrs`` per matrix — so only one (p, p) matrix
-    is alive at a time.  Built by :meth:`with_damping`, never by the
-    constructor: there is no single matrix to factorize, and the
-    single-matrix views of :class:`HessianSolver` (``solve``, ``apply``,
-    ``eigendecomposition``, ``updated``) do not apply.
+    The exact second-order estimator's kernel, built by :meth:`with_damping`
+    (no single matrix to factorize: the single-matrix views do not apply).
+    A subclass because perfbench's ``influence.hessian.solve`` layer times
+    the ``solve_many`` of every :class:`HessianSolver` subclass.
     """
 
     @classmethod
@@ -262,16 +258,19 @@ class ReducedHessianSolver(HessianSolver):
     def solve_many(self, B, matrices, downdates=None, rhs_flops: float = 0.0) -> np.ndarray:
         """Rows ``x_k = (A_k − V_kᵀV_k)⁻¹ b_k`` for a (g, p) right-hand side, as (g, p).
 
-        ``matrices`` yields the g (p, p) matrices ``A_k``; only their lower
+        ``matrices`` yields the g (p, p) matrices ``A_k``, each used before
+        the next is drawn (one buffer may be refilled); only their lower
         triangles are read, and each may be overwritten.  ``downdates``
-        optionally yields each matrix's (r_k, p) rows ``V_k``, subtracted
-        with one ``dsyrk``.  A matrix that fails ``dpotrf`` runs
-        :class:`HessianSolver`'s ×10 damping escalation, so every row
-        equals ``HessianSolver(A_k − V_kᵀV_k, damping).solve(b_k)`` up to
-        rounding.  One span covers the batch: ``subsets``, ``escalated``
-        (matrices that needed more than ``damping``), ``gemm_flops`` (the
-        ``dsyrk`` Grams plus ``rhs_flops``, the caller's cost of forming
-        B) and ``solve_flops``.
+        optionally yields each matrix's (r_k, p) rows ``V_k``, subtracted in
+        place with one ``dsyrk``.  One ``dposv`` then factors a copy and
+        solves into the row: ~35 of the ~50 µs a German audit subset costs
+        (p = 54, 2-vCPU Xeon; ~62 µs with ``dpotrf``, ``dpotrs`` apart).  A
+        failing ``dposv``, and every matrix when ``damping`` > 0, runs the
+        ×10 escalation from the unfactored matrix, so every row equals
+        ``HessianSolver(A_k − V_kᵀV_k, damping).solve(b_k)`` up to rounding.
+        One span covers the batch: ``subsets``, ``escalated`` (matrices that
+        needed more than ``damping``), ``gemm_flops`` (``dsyrk`` Grams plus
+        ``rhs_flops``, the caller's cost of forming B) and ``solve_flops``.
         """
         B = np.asarray(B, dtype=np.float64)
         if B.ndim != 2:
@@ -279,18 +278,19 @@ class ReducedHessianSolver(HessianSolver):
         g, p = B.shape
         if downdates is None:
             downdates = itertools.repeat(None, g)
-        X = np.empty_like(B)
+        X = B.copy()  # each row is solved in place
         escalated, gram_flops = 0, 0.0
         with trace.span("hessian.reduced_solve", subsets=g, p=p) as span:
-            for k, (b, matrix, rows) in enumerate(zip(B, matrices, downdates, strict=True)):
+            for k, (x, matrix, rows) in enumerate(zip(X, matrices, downdates, strict=True)):
                 if matrix.shape != (p, p):
                     raise ValueError(f"matrix {k} has shape {matrix.shape}, expected {(p, p)}")
                 if rows is not None:
                     matrix = blas.dsyrk(-1.0, rows.T, beta=1.0, c=matrix, lower=1, overwrite_c=1)
                     gram_flops += rows.shape[0] * p * (p + 1.0)
-                factor, _, attempts = _cholesky(matrix, self.damping)
-                escalated += attempts > 1
-                X[k] = lapack.dpotrs(factor, b, lower=1)[0]
+                if self.damping or lapack.dposv(matrix, x, lower=1, overwrite_b=1)[2]:
+                    factor, _, attempts = _cholesky(matrix, self.damping)
+                    escalated += attempts > 1
+                    x[:] = lapack.dpotrs(factor, x, lower=1)[0]
             span.set(escalated=escalated)
             span.add("gemm_flops", gram_flops + rhs_flops)
             span.add("solve_flops", g * (p**3 / 3.0 + 2.0 * p * p))

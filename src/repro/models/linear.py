@@ -22,12 +22,14 @@ from repro.utils.validation import check_finite
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """With e = exp(−|z|), 1/(1 + e) where z ≥ 0 and e/(1 + e) elsewhere: bit for bit the
+    masked two-branch σ (NaN signs too), with no gathers.  ``z`` (0-d too) is only read."""
+    e = np.negative(z, out=np.empty_like(z, dtype=np.float64), dtype=np.float64)
+    np.minimum(z, e, out=e)  # −|z|; a NaN stays z itself, as in exp(z)
+    np.exp(e, out=e)
+    out = np.add(1.0, e, out=np.empty_like(e))
+    np.copyto(e, 1.0, where=z >= 0)
+    return np.divide(e, out, out=out)
 
 
 class LinearClassifier(TwiceDifferentiableClassifier):

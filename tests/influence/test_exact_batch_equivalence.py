@@ -4,7 +4,7 @@ The acceptance contract of the exact second-order path: for every
 built-in model × fairness metric × damping ∈ {0, 1e-3}, the scalar query
 and the mask, packed uint8 and index-streamed batches — all answered by
 one LAPACK kernel (a ``dsyrk`` downdate of ``n·H`` by each subset's
-curvature rows, then ``dpotrf`` and ``dpotrs``) — must reproduce the dense
+curvature rows, then one ``dposv``) — must reproduce the dense
 step of :mod:`oracles.exact_loop` (``model.hessian(X_S)``,
 ``n·H − m·H_S``, a fresh ``HessianSolver``) to 1e-8.  The batches include
 the edge cases: an empty subset, singletons, a subset duplicated within
@@ -192,16 +192,48 @@ class TestKernelSpan:
         assert span.attrs["subsets"] == len(subsets)
         assert span.attrs["escalated"] == 0
         # dsyrk Grams over the curvature rows (w_i ≠ 0; the SVM's inactive
-        # margins have w_i = 0) plus the gradient sums.
+        # margins have w_i = 0); the gradient sums are the batch's GEMM.
         weights = est.artifacts.hessian_factors()[1]
         ranks = [int(np.count_nonzero(weights[s])) for s in subsets]
         sizes = [s.size for s in subsets]
         assert sum(ranks) < sum(sizes)
-        assert span.attrs["gemm_flops"] == pytest.approx(
-            sum(ranks) * p * (p + 1) + 2.0 * sum(sizes) * p
-        )
+        assert span.attrs["gemm_flops"] == sum(ranks) * p * (p + 1)
         assert span.attrs["solve_flops"] == pytest.approx(len(subsets) * (p**3 / 3 + 2 * p * p))
         assert constructed == []
+
+    @pytest.mark.parametrize("entry", ["masks", "packed", "indices"])
+    def test_gemm_flops_count_the_executed_work_once(self, exact_data, fitted_models, entry):
+        """One exact batch, three entry points: the ``gemm_flops`` of its
+        ``influence.gemm`` and ``hessian.reduced_solve`` spans add up to the
+        work done, each part counted once.  Masks and packed rows form
+        every g_S in one GEMM (2·m·n·p, empty subsets included); index
+        arrays gather and sum each subset's rows (2·p·Σ|S|, on the kernel
+        span); every subset's downdate costs r·p·(p+1) for its r rows of
+        w_i ≠ 0."""
+        X_train, y_train, ctx = exact_data
+        est = make_estimator(
+            "exact", fitted_models["linear_svm"], X_train, y_train,
+            get_metric("statistical_parity"), ctx, evaluation="smooth",
+        )
+        n, p = est.num_train, est.model.num_params
+        subsets = edge_subsets(n, p)
+        masks = _mask_matrix(subsets, n)
+        batch, num_rows = {
+            "masks": (masks, None),
+            "packed": (np.packbits(masks, axis=1), n),
+            "indices": (subsets, n),
+        }[entry]
+        with trace.tracing(Tracer()) as tracer:
+            est.param_change_batch(batch, num_rows=num_rows)
+        weights = est.artifacts.hessian_factors()[1]
+        downdates = sum(np.count_nonzero(weights[s]) for s in subsets) * p * (p + 1)
+        if entry == "indices":
+            sums, gemms = 2.0 * p * sum(s.size for s in subsets), 0
+        else:
+            sums, gemms = 2.0 * len(subsets) * n * p, 1
+        spans = [s for s in tracer.walk() if s.name in ("influence.gemm", "hessian.reduced_solve")]
+        assert [s.name for s in spans].count("influence.gemm") == gemms
+        assert sum(s.attrs["gemm_flops"] for s in spans) == sums + downdates
 
     def test_empty_subsets_never_reach_the_kernel(self, get_exact):
         est = get_exact("logistic_regression", "statistical_parity", 0.0)
@@ -214,7 +246,7 @@ class TestKernelSpan:
     def test_fd_hessian_runs_dense_matrices_through_the_kernel(self, exact_data):
         """Without rank-one factors each reduced matrix is built from
         ``model.hessian(X_S)`` and factorized by the same kernel, with no
-        ``dsyrk`` work on the span."""
+        ``dsyrk`` work on the span (the batch's g_S are its GEMM)."""
         X_train, y_train, ctx = exact_data
         model = NeuralNetwork(
             hidden_units=2, l2_reg=1e-3, seed=0, max_iter=60, hessian_mode="exact_fd"
@@ -232,8 +264,7 @@ class TestKernelSpan:
         np.testing.assert_allclose(scalar, oracle, atol=ATOL, rtol=0.0)
         (span,) = _kernel_spans(tracer)
         assert span.attrs["subsets"] == len(subsets)
-        p = model.num_params
-        assert span.attrs["gemm_flops"] == 2.0 * p * sum(s.size for s in subsets)
+        assert span.attrs["gemm_flops"] == 0.0
 
 
 class TestExactAlias:

@@ -3,7 +3,7 @@
 Random tables × random batches: whatever the draw, the scalar and batched
 exact queries must agree with the dense per-subset step of
 :mod:`oracles.exact_loop` to 1e-8, and a genuinely rank-deficient reduced
-matrix must be *detected* by the kernel's ``dpotrf`` and escalated
+matrix must be *detected* by the kernel's ``dposv`` and escalated
 (reproducing ``HessianSolver``'s damping escalation) rather than silently
 solved.
 """
@@ -104,7 +104,7 @@ def test_fuzz_exercises_the_kernel():
 
 def test_rank_deficient_subset_escalates():
     """An unregularized model whose complement rows are rank deficient makes
-    ``n·H − m·H_S`` exactly singular: the kernel's ``dpotrf`` must reject
+    ``n·H − m·H_S`` exactly singular: the kernel's ``dposv`` must reject
     it, and the escalated solve must still match the dense oracle (whose
     ``HessianSolver`` escalates damping the same way), not return a
     silently garbage one."""

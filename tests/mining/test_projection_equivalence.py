@@ -26,13 +26,14 @@ missing the store must not change a single candidate either.
 """
 
 import functools
+import sys
 
 import numpy as np
 import pytest
 
 import repro.mining.bitset as bitset
 import repro.mining.closed as closed
-from repro.datasets import DataEdit
+from repro.datasets import DataEdit, load_synth_scale
 from repro.datasets._synth import bernoulli
 from repro.datasets.encoding import TabularEncoder
 from repro.fairness import FairnessContext, get_metric, list_metrics
@@ -109,10 +110,31 @@ def correlated_instance(seed=0, n=900, k=40):
     return table, estimator
 
 
+def synth_scale_instance(n=20_000):
+    """``synth_scale`` (seed 0): 40 regions and 12 channels of ~2.5% and
+    ~8% support, so depth-2 and depth-3 branches project into small
+    conditional databases whose extents are sparse even locally."""
+    data = load_synth_scale(n, seed=0)
+    table = data.table
+    X = TabularEncoder().fit(table).transform(table)
+    model = LogisticRegression(l2_reg=1e-3).fit(X, data.labels)
+    ctx = FairnessContext(
+        X=X, y=data.labels, privileged=table.column("group").values == "A", favorable_label=1
+    )
+    estimator = make_estimator(
+        "first_order", model, X, data.labels, get_metric("statistical_parity"), ctx
+    )
+    return table, estimator
+
+
 @functools.lru_cache(maxsize=None)
 def instance(kind, *args):
     """A cached (table, estimator) pair; the tests only read it."""
-    build = correlated_instance if kind == "correlated" else scale_instance
+    build = {
+        "correlated": correlated_instance,
+        "scale": scale_instance,
+        "synth_scale": synth_scale_instance,
+    }[kind]
     return build(*args)
 
 
@@ -251,6 +273,56 @@ class TestRepresentationInvariance:
             table, estimator, support_threshold=0.03, max_predicates=3, alphabet=supplied
         )
         assert_identical(a, b)
+
+
+class TestIndexTidlistsInConditionalDatabases:
+    """A conditional database holds at most ``1/_PROJECT_SHRINK`` (1/8) of
+    its parent's rows, and an extent takes index form once count·32 is at
+    most the rows of its space, so a search keys an index tidlist inside a
+    conditional database only when its support floor is below 1/256 of
+    the rows — below every instance above.  ``synth_scale`` at 20,000 rows
+    and τ = 0.002 (a 40-row floor) keys dozens."""
+
+    def test_local_index_keys_are_global_identities(self, monkeypatch):
+        """The search keys those tidlists, returns what the projection-off
+        and index-off searches return, and stores the key of every item path
+        that the projection-off search, keying in global coordinates only,
+        stores for it."""
+        table, estimator = instance("synth_scale")
+        tau = 0.002
+        search = dict(support_threshold=tau, max_predicates=3)
+        keyed = []
+
+        def probe(tid):
+            """``is_sparse``, noting each index tidlist ``space_key`` digests
+            in a conditional database (a space with its own row map)."""
+            sparse = bitset.is_sparse(tid)
+            caller = sys._getframe(1)
+            if (
+                sparse
+                and caller.f_code.co_name == "space_key"
+                and caller.f_locals["space"].rows is not None
+            ):
+                keyed.append(tid.size)
+            return sparse
+
+        default = PredicateAlphabet(table, tau, 4, None)
+        with monkeypatch.context() as patch:
+            patch.setattr(closed, "is_sparse", probe)
+            reference = mine(table, estimator, alphabet=default, **search)
+        assert keyed, "no index tidlist was keyed inside a conditional database"
+        assert reference[0].candidates
+        for switch in ("projection", "index"):
+            with monkeypatch.context() as patch:
+                switch_off(patch, switch)
+                alphabet = PredicateAlphabet(table, tau, 4, None)
+                assert_identical(reference, mine(table, estimator, alphabet=alphabet, **search))
+            for name in SWITCHES[switch]:
+                assert alphabet._stats[name] == 0, name
+            if switch == "projection":
+                stored = alphabet.extent_identities()
+                assert default.extent_identities().paths == stored.paths
+                assert default.extent_identities().generators == stored.generators
 
 
 class TestLatticeReference:
