@@ -3,13 +3,10 @@
 The ``exact`` variant solves a *different* reduced matrix ``n·H − m·H_S``
 per subset.  Every exact query runs one kernel per subset
 (``ReducedHessianSolver.solve_many``): the lower triangle of
-``n·H − m·ridge·I`` downdated by one ``dsyrk`` of the subset's curvature
-rows, then one ``dposv``; a mask batch takes every g_S from one GEMM (see
-``repro.influence.second_order``).  On the German audit grid (p = 54,
-mean |S| 108; 2-vCPU Xeon, one OpenBLAS thread) that is ~58 µs per
-subset end to end, ~50 µs in the kernel, down from ~76 and ~62 µs with
-per-subset gathers, an allocated shifted matrix and a separate
-``dpotrf`` and ``dpotrs``.  The reference is the dense step of
+``n·H − m·ridge·I`` downdated by one ``dsyrk`` of the subset's
+pre-scaled curvature rows, then one in-place ``dposv``; a mask batch
+takes every g_S from one GEMM.  The per-subset cost model is stated
+once, in ``repro.influence.second_order``.  The reference is the dense step of
 ``oracles.exact_loop``: ``model.hessian(X_S)``, ``n·H − m·H_S`` and a
 fresh ``HessianSolver`` per subset.
 

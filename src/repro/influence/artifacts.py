@@ -23,7 +23,8 @@ a private one, so the single-estimator construction path is unchanged.
 Each cache is a :class:`~repro.obs.lazy.Lazy` slot, and ``stats`` counts
 its builds: ``per_sample_grad_builds``, ``hessian_builds``,
 ``hessian_factorizations`` (one per damping), ``rank_one_factor_builds``,
-``learning_rate_builds`` and ``update_context_builds``.  Callers — the
+``curvature_row_builds``, ``learning_rate_builds`` and
+``update_context_builds``.  Callers — the
 audit benchmark in particular — can *assert* that a multi-query workload
 paid for each exactly once.  Edits count under ``edits`` and
 ``solver_updates``; the extent cache counts
@@ -83,6 +84,7 @@ class ModelArtifacts:
                 "hessian_builds": 0,
                 "hessian_factorizations": 0,
                 "rank_one_factor_builds": 0,
+                "curvature_row_builds": 0,
                 "learning_rate_builds": 0,
                 "edits": 0,
                 "solver_updates": 0,
@@ -104,13 +106,14 @@ class ModelArtifacts:
         self._hessian = Lazy("artifacts.hessian", stats, "hessian_builds", lock)
         self._solvers = Lazy("artifacts.solver", stats, "hessian_factorizations", lock)
         self._factors = Lazy("artifacts.hessian_factors", stats, "rank_one_factor_builds", lock)
+        self._curvature = Lazy("artifacts.curvature_rows", stats, "curvature_row_builds", lock)
         self._learning_rate = Lazy("artifacts.learning_rate", stats, "learning_rate_builds", lock)
         self._update_state = Lazy("update.context", stats, "update_context_builds", lock)
-        # Extent cache: (estimator spec, packed-mask bytes) → Δθ row.  Off by
-        # default so bare estimators keep per-instance accounting; sessions
-        # switch it on via enable_extent_caching().
+        # Extent cache: estimator spec → (packed-mask bytes → row number, Δθ
+        # rows).  Off by default so bare estimators keep per-instance
+        # accounting; sessions switch it on via enable_extent_caching().
         self._extent_caching = False
-        self._param_change_cache: dict[tuple, np.ndarray] = {}
+        self._param_change_cache: dict[tuple, tuple[dict[bytes, int], np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     def check_compatible(
@@ -181,6 +184,20 @@ class ModelArtifacts:
             return self.model.hessian_factors(self.X_train, self.y_train)
         except NotImplementedError:
             return None
+
+    def curvature_rows(self) -> tuple[np.ndarray, np.ndarray | None, float] | None:
+        """``(V, nonzero, ridge)``: V = √w ⊙ Φ, the exact estimator's downdate
+        rows for every training row, the mask of rows with w ≠ 0 (None when
+        all are), and the factors' ridge.  None without rank-one factors or
+        with a negative weight (the downdate needs √w)."""
+        return self._curvature.get(self._build_curvature_rows)
+
+    def _build_curvature_rows(self):
+        factors = self.hessian_factors()
+        if factors is None or factors[1].min() < 0.0:
+            return None
+        phi, weights, ridge = factors
+        return phi * np.sqrt(weights)[:, None], (None if weights.all() else weights != 0.0), ridge
 
     # ------------------------------------------------------------------
     def apply_edit(
@@ -368,11 +385,12 @@ class ModelArtifacts:
         self.y_train = y_new
         self.num_train = n_new
         # Extent keys refer to pre-edit row indices and the cached rows to
-        # pre-edit gradients; the cache restarts empty.  η and the update-
-        # search state hold the pre-edit Hessian; their rebuilds name the edit.
+        # pre-edit gradients; the cache restarts empty.  V, η and the update-
+        # search state hold pre-edit rows or Hessian; their rebuilds name the edit.
         self._param_change_cache.clear()
         counts = (("relabel", relabel.size), ("remove", remove.size), ("add", k_add))
         reason = "edit(" + ", ".join(f"{kind} {k}" for kind, k in counts if k) + ")"
+        self._curvature.drop(reason)
         self._learning_rate.drop(reason)
         self._update_state.drop(reason)
         self.version += 1
@@ -416,7 +434,7 @@ class ModelArtifacts:
         of the same extent key identically.
         """
         packed = np.packbits(np.asarray(masks, dtype=bool), axis=1)
-        return [row.tobytes() for row in packed]
+        return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
 
     def gradient_sums(self, masks: np.ndarray) -> np.ndarray:
         """``g_S = M @ grads``: one row per mask, in one GEMM.
@@ -440,44 +458,45 @@ class ModelArtifacts:
         ``spec`` identifies the estimator family and its numeric knobs
         (variant, damping, learning rate) — everything Δθ depends on
         besides the extent.  ``compute`` is the estimator's uncached batch
-        kernel; it runs only on the first occurrence of each extent, so one
-        audit pays each distinct extent's GEMMs and solves exactly once
-        regardless of how many metrics re-enumerate it.  Returned rows are
-        freshly assembled (cached rows are private copies), so callers may
-        mutate the result.
+        kernel; it runs on the first occurrence of each novel extent, in
+        batch order, so one audit pays each distinct extent's GEMMs and
+        solves exactly once regardless of how many metrics re-enumerate it.
+        Each spec keeps a row store and a dict from extent key to row: one
+        probe per mask, misses appended, and the result one fancy index of
+        the store, a fresh array the caller may mutate.
         """
-        m = np.asarray(masks).shape[0]
+        masks = np.asarray(masks)
+        m = masks.shape[0]
         if not self._extent_caching or m == 0:
             return compute(masks)
-        keys = [(spec, key) for key in self._extent_keys(masks)]
+        keys = self._extent_keys(masks)
         with self._lock:
-            cache = self._param_change_cache
-            compute_rows: list[int] = []
-            novel: set[tuple] = set()
-            for i, key in enumerate(keys):
-                if key not in cache and key not in novel:
-                    novel.add(key)
-                    compute_rows.append(i)
-            hits = m - len(compute_rows)
-            self.stats.inc("param_change_cache_hits", hits)
-            self.stats.inc("param_change_cache_misses", len(compute_rows))
-            trace.add("cache_hits", hits)
-            trace.add("cache_misses", len(compute_rows))
-            if len(compute_rows) == m:
-                computed = compute(masks)
-                for j, i in enumerate(compute_rows):
-                    cache[keys[i]] = computed[j].copy()
-                return computed
-            if compute_rows:
-                rows = np.asarray(compute_rows)
-                computed = compute(np.asarray(masks)[rows])
-                for j, i in enumerate(compute_rows):
-                    cache[keys[i]] = computed[j].copy()
-            first = cache[keys[0]]
-            out = np.empty((m, first.shape[0]), dtype=np.float64)
-            for i, key in enumerate(keys):
-                out[i] = cache[key]
-            return out
+            index, store = self._param_change_cache.get(spec, ({}, None))
+            size = len(index)
+            rows = np.fromiter((index.setdefault(key, len(index)) for key in keys), np.intp, m)
+            misses = len(index) - size
+            self.stats.inc("param_change_cache_hits", m - misses)
+            self.stats.inc("param_change_cache_misses", misses)
+            trace.add("cache_hits", m - misses)
+            trace.add("cache_misses", misses)
+            if misses:
+                # New row numbers count up from ``size`` in order of first use.
+                numbers, first = np.unique(rows, return_index=True)
+                try:
+                    computed = compute(masks if misses == m else masks[first[numbers >= size]])
+                except BaseException:
+                    while len(index) > size:
+                        index.popitem()
+                    raise
+                if store is None or len(index) > len(store):
+                    # Doubled; np.empty leaves the spare rows' pages untouched, not resident.
+                    grown = np.empty((2 * len(index), computed.shape[1]))
+                    if size:
+                        grown[:size] = store[:size]
+                    store = grown
+                store[size : len(index)] = computed
+                self._param_change_cache[spec] = (index, store)
+            return store[rows]
 
     def update_search_state(self) -> tuple[np.ndarray, float]:
         """The metric-independent half of the §5 update-search context.

@@ -38,14 +38,8 @@ start-up the two query paths differ:
   lattice search (``repro.patterns.lattice``) is built on.  The exact
   second-order variant is the one closed form whose per-subset matrix
   differs across the batch (``n·H − m·H_S``), so its scalar and batch
-  queries share one per-subset kernel: one O(r·p²) ``dsyrk`` downdate by
-  the subset's r curvature rows and one ``dposv``, with every g_S of a
-  mask or packed batch from the same one GEMM: ~58 µs per German audit
-  subset (p = 54, 2-vCPU Xeon), ~76 µs with per-subset gathers.  Only
-  one (p, p) matrix is alive at a time, and a failing ``dposv`` takes the
-  damping escalation of
-  :class:`repro.influence.hessian.HessianSolver` (see
-  ``repro.influence.second_order``).
+  queries share one per-subset kernel, one ``dsyrk`` and one ``dposv``
+  each, whose cost model ``repro.influence.second_order`` states.
 
 Batches are given either as an (m, n) boolean mask matrix (rows = subsets)
 or as a sequence of per-subset index arrays; results are aligned with the

@@ -5,8 +5,8 @@ a Cholesky factorization is the fast path.  Models whose Hessian is only
 positive *semi*-definite in corner cases (squared hinge with no active
 margins, Gauss-Newton at saturation) fall back to adaptive damping — the same
 trick Koh & Liang apply.  :class:`ReducedHessianSolver` applies the same
-factorize-then-escalate contract to a batch of matrices, one LAPACK
-``dposv`` each.
+factorize-then-escalate contract to a batch of matrices, one in-place
+LAPACK ``dposv`` each.
 """
 
 from __future__ import annotations
@@ -256,21 +256,22 @@ class ReducedHessianSolver(HessianSolver):
         return solver
 
     def solve_many(self, B, matrices, downdates=None, rhs_flops: float = 0.0) -> np.ndarray:
-        """Rows ``x_k = (A_k − V_kᵀV_k)⁻¹ b_k`` for a (g, p) right-hand side, as (g, p).
+        """Rows ``x_k = (A_k − c_k·I − V_kᵀV_k)⁻¹ b_k`` for a (g, p) right-hand side, as (g, p).
 
-        ``matrices`` yields the g (p, p) matrices ``A_k``, each used before
-        the next is drawn (one buffer may be refilled); only their lower
-        triangles are read, and each may be overwritten.  ``downdates``
-        optionally yields each matrix's (r_k, p) rows ``V_k``, subtracted in
-        place with one ``dsyrk``.  One ``dposv`` then factors a copy and
-        solves into the row: ~35 of the ~50 µs a German audit subset costs
-        (p = 54, 2-vCPU Xeon; ~62 µs with ``dpotrf``, ``dpotrs`` apart).  A
-        failing ``dposv``, and every matrix when ``damping`` > 0, runs the
-        ×10 escalation from the unfactored matrix, so every row equals
-        ``HessianSolver(A_k − V_kᵀV_k, damping).solve(b_k)`` up to rounding.
-        One span covers the batch: ``subsets``, ``escalated`` (matrices that
-        needed more than ``damping``), ``gemm_flops`` (``dsyrk`` Grams plus
-        ``rhs_flops``, the caller's cost of forming B) and ``solve_flops``.
+        ``matrices`` yields g pairs ``(A_k, c_k)`` of a (p, p) matrix, whose
+        lower triangle alone is read and which is never written, and a
+        diagonal shift.  ``downdates`` optionally yields each matrix's
+        (r_k, p) rows ``V_k``.  Per subset, one Fortran buffer is refilled
+        with ``A_k − c_k·I``, one ``dsyrk`` subtracts the Gram of ``V_k`` in
+        place, and one ``dposv`` factors the buffer in place and solves into
+        the row (the cost model is in :mod:`repro.influence.second_order`).
+        A failing ``dposv`` refills the buffer; it, and every matrix when
+        ``damping`` > 0, runs the ×10 escalation from the unfactored matrix,
+        so every row equals ``HessianSolver(A_k − c_k·I − V_kᵀV_k,
+        damping).solve(b_k)`` up to rounding.  One span covers the batch:
+        ``subsets``, ``escalated`` (matrices that needed more than
+        ``damping``), ``gemm_flops`` (``dsyrk`` Grams plus ``rhs_flops``, the
+        caller's cost of forming B) and ``solve_flops``.
         """
         B = np.asarray(B, dtype=np.float64)
         if B.ndim != 2:
@@ -279,18 +280,31 @@ class ReducedHessianSolver(HessianSolver):
         if downdates is None:
             downdates = itertools.repeat(None, g)
         X = B.copy()  # each row is solved in place
+        work = np.empty((p, p), order="F")
+        diagonal = np.einsum("ii->i", work)  # a writable view
         escalated, gram_flops = 0, 0.0
+
+        def reduced(matrix, shift, rows):
+            nonlocal gram_flops
+            np.copyto(work, matrix)
+            np.subtract(diagonal, shift, out=diagonal)
+            if rows is None:
+                return work
+            gram_flops += rows.shape[0] * p * (p + 1.0)
+            return blas.dsyrk(-1.0, rows.T, beta=1.0, c=work, lower=1, overwrite_c=1)
+
         with trace.span("hessian.reduced_solve", subsets=g, p=p) as span:
-            for k, (x, matrix, rows) in enumerate(zip(X, matrices, downdates, strict=True)):
-                if matrix.shape != (p, p):
-                    raise ValueError(f"matrix {k} has shape {matrix.shape}, expected {(p, p)}")
-                if rows is not None:
-                    matrix = blas.dsyrk(-1.0, rows.T, beta=1.0, c=matrix, lower=1, overwrite_c=1)
-                    gram_flops += rows.shape[0] * p * (p + 1.0)
-                if self.damping or lapack.dposv(matrix, x, lower=1, overwrite_b=1)[2]:
-                    factor, _, attempts = _cholesky(matrix, self.damping)
-                    escalated += attempts > 1
-                    x[:] = lapack.dpotrs(factor, x, lower=1)[0]
+            for k, (x, (A, shift), rows) in enumerate(zip(X, matrices, downdates, strict=True)):
+                if A.shape != (p, p):
+                    raise ValueError(f"matrix {k} has shape {A.shape}, expected {(p, p)}")
+                matrix = reduced(A, shift, rows)
+                if not self.damping:
+                    if not lapack.dposv(matrix, x, lower=1, overwrite_a=1, overwrite_b=1)[2]:
+                        continue
+                    matrix = reduced(A, shift, rows)  # dposv factored it in place
+                factor, _, attempts = _cholesky(matrix, self.damping)
+                escalated += attempts > 1
+                x[:] = lapack.dpotrs(factor, x, lower=1)[0]
             span.set(escalated=escalated)
             span.add("gemm_flops", gram_flops + rhs_flops)
             span.add("solve_flops", g * (p**3 / 3.0 + 2.0 * p * p))

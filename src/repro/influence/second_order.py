@@ -18,16 +18,25 @@ Two variants are provided:
   the model's rank-one factors ``m·H_S = Σ_{i∈S} w_i φ_i φ_iᵀ + m·ridge·I``,
   each reduced matrix is
 
-      n·H − m·ridge·I − V_Sᵀ V_S,   V_S = [√w_i φ_i]_{i∈S, w_i≠0}:
+      n·H − m·ridge·I − V_Sᵀ V_S,   V_S = [√w_i φ_i]_{i∈S, w_i≠0}.
 
-  a Fortran copy of ``n·H`` with its diagonal shifted in place, downdated
-  by one O(r·p²) ``dsyrk`` of the subset's r curvature rows, then one
-  ``dposv``; mask and packed batches take every g_S from one GEMM.  A
-  German audit subset (p = 54, 2-vCPU Xeon) costs ~50 µs, ~62 µs before.  One
-  (p, p) matrix is alive at a time, and one failing ``dposv`` runs
-  :class:`HessianSolver`'s ×10 damping escalation.  Models without
-  rank-one factors, or with a negative weight (the downdate needs √w),
-  build ``n·H − m·model.hessian(X_S)`` densely instead.
+  V = √w ⊙ Φ is scaled once per model (:meth:`ModelArtifacts.curvature_rows`),
+  so V_S is one ``compress`` by a mask or one ``take`` of an index array.
+  The kernel refills one Fortran buffer with ``n·H − m·ridge·I``,
+  subtracts V_SᵀV_S with one O(r·p²) ``dsyrk`` and lets one ``dposv``
+  factor it in place; mask and packed batches take every g_S from one GEMM.
+
+  Cost model, the one place it is stated: on the German audit grid
+  (dataset 0, p = 54, 16,394 subsets of mean |S| 108; one OpenBLAS
+  thread on a 2-vCPU Xeon VM) a subset costs ~70 µs with its share of
+  the GEMM, ~82 µs when every batch scaled its own rows and ``dposv``
+  factored a copy (medians of 6 alternating runs).  The buffer copy,
+  ``dsyrk`` and ``dposv`` take ~50 µs of it; the gather, the GEMM and
+  the loop share the rest.  One (p, p) matrix is alive at a time, and a
+  failing ``dposv`` runs :class:`HessianSolver`'s ×10 damping escalation
+  from the rebuilt, unfactored matrix.  Models without rank-one factors,
+  or with a negative weight (the downdate needs √w), build
+  ``n·H − m·model.hessian(X_S)`` densely instead.
 
 * ``variant="series"`` — the first-order Neumann expansion of that solve,
   matching the structure of the paper's Eq. 10:
@@ -85,12 +94,14 @@ class SecondOrderInfluence(InfluenceEstimator):
     def warm(self) -> "SecondOrderInfluence":
         super().warm()
         _ = self.artifacts.hessian_factors()
+        if self.variant == "exact":
+            _ = self.artifacts.curvature_rows()
         return self
 
     def param_change(self, indices: np.ndarray) -> np.ndarray:
         indices = self._subset_size_ok(indices)
         if self.variant == "exact":
-            return self._exact_param_changes([indices])[0]
+            return self._param_changes_indices([indices])[0]
         if indices.size == 0:
             return np.zeros(self.model.num_params)
         m, n = indices.size, self.num_train
@@ -118,8 +129,8 @@ class SecondOrderInfluence(InfluenceEstimator):
         the same fast path.
         """
         if self.variant == "exact":
-            idxs = [np.flatnonzero(mask) for mask in masks]
-            return self._exact_param_changes(idxs, self.artifacts.gradient_sums(masks))
+            sizes = np.count_nonzero(masks, axis=1)
+            return self._exact_param_changes(masks, sizes, self.artifacts.gradient_sums(masks))
         num_subsets = masks.shape[0]
         if num_subsets == 0:
             return np.zeros((0, self.model.num_params))
@@ -149,56 +160,42 @@ class SecondOrderInfluence(InfluenceEstimator):
 
     def _param_changes_indices(self, idxs: list[np.ndarray]) -> np.ndarray:
         """Index-streamed exact batches go straight to the kernel: each
-        subset's curvature rows are its own index array, so nothing is
-        unpacked to (m, n) masks."""
+        subset's curvature rows are one ``take`` of its index array, so
+        nothing is unpacked to (m, n) masks."""
         if self.variant == "exact":
-            return self._exact_param_changes(idxs)
+            return self._exact_param_changes(idxs, np.array([s.size for s in idxs], np.intp))
         return super()._param_changes_indices(idxs)
 
-    def _exact_param_changes(self, idxs: list[np.ndarray], grad_sums=None) -> np.ndarray:
-        """Exact Δθ's of validated index arrays, one kernel call for the
-        batch (see the module docstring), with the batch's GEMM ``grad_sums``
-        or else per-subset gather-sums.  Empty subsets never reach it."""
+    def _exact_param_changes(self, subsets, sizes: np.ndarray, grad_sums=None) -> np.ndarray:
+        """Exact Δθ's of a validated batch in one kernel call (see the module
+        docstring): an (m, n) mask matrix with its GEMM ``grad_sums``, or
+        index arrays whose g_S are gather-sums.  ``sizes`` holds each |S|;
+        empty subsets never reach the kernel."""
         n, p = self.num_train, self.model.num_params
-        deltas = np.zeros((len(idxs), p))
-        solved = [j for j, idx in enumerate(idxs) if idx.size]
-        subsets = [idxs[j] for j in solved]
-        if grad_sums is None:
-            grads = self.per_sample_grads
-            rhs = np.array([grads.take(s, axis=0).sum(axis=0) for s in subsets]).reshape(-1, p)
-            rhs_flops = 2.0 * p * sum(s.size for s in subsets)
-        else:
+        masked = grad_sums is not None
+        deltas = np.zeros((len(sizes), p))
+        solved = np.flatnonzero(sizes)
+        if masked:
             rhs, rhs_flops = grad_sums[solved], 0.0
-        factors = self.artifacts.hessian_factors()
-        if factors is None or factors[1].min() < 0.0:
-            model, X, y = self.model, self.X_train, self.y_train
-            matrices = (n * self.hessian - s.size * model.hessian(X[s], y[s]) for s in subsets)
+        else:
+            grads = self.per_sample_grads
+            rhs = np.array([grads.take(subsets[j], axis=0).sum(axis=0) for j in solved])
+            rhs, rhs_flops = rhs.reshape(-1, p), 2.0 * p * float(sizes.sum())
+        curvature = self.artifacts.curvature_rows()
+        if curvature is None:
+            nH, model, X, y = n * self.hessian, self.model, self.X_train, self.y_train
+            matrices = (
+                (nH - sizes[j] * model.hessian(X[subsets[j]], y[subsets[j]]), 0.0) for j in solved
+            )
             downdates = None
         else:
-            phi, weights, ridge = factors
-            matrices = _shifted(np.asfortranarray(n * self.hessian), ridge, subsets)
-            downdates = _curvature_rows(phi, weights, subsets)
+            V, nonzero, ridge = curvature
+            base = np.asfortranarray(n * self.hessian)
+            matrices = ((base, shift) for shift in ridge * sizes[solved])
+            if nonzero is not None:
+                subsets = subsets & nonzero if masked else [s[nonzero[s]] for s in subsets]
+            gather = V.compress if masked else V.take
+            downdates = (gather(subsets[j], axis=0) for j in solved)
         kernel = ReducedHessianSolver.with_damping(self.damping)
         deltas[solved] = kernel.solve_many(rhs, matrices, downdates, rhs_flops=rhs_flops)
         return deltas
-
-
-def _shifted(base: np.ndarray, ridge: float, subsets):
-    """``base − |S|·ridge·I`` per subset, refilled into one Fortran buffer for ``dsyrk``."""
-    work = np.empty_like(base, order="F")
-    diagonal = np.einsum("ii->i", work)  # a writable view
-    for subset in subsets:
-        np.copyto(work, base)
-        np.subtract(diagonal, subset.size * ridge, out=diagonal)
-        yield work
-
-
-def _curvature_rows(phi: np.ndarray, weights: np.ndarray, subsets):
-    """Each subset's V_S: √w-scaled curvature rows, those of w_i = 0 dropped."""
-    root, has_zero = np.sqrt(weights), not weights.all()
-    for subset in subsets:
-        if has_zero:
-            subset = subset[weights.take(subset) != 0.0]
-        rows = phi.take(subset, axis=0)
-        rows *= root.take(subset)[:, None]
-        yield rows

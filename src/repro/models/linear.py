@@ -28,7 +28,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     np.minimum(z, e, out=e)  # −|z|; a NaN stays z itself, as in exp(z)
     np.exp(e, out=e)
     out = np.add(1.0, e, out=np.empty_like(e))
-    np.copyto(e, 1.0, where=z >= 0)
+    np.maximum(e, z >= 0, out=e)  # an arithmetic select: e ≤ 1, e ≥ 0, and a NaN e is kept
     return np.divide(e, out, out=out)
 
 

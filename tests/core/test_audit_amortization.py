@@ -45,6 +45,11 @@ def assert_same_updates(fresh, amortized, abs_tol=1e-10):
         assert b.changed_features == a.changed_features
 
 
+def _cached_extents(artifacts) -> int:
+    """Extents held by the Δθ cache, summed over its estimator specs."""
+    return sum(len(index) for index, _ in artifacts._param_change_cache.values())
+
+
 class TestAmortizedVsPerQuery:
     """The audit's cache-served queries equal from-scratch pipelines."""
 
@@ -110,7 +115,26 @@ class TestAccounting:
         misses = session.stats["influence.param_change_cache_misses"]
         assert misses > 0
         assert gemm_rows == misses
-        assert misses == len(session.artifacts._param_change_cache)
+        assert misses == _cached_extents(session.artifacts)
+
+    def test_exact_solves_each_distinct_extent_once(
+        self, lr_model, german_train, german_test
+    ):
+        session = AuditSession(lr_model, estimator="exact", **SEARCH).fit(
+            german_train, german_test
+        )
+        tracer = Tracer()
+        with trace.tracing(tracer):
+            session.audit(metrics=METRICS, k=2, verify=False)
+        spans = list(tracer.walk())
+        # Each distinct extent is one g_S GEMM row and one kernel subset.
+        solved = sum(s.attrs["subsets"] for s in spans if s.name == "hessian.reduced_solve")
+        gemm_rows = sum(
+            s.attrs["m"] for s in spans if s.name == "influence.gemm" and "kind" not in s.attrs
+        )
+        misses = session.stats["influence.param_change_cache_misses"]
+        assert misses > 0
+        assert solved == gemm_rows == misses == _cached_extents(session.artifacts)
 
     def test_later_metrics_recompute_no_param_changes(
         self, lr_model, german_train, german_test
@@ -152,7 +176,7 @@ class TestAccounting:
 
         session = AuditSession(lr_model, **SEARCH).fit(german_train, german_test)
         session.audit(metrics=[METRICS[0]], k=2, verify=False)
-        assert session.artifacts._param_change_cache
+        assert _cached_extents(session.artifacts)
         edit = random_edit(session.train_data, "relabel", 5, seed=0)
         session.delta_audit(edit, k=2, verify=False)
         # The edit moved the model: every cached Δθ row is stale

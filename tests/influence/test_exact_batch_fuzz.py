@@ -16,6 +16,7 @@ from oracles.exact_loop import ExactLoopEstimator
 
 from repro.fairness import FairnessContext, get_metric
 from repro.influence import make_estimator
+from repro.influence.hessian import HessianSolver
 from repro.models import LinearSVM, LogisticRegression
 from repro.obs import trace
 from repro.obs.trace import Tracer
@@ -102,16 +103,19 @@ def test_fuzz_exercises_the_kernel():
     assert span.attrs["escalated"] == 0
 
 
-def test_rank_deficient_subset_escalates():
-    """An unregularized model whose complement rows are rank deficient makes
-    ``n·H − m·H_S`` exactly singular: the kernel's ``dposv`` must reject
-    it, and the escalated solve must still match the dense oracle (whose
-    ``HessianSolver`` escalates damping the same way), not return a
-    silently garbage one."""
+def _rank_deficient_problem(damping: float = 0.0, relabelled_copy: bool = False):
+    """An unregularized model whose complement rows are rank deficient when
+    the three distinct rows go: 27 copies of one point are left, so
+    ``n·H − m·H_S`` is exactly singular (p = 4, ridge 0).  With
+    ``relabelled_copy`` the three rows appear twice, once with each label,
+    so the fit does not saturate: n·H is well conditioned, and only the
+    removal of all six leaves the rank-one complement."""
     rng = np.random.default_rng(7)
     base = rng.normal(size=(3, 3))
     X = np.vstack([base, np.tile(rng.normal(size=3), (27, 1))])
     y = np.concatenate([[1, 0, 1], np.tile([1, 1, 0], 9)])
+    if relabelled_copy:
+        X, y = np.vstack([base, X]), np.concatenate([[0, 1, 0], y])
     model = LogisticRegression(l2_reg=0.0).fit(X, y)
     ctx = FairnessContext(
         X=rng.normal(size=(20, 3)),
@@ -119,12 +123,18 @@ def test_rank_deficient_subset_escalates():
         privileged=rng.random(20) < 0.5,
         favorable_label=1,
     )
-    est = make_estimator(
+    return make_estimator(
         "exact", model, X, y, get_metric("statistical_parity"), ctx,
-        evaluation="smooth", damping=0.0,
+        evaluation="smooth", damping=damping,
     )
-    # Removing the three distinct rows leaves only 27 copies of one point:
-    # rank-1 complement, p = 4, |S| = 3 < p, ridge = damping = 0.
+
+
+def test_rank_deficient_subset_escalates():
+    """The kernel's ``dposv`` must reject the singular reduced matrix (|S| =
+    3 < p), and the escalated solve must still match the dense oracle (whose
+    ``HessianSolver`` escalates damping the same way), not return a
+    silently garbage one."""
+    est = _rank_deficient_problem()
     subsets = [np.arange(3), np.arange(3, 10)]
     with trace.tracing(Tracer()) as tracer:
         batch = est.param_change_batch(subsets)
@@ -133,3 +143,33 @@ def test_rank_deficient_subset_escalates():
     expected = ExactLoopEstimator(est).param_change_batch(subsets)
     np.testing.assert_allclose(batch, expected, atol=ATOL, rtol=0.0)
     assert np.isfinite(batch).all()
+
+
+def test_a_failed_in_place_dposv_is_rebuilt():
+    """``dposv`` factors the kernel's one buffer in place.  When it fails on
+    the middle subset of [regular, rank-deficient, regular], the escalation
+    must start from the rebuilt matrix, and the next subset from a clean
+    refill: every row is bit-identical to its subset solved alone.  Index
+    batches form each g_S on its own, so only the kernel could differ."""
+    est = _rank_deficient_problem(relabelled_copy=True)
+    n = est.num_train
+    subsets = [np.arange(6, 13), np.arange(6), np.arange(13, 19)]
+    with trace.tracing(Tracer()) as tracer:
+        batch = est.param_change_batch(subsets, num_rows=n)
+    (span,) = _kernel_spans(tracer)
+    assert span.attrs["escalated"] == 1
+    for row, subset in zip(batch, subsets, strict=True):
+        np.testing.assert_array_equal(row, est.param_change_batch([subset], num_rows=n)[0])
+    oracle = ExactLoopEstimator(est).param_change_batch(subsets[1:2])[0]
+    np.testing.assert_allclose(batch[1], oracle, atol=ATOL, rtol=0.0)
+    # With damping every matrix takes the escalation, from the same unfactored matrix.
+    damped = _rank_deficient_problem(damping=1e-3, relabelled_copy=True)
+    artifacts = damped.artifacts
+    phi, weights, ridge = artifacts.hessian_factors()
+    p = damped.model.num_params
+    for row, subset in zip(damped.param_change_batch(subsets), subsets, strict=True):
+        A = n * artifacts.hessian - subset.size * ridge * np.eye(p)
+        V = phi[subset] * np.sqrt(weights[subset])[:, None]
+        b = artifacts.per_sample_grads[subset].sum(axis=0)
+        expected = HessianSolver(A - V.T @ V, damping=1e-3).solve(b)
+        np.testing.assert_allclose(row, expected, rtol=1e-9, atol=1e-12)

@@ -124,11 +124,16 @@ def _spd_stack(count: int, dim: int = 8, seed: int = 3) -> np.ndarray:
     return A @ A.transpose(0, 2, 1) + 0.5 * np.eye(dim)
 
 
+def _unshifted(matrices):
+    """The kernel's ``(A_k, c_k)`` pairs, with no diagonal shift."""
+    return [(A, 0.0) for A in matrices]
+
+
 def _kernel_solve(matrices, B, damping=0.0, downdates=None):
     """The kernel's rows and its one span, over lower triangles only."""
     with trace.tracing(Tracer()) as tracer:
         X = ReducedHessianSolver.with_damping(damping).solve_many(
-            B, [np.tril(A) for A in matrices], downdates
+            B, _unshifted(np.tril(A) for A in matrices), downdates
         )
     (span,) = [s for s in tracer.walk() if s.name == "hessian.reduced_solve"]
     return X, span
@@ -180,7 +185,9 @@ class TestReducedHessianSolver:
         with pytest.raises(np.linalg.LinAlgError) as scalar:
             HessianSolver(-np.eye(8))
         with pytest.raises(np.linalg.LinAlgError) as kernel:
-            ReducedHessianSolver.with_damping().solve_many(np.ones((1, 8)), [-np.eye(8)])
+            ReducedHessianSolver.with_damping().solve_many(
+                np.ones((1, 8)), _unshifted([-np.eye(8)])
+            )
         assert str(kernel.value) == str(scalar.value)
 
     def test_empty_batch(self):
@@ -192,11 +199,11 @@ class TestReducedHessianSolver:
     def test_rejects_mismatched_rhs(self, count):
         kernel = ReducedHessianSolver.with_damping()
         with pytest.raises(ValueError):
-            kernel.solve_many(np.zeros((3, 8)), list(_spd_stack(count)))
+            kernel.solve_many(np.zeros((3, 8)), _unshifted(_spd_stack(count)))
 
     def test_rejects_misshapen_matrix(self):
         kernel = ReducedHessianSolver.with_damping()
         with pytest.raises(ValueError, match="shape"):
-            kernel.solve_many(np.zeros((1, 8)), [np.eye(7)])
+            kernel.solve_many(np.zeros((1, 8)), _unshifted([np.eye(7)]))
         with pytest.raises(ValueError, match="shape"):
-            kernel.solve_many(np.zeros(8), [np.eye(8)])
+            kernel.solve_many(np.zeros(8), _unshifted([np.eye(8)]))

@@ -162,7 +162,8 @@ class TestSessionReasons:
         reasons = _reasons(tracer)
         assert set(reasons) == {
             "artifacts.per_sample_grads", "artifacts.hessian", "artifacts.solver",
-            "artifacts.hessian_factors", "artifacts.learning_rate", "update.context",
+            "artifacts.hessian_factors", "artifacts.curvature_rows",
+            "artifacts.learning_rate", "update.context",
             "alphabet.get", "alphabet.pack_tidlists", "alphabet.pair_skeleton",
             "alphabet.extent_identities", "audit.context", "influence.grad_f",
             "influence.point_influences",
