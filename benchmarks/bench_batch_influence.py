@@ -112,9 +112,11 @@ def _lattice_rows() -> list[list[object]]:
             evaluation=evaluation,
             **kwargs,
         )
+        oracle = LoopEstimator(estimator)
         start = time.perf_counter()
-        loop = compute_candidates(bundle.train.table, LoopEstimator(estimator), 0.05, 3)
+        loop = compute_candidates(bundle.train.table, oracle, 0.05, 3)
         loop_s = time.perf_counter() - start
+        assert oracle.scalar_calls == loop.num_evaluated, "the loop search did not run its loop"
         start = time.perf_counter()
         batched = compute_candidates(bundle.train.table, estimator, 0.05, 3)
         batch_s = time.perf_counter() - start

@@ -115,11 +115,11 @@ def _throughput_rows(estimator, batch_sizes):
 
 def _parity_rows(bundle, estimator, max_predicates):
     rows = []
+    oracle = ExactLoopEstimator(estimator)
     start = time.perf_counter()
-    loop = compute_candidates(
-        bundle.train.table, ExactLoopEstimator(estimator), 0.05, max_predicates
-    )
+    loop = compute_candidates(bundle.train.table, oracle, 0.05, max_predicates)
     loop_s = time.perf_counter() - start
+    assert oracle.scalar_calls == loop.num_evaluated, "the oracle search did not run its loop"
     start = time.perf_counter()
     batched = compute_candidates(bundle.train.table, estimator, 0.05, max_predicates)
     batch_s = time.perf_counter() - start

@@ -42,7 +42,7 @@ from repro.core import AuditSession, GopherExplainer
 from repro.core.config import ENGINES, ESTIMATORS
 from repro.datasets import TabularEncoder, random_edit, train_test_split
 from repro.fairness import FairnessContext, fairness_report, get_metric, list_metrics
-from repro.influence import make_estimator
+from repro.influence import ZeroBiasError, make_estimator
 from repro.models import LogisticRegression
 from repro.obs import CostReport, Tracer, trace
 from repro.poisoning import AnchoringAttack, rank_clusters_by_influence
@@ -163,6 +163,8 @@ def _explain_impl(args: argparse.Namespace, tracer: Tracer | None) -> int:
             # update context: the Hessian/η half is built once for the
             # whole audit, each view adds only its ∇F.
             for query in result.queries:
+                if query.explanations.refusal:
+                    continue  # render() already shows why it has no answer
                 view = session.explainer(metric=query.metric, group=query.group)
                 updates = view.explain_updates(
                     query.explanations, verify=not args.no_verify
@@ -201,7 +203,11 @@ def _explain_impl(args: argparse.Namespace, tracer: Tracer | None) -> int:
     gopher.fit(bundle.train, bundle.test)
     print(gopher.report())
     print()
-    result = gopher.explain(k=args.k, verify=not args.no_verify)
+    try:
+        result = gopher.explain(k=args.k, verify=not args.no_verify)
+    except ZeroBiasError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     print(result.render())
     if args.updates:
         updates = gopher.explain_updates(result, verify=not args.no_verify)

@@ -36,18 +36,20 @@ class GopherConfig:
         (:func:`repro.patterns.lattice.compute_candidates`); ``"mining"`` is
         the packed-bitset closed-pattern miner
         (:func:`repro.mining.closed.mine_closed_candidates`), which
-        evaluates one candidate per distinct extent and streams influence
-        scoring off packed masks instead of (m, n) boolean matrices.  The
-        two engines apply heuristic 2 along different search paths — the
-        lattice against its first producing merge pair, the miner
+        evaluates one candidate per distinct extent.  The two engines
+        apply heuristic 2 along different search paths — the lattice
+        against its first producing merge pair, the miner
         order-independently — so their top-k can differ: on
         ``load_german(1000, seed=d)`` for d = 0–5 (first-order, τ = 0.05,
         depth 3, k = 3) it differs in 12–15 of 24 (dataset, metric) cells,
         depending on the train/test split (see ``repro.mining.closed`` and
         the ROADMAP item "One candidate engine").
     search_batch_size:
-        Candidates buffered per batched influence call during the search
-        (both engines).
+        Candidates per batched influence call during the search (both
+        engines).  It bounds each call's Δθ matrix and the miner's buffer
+        of packed extents; the estimators read packed rows through a fixed
+        L2-sized column-block buffer and evaluate at most 16 MiB of
+        (n_test, block) matrix at a time, whatever the batch size.
     support_threshold:
         τ of Algorithm 1 — the paper's experiments use 5%.
     max_predicates:

@@ -20,7 +20,7 @@ edit, the post-edit search output can therefore be *replayed*:
 2. **scores** — every level-1 entry, every pair that was in the pre-edit
    result, and every pair without a usable pre-edit score (newly passing,
    or freshly un-collapsed from a parent) is re-scored exactly through
-   one packed ``bias_change_batch`` against the patched artifacts;
+   one packed ``score_batch`` against the patched artifacts;
 3. **boundaries** — pairs that the pre-edit search evaluated but filtered
    out (responsibility below the parent bar, or negative) can only affect
    the *selected top-k* by crossing their filter boundary AND overtaking
@@ -85,10 +85,7 @@ def _batch_scores(estimator, packed: np.ndarray, num_rows: int) -> tuple[np.ndar
         empty = np.zeros(0)
         return empty, empty
     with trace.span("delta.score", m=int(packed.shape[0])):
-        bias = estimator.bias_change_batch(packed, num_rows=num_rows)
-        base = estimator.baseline
-        resp = -bias / base if base != 0.0 else np.zeros_like(bias)
-    return resp, bias
+        return estimator.score_batch(packed, num_rows=num_rows)
 
 
 @dataclass

@@ -205,7 +205,8 @@ class GopherExplainer:
         # One batch call; retraining has no closed form, so this resolves to
         # one refit per subset internally, but keeps the call site uniform
         # with the estimators that do batch.
-        deltas = retrainer.bias_change_batch(masks)
+        subsets = [np.flatnonzero(mask) for mask in masks]
+        deltas = retrainer.bias_change_batch(subsets, num_rows=retrainer.num_train)
         for explanation, delta in zip(explanations, deltas):
             explanation.gt_bias_change = float(delta)
             explanation.gt_responsibility = (

@@ -68,6 +68,11 @@ class ExplanationSet:
     search_seconds: float
     filter_seconds: float
     lattice: CandidateResult
+    #: The named error that refused the query, or "" for an answered one.
+    #: An audit grid records a zero-bias query's
+    #: :class:`repro.influence.ZeroBiasError` here, with no explanations,
+    #: and answers its other queries.
+    refusal: str = ""
 
     def __len__(self) -> int:
         return len(self.explanations)
@@ -115,6 +120,9 @@ class ExplanationSet:
         header = f"Top-{len(self.explanations)} explanations " \
                  f"({self.metric_name}, original bias = {self.original_bias:.4f})"
         lines = [header, "-" * len(header)]
+        if self.refusal:
+            lines.append(f"refused: {self.refusal}")
+            return "\n".join(lines)
         for e in self.explanations:
             delta = (
                 f"{e.gt_responsibility:7.1%}" if e.gt_responsibility is not None

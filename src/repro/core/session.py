@@ -42,7 +42,7 @@ from repro.datasets.splits import train_test_split
 from repro.fairness.metrics import FairnessContext, get_metric, list_metrics
 from repro.fairness.report import FairnessReport, fairness_report
 from repro.influence.artifacts import ModelArtifacts
-from repro.influence.estimators import InfluenceEstimator, make_estimator
+from repro.influence.estimators import InfluenceEstimator, ZeroBiasError, make_estimator
 from repro.mining.alphabet import AlphabetCache
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
@@ -71,6 +71,29 @@ def _require_two_classes(labels: np.ndarray, name: str) -> None:
         )
 
 
+def _refused(view) -> ExplanationSet | None:
+    """An empty answer carrying the refusal when the view's bias is zero.
+
+    Definition 3.2 divides by the bias, so such a query has nothing to
+    explain: an audit grid records the estimator's named
+    :class:`~repro.influence.ZeroBiasError` on that cell and answers the
+    others.  ``None`` for a query with a bias to explain.
+    """
+    try:
+        view.estimator.nonzero_baseline()
+    except ZeroBiasError as error:
+        return ExplanationSet(
+            explanations=[],
+            metric_name=view.config.metric,
+            original_bias=view.original_bias,
+            search_seconds=0.0,
+            filter_seconds=0.0,
+            lattice=CandidateResult([], []),
+            refusal=str(error),
+        )
+    return None
+
+
 @dataclass
 class AuditQuery:
     """One (metric, protected group) cell of an audit and its answer."""
@@ -88,10 +111,14 @@ class AuditQuery:
         return self.explanations.original_bias
 
     def describe(self) -> str:
+        answer = (
+            f"refused: {self.explanations.refusal}"
+            if self.explanations.refusal
+            else f"{len(self.explanations)} explanations in {self.seconds:.2f}s"
+        )
         return (
             f"{self.metric} | {self.group.describe()} | "
-            f"bias={self.original_bias:+.4f} | "
-            f"{len(self.explanations)} explanations in {self.seconds:.2f}s"
+            f"bias={self.original_bias:+.4f} | {answer}"
         )
 
 
@@ -240,6 +267,8 @@ class DeltaQuery:
         mode = "certified replay" if self.certified else "fresh search"
         if not self.certified and self.reason:
             mode += f" ({self.reason})"
+        if self.after.refusal:
+            mode = f"refused: {self.after.refusal}"
         return (
             f"{self.metric} | {self.group.describe()} | {mode} | "
             f"{len(self.after)} explanations in {self.seconds:.2f}s"
@@ -624,6 +653,11 @@ class AuditSession:
         batched estimators; ``verify=True`` additionally retrains for each
         selected explanation (ground truth is per-query work — nothing to
         amortize).  Returns an :class:`AuditResult` ordered group-major.
+        A query whose original bias is exactly zero is not searched: its
+        explanation set is empty and carries the
+        :class:`~repro.influence.ZeroBiasError` message as ``refusal``
+        (shown by :meth:`AuditResult.render`), and the other queries of the
+        grid are answered.
         """
         self._require_fitted()
         metric_names = list(metrics) if metrics is not None else list_metrics()
@@ -640,7 +674,9 @@ class AuditSession:
                         view = self.explainer(
                             metric=metric, group=group, estimator=estimator
                         )
-                        explanations = view.explain(k=k, verify=verify)
+                        explanations = _refused(view)
+                        if explanations is None:
+                            explanations = view.explain(k=k, verify=verify)
                     cost = (
                         CostReport.from_span(query_span)
                         if trace.get_tracer().enabled
@@ -750,6 +786,8 @@ class AuditSession:
         grid when one exists, else a fresh pre-edit audit run first.
         Returns a :class:`DeltaAuditResult`; its ``after`` side becomes the
         session's ``last_audit``, so successive edits chain naturally.
+        A query whose original bias is zero is refused on the after side
+        as in :meth:`audit`, without a replay or a search.
         When tracing is on, the ``delta.audit`` span carries
         ``grad_norm_before`` and ``grad_norm_after``: ‖∇L(θ; D)‖ on the
         training rows before and after the edit, since θ is not refit, and
@@ -881,6 +919,9 @@ class AuditSession:
         geometry,
     ) -> tuple[ExplanationSet, bool, bool, str]:
         """Answer one delta-audit cell: replay, or fall back to re-search."""
+        refused = _refused(view)
+        if refused is not None:
+            return refused, False, False, ""
         cfg = view.config
         if recheck == "always":
             return view.explain(k=k, verify=verify), False, True, "recheck forced"

@@ -17,7 +17,7 @@ Definition 3.2.
 """
 
 from repro.influence.artifacts import ModelArtifacts
-from repro.influence.estimators import InfluenceEstimator, make_estimator
+from repro.influence.estimators import InfluenceEstimator, ZeroBiasError, make_estimator
 from repro.influence.first_order import FirstOrderInfluence
 from repro.influence.hessian import HessianSolver
 from repro.influence.one_step_gd import OneStepGradientDescent, auto_learning_rate
@@ -34,6 +34,7 @@ __all__ = [
     "RetrainInfluence",
     "RetrainTask",
     "SecondOrderInfluence",
+    "ZeroBiasError",
     "auto_learning_rate",
     "make_estimator",
     "retrain_thetas",

@@ -38,6 +38,7 @@ import threading
 import numpy as np
 
 from repro.influence.hessian import HessianSolver
+from repro.mining.bitset import fold_rows
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
 from repro.obs.lazy import Lazy
@@ -109,7 +110,7 @@ class ModelArtifacts:
         self._curvature = Lazy("artifacts.curvature_rows", stats, "curvature_row_builds", lock)
         self._learning_rate = Lazy("artifacts.learning_rate", stats, "learning_rate_builds", lock)
         self._update_state = Lazy("update.context", stats, "update_context_builds", lock)
-        # Extent cache: estimator spec → (packed-mask bytes → row number, Δθ
+        # Extent cache: estimator spec → (packed-row bytes → row number, Δθ
         # rows).  Off by default so bare estimators keep per-instance
         # accounting; sessions switch it on via enable_extent_caching().
         self._extent_caching = False
@@ -426,50 +427,40 @@ class ModelArtifacts:
         self._extent_caching = True
         return self
 
-    def _extent_keys(self, masks: np.ndarray) -> list[bytes]:
-        """Packed-row bytes per mask row — the extent identity used as key.
+    def gradient_sums(self, packed: np.ndarray) -> np.ndarray:
+        """``g_S = M @ grads`` for packed row masks M: one row per mask.
 
-        Matches the miner's packed layout (``np.packbits`` along rows with
-        zero padding), so dense lattice batches and packed mining chunks
-        of the same extent key identically.
+        This is the product every gradient-sum-based estimator (first
+        order, Neumann series, one-step GD, exact) opens a query with, run
+        as one column-block fold (:func:`repro.mining.bitset.fold_rows`).
+        Under a session, :meth:`cached_param_changes` hands it only novel
+        extents, so the ``influence.gemm`` span's FLOPs count executed work.
         """
-        packed = np.packbits(np.asarray(masks, dtype=bool), axis=1)
-        return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-
-    def gradient_sums(self, masks: np.ndarray) -> np.ndarray:
-        """``g_S = M @ grads``: one row per mask, in one GEMM.
-
-        This is the GEMM every gradient-sum-based estimator (first order,
-        Neumann series, one-step GD) opens a query with.  Under a session,
-        :meth:`cached_param_changes` hands it only novel extents, so the
-        ``influence.gemm`` span's FLOPs count executed work.
-        """
-        mask_f = np.asarray(masks).astype(np.float64)
         grads = self.per_sample_grads
-        m, n = mask_f.shape
-        p = grads.shape[1]
+        m, (n, p) = len(packed), grads.shape
         with trace.span("influence.gemm", m=m, n=n, p=p) as s:
             s.add("gemm_flops", 2.0 * m * n * p)
-            return mask_f @ grads
+            return fold_rows(packed, n, grads)
 
-    def cached_param_changes(self, spec: tuple, masks: np.ndarray, compute) -> np.ndarray:
-        """Per-row Δθ for removal extents, computing only novel extents.
+    def cached_param_changes(self, spec: tuple, packed: np.ndarray, compute) -> np.ndarray:
+        """Per-row Δθ for packed removal extents, computing only novel extents.
 
         ``spec`` identifies the estimator family and its numeric knobs
         (variant, damping, learning rate) — everything Δθ depends on
         besides the extent.  ``compute`` is the estimator's uncached batch
         kernel; it runs on the first occurrence of each novel extent, in
-        batch order, so one audit pays each distinct extent's GEMMs and
+        batch order, so one audit pays each distinct extent's products and
         solves exactly once regardless of how many metrics re-enumerate it.
-        Each spec keeps a row store and a dict from extent key to row: one
-        probe per mask, misses appended, and the result one fancy index of
-        the store, a fresh array the caller may mutate.
+        Each spec keeps a row store and a dict from a packed row's bytes to
+        its row number (padding bits are zero, so equal extents have equal
+        bytes): one probe per row, misses appended, and the result one
+        fancy index of the store, a fresh array the caller may mutate.
         """
-        masks = np.asarray(masks)
-        m = masks.shape[0]
+        m = len(packed)
         if not self._extent_caching or m == 0:
-            return compute(masks)
-        keys = self._extent_keys(masks)
+            return compute(packed)
+        packed = np.ascontiguousarray(packed)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
         with self._lock:
             index, store = self._param_change_cache.get(spec, ({}, None))
             size = len(index)
@@ -483,7 +474,7 @@ class ModelArtifacts:
                 # New row numbers count up from ``size`` in order of first use.
                 numbers, first = np.unique(rows, return_index=True)
                 try:
-                    computed = compute(masks if misses == m else masks[first[numbers >= size]])
+                    computed = compute(packed if misses == m else packed[first[numbers >= size]])
                 except BaseException:
                     while len(index) > size:
                         index.popitem()

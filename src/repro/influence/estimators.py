@@ -8,7 +8,9 @@ S (given as row indices or a boolean row mask over the training matrix):
 
 plus ``responsibility(S)`` implementing Definition 3.2, and a *batched*
 form of each — ``param_change_batch`` / ``bias_change_batch`` /
-``responsibility_batch`` — that evaluates m subsets per call.
+``responsibility_batch`` — that evaluates m subsets per call.  The
+searches score through ``score_batch``, which returns responsibilities and
+bias changes together.
 
 Cost model
 ----------
@@ -29,42 +31,43 @@ start-up the two query paths differ:
   plus one triangular solve; issuing thousands of such calls from Python
   (one per lattice candidate) is dominated by interpreter and dispatch
   overhead, not floating-point work.
-* **per-batch** — a batch of m subsets is one (m, n) mask matrix.  Subset
-  gradient sums for the whole batch are a single ``M @ per_sample_grads``
-  GEMM, the Δθ's come from one multi-RHS solve against the cached
-  factorization, and all three evaluation modes score the m perturbed θ's
-  in one vectorized pass.  Per-batch cost is therefore one BLAS level-3
-  call amortized over m subsets — the amortized batch influence queries the
-  lattice search (``repro.patterns.lattice``) is built on.  The exact
-  second-order variant is the one closed form whose per-subset matrix
-  differs across the batch (``n·H − m·H_S``), so its scalar and batch
-  queries share one per-subset kernel, one ``dsyrk`` and one ``dposv``
-  each, whose cost model ``repro.influence.second_order`` states.
+* **per-batch** — a batch of m subsets is one matrix of packed rows.
+  Subset gradient sums for the whole batch are one product of the masks
+  with ``per_sample_grads``, the Δθ's come from one multi-RHS solve
+  against the cached factorization, and all three evaluation modes score
+  the m perturbed θ's in one vectorized pass.  Per-batch cost is
+  therefore BLAS level-3 work amortized over m subsets — the amortized
+  batch influence queries the lattice search
+  (``repro.patterns.lattice``) is built on.  The exact second-order
+  variant is the one closed form whose per-subset matrix differs across
+  the batch (``n·H − m·H_S``), so its scalar and batch queries share one
+  per-subset kernel, one ``dsyrk`` and one ``dposv`` each, whose cost
+  model ``repro.influence.second_order`` states.
 
-Batches are given either as an (m, n) boolean mask matrix (rows = subsets)
-or as a sequence of per-subset index arrays; results are aligned with the
-batch order.  The base-class batch methods fall back to looping over the
-scalar queries so estimators without a closed form (retraining) keep the
-same interface; the closed-form estimators override them with the GEMM
-formulation, and the equivalence test suite pins batch == loop to 1e-10.
+Results are aligned with the batch order.  The base-class batch methods
+fall back to looping over the scalar queries so estimators without a
+closed form (retraining) keep the same interface; the closed-form
+estimators override the batch hooks, and the equivalence test suite pins
+batch == loop to 1e-10.
 
-Packed batches
---------------
-The batch entry points additionally accept *packed* subsets: an
-(m, ceil(n/8)) ``np.uint8`` matrix of bit-packed row masks together with
-the keyword ``num_rows=n``.  Packed rows are unpacked ``_PACKED_CHUNK``
-subsets at a time and fed through the boolean-mask machinery chunk by
-chunk, so peak boolean-mask memory is O(_PACKED_CHUNK · n) regardless of
-m — this is the streaming path the closed-pattern mining engine
-(``repro.mining``) relies on to never materialize a full (m, n) bool
-matrix.  Handing the miner's buffers over as giant unpacked bool matrices
-is deprecated in favour of this path; results are bit-identical because
-each chunk runs the exact same mask pipeline.  First-order under linear
-evaluation never unpacks a chunk: its boolean and packed paths share one
-fold over column blocks of training rows, each cast into one reused
-L2-sized float64 buffer before its GEMV with the point influences.  The
-two paths run the same GEMV calls and agree bit for bit.  Padding bits
-past row n in a packed row's last byte are refused.
+Batch forms
+-----------
+Inside the estimators a batch has one of two forms.  *Packed rows* are an
+(m, ceil(n/8)) ``np.uint8`` matrix of bit-packed row masks, the layout of
+``repro.mining.bitset``, passed with the keyword ``num_rows=n``: the
+lattice hands its levels over in it, the miner its dense extents and the
+delta replay its patched masks.  The public batch methods also take an
+(m, n) boolean mask matrix or a sequence of per-subset index arrays or
+masks, and pack it once, at the door.  Every product of packed rows with
+per-row values (first-order's linear ΔF, the gradient sums g_S and the
+series variant's curvature product) runs through the column-block fold of
+``repro.mining.bitset``: one reused float64 buffer of at most 1 MiB,
+sized to stay in L2, so none of them holds an (m, n) boolean or float
+matrix.  The exact variant gathers each subset's curvature rows, so it
+unpacks each row it solves, one at a time as its kernel reaches it; under
+a session those are only the extent cache's misses.
+Padding bits past row n in a packed row's last byte are refused, and one
+popcount guard refuses a subset that removes the entire training set.
 
 With ``num_rows`` the batch entry points also accept an *index-streamed*
 batch: a plain sequence of per-subset sorted index arrays (the miner's
@@ -90,9 +93,12 @@ takes an ``evaluation`` argument:
 * ``"hard"``   — ΔF = F(θ* + Δθ) − F(θ*) with the thresholded metric, the
   quantity retraining ground truth reports.
 
-Batched evaluation is ``deltas @ ∇F`` for ``"linear"`` and a single
-``value_batch`` / ``surrogate_batch`` metric call over the stacked
-``θ* + Δθ`` matrix for the other two.
+Batched evaluation is ``deltas @ ∇F`` for ``"linear"`` and
+``value_batch`` / ``surrogate_batch`` metric calls over the stacked
+``θ* + Δθ`` matrix for the other two, one call per block of subsets whose
+(n_test, block) float64 matrix fits ``_EVALUATION_BYTES`` (16 MiB), so a
+1,024-subset batch over a large test split does not build 1,024-column
+matrices.
 """
 
 from __future__ import annotations
@@ -103,15 +109,21 @@ import numpy as np
 
 from repro.fairness.metrics import FairnessContext, FairnessMetric
 from repro.influence.artifacts import ModelArtifacts
+from repro.mining.bitset import pack_rows, packed_width, popcount, to_packed, to_sparse
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
 from repro.obs.lazy import Lazy
 
 _EVALUATIONS = ("linear", "smooth", "hard")
 
-# Packed batches unpack at most this many boolean masks at a time, bounding
-# peak mask memory at _PACKED_CHUNK · n bytes however large the batch is.
-_PACKED_CHUNK = 256
+# Most bytes of the (n_test, block) float64 matrix one smooth or hard
+# evaluation pass builds; a wider batch is evaluated in blocks of subsets.
+_EVALUATION_BYTES = 1 << 24
+
+
+class ZeroBiasError(ZeroDivisionError):
+    """The model's original bias is exactly zero, so Definition 3.2's
+    responsibility is undefined and there is nothing to explain."""
 
 
 class InfluenceEstimator(ABC):
@@ -211,32 +223,70 @@ class InfluenceEstimator(ABC):
 
     def responsibility(self, indices: np.ndarray) -> float:
         """Causal responsibility R_F(S) of Definition 3.2 (estimated): −ΔF / baseline."""
+        baseline = self.nonzero_baseline()
+        return -self.bias_change(indices) / baseline
+
+    def nonzero_baseline(self) -> float:
+        """:attr:`baseline`, or :class:`ZeroBiasError` naming the metric when
+        it is 0: Definition 3.2 divides by it, and an unbiased model has
+        nothing to explain.  The searches call it once before they score."""
         if self.baseline == 0.0:
-            raise ZeroDivisionError("original bias is zero; responsibility is undefined")
-        return -self.bias_change(indices) / self.baseline
+            raise ZeroBiasError(
+                f"original {self.metric.name} bias is zero under {self.evaluation} "
+                "evaluation; responsibility is undefined"
+            )
+        return self.baseline
 
     # -- the batched estimator contract -----------------------------------
     def param_change_batch(self, subsets, num_rows: int | None = None) -> np.ndarray:
         """Estimated Δθ for every subset in the batch — shape (m, p).
 
-        ``subsets`` is an (m, n) boolean mask matrix, a sequence of index
-        arrays, or — with ``num_rows`` — either an (m, ceil(n/8)) uint8
-        matrix of bit-packed masks (unpacked chunk by chunk) or an
-        index-streamed sequence of per-subset index arrays (gathered, never
-        unpacked).
+        ``subsets`` is an (m, n) boolean mask matrix or a sequence of
+        subsets (packed once, here), or — with ``num_rows`` — an
+        (m, ceil(n/8)) uint8 matrix of bit-packed masks or an
+        index-streamed sequence of per-subset index arrays.
         """
-        packed = self._check_packed(subsets, num_rows)
-        if packed is not None:
-            chunks = [
-                self._param_changes(self._check_batch(masks))
-                for masks in self._iter_packed_chunks(packed)
-            ]
-            if not chunks:
-                return np.zeros((0, self.model.num_params))
-            return np.concatenate(chunks, axis=0)
-        if num_rows is not None:
-            return self._param_changes_indices(self._check_index_batch(subsets))
-        return self._param_changes(self._check_batch(subsets))
+        return self._param_changes(self._batch(subsets, num_rows))
+
+    def bias_change_batch(self, subsets, num_rows: int | None = None) -> np.ndarray:
+        """Estimated ΔF for every subset in the batch — shape (m,).
+
+        Accepts every batch form of :meth:`param_change_batch`.  The Δθ's
+        come from the batch hooks; the evaluation mode is applied to the m
+        perturbed parameter vectors in vectorized blocks (see the module
+        docstring).
+        """
+        batch = self._batch(subsets, num_rows)
+        m = len(batch)
+        if m == 0:
+            return np.zeros(0)
+        indexed = isinstance(batch, list)
+        with trace.span(
+            "influence.batch_indices" if indexed else "influence.batch",
+            estimator=type(self).__name__,
+            m=m,
+            n=self.num_train,
+        ) as s:
+            s.add("evaluations", m)
+            return self._bias_changes(batch)
+
+    def responsibility_batch(self, subsets, num_rows: int | None = None) -> np.ndarray:
+        """Causal responsibility R_F(S) for every subset — shape (m,)."""
+        return self.score_batch(subsets, num_rows=num_rows)[0]
+
+    def score_batch(
+        self, subsets, num_rows: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(responsibilities, bias changes)`` for every subset, each shape (m,).
+
+        The one scoring call of the searches and the delta replay.  A zero
+        baseline raises :class:`ZeroBiasError` naming the metric before any
+        subset is scored, so an unbiased model never yields a silently
+        empty top-k.
+        """
+        baseline = self.nonzero_baseline()
+        bias_changes = self.bias_change_batch(subsets, num_rows=num_rows)
+        return -bias_changes / baseline, bias_changes
 
     def _extent_cache_spec(self) -> tuple | None:
         """Key identifying everything Δθ depends on besides the extent.
@@ -248,110 +298,64 @@ class InfluenceEstimator(ABC):
         """
         return None
 
-    def _param_changes(self, masks: np.ndarray) -> np.ndarray:
-        """Δθ's for a validated mask batch, via the shared extent cache.
+    def _param_changes(self, batch) -> np.ndarray:
+        """Δθ's for a validated batch: packed rows or index arrays.
 
-        When the artifacts bundle has extent caching enabled (audit
-        sessions turn it on) and the estimator declares a cache spec, rows
-        are served per-extent from the bundle and
-        :meth:`_param_change_from_masks` runs only on novel extents; the
-        bare-estimator path is a plain passthrough.
+        Packed rows go through the shared extent cache when the artifacts
+        bundle has it enabled (audit sessions turn it on) and the estimator
+        declares a cache spec; :meth:`_param_changes_packed` then runs only
+        on novel extents.  Index batches bypass it (see the module
+        docstring).
         """
+        if len(batch) == 0:
+            return np.zeros((0, self.model.num_params))
+        if isinstance(batch, list):
+            return self._param_changes_indices(batch)
         spec = self._extent_cache_spec()
         if spec is None or not self.artifacts.extent_caching:
-            return self._param_change_from_masks(masks)
-        return self.artifacts.cached_param_changes(
-            spec, masks, self._param_change_from_masks
-        )
+            return self._param_changes_packed(batch)
+        return self.artifacts.cached_param_changes(spec, batch, self._param_changes_packed)
 
-    def _param_change_from_masks(self, masks: np.ndarray) -> np.ndarray:
-        """Δθ's for a pre-validated (m, n) mask matrix.
+    def _param_changes_packed(self, packed: np.ndarray) -> np.ndarray:
+        """Δθ's for validated, non-empty packed rows.
 
-        This base implementation loops over :meth:`param_change` (correct
-        for any estimator, including retraining); closed-form estimators
-        override it with a single GEMM + multi-RHS solve.  Overriding this
-        hook rather than the public method keeps batch validation in one
-        place, paid once per query.
+        The base implementation unpacks each row to its indices and runs
+        :meth:`_param_changes_indices` (correct for any estimator,
+        including retraining); the gradient-sum estimators override it
+        with the column-block fold of ``repro.mining.bitset``.
         """
-        if masks.shape[0] == 0:
-            return np.zeros((0, self.model.num_params))
-        return np.stack([self.param_change(np.flatnonzero(row)) for row in masks])
+        return self._param_changes_indices([to_sparse(row, self.num_train) for row in packed])
 
     def _param_changes_indices(self, idxs: list[np.ndarray]) -> np.ndarray:
-        """Δθ's for a validated index-streamed batch — no (m, n) masks.
+        """Δθ's for a validated, non-empty index-streamed batch.
 
         The base implementation loops the scalar closed form (correct for
         any estimator, including retraining); gradient-sum estimators
         override it with a stacked gather-sum so a batch of small subsets
         costs O(Σ|S|·p), independent of the training-set size.
         """
-        if not idxs:
-            return np.zeros((0, self.model.num_params))
         return np.stack([self.param_change(idx) for idx in idxs])
 
-    def bias_change_batch(self, subsets, num_rows: int | None = None) -> np.ndarray:
-        """Estimated ΔF for every subset in the batch — shape (m,).
-
-        The Δθ's come from the :meth:`param_change` batch hook; the
-        evaluation mode is applied to all m perturbed parameter vectors in
-        one vectorized pass (see the module docstring).  Packed uint8
-        batches (with ``num_rows``) stream through in bounded-memory
-        chunks; index-streamed batches (sequences of index arrays with
-        ``num_rows``) gather only the rows they name.
-        """
-        packed = self._check_packed(subsets, num_rows)
-        if packed is not None:
-            with trace.span(
-                "influence.batch_packed",
-                estimator=type(self).__name__,
-                m=int(packed.shape[0]),
-            ):
-                return self._packed_bias_change(packed)
-        if num_rows is not None:
-            return self._indices_bias_change(self._check_index_batch(subsets))
-        masks = self._check_batch(subsets)
-        if masks.shape[0] == 0:
-            return np.zeros(0)
-        with trace.span(
-            "influence.batch",
-            estimator=type(self).__name__,
-            m=int(masks.shape[0]),
-            n=self.num_train,
-        ) as s:
-            s.add("evaluations", int(masks.shape[0]))
-            deltas = self._param_changes(masks)
-            return self._apply_evaluation(deltas)
+    def _bias_changes(self, batch) -> np.ndarray:
+        """ΔF of a validated, non-empty batch, shape (m,)."""
+        return self._apply_evaluation(self._param_changes(batch))
 
     def _apply_evaluation(self, deltas: np.ndarray) -> np.ndarray:
         """Fold an (m, p) Δθ matrix into (m,) ΔF's under the evaluation mode."""
         if self.evaluation == "linear":
             return deltas @ self.grad_f
         thetas = self.theta[None, :] + deltas
+        if self.evaluation == "smooth":
+            evaluate, origin = self.metric.surrogate_batch, self.original_surrogate
+        else:
+            evaluate, origin = self.metric.value_batch, self.original_bias
+        step = max(1, _EVALUATION_BYTES // (8 * max(1, len(self.test_ctx.X))))
         with trace.span("influence.evaluate", mode=self.evaluation, m=int(deltas.shape[0])):
-            if self.evaluation == "smooth":
-                after = self.metric.surrogate_batch(self.model, self.test_ctx, thetas)
-                return after - self.original_surrogate
-            after = self.metric.value_batch(self.model, self.test_ctx, thetas)
-            return after - self.original_bias
-
-    def _indices_bias_change(self, idxs: list[np.ndarray]) -> np.ndarray:
-        """ΔF over a validated index-streamed batch, shape (m,)."""
-        if not idxs:
-            return np.zeros(0)
-        with trace.span(
-            "influence.batch_indices",
-            estimator=type(self).__name__,
-            m=len(idxs),
-            n=self.num_train,
-        ) as s:
-            s.add("evaluations", len(idxs))
-            return self._apply_evaluation(self._param_changes_indices(idxs))
-
-    def responsibility_batch(self, subsets, num_rows: int | None = None) -> np.ndarray:
-        """Causal responsibility R_F(S) for every subset — shape (m,)."""
-        if self.baseline == 0.0:
-            raise ZeroDivisionError("original bias is zero; responsibility is undefined")
-        return -self.bias_change_batch(subsets, num_rows=num_rows) / self.baseline
+            after = [
+                evaluate(self.model, self.test_ctx, thetas[start : start + step])
+                for start in range(0, len(thetas), step)
+            ]
+            return np.concatenate(after) - origin
 
     # -- helpers ----------------------------------------------------------
     def _check_fresh(self) -> None:
@@ -371,43 +375,51 @@ class InfluenceEstimator(ABC):
                 "construct a new estimator against the edited artifacts"
             )
 
-    def _check_packed(self, subsets, num_rows: int | None) -> np.ndarray | None:
-        """Validate a packed uint8 batch; None when ``subsets`` is not one.
+    def _batch(self, subsets, num_rows: int | None):
+        """Validate a batch into one of the two internal forms.
 
-        ``num_rows`` is the contract marker for the streamed representations
-        — without it a 2-D uint8 array is rejected by :meth:`_check_batch`
-        (reading 0/1 bytes as bit-packs would silently score the wrong
-        subsets), and with it the batch must be either a packed matrix over
-        the training rows (validated and returned here) or an
-        index-streamed sequence of per-subset index arrays (None is
-        returned and the callers dispatch to the index hooks).
+        Returns an (m, ceil(n/8)) uint8 matrix of packed rows, or a list
+        of validated index arrays for an index-streamed batch.
+        ``num_rows`` is the contract marker for those two forms; without
+        it the batch is a boolean mask matrix or a sequence of subsets,
+        packed here.  A 2-D uint8 array without ``num_rows`` is rejected:
+        reading 0/1 bytes as bit-packs would silently score the wrong
+        subsets.  Packed rows, however they arrived, pass one popcount
+        guard against removing the entire training set.
         """
         self._check_fresh()
+        n = self.num_train
         if num_rows is None:
-            return None
-        if num_rows != self.num_train:
-            raise ValueError(
-                f"packed batches cover {num_rows} rows, expected {self.num_train}"
-            )
-        if self._is_index_batch(subsets):
-            return None
-        packed = np.asarray(subsets)
+            packed = self._pack(subsets)
+        else:
+            if num_rows != n:
+                raise ValueError(f"packed batches cover {num_rows} rows, expected {n}")
+            if self._is_index_batch(subsets):
+                return [self._subset_size_ok(subset) for subset in subsets]
+            packed = self._check_packed(np.asarray(subsets))
+        if packed.shape[0] and int(popcount(packed).max()) >= n:
+            raise ValueError("cannot remove the entire training set")
+        return packed
+
+    def _check_packed(self, packed: np.ndarray) -> np.ndarray:
+        """Validate a packed uint8 matrix over the training rows."""
+        n = self.num_train
         if packed.ndim != 2 or packed.dtype != np.uint8:
             raise ValueError(
                 "num_rows implies a packed batch: an (m, ceil(n/8)) uint8 matrix "
                 f"of bit-packed masks, got {packed.dtype} array of shape {packed.shape}"
             )
-        width = (num_rows + 7) // 8  # np.packbits layout, as in repro.mining.bitset
+        width = packed_width(n)
         if packed.shape[1] != width:
             raise ValueError(
                 f"packed mask matrix has {packed.shape[1]} byte columns, expected "
-                f"{width} for {num_rows} rows"
+                f"{width} for {n} rows"
             )
         # The last byte's low ``pad`` bits lie past row n; a set one would
         # count toward the popcount guard but be ignored by every scorer.
-        pad = 8 * width - num_rows
+        pad = 8 * width - n
         if pad and packed.shape[0] and bool((packed[:, -1] & ((1 << pad) - 1)).any()):
-            raise ValueError(f"packed masks set padding bits past num_rows={num_rows}")
+            raise ValueError(f"packed masks set padding bits past num_rows={n}")
         return packed
 
     @staticmethod
@@ -430,39 +442,14 @@ class InfluenceEstimator(ABC):
                 return False
         return True
 
-    def _check_index_batch(self, subsets) -> list[np.ndarray]:
-        """Validate an index-streamed batch subset by subset.
+    def _pack(self, subsets) -> np.ndarray:
+        """Pack a boolean mask matrix or a sequence of subsets, once.
 
-        Each subset gets the full scalar-path checks (range, duplicates,
-        the entire-training-set guard) without ever scattering into an
-        (m, n) mask matrix.
+        A sequence may hold index arrays or boolean masks (everything
+        :meth:`_check_indices` accepts).  A 2-D *non-boolean* array is
+        rejected outright: silently reading a 0/1 integer matrix as
+        per-row index lists would return influence for the wrong subsets.
         """
-        return [self._subset_size_ok(subset) for subset in subsets]
-
-    def _iter_packed_chunks(self, packed: np.ndarray):
-        """Unpack a packed batch ``_PACKED_CHUNK`` subsets at a time."""
-        for start in range(0, packed.shape[0], _PACKED_CHUNK):
-            chunk = packed[start : start + _PACKED_CHUNK]
-            # unpackbits returns a fresh 0/1 buffer, so the bool view is free.
-            yield np.unpackbits(chunk, axis=1, count=self.num_train).view(np.bool_)
-
-    def _packed_bias_change(self, packed: np.ndarray) -> np.ndarray:
-        """Chunked ΔF over a packed batch via the public boolean-mask path,
-        so subclass overrides (e.g. first-order linear) apply per chunk."""
-        chunks = [self.bias_change_batch(masks) for masks in self._iter_packed_chunks(packed)]
-        return np.concatenate(chunks) if chunks else np.zeros(0)
-
-    def _check_batch(self, subsets) -> np.ndarray:
-        """Normalize a batch to an (m, n) boolean mask matrix.
-
-        Accepts either the mask matrix itself or any sequence of per-subset
-        index arrays / boolean masks (everything :meth:`_check_indices`
-        accepts).  A 2-D *non-boolean* array is rejected outright: silently
-        reading a 0/1 integer matrix as per-row index lists would return
-        influence for the wrong subsets.  Mirrors the scalar guard against
-        removing the entire training set, row by row.
-        """
-        self._check_fresh()
         if isinstance(subsets, np.ndarray) and subsets.ndim == 1 and subsets.dtype != object:
             # A bare index array iterates element-wise into m *singleton*
             # subsets — almost certainly not what a caller migrating from
@@ -472,34 +459,27 @@ class InfluenceEstimator(ABC):
                 "a batch is a sequence of subsets; wrap a single subset's index "
                 "array in a list (e.g. bias_change_batch([indices]))"
             )
+        n = self.num_train
         if isinstance(subsets, np.ndarray) and subsets.ndim == 2:
             if subsets.dtype != bool:
                 raise ValueError(
                     "2-D subset batches must be boolean mask matrices; pass index "
                     "arrays as a sequence (e.g. a list of 1-D arrays) instead"
                 )
-            if subsets.shape[1] != self.num_train:
+            if subsets.shape[1] != n:
+                raise ValueError(f"mask matrix has {subsets.shape[1]} columns, expected {n}")
+            return pack_rows(subsets)
+        rows = []
+        for subset in subsets:
+            if np.asarray(subset).ndim == 0:
+                # A flat sequence of ints would be split into singleton
+                # subsets — same hazard as the bare-array case above.
                 raise ValueError(
-                    f"mask matrix has {subsets.shape[1]} columns, expected {self.num_train}"
+                    "a batch is a sequence of subsets; wrap a single subset's "
+                    "index array in a list (e.g. bias_change_batch([indices]))"
                 )
-            masks = subsets
-        else:
-            rows = []
-            for subset in subsets:
-                if np.asarray(subset).ndim == 0:
-                    # A flat sequence of ints would be split into singleton
-                    # subsets — same hazard as the bare-array case above.
-                    raise ValueError(
-                        "a batch is a sequence of subsets; wrap a single subset's "
-                        "index array in a list (e.g. bias_change_batch([indices]))"
-                    )
-                rows.append(self._check_indices(subset))
-            masks = np.zeros((len(rows), self.num_train), dtype=bool)
-            for j, idx in enumerate(rows):
-                masks[j, idx] = True
-        if masks.shape[0] and bool(masks.all(axis=1).any()):
-            raise ValueError("cannot remove the entire training set")
-        return masks
+            rows.append(to_packed(self._check_indices(subset), n))
+        return np.stack(rows) if rows else np.zeros((0, packed_width(n)), dtype=np.uint8)
 
     def _check_indices(self, indices: np.ndarray) -> np.ndarray:
         self._check_fresh()

@@ -22,17 +22,10 @@ import numpy as np
 from repro.fairness.metrics import FairnessContext, FairnessMetric
 from repro.influence.artifacts import ModelArtifacts
 from repro.influence.estimators import InfluenceEstimator
+from repro.mining.bitset import fold_rows
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
 from repro.obs.lazy import Lazy
-
-# The linear mask paths (boolean and packed) fold the mask/point-influence
-# product over column blocks of training rows, casting each block into one
-# reused float64 buffer of at most this many bytes before its GEMV.  At
-# 1 MiB the buffer stays in L2, so the cast and the GEMV that reads it
-# never go out to DRAM, as a float cast of a whole batch (8 bytes per mask
-# bit) would.
-_FOLD_BUFFER_BYTES = 1 << 20
 
 
 class FirstOrderInfluence(InfluenceEstimator):
@@ -64,17 +57,13 @@ class FirstOrderInfluence(InfluenceEstimator):
         g_s = self.per_sample_grads[indices].sum(axis=0)
         return self.solver.solve(g_s) / self.num_train
 
-    def _param_change_from_masks(self, masks: np.ndarray) -> np.ndarray:
-        if masks.shape[0] == 0:
-            return np.zeros((0, self.model.num_params))
-        # One GEMM forms every g_S; one multi-RHS solve against the cached
+    def _param_changes_packed(self, packed: np.ndarray) -> np.ndarray:
+        # One fold forms every g_S; one multi-RHS solve against the cached
         # factorization turns them into Δθ's.
-        grad_sums = self.artifacts.gradient_sums(masks)
+        grad_sums = self.artifacts.gradient_sums(packed)
         return self.solver.solve_many(grad_sums) / self.num_train
 
     def _param_changes_indices(self, idxs: list[np.ndarray]) -> np.ndarray:
-        if not idxs:
-            return np.zeros((0, self.model.num_params))
         grads = self.per_sample_grads
         grad_sums = np.stack([grads[idx].sum(axis=0) for idx in idxs])
         return self.solver.solve_many(grad_sums) / self.num_train
@@ -85,83 +74,16 @@ class FirstOrderInfluence(InfluenceEstimator):
         indices = self._subset_size_ok(indices)
         return float(self.point_influences()[indices].sum())
 
-    def bias_change_batch(self, subsets, num_rows: int | None = None) -> np.ndarray:
+    def _bias_changes(self, batch) -> np.ndarray:
         if self.evaluation != "linear":
-            return super().bias_change_batch(subsets, num_rows=num_rows)
-        packed = self._check_packed(subsets, num_rows)
-        if packed is not None:
-            with trace.span(
-                "influence.batch_packed",
-                estimator=type(self).__name__,
-                m=int(packed.shape[0]),
-            ):
-                return self._packed_bias_change(packed)
-        if num_rows is not None:
-            idxs = self._check_index_batch(subsets)
-            if not idxs:
-                return np.zeros(0)
-            # Additivity makes each index subset a pure gather-sum over the
-            # pre-computed per-point influences — O(|S|) per subset, never
-            # touching the other n − |S| rows.
-            with trace.span(
-                "influence.batch_indices",
-                estimator=type(self).__name__,
-                m=len(idxs),
-                n=self.num_train,
-            ) as s:
-                s.add("evaluations", len(idxs))
-                pi = self.point_influences()
-                return np.array([pi[idx].sum() for idx in idxs])
-        masks = self._check_batch(subsets)
-        # Linearized ΔF is additive over points, so the whole batch is one
-        # mask-matrix / point-influence product — no solve at all.
-        return self._fold(masks.shape[0], lambda c0, c1: masks[:, c0:c1])
-
-    def _packed_bias_change(self, packed: np.ndarray) -> np.ndarray:
-        if self.evaluation != "linear":
-            return super()._packed_bias_change(packed)
-        from repro.mining.bitset import popcount
-
-        counts = np.atleast_1d(popcount(packed))
-        if counts.size and int(counts.max()) >= self.num_train:
-            # Mirrors _check_batch's guard without unpacking: _check_packed
-            # refuses padding bits, so only the full-training-set mask
-            # reaches n.
-            raise ValueError("cannot remove the entire training set")
-        return self._fold(
-            packed.shape[0],
-            lambda c0, c1: np.unpackbits(
-                packed[:, c0 // 8 : (c1 + 7) // 8], axis=1, count=c1 - c0
-            ),
-        )
-
-    def _fold(self, m: int, columns) -> np.ndarray:
-        """ΔF of m masks, one L2-sized block of training rows at a time.
-
-        ``columns(c0, c1)`` returns the masks' 0/1 cells for rows c0..c1 as
-        an (m, c1 − c0) array.  Blocks span a multiple of 8 rows, so a
-        packed batch splits on byte boundaries, and both mask paths cast
-        into the same buffer shape: they run the same GEMV calls and agree
-        bit for bit.
-        """
-        if m == 0:
-            return np.zeros(0)
-        n = self.num_train
+            return super()._bias_changes(batch)
+        # Linearized ΔF is additive over points: each subset sums its rows'
+        # pre-computed point influences, with no solve at all.
         pi = self.point_influences()
-        step = 8 * max(1, _FOLD_BUFFER_BYTES // (64 * m))
-        buffer = np.empty((m, min(step, n)))
-        out = np.zeros(m)
-        with trace.span(
-            "influence.batch", estimator=type(self).__name__, m=m, n=n
-        ) as s:
-            s.add("evaluations", m)
-            s.add("gemm_flops", 2.0 * m * n)
-            for c0 in range(0, n, step):
-                c1 = min(c0 + step, n)
-                block = buffer[:, : c1 - c0]
-                np.copyto(block, columns(c0, c1))
-                out += block @ pi[c0:c1]
-        return out
+        if isinstance(batch, list):
+            return np.array([pi[idx].sum() for idx in batch])
+        trace.add("gemm_flops", 2.0 * len(batch) * self.num_train)
+        return fold_rows(batch, self.num_train, pi)
 
     def point_influences(self) -> np.ndarray:
         """Per-point linearized bias influence of removal, shape (n,).

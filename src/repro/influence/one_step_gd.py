@@ -73,14 +73,12 @@ class OneStepGradientDescent(InfluenceEstimator):
         g_s = self.per_sample_grads[indices].sum(axis=0)
         return (self.learning_rate / self.num_train) * g_s
 
-    def _param_change_from_masks(self, masks: np.ndarray) -> np.ndarray:
-        # Every subset's step is a scaled gradient sum: one GEMM total.
-        grad_sums = self.artifacts.gradient_sums(masks)
+    def _param_changes_packed(self, packed: np.ndarray) -> np.ndarray:
+        # Every subset's step is a scaled gradient sum: one fold in total.
+        grad_sums = self.artifacts.gradient_sums(packed)
         return (self.learning_rate / self.num_train) * grad_sums
 
     def _param_changes_indices(self, idxs: list[np.ndarray]) -> np.ndarray:
-        if not idxs:
-            return np.zeros((0, self.model.num_params))
         grads = self.per_sample_grads
         grad_sums = np.stack([grads[idx].sum(axis=0) for idx in idxs])
         return (self.learning_rate / self.num_train) * grad_sums

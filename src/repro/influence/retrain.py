@@ -56,16 +56,14 @@ class RetrainInfluence(InfluenceEstimator):
     def param_change(self, indices: np.ndarray) -> np.ndarray:
         return self.retrained_theta(indices) - self.theta
 
-    def _param_change_from_masks(self, masks: np.ndarray) -> np.ndarray:
+    def _param_changes_indices(self, idxs: list[np.ndarray]) -> np.ndarray:
         # One refit per subset, run through the shared (optionally
         # process-parallel) retrain helper — identical fits to the scalar
-        # path, just dispatched together.
-        if masks.shape[0] == 0:
-            return np.zeros((0, self.model.num_params))
-        tasks = [RetrainTask(np.flatnonzero(row)) for row in masks]
+        # path, just dispatched together.  Packed batches arrive here too,
+        # unpacked to their indices by the base class.
         warm = self.theta.copy() if self.warm_start else None
         thetas = retrain_thetas(
-            self.model, self.X_train, self.y_train, tasks,
+            self.model, self.X_train, self.y_train, [RetrainTask(idx) for idx in idxs],
             warm_start=warm, n_jobs=self.n_jobs,
         )
         return thetas - self.theta[None, :]

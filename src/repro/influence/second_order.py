@@ -13,7 +13,7 @@ Two variants are provided:
 
   This is the closed form the series below truncates; it is exact for
   quadratic losses.  Every subset needs its own reduced matrix, so every
-  exact query — scalar, mask, packed or index batch — runs one kernel,
+  exact query — scalar, packed or index batch — runs one kernel,
   :meth:`ReducedHessianSolver.solve_many`, one subset at a time.  With
   the model's rank-one factors ``m·H_S = Σ_{i∈S} w_i φ_i φ_iᵀ + m·ridge·I``,
   each reduced matrix is
@@ -24,7 +24,10 @@ Two variants are provided:
   so V_S is one ``compress`` by a mask or one ``take`` of an index array.
   The kernel refills one Fortran buffer with ``n·H − m·ridge·I``,
   subtracts V_SᵀV_S with one O(r·p²) ``dsyrk`` and lets one ``dposv``
-  factor it in place; mask and packed batches take every g_S from one GEMM.
+  factor it in place.  Packed batches take every g_S from one column-block
+  fold and unpack each row they solve (under a session, only the Δθ
+  cache's misses) when the kernel reaches it, to gather its V_S, so one
+  (n,) mask is alive at a time.
 
   Cost model, the one place it is stated: on the German audit grid
   (dataset 0, p = 54, 16,394 subsets of mean |S| 108; one OpenBLAS
@@ -58,6 +61,7 @@ from repro.fairness.metrics import FairnessContext, FairnessMetric
 from repro.influence.artifacts import ModelArtifacts
 from repro.influence.estimators import InfluenceEstimator
 from repro.influence.hessian import ReducedHessianSolver
+from repro.mining.bitset import column_blocks, popcount, unpack_rows
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
 
@@ -112,47 +116,46 @@ class SecondOrderInfluence(InfluenceEstimator):
         correction = u - self.solver.solve(subset_hessian @ u)
         return u / (n - m) - (m / (n - m) ** 2) * correction
 
-    def _param_change_from_masks(self, masks: np.ndarray) -> np.ndarray:
-        """Batched Δθ's.
+    def _param_changes_packed(self, packed: np.ndarray) -> np.ndarray:
+        """Batched Δθ's of packed rows.
 
         The ``"series"`` variant only ever applies subset Hessians to
         vectors, so for models exposing rank-one Hessian factors the whole
-        batch reduces to GEMMs against the cached factorization: one
-        multi-RHS solve for ``u_S = H⁻¹ g_S``, three matrix products for
-        every ``H_S u_S``, and one more multi-RHS solve for the correction;
-        models without factor structure loop the scalar query.  The
-        ``"exact"`` variant solves a *different* reduced matrix
-        ``n·H − m·H_S`` per subset, through the same kernel as every other
-        exact query (see the module docstring).  Both entry
-        representations — dense (m, n) masks and packed uint8 batches —
-        funnel through this hook, so the lattice and the mining engine take
-        the same fast path.
+        batch reduces to products against the cached factorization: one
+        column-block fold for every g_S, one multi-RHS solve for
+        ``u_S = H⁻¹ g_S``, one more fold for every ``H_S u_S``, and one more
+        multi-RHS solve for the correction; models without factor
+        structure loop the scalar query.  The ``"exact"`` variant solves a
+        *different* reduced matrix ``n·H − m·H_S`` per subset, through the
+        same kernel as every other exact query (see the module docstring):
+        it takes every g_S from the fold and unpacks each row when the
+        kernel reaches it, to gather that subset's curvature rows.
         """
+        n = self.num_train
         if self.variant == "exact":
-            sizes = np.count_nonzero(masks, axis=1)
-            return self._exact_param_changes(masks, sizes, self.artifacts.gradient_sums(masks))
-        num_subsets = masks.shape[0]
-        if num_subsets == 0:
-            return np.zeros((0, self.model.num_params))
+            return self._exact_param_changes(
+                packed, popcount(packed), self.artifacts.gradient_sums(packed)
+            )
         factors = self.artifacts.hessian_factors()
         if factors is None:
-            return super()._param_change_from_masks(masks)
+            return super()._param_changes_packed(packed)
         phi, weights, ridge = factors
-        n = self.num_train
-        p = self.model.num_params
-        mask_f = masks.astype(np.float64)
-        sizes = mask_f.sum(axis=1)
-        grad_sums = self.artifacts.gradient_sums(masks)
-        u = self.solver.solve_many(grad_sums)  # (m, p) rows = H⁻¹ g_S
-        # H_S u_S = (1/|S|) φᵀ (1_S ⊙ w ⊙ (φ u_S)) + ridge·u_S, batched over
-        # the subset axis by weighting the (n, m) projection with the masks.
-        with trace.span("influence.gemm", m=num_subsets, n=n, p=p, kind="curvature") as s:
-            s.add("gemm_flops", 4.0 * num_subsets * n * p)
-            projections = phi @ u.T  # (n, m)
-            weighted = (mask_f.T * weights[:, None]) * projections
-            denom = np.where(sizes > 0, sizes, 1.0)
-            hs_u = (phi.T @ weighted) / denom[None, :] + ridge * u.T  # (p, m)
-        correction = u - self.solver.solve_many(hs_u.T)
+        m, p = len(packed), self.model.num_params
+        sizes = popcount(packed).astype(np.float64)
+        u = self.solver.solve_many(self.artifacts.gradient_sums(packed))  # rows = H⁻¹ g_S
+        # H_S u_S = (1/|S|) Σ_{i∈S} w_i (φ_i·u_S) φ_i + ridge·u_S, folded
+        # over column blocks of training rows.
+        with trace.span("influence.gemm", m=m, n=n, p=p, kind="curvature") as s:
+            s.add("gemm_flops", 4.0 * m * n * p)
+            hs_u = np.zeros((m, p))
+            for start, stop, block in column_blocks(packed, n):
+                rows = phi[start:stop]
+                projections = u @ rows.T
+                projections *= weights[start:stop]
+                block *= projections  # the next block refills it
+                hs_u += block @ rows
+        hs_u = hs_u / np.where(sizes > 0, sizes, 1.0)[:, None] + ridge * u
+        correction = u - self.solver.solve_many(hs_u)
         rest = n - sizes
         deltas = u / rest[:, None] - (sizes / rest**2)[:, None] * correction
         deltas[sizes == 0] = 0.0  # matches the scalar empty-subset shortcut
@@ -168,9 +171,10 @@ class SecondOrderInfluence(InfluenceEstimator):
 
     def _exact_param_changes(self, subsets, sizes: np.ndarray, grad_sums=None) -> np.ndarray:
         """Exact Δθ's of a validated batch in one kernel call (see the module
-        docstring): an (m, n) mask matrix with its GEMM ``grad_sums``, or
-        index arrays whose g_S are gather-sums.  ``sizes`` holds each |S|;
-        empty subsets never reach the kernel."""
+        docstring): packed rows with their folded ``grad_sums``, each row
+        unpacked to a mask only when the kernel reaches its subset, or index
+        arrays whose g_S are gather-sums.  ``sizes`` holds each |S|; empty
+        subsets never reach the kernel."""
         n, p = self.num_train, self.model.num_params
         masked = grad_sums is not None
         deltas = np.zeros((len(sizes), p))
@@ -181,11 +185,14 @@ class SecondOrderInfluence(InfluenceEstimator):
             grads = self.per_sample_grads
             rhs = np.array([grads.take(subsets[j], axis=0).sum(axis=0) for j in solved])
             rhs, rhs_flops = rhs.reshape(-1, p), 2.0 * p * float(sizes.sum())
+        # One subset's rows at a time: the kernel consumes these lazily.
+        rows = (unpack_rows(subsets[j], n) if masked else subsets[j] for j in solved)
         curvature = self.artifacts.curvature_rows()
         if curvature is None:
             nH, model, X, y = n * self.hessian, self.model, self.X_train, self.y_train
             matrices = (
-                (nH - sizes[j] * model.hessian(X[subsets[j]], y[subsets[j]]), 0.0) for j in solved
+                (nH - size * model.hessian(X[r], y[r]), 0.0)
+                for size, r in zip(sizes[solved], rows)
             )
             downdates = None
         else:
@@ -193,9 +200,9 @@ class SecondOrderInfluence(InfluenceEstimator):
             base = np.asfortranarray(n * self.hessian)
             matrices = ((base, shift) for shift in ridge * sizes[solved])
             if nonzero is not None:
-                subsets = subsets & nonzero if masked else [s[nonzero[s]] for s in subsets]
+                rows = (r & nonzero if masked else r[nonzero[r]] for r in rows)
             gather = V.compress if masked else V.take
-            downdates = (gather(subsets[j], axis=0) for j in solved)
+            downdates = (gather(r, axis=0) for r in rows)
         kernel = ReducedHessianSolver.with_damping(self.damping)
         deltas[solved] = kernel.solve_many(rhs, matrices, downdates, rhs_flops=rhs_flops)
         return deltas

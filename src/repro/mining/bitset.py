@@ -43,6 +43,17 @@ representation (``uint8`` dtype ⇒ packed, integer dtype ⇒ sparse):
 Counts and index sums are pinned to 64-bit accumulators throughout so a
 ``n > 2³¹``-row table cannot overflow a support counter (the packed
 reduction in :func:`popcount` already sums with ``dtype=np.int64``).
+
+Column-block fold
+-----------------
+Packed rows are also the form subsets reach the influence estimators in,
+and every product of a mask batch with per-row values runs through
+:func:`column_blocks`: the rows are walked in blocks of training rows,
+each block's bits unpacked and cast into one reused float64 buffer of at
+most ``_FOLD_BUFFER_BYTES`` before the product that reads it.  At 1 MiB
+the buffer stays in L2, so neither the cast nor the product goes out to
+DRAM, and the transient is bounded by the buffer, not by the ``(m, n)``
+boolean or float matrix a whole-batch unpack would hold.
 """
 
 from __future__ import annotations
@@ -64,6 +75,9 @@ _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 # uint8 entries so the per-byte count matrix is 1 byte per packed byte on
 # both branches (the row sums below widen to int64 without a full copy).
 _POPCOUNT_LUT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+# Bytes of the one float64 buffer a column-block fold casts mask bits into.
+_FOLD_BUFFER_BYTES = 1 << 20
 
 
 def packed_width(num_rows: int) -> int:
@@ -239,3 +253,36 @@ def extent_key(packed: np.ndarray) -> bytes:
     """Hashable identity of a packed extent (padding bits are zero, so equal
     row sets always map to equal keys)."""
     return np.ascontiguousarray(packed).tobytes()
+
+
+def column_blocks(packed: np.ndarray, num_rows: int):
+    """Yield ``(start, stop, block)`` over L2-sized column blocks of packed rows.
+
+    ``block`` holds the 0/1 bits of rows ``start..stop`` of every packed
+    row as an ``(m, stop − start)`` float64 view of one reused buffer of at
+    most ``_FOLD_BUFFER_BYTES``; the next block overwrites it.  Blocks span
+    a multiple of 8 rows, so each starts on a byte boundary.
+    """
+    m = packed.shape[0]
+    if m == 0:
+        return
+    step = 8 * max(1, _FOLD_BUFFER_BYTES // (64 * m))
+    buffer = np.empty((m, min(step, num_rows)))
+    for start in range(0, num_rows, step):
+        stop = min(start + step, num_rows)
+        block = buffer[:, : stop - start]
+        bits = packed[:, start // 8 : (stop + 7) // 8]
+        np.copyto(block, np.unpackbits(bits, axis=1, count=stop - start))
+        yield start, stop, block
+
+
+def fold_rows(packed: np.ndarray, num_rows: int, values: np.ndarray) -> np.ndarray:
+    """``M @ values`` for the packed row masks M, one column block at a time.
+
+    ``values`` holds one entry (or one row) per table row; the result has
+    one entry (or row) per mask.
+    """
+    out = np.zeros((packed.shape[0],) + values.shape[1:])
+    for start, stop, block in column_blocks(packed, num_rows):
+        out += block @ values[start:stop]
+    return out

@@ -34,11 +34,12 @@ Cost model
   (support check; see ``repro.mining.bitset``).  No influence work, no
   boolean masks.
 * **per buffer** — frontier nodes are buffered up to ``batch_size`` packed
-  extents and scored in one ``bias_change_batch(packed, num_rows=n)``
+  extents and scored in one ``score_batch(packed, num_rows=n)``
   call, so the search never materializes an (m, n) boolean mask matrix.
-  The GEMM estimators unpack the buffer chunk by chunk (one unpack + one
-  GEMM per chunk); first-order folds it over L2-sized column blocks (one
-  unpack, cast and GEMV per block) — the packed cost model of
+  The estimators fold the buffer over L2-sized column blocks of training
+  rows (one unpack, cast and product per block; see
+  :func:`repro.mining.bitset.column_blocks`), and the exact estimator
+  also unpacks each row it solves, one at a time — the packed cost model of
   ``repro.influence.estimators``.
 * **per emitted extent** — one broadcast AND + popcount against the
   ``(K, n/8)`` tidlist matrix to recover the closure, then the generator
@@ -46,7 +47,7 @@ Cost model
 
 Memory per search path is ``O(depth · n/8)`` for the extents plus the
 ``O(batch_size · n/8)`` packed buffer, instead of the
-``O(level_width · n)`` boolean masks the lattice holds per level.
+``O(level_width · n/8)`` packed rows the lattice holds per level.
 
 Extent identity
 ---------------
@@ -143,10 +144,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.influence.estimators import InfluenceEstimator
 from repro.mining.alphabet import ExtentIdentities, search_alphabet
 from repro.mining.bitset import (
     bit_test,
@@ -172,6 +173,9 @@ from repro.patterns.lattice import (
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Predicate
 from repro.tabular import Table
+
+if TYPE_CHECKING:  # repro.influence imports repro.mining.bitset
+    from repro.influence.estimators import InfluenceEstimator
 
 #: Project a branch once its extent is this many times smaller than its
 #: current coordinate space.  Below 1/8 density the re-pack
@@ -273,7 +277,7 @@ class _InfluenceCache:
     Callers hand in ``(key, global tidlist)`` pairs, keyed by the search's
     digest extent identity.  Tidlists flow to the estimator in
     whatever representation they arrive: packed rows are stacked into one
-    ``bias_change_batch(packed, num_rows=n)`` call and sparse index arrays
+    ``score_batch(packed, num_rows=n)`` call and sparse index arrays
     go through the estimator's index-streamed batch entry *as indices* —
     no pack/unpack round-trip on either path.  Results are per query: they
     depend on the metric, so unlike extent identities they are never
@@ -284,7 +288,6 @@ class _InfluenceCache:
         self.estimator = estimator
         self.num_rows = num_rows
         self.batch_size = batch_size
-        self.baseline = estimator.baseline
         self.by_key: dict[object, tuple[float, float]] = {}
         self.num_evaluated = 0
 
@@ -304,25 +307,14 @@ class _InfluenceCache:
                 dense = [(key, tid) for key, tid in chunk if not is_sparse(tid)]
                 sparse = [(key, tid) for key, tid in chunk if is_sparse(tid)]
                 if dense:
-                    packed = np.stack([tid for _, tid in dense])
-                    self._store(
-                        dense,
-                        self.estimator.bias_change_batch(packed, num_rows=self.num_rows),
-                    )
+                    self._store(dense, np.stack([tid for _, tid in dense]))
                 if sparse:
-                    indices = [tid for _, tid in sparse]
-                    self._store(
-                        sparse,
-                        self.estimator.bias_change_batch(indices, num_rows=self.num_rows),
-                    )
+                    self._store(sparse, [tid for _, tid in sparse])
                 self.num_evaluated += len(chunk)
 
-    def _store(self, pairs: list[tuple[object, np.ndarray]], bias_changes: np.ndarray) -> None:
-        if self.baseline != 0.0:
-            responsibilities = -bias_changes / self.baseline
-        else:
-            responsibilities = np.zeros_like(bias_changes)
-        for (key, _), resp, dbias in zip(pairs, responsibilities, bias_changes):
+    def _store(self, pairs: list[tuple[object, np.ndarray]], batch) -> None:
+        scores = self.estimator.score_batch(batch, num_rows=self.num_rows)
+        for (key, _), resp, dbias in zip(pairs, *scores):
             self.by_key[key] = (float(resp), float(dbias))
 
 
@@ -345,9 +337,7 @@ def mine_closed_candidates(
     exactly — the two are interchangeable candidate searches, and
     :meth:`repro.core.GopherExplainer.explain` calls the one
     ``GopherConfig.engine`` names.  ``batch_size``
-    bounds how many packed extents are buffered per influence call (the
-    boolean unpack inside the estimator is further chunked, so it does not
-    bound mask memory — the packed representation does).  ``alphabet`` is
+    bounds how many extents are buffered per influence call.  ``alphabet`` is
     an optional pre-built :class:`repro.mining.alphabet.PredicateAlphabet`
     whose frequency-ascending packed tidlists and extent identities are
     reused instead of re-generated — how an :class:`repro.core.AuditSession`
@@ -388,6 +378,7 @@ def mine_closed_candidates(
             f"table rows ({num_rows}) must match estimator training rows "
             f"({estimator.num_train}); patterns quantify over the training data"
         )
+    estimator.nonzero_baseline()  # an unbiased model has nothing to explain
 
     alphabet = search_alphabet(table, alphabet, support_threshold, num_bins, exclude_features)
     # Frequency-ascending item order (LCM's standard heuristic), sort-key

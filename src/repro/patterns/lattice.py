@@ -34,9 +34,9 @@ packed rows plus a popcount.  :class:`Pattern` objects are built only for
 candidates that enter the result.
 
 Influence queries are *batched*: each level first gathers every merge that
-survives the structural checks (dedup, satisfiability, support), then asks
-the estimator for all bias changes in one ``bias_change_batch`` call per
-``batch_size`` chunk — one BLAS-level pass per lattice level instead of
+survives the structural checks (dedup, satisfiability, support), then hands
+the estimator their packed masks, unchanged, in one ``score_batch`` call
+per ``batch_size`` chunk — one BLAS-level pass per lattice level instead of
 thousands of tiny per-candidate queries (see the cost model in
 ``repro.influence.estimators``).
 """
@@ -44,14 +44,17 @@ thousands of tiny per-candidate queries (see the cost model in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.influence.estimators import InfluenceEstimator
 from repro.obs import trace
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Predicate
 from repro.tabular import Table
+
+if TYPE_CHECKING:  # repro.influence imports repro.mining.bitset
+    from repro.influence.estimators import InfluenceEstimator
 
 # Bytes of packed pair masks ANDed at a time during a level's gather.
 _GATHER_BYTES = 1 << 22
@@ -76,7 +79,9 @@ class PatternStats:
 
     def mask(self) -> np.ndarray:
         """The boolean row mask of D(φ) (unpacked on demand)."""
-        return np.unpackbits(self._packed_mask, count=self._num_rows).astype(bool)
+        from repro.mining.bitset import unpack_rows  # repro.mining imports this module
+
+        return unpack_rows(self._packed_mask, self._num_rows)
 
     def describe(self) -> str:
         return (
@@ -385,8 +390,8 @@ def compute_candidates(
         responsibility falls outside (0, max_responsibility] do not veto
         their children (see the module docstring).
     batch_size:
-        Maximum candidates per batched influence call; bounds the (m, n)
-        mask matrix handed to the estimator.
+        Maximum candidates per batched influence call; bounds each call's
+        Δθ matrix.
     alphabet:
         A pre-built level-1 :class:`repro.mining.alphabet.PredicateAlphabet`
         for *this* table and *these* generation parameters, letting many
@@ -407,6 +412,7 @@ def compute_candidates(
             f"table rows ({num_rows}) must match estimator training rows "
             f"({estimator.num_train}); patterns quantify over the training data"
         )
+    estimator.nonzero_baseline()  # an unbiased model has nothing to explain
 
     levels: list[LatticeLevelStats] = []
     all_stats: list[PatternStats] = []
@@ -539,26 +545,17 @@ def _evaluate_all(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities and bias changes for a level's packed candidate masks.
 
-    The masks are unpacked into (m, n) matrices of at most ``batch_size``
-    rows, one ``bias_change_batch`` per chunk; the arrays returned are
-    aligned with ``packed``.
+    The packed rows go to the estimator as they are, one ``score_batch``
+    per ``batch_size`` rows; the arrays returned are aligned with ``packed``.
     """
     if not len(packed):
         empty = np.zeros(0)
         return empty, empty
-    chunks = [
-        estimator.bias_change_batch(
-            np.unpackbits(packed[start : start + batch_size], axis=1, count=num_rows).view(bool)
-        )
+    scores = [
+        estimator.score_batch(packed[start : start + batch_size], num_rows=num_rows)
         for start in range(0, len(packed), batch_size)
     ]
-    bias_changes = np.concatenate(chunks)
-    baseline = estimator.baseline
-    if baseline != 0.0:
-        responsibilities = -bias_changes / baseline
-    else:
-        responsibilities = np.zeros_like(bias_changes)
-    return responsibilities, bias_changes
+    return np.concatenate([r for r, _ in scores]), np.concatenate([b for _, b in scores])
 
 
 def _stats(pattern: Pattern, level: LevelState, j: int, num_rows: int) -> PatternStats:

@@ -130,18 +130,29 @@ def _rank_deficient_problem(damping: float = 0.0, relabelled_copy: bool = False)
 
 
 def test_rank_deficient_subset_escalates():
-    """The kernel's ``dposv`` must reject the singular reduced matrix (|S| =
-    3 < p), and the escalated solve must still match the dense oracle (whose
-    ``HessianSolver`` escalates damping the same way), not return a
-    silently garbage one."""
-    est = _rank_deficient_problem()
-    subsets = [np.arange(3), np.arange(3, 10)]
+    """On the relabelled copy n·H is well conditioned, and only the removal
+    of all six distinct rows leaves the rank-one complement.  The kernel's
+    ``dposv`` must reject exactly that reduced matrix, and the escalated
+    solve must match the dense oracle (whose ``HessianSolver`` escalates
+    damping the same way), not return a silently garbage one; the regular
+    subset beside it gets the solve of its own reduced matrix."""
+    est = _rank_deficient_problem(relabelled_copy=True)
+    subsets = [np.arange(6), np.arange(6, 13)]
+    masks = np.zeros((2, est.num_train), dtype=bool)
+    for row, subset in zip(masks, subsets, strict=True):
+        row[subset] = True
     with trace.tracing(Tracer()) as tracer:
-        batch = est.param_change_batch(subsets)
+        batch = est.param_change_batch(masks)
     (span,) = _kernel_spans(tracer)
-    assert span.attrs["escalated"] >= 1
-    expected = ExactLoopEstimator(est).param_change_batch(subsets)
-    np.testing.assert_allclose(batch, expected, atol=ATOL, rtol=0.0)
+    assert span.attrs["escalated"] == 1
+    artifacts, regular = est.artifacts, subsets[1]
+    phi, weights, ridge = artifacts.hessian_factors()
+    V = phi[regular] * np.sqrt(weights[regular])[:, None]
+    A = est.num_train * artifacts.hessian - regular.size * ridge * np.eye(est.model.num_params)
+    own = np.linalg.solve(A - V.T @ V, artifacts.per_sample_grads[regular].sum(axis=0))
+    np.testing.assert_allclose(batch[1], own, rtol=1e-10, atol=0.0)
+    expected = ExactLoopEstimator(est).param_change_batch(subsets[:1])[0]
+    np.testing.assert_allclose(batch[0], expected, atol=ATOL, rtol=0.0)
     assert np.isfinite(batch).all()
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.influence import make_estimator
 from repro.influence.artifacts import ModelArtifacts
+from repro.mining.bitset import pack_rows, unpack_rows
 
 SPEC = ("gradient_sums",)
 
@@ -22,7 +23,8 @@ def artifacts(lr_model, X_train, german_train):
 
 
 def _masks(num_rows: int, count: int, seed: int = 0) -> np.ndarray:
-    return np.random.default_rng(seed).random((count, num_rows)) < 0.1
+    """Packed rows of ``count`` random extents: the form the cache keys."""
+    return pack_rows(np.random.default_rng(seed).random((count, num_rows)) < 0.1)
 
 
 def _counts(artifacts) -> tuple[int, int]:
@@ -81,12 +83,13 @@ def test_exact_and_series_never_share_rows(
     masks = _masks(artifacts.num_train, 5)
     args = (artifacts, lr_model, X_train, german_train, sp_metric, test_ctx)
     exact, series = (_estimator(name, *args) for name in ("exact", "series"))
-    exact_rows = exact.param_change_batch(masks)
-    series_rows = series.param_change_batch(masks)
+    n = artifacts.num_train
+    exact_rows = exact.param_change_batch(masks, num_rows=n)
+    series_rows = series.param_change_batch(masks, num_rows=n)
     assert _counts(artifacts) == (0, 10)
     assert not np.allclose(exact_rows, series_rows)
-    np.testing.assert_array_equal(series.param_change_batch(masks), series_rows)
-    np.testing.assert_array_equal(exact.param_change_batch(masks), exact_rows)
+    np.testing.assert_array_equal(series.param_change_batch(masks, num_rows=n), series_rows)
+    np.testing.assert_array_equal(exact.param_change_batch(masks, num_rows=n), exact_rows)
     assert _counts(artifacts) == (10, 10)
 
 
@@ -118,14 +121,16 @@ def test_masks_and_packed_rows_count_alike(lr_model, X_train, german_train, sp_m
         )
         for half in (masks[:5], masks[3:]):
             if form == "masks":
-                rows[form] = estimator.param_change_batch(half)
+                rows[form] = estimator.param_change_batch(unpack_rows(half, n))
             else:
-                rows[form] = estimator.param_change_batch(np.packbits(half, axis=1), num_rows=n)
+                rows[form] = estimator.param_change_batch(half, num_rows=n)
         counts[form] = _counts(artifacts)
     assert counts["masks"] == counts["packed"] == (4, 6)
     np.testing.assert_array_equal(rows["masks"], rows["packed"])
     # On one bundle, a mask batch hits the rows packed batches stored.
-    np.testing.assert_array_equal(estimator.param_change_batch(masks)[3:], rows["packed"])
+    np.testing.assert_array_equal(
+        estimator.param_change_batch(unpack_rows(masks, n))[3:], rows["packed"]
+    )
     assert _counts(estimator.artifacts) == (12, 6)
 
 

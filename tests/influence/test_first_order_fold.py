@@ -1,11 +1,11 @@
 """The first-order linear column fold behind both mask entry points.
 
-Boolean and packed batches are scored by one fold over L2-sized column
-blocks of training rows, cast into one reused float64 buffer.  The suite
-pins its transient memory (no whole-batch float cast), that the two mask
-paths run the same GEMV calls and so agree bit for bit across block
-boundaries, that both stay within 1e-12 of the scalar loop, and the empty
-batch.
+A boolean batch is packed at the door, so boolean and packed batches are
+scored by one fold over L2-sized column blocks of training rows, cast
+into one reused float64 buffer.  The suite pins its transient memory (no
+whole-batch float cast), that the two entry points agree bit for bit
+across block boundaries, that both stay within 1e-12 of the scalar loop,
+and the empty batch.
 """
 
 import tracemalloc
@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import repro.influence.first_order as first_order_mod
+import repro.mining.bitset as bitset_mod
 from repro.fairness import FairnessContext, get_metric
 from repro.influence import make_estimator
 from repro.mining.bitset import pack_rows
@@ -83,7 +83,7 @@ class TestBlockedFold:
     def test_boolean_and_packed_bit_identical(self, odd_estimator, monkeypatch, m):
         """With a small buffer a batch spans several column blocks, the
         last one partial; both paths still run the same GEMV calls."""
-        monkeypatch.setattr(first_order_mod, "_FOLD_BUFFER_BYTES", 4096)
+        monkeypatch.setattr(bitset_mod, "_FOLD_BUFFER_BYTES", 4096)
         n = odd_estimator.num_train
         masks = random_masks(n, m, seed=m, density=0.3)
         boolean = odd_estimator.bias_change_batch(masks)

@@ -12,7 +12,7 @@ errors that keep malformed batches from silently scoring wrong subsets.
 import numpy as np
 import pytest
 
-import repro.influence.first_order as first_order_mod
+import repro.mining.bitset as bitset_mod
 from repro.influence import make_estimator
 from repro.mining.bitset import pack_rows
 from repro.utils.rng import ensure_rng
@@ -96,7 +96,7 @@ class TestBlockedPackedGemm:
         # The boolean masks take the fold at its full buffer for the reference…
         expected = fo_estimator.bias_change_batch(masks)
         # …and the packed masks a tiny buffer, split into many column blocks.
-        monkeypatch.setattr(first_order_mod, "_FOLD_BUFFER_BYTES", 512)
+        monkeypatch.setattr(bitset_mod, "_FOLD_BUFFER_BYTES", 512)
         blocked = fo_estimator.bias_change_batch(
             pack_rows(masks), num_rows=fo_estimator.num_train
         )

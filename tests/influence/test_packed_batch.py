@@ -1,16 +1,21 @@
-"""Packed-mask fast path of the batched influence API.
+"""Packed rows, the one batch form inside the influence estimators.
 
-A packed batch — (m, ceil(n/8)) uint8 rows plus ``num_rows`` — must give
-bit-identical answers to the boolean mask matrix it encodes, for every
-estimator and batch entry point, including batches larger than the
-internal unpack chunk (so the streaming path is actually exercised).
+A boolean mask matrix handed to a public batch method is packed at the
+door, so it and the packed rows it encodes take one path and must give
+bit-identical answers, for every estimator and batch entry point,
+including batches wider than any internal block.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core import AuditSession
+from repro.datasets import DataEdit
+from repro.fairness import FairnessContext, get_metric
 from repro.influence import make_estimator
-from repro.influence.estimators import _PACKED_CHUNK
+from repro.influence.estimators import InfluenceEstimator
 from repro.mining.bitset import pack_rows
 from repro.models import LogisticRegression
 from repro.utils.rng import ensure_rng
@@ -22,6 +27,7 @@ ESTIMATOR_SETUPS = [
     ("second_order", {"variant": "exact", "evaluation": "smooth"}),
     ("one_step_gd", {"evaluation": "hard"}),
 ]
+ENTRY_POINTS = ["param_change_batch", "bias_change_batch", "responsibility_batch"]
 
 
 def random_mask_matrix(num_train, count, seed=0):
@@ -42,55 +48,14 @@ def estimator(request, lr_model, X_train, german_train, sp_metric, test_ctx):
 
 
 class TestPackedEqualsBoolean:
-    def test_bias_change_batch(self, estimator):
-        masks = random_mask_matrix(estimator.num_train, 40, seed=1)
-        expected = estimator.bias_change_batch(masks)
-        packed = estimator.bias_change_batch(pack_rows(masks), num_rows=estimator.num_train)
-        np.testing.assert_allclose(packed, expected, atol=1e-12, rtol=0)
-
-    def test_param_change_batch(self, estimator):
-        masks = random_mask_matrix(estimator.num_train, 17, seed=2)
-        expected = estimator.param_change_batch(masks)
-        packed = estimator.param_change_batch(pack_rows(masks), num_rows=estimator.num_train)
-        np.testing.assert_allclose(packed, expected, atol=1e-12, rtol=0)
-
-    def test_responsibility_batch(self, estimator):
-        masks = random_mask_matrix(estimator.num_train, 23, seed=3)
-        expected = estimator.responsibility_batch(masks)
-        packed = estimator.responsibility_batch(
-            pack_rows(masks), num_rows=estimator.num_train
-        )
-        np.testing.assert_allclose(packed, expected, atol=1e-12, rtol=0)
-
-
-class TestStreamingChunks:
-    # First-order linear scores ΔF by folding byte columns; every other
-    # packed path unpacks _PACKED_CHUNK subsets at a time and crosses a chunk.
-    @pytest.mark.parametrize(
-        "setup", [ESTIMATOR_SETUPS[0], ESTIMATOR_SETUPS[2], ESTIMATOR_SETUPS[3]],
-        ids=["first_order-linear", "series-smooth", "exact-smooth"],
-    )
-    def test_batch_larger_than_unpack_chunk(
-        self, setup, lr_model, X_train, german_train, sp_metric, test_ctx
-    ):
-        name, kwargs = setup
-        estimator = make_estimator(
-            name, lr_model, X_train, german_train.labels, sp_metric, test_ctx, **kwargs
-        )
-        count = _PACKED_CHUNK + 37  # force at least two unpack chunks
-        masks = random_mask_matrix(estimator.num_train, count, seed=4)
-        packed = pack_rows(masks)
-        n = estimator.num_train
-        bias = estimator.bias_change_batch(packed, num_rows=n)
-        assert bias.shape == (count,)
-        np.testing.assert_allclose(
-            bias, estimator.bias_change_batch(masks), atol=1e-12, rtol=0
-        )
-        np.testing.assert_allclose(
-            estimator.param_change_batch(packed, num_rows=n),
-            estimator.param_change_batch(masks),
-            atol=1e-12,
-            rtol=0,
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_boolean_and_packed_batches_agree_bit_for_bit(self, estimator, entry):
+        masks = random_mask_matrix(estimator.num_train, 293, seed=4)
+        query = getattr(estimator, entry)
+        expected = query(masks)
+        assert len(expected) == len(masks)
+        np.testing.assert_array_equal(
+            query(pack_rows(masks), num_rows=estimator.num_train), expected
         )
 
     def test_empty_packed_batch(self, fo_estimator):
@@ -159,3 +124,123 @@ class TestPaddingBits:
             padded[row, -1] |= 0b11
             with pytest.raises(ValueError, match="num_rows=150"):
                 estimator.bias_change_batch(padded, num_rows=n)
+
+
+def batch_form(subsets, num_rows) -> str:
+    """``"packed"`` for uint8 rows with num_rows, ``"indices"`` for a list of
+    integer arrays with num_rows, else what the estimator would pack."""
+    if num_rows is None:
+        return "no num_rows"
+    if isinstance(subsets, np.ndarray):
+        return "packed" if subsets.ndim == 2 and subsets.dtype == np.uint8 else "other"
+    integer = all(np.asarray(s).ndim == 1 and np.asarray(s).dtype.kind in "iu" for s in subsets)
+    return "indices" if isinstance(subsets, list) and integer else "other"
+
+
+class TestOneForm:
+    """Packed rows with ``num_rows``, or index lists, are the only batches
+    the searches hand the estimators, and no mask product holds an (m, n)
+    matrix."""
+
+    def test_searches_and_the_delta_replay_hand_packed_rows(
+        self, monkeypatch, german_train, german_test
+    ):
+        forms: dict[str, list[str]] = {}
+        phase = ["fit"]
+        original = InfluenceEstimator.bias_change_batch
+
+        def spy(self, subsets, num_rows=None):
+            forms.setdefault(phase[0], []).append(batch_form(subsets, num_rows))
+            return original(self, subsets, num_rows=num_rows)
+
+        monkeypatch.setattr(InfluenceEstimator, "bias_change_batch", spy)
+        sessions = {}
+        for engine in ("lattice", "mining"):
+            phase[0] = engine
+            sessions[engine] = AuditSession(
+                LogisticRegression(l2_reg=1e-3),
+                engine=engine,
+                estimator="series",
+                estimator_kwargs={"evaluation": "smooth"},
+                max_predicates=2,
+                support_threshold=0.05,
+            ).fit(german_train, german_test)
+            sessions[engine].audit(metrics=["statistical_parity"], k=3)
+        phase[0] = "delta_audit"
+        delta = sessions["lattice"].delta_audit(
+            DataEdit.remove([0, 1, 2, 3]), metrics=["statistical_parity"], k=3
+        )
+        assert not delta.queries[0].recheck_ran  # the replay scored, not a fresh search
+        assert set(forms) == {"lattice", "mining", "delta_audit"}
+        for phase_name, seen in forms.items():
+            assert set(seen) <= {"packed", "indices"}, (phase_name, seen)
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("first_order", {"evaluation": "smooth"}),
+            ("series", {"evaluation": "smooth"}),
+            ("one_step_gd", {"evaluation": "hard"}),
+        ],
+        ids=["first_order-smooth", "series-smooth", "one_step_gd-hard"],
+    )
+    def test_packed_batch_peaks_below_one_boolean_matrix(self, name, kwargs):
+        rng = np.random.default_rng(0)
+        n, m = 40_000, 512
+        X = rng.normal(size=(n, 4))
+        privileged = rng.random(n) < 0.6
+        y = (X[:, 0] + 0.8 * privileged + rng.normal(size=n) > 0).astype(np.int64)
+        model = LogisticRegression(l2_reg=1e-3).fit(X, y)
+        ctx = FairnessContext(X=X[:400], y=y[:400], privileged=privileged[:400], favorable_label=1)
+        estimator = make_estimator(
+            name, model, X, y, get_metric("statistical_parity"), ctx, **kwargs
+        ).warm()
+        estimator.artifacts.hessian_factors()
+        packed = pack_rows(rng.random((m, n)) < 0.05)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            estimator.bias_change_batch(packed, num_rows=n)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n, f"{name} peaked at {peak / 1e6:.1f} MB"
+
+
+class TestEvaluationBlocks:
+    """The smooth and hard evaluations score a batch in blocks of subsets
+    whose (n_test, block) float64 matrix fits ``_EVALUATION_BYTES``, so a
+    wide batch over a large test split never builds (n_test, m) matrices."""
+
+    @pytest.fixture(scope="class")
+    def wide_test_split(self):
+        rng = np.random.default_rng(1)
+        n, n_test, m = 2_000, 4_000, 256
+        X = rng.normal(size=(n + n_test, 4))
+        privileged = rng.random(n + n_test) < 0.6
+        y = (X[:, 0] + 0.8 * privileged + rng.normal(size=n + n_test) > 0).astype(np.int64)
+        model = LogisticRegression(l2_reg=1e-3).fit(X[:n], y[:n])
+        ctx = FairnessContext(
+            X=X[n:], y=y[n:], privileged=privileged[n:], favorable_label=1
+        )
+        estimator = make_estimator(
+            "series", model, X[:n], y[:n], get_metric("statistical_parity"), ctx,
+            evaluation="smooth",
+        ).warm()
+        estimator.artifacts.hessian_factors()
+        return estimator, pack_rows(rng.random((m, n)) < 0.05), n_test
+
+    def test_blocks_bound_the_peak_and_keep_the_scores(self, wide_test_split, monkeypatch):
+        estimator, packed, n_test = wide_test_split
+        n, m = estimator.num_train, len(packed)
+        whole = estimator.bias_change_batch(packed, num_rows=n)  # one block at 16 MiB
+        monkeypatch.setattr("repro.influence.estimators._EVALUATION_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            blocked = estimator.bias_change_batch(packed, num_rows=n)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(blocked, whole, atol=1e-12, rtol=0.0)
+        assert peak < 8 * n_test * m, f"evaluation peaked at {peak / 1e6:.1f} MB"

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core import AuditSession, GopherExplainer
-from repro.datasets import DataEdit, Dataset, ProtectedGroup, load_german, train_test_split
-from repro.fairness import FairnessContext, get_metric
+from repro.datasets import (
+    DataEdit,
+    Dataset,
+    ProtectedGroup,
+    load_german,
+    random_edit,
+    train_test_split,
+)
+from repro.fairness import FairnessContext, get_metric, list_metrics
 from repro.influence import FirstOrderInfluence
 from repro.models import LinearSVM, LogisticRegression, NeuralNetwork
 from repro.tabular import NumericColumn, Table
@@ -29,6 +36,101 @@ class TestZeroBias:
                 estimator.responsibility(np.arange(5))
         else:  # sampling made it slightly nonzero: responsibility is finite
             assert np.isfinite(estimator.responsibility(np.arange(5)))
+
+
+def twin_table(n: int, seed: int) -> Dataset:
+    """Every row once per protected group, with one label: the fit is
+    symmetric in the two groups, so the bias is exactly zero."""
+    rng = np.random.default_rng(seed)
+    signal = np.round(rng.normal(size=n), 2)
+    color = rng.choice(["red", "green", "blue"], size=n)
+    y = (signal + 0.5 * (color == "red") + rng.normal(scale=0.5, size=n) > 0).astype(np.int64)
+    table = Table.from_dict(
+        {
+            "group": np.repeat(["a", "b"], n),
+            "signal": np.tile(signal, 2),
+            "color": np.tile(color, 2),
+        }
+    )
+    return Dataset("twins", table, np.tile(y, 2), ProtectedGroup("group", privileged_category="a"))
+
+
+class TestZeroBiasSearch:
+    """A search over an unbiased model raises the estimator's named error
+    instead of scoring every candidate R = 0 into an empty top-k, also when
+    τ leaves no candidate to score."""
+
+    @pytest.mark.parametrize("support", [0.05, 0.99])
+    @pytest.mark.parametrize("engine", ["lattice", "mining"])
+    @pytest.mark.parametrize("estimator", ["first_order", "second_order"])
+    def test_explain_raises_naming_the_metric(self, estimator, engine, support):
+        gopher = GopherExplainer(
+            LogisticRegression(l2_reg=1e-3),
+            estimator=estimator,
+            engine=engine,
+            max_predicates=2,
+            support_threshold=support,
+        )
+        gopher.fit(twin_table(120, 0), twin_table(40, 1))
+        assert gopher.estimator.original_bias == 0.0
+        with pytest.raises(ZeroDivisionError, match="original statistical_parity bias is zero"):
+            gopher.explain(k=3, verify=False)
+
+
+class TestZeroBiasAudit:
+    """An audit grid refuses its zero-bias queries by name, one cell at a
+    time, and answers the rest: the twin table is unbiased between its two
+    ``group`` values under every metric, and biased between colors."""
+
+    GROUPS = [
+        ProtectedGroup("group", privileged_category="a"),
+        ProtectedGroup("color", privileged_category="red"),
+    ]
+
+    @staticmethod
+    def _check(queries):
+        assert len(queries) == 2 * len(list_metrics())
+        for query in queries:
+            if query.group.attribute == "group":
+                assert len(query.explanations) == 0
+                assert query.explanations.refusal == (
+                    f"original {query.metric} bias is zero under smooth evaluation; "
+                    "responsibility is undefined"
+                )
+                assert "refused: original" in query.describe()
+            else:
+                assert query.explanations.refusal == ""
+                assert len(query.explanations) > 0
+
+    @pytest.fixture(params=["lattice", "mining"])
+    def session(self, request):
+        session = AuditSession(
+            LogisticRegression(l2_reg=1e-3), engine=request.param, max_predicates=2
+        )
+        return session.fit(twin_table(120, 0), twin_table(40, 1))
+
+    def test_audit_records_each_refusal_and_answers_the_rest(self, session):
+        result = session.audit(groups=self.GROUPS, k=3, verify=False)
+        self._check(result.queries)
+        assert result.render().count("refused: original") == len(list_metrics())
+        # An answered cell is what its own explainer view returns.
+        answered = result.get("statistical_parity", attribute="color")
+        alone = session.explainer(group=self.GROUPS[1]).explain(k=3, verify=False)
+        assert answered.explanations.patterns() == alone.patterns()
+
+    def test_delta_audit_keeps_the_refusals(self, session):
+        session.audit(groups=self.GROUPS, k=3, verify=False)
+        delta = session.delta_audit(
+            random_edit(session.train_data, "remove", 4, seed=0),
+            groups=self.GROUPS,
+            k=3,
+            verify=False,
+        )
+        self._check(delta.after.queries)
+        refused = [q for q in delta.queries if q.after.refusal]
+        assert len(refused) == len(list_metrics())
+        assert all(not q.certified and not q.recheck_ran for q in refused)
+        assert "refused: original" in delta.render()
 
 
 class TestSingularHessian:

@@ -50,6 +50,19 @@ def traced_mining_audit(lr_model, german_train, german_test):
     return session, tracer, result
 
 
+@pytest.fixture(scope="module")
+def traced_exact_mining_audit(lr_model, german_train, german_test):
+    """An exact miner audit at depth 3: packed flush groups through the
+    exact kernel, traced."""
+    session = AuditSession(
+        lr_model, engine="mining", max_predicates=3, support_threshold=0.05
+    ).fit(german_train, german_test)
+    tracer = Tracer()
+    with trace.tracing(tracer):
+        result = session.audit(k=2, verify=False)
+    return session, tracer, result
+
+
 def run_lifecycle(lr_model, train, test):
     """A session's fit, an audit, a verified update search and a delta audit."""
     session = AuditSession(lr_model, retrain_jobs=1, **SEARCH).fit(train, test)
@@ -156,8 +169,8 @@ class TestTraceShape:
         names = {span.name for span in tracer.walk()}
         assert {"audit.grid", "audit.query", "explain.search",
                 "explain.filter"} <= names
-        # The estimator's batch entry point ran in one of its two forms.
-        assert names & {"influence.batch", "influence.batch_packed"}
+        # The estimator's batch entry point ran on the lattice's packed rows.
+        assert "influence.batch" in names
 
     def test_export_passes_the_ci_validator(self, traced_audit):
         validate_trace = pytest.importorskip("tools.validate_trace")
@@ -290,7 +303,9 @@ class TestEditedGradientNorm:
 
 
 class TestDisabledOverhead:
-    @pytest.mark.parametrize("audit", ["traced_audit", "traced_mining_audit"])
+    @pytest.mark.parametrize(
+        "audit", ["traced_audit", "traced_mining_audit", "traced_exact_mining_audit"]
+    )
     def test_span_count_is_under_1pct_of_subsets_scored(self, request, audit):
         """Spans are opened per batch and per stage, never per subset.
 
@@ -298,7 +313,8 @@ class TestDisabledOverhead:
         thousands of candidate subsets, and the trace must stay two orders
         of magnitude smaller — a span per scored subset (say, one per
         kernel solve, or one per conditional database the miner builds)
-        would break the bound at once, on any machine.  Both engines.
+        would break the bound at once, on any machine.  Both engines, and
+        the miner with both a gather-sum and a kernel estimator.
         """
         _, tracer, result = request.getfixturevalue(audit)
         scored = sum(query.cost.influence_evaluations for query in result.queries)

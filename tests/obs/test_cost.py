@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.mining.bitset import pack_rows
 from repro.obs import CostReport, Tracer, gemm_flops, solve_flops, trace
 
 
@@ -109,7 +110,7 @@ class TestCacheHitFlopHonesty:
     def test_cache_hit_does_not_re_record_gemm_flops(self, artifacts, X_train):
         rng = np.random.default_rng(5)
         n = X_train.shape[0]
-        masks = rng.random((6, n)) < 0.1
+        masks = pack_rows(rng.random((6, n)) < 0.1)
         p = artifacts.per_sample_grads.shape[1]
         tracer = Tracer()
         with trace.tracing(tracer):
@@ -128,10 +129,10 @@ class TestCacheHitFlopHonesty:
     def test_partial_hit_attributes_only_computed_rows(self, artifacts, X_train):
         rng = np.random.default_rng(6)
         n = X_train.shape[0]
-        seen = rng.random((4, n)) < 0.1
+        seen = pack_rows(rng.random((4, n)) < 0.1)
         self.param_changes(artifacts, seen)
         p = artifacts.per_sample_grads.shape[1]
-        mixed = np.vstack([seen[:2], rng.random((3, n)) < 0.1])
+        mixed = np.vstack([seen[:2], pack_rows(rng.random((3, n)) < 0.1)])
         tracer = Tracer()
         with trace.tracing(tracer):
             with trace.span("audit.query") as q:

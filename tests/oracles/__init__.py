@@ -3,3 +3,20 @@
 Each module keeps a slow, obviously-correct form of a job that ``src`` now
 does one faster way; ``src`` never imports them.
 """
+
+import numpy as np
+
+
+def row_subsets(subsets, num_rows: int | None = None) -> list[np.ndarray]:
+    """Row index arrays of a batch in any form the estimators take.
+
+    Packed uint8 rows (with ``num_rows``) are unpacked with
+    :func:`repro.mining.bitset.unpack_rows`; boolean masks become their
+    row indices; index arrays pass through.
+    """
+    from repro.mining.bitset import unpack_rows
+
+    if num_rows is not None and isinstance(subsets, np.ndarray) and subsets.dtype == np.uint8:
+        subsets = unpack_rows(subsets, num_rows)
+    rows = [np.asarray(subset) for subset in subsets]
+    return [np.flatnonzero(r) if r.dtype == bool else r.astype(np.int64) for r in rows]

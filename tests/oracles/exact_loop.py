@@ -8,12 +8,14 @@ step that kernel replaced: build the subset Hessian with
 fresh :class:`repro.influence.HessianSolver`, whose ×10 damping escalation
 the kernel must reproduce.  :class:`ExactLoopEstimator` wraps an exact
 estimator so that every query, batched ones included, runs this step one
-subset at a time.
+subset at a time; ``scalar_calls`` counts the dense steps, so a test can
+check the loop really ran.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from oracles import row_subsets
 
 from repro.influence import HessianSolver, InfluenceEstimator
 
@@ -23,6 +25,7 @@ class ExactLoopEstimator:
 
     def __init__(self, estimator) -> None:
         self._estimator = estimator
+        self.scalar_calls = 0
 
     def __getattr__(self, name: str):
         return getattr(self._estimator, name)
@@ -30,8 +33,8 @@ class ExactLoopEstimator:
     def param_change(self, indices) -> np.ndarray:
         """Δθ = (n·H − m·H_S)⁻¹ g_S with H_S from ``model.hessian(X_S)``."""
         est = self._estimator
-        indices = np.asarray(indices)
-        indices = np.flatnonzero(indices) if indices.dtype == bool else indices.astype(np.int64)
+        (indices,) = row_subsets([indices])
+        self.scalar_calls += 1
         if indices.size == 0:
             return np.zeros(est.model.num_params)
         g_s = est.per_sample_grads[indices].sum(axis=0)
@@ -42,9 +45,19 @@ class ExactLoopEstimator:
     # The base class's scalar evaluation, run on this class's Δθ.
     bias_change = InfluenceEstimator.bias_change
 
-    def param_change_batch(self, subsets) -> np.ndarray:
-        return np.stack([self.param_change(subset) for subset in subsets])
+    def param_change_batch(self, subsets, num_rows: int | None = None) -> np.ndarray:
+        return np.stack([self.param_change(rows) for rows in row_subsets(subsets, num_rows)])
 
-    def bias_change_batch(self, subsets) -> np.ndarray:
-        """ΔF of each subset (index array or boolean row mask), one at a time."""
-        return np.array([self.bias_change(subset) for subset in subsets])
+    def bias_change_batch(self, subsets, num_rows: int | None = None) -> np.ndarray:
+        """ΔF of each subset (packed rows, boolean mask or index array), one
+        at a time."""
+        return np.array(
+            [self.bias_change(rows) for rows in row_subsets(subsets, num_rows)],
+            dtype=np.float64,
+        )
+
+    def score_batch(self, subsets, num_rows: int | None = None):
+        """``(responsibilities, bias changes)`` from the per-subset step."""
+        baseline = self._estimator.nonzero_baseline()
+        bias_changes = self.bias_change_batch(subsets, num_rows=num_rows)
+        return -bias_changes / baseline, bias_changes

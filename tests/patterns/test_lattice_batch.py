@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.exact_loop import ExactLoopEstimator
 from oracles.lattice_loop import LoopEstimator
 
 from repro.fairness import FairnessContext, get_metric
@@ -27,7 +28,10 @@ from repro.tabular import Table
 def lattice_pair(request, german_train, fo_estimator, so_estimator):
     estimator = {"first_order": fo_estimator, "second_order": so_estimator}[request.param]
     kwargs = dict(support_threshold=0.05, max_predicates=3)
-    loop = compute_candidates(german_train.table, LoopEstimator(estimator), **kwargs)
+    oracle = LoopEstimator(estimator)
+    loop = compute_candidates(german_train.table, oracle, **kwargs)
+    # Every evaluation went through the oracle's scalar loop.
+    assert oracle.scalar_calls == loop.num_evaluated > 0
     batched = compute_candidates(german_train.table, estimator, **kwargs)
     return loop, batched
 
@@ -62,6 +66,26 @@ class TestGoldenEquivalence:
         assert [
             (lv.level, lv.num_candidates, lv.num_merges_tried) for lv in loop.levels
         ] == [(lv.level, lv.num_candidates, lv.num_merges_tried) for lv in batched.levels]
+
+    def test_exact_kernel_search_matches_the_dense_step_loop(
+        self, german_train, lr_model, X_train, sp_metric, test_ctx
+    ):
+        """The exact kernel's search against the dense per-subset step, one
+        scalar query per evaluation."""
+        estimator = make_estimator(
+            "exact", lr_model, X_train, german_train.labels, sp_metric, test_ctx
+        )
+        oracle = ExactLoopEstimator(estimator)
+        loop = compute_candidates(german_train.table, oracle, 0.05, max_predicates=2)
+        assert oracle.scalar_calls == loop.num_evaluated > 0
+        batched = compute_candidates(german_train.table, estimator, 0.05, max_predicates=2)
+        assert [s.pattern for s in loop.candidates] == [s.pattern for s in batched.candidates]
+        np.testing.assert_allclose(
+            [s.responsibility for s in batched.candidates],
+            [s.responsibility for s in loop.candidates],
+            atol=1e-10,
+            rtol=0.0,
+        )
 
     def test_batched_search_is_deterministic(self, german_train, fo_estimator):
         runs = [
@@ -100,7 +124,9 @@ def boundary_setup():
 
     Level 1: ``b = w`` covers exactly 4/20 rows.  Level 2: ``a = x ∧ b = u``
     covers exactly 4/20, while ``a = x ∧ b = v`` (6/20) and ``a = y ∧ b = u``
-    (6/20) clear the bar.
+    (6/20) clear the bar.  The thresholded bias of this model is exactly
+    zero, which no search may score, so the estimator measures the smooth
+    surrogate.
     """
     a = ["x"] * 10 + ["y"] * 10
     b = ["u"] * 4 + ["v"] * 6 + ["u"] * 6 + ["w"] * 4
@@ -113,7 +139,7 @@ def boundary_setup():
         X=X, y=y, privileged=np.array([True] * 10 + [False] * 10), favorable_label=1
     )
     estimator = make_estimator(
-        "first_order", model, X, y, get_metric("statistical_parity"), ctx
+        "first_order", model, X, y, get_metric("statistical_parity"), ctx, evaluation="smooth"
     )
     return table, estimator
 
@@ -124,14 +150,17 @@ class TestSupportBoundary:
 
     def _candidates(self, boundary_setup, batch):
         table, estimator = boundary_setup
+        searched = estimator if batch else LoopEstimator(estimator)
         result = compute_candidates(
             table,
-            estimator if batch else LoopEstimator(estimator),
+            searched,
             support_threshold=self.TAU,
             max_predicates=2,
             prune_by_responsibility=False,
             min_responsibility=-np.inf,
         )
+        if not batch:
+            assert searched.scalar_calls == result.num_evaluated > 0
         return result.candidates
 
     def test_no_candidate_at_exactly_tau(self, boundary_setup, batch):

@@ -65,7 +65,7 @@ class ContractSet:
     eps_pattern: str = r"(?i)(^|[^a-z])(_?eps(ilon)?)([^a-z]|$)"
     #: Batch query methods whose packed form must thread num_rows (RL003).
     packed_batch_methods: frozenset[str] = frozenset(
-        {"param_change_batch", "bias_change_batch", "responsibility_batch"}
+        {"param_change_batch", "bias_change_batch", "responsibility_batch", "score_batch"}
     )
 
 
@@ -94,6 +94,7 @@ REPRO_CONTRACTS = ContractSet(
         ("InfluenceEstimator", "bias_change_batch"),
         ("InfluenceEstimator", "responsibility"),
         ("InfluenceEstimator", "responsibility_batch"),
+        ("InfluenceEstimator", "score_batch"),
         ("InfluenceEstimator", "subset_grad_sum"),
         ("FirstOrderInfluence", "point_influences"),
         # The session query surface.
