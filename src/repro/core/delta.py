@@ -21,7 +21,12 @@ edit, the post-edit search output can therefore be *replayed*:
    result, and every pair without a usable pre-edit score (newly passing,
    or freshly un-collapsed from a parent) is re-scored exactly through
    one packed ``score_batch`` against the patched artifacts;
-3. **boundaries** — pairs that the pre-edit search evaluated but filtered
+3. **selection** — the exactly-scored level-1 entries and in-result pairs
+   go to Algorithm 2 as columns (:class:`~repro.patterns.lattice.
+   CandidateResult`: id rows, packed masks and scores, sliced from the
+   shared :class:`ReplayGeometry`), which builds objects only for the k
+   rows it selects;
+4. **boundaries** — pairs that the pre-edit search evaluated but filtered
    out (responsibility below the parent bar, or negative) can only affect
    the *selected top-k* by crossing their filter boundary AND overtaking
    the k-th selected explanation's interestingness.  Each such pair gets a
@@ -29,12 +34,12 @@ edit, the post-edit search output can therefore be *replayed*:
    binned by support, because influence-score drift grows with the
    fraction of data a pattern removes — and is re-scored exactly when
    ``score + margin`` clears both its filter boundary and the k-th
-   interestingness; any actual entrant triggers a re-selection.  Pairs
-   that cannot reach the top-k even with the margin are left with their
-   (slightly stale) recorded score, marked unscored in the refreshed
-   record so a chained replay scores them exactly.
+   interestingness; any actual entrant re-runs step 3 over the new
+   columns.  Pairs that cannot reach the top-k even with the margin are
+   left with their (slightly stale) recorded score, marked unscored in
+   the refreshed record so a chained replay scores them exactly.
 
-The margin in step 3 is the one empirical element: a filtered-out pair
+The margin in step 4 is the one empirical element: a filtered-out pair
 whose score moved past its boundary by more than twice the largest drift
 observed among its several hundred exactly-re-scored, same-support-band
 neighbours could in principle be missed.  Everything the *selection* can
@@ -52,8 +57,13 @@ import numpy as np
 from repro.mining.alphabet import PredicateAlphabet
 from repro.mining.bitset import popcount
 from repro.obs import trace
-from repro.patterns.lattice import LatticeRecord, PatternStats
-from repro.patterns.pattern import Pattern
+from repro.patterns.lattice import (
+    CandidateResult,
+    LatticeRecord,
+    LevelState,
+    PatternStats,
+    PredicateIndex,
+)
 from repro.patterns.topk import select_top_k
 
 # The lattice's result filter (engine default; not a config knob).
@@ -70,13 +80,15 @@ _SCREEN_SUPPORT_EDGES = np.array([0.1, 0.2, 0.4, 0.6, 0.8, 1.0])
 
 @dataclass
 class DeltaReplay:
-    """The replayed search output for one (metric, estimator) query."""
+    """The replayed search output for one (metric, estimator) query.
 
-    candidates: list[PatternStats]
+    ``result`` holds the replayed candidates as columns, the evaluations
+    issued and the refreshed record a chained replay starts from.
+    """
+
+    result: CandidateResult
     selected: list[PatternStats]
     filter_seconds: float
-    num_evaluated: int
-    record: LatticeRecord
 
 
 def _batch_scores(estimator, packed: np.ndarray, num_rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +106,9 @@ class ReplayGeometry:
 
     Everything here is a function of the patched alphabet and the search
     parameters (τ) alone — the level-1 entry matrix, the skeleton AND, the
-    post-edit support filter, and the parent-collapse flags.  One
+    post-edit support filter, the parent-collapse flags, and the candidate
+    id rows (``index`` numbers the entries; ``rows1`` and ``rows2`` are the
+    entries' and the passing pairs' ascending id rows).  One
     ``delta_audit`` builds it once and reuses it across every (metric,
     group, estimator) query of the grid; only the influence scores differ
     per query.
@@ -102,12 +116,14 @@ class ReplayGeometry:
 
     num_entries: int
     num_rows: int
-    entries: list
+    index: PredicateIndex
+    rows1: np.ndarray
     packed1: np.ndarray
     sizes1: np.ndarray
     skeleton_keys: np.ndarray
     num_skeleton: int
     pairs: np.ndarray
+    rows2: np.ndarray
     sizes2: np.ndarray
     packed2: np.ndarray
     pair_left: np.ndarray
@@ -123,6 +139,7 @@ def replay_geometry(alphabet: PredicateAlphabet, support_threshold: float) -> Re
     num_entries = len(entries)
     packed1 = alphabet.entry_matrix()
     sizes1 = popcount(packed1)
+    index, ids = PredicateIndex.of([predicate for predicate, _ in entries])
 
     # The full structural pair space, re-ANDed against the patched masks.
     left, right = alphabet.pair_skeleton()
@@ -145,12 +162,14 @@ def replay_geometry(alphabet: PredicateAlphabet, support_threshold: float) -> Re
     return ReplayGeometry(
         num_entries=num_entries,
         num_rows=n,
-        entries=entries,
+        index=index,
+        rows1=ids[:, None],
         packed1=packed1,
         sizes1=sizes1,
         skeleton_keys=left * num_entries + right if num_entries else left,
         num_skeleton=num_sk,
         pairs=pairs,
+        rows2=np.sort(np.column_stack([ids[pair_left], ids[pair_right]]), axis=1),
         sizes2=sizes2,
         packed2=packed2,
         pair_left=pair_left,
@@ -251,34 +270,35 @@ def replay_search(
     bars[valid_l] = resp_l[valid_l]
     bars[valid_r] = np.maximum(bars[valid_r], resp_r[valid_r])
 
-    def build_candidates() -> list[PatternStats]:
-        built: list[PatternStats] = []
-        for i, (predicate, _) in enumerate(entries):
-            if resp1[i] >= _MIN_RESPONSIBILITY:
-                built.append(
-                    PatternStats(
-                        pattern=Pattern([predicate]),
-                        support=float(sizes1[i] / n),
-                        size=int(sizes1[i]),
-                        responsibility=float(resp1[i]),
-                        bias_change=float(bias1[i]),
-                        _packed_mask=packed1[i],
-                        _num_rows=n,
-                    )
-                )
-        for e in np.flatnonzero(in_result):
-            built.append(
-                PatternStats(
-                    pattern=Pattern([entries[pair_left[e]][0], entries[pair_right[e]][0]]),
-                    support=float(sizes2[e] / n),
-                    size=int(sizes2[e]),
-                    responsibility=float(resp2[e]),
-                    bias_change=float(bias2[e]),
-                    _packed_mask=packed2[e],
-                    _num_rows=n,
-                )
+    # The candidates, as the fresh search orders them: level-1 entries,
+    # then the in-result pairs in skeleton order.
+    level1 = LevelState(geometry.rows1, packed1, sizes1, resp1, bias1).take(
+        resp1 >= _MIN_RESPONSIBILITY
+    )
+
+    def in_result_of(resp: np.ndarray) -> np.ndarray:
+        in_result = ~np.isnan(resp) & (resp >= _MIN_RESPONSIBILITY)
+        return in_result & (resp > bars) if prune else in_result
+
+    def select(in_result: np.ndarray) -> tuple[CandidateResult, list[PatternStats], float]:
+        result = CandidateResult.of_blocks(
+            geometry.index,
+            [
+                level1,
+                LevelState(geometry.rows2, packed2, sizes2, resp2, bias2).take(in_result),
+            ],
+            n,
+            levels=[],
+        )
+        with trace.span("delta.filter", k=k) as filter_span:
+            chosen = select_top_k(
+                result,
+                k,
+                config.containment_threshold,
+                exclude_features_only=protected_only,
+                max_responsibility=config.max_responsibility,
             )
-        return built
+        return result, chosen, filter_span.seconds
 
     protected_only = (
         {protected_attribute}
@@ -286,25 +306,9 @@ def replay_search(
         else None
     )
 
-    def select(pool: list[PatternStats]) -> tuple[list[PatternStats], float]:
-        with trace.span("delta.filter", k=k) as filter_span:
-            chosen = select_top_k(
-                pool,
-                k,
-                config.containment_threshold,
-                exclude_features_only=protected_only,
-                max_responsibility=config.max_responsibility,
-            )
-        return chosen, filter_span.seconds
-
     # Phase-1 selection over the exactly-scored pool.
-    supports2 = geometry.supports2
-    scored = ~np.isnan(resp2)
-    in_result = scored & (resp2 >= _MIN_RESPONSIBILITY)
-    if prune:
-        in_result &= resp2 > bars
-    candidates = build_candidates()
-    selected, filter_seconds = select(candidates)
+    in_result = in_result_of(resp2)
+    result, selected, filter_seconds = select(in_result)
 
     # Boundary screen for pairs the pre-edit search evaluated but filtered
     # out.  A support-banded drift envelope, calibrated from everything
@@ -313,6 +317,7 @@ def replay_search(
     # filter boundary AND could overtake the k-th selected interestingness
     # — otherwise it provably cannot change the selection and keeps its
     # recorded score.
+    supports2 = geometry.supports2
     cal_drift = np.abs(resp1 - record.level1_responsibilities)
     cal_support = sizes1 / n if n else sizes1.astype(np.float64)
     if np.any(exact_result):
@@ -343,21 +348,19 @@ def replay_search(
         resp_extra, bias_extra = _batch_scores(estimator, packed2[rescore], n)
         resp2[rescore] = resp_extra
         bias2[rescore] = bias_extra
-        scored = ~np.isnan(resp2)
-        in_result = scored & (resp2 >= _MIN_RESPONSIBILITY)
-        if prune:
-            in_result &= resp2 > bars
+        in_result = in_result_of(resp2)
         if np.any(rescore & in_result):
-            # An actual entrant: rebuild the pool and re-select.
-            candidates = build_candidates()
-            selected, reselect_seconds = select(candidates)
+            # An actual entrant: select again over the grown columns.
+            result, selected, reselect_seconds = select(in_result)
             filter_seconds += reselect_seconds
 
     # Refresh the record so successive delta audits chain off this one.
     # Screened-out pairs keep their (now stale) pre-edit score, marked
     # pair_known = -1: the next replay calibrates its screen against one
     # edit's drift, so it must score those pairs exactly.
-    new_record = LatticeRecord(
+    scored = ~np.isnan(resp2)
+    result.num_evaluated = int(batch.shape[0] + np.count_nonzero(rescore))
+    result.record = LatticeRecord(
         num_entries=num_entries,
         level1_responsibilities=resp1,
         level1_bias_changes=bias1,
@@ -369,13 +372,4 @@ def replay_search(
         pair_bias_changes=np.where(scored, bias2, rec_bias[pairs]),
         pair_in_result=in_result,
     )
-    return (
-        DeltaReplay(
-            candidates=candidates,
-            selected=selected,
-            filter_seconds=filter_seconds,
-            num_evaluated=int(batch.shape[0] + np.count_nonzero(rescore)),
-            record=new_record,
-        ),
-        "",
-    )
+    return DeltaReplay(result=result, selected=selected, filter_seconds=filter_seconds), ""

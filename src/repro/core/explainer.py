@@ -207,11 +207,12 @@ class GopherExplainer:
         # with the estimators that do batch.
         subsets = [np.flatnonzero(mask) for mask in masks]
         deltas = retrainer.bias_change_batch(subsets, num_rows=retrainer.num_train)
+        # R = −ΔF / F is undefined when the retrained model's hard bias F is
+        # zero (as ZeroBiasError says for the search): keep ΔF, leave R None.
+        bias = retrainer.original_bias
         for explanation, delta in zip(explanations, deltas):
             explanation.gt_bias_change = float(delta)
-            explanation.gt_responsibility = (
-                -float(delta) / retrainer.original_bias if retrainer.original_bias else 0.0
-            )
+            explanation.gt_responsibility = -float(delta) / bias if bias else None
 
     def _retrainer(self) -> RetrainInfluence:
         assert self.train_data is not None and self.X_train is not None

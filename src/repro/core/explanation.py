@@ -7,6 +7,9 @@ from dataclasses import dataclass
 from repro.patterns.lattice import CandidateResult, PatternStats
 from repro.patterns.pattern import Pattern
 
+#: How a verified explanation reports R when the retrained hard bias is 0.
+UNDEFINED_RESPONSIBILITY = "undefined (retrained bias 0)"
+
 
 @dataclass
 class Explanation:
@@ -15,7 +18,9 @@ class Explanation:
     ``est_*`` fields come from the influence estimator that drove the
     search; ``gt_*`` fields are filled in when the explanation was verified
     by actually retraining without the subset (the Δbias the paper's tables
-    report).
+    report).  When the retrained model's hard bias is zero, ``gt_bias_change``
+    is filled and ``gt_responsibility`` stays None: R = −ΔF / F is
+    undefined there.
     """
 
     rank: int
@@ -43,6 +48,8 @@ class Explanation:
         ]
         if self.gt_responsibility is not None:
             parts.append(f"true Δbias={self.gt_responsibility:.2%}")
+        elif self.gt_bias_change is not None:
+            parts.append(f"true Δbias={UNDEFINED_RESPONSIBILITY}")
         return "  ".join(parts)
 
     @classmethod
@@ -124,10 +131,12 @@ class ExplanationSet:
             lines.append(f"refused: {self.refusal}")
             return "\n".join(lines)
         for e in self.explanations:
-            delta = (
-                f"{e.gt_responsibility:7.1%}" if e.gt_responsibility is not None
-                else f"{e.est_responsibility:6.1%}*"
-            )
+            if e.gt_responsibility is not None:
+                delta = f"{e.gt_responsibility:7.1%}"
+            elif e.gt_bias_change is not None:
+                delta = UNDEFINED_RESPONSIBILITY
+            else:
+                delta = f"{e.est_responsibility:6.1%}*"
             lines.append(f"{e.support:7.2%}  {delta}  {e.pattern}")
         lines.append("(Δbias = relative bias reduction when the subset is removed; "
                      "* = estimated, unverified)")

@@ -88,7 +88,7 @@ def _refused(view) -> ExplanationSet | None:
             original_bias=view.original_bias,
             search_seconds=0.0,
             filter_seconds=0.0,
-            lattice=CandidateResult([], []),
+            lattice=CandidateResult.of_stats([]),
             refusal=str(error),
         )
     return None
@@ -939,7 +939,7 @@ class AuditSession:
                     geometry=geometry,
                 )
                 if replay is not None:
-                    replay_span.set(evaluated=replay.num_evaluated)
+                    replay_span.set(evaluated=replay.result.num_evaluated)
         else:
             replay, reason = None, "the edit changed the level-1 alphabet"
         if replay is None:
@@ -961,11 +961,6 @@ class AuditSession:
             original_bias=view.original_bias,
             search_seconds=replay_span.seconds,
             filter_seconds=replay.filter_seconds,
-            lattice=CandidateResult(
-                candidates=replay.candidates,
-                levels=[],
-                num_evaluated=replay.num_evaluated,
-                record=replay.record,
-            ),
+            lattice=replay.result,
         )
         return after_set, True, False, ""

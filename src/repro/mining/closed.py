@@ -167,10 +167,10 @@ from repro.obs import trace
 from repro.patterns.lattice import (
     CandidateResult,
     LatticeLevelStats,
-    PatternStats,
+    LevelState,
+    PredicateIndex,
     _parent_bar,
 )
-from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Predicate
 from repro.tabular import Table
 
@@ -392,7 +392,7 @@ def mine_closed_candidates(
     # queries.
     predicates, tids = alphabet.miner_items()
     if not predicates:
-        return CandidateResult([], [LatticeLevelStats(1, 0, 0, 0.0)])
+        return CandidateResult.of_stats([], [LatticeLevelStats(1, 0, 0, 0.0)])
     num_items = len(predicates)
 
     # Two-tier extent identity, branch chosen by the *global* density rule
@@ -801,30 +801,27 @@ def mine_closed_candidates(
         max_responsibility,
         store,
     )
-    candidates = []
+    # The result's id rows number the items in canonical sort-key order.
+    index, canonical = PredicateIndex.of(predicates)
+    canonical = canonical.tolist()
+    rows = np.full((len(emitted), max_predicates), -1, dtype=np.int64)
+    packed = np.empty((len(emitted), tids.shape[1]), dtype=np.uint8)
+    reported: list[_Node] = []
     with trace.span("mining.replay", extents=len(emitted)) as replay_span:
         for node in emitted:
             # Emitted extents leave their local coordinate space here: the
             # replay gets the density-canonical global tidlist (covers_all
-            # dispatches on it) and PatternStats the packed global mask.
+            # dispatches on it) and the result the packed global mask.
             gtid = global_tid(node)
-            pattern = replay.representative(node.key, gtid, node.count)
-            if pattern is None:
+            combo = replay.representative(node.key, gtid, node.count)
+            if combo is None:
                 # Every generator of this extent fails the lattice's strict
                 # improvement test against its own sub-patterns; Algorithm 1
                 # would not have emitted any pattern for it.
                 continue
-            candidates.append(
-                PatternStats(
-                    pattern=pattern,
-                    support=node.count / num_rows,
-                    size=node.count,
-                    responsibility=node.responsibility,
-                    bias_change=node.bias_change,
-                    _packed_mask=to_packed(gtid, num_rows),
-                    _num_rows=num_rows,
-                )
-            )
+            rows[len(reported), : len(combo)] = sorted(canonical[j] for j in combo)
+            packed[len(reported)] = to_packed(gtid, num_rows)
+            reported.append(node)
         replay_span.set(identity_hits=replay.hits, identity_misses=replay.misses)
     counters["identity_hits"] += replay.hits
     counters["identity_misses"] += replay.misses
@@ -836,7 +833,14 @@ def mine_closed_candidates(
         for depth in range(1, max_predicates + 1)
         if tried.get(depth) or survivors.get(depth) or depth == 1
     ]
-    return CandidateResult(candidates, levels, cache.num_evaluated)
+    block = LevelState(
+        rows[: len(reported)],
+        packed[: len(reported)],
+        np.array([node.count for node in reported], dtype=np.int64),
+        np.array([node.responsibility for node in reported], dtype=np.float64),
+        np.array([node.bias_change for node in reported], dtype=np.float64),
+    )
+    return CandidateResult.of_blocks(index, [block], num_rows, levels, cache.num_evaluated)
 
 
 # ----------------------------------------------------------------------
@@ -1007,10 +1011,10 @@ class _GeneratorReplay:
         self._survives[combo] = alive
         return alive
 
-    def representative(self, key, extent: np.ndarray, count: int) -> Pattern | None:
-        """The surviving pattern Algorithm 2 would pick for the extent with
-        identity ``key``, or None if the lattice's pruning leaves no pattern
-        for it."""
+    def representative(self, key, extent: np.ndarray, count: int) -> tuple[int, ...] | None:
+        """The item combo of the surviving pattern Algorithm 2 would pick for
+        the extent with identity ``key``, or None if the lattice's pruning
+        leaves no pattern for it."""
         generators = self.store.generators_of(self.max_predicates, key)
         if generators is None:
             generators = self._generators(extent, count)
@@ -1018,8 +1022,7 @@ class _GeneratorReplay:
         if not self.prune_by_responsibility:
             # Without heuristic 2 the lattice emits redundant-predicate
             # patterns too; the tie-break ranges over all generators.
-            chosen = min(generators, key=self._pattern_key)
-            return Pattern([self.predicates[j] for j in chosen])
+            return min(generators, key=self._pattern_key)
         # The replay ranges over ALL generators, not just minimal ones: a
         # redundant predicate usually collapses onto its same-extent
         # parent and dies on the strict improvement test (which survives()
@@ -1031,5 +1034,5 @@ class _GeneratorReplay:
         self._ensure_scored(generators)
         for combo in sorted(generators, key=self._pattern_key):
             if self.survives(combo):
-                return Pattern([self.predicates[j] for j in combo])
+                return combo
         return None

@@ -30,8 +30,12 @@ through several parent pairs is evaluated once, against the first pair
 that produces it, and that pair's parents set its responsibility bar.
 Only the two predicates the parents do not share can conflict, so
 satisfiability is one lookup in a K×K conflict table; support is an AND of
-packed rows plus a popcount.  :class:`Pattern` objects are built only for
-candidates that enter the result.
+packed rows plus a popcount.  The result is columns too: each level hands
+its in-result rows, packed masks and scores to :class:`CandidateResult`,
+and no :class:`Pattern` or :class:`PatternStats` is built during the
+search.  Algorithm 2 (:func:`repro.patterns.topk.select_top_k`) builds
+them for the k rows it selects; :attr:`CandidateResult.candidates` builds
+the whole list once, on first read.
 
 Influence queries are *batched*: each level first gathers every merge that
 survives the structural checks (dedup, satisfiability, support), then hands
@@ -44,6 +48,7 @@ thousands of tiny per-candidate queries (see the cost model in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -141,48 +146,41 @@ class LatticeRecord:
     pair_in_result: np.ndarray
 
 
-@dataclass
-class CandidateResult:
-    """Scored candidates plus per-level accounting, from either engine.
-
-    :func:`compute_candidates`, the closed-pattern miner
-    (:func:`repro.mining.closed.mine_closed_candidates`) and the delta
-    replay all return this.  ``num_evaluated`` counts the influence
-    evaluations actually issued — merges that reuse a parent's evaluation
-    (collapsed row sets) are excluded — which is how the miner's
-    candidate-space reduction (one evaluation per distinct extent) is
-    measured.  ``levels`` reports per-level (lattice) or per-depth (miner)
-    search statistics in the shape of the paper's Table 7.  ``record`` is
-    the replay state of a depth-≤2 lattice search (None otherwise).
-    """
-
-    candidates: list[PatternStats]
-    levels: list[LatticeLevelStats]
-    num_evaluated: int = 0
-    record: LatticeRecord | None = None
-
-    @property
-    def num_candidates(self) -> int:
-        return len(self.candidates)
-
-
 @dataclass(frozen=True)
 class PredicateIndex:
-    """The level-1 predicates numbered in canonical (sort-key) order.
+    """Predicates numbered in canonical (sort-key) order.
 
     An ascending row of ids is therefore a pattern's canonical predicate
-    order.  ``conflicts[a, b]`` is True when predicates a and b cannot both
-    hold (:meth:`Predicate.conflicts_with`, asked of the earlier one, as
-    :meth:`Pattern.is_satisfiable` does).
+    order.  ``ranks[i]`` is id i's sort-key rank: ids whose predicates
+    differ but print alike (equal sort keys) share a rank, so comparing
+    ``ranks`` rows compares the patterns' sort keys.  ``conflicts[a, b]``
+    is True when predicates a and b cannot both hold
+    (:meth:`Predicate.conflicts_with`, asked of the earlier one, as
+    :meth:`Pattern.is_satisfiable` does); only the lattice's merge reads
+    it, so it is built on first read.
     """
 
     predicates: list[Predicate]
-    conflicts: np.ndarray
+    ranks: np.ndarray
 
     @classmethod
     def of(cls, predicates: list[Predicate]) -> tuple["PredicateIndex", np.ndarray]:
         """The index over ``predicates`` and each one's id (equal ones share)."""
-        ordered = sorted(set(predicates), key=Predicate.sort_key)
+        keyed = sorted(((p.sort_key(), p) for p in set(predicates)), key=lambda kp: kp[0])
+        ordered = [predicate for _, predicate in keyed]
+        ranks = np.zeros(len(keyed), dtype=np.int64)
+        for i in range(1, len(keyed)):
+            ranks[i] = ranks[i - 1] + (keyed[i][0] != keyed[i - 1][0])
+        ids = {predicate: i for i, predicate in enumerate(ordered)}
+        return cls(ordered, ranks), np.array([ids[p] for p in predicates], dtype=np.int64)
+
+    def pattern(self, row) -> Pattern:
+        """The pattern of an ascending id row (−1 padding skipped)."""
+        return Pattern([self.predicates[k] for k in row if k >= 0])
+
+    @cached_property
+    def conflicts(self) -> np.ndarray:
+        ordered = self.predicates
         conflicts = np.zeros((len(ordered), len(ordered)), dtype=bool)
         for a, first in enumerate(ordered):
             # Sort keys lead with the feature, so a feature's predicates are
@@ -191,22 +189,171 @@ class PredicateIndex:
                 if ordered[b].feature != first.feature:
                     break
                 conflicts[a, b] = conflicts[b, a] = first.conflicts_with(ordered[b])
-        ids = {predicate: i for i, predicate in enumerate(ordered)}
-        return cls(ordered, conflicts), np.array([ids[p] for p in predicates], dtype=np.int64)
-
-    def pattern(self, row: np.ndarray) -> Pattern:
-        return Pattern([self.predicates[k] for k in row])
+        return conflicts
 
 
 @dataclass
 class LevelState:
-    """One lattice level's patterns, row-aligned arrays."""
+    """Patterns as row-aligned arrays: one lattice level, or a result block."""
 
     rows: np.ndarray  # (N, level) ascending predicate ids
     packed: np.ndarray  # (N, ceil(n/8)) packed row masks
     sizes: np.ndarray  # (N,) covered-row counts
     responsibilities: np.ndarray
     bias_changes: np.ndarray
+
+    def take(self, keep: np.ndarray) -> "LevelState":
+        """The rows ``keep`` selects, in order (copies)."""
+        return LevelState(
+            self.rows[keep],
+            self.packed[keep],
+            self.sizes[keep],
+            self.responsibilities[keep],
+            self.bias_changes[keep],
+        )
+
+
+@dataclass
+class CandidateResult:
+    """Scored candidates plus per-level accounting, from either engine.
+
+    :func:`compute_candidates`, the closed-pattern miner
+    (:func:`repro.mining.closed.mine_closed_candidates`) and the delta
+    replay all return this.  The candidates are columns, one row each in
+    candidate order:
+
+    * ``rows`` — each pattern's ascending ids into ``index.predicates``,
+      padded on the right with −1, so ``index.ranks`` over a row (−1 kept)
+      sorts a prefix first, as pattern sort keys do;
+    * ``packed`` — the row masks packed to ``ceil(num_rows/8)`` bytes;
+    * ``sizes``, ``supports``, ``responsibilities``, ``bias_changes``.
+
+    Algorithm 2 (:func:`repro.patterns.topk.select_top_k`) reads the
+    columns and builds a :class:`PatternStats` only for each row it
+    selects (:meth:`stats`).  :attr:`candidates` builds the whole list
+    once, on first read; :attr:`num_candidates` is the row count.
+
+    ``num_evaluated`` counts the influence evaluations actually issued —
+    merges that reuse a parent's evaluation (collapsed row sets) are
+    excluded — which is how the miner's candidate-space reduction (one
+    evaluation per distinct extent) is measured.  ``levels`` reports
+    per-level (lattice) or per-depth (miner) search statistics in the
+    shape of the paper's Table 7.  ``record`` is the replay state of a
+    depth-≤2 lattice search (None otherwise).
+    """
+
+    index: PredicateIndex
+    rows: np.ndarray
+    packed: np.ndarray
+    num_rows: int
+    sizes: np.ndarray
+    supports: np.ndarray
+    responsibilities: np.ndarray
+    bias_changes: np.ndarray
+    levels: list[LatticeLevelStats]
+    num_evaluated: int = 0
+    record: LatticeRecord | None = None
+    _built: list[PatternStats] | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def of_blocks(
+        cls,
+        index: PredicateIndex,
+        blocks: list[LevelState],
+        num_rows: int,
+        levels: list[LatticeLevelStats],
+        num_evaluated: int = 0,
+        record: LatticeRecord | None = None,
+    ) -> "CandidateResult":
+        """Stack result blocks (each an id-row width) into one column set.
+
+        A single block's arrays are taken as they are, not copied."""
+
+        def join(parts: list[np.ndarray]) -> np.ndarray:
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+        sizes = join([block.sizes for block in blocks]).astype(np.int64, copy=False)
+        rows = np.full((len(sizes), max(b.rows.shape[1] for b in blocks)), -1, dtype=np.int64)
+        start = 0
+        for block in blocks:
+            rows[start : start + len(block.rows), : block.rows.shape[1]] = block.rows
+            start += len(block.rows)
+        return cls(
+            index=index,
+            rows=rows,
+            packed=join([block.packed for block in blocks]),
+            num_rows=num_rows,
+            sizes=sizes,
+            supports=sizes / num_rows,
+            responsibilities=join([b.responsibilities for b in blocks]),
+            bias_changes=join([b.bias_changes for b in blocks]),
+            levels=levels,
+            num_evaluated=num_evaluated,
+            record=record,
+        )
+
+    @classmethod
+    def of_stats(
+        cls,
+        candidates: list[PatternStats],
+        levels: list[LatticeLevelStats] | None = None,
+    ) -> "CandidateResult":
+        """Columns over a built candidate list, in list order; the list is
+        kept, so :meth:`stats` hands back its own objects."""
+        index, _ = PredicateIndex.of([p for c in candidates for p in c.pattern.predicates])
+        ids = {predicate: i for i, predicate in enumerate(index.predicates)}
+        width = max((len(c.pattern) for c in candidates), default=1)
+        rows = np.full((len(candidates), width), -1, dtype=np.int64)
+        for r, candidate in enumerate(candidates):
+            row = sorted(ids[p] for p in candidate.pattern.predicates)
+            rows[r, : len(row)] = row
+        block = LevelState(
+            rows,
+            np.stack([c._packed_mask for c in candidates])
+            if candidates
+            else np.zeros((0, 0), dtype=np.uint8),
+            np.array([c.size for c in candidates], dtype=np.int64),
+            np.array([c.responsibility for c in candidates], dtype=float),
+            np.array([c.bias_change for c in candidates], dtype=float),
+        )
+        num_rows = candidates[0]._num_rows if candidates else 0
+        result = cls.of_blocks(index, [block], num_rows, levels or [])
+        result.supports = np.array([c.support for c in candidates], dtype=float)
+        result._built = list(candidates)
+        return result
+
+    @property
+    def num_candidates(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def candidates(self) -> list[PatternStats]:
+        """Every candidate as a :class:`PatternStats`, built on first read.
+
+        Two threads reading it first at once may both build it; the lists
+        are equal and one of them is kept."""
+        if self._built is None:
+            self._built = [
+                self._make(i, row) for i, row in enumerate(self.rows.tolist())
+            ]
+        return self._built
+
+    def stats(self, i: int) -> PatternStats:
+        """Candidate row ``i`` (the built list's object once it exists)."""
+        if self._built is not None:
+            return self._built[i]
+        return self._make(i, self.rows[i].tolist())
+
+    def _make(self, i: int, row: list[int]) -> PatternStats:
+        return PatternStats(
+            pattern=self.index.pattern(row),
+            support=float(self.supports[i]),
+            size=int(self.sizes[i]),
+            responsibility=float(self.responsibilities[i]),
+            bias_change=float(self.bias_changes[i]),
+            _packed_mask=self.packed[i],
+            _num_rows=self.num_rows,
+        )
 
 
 @dataclass
@@ -415,7 +562,7 @@ def compute_candidates(
     estimator.nonzero_baseline()  # an unbiased model has nothing to explain
 
     levels: list[LatticeLevelStats] = []
-    all_stats: list[PatternStats] = []
+    blocks: list[LevelState] = []  # each level's in-result rows
 
     # --- level 1 ---------------------------------------------------------
     with trace.span("lattice.level", level=1) as level_span:
@@ -435,10 +582,7 @@ def compute_candidates(
         responsibilities, bias_changes = _evaluate_all(estimator, packed, num_rows, batch_size)
         num_evaluated = len(entries)
         current = LevelState(ids[:, None], packed, popcount(packed), responsibilities, bias_changes)
-        for k in np.flatnonzero(responsibilities >= min_responsibility):
-            all_stats.append(
-                _stats(Pattern([predicates[k]]), current, k, num_rows)
-            )
+        blocks.append(current.take(responsibilities >= min_responsibility))
         level_span.set(candidates=len(entries), evaluated=len(entries))
     levels.append(
         LatticeLevelStats(1, len(entries), alphabet.num_generated, level_span.seconds)
@@ -494,16 +638,9 @@ def compute_candidates(
                     else np.ones(len(resp), dtype=bool)
                 )
                 in_result = survive & (resp >= min_responsibility)
-                current = LevelState(
-                    merges.rows[survive],
-                    merges.packed[survive],
-                    merges.sizes[survive],
-                    resp[survive],
-                    dbias[survive],
-                )
                 scored = LevelState(merges.rows, merges.packed, merges.sizes, resp, dbias)
-                for j in np.flatnonzero(in_result):
-                    all_stats.append(_stats(index.pattern(merges.rows[j]), scored, j, num_rows))
+                current = scored.take(survive)
+                blocks.append(scored.take(in_result))
                 if recording:
                     pairs.update(
                         pair_left=merges.left,
@@ -531,9 +668,7 @@ def compute_candidates(
             level1_bias_changes=np.asarray(bias_changes, dtype=np.float64),
             **pairs,
         )
-    return CandidateResult(
-        candidates=all_stats, levels=levels, num_evaluated=num_evaluated, record=record
-    )
+    return CandidateResult.of_blocks(index, blocks, num_rows, levels, num_evaluated, record)
 
 
 # ----------------------------------------------------------------------
@@ -557,15 +692,3 @@ def _evaluate_all(
     ]
     return np.concatenate([r for r, _ in scores]), np.concatenate([b for _, b in scores])
 
-
-def _stats(pattern: Pattern, level: LevelState, j: int, num_rows: int) -> PatternStats:
-    size = int(level.sizes[j])
-    return PatternStats(
-        pattern=pattern,
-        support=float(size / num_rows),
-        size=size,
-        responsibility=level.responsibilities[j],
-        bias_change=level.bias_changes[j],
-        _packed_mask=level.packed[j].copy(),
-        _num_rows=num_rows,
-    )

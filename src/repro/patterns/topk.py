@@ -1,10 +1,21 @@
-"""Algorithm 2 — top-k selection with containment-based diversity."""
+"""Algorithm 2 — top-k selection with containment-based diversity.
+
+Selection runs on the columns of a
+:class:`~repro.patterns.lattice.CandidateResult`, the form every search
+and the delta replay return: the root-cause window and the protected-only
+filter are array masks, the visit order is one stable ``np.lexsort``, and
+containment is read off packed rows as ``popcount(a & b) / popcount(a)``.
+A :class:`~repro.patterns.lattice.PatternStats` is built only for each row
+selected.  A plain list of candidates is converted to columns on entry
+(:meth:`~repro.patterns.lattice.CandidateResult.of_stats`), and its own
+objects are returned.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.patterns.containment import containment
+from repro.obs import trace
 from repro.patterns.lattice import CandidateResult, PatternStats
 
 
@@ -18,14 +29,15 @@ def select_top_k(
 ) -> list[PatternStats]:
     """Pick the k most interesting, mutually diverse candidates.
 
-    ``candidates`` is either a plain list of :class:`PatternStats` or the
-    :class:`CandidateResult` either search engine returns, which is
-    unwrapped to its candidate list.
+    ``candidates`` is the :class:`CandidateResult` either search engine
+    returns, or a plain list of :class:`PatternStats`.
 
-    Candidates are visited in descending interestingness order (ties broken
-    by the canonical pattern order, giving the deterministic tie-break
-    Definition 3.7 requires); a candidate is skipped when its containment in
-    any already-selected explanation exceeds the threshold.
+    Candidates are visited in descending interestingness order; ties fall
+    back to the canonical pattern order (the deterministic tie-break
+    Definition 3.7 requires: the id rows ranked by predicate sort key,
+    a prefix first), then to candidate order.  A candidate is skipped when
+    its containment in any already-selected explanation exceeds the
+    threshold.
 
     Definition 3.1 requires a *root cause* to satisfy
     ``0 <= F(after) < F(before)`` — removing it must reduce the bias, not
@@ -44,10 +56,10 @@ def select_top_k(
 
     Returns the selected candidates, best first.  Callers that report the
     filtering time (Table 7 tracks it apart from search time) read it off
-    the span they open around this call.
+    the span they open around this call; the call adds to that span
+    ``pool`` (rows inside the window and not protected-only) and
+    ``visited`` (rows the containment loop read).
     """
-    if isinstance(candidates, CandidateResult):
-        candidates = candidates.candidates
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0.0 < containment_threshold <= 1.0:
@@ -56,25 +68,41 @@ def select_top_k(
         )
     if max_responsibility <= 0:
         raise ValueError(f"max_responsibility must be positive, got {max_responsibility}")
-    pool = [
-        c
-        for c in candidates
-        if (not require_positive_responsibility or c.responsibility > 0.0)
-        and c.responsibility <= max_responsibility
-    ]
+    if not isinstance(candidates, CandidateResult):
+        candidates = CandidateResult.of_stats(list(candidates))
+    from repro.mining.bitset import popcount  # repro.mining imports this package
+
+    responsibilities = candidates.responsibilities
+    window = responsibilities <= max_responsibility
+    if require_positive_responsibility:
+        window &= responsibilities > 0.0
     if exclude_features_only:
-        pool = [c for c in pool if not c.pattern.features() <= exclude_features_only]
-    ordered = sorted(pool, key=lambda c: (-c.interestingness, c.pattern.sort_key()))
-    selected: list[PatternStats] = []
-    selected_masks: list[np.ndarray] = []
-    for candidate in ordered:
-        mask = candidate.mask()
-        if any(
-            containment(mask, other) > containment_threshold for other in selected_masks
-        ):
-            continue
-        selected.append(candidate)
-        selected_masks.append(mask)
-        if len(selected) == k:
+        predicates = candidates.index.predicates
+        # A trailing True answers the −1 padding of shorter rows.
+        inside = np.array([p.feature in exclude_features_only for p in predicates] + [True])
+        window &= ~inside[candidates.rows].all(axis=1)
+    pool = np.flatnonzero(window)
+    supports = candidates.supports[pool]
+    interest = np.zeros(pool.size)
+    np.divide(responsibilities[pool], supports, out=interest, where=supports > 0)
+    ranks = np.append(candidates.index.ranks, -1)[candidates.rows[pool]]
+    order = pool[np.lexsort((*ranks.T[::-1], -interest))]
+
+    packed = candidates.packed
+    chosen: list[int] = []
+    visited = 0
+    for i in order:
+        visited += 1
+        row = packed[i]
+        if chosen:
+            size = popcount(row)
+            if size == 0:
+                raise ValueError("containment is undefined for an empty pattern")
+            if np.any(popcount(packed[chosen] & row) / size > containment_threshold):
+                continue
+        chosen.append(int(i))
+        if len(chosen) == k:
             break
-    return selected
+    trace.add("pool", int(pool.size))
+    trace.add("visited", visited)
+    return [candidates.stats(i) for i in chosen]

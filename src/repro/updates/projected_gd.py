@@ -477,7 +477,9 @@ def _ascend_all(
             if norm < 1e-12:
                 continue
             new_delta = domains[i].project_delta(deltas[i] + learning_rate * grad / norm)
-            if np.allclose(new_delta, deltas[i], atol=1e-10):
+            # np.allclose(new, old, atol=1e-10) in its finite form: δ stays
+            # in the domain's finite box.
+            if (np.abs(new_delta - deltas[i]) <= 1e-10 + 1e-5 * np.abs(deltas[i])).all():
                 continue
             deltas[i] = new_delta
             still.append(i)

@@ -51,7 +51,9 @@ def check_same_length(a: np.ndarray, b: np.ndarray, names: tuple[str, str] = ("a
 def check_binary_labels(y: np.ndarray, name: str = "y") -> np.ndarray:
     """Return ``y`` as an int array of {0, 1} labels or raise ``ValueError``."""
     arr = check_1d(y, name)
-    values = np.unique(arr)
-    if not np.all(np.isin(values, (0, 1))):
+    # One elementwise pass; NaN, strings and other values compare unequal
+    # to both.  The sorted distinct values are only built for the message.
+    if not ((arr == 0) | (arr == 1)).all():
+        values = np.unique(arr)
         raise ValueError(f"{name} must contain only binary labels 0/1, got values {values}")
     return arr.astype(np.int64)

@@ -24,9 +24,12 @@ import pytest
 
 from repro.core import AuditSession
 from repro.datasets import load_german, random_edit, train_test_split
+from repro.mining.bitset import popcount
 from repro.models import LogisticRegression
 from repro.obs import trace
 from repro.obs.trace import Tracer
+from repro.patterns.lattice import PatternStats
+from repro.patterns.pattern import Pattern
 
 SEARCH = dict(max_predicates=2, support_threshold=0.05, estimator="series")
 METRICS = ["statistical_parity", "equal_opportunity"]
@@ -298,3 +301,92 @@ class TestEditValidationThroughSession:
                 DataEdit.remove([sess.train_data.num_rows + 5]),
                 metrics=["statistical_parity"],
             )
+
+
+class TestSelectionBuildsOnlyTheTopK:
+    """Searches and the replay hand Algorithm 2 columns: a query builds a
+    :class:`PatternStats` only for each row it selects, and the candidate
+    list, built once when read, is the one the search describes."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        count = []
+        init = PatternStats.__init__
+
+        def counting(self, *args, **kwargs):
+            count.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PatternStats, "__init__", counting)
+        return count
+
+    @pytest.fixture()
+    def replayed(self, lr_model, german_train, german_test):
+        sess = make_session(lr_model, german_train, german_test)
+        sess.audit(metrics=METRICS, k=3)
+        return sess, random_edit(sess.train_data, "remove", count=8, seed=EDIT_SEED)
+
+    def test_replayed_queries_build_at_most_k_per_selection(self, replayed, built):
+        sess, edit = replayed
+        with trace.tracing() as tracer:
+            delta = sess.delta_audit(edit, metrics=METRICS, k=3, recheck="never")
+        filters = [s for s in tracer.walk() if s.name == "delta.filter"]
+        assert len(METRICS) <= len(filters) <= 2 * len(METRICS)
+        assert 0 < len(built) <= 3 * len(filters)
+        for span in filters:
+            assert 3 <= span.attrs["visited"] <= span.attrs["pool"]
+        # The whole pool is far larger than what was built.
+        pools = [q.after.lattice.num_candidates for q in delta.queries]
+        assert min(pools) > 20 * 3
+
+    @pytest.mark.parametrize("engine", ["lattice", "mining"])
+    def test_explain_builds_at_most_k_until_candidates_are_read(
+        self, lr_model, german_train, german_test, built, engine
+    ):
+        sess = make_session(lr_model, german_train, german_test, engine=engine)
+        view = sess.explainer(metric="statistical_parity")
+        with trace.tracing() as tracer:
+            result = view.explain(k=3, verify=False)
+        assert len(built) == len(result) <= 3
+        lattice = result.lattice
+        (search,) = [s for s in tracer.walk() if s.name == "explain.search"]
+        assert search.attrs["candidates"] == lattice.num_candidates > 3
+        (selection,) = [s for s in tracer.walk() if s.name == "explain.filter"]
+        assert selection.attrs["visited"] <= selection.attrs["pool"] <= lattice.num_candidates
+        candidates = lattice.candidates
+        assert len(built) == len(result) + lattice.num_candidates
+        assert lattice.candidates is candidates  # built once
+
+    def test_replayed_candidates_are_the_records(self, replayed):
+        """Read, a replayed query's candidates are its record's level-1
+        entries with R >= 0, then its in-result pairs, in skeleton order."""
+        sess, edit = replayed
+        delta = sess.delta_audit(edit, metrics=METRICS, k=3, recheck="never")
+        cfg = sess.config
+        alphabet = sess.alphabet_cache.get(cfg.support_threshold, cfg.num_bins, None)
+        entries, n = alphabet.entries, alphabet.num_rows
+        for query in delta.queries:
+            record = query.after.lattice.record
+            want = [
+                (Pattern([predicate]), popcount(mask) / n, popcount(mask),
+                 record.level1_responsibilities[i], record.level1_bias_changes[i],
+                 mask.tobytes())
+                for i, (predicate, mask) in enumerate(entries)
+                if record.level1_responsibilities[i] >= 0.0
+            ]
+            for e in np.flatnonzero(record.pair_in_result):
+                (left, left_mask), (right, right_mask) = (
+                    entries[record.pair_left[e]], entries[record.pair_right[e]]
+                )
+                size = int(record.pair_sizes[e])
+                want.append(
+                    (Pattern([left, right]), size / n, size,
+                     record.pair_responsibilities[e], record.pair_bias_changes[e],
+                     (left_mask & right_mask).tobytes())
+                )
+            got = [
+                (c.pattern, c.support, c.size, c.responsibility, c.bias_change,
+                 c._packed_mask.tobytes())
+                for c in query.after.lattice.candidates
+            ]
+            assert got == want

@@ -29,7 +29,7 @@ def make_set(explanations):
         original_bias=0.2,
         search_seconds=1.0,
         filter_seconds=0.01,
-        lattice=CandidateResult(candidates=[], levels=[]),
+        lattice=CandidateResult.of_stats([]),
     )
 
 

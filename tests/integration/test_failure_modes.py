@@ -77,6 +77,46 @@ class TestZeroBiasSearch:
             gopher.explain(k=3, verify=False)
 
 
+class TestZeroRetrainedBias:
+    """Verification against a model whose hard bias is exactly zero: the
+    smooth search still finds explanations, but R = −ΔF / F is undefined
+    for the retrained ground truth, so it is left None, not reported 0."""
+
+    @pytest.fixture
+    def result(self):
+        # One extra group-a row makes the training table group-unbalanced:
+        # the smooth bias on the twin test table is about -0.001, while no
+        # test twin's hard prediction flips, so the hard bias is 0.0.
+        extra = Table.from_dict(
+            {"group": np.array(["a"]), "signal": np.array([-1.16]), "color": np.array(["red"])}
+        )
+        train = twin_table(120, 0).with_rows(extra, np.array([0]))
+        gopher = GopherExplainer(
+            LogisticRegression(l2_reg=1e-3), max_predicates=2, retrain_jobs=1
+        )
+        gopher.fit(train, twin_table(40, 1))
+        assert gopher.original_bias == 0.0
+        assert gopher.estimator.baseline != 0.0
+        return gopher.explain(k=3, verify=True)
+
+    def test_ground_truth_responsibility_is_undefined(self, result):
+        assert len(result) == 3
+        for explanation in result:
+            assert explanation.est_responsibility > 0.5
+            assert explanation.gt_bias_change is not None
+            assert explanation.gt_responsibility is None
+            assert explanation.bias_reduction_pct is None
+            assert "true Δbias=undefined (retrained bias 0)" in explanation.describe()
+        records = result.to_records()
+        assert [r["ground_truth_responsibility"] for r in records] == [None] * 3
+        assert all(r["ground_truth_bias_change"] is not None for r in records)
+
+    def test_render_says_undefined_not_estimated(self, result):
+        rows = result.render().splitlines()[2:-1]
+        assert len(rows) == 3
+        assert all("undefined (retrained bias 0)" in row and "*" not in row for row in rows)
+
+
 class TestZeroBiasAudit:
     """An audit grid refuses its zero-bias queries by name, one cell at a
     time, and answers the rest: the twin table is unbiased between its two

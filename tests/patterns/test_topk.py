@@ -2,15 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import topk_loop
 
 from repro.patterns import Pattern, Predicate, containment, select_top_k
-from repro.patterns.lattice import PatternStats
+from repro.patterns.lattice import CandidateResult, PatternStats
 
 
 def make_stats(name, mask, responsibility):
+    return make_pattern_stats(Pattern([Predicate(name, "=", "v")]), mask, responsibility)
+
+
+def make_pattern_stats(pattern, mask, responsibility):
     mask = np.asarray(mask, dtype=bool)
     return PatternStats(
-        pattern=Pattern([Predicate(name, "=", "v")]),
+        pattern=pattern,
         support=float(mask.mean()),
         size=int(mask.sum()),
         responsibility=responsibility,
@@ -129,3 +136,116 @@ class TestSelectTopK:
             [combined], k=1, containment_threshold=0.99, exclude_features_only={"gender"}
         )
         assert len(selected) == 1
+
+
+# ----------------------------------------------------------------------
+# The column selection against the list loop it replaced.
+
+_VOCABULARY = [
+    Predicate(feature, "=", value)
+    for feature in ("age", "gender", "job")
+    for value in (0, 1, 2, "1")  # 1 and "1" print alike: one sort-key rank
+]
+_RESPONSIBILITIES = [-0.5, 0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0]
+
+
+@st.composite
+def pools(draw):
+    """A random candidate pool with ties, shared extents, protected-only
+    rows, empty masks and containment ratios that hit the thresholds."""
+    num_rows = draw(st.integers(1, 16))
+    stats = []
+    for _ in range(draw(st.integers(0, 10))):
+        if stats and draw(st.booleans()):
+            # A parent/child pair on one extent: same mask and R, one more
+            # predicate, so only the sort key breaks the tie.
+            parent = stats[draw(st.integers(0, len(stats) - 1))]
+            extra = draw(st.sampled_from(_VOCABULARY))
+            pattern = Pattern(list(parent.pattern.predicates) + [extra])
+            mask = parent.mask()
+            responsibility = parent.responsibility
+        else:
+            size = draw(st.integers(1, 3))
+            predicates = st.lists(st.sampled_from(_VOCABULARY), min_size=1, max_size=size)
+            pattern = Pattern(draw(predicates))
+            mask = np.array(draw(st.lists(st.booleans(), min_size=num_rows, max_size=num_rows)))
+            responsibility = draw(st.sampled_from(_RESPONSIBILITIES))
+        stats.append(make_pattern_stats(pattern, mask, responsibility))
+    return stats
+
+
+def _outcome(select, candidates, **kwargs):
+    try:
+        return select(candidates, **kwargs)
+    except ValueError as error:
+        return str(error)
+
+
+def _fields(selected):
+    if isinstance(selected, str):
+        return selected
+    return [
+        (s.pattern, s.support, s.size, s.responsibility, s.bias_change, s._packed_mask.tobytes())
+        for s in selected
+    ]
+
+
+class TestColumnsMatchTheLoop:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        pool=pools(),
+        k=st.integers(-1, 12),
+        threshold=st.sampled_from([0.0, 0.25, 0.5, 2 / 3, 0.75, 1.0, 1.5]),
+        positive=st.booleans(),
+        protected=st.sampled_from([None, {"gender"}, {"gender", "job"}]),
+        cap=st.sampled_from([1.25, float("inf"), 0.6, 0.0, -1.0]),
+    )
+    def test_random_pools(self, pool, k, threshold, positive, protected, cap):
+        kwargs = dict(
+            k=k,
+            containment_threshold=threshold,
+            require_positive_responsibility=positive,
+            exclude_features_only=protected,
+            max_responsibility=cap,
+        )
+        want = _outcome(topk_loop.select_top_k, pool, **kwargs)
+        # A list keeps its own objects.
+        got = _outcome(select_top_k, pool, **kwargs)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert [id(s) for s in got] == [id(s) for s in want]
+        # Columns without a built list build the selected rows themselves.
+        columns = CandidateResult.of_stats(pool)
+        columns._built = None
+        assert _fields(_outcome(select_top_k, columns, **kwargs)) == _fields(want)
+
+    def test_containment_exactly_at_the_threshold_is_kept(self):
+        first = make_pattern_stats(Pattern([Predicate("a", "=", 1)]), [1, 1, 0, 0], 0.9)
+        half = make_pattern_stats(Pattern([Predicate("b", "=", 1)]), [0, 1, 1, 0], 0.8)
+        selected = select_top_k([first, half], k=2, containment_threshold=0.5)
+        assert selected == [first, half]
+        assert select_top_k([first, half], k=2, containment_threshold=0.49) == [first]
+
+    def test_empty_mask_after_a_selection_raises(self):
+        full = make_pattern_stats(Pattern([Predicate("a", "=", 1)]), [1, 1, 0, 0], 0.5)
+        empty = make_pattern_stats(Pattern([Predicate("b", "=", 1)]), [0, 0, 0, 0], 0.4)
+        with pytest.raises(ValueError, match="containment is undefined for an empty pattern"):
+            select_top_k([full, empty], k=2)
+
+    def test_invalid_max_responsibility(self, candidates):
+        with pytest.raises(ValueError, match="max_responsibility must be positive"):
+            select_top_k(candidates, k=1, max_responsibility=0.0)
+
+
+class TestFilterSpan:
+    def test_records_pool_and_visited(self, candidates):
+        from repro.obs import trace
+
+        with trace.tracing() as tracer:
+            with trace.span("explain.filter", k=2):
+                select_top_k(candidates, k=2, containment_threshold=0.5)
+        (span,) = tracer.roots
+        # e is outside the window; b, then a (inside b), then c are read.
+        assert span.attrs["pool"] == 4
+        assert span.attrs["visited"] == 3

@@ -58,3 +58,36 @@ class TestBinaryLabels:
     def test_rejects_matrix(self):
         with pytest.raises(ValueError, match="1-dimensional"):
             check_binary_labels(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([True, False, True]),
+            np.array([0.0, 1.0, 1.0]),
+            np.array([1, 0, 1], dtype=np.int8),
+            np.array([1, 1], dtype=np.uint8),
+            np.zeros(0),
+        ],
+        ids=["bool", "float", "int8", "uint8", "empty"],
+    )
+    def test_accepted_label_arrays(self, labels):
+        out = check_binary_labels(labels)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, labels.astype(np.int64))
+
+    @pytest.mark.parametrize(
+        "labels, shown",
+        [
+            (np.array([0, 2, 1]), "[0 1 2]"),
+            (np.array([1, -1]), "[-1  1]"),
+            (np.array([0.0, 0.5, 1.0]), "[0.  0.5 1. ]"),
+            (np.array([0.0, np.nan]), "[ 0. nan]"),
+        ],
+        ids=["two", "minus-one", "half", "nan"],
+    )
+    def test_rejected_label_arrays_name_their_sorted_values(self, labels, shown):
+        with pytest.raises(ValueError) as error:
+            check_binary_labels(labels, "relabel_labels")
+        assert str(error.value) == (
+            f"relabel_labels must contain only binary labels 0/1, got values {shown}"
+        )
