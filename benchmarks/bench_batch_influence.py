@@ -9,7 +9,7 @@ Two experiments:
    sizes.  The mask matrix is pre-built outside the timed region, so the
    comparison isolates the influence queries themselves.
 2. **End-to-end lattice search** — ``compute_candidates`` on the Adult
-   workload with the per-candidate loop of ``oracles.lattice_loop`` vs the
+   workload with the per-candidate loop of ``oracles.influence_loop`` vs the
    batched search, asserting the candidate sets are identical and
    reporting the wall-time drop.
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from oracles.lattice_loop import LoopEstimator
+from oracles.influence_loop import LoopEstimator
 
 from repro.bench import build_pipeline, emit, render_table, subset_mask_matrix
 from repro.influence import make_estimator

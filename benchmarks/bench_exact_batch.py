@@ -34,7 +34,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from oracles.exact_loop import ExactLoopEstimator
+from oracles.influence_loop import LoopEstimator
 
 from repro.bench import build_pipeline, emit, render_table, subset_mask_matrix
 from repro.influence import make_estimator
@@ -79,7 +79,7 @@ def _best_of_pair(fn_a, fn_b, repeats: int = 5) -> tuple[float, float]:
 
 def _throughput_rows(estimator, batch_sizes):
     rows, speedups = [], {}
-    oracle = ExactLoopEstimator(estimator)
+    oracle = LoopEstimator(estimator)
     estimator.bias_change_batch([np.arange(10)])  # warm every cache
     for batch_size in batch_sizes:
         subsets = _random_subsets(
@@ -115,7 +115,7 @@ def _throughput_rows(estimator, batch_sizes):
 
 def _parity_rows(bundle, estimator, max_predicates):
     rows = []
-    oracle = ExactLoopEstimator(estimator)
+    oracle = LoopEstimator(estimator)
     start = time.perf_counter()
     loop = compute_candidates(bundle.train.table, oracle, 0.05, max_predicates)
     loop_s = time.perf_counter() - start

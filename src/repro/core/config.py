@@ -44,12 +44,6 @@ class GopherConfig:
         depth 3, k = 3) it differs in 12–15 of 24 (dataset, metric) cells,
         depending on the train/test split (see ``repro.mining.closed`` and
         the ROADMAP item "One candidate engine").
-    search_batch_size:
-        Candidates per batched influence call during the search (both
-        engines).  It bounds each call's Δθ matrix and the miner's buffer
-        of packed extents; the estimators read packed rows through a fixed
-        L2-sized column-block buffer and evaluate at most 16 MiB of
-        (n_test, block) matrix at a time, whatever the batch size.
     support_threshold:
         τ of Algorithm 1 — the paper's experiments use 5%.
     max_predicates:
@@ -85,7 +79,6 @@ class GopherConfig:
     estimator: str = "second_order"
     estimator_kwargs: dict = field(default_factory=dict)
     engine: str = "lattice"
-    search_batch_size: int = 1024
     support_threshold: float = 0.05
     max_predicates: int = 3
     num_bins: int = 4
@@ -105,8 +98,6 @@ class GopherConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}; available: {ESTIMATORS}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; available: {ENGINES}")
-        if self.search_batch_size < 1:
-            raise ValueError(f"search_batch_size must be >= 1, got {self.search_batch_size}")
         if not 0.0 <= self.support_threshold < 1.0:
             raise ValueError(f"support_threshold must be in [0, 1), got {self.support_threshold}")
         if not 0.0 < self.containment_threshold <= 1.0:

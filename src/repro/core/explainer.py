@@ -162,7 +162,6 @@ class GopherExplainer:
                 exclude_features=exclude,
                 prune_by_responsibility=cfg.prune_by_responsibility,
                 max_responsibility=cfg.max_responsibility,
-                batch_size=cfg.search_batch_size,
                 alphabet=resolve_alphabet(
                     table,
                     self.session.alphabet_cache,
@@ -199,20 +198,35 @@ class GopherExplainer:
         )
 
     def _verify(self, explanations: list[Explanation], masks: list[np.ndarray]) -> None:
+        """Fill each explanation's ground truth by retraining without its rows.
+
+        A removal that leaves a single label class has no model to retrain;
+        that explanation keeps its ``gt_*`` fields None (rendered as an
+        unverified estimate) and the others are still verified; the open
+        span counts it under ``unverifiable``.
+        """
         if not explanations:
             return
         retrainer = self._retrainer()
-        # One batch call; retraining has no closed form, so this resolves to
-        # one refit per subset internally, but keeps the call site uniform
-        # with the estimators that do batch.
+        labels = retrainer.y_train
         subsets = [np.flatnonzero(mask) for mask in masks]
-        deltas = retrainer.bias_change_batch(subsets, num_rows=retrainer.num_train)
+        verifiable = [
+            i for i, rows in enumerate(subsets) if np.unique(np.delete(labels, rows)).size > 1
+        ]
+        if len(verifiable) < len(subsets):
+            trace.add("unverifiable", len(subsets) - len(verifiable))
+        if not verifiable:
+            return
+        # One batch call: one refit per subset, in the shared retrain pool.
+        deltas = retrainer.bias_change_batch(
+            [subsets[i] for i in verifiable], num_rows=retrainer.num_train
+        )
         # R = −ΔF / F is undefined when the retrained model's hard bias F is
         # zero (as ZeroBiasError says for the search): keep ΔF, leave R None.
         bias = retrainer.original_bias
-        for explanation, delta in zip(explanations, deltas):
-            explanation.gt_bias_change = float(delta)
-            explanation.gt_responsibility = -float(delta) / bias if bias else None
+        for i, delta in zip(verifiable, deltas):
+            explanations[i].gt_bias_change = float(delta)
+            explanations[i].gt_responsibility = -float(delta) / bias if bias else None
 
     def _retrainer(self) -> RetrainInfluence:
         assert self.train_data is not None and self.X_train is not None

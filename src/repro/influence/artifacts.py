@@ -45,6 +45,12 @@ from repro.obs.lazy import Lazy
 from repro.obs.metrics import MetricsRegistry, StatsView
 
 
+class NegativeCurvatureError(ValueError):
+    """A model's ``hessian_factors`` gave a training row a negative weight,
+    which the curvature contract of
+    :class:`~repro.models.base.TwiceDifferentiableClassifier` rules out."""
+
+
 class ModelArtifacts:
     """Shared caches bound to one fitted model and one training matrix.
 
@@ -176,28 +182,27 @@ class ModelArtifacts:
         key = float(damping)
         return self._solvers.get(lambda: HessianSolver(self.hessian, damping=key), key)
 
-    def hessian_factors(self) -> tuple[np.ndarray, np.ndarray, float] | None:
-        """The model's rank-one Hessian factors, or None if unavailable."""
-        return self._factors.get(self._build_factors)
+    def hessian_factors(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The model's rank-one Hessian factors ``(phi, weights, ridge)`` over
+        the training rows — built once."""
+        return self._factors.get(lambda: self.model.hessian_factors(self.X_train, self.y_train))
 
-    def _build_factors(self) -> tuple[np.ndarray, np.ndarray, float] | None:
-        try:
-            return self.model.hessian_factors(self.X_train, self.y_train)
-        except NotImplementedError:
-            return None
-
-    def curvature_rows(self) -> tuple[np.ndarray, np.ndarray | None, float] | None:
+    def curvature_rows(self) -> tuple[np.ndarray, np.ndarray | None, float]:
         """``(V, nonzero, ridge)``: V = √w ⊙ Φ, the exact estimator's downdate
         rows for every training row, the mask of rows with w ≠ 0 (None when
-        all are), and the factors' ridge.  None without rank-one factors or
-        with a negative weight (the downdate needs √w)."""
+        all are), and the factors' ridge.  A negative weight breaks the
+        model contract (the downdate needs √w) and raises
+        :class:`NegativeCurvatureError`."""
         return self._curvature.get(self._build_curvature_rows)
 
     def _build_curvature_rows(self):
-        factors = self.hessian_factors()
-        if factors is None or factors[1].min() < 0.0:
-            return None
-        phi, weights, ridge = factors
+        phi, weights, ridge = self.hessian_factors()
+        if weights.size and weights.min() < 0.0:
+            row = int(np.argmin(weights))
+            raise NegativeCurvatureError(
+                f"{type(self.model).__name__}.hessian_factors gave training row {row} "
+                f"the weight {weights[row]:.6g}; curvature weights must be non-negative"
+            )
         return phi * np.sqrt(weights)[:, None], (None if weights.all() else weights != 0.0), ridge
 
     # ------------------------------------------------------------------
@@ -223,11 +228,13 @@ class ModelArtifacts:
         (the L2 terms cancel exactly); the gradient matrix and rank-one
         factors are patched row-wise; and every cached
         :class:`HessianSolver` is advanced through
-        :meth:`HessianSolver.updated` — a rank-k eigenbasis update when the
-        model exposes Hessian factors, a dense congruence otherwise, never
-        a Cholesky refactorization (``hessian_factorizations`` stays put;
-        the new work lands under ``solver_updates``).  Unbuilt caches stay
-        lazy and will be built against the edited data on first use.
+        :meth:`HessianSolver.updated`, a rank-k eigenbasis update built
+        from the edited rows' own Hessian factors, never a Cholesky
+        refactorization (``hessian_factorizations`` stays put; the new work
+        lands under ``solver_updates``).  The update needs no factor cache,
+        so a session that never built one still builds none.  Unbuilt
+        caches stay lazy and will be built against the edited data on
+        first use.
 
         θ is *not* refit — influence debugging asks "how would the bias
         move if we trained on the edited data", and every estimator measures
@@ -279,6 +286,7 @@ class ModelArtifacts:
         if relabel.size:
             y_patched = y_patched.copy()
             y_patched[relabel] = relabels
+            X_rel = self.X_train[relabel]
         keep = np.ones(n, dtype=bool)
         keep[remove] = False
 
@@ -287,7 +295,6 @@ class ModelArtifacts:
         if hessian is not None:
             total = hessian * n
             if relabel.size:
-                X_rel = self.X_train[relabel]
                 total = total + relabel.size * (
                     model.hessian(X_rel, y_patched[relabel])
                     - model.hessian(X_rel, self.y_train[relabel])
@@ -305,53 +312,42 @@ class ModelArtifacts:
         grads = self._per_sample_grads.peek()
         if grads is not None:
             if relabel.size:
-                grads_rel = model.per_sample_grads(
-                    self.X_train[relabel], y_patched[relabel]
-                )
+                grads_rel = model.per_sample_grads(X_rel, y_patched[relabel])
             if k_add:
                 grads_add = model.per_sample_grads(X_add, y_add)
-        phi_rel = w_rel = phi_add = w_add = None
-        update_vectors = update_weights = None
         factors = self._factors.peek()
-        if factors is not None:
-            phi_old, w_old, l2_ridge = factors
-            if relabel.size:
-                phi_rel, w_rel, _ = model.hessian_factors(
-                    self.X_train[relabel], y_patched[relabel]
-                )
-            if k_add:
-                phi_add, w_add, _ = model.hessian_factors(X_add, y_add)
-            # U rows / signed weights expressing Σ'wφφᵀ − Σwφφᵀ as U'diag(c)U.
+        solvers = self._solvers.items()
+        if solvers or factors is not None:
+            # The edited rows' own factors: U rows and signed weights
+            # expressing Σ'wφφᵀ − Σwφφᵀ as Uᵀdiag(c)U.
             vec_parts, weight_parts = [], []
             if relabel.size:
-                vec_parts += [phi_old[relabel], phi_rel]
-                weight_parts += [-w_old[relabel], w_rel]
+                phi_old, w_old, ridge = model.hessian_factors(X_rel, self.y_train[relabel])
+                phi_rel, w_rel, _ = model.hessian_factors(X_rel, y_patched[relabel])
+                vec_parts += [phi_old, phi_rel]
+                weight_parts += [-w_old, w_rel]
             if remove.size:
-                vec_parts.append(phi_old[remove])
-                weight_parts.append(-w_old[remove])
+                phi_rem, w_rem, ridge = model.hessian_factors(
+                    self.X_train[remove], self.y_train[remove]
+                )
+                vec_parts.append(phi_rem)
+                weight_parts.append(-w_rem)
             if k_add:
+                phi_add, w_add, ridge = model.hessian_factors(X_add, y_add)
                 vec_parts.append(phi_add)
                 weight_parts.append(w_add)
-            if vec_parts:
-                update_vectors = np.vstack(vec_parts)
-                update_weights = np.concatenate(weight_parts) / n_new
+            update_vectors = np.vstack(vec_parts)
+            update_weights = np.concatenate(weight_parts) / n_new
 
         # -- solvers ----------------------------------------------------------
         scale = n / n_new
-        for key, old_solver in self._solvers.items():
+        for key, old_solver in solvers:
             if new_hessian is None:
                 raise RuntimeError("solver cache exists without a built hessian")
-            if update_vectors is not None:
-                shift = (old_solver.damping_used + l2_ridge) * (1.0 - scale)
-                solver = old_solver.updated(
-                    new_hessian,
-                    update_vectors=update_vectors,
-                    update_weights=update_weights,
-                    scale=scale,
-                    shift=shift,
-                )
-            else:
-                solver = old_solver.updated(new_hessian)
+            shift = (old_solver.damping_used + ridge) * (1.0 - scale)
+            solver = old_solver.updated(
+                new_hessian, update_vectors, update_weights, scale=scale, shift=shift
+            )
             self._solvers.set(solver, key)
             self.stats.inc("solver_updates")
 
@@ -365,7 +361,7 @@ class ModelArtifacts:
                 grads = np.vstack([grads, grads_add])
             self._per_sample_grads.set(grads)
         if factors is not None:
-            phi_new, w_new = phi_old, w_old
+            phi_new, w_new, _ = factors
             if relabel.size:
                 phi_new, w_new = phi_new.copy(), w_new.copy()
                 phi_new[relabel] = phi_rel
@@ -374,7 +370,7 @@ class ModelArtifacts:
             if k_add:
                 phi_new = np.vstack([phi_new, phi_add])
                 w_new = np.concatenate([w_new, w_add])
-            self._factors.set((phi_new, w_new, l2_ridge))
+            self._factors.set((phi_new, w_new, ridge))
         if new_hessian is not None:
             self._hessian.set(new_hessian)
         X_new = self.X_train[keep] if remove.size else self.X_train

@@ -27,10 +27,11 @@ curvature factors — the per-model vs per-query split
 :class:`repro.core.AuditSession` amortizes across a whole audit.  After
 start-up the two query paths differ:
 
-* **per-subset** — each call pays one gather-and-sum over the subset rows
-  plus one triangular solve; issuing thousands of such calls from Python
-  (one per lattice candidate) is dominated by interpreter and dispatch
-  overhead, not floating-point work.
+* **per-subset** — a scalar query is a batch of one through the index
+  form below: one gather-and-sum over the subset rows plus one triangular
+  solve; issuing thousands of such calls from Python (one per lattice
+  candidate) is dominated by interpreter and dispatch overhead, not
+  floating-point work.
 * **per-batch** — a batch of m subsets is one matrix of packed rows.
   Subset gradient sums for the whole batch are one product of the masks
   with ``per_sample_grads``, the Δθ's come from one multi-RHS solve
@@ -40,15 +41,17 @@ start-up the two query paths differ:
   batch influence queries the lattice search
   (``repro.patterns.lattice``) is built on.  The exact second-order
   variant is the one closed form whose per-subset matrix differs across
-  the batch (``n·H − m·H_S``), so its scalar and batch queries share one
-  per-subset kernel, one ``dsyrk`` and one ``dposv`` each, whose cost
-  model ``repro.influence.second_order`` states.
+  the batch (``n·H − m·H_S``), so it runs one per-subset kernel, one
+  ``dsyrk`` and one ``dposv`` each, whose cost model
+  ``repro.influence.second_order`` states.
 
-Results are aligned with the batch order.  The base-class batch methods
-fall back to looping over the scalar queries so estimators without a
-closed form (retraining) keep the same interface; the closed-form
-estimators override the batch hooks, and the equivalence test suite pins
-batch == loop to 1e-10.
+Results are aligned with the batch order.  ``param_change``,
+``bias_change`` and ``responsibility`` are defined once, here, as a batch
+of one through the index form, so each estimator family has one kernel
+per batch form and no scalar closed form beside it; retraining, which has
+no closed form, refits per subset behind the same hooks.  The
+equivalence suites pin every kernel against the independent per-subset
+forms in ``tests/oracles/``.
 
 Batch forms
 -----------
@@ -73,9 +76,9 @@ With ``num_rows`` the batch entry points also accept an *index-streamed*
 batch: a plain sequence of per-subset sorted index arrays (the miner's
 compressed sparse tidlists).  Each subset then costs O(|S|) to gather —
 never O(n) to unpack — so a batch of small extents over a 10M-row table
-touches only the rows it names.  The gradient-sum estimators override the
-``_param_changes_indices`` hook with a stacked gather-sum; the base class
-loops the scalar closed form.  The index path bypasses the shared
+touches only the rows it names.  Every estimator implements the
+``_param_changes_indices`` hook; the gradient-sum estimators as a stacked
+gather-sum.  The index path bypasses the shared
 per-extent Δθ cache (its keys are packed-byte extents; packing each
 subset just to key a cache would reintroduce the O(n/8) per-subset cost
 this path exists to avoid) — deduplication is the caller's job, which the
@@ -194,21 +197,13 @@ class InfluenceEstimator(ABC):
         return self.per_sample_grads[indices].sum(axis=0)
 
     # -- the estimator contract -----------------------------------------
-    @abstractmethod
     def param_change(self, indices: np.ndarray) -> np.ndarray:
-        """Estimated Δθ from removing the rows at ``indices``."""
+        """Estimated Δθ from removing the rows at ``indices`` (a batch of one)."""
+        return self._param_changes_indices([self._subset_size_ok(indices)])[0]
 
     def bias_change(self, indices: np.ndarray) -> float:
-        """Estimated ΔF = F(after removal) − F(before)."""
-        delta = self.param_change(indices)
-        if self.evaluation == "linear":
-            return float(self.grad_f @ delta)
-        theta_new = self.theta + delta
-        if self.evaluation == "smooth":
-            after = self.metric.surrogate(self.model, self.test_ctx, theta_new)
-            return float(after - self.original_surrogate)
-        after = self.metric.value(self.model, self.test_ctx, theta_new)
-        return float(after - self.original_bias)
+        """Estimated ΔF = F(after removal) − F(before) (a batch of one)."""
+        return float(self._bias_changes([self._subset_size_ok(indices)])[0])
 
     @property
     def baseline(self) -> float:
@@ -320,21 +315,20 @@ class InfluenceEstimator(ABC):
         """Δθ's for validated, non-empty packed rows.
 
         The base implementation unpacks each row to its indices and runs
-        :meth:`_param_changes_indices` (correct for any estimator,
-        including retraining); the gradient-sum estimators override it
-        with the column-block fold of ``repro.mining.bitset``.
+        :meth:`_param_changes_indices` (retraining's path); the gradient-sum
+        estimators override it with the column-block fold of
+        ``repro.mining.bitset``.
         """
         return self._param_changes_indices([to_sparse(row, self.num_train) for row in packed])
 
+    @abstractmethod
     def _param_changes_indices(self, idxs: list[np.ndarray]) -> np.ndarray:
         """Δθ's for a validated, non-empty index-streamed batch.
 
-        The base implementation loops the scalar closed form (correct for
-        any estimator, including retraining); gradient-sum estimators
-        override it with a stacked gather-sum so a batch of small subsets
-        costs O(Σ|S|·p), independent of the training-set size.
+        The scalar queries run here as a batch of one.  Gradient-sum
+        estimators implement it with a stacked gather-sum, so a batch of
+        small subsets costs O(Σ|S|·p), independent of the training-set size.
         """
-        return np.stack([self.param_change(idx) for idx in idxs])
 
     def _bias_changes(self, batch) -> np.ndarray:
         """ΔF of a validated, non-empty batch, shape (m,)."""
@@ -495,7 +489,7 @@ class InfluenceEstimator(ABC):
             raise IndexError("subset indices out of range of the training data")
         if indices.size > 1:
             # A subset is a set: a duplicated index would double-count its
-            # gradient in the scalar sum but collapse to one row in the
+            # gradient in the index form's sum but collapse to one row in the
             # batched mask representation, silently breaking batch == loop.
             # Strictly increasing arrays (the miner's sparse tidlists) are
             # duplicate-free by construction — one diff pass instead of a

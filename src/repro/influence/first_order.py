@@ -52,11 +52,6 @@ class FirstOrderInfluence(InfluenceEstimator):
     def _extent_cache_spec(self) -> tuple:
         return ("first_order", self.damping)
 
-    def param_change(self, indices: np.ndarray) -> np.ndarray:
-        indices = self._subset_size_ok(indices)
-        g_s = self.per_sample_grads[indices].sum(axis=0)
-        return self.solver.solve(g_s) / self.num_train
-
     def _param_changes_packed(self, packed: np.ndarray) -> np.ndarray:
         # One fold forms every g_S; one multi-RHS solve against the cached
         # factorization turns them into Δθ's.
@@ -67,12 +62,6 @@ class FirstOrderInfluence(InfluenceEstimator):
         grads = self.per_sample_grads
         grad_sums = np.stack([grads[idx].sum(axis=0) for idx in idxs])
         return self.solver.solve_many(grad_sums) / self.num_train
-
-    def bias_change(self, indices: np.ndarray) -> float:
-        if self.evaluation != "linear":
-            return super().bias_change(indices)
-        indices = self._subset_size_ok(indices)
-        return float(self.point_influences()[indices].sum())
 
     def _bias_changes(self, batch) -> np.ndarray:
         if self.evaluation != "linear":

@@ -62,10 +62,10 @@ class HessianSolver:
         """A solver over a known eigendecomposition — no factorization runs.
 
         ``eigvals`` / ``eigvecs`` must decompose ``hessian + damping·I``.
-        This is the construction :meth:`updated` uses: a rank-k or
-        congruence update of an existing solver lands directly in the new
-        eigenbasis, and every solve runs there, so the Cholesky
-        factorization is never recomputed.
+        This is the construction :meth:`updated` uses: a rank-k update of
+        an existing solver lands directly in the new eigenbasis, and every
+        solve runs there, so the Cholesky factorization is never
+        recomputed.
 
         The ridge escalation of :meth:`_factorize` is mirrored on the
         eigenvalues: the first ridge in the ×10 sequence starting at
@@ -105,14 +105,14 @@ class HessianSolver:
     def updated(
         self,
         new_hessian: np.ndarray,
-        update_vectors: np.ndarray | None = None,
-        update_weights: np.ndarray | None = None,
+        update_vectors: np.ndarray,
+        update_weights: np.ndarray,
         scale: float = 1.0,
         shift: float = 0.0,
     ) -> "HessianSolver":
         """A solver for ``new_hessian`` derived from this solver's eigenbasis.
 
-        With rank-k factors the caller certifies the identity
+        The caller certifies the rank-k identity
 
         ``new_hessian + damping_used·I
           = scale·M + shift·I + Uᵀ diag(c) U``
@@ -122,32 +122,25 @@ class HessianSolver:
         the cached eigenbasis ``M = Q Λ Qᵀ`` turns the right-hand side into
         ``T = diag(scale·Λ + shift) + (UQ)ᵀ diag(c) (UQ)``; one small
         ``eigh(T) = (Λ', W)`` then gives the new eigendecomposition as
-        ``(Λ', Q·W)`` without any Cholesky refactorization.  Without
-        factors the dense congruence ``T = Qᵀ(new_hessian + d₀·I)Q`` is
-        used instead — same rotation trick, O(p³) GEMMs but still no
-        factorization.
+        ``(Λ', Q·W)`` without any Cholesky refactorization.
         """
-        rank = -1 if update_vectors is None else int(np.shape(update_vectors)[0])
-        with trace.span("hessian.update", dim=self.dim, rank=rank):
+        V = np.asarray(update_vectors, dtype=np.float64)
+        weights = np.asarray(update_weights, dtype=np.float64).reshape(-1)
+        if V.ndim != 2 or V.shape[0] != weights.shape[0]:
+            raise ValueError(
+                f"update vectors of shape {V.shape} do not match {weights.shape[0]} weights"
+            )
+        with trace.span("hessian.update", dim=self.dim, rank=V.shape[0]):
             eigvals, eigvecs = self.eigendecomposition()
-            new_hessian = np.asarray(new_hessian, dtype=np.float64)
-            if update_vectors is not None:
-                V = np.asarray(update_vectors, dtype=np.float64) @ eigvecs
-                weights = np.asarray(update_weights, dtype=np.float64).reshape(-1)
-                if V.shape[0] != weights.shape[0]:
-                    raise ValueError(
-                        f"{V.shape[0]} update vectors but {weights.shape[0]} weights"
-                    )
-                core = np.diag(scale * eigvals + shift)
-                core += (V * weights[:, None]).T @ V
-            else:
-                matrix = new_hessian
-                if self.damping_used:
-                    matrix = matrix + self.damping_used * np.eye(self.dim)
-                core = eigvecs.T @ matrix @ eigvecs
+            V = V @ eigvecs
+            core = np.diag(scale * eigvals + shift)
+            core += (V * weights[:, None]).T @ V
             new_eigvals, W = linalg.eigh(core, check_finite=False)
             return HessianSolver.from_eigendecomposition(
-                new_hessian, new_eigvals, eigvecs @ W, damping=self.damping_used
+                np.asarray(new_hessian, dtype=np.float64),
+                new_eigvals,
+                eigvecs @ W,
+                damping=self.damping_used,
             )
 
     def eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:

@@ -68,11 +68,6 @@ class OneStepGradientDescent(InfluenceEstimator):
     def _extent_cache_spec(self) -> tuple:
         return ("one_step_gd", self.learning_rate)
 
-    def param_change(self, indices: np.ndarray) -> np.ndarray:
-        indices = self._subset_size_ok(indices)
-        g_s = self.per_sample_grads[indices].sum(axis=0)
-        return (self.learning_rate / self.num_train) * g_s
-
     def _param_changes_packed(self, packed: np.ndarray) -> np.ndarray:
         # Every subset's step is a scaled gradient sum: one fold in total.
         grad_sums = self.artifacts.gradient_sums(packed)

@@ -24,7 +24,7 @@ class RetrainInfluence(InfluenceEstimator):
     ``n_jobs`` controls the batch queries: each subset's refit is
     independent, so ``param_change_batch`` and friends fan the fits out over
     a process pool (``None`` = one worker per CPU, ``1`` = the serial loop).
-    Scalar queries always refit in-process.
+    Scalar queries are batches of one and refit in-process.
     """
 
     def __init__(
@@ -53,14 +53,11 @@ class RetrainInfluence(InfluenceEstimator):
             warm_start=self.theta if self.warm_start else None, n_jobs=1,
         )[0]
 
-    def param_change(self, indices: np.ndarray) -> np.ndarray:
-        return self.retrained_theta(indices) - self.theta
-
     def _param_changes_indices(self, idxs: list[np.ndarray]) -> np.ndarray:
         # One refit per subset, run through the shared (optionally
-        # process-parallel) retrain helper — identical fits to the scalar
-        # path, just dispatched together.  Packed batches arrive here too,
-        # unpacked to their indices by the base class.
+        # process-parallel) retrain helper.  Packed batches arrive here
+        # too, unpacked to their indices by the base class, and a scalar
+        # query is a batch of one, which never starts a pool.
         warm = self.theta.copy() if self.warm_start else None
         thetas = retrain_thetas(
             self.model, self.X_train, self.y_train, [RetrainTask(idx) for idx in idxs],

@@ -37,9 +37,9 @@ Two variants are provided:
   ``dsyrk`` and ``dposv`` take ~50 µs of it; the gather, the GEMM and
   the loop share the rest.  One (p, p) matrix is alive at a time, and a
   failing ``dposv`` runs :class:`HessianSolver`'s ×10 damping escalation
-  from the rebuilt, unfactored matrix.  Models without rank-one factors,
-  or with a negative weight (the downdate needs √w), build
-  ``n·H − m·model.hessian(X_S)`` densely instead.
+  from the rebuilt, unfactored matrix.  The downdate needs √w, so a model
+  whose factors carry a negative weight breaks the model contract and
+  :meth:`ModelArtifacts.curvature_rows` raises.
 
 * ``variant="series"`` — the first-order Neumann expansion of that solve,
   matching the structure of the paper's Eq. 10:
@@ -51,6 +51,12 @@ Two variants are provided:
   conventions.  The form above is the one consistent with ε = −1/n removal
   (it reduces to the FO direction as m → 1) and is validated against
   retraining ground truth in the test suite — the property Figure 3 checks.
+
+  The series only applies subset Hessians to vectors, so with the rank-one
+  factors ``H_S u_S = (1/|S|) Σ_{i∈S} w_i (φ_i·u_S) φ_i + ridge·u_S`` for
+  ``u_S = H⁻¹ g_S``: a column-block fold over packed rows, a gather of
+  each subset's rows for index arrays, and two multi-RHS solves against
+  the cached factorization around it.
 """
 
 from __future__ import annotations
@@ -102,49 +108,24 @@ class SecondOrderInfluence(InfluenceEstimator):
             _ = self.artifacts.curvature_rows()
         return self
 
-    def param_change(self, indices: np.ndarray) -> np.ndarray:
-        indices = self._subset_size_ok(indices)
-        if self.variant == "exact":
-            return self._param_changes_indices([indices])[0]
-        if indices.size == 0:
-            return np.zeros(self.model.num_params)
-        m, n = indices.size, self.num_train
-        with trace.span("influence.subset_hessian", m=int(m)):
-            g_s = self.per_sample_grads[indices].sum(axis=0)
-            subset_hessian = self.model.hessian(self.X_train[indices], self.y_train[indices])
-        u = self.solver.solve(g_s)
-        correction = u - self.solver.solve(subset_hessian @ u)
-        return u / (n - m) - (m / (n - m) ** 2) * correction
-
     def _param_changes_packed(self, packed: np.ndarray) -> np.ndarray:
         """Batched Δθ's of packed rows.
 
-        The ``"series"`` variant only ever applies subset Hessians to
-        vectors, so for models exposing rank-one Hessian factors the whole
-        batch reduces to products against the cached factorization: one
-        column-block fold for every g_S, one multi-RHS solve for
-        ``u_S = H⁻¹ g_S``, one more fold for every ``H_S u_S``, and one more
-        multi-RHS solve for the correction; models without factor
-        structure loop the scalar query.  The ``"exact"`` variant solves a
-        *different* reduced matrix ``n·H − m·H_S`` per subset, through the
-        same kernel as every other exact query (see the module docstring):
-        it takes every g_S from the fold and unpacks each row when the
-        kernel reaches it, to gather that subset's curvature rows.
+        Both variants take every g_S from one column-block fold.  The
+        ``"series"`` variant folds once more for every ``H_S u_S`` (see the
+        module docstring).  The ``"exact"`` variant solves a *different*
+        reduced matrix ``n·H − m·H_S`` per subset, through the same kernel
+        as every other exact query: it unpacks each row when the kernel
+        reaches it, to gather that subset's curvature rows.
         """
-        n = self.num_train
+        sizes = popcount(packed)
+        grad_sums = self.artifacts.gradient_sums(packed)
         if self.variant == "exact":
-            return self._exact_param_changes(
-                packed, popcount(packed), self.artifacts.gradient_sums(packed)
-            )
-        factors = self.artifacts.hessian_factors()
-        if factors is None:
-            return super()._param_changes_packed(packed)
-        phi, weights, ridge = factors
-        m, p = len(packed), self.model.num_params
-        sizes = popcount(packed).astype(np.float64)
-        u = self.solver.solve_many(self.artifacts.gradient_sums(packed))  # rows = H⁻¹ g_S
-        # H_S u_S = (1/|S|) Σ_{i∈S} w_i (φ_i·u_S) φ_i + ridge·u_S, folded
-        # over column blocks of training rows.
+            return self._exact_param_changes(packed, sizes, grad_sums)
+        phi, weights, ridge = self.artifacts.hessian_factors()
+        n, m, p = self.num_train, len(packed), self.model.num_params
+        u = self.solver.solve_many(grad_sums)  # rows = H⁻¹ g_S
+        # Σ_{i∈S} w_i (φ_i·u_S) φ_i, folded over column blocks of training rows.
         with trace.span("influence.gemm", m=m, n=n, p=p, kind="curvature") as s:
             s.add("gemm_flops", 4.0 * m * n * p)
             hs_u = np.zeros((m, p))
@@ -154,20 +135,38 @@ class SecondOrderInfluence(InfluenceEstimator):
                 projections *= weights[start:stop]
                 block *= projections  # the next block refills it
                 hs_u += block @ rows
-        hs_u = hs_u / np.where(sizes > 0, sizes, 1.0)[:, None] + ridge * u
-        correction = u - self.solver.solve_many(hs_u)
-        rest = n - sizes
-        deltas = u / rest[:, None] - (sizes / rest**2)[:, None] * correction
-        deltas[sizes == 0] = 0.0  # matches the scalar empty-subset shortcut
-        return deltas
+        return self._series_deltas(u, hs_u, sizes, ridge)
 
     def _param_changes_indices(self, idxs: list[np.ndarray]) -> np.ndarray:
-        """Index-streamed exact batches go straight to the kernel: each
-        subset's curvature rows are one ``take`` of its index array, so
-        nothing is unpacked to (m, n) masks."""
+        """Index-streamed batches (and every scalar query): each subset's g_S
+        and curvature rows are one gather of its index array, so nothing is
+        unpacked to (m, n) masks."""
+        sizes = np.array([s.size for s in idxs], np.intp)
         if self.variant == "exact":
-            return self._exact_param_changes(idxs, np.array([s.size for s in idxs], np.intp))
-        return super()._param_changes_indices(idxs)
+            return self._exact_param_changes(idxs, sizes)
+        grads = self.per_sample_grads
+        phi, weights, ridge = self.artifacts.hessian_factors()
+        u = self.solver.solve_many(np.stack([grads[idx].sum(axis=0) for idx in idxs]))
+        hs_u = np.empty_like(u)
+        for j, idx in enumerate(idxs):
+            rows = phi.take(idx, axis=0)
+            projections = rows @ u[j]
+            projections *= weights.take(idx)
+            hs_u[j] = projections @ rows
+        return self._series_deltas(u, hs_u, sizes, ridge)
+
+    def _series_deltas(
+        self, u: np.ndarray, hs_u: np.ndarray, sizes: np.ndarray, ridge: float
+    ) -> np.ndarray:
+        """The series Δθ's from the rows ``u_S = H⁻¹ g_S`` and the sums
+        ``Σ_{i∈S} w_i (φ_i·u_S) φ_i``; empty subsets get Δθ = 0."""
+        sizes = sizes.astype(np.float64)
+        hs_u = hs_u / np.where(sizes > 0, sizes, 1.0)[:, None] + ridge * u
+        correction = u - self.solver.solve_many(hs_u)
+        rest = self.num_train - sizes
+        deltas = u / rest[:, None] - (sizes / rest**2)[:, None] * correction
+        deltas[sizes == 0] = 0.0
+        return deltas
 
     def _exact_param_changes(self, subsets, sizes: np.ndarray, grad_sums=None) -> np.ndarray:
         """Exact Δθ's of a validated batch in one kernel call (see the module
@@ -185,24 +184,18 @@ class SecondOrderInfluence(InfluenceEstimator):
             grads = self.per_sample_grads
             rhs = np.array([grads.take(subsets[j], axis=0).sum(axis=0) for j in solved])
             rhs, rhs_flops = rhs.reshape(-1, p), 2.0 * p * float(sizes.sum())
+        V, nonzero, ridge = self.artifacts.curvature_rows()
         # One subset's rows at a time: the kernel consumes these lazily.
         rows = (unpack_rows(subsets[j], n) if masked else subsets[j] for j in solved)
-        curvature = self.artifacts.curvature_rows()
-        if curvature is None:
-            nH, model, X, y = n * self.hessian, self.model, self.X_train, self.y_train
-            matrices = (
-                (nH - size * model.hessian(X[r], y[r]), 0.0)
-                for size, r in zip(sizes[solved], rows)
-            )
-            downdates = None
-        else:
-            V, nonzero, ridge = curvature
-            base = np.asfortranarray(n * self.hessian)
-            matrices = ((base, shift) for shift in ridge * sizes[solved])
-            if nonzero is not None:
-                rows = (r & nonzero if masked else r[nonzero[r]] for r in rows)
-            gather = V.compress if masked else V.take
-            downdates = (gather(r, axis=0) for r in rows)
+        if nonzero is not None:
+            rows = (r & nonzero if masked else r[nonzero[r]] for r in rows)
+        gather = V.compress if masked else V.take
+        base = np.asfortranarray(n * self.hessian)
         kernel = ReducedHessianSolver.with_damping(self.damping)
-        deltas[solved] = kernel.solve_many(rhs, matrices, downdates, rhs_flops=rhs_flops)
+        deltas[solved] = kernel.solve_many(
+            rhs,
+            ((base, shift) for shift in ridge * sizes[solved]),
+            (gather(r, axis=0) for r in rows),
+            rhs_flops=rhs_flops,
+        )
         return deltas

@@ -8,11 +8,19 @@ The contract mirrors what the paper's derivations need:
   which is the intervention Gopher studies;
 * ``per_sample_grads`` returns the ``∇_θ ℓ(z_i, θ)`` matrix used to form
   subset gradients ``g_S``;
-* ``hessian(X, y)`` returns the *mean* Hessian over the given rows, so the
-  same method provides both the full-data ``H`` and the subset ``H_S`` of the
-  second-order group influence (Eq. 10);
+* ``hessian_factors`` returns the curvature in its generalized-linear form
+  ``∇²ℓ(z_i, θ) = w_i φ_i φ_iᵀ + λI`` with ``w_i ≥ 0``, and ``hessian(X,
+  y)`` is the *mean* of it over the given rows, so the same factors give
+  both the full-data ``H`` and the subset ``H_S`` of the second-order
+  group influence (Eq. 10);
+* ``input_grads`` returns ∇_x of ``vᵀ∇_θℓ``, the gradient the §5 update
+  search ascends;
 * ``grad_proba`` returns ``∇_θ P(ŷ=1 | x)`` so smooth fairness surrogates can
   chain-rule onto parameters (Eq. 11).
+
+Every model supplies all of these in closed form: logistic regression and
+the squared-hinge SVM exactly, the network under its Gauss–Newton
+curvature.
 """
 
 from __future__ import annotations
@@ -89,34 +97,35 @@ class TwiceDifferentiableClassifier(ABC):
     ) -> np.ndarray:
         """∇_θ ℓ(z_i, θ) for every row — shape (n, p)."""
 
-    @abstractmethod
     def hessian(
         self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None
     ) -> np.ndarray:
-        """Mean Hessian (1/n) Σ ∇²_θ ℓ(z_i, θ) — shape (p, p)."""
+        """Mean Hessian (1/n) Σ ∇²_θ ℓ(z_i, θ) — shape (p, p), from the factors."""
+        phi, weights, ridge = self.hessian_factors(X, y, theta)
+        hess = (phi * weights[:, None]).T @ phi / len(phi)
+        hess += ridge * np.eye(self.num_params)
+        return hess
 
+    @abstractmethod
     def hessian_factors(
         self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """Rank-one decomposition ``(phi, weights, ridge)`` of the Hessian.
 
-        When a model's per-sample Hessian has the generalized-linear form
-        ``∇²ℓ(z_i, θ) = w_i φ_i φ_iᵀ + ridge·I`` it should return the
-        curvature features ``phi`` (n, p), the per-sample weights ``w``
-        (n,) and the shared ridge, so that for any row subset S
+        The per-sample Hessian has the generalized-linear form
+        ``∇²ℓ(z_i, θ) = w_i φ_i φ_iᵀ + ridge·I``: the curvature features
+        ``phi`` (n, p), the per-sample weights ``w`` (n,), non-negative,
+        and the shared ridge, so that for any row subset S
 
             hessian(X[S], y[S], θ) == (1/|S|) Σ_{i∈S} w_i φ_i φ_iᵀ + ridge·I.
 
-        Batched second-order influence uses this to form subset
-        Hessian-vector products for *many* subsets as three matrix products
-        instead of materializing one (p, p) Hessian per subset.  Models
-        without this structure (e.g. finite-difference Hessians) leave the
-        default, which signals callers to fall back to ``hessian``.
+        Batched second-order influence forms subset Hessian-vector products
+        for *many* subsets from these as matrix products, and the exact
+        variant downdates ``n·H`` by the rows ``√w_i φ_i`` of each subset,
+        so no (p, p) Hessian is built per subset.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose rank-one Hessian factors"
-        )
 
+    @abstractmethod
     def input_grads(
         self,
         X: np.ndarray,
@@ -127,18 +136,11 @@ class TwiceDifferentiableClassifier(ABC):
         """∇_x of the scalar ``vᵀ ∇_θ ℓ(z_i, θ)`` for every row — shape (n, d).
 
         The §5 update search ascends J(δ) = ∇_θF(θ*)ᵀ Σ_{z∈S} ∇_θℓ(z+δ, θ*)
-        over the input coordinates; a model implementing this hook gives the
-        search an analytic ∇_δJ (one call per ascent step, ``vector`` =
-        ∇_θF) instead of 2·|active| stacked finite-difference objective
-        evaluations.  ``vector`` has length ``num_params``; the result is a
-        gradient with respect to the *input* features, shape
-        (n, num input features).  Models without a closed form leave this
-        default, which signals the search to fall back to central finite
-        differences.
+        over the input coordinates; this gives it ∇_δJ in one call per
+        ascent step (``vector`` = ∇_θF).  ``vector`` has length
+        ``num_params``; the result is a gradient with respect to the
+        *input* features, shape (n, num input features).
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose analytic input gradients"
-        )
 
     @abstractmethod
     def grad_proba(self, X: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
@@ -175,19 +177,6 @@ class TwiceDifferentiableClassifier(ABC):
     def grad(self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
         """Mean gradient over the given rows — shape (p,)."""
         return self.per_sample_grads(X, y, theta).mean(axis=0)
-
-    def subset_grad_sum(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        indices: np.ndarray,
-        theta: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """g_S = Σ_{i∈S} ∇ℓ(z_i, θ) for a subset of rows."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size == 0:
-            return np.zeros(self.num_params)
-        return self.per_sample_grads(X[indices], y[indices], theta).sum(axis=0)
 
     # ------------------------------------------------------------------
     # Shared validation / parameter plumbing

@@ -138,14 +138,6 @@ class LinearClassifier(TwiceDifferentiableClassifier):
         coef, _ = self._row_derivatives(Xa @ th, y)
         return coef[:, None] * Xa + self.l2_reg * th[None, :]
 
-    def hessian(
-        self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None
-    ) -> np.ndarray:
-        Xa, weights, ridge = self.hessian_factors(X, y, theta)
-        hess = (Xa * weights[:, None]).T @ Xa / len(Xa)
-        hess += ridge * np.eye(self.num_params)
-        return hess
-
     def hessian_factors(
         self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, float]:

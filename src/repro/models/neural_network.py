@@ -2,15 +2,11 @@
 
 Architecture matches §6.2 of the paper: a single hidden layer (default 10
 units, tanh) with a sigmoid output and cross-entropy loss, L2-regularized.
-Gradients are analytic (vectorized backprop).  Two Hessian modes exist:
-
-* ``"gauss_newton"`` (default) — the generalized Gauss-Newton matrix
-  ``(1/n) Σ pᵢ(1−pᵢ) JᵢJᵢᵀ + λI`` with ``Jᵢ = ∇_θ zᵢ``.  Positive
-  semi-definite by construction, fast, and the standard choice when influence
-  functions are applied to networks (the true Hessian is indefinite away from
-  interpolation).
-* ``"exact_fd"`` — central finite differences of the analytic gradient; slow
-  but exact, used in tests and available for small problems.
+Gradients are analytic (vectorized backprop).  The curvature is the
+generalized Gauss-Newton matrix ``(1/n) Σ pᵢ(1−pᵢ) JᵢJᵢᵀ + λI`` with
+``Jᵢ = ∇_θ zᵢ``: rank-one per sample, positive semi-definite by
+construction, and the standard choice when influence functions are applied
+to networks (the true Hessian is indefinite away from interpolation).
 
 The paper itself observes (§6.4) that influence estimates degrade on neural
 networks; reproducing that degradation is part of the Figure 3b experiment.
@@ -37,27 +33,21 @@ class NeuralNetwork(TwiceDifferentiableClassifier):
         l2_reg: float = 1e-3,
         max_iter: int = 800,
         seed: int = 0,
-        hessian_mode: str = "gauss_newton",
     ) -> None:
         if hidden_units < 1:
             raise ValueError(f"hidden_units must be >= 1, got {hidden_units}")
         if l2_reg < 0:
             raise ValueError(f"l2_reg must be non-negative, got {l2_reg}")
-        if hessian_mode not in ("gauss_newton", "exact_fd"):
-            raise ValueError(f"unknown hessian_mode {hessian_mode!r}")
         self.hidden_units = int(hidden_units)
         self.l2_reg = float(l2_reg)
         self.max_iter = int(max_iter)
         self.seed = int(seed)
-        self.hessian_mode = hessian_mode
         self.theta: np.ndarray | None = None
         self._num_features: int | None = None
 
     # ------------------------------------------------------------------
     def clone(self) -> "NeuralNetwork":
-        return NeuralNetwork(
-            self.hidden_units, self.l2_reg, self.max_iter, self.seed, self.hessian_mode
-        )
+        return NeuralNetwork(self.hidden_units, self.l2_reg, self.max_iter, self.seed)
 
     @property
     def num_params(self) -> int:
@@ -191,27 +181,9 @@ class NeuralNetwork(TwiceDifferentiableClassifier):
         grad_s_x = (t * w2[None, :]) @ v_w1 + (t * (v_w2[None, :] - 2.0 * a * w2[None, :] * u)) @ w1
         return (p * (1.0 - p) * s)[:, None] * grad_z_x + dz[:, None] * grad_s_x
 
-    def hessian(
-        self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None
-    ) -> np.ndarray:
-        X, y = self._check_xy(X, y)
-        th = self._resolve_theta(theta)
-        if self.hessian_mode == "gauss_newton":
-            a, z = self._forward(X, th)
-            p = _sigmoid(z)
-            weights = p * (1.0 - p)
-            jac = self._logit_jacobian(X, a, th)
-            hess = (jac * weights[:, None]).T @ jac / len(X)
-            hess += self.l2_reg * np.eye(self.num_params)
-            return hess
-        return self._hessian_fd(X, y, th)
-
     def hessian_factors(
         self, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, float]:
-        if self.hessian_mode != "gauss_newton":
-            # The finite-difference Hessian has no rank-one structure.
-            return super().hessian_factors(X, y, theta)
         X, y = self._check_xy(X, y)
         th = self._resolve_theta(theta)
         a, z = self._forward(X, th)
@@ -236,15 +208,3 @@ class NeuralNetwork(TwiceDifferentiableClassifier):
     def _logit_jacobian(self, X: np.ndarray, a: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """J_i = ∇_θ z_i, shape (n, p) — the GGN building block."""
         return self._chain_from_dz(X, a, np.ones(len(X)), theta)
-
-    def _hessian_fd(self, X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        eps = 1e-5
-        p = self.num_params
-        hess = np.empty((p, p))
-        for k in range(p):
-            step = np.zeros(p)
-            step[k] = eps
-            g_plus = self.grad(X, y, theta + step)
-            g_minus = self.grad(X, y, theta - step)
-            hess[:, k] = (g_plus - g_minus) / (2.0 * eps)
-        return 0.5 * (hess + hess.T)

@@ -18,10 +18,6 @@ bit-identical to averaging the rows of ``per_sample_grads``
 (``tests/oracles/fit_loop.py`` fits that way).  One BLAS product ``X̃ᵀr``
 would be faster, but it sums in another order, moves θ by about 1e-10
 and breaks the influence equivalence suites.
-
-``gradient_descent`` is a plain full-batch loop kept for the one-step-GD
-influence surrogate and for tests that need to observe individual descent
-steps.
 """
 
 from __future__ import annotations
@@ -91,19 +87,3 @@ def mean_rows(coef: np.ndarray, design: np.ndarray, shift: np.ndarray) -> np.nda
         total = np.add.reduce(buffer[: stop - start + 1], axis=0)
     return total / n
 
-
-def gradient_descent(
-    grad: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    learning_rate: float = 0.1,
-    num_steps: int = 100,
-) -> np.ndarray:
-    """Plain full-batch gradient descent: ``θ ← θ − η ∇L(θ)``."""
-    if learning_rate <= 0:
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-    if num_steps < 0:
-        raise ValueError(f"num_steps must be non-negative, got {num_steps}")
-    theta = np.asarray(x0, dtype=np.float64).copy()
-    for _ in range(num_steps):
-        theta -= learning_rate * grad(theta)
-    return theta

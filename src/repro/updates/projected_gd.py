@@ -24,11 +24,9 @@ and the per-sample training gradients — owned by one
 and a per-pattern **search**:
 
 * **ascent** — each step needs ∇_δJ over the active coordinates of every
-  still-live pattern.  Models that override the analytic
-  :meth:`~repro.models.base.TwiceDifferentiableClassifier.input_grads` hook
-  (all built-in models do) answer it in one closed-form call; any other
-  model gets one stacked ``per_sample_grads`` call over all 2·|active|
-  centrally-perturbed copies of every subset.
+  still-live pattern, which the model contract's closed-form
+  :meth:`~repro.models.base.TwiceDifferentiableClassifier.input_grads`
+  answers in one call over the concatenated rows of those patterns.
 * **backoff scoring** — Eq. 14 at every pattern × scale candidate is one
   concatenated gradient pass plus one vectorized metric evaluation over the
   stacked θ_p's, replacing a fresh Hessian eigendecomposition and metric
@@ -419,10 +417,6 @@ def _aligned(values: list | None, count: int, name: str) -> list:
 # ----------------------------------------------------------------------
 # Continuous ascent
 # ----------------------------------------------------------------------
-def _supports_input_grads(model: TwiceDifferentiableClassifier) -> bool:
-    return type(model).input_grads is not TwiceDifferentiableClassifier.input_grads
-
-
 def _ascend_all(
     model: TwiceDifferentiableClassifier,
     subset_Xs: list[np.ndarray],
@@ -436,41 +430,31 @@ def _ascend_all(
 
     Each pattern keeps its own δ, projection, and convergence test, but the
     per-step gradient evaluations of every still-live pattern concatenate
-    into a single ``input_grads`` call — or, for a model without that
-    hook, a single stacked finite-difference ``per_sample_grads`` call.
-    The built-in models evaluate gradients row-wise, so each pattern's
-    slice of the concatenated result matches its standalone evaluation;
-    converged patterns drop out of the stack, so late steps shrink toward
-    the hardest pattern alone.
+    into a single ``input_grads`` call.  The built-in models evaluate
+    gradients row-wise, so each pattern's slice of the concatenated result
+    matches its standalone evaluation; converged patterns drop out of the
+    stack, so late steps shrink toward the hardest pattern alone.
     """
     deltas = [np.zeros(subset_X.shape[1]) for subset_X in subset_Xs]
     actives = [np.flatnonzero(domain.mask) for domain in domains]
     live = [i for i in range(len(domains)) if actives[i].size]
     if not live:
         return deltas
-    analytic = _supports_input_grads(model)
-    eps = 1e-4
     for _ in range(num_steps):
         bases = [subset_Xs[i] + deltas[i] for i in live]
-        if analytic:
-            full = model.input_grads(
-                np.concatenate(bases, axis=0),
-                np.concatenate([subset_ys[i] for i in live]),
-                grad_f,
-            )
-            grads = []
-            start = 0
-            for i, base in zip(live, bases):
-                summed = full[start : start + base.shape[0]].sum(axis=0)
-                start += base.shape[0]
-                grad = np.zeros(base.shape[1])
-                grad[actives[i]] = summed[actives[i]]
-                grads.append(grad)
-        else:
-            grads = _stacked_fd_grad_all(
-                model, bases, [subset_ys[i] for i in live],
-                grad_f, [actives[i] for i in live], eps,
-            )
+        full = model.input_grads(
+            np.concatenate(bases, axis=0),
+            np.concatenate([subset_ys[i] for i in live]),
+            grad_f,
+        )
+        grads = []
+        start = 0
+        for i, base in zip(live, bases):
+            summed = full[start : start + base.shape[0]].sum(axis=0)
+            start += base.shape[0]
+            grad = np.zeros(base.shape[1])
+            grad[actives[i]] = summed[actives[i]]
+            grads.append(grad)
         still = []
         for i, grad in zip(live, grads):
             norm = np.linalg.norm(grad)
@@ -487,45 +471,6 @@ def _ascend_all(
         if not live:
             break
     return deltas
-
-
-def _stacked_fd_grad_all(
-    model: TwiceDifferentiableClassifier,
-    bases: list[np.ndarray],
-    subset_ys: list[np.ndarray],
-    grad_f: np.ndarray,
-    actives: list[np.ndarray],
-    eps: float,
-) -> list[np.ndarray]:
-    """Central-difference ∇_δJ for many patterns in one stacked model call.
-
-    Builds each pattern's 2·|active| copies, shifted by ±eps along one
-    active coordinate each, concatenates every pattern's stack, and splits
-    the single ``per_sample_grads`` result back per pattern.
-    """
-    blocks, labels = [], []
-    for base, subset_y, active in zip(bases, subset_ys, actives):
-        s, dim = base.shape
-        a = active.size
-        stacked = np.repeat(base[None, :, :], 2 * a, axis=0)
-        arange = np.arange(a)
-        stacked[arange, :, active] += eps
-        stacked[a + arange, :, active] -= eps
-        blocks.append(stacked.reshape(2 * a * s, dim))
-        labels.append(np.tile(subset_y, 2 * a))
-    grads = model.per_sample_grads(np.concatenate(blocks, axis=0), np.concatenate(labels))
-    out = []
-    start = 0
-    for base, active in zip(bases, actives):
-        s, dim = base.shape
-        a = active.size
-        segment = grads[start : start + 2 * a * s]
-        start += 2 * a * s
-        values = segment.reshape(2 * a, s, -1).sum(axis=1) @ grad_f
-        grad = np.zeros(dim)
-        grad[active] = (values[:a] - values[a:]) / (2.0 * eps)
-        out.append(grad)
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,21 +1,26 @@
-"""Estimator-equivalence suite: batched influence == the per-subset loop.
+"""Estimator-equivalence suite: batched influence == the per-subset forms.
 
 This is the safety net under the batched lattice search: for every
 closed-form estimator × every evaluation mode, ``bias_change_batch`` /
 ``responsibility_batch`` / ``param_change_batch`` must reproduce the
-corresponding per-subset queries to 1e-10 on random subsets of the seeded
-synthetic data, including the edge batches (empty batch, single subset,
-subset = all-but-one row).  Any vectorization rewrite that drifts from the
-scalar semantics fails here first.
+per-subset closed forms of ``oracles.influence_loop`` to 1e-10 on random
+subsets of the seeded synthetic data, including the edge batches (empty
+batch, single subset, subset = all-but-one row).  The scalar queries are
+batches of one, so they must equal the batch of one bit for bit.  Any
+vectorization rewrite that drifts from the per-subset semantics fails
+here first.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.influence_loop import LoopEstimator
 
+from repro.bench.workloads import MODELS
 from repro.influence import make_estimator
-from repro.models import LinearSVM, NeuralNetwork
+from repro.influence.artifacts import ModelArtifacts, NegativeCurvatureError
+from repro.models import LinearSVM, LogisticRegression, NeuralNetwork
 
 ATOL = 1e-10
 
@@ -82,23 +87,42 @@ class TestBatchMatchesLoop:
     def test_bias_change(self, config, evaluation, get_estimator, random_subsets):
         name, kwargs = config
         est = get_estimator(name, kwargs, evaluation)
-        loop = np.array([est.bias_change(s) for s in random_subsets])
+        oracle = LoopEstimator(est)
+        loop = np.array([oracle.bias_change(s) for s in random_subsets])
+        assert oracle.scalar_calls == len(random_subsets)
         batch = est.bias_change_batch(random_subsets)
         np.testing.assert_allclose(batch, loop, atol=ATOL, rtol=0.0)
 
     def test_responsibility(self, config, evaluation, get_estimator, random_subsets):
         name, kwargs = config
         est = get_estimator(name, kwargs, evaluation)
-        loop = np.array([est.responsibility(s) for s in random_subsets])
+        oracle = LoopEstimator(est)
+        loop = np.array([oracle.responsibility(s) for s in random_subsets])
+        assert oracle.scalar_calls == len(random_subsets)
         batch = est.responsibility_batch(random_subsets)
         np.testing.assert_allclose(batch, loop, atol=ATOL, rtol=0.0)
 
     def test_param_change(self, config, evaluation, get_estimator, random_subsets):
         name, kwargs = config
         est = get_estimator(name, kwargs, evaluation)
-        loop = np.stack([est.param_change(s) for s in random_subsets])
+        oracle = LoopEstimator(est)
+        loop = np.stack([oracle.param_change(s) for s in random_subsets])
+        assert oracle.scalar_calls == len(random_subsets)
         batch = est.param_change_batch(random_subsets)
         np.testing.assert_allclose(batch, loop, atol=ATOL, rtol=0.0)
+
+    def test_scalar_queries_are_batches_of_one(
+        self, config, evaluation, get_estimator, random_subsets
+    ):
+        """``param_change``, ``bias_change`` and ``responsibility`` run the
+        index form's batch of one, so they equal it bit for bit."""
+        name, kwargs = config
+        est = get_estimator(name, kwargs, evaluation)
+        n = est.num_train
+        for s in random_subsets[:6] + random_subsets[-2:]:
+            assert np.array_equal(est.param_change(s), est.param_change_batch([s], num_rows=n)[0])
+            assert est.bias_change(s) == est.bias_change_batch([s], num_rows=n)[0]
+            assert est.responsibility(s) == est.responsibility_batch([s], num_rows=n)[0]
 
     def test_mask_matrix_input_equals_index_lists(
         self, config, evaluation, get_estimator, random_subsets
@@ -130,14 +154,14 @@ class TestEdgeBatches:
         subset = np.arange(5)
         batch = est.bias_change_batch([subset])
         assert batch.shape == (1,)
-        assert batch[0] == pytest.approx(est.bias_change(subset), abs=ATOL)
+        assert batch[0] == pytest.approx(LoopEstimator(est).bias_change(subset), abs=ATOL)
 
     def test_all_but_one_row(self, config, evaluation, get_estimator):
         name, kwargs = config
         est = get_estimator(name, kwargs, evaluation)
         subset = np.arange(est.num_train - 1)
         batch = est.bias_change_batch([subset])
-        assert batch[0] == pytest.approx(est.bias_change(subset), abs=ATOL)
+        assert batch[0] == pytest.approx(LoopEstimator(est).bias_change(subset), abs=ATOL)
 
 
 class TestBatchValidation:
@@ -208,10 +232,30 @@ class TestHessianFactors:
         model = NeuralNetwork(hidden_units=4, l2_reg=1e-3, seed=0, max_iter=150).fit(X, y)
         self._check(model, X, y, np.arange(60))
 
-    def test_finite_difference_mode_has_no_factors(self, tiny_xy):
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_weights_are_non_negative(self, name, tiny_xy):
+        """The curvature contract: every workload model's factors carry
+        w_i ≥ 0, so the exact variant's downdate rows √w_i φ_i exist."""
         X, y = tiny_xy
-        model = NeuralNetwork(
-            hidden_units=3, l2_reg=1e-3, seed=0, max_iter=50, hessian_mode="exact_fd"
-        ).fit(X, y)
-        with pytest.raises(NotImplementedError):
-            model.hessian_factors(X, y)
+        model = MODELS[name]().fit(X, y)
+        phi, weights, ridge = model.hessian_factors(X, y)
+        assert phi.shape == (len(X), model.num_params) and weights.shape == (len(X),)
+        assert weights.min() >= 0.0 and ridge >= 0.0
+
+    def test_negative_weight_raises_the_named_error(self, tiny_xy):
+        """Factors that break the contract stop the exact downdate with a
+        named error instead of switching to another path."""
+        X, y = tiny_xy
+
+        class NegativeCurvatureLR(LogisticRegression):
+            def hessian_factors(self, X, y, theta=None):
+                phi, weights, ridge = super().hessian_factors(X, y, theta)
+                weights = weights.copy()
+                weights[3] = -0.25
+                return phi, weights, ridge
+
+        model = NegativeCurvatureLR(l2_reg=1e-2).fit(X, y)
+        artifacts = ModelArtifacts(model, X, y)
+        with pytest.raises(NegativeCurvatureError, match="row 3 the weight -0.25"):
+            artifacts.curvature_rows()
+        assert artifacts.stats["curvature_row_builds"] == 0

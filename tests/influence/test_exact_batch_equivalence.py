@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles.exact_loop import ExactLoopEstimator
+from oracles.influence_loop import LoopEstimator
 
 from repro.fairness import FairnessContext, get_metric, list_metrics
 from repro.influence import make_estimator
@@ -122,7 +122,9 @@ class TestKernelMatchesDenseOracle:
     def test_param_change(self, model_name, metric_name, damping, get_exact):
         est = get_exact(model_name, metric_name, damping)
         subsets = edge_subsets(est.num_train, est.model.num_params)
-        oracle = ExactLoopEstimator(est).param_change_batch(subsets)
+        loop = LoopEstimator(est)
+        oracle = loop.param_change_batch(subsets)
+        assert loop.scalar_calls == len(subsets)  # the dense step ran per subset
         scalar = np.stack([est.param_change(s) for s in subsets])
         np.testing.assert_allclose(scalar, oracle, atol=ATOL, rtol=0.0)
         np.testing.assert_allclose(est.param_change_batch(subsets), oracle, atol=ATOL, rtol=0.0)
@@ -130,7 +132,7 @@ class TestKernelMatchesDenseOracle:
     def test_bias_change(self, model_name, metric_name, damping, get_exact):
         est = get_exact(model_name, metric_name, damping)
         subsets = edge_subsets(est.num_train, est.model.num_params)
-        oracle = ExactLoopEstimator(est).bias_change_batch(subsets)
+        oracle = LoopEstimator(est).bias_change_batch(subsets)
         scalar = np.array([est.bias_change(s) for s in subsets])
         np.testing.assert_allclose(scalar, oracle, atol=ATOL, rtol=0.0)
         np.testing.assert_allclose(est.bias_change_batch(subsets), oracle, atol=ATOL, rtol=0.0)
@@ -140,7 +142,7 @@ class TestKernelMatchesDenseOracle:
         subsets = edge_subsets(est.num_train, est.model.num_params)
         masks = _mask_matrix(subsets, est.num_train)
         packed = np.packbits(masks, axis=1)
-        oracle = ExactLoopEstimator(est)
+        oracle = LoopEstimator(est)
         bias = est.bias_change_batch(packed, num_rows=est.num_train)
         np.testing.assert_allclose(bias, oracle.bias_change_batch(subsets), atol=ATOL, rtol=0.0)
         np.testing.assert_allclose(bias, est.bias_change_batch(masks), atol=1e-12, rtol=0.0)
@@ -151,7 +153,7 @@ class TestKernelMatchesDenseOracle:
     def test_index_input(self, model_name, metric_name, damping, get_exact):
         est = get_exact(model_name, metric_name, damping)
         subsets = edge_subsets(est.num_train, est.model.num_params)
-        oracle = ExactLoopEstimator(est)
+        oracle = LoopEstimator(est)
         np.testing.assert_allclose(
             est.bias_change_batch(subsets, num_rows=est.num_train),
             oracle.bias_change_batch(subsets),
@@ -242,29 +244,6 @@ class TestKernelSpan:
         assert np.all(deltas[0] == 0.0)
         (span,) = _kernel_spans(tracer)
         assert span.attrs["subsets"] == 1
-
-    def test_fd_hessian_runs_dense_matrices_through_the_kernel(self, exact_data):
-        """Without rank-one factors each reduced matrix is built from
-        ``model.hessian(X_S)`` and factorized by the same kernel, with no
-        ``dsyrk`` work on the span (the batch's g_S are its GEMM)."""
-        X_train, y_train, ctx = exact_data
-        model = NeuralNetwork(
-            hidden_units=2, l2_reg=1e-3, seed=0, max_iter=60, hessian_mode="exact_fd"
-        ).fit(X_train, y_train)
-        est = make_estimator(
-            "exact", model, X_train, y_train,
-            get_metric("statistical_parity"), ctx, evaluation="smooth",
-        )
-        subsets = [np.arange(4), np.arange(9)]
-        oracle = ExactLoopEstimator(est).param_change_batch(subsets)
-        with trace.tracing(Tracer()) as tracer:
-            batch = est.param_change_batch(subsets)
-        np.testing.assert_allclose(batch, oracle, atol=ATOL, rtol=0.0)
-        scalar = np.stack([est.param_change(s) for s in subsets])
-        np.testing.assert_allclose(scalar, oracle, atol=ATOL, rtol=0.0)
-        (span,) = _kernel_spans(tracer)
-        assert span.attrs["subsets"] == len(subsets)
-        assert span.attrs["gemm_flops"] == 0.0
 
 
 class TestExactAlias:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles.exact_loop import ExactLoopEstimator
+from oracles.influence_loop import LoopEstimator
 
 from repro.fairness import FairnessContext, get_metric
 from repro.influence import make_estimator
@@ -70,7 +70,7 @@ def _kernel_spans(tracer):
 def test_fuzz_batch_matches_loop(seed):
     est, rng = _random_problem(seed)
     subsets = _random_batch(rng, est.num_train, est.model.num_params)
-    oracle = ExactLoopEstimator(est)
+    oracle = LoopEstimator(est)
     expected = oracle.param_change_batch(subsets)
     batch = est.param_change_batch(subsets)
     np.testing.assert_allclose(batch, expected, atol=ATOL, rtol=0.0)
@@ -151,7 +151,7 @@ def test_rank_deficient_subset_escalates():
     A = est.num_train * artifacts.hessian - regular.size * ridge * np.eye(est.model.num_params)
     own = np.linalg.solve(A - V.T @ V, artifacts.per_sample_grads[regular].sum(axis=0))
     np.testing.assert_allclose(batch[1], own, rtol=1e-10, atol=0.0)
-    expected = ExactLoopEstimator(est).param_change_batch(subsets[:1])[0]
+    expected = LoopEstimator(est).param_change_batch(subsets[:1])[0]
     np.testing.assert_allclose(batch[0], expected, atol=ATOL, rtol=0.0)
     assert np.isfinite(batch).all()
 
@@ -171,7 +171,7 @@ def test_a_failed_in_place_dposv_is_rebuilt():
     assert span.attrs["escalated"] == 1
     for row, subset in zip(batch, subsets, strict=True):
         np.testing.assert_array_equal(row, est.param_change_batch([subset], num_rows=n)[0])
-    oracle = ExactLoopEstimator(est).param_change_batch(subsets[1:2])[0]
+    oracle = LoopEstimator(est).param_change_batch(subsets[1:2])[0]
     np.testing.assert_allclose(batch[1], oracle, atol=ATOL, rtol=0.0)
     # With damping every matrix takes the escalation, from the same unfactored matrix.
     damped = _rank_deficient_problem(damping=1e-3, relabelled_copy=True)

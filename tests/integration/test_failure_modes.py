@@ -15,6 +15,8 @@ from repro.datasets import (
 from repro.fairness import FairnessContext, get_metric, list_metrics
 from repro.influence import FirstOrderInfluence
 from repro.models import LinearSVM, LogisticRegression, NeuralNetwork
+from repro.obs import trace
+from repro.obs.trace import Tracer
 from repro.tabular import NumericColumn, Table
 
 
@@ -115,6 +117,59 @@ class TestZeroRetrainedBias:
         rows = result.render().splitlines()[2:-1]
         assert len(rows) == 3
         assert all("undefined (retrained bias 0)" in row and "*" not in row for row in rows)
+
+
+class TestUnverifiableExplanation:
+    """Removing one selected subset leaves a single label class, so that
+    explanation has no model to retrain: it stays unverified (``gt_*``
+    None) and the other explanations are still verified, in ``explain``
+    and in ``delta_audit`` alike."""
+
+    @staticmethod
+    def _train() -> Dataset:
+        # Two extra group-a rows: removing ``signal < 0.73`` (74% of the
+        # rows) then leaves only label 1.
+        extra = Table.from_dict(
+            {
+                "group": np.array(["a", "a"]),
+                "signal": np.array([-1.16, 0.3]),
+                "color": np.array(["red", "red"]),
+            }
+        )
+        return twin_table(120, 0).with_rows(extra, np.array([0, 1]))
+
+    @staticmethod
+    def _check(explanations, train: Dataset) -> None:
+        one_class = [
+            np.unique(train.labels[~e.pattern.mask(train.table)]).size < 2
+            for e in explanations
+        ]
+        assert any(one_class) and not all(one_class)
+        for explanation, degenerate in zip(explanations, one_class):
+            assert (explanation.gt_bias_change is None) == degenerate
+            if degenerate:
+                assert explanation.gt_responsibility is None
+
+    def test_explain(self):
+        train = self._train()
+        gopher = GopherExplainer(LogisticRegression(l2_reg=1e-3), max_predicates=2, retrain_jobs=1)
+        gopher.fit(train, twin_table(40, 1))
+        tracer = Tracer()
+        with trace.tracing(tracer):
+            result = gopher.explain(k=3, verify=True)
+        self._check(result, train)
+        (span,) = [s for s in tracer.walk() if s.name == "explain.verify"]
+        assert span.attrs["unverifiable"] == 1
+
+    def test_delta_audit(self):
+        session = AuditSession(LogisticRegression(l2_reg=1e-3), max_predicates=2, retrain_jobs=1)
+        session.fit(self._train(), twin_table(40, 1))
+        metrics = ["statistical_parity"]
+        self._check(session.audit(metrics=metrics, k=3, verify=True).queries[0].explanations,
+                    session.train_data)
+        delta = session.delta_audit(DataEdit.remove([126]), metrics=metrics, k=3, verify=True)
+        assert delta.num_certified == 1  # the replay path verifies, too
+        self._check(delta.after.queries[0].explanations, session.train_data)
 
 
 class TestZeroBiasAudit:

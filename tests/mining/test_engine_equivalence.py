@@ -250,7 +250,3 @@ class TestExplainerIntegration:
     def test_config_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):
             GopherConfig(engine="bogus")
-
-    def test_config_rejects_bad_batch_size(self):
-        with pytest.raises(ValueError, match="search_batch_size"):
-            GopherConfig(search_batch_size=0)

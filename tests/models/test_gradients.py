@@ -7,6 +7,7 @@ gradient are checked against central finite differences of the loss.
 
 import numpy as np
 import pytest
+from oracles import fd_hessian
 
 from repro.models import LinearSVM, LogisticRegression, NeuralNetwork
 
@@ -76,7 +77,7 @@ class TestHessianMatchesFiniteDifferences:
         X, y = xy
         model = models[0]
         analytic = model.hessian(X, y)
-        numeric = _fd_hessian(model, X, y)
+        numeric = fd_hessian(model, X, y)
         np.testing.assert_allclose(analytic, numeric, atol=1e-5)
 
     def test_svm_hessian_away_from_kink(self, xy):
@@ -87,15 +88,7 @@ class TestHessianMatchesFiniteDifferences:
         margins = (2.0 * y - 1.0) * (np.hstack([X, np.ones((len(X), 1))]) @ theta)
         assert np.abs(margins - 1.0).min() > 1e-3
         analytic = model.hessian(X, y, theta)
-        numeric = _fd_hessian(model, X, y, theta)
-        np.testing.assert_allclose(analytic, numeric, atol=1e-4)
-
-    def test_nn_exact_fd_hessian(self, xy):
-        X, y = xy
-        model = NeuralNetwork(hidden_units=3, l2_reg=1e-2, seed=1, hessian_mode="exact_fd")
-        model.fit(X, y)
-        analytic = model.hessian(X, y)
-        numeric = _fd_hessian(model, X, y)
+        numeric = fd_hessian(model, X, y, theta)
         np.testing.assert_allclose(analytic, numeric, atol=1e-4)
 
     def test_nn_gauss_newton_is_psd(self, xy):
@@ -155,18 +148,6 @@ class TestInputGrads:
         with pytest.raises(ValueError, match="vector shape"):
             models[idx].input_grads(X, y, np.zeros(2))
 
-    def test_default_signals_fallback(self, xy):
-        """Models without a closed form keep the NotImplementedError default
-        that routes the update search to finite differences."""
-        from repro.models.base import TwiceDifferentiableClassifier
-
-        X, y = xy
-        model = LogisticRegression(l2_reg=1e-2).fit(X, y)
-        with pytest.raises(NotImplementedError):
-            TwiceDifferentiableClassifier.input_grads(
-                model, X, y, np.zeros(model.num_params)
-            )
-
 
 class TestGradProba:
     @pytest.mark.parametrize("idx", [0, 1, 2], ids=["lr", "svm", "nn"])
@@ -180,13 +161,3 @@ class TestGradProba:
             )
             np.testing.assert_allclose(analytic[i], numeric, atol=1e-5, rtol=1e-4)
 
-
-def _fd_hessian(model, X, y, theta=None, eps=1e-5):
-    theta = model.theta if theta is None else theta
-    p = len(theta)
-    H = np.zeros((p, p))
-    for k in range(p):
-        step = np.zeros(p)
-        step[k] = eps
-        H[:, k] = (model.grad(X, y, theta + step) - model.grad(X, y, theta - step)) / (2 * eps)
-    return 0.5 * (H + H.T)

@@ -91,19 +91,3 @@ class TestValidation:
         assert clone.fit_intercept is False
         assert clone.max_iter == 10
 
-
-class TestSubsetGradSum:
-    def test_matches_manual_sum(self, tiny_xy):
-        X, y = tiny_xy
-        model = LogisticRegression().fit(X, y)
-        idx = np.array([0, 3, 7])
-        expected = model.per_sample_grads(X[idx], y[idx]).sum(axis=0)
-        np.testing.assert_allclose(model.subset_grad_sum(X, y, idx), expected)
-
-    def test_empty_subset_is_zero(self, tiny_xy):
-        X, y = tiny_xy
-        model = LogisticRegression().fit(X, y)
-        np.testing.assert_array_equal(
-            model.subset_grad_sum(X, y, np.array([], dtype=int)),
-            np.zeros(model.num_params),
-        )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import fd_hessian
 
 from repro.models import NeuralNetwork
 
@@ -51,10 +52,8 @@ class TestFitPredict:
         assert warm.accuracy(X, y) >= model.accuracy(X, y) - 0.02
 
     def test_clone_preserves_config(self):
-        clone = NeuralNetwork(hidden_units=7, l2_reg=0.1, max_iter=5, seed=9,
-                              hessian_mode="exact_fd").clone()
-        assert clone.hidden_units == 7
-        assert clone.hessian_mode == "exact_fd"
+        clone = NeuralNetwork(hidden_units=7, l2_reg=0.1, max_iter=5, seed=9).clone()
+        assert (clone.hidden_units, clone.l2_reg, clone.max_iter, clone.seed) == (7, 0.1, 5, 9)
         assert clone.theta is None
 
 
@@ -62,10 +61,6 @@ class TestValidation:
     def test_invalid_hidden_units(self):
         with pytest.raises(ValueError, match="hidden_units"):
             NeuralNetwork(hidden_units=0)
-
-    def test_invalid_hessian_mode(self):
-        with pytest.raises(ValueError, match="hessian_mode"):
-            NeuralNetwork(hessian_mode="bogus")
 
     def test_negative_reg(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -81,13 +76,11 @@ class TestValidation:
 class TestHessianModes:
     def test_modes_agree_near_interpolation(self, tiny_xy):
         """GGN equals the exact Hessian when residuals vanish; on real data
-        they should at least agree in scale."""
+        they should at least agree in scale.  The exact Hessian is the
+        finite-difference reference of ``oracles``."""
         X, y = tiny_xy
-        exact = NeuralNetwork(hidden_units=3, l2_reg=1e-2, seed=0, hessian_mode="exact_fd")
-        exact.fit(X, y)
-        ggn = NeuralNetwork(hidden_units=3, l2_reg=1e-2, seed=0, hessian_mode="gauss_newton")
-        ggn.fit(X, y)
-        h_exact = exact.hessian(X, y)
-        h_ggn = ggn.hessian(X, y, exact.theta)
+        model = NeuralNetwork(hidden_units=3, l2_reg=1e-2, seed=0).fit(X, y)
+        h_exact = fd_hessian(model, X, y)
+        h_ggn = model.hessian(X, y)
         ratio = np.trace(h_ggn) / np.trace(h_exact)
         assert 0.3 < ratio < 3.0

@@ -20,3 +20,20 @@ def row_subsets(subsets, num_rows: int | None = None) -> list[np.ndarray]:
         subsets = unpack_rows(subsets, num_rows)
     rows = [np.asarray(subset) for subset in subsets]
     return [np.flatnonzero(r) if r.dtype == bool else r.astype(np.int64) for r in rows]
+
+
+def fd_hessian(model, X, y, theta=None, eps: float = 1e-5) -> np.ndarray:
+    """The mean Hessian by central differences of ``model.grad``, symmetrized.
+
+    The reference for the closed-form curvature of ``model.hessian``: the
+    true Hessian of the loss, which for the network differs from its
+    Gauss–Newton curvature away from interpolation.
+    """
+    theta = model.theta if theta is None else theta
+    p = len(theta)
+    H = np.zeros((p, p))
+    for k in range(p):
+        step = np.zeros(p)
+        step[k] = eps
+        H[:, k] = (model.grad(X, y, theta + step) - model.grad(X, y, theta - step)) / (2 * eps)
+    return 0.5 * (H + H.T)

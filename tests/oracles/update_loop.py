@@ -1,7 +1,7 @@
 """The per-coordinate §5 update search: the reference for the batched engine.
 
 :func:`repro.updates.find_update_explanations` ascends every pattern at
-once, with one analytic (or stacked finite-difference) gradient call per
+once, with one analytic ``input_grads`` call per
 step, and scores every backoff scale in one pass.  This module keeps the
 slow form: per pattern and ascent step, two objective evaluations per
 active coordinate; then one Eq.-14 evaluation per backoff scale; and, when

@@ -2,7 +2,7 @@
 
 Golden guarantee: ``compute_candidates`` returns *the identical candidate
 set* — patterns, supports, responsibilities — and identical per-level
-accounting as the per-candidate query loop of ``oracles.lattice_loop``, on
+accounting as the per-candidate query loop of ``oracles.influence_loop``, on
 the seeded synthetic dataset.  Plus the support-threshold boundary: a
 pattern covering exactly τ of the rows is excluded at every lattice level,
 on both paths, matching the "strictly more than τ" contract.
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles.exact_loop import ExactLoopEstimator
-from oracles.lattice_loop import LoopEstimator
+from oracles.influence_loop import LoopEstimator
 
 from repro.fairness import FairnessContext, get_metric
 from repro.influence import make_estimator
@@ -75,7 +74,7 @@ class TestGoldenEquivalence:
         estimator = make_estimator(
             "exact", lr_model, X_train, german_train.labels, sp_metric, test_ctx
         )
-        oracle = ExactLoopEstimator(estimator)
+        oracle = LoopEstimator(estimator)
         loop = compute_candidates(german_train.table, oracle, 0.05, max_predicates=2)
         assert oracle.scalar_calls == loop.num_evaluated > 0
         batched = compute_candidates(german_train.table, estimator, 0.05, max_predicates=2)

@@ -1,10 +1,9 @@
 """Batch-vs-loop equivalence for the vectorized §5 update-search engine.
 
 The batched engine must produce the same δ's, estimated bias changes, and
-described updates as the per-coordinate reference loop of
-``oracles.update_loop`` — both through the analytic ``input_grads`` ascent
-and, for a model without that hook, through the stacked finite-difference
-ascent — mirroring the estimator-equivalence suite.
+described updates through its analytic ``input_grads`` ascent as the
+per-coordinate finite-difference reference loop of ``oracles.update_loop``,
+mirroring the estimator-equivalence suite.
 """
 
 import json
@@ -13,8 +12,6 @@ import numpy as np
 import pytest
 from oracles import update_loop
 
-from repro.models import LogisticRegression
-from repro.models.base import TwiceDifferentiableClassifier
 from repro.patterns import Pattern, Predicate
 from repro.updates import UpdateSearchContext, find_update_explanations
 
@@ -29,13 +26,6 @@ PATTERNS = [
 
 DELTA_ATOL = 1e-6
 CHANGE_ATOL = 1e-9
-
-
-class FiniteDifferenceLR(LogisticRegression):
-    """Logistic regression without analytic input gradients, so the engine
-    ascends by stacked finite differences."""
-
-    input_grads = TwiceDifferentiableClassifier.input_grads
 
 
 @pytest.fixture(scope="module")
@@ -75,13 +65,6 @@ def loop_result(loop):
     return loop()
 
 
-@pytest.fixture(scope="module")
-def fd_context(lr_model, X_train, german_train, sp_metric, test_ctx):
-    model = FiniteDifferenceLR(lr_model.l2_reg)
-    model.theta = lr_model.theta
-    return UpdateSearchContext(model, X_train, german_train.labels, sp_metric, test_ctx)
-
-
 def _assert_equivalent(batched, loop):
     assert len(batched) == len(loop)
     for b, l in zip(batched, loop):
@@ -95,9 +78,6 @@ def _assert_equivalent(batched, loop):
 class TestBatchEquivalence:
     def test_analytic_fast_path_matches_loop(self, engine, loop_result):
         _assert_equivalent(engine(), loop_result)
-
-    def test_stacked_fd_matches_loop(self, engine, loop_result, fd_context):
-        _assert_equivalent(engine(context=fd_context), loop_result)
 
     def test_allowed_features_override(self, engine, loop):
         allowed = {"gender", "age", "housing", "amount"}
@@ -157,16 +137,15 @@ class TestEngineResult:
             )
 
     def test_empty_pattern_list(self, lr_model, encoder, X_train, german_train,
-                                sp_metric, test_ctx, context, fd_context):
+                                sp_metric, test_ctx, context):
         # Zero surviving explanations (e.g. an over-tight support threshold)
-        # must yield an empty set on both ascents, not a concatenate crash.
-        for ctx in (context, fd_context):
-            result = find_update_explanations(
-                ctx.model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-                [], [], context=ctx,
-            )
-            assert len(result) == 0
-            assert result.original_bias == pytest.approx(ctx.original_bias)
+        # must yield an empty set, not a concatenate crash.
+        result = find_update_explanations(
+            lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
+            [], [], context=context,
+        )
+        assert len(result) == 0
+        assert result.original_bias == pytest.approx(context.original_bias)
 
     def test_empty_subset_rejected(self, lr_model, encoder, X_train, german_train,
                                    sp_metric, test_ctx):
