@@ -4,10 +4,10 @@ The §5 debugging loop is audit → repair → re-audit.  The naive re-audit
 pays the whole per-model start-up again — re-encode, rebuild gradients,
 re-factorize the Hessian, regenerate the predicate alphabet — and then
 re-runs every engine search.  ``delta_audit`` instead patches every cache
-in place (rank-k solver updates, mask patches) and *replays* each
-recorded search against the patched artifacts: one packed batch over the
-recorded candidates plus a drift-screened boundary re-score, instead of
-a full lattice merge pass.
+in place (row and mask patches, one ``eigh`` of the patched Hessian per
+cached solver) and *replays* each recorded search against the patched
+artifacts: one packed batch over the recorded candidates plus a
+drift-screened boundary re-score, instead of a full lattice merge pass.
 
 Three claims, asserted:
 
@@ -165,7 +165,8 @@ def test_delta_audit(benchmark, smoke):
             f"(german n={rows}, series/smooth{', smoke' if smoke else ''})",
             ["query", "certified", "engine evals", "replay evals", "time"],
             rows_out,
-            note="replay = apply_edit (rank-k solver update + mask patches) + "
+            note="replay = apply_edit (one eigh of the patched Hessian per solver + "
+            "mask patches) + "
             "per-query record replay with drift-screened boundary re-scores; "
             "cold = new AuditSession.fit + full engine searches over the edited "
             "data (same fitted model/encoder on both sides; timing baseline "

@@ -63,6 +63,7 @@ from repro.patterns.lattice import (
     LevelState,
     PatternStats,
     PredicateIndex,
+    _root_cause,
 )
 from repro.patterns.topk import select_top_k
 
@@ -263,12 +264,7 @@ def replay_search(
 
     # Responsibility bars against the re-scored level-1 parents (the
     # lattice's root-cause window: only parents with 0 < R <= cap veto).
-    resp_l, resp_r = resp1[pair_left], resp1[pair_right]
-    bars = np.full(num_pairs, -np.inf)
-    valid_l = (resp_l > 0.0) & (resp_l <= cap)
-    valid_r = (resp_r > 0.0) & (resp_r <= cap)
-    bars[valid_l] = resp_l[valid_l]
-    bars[valid_r] = np.maximum(bars[valid_r], resp_r[valid_r])
+    bars = np.maximum(_root_cause(resp1[pair_left], cap), _root_cause(resp1[pair_right], cap))
 
     # The candidates, as the fresh search orders them: level-1 entries,
     # then the in-result pairs in skeleton order.

@@ -17,7 +17,7 @@ from repro.mining.alphabet import resolve_alphabet
 from repro.mining.closed import mine_closed_candidates
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
-from repro.patterns.lattice import compute_candidates
+from repro.patterns.lattice import CandidateResult, PatternStats, compute_candidates
 from repro.patterns.pattern import Pattern
 from repro.patterns.topk import select_top_k
 
@@ -184,16 +184,32 @@ class GopherExplainer:
                 exclude_features_only=protected_only,
                 max_responsibility=cfg.max_responsibility,
             )
+        return self._answer(selected, lattice, verify, search_span.seconds, filter_span.seconds)
+
+    def _answer(
+        self,
+        selected: list[PatternStats],
+        lattice: CandidateResult,
+        verify: bool,
+        search_seconds: float,
+        filter_seconds: float,
+    ) -> ExplanationSet:
+        """The explanation set of the top-k ``selected`` out of ``lattice``.
+
+        The tail of a fresh search and of a certified delta replay alike:
+        with ``verify``, the ground truth is filled under one
+        ``explain.verify`` span.
+        """
         explanations = [Explanation.from_stats(i + 1, s) for i, s in enumerate(selected)]
         if verify:
             with trace.span("explain.verify", subsets=len(explanations)):
                 self._verify(explanations, [s.mask() for s in selected])
         return ExplanationSet(
             explanations=explanations,
-            metric_name=cfg.metric,
+            metric_name=self.config.metric,
             original_bias=self.original_bias,
-            search_seconds=search_span.seconds,
-            filter_seconds=filter_span.seconds,
+            search_seconds=search_seconds,
+            filter_seconds=filter_seconds,
             lattice=lattice,
         )
 
@@ -203,7 +219,7 @@ class GopherExplainer:
         A removal that leaves a single label class has no model to retrain;
         that explanation keeps its ``gt_*`` fields None (rendered as an
         unverified estimate) and the others are still verified; the open
-        span counts it under ``unverifiable``.
+        ``explain.verify`` span counts it under ``unverifiable``.
         """
         if not explanations:
             return

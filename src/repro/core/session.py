@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.config import GopherConfig
 from repro.core.delta import replay_geometry, replay_search
-from repro.core.explanation import Explanation, ExplanationSet
+from repro.core.explanation import ExplanationSet
 from repro.datasets.base import Dataset, ProtectedGroup
 from repro.datasets.edits import DataEdit
 from repro.datasets.encoding import TabularEncoder
@@ -712,12 +712,13 @@ class AuditSession:
         """Apply a training-data edit to every shared cache, in place.
 
         The dataset, the encoded training matrix, the influence artifacts
-        (gradients, Hessian, solver factorizations/eigendecompositions,
-        rank-one curvature factors) and the candidate alphabet are all
-        *patched* for the edit — nothing heavy is rebuilt, which is the
-        point: the counters under ``session.stats`` show ``*_builds`` /
-        ``hessian_factorizations`` unchanged and the edit cost under
-        ``solver_updates`` / ``*_patches``.  The model is **not** refit
+        (gradients, Hessian, rank-one curvature factors) and the candidate
+        alphabet are all *patched* for the edit, and each cached Hessian
+        solver is replaced by one ``eigh`` of the patched Hessian — no
+        cache is rebuilt, which is the point: the counters under
+        ``session.stats`` show ``*_builds`` / ``hessian_factorizations``
+        unchanged and the edit cost under ``solver_updates`` /
+        ``*_patches``.  The model is **not** refit
         (influence debugging measures edits from the current optimum), and
         the test split, encoder, and cached fairness contexts are
         untouched.  Estimators built before the edit are invalidated via
@@ -950,17 +951,7 @@ class AuditSession:
                 )
             return view.explain(k=k, verify=verify), False, True, reason
 
-        explanations = [
-            Explanation.from_stats(i + 1, s) for i, s in enumerate(replay.selected)
-        ]
-        if verify:
-            view._verify(explanations, [s.mask() for s in replay.selected])
-        after_set = ExplanationSet(
-            explanations=explanations,
-            metric_name=cfg.metric,
-            original_bias=view.original_bias,
-            search_seconds=replay_span.seconds,
-            filter_seconds=replay.filter_seconds,
-            lattice=replay.result,
+        after_set = view._answer(
+            replay.selected, replay.result, verify, replay_span.seconds, replay.filter_seconds
         )
         return after_set, True, False, ""

@@ -26,8 +26,9 @@ its builds: ``per_sample_grad_builds``, ``hessian_builds``,
 ``curvature_row_builds``, ``learning_rate_builds`` and
 ``update_context_builds``.  Callers — the
 audit benchmark in particular — can *assert* that a multi-query workload
-paid for each exactly once.  Edits count under ``edits`` and
-``solver_updates``; the extent cache counts
+paid for each exactly once.  Edits count under ``edits``; an edit
+replaces each cached solver by one ``eigh`` of the patched Hessian, counted
+under ``solver_updates``.  The extent cache counts
 ``param_change_cache_hits`` / ``param_change_cache_misses``.
 """
 
@@ -223,18 +224,17 @@ class ModelArtifacts:
         encoded with the same encoder as ``X_train``
         (:meth:`repro.core.AuditSession.apply_edit` does the translation).
 
-        Nothing is rebuilt.  The Hessian is patched through the subset
-        identity ``n'·H' = n·H − k·H(removed) + k·H(added) + Δ(relabelled)``
-        (the L2 terms cancel exactly); the gradient matrix and rank-one
-        factors are patched row-wise; and every cached
-        :class:`HessianSolver` is advanced through
-        :meth:`HessianSolver.updated`, a rank-k eigenbasis update built
-        from the edited rows' own Hessian factors, never a Cholesky
-        refactorization (``hessian_factorizations`` stays put; the new work
-        lands under ``solver_updates``).  The update needs no factor cache,
-        so a session that never built one still builds none.  Unbuilt
-        caches stay lazy and will be built against the edited data on
-        first use.
+        The Hessian is patched through the subset identity
+        ``n'·H' = n·H − k·H(removed) + k·H(added) + Δ(relabelled)`` (the L2
+        terms cancel exactly); the gradient matrix and rank-one factors are
+        patched row-wise; and every cached :class:`HessianSolver` is
+        replaced by :meth:`HessianSolver.updated`, one ``eigh`` of the
+        patched Hessian per cached solver, counted under
+        ``solver_updates`` (``hessian_factorizations`` stays put).  The
+        edited rows' own Hessian factors are computed only to patch a
+        built factor cache, so a session that never built one still builds
+        none.  Unbuilt caches stay lazy and will be built against the
+        edited data on first use.
 
         θ is *not* refit — influence debugging asks "how would the bias
         move if we trained on the edited data", and every estimator measures
@@ -307,67 +307,34 @@ class ModelArtifacts:
                 total = total + k_add * model.hessian(X_add, y_add)
             new_hessian = total / n_new
 
-        # -- fresh per-row state the patches below splice in --------------
-        grads_rel = grads_add = None
-        grads = self._per_sample_grads.peek()
-        if grads is not None:
-            if relabel.size:
-                grads_rel = model.per_sample_grads(X_rel, y_patched[relabel])
-            if k_add:
-                grads_add = model.per_sample_grads(X_add, y_add)
-        factors = self._factors.peek()
-        solvers = self._solvers.items()
-        if solvers or factors is not None:
-            # The edited rows' own factors: U rows and signed weights
-            # expressing Σ'wφφᵀ − Σwφφᵀ as Uᵀdiag(c)U.
-            vec_parts, weight_parts = [], []
-            if relabel.size:
-                phi_old, w_old, ridge = model.hessian_factors(X_rel, self.y_train[relabel])
-                phi_rel, w_rel, _ = model.hessian_factors(X_rel, y_patched[relabel])
-                vec_parts += [phi_old, phi_rel]
-                weight_parts += [-w_old, w_rel]
-            if remove.size:
-                phi_rem, w_rem, ridge = model.hessian_factors(
-                    self.X_train[remove], self.y_train[remove]
-                )
-                vec_parts.append(phi_rem)
-                weight_parts.append(-w_rem)
-            if k_add:
-                phi_add, w_add, ridge = model.hessian_factors(X_add, y_add)
-                vec_parts.append(phi_add)
-                weight_parts.append(w_add)
-            update_vectors = np.vstack(vec_parts)
-            update_weights = np.concatenate(weight_parts) / n_new
-
-        # -- solvers ----------------------------------------------------------
-        scale = n / n_new
-        for key, old_solver in solvers:
+        # -- solvers: one eigh of the patched Hessian each -----------------
+        for key, old_solver in self._solvers.items():
             if new_hessian is None:
                 raise RuntimeError("solver cache exists without a built hessian")
-            shift = (old_solver.damping_used + ridge) * (1.0 - scale)
-            solver = old_solver.updated(
-                new_hessian, update_vectors, update_weights, scale=scale, shift=shift
-            )
-            self._solvers.set(solver, key)
+            self._solvers.set(old_solver.updated(new_hessian), key)
             self.stats.inc("solver_updates")
 
         # -- row-wise caches and the data itself ---------------------------
+        grads = self._per_sample_grads.peek()
         if grads is not None:
             if relabel.size:
                 grads = grads.copy()
-                grads[relabel] = grads_rel
+                grads[relabel] = model.per_sample_grads(X_rel, y_patched[relabel])
             grads = grads[keep]
             if k_add:
-                grads = np.vstack([grads, grads_add])
+                grads = np.vstack([grads, model.per_sample_grads(X_add, y_add)])
             self._per_sample_grads.set(grads)
+        factors = self._factors.peek()
         if factors is not None:
-            phi_new, w_new, _ = factors
+            phi_new, w_new, ridge = factors
             if relabel.size:
+                phi_rel, w_rel, _ = model.hessian_factors(X_rel, y_patched[relabel])
                 phi_new, w_new = phi_new.copy(), w_new.copy()
                 phi_new[relabel] = phi_rel
                 w_new[relabel] = w_rel
             phi_new, w_new = phi_new[keep], w_new[keep]
             if k_add:
+                phi_add, w_add, _ = model.hessian_factors(X_add, y_add)
                 phi_new = np.vstack([phi_new, phi_add])
                 w_new = np.concatenate([w_new, w_add])
             self._factors.set((phi_new, w_new, ridge))

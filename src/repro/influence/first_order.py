@@ -46,7 +46,7 @@ class FirstOrderInfluence(InfluenceEstimator):
         self.damping = float(damping)
         self.solver = self.artifacts.solver(damping)
         # s = H⁻¹ ∇F lets linearized ΔF(S) collapse to a dot product with g_S.
-        self._stest = self.solver.solve(self.grad_f)
+        self._stest = self.solver.solve_many(self.grad_f[None])[0]
         self._point_influences = Lazy("influence.point_influences")
 
     def _extent_cache_spec(self) -> tuple:

@@ -190,11 +190,11 @@ class SecondOrderInfluence(InfluenceEstimator):
         if nonzero is not None:
             rows = (r & nonzero if masked else r[nonzero[r]] for r in rows)
         gather = V.compress if masked else V.take
-        base = np.asfortranarray(n * self.hessian)
         kernel = ReducedHessianSolver.with_damping(self.damping)
         deltas[solved] = kernel.solve_many(
             rhs,
-            ((base, shift) for shift in ridge * sizes[solved]),
+            np.asfortranarray(n * self.hessian),
+            ridge * sizes[solved],
             (gather(r, axis=0) for r in rows),
             rhs_flops=rhs_flops,
         )

@@ -121,9 +121,9 @@ def _slot_arrays(session: AuditSession) -> list[tuple[str, np.ndarray]]:
         ("rank-one weights", weights),
     ]
     if solver._factor is not None:
-        held.append(("solver factor", solver._factor[0]))
+        held.append(("solver factor", solver._factor))
     else:
-        held += [("solver eigenbasis", array) for array in solver.eigendecomposition()]
+        held += [("solver eigenbasis", array) for array in solver._eig]
     cfg = session.config
     alphabet = session.alphabet_cache.get(
         cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None

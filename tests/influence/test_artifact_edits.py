@@ -1,13 +1,15 @@
 """ModelArtifacts.apply_edit: patched caches equal a from-scratch rebuild.
 
-The edit path never refactorizes or rebuilds — it patches the training
-matrix, the per-sample gradient matrix, the mean Hessian (subset-Hessian
-identity), every cached solver (rank-k eigenbasis update), and the rank-one
-Hessian factors.  Each patched cache is pinned against a
-``ModelArtifacts`` built from scratch on the edited data, and the stats
-counters prove nothing heavy ran.  Version stamping: estimators built
-before an edit must refuse to score afterwards.
+The edit path patches the training matrix, the per-sample gradient matrix,
+the mean Hessian (subset-Hessian identity) and the rank-one Hessian
+factors, and replaces every cached solver by one ``eigh`` of the patched
+Hessian, never a Cholesky refactorization.  Each patched cache is pinned
+against a ``ModelArtifacts`` built from scratch on the edited data, and the
+stats counters prove no cache was rebuilt.  Version stamping: estimators
+built before an edit must refuse to score afterwards.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -79,15 +81,16 @@ class TestPatchedCachesMatchRebuild:
             artifacts.per_sample_grads, fresh.per_sample_grads, atol=1e-10
         )
         np.testing.assert_allclose(artifacts.hessian, fresh.hessian, atol=1e-10)
-        b = rng.standard_normal(artifacts.hessian.shape[0])
+        B = rng.standard_normal((3, artifacts.hessian.shape[0]))
         np.testing.assert_allclose(
-            artifacts.solver(DAMPING).solve(b),
-            fresh.solver(DAMPING).solve(b),
+            artifacts.solver(DAMPING).solve_many(B),
+            fresh.solver(DAMPING).solve_many(B),
             atol=1e-8,
         )
-        # The cached solver advanced through .updated() (a new object in the
-        # updated eigenbasis) — hessian_factorizations pins that no Cholesky
-        # ran; test_counters_prove_no_refactorization covers the accounting.
+        # The cached solver was replaced through .updated() (a new object in
+        # the patched Hessian's eigenbasis) — hessian_factorizations pins
+        # that no Cholesky ran; test_counters_prove_no_refactorization covers
+        # the accounting.
         assert artifacts.solver(DAMPING) is not solver
         # The exact kernel downdates its reduced matrices by these rows.
         phi, weights, ridge = artifacts.hessian_factors()
@@ -109,6 +112,34 @@ class TestPatchedCachesMatchRebuild:
         assert after["hessian_builds"] == before["hessian_builds"]
         assert after["edits"] == before["edits"] + 1
         assert after["solver_updates"] == before["solver_updates"] + 1
+
+    @pytest.mark.parametrize("kind", ["remove", "relabel", "add"], ids=str)
+    def test_solver_update_needs_no_factors(self, artifacts, X_train, monkeypatch, kind):
+        """With only the solver built, an edit asks the model for no Hessian
+        factors of its own and builds no factor cache: the edited solver is
+        one ``eigh`` of the patched Hessian.  (``model.hessian`` reads the
+        factors too, for the subset identity; the spy counts only the calls
+        ``apply_edit`` makes itself.)"""
+        artifacts.solver(DAMPING)
+        calls = []
+        factors = artifacts.model.hessian_factors
+
+        def spy(*args):
+            if sys._getframe(1).f_code.co_name == "apply_edit":
+                calls.append(args)
+            return factors(*args)
+
+        monkeypatch.setattr(artifacts.model, "hessian_factors", spy)
+        edit = {
+            "remove": dict(remove_indices=[3, 11, 42]),
+            "relabel": dict(relabel_indices=[5, 8], relabel_labels=[1, 0]),
+            "add": dict(X_add=X_train[:4], y_add=np.array([0, 1, 1, 0])),
+        }[kind]
+        artifacts.apply_edit(**edit)
+        assert calls == []
+        assert artifacts.stats["rank_one_factor_builds"] == 0
+        assert artifacts.stats["solver_updates"] == 1
+        assert artifacts.solver(DAMPING)._factor is None
 
     def test_unbuilt_caches_stay_lazy(self, artifacts, lr_model, X_train, german_train):
         """An edit before any cache is built leaves the laziness intact."""

@@ -116,10 +116,10 @@ def test_zero_weight_rows_never_reach_the_downdate(svm_estimator, monkeypatch):
     seen = []
     solve_many = ReducedHessianSolver.solve_many
 
-    def spy(self, B, matrices, downdates=None, rhs_flops=0.0):
+    def spy(self, B, base, shifts, downdates, rhs_flops=0.0):
         rows = list(downdates)
         seen.append(rows)
-        return solve_many(self, B, matrices, rows, rhs_flops)
+        return solve_many(self, B, base, shifts, rows, rhs_flops)
 
     monkeypatch.setattr(ReducedHessianSolver, "solve_many", spy)
     by_index = est.param_change_batch(subsets, num_rows=est.num_train)

@@ -182,5 +182,5 @@ def test_a_failed_in_place_dposv_is_rebuilt():
         A = n * artifacts.hessian - subset.size * ridge * np.eye(p)
         V = phi[subset] * np.sqrt(weights[subset])[:, None]
         b = artifacts.per_sample_grads[subset].sum(axis=0)
-        expected = HessianSolver(A - V.T @ V, damping=1e-3).solve(b)
+        expected = HessianSolver(A - V.T @ V, damping=1e-3).solve_many(b[None])[0]
         np.testing.assert_allclose(row, expected, rtol=1e-9, atol=1e-12)

@@ -29,7 +29,8 @@ class TestFirstOrder:
         idx = np.arange(12)
         delta = fo_estimator.param_change(idx)
         g_s = fo_estimator.subset_grad_sum(idx)
-        lhs = fo_estimator.solver.apply(delta) * fo_estimator.num_train
+        solver = fo_estimator.solver
+        lhs = (solver.hessian @ delta + solver.damping_used * delta) * fo_estimator.num_train
         np.testing.assert_allclose(lhs, g_s, atol=1e-8)
 
     def test_point_influences_cached(self, fo_estimator):

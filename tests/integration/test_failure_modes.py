@@ -167,9 +167,20 @@ class TestUnverifiableExplanation:
         metrics = ["statistical_parity"]
         self._check(session.audit(metrics=metrics, k=3, verify=True).queries[0].explanations,
                     session.train_data)
-        delta = session.delta_audit(DataEdit.remove([126]), metrics=metrics, k=3, verify=True)
+        tracer = Tracer()
+        with trace.tracing(tracer):
+            delta = session.delta_audit(
+                DataEdit.remove([126]), metrics=metrics, k=3, verify=True
+            )
         assert delta.num_certified == 1  # the replay path verifies, too
         self._check(delta.after.queries[0].explanations, session.train_data)
+        # The replay's retrains sit on their own explain.verify span, as a
+        # fresh search's do, not on the delta.query span that holds them.
+        (query,) = [s for s in tracer.walk() if s.name == "delta.query"]
+        assert query.attrs["certified"] is True
+        assert "unverifiable" not in query.attrs
+        (verify,) = [s for s in query.walk() if s.name == "explain.verify"]
+        assert verify.attrs["unverifiable"] == 1
 
 
 class TestZeroBiasAudit:

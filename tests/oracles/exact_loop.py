@@ -24,4 +24,4 @@ def param_change(est, indices: np.ndarray) -> np.ndarray:
     g_s = est.per_sample_grads[indices].sum(axis=0)
     subset_hessian = est.model.hessian(est.X_train[indices], est.y_train[indices])
     reduced = est.num_train * est.hessian - indices.size * subset_hessian
-    return HessianSolver(reduced, damping=est.damping).solve(g_s)
+    return HessianSolver(reduced, damping=est.damping).solve_many(g_s[None])[0]

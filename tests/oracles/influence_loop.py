@@ -40,8 +40,8 @@ def _series(est, indices: np.ndarray) -> np.ndarray:
         return np.zeros(est.model.num_params)
     g_s = est.per_sample_grads[indices].sum(axis=0)
     subset_hessian = est.model.hessian(est.X_train[indices], est.y_train[indices])
-    u = est.solver.solve(g_s)
-    correction = u - est.solver.solve(subset_hessian @ u)
+    u = est.solver.solve_many(g_s[None])[0]
+    correction = u - est.solver.solve_many((subset_hessian @ u)[None])[0]
     return u / (n - m) - (m / (n - m) ** 2) * correction
 
 
@@ -56,7 +56,8 @@ def _retrain(est, indices: np.ndarray) -> np.ndarray:
 def param_change(est, indices: np.ndarray) -> np.ndarray:
     """Δθ of removing the rows at ``indices``, by the family's per-subset form."""
     if isinstance(est, FirstOrderInfluence):
-        return est.solver.solve(est.per_sample_grads[indices].sum(axis=0)) / est.num_train
+        g_s = est.per_sample_grads[indices].sum(axis=0)
+        return est.solver.solve_many(g_s[None])[0] / est.num_train
     if isinstance(est, OneStepGradientDescent):
         g_s = est.per_sample_grads[indices].sum(axis=0)
         return (est.learning_rate / est.num_train) * g_s

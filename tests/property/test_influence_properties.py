@@ -38,8 +38,9 @@ class TestFirstOrderProperties:
         delta = fo_estimator.param_change(idx)
         g_s = fo_estimator.subset_grad_sum(idx)
         # H Δθ n = g_S exactly, by construction.
+        solver = fo_estimator.solver
         np.testing.assert_allclose(
-            fo_estimator.solver.apply(delta) * n, g_s, atol=1e-6
+            (solver.hessian @ delta + solver.damping_used * delta) * n, g_s, atol=1e-6
         )
 
     @given(data=st.data())

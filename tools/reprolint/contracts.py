@@ -123,14 +123,6 @@ REPRO_CONTRACTS = ContractSet(
             "instance is shared; bare estimators never call it",
         ),
         ("ModelArtifacts", "apply_edit"): BuildContract("edits", kind="edit"),
-        # -- HessianSolver -------------------------------------------------
-        ("HessianSolver", "eigendecomposition"): BuildContract("eigendecompositions"),
-        ("HessianSolver", "_factorize"): BuildContract(
-            None, reason="constructor helper, called from __init__ only"
-        ),
-        ("HessianSolver", "from_eigendecomposition"): BuildContract(
-            None, reason="alternate constructor: writes initialize a brand-new instance"
-        ),
         # -- PredicateAlphabet / AlphabetCache ----------------------------
         ("PredicateAlphabet", "apply_edit"): BuildContract(
             "tidlist_patches", stats_attr="_stats", kind="edit"

@@ -2,10 +2,11 @@
 
 All factorizations/solves of Hessian-shaped state live in
 ``influence/hessian.py`` (the :class:`HessianSolver` contract: one
-factorization per damping, counted, updated through rank-k algebra).  A
-``np.linalg.cholesky`` / ``eigh`` / ``solve`` on something Hessian-shaped
-anywhere else is a second authority — an uncached O(p³) factorization the
-session's exactly-once accounting can't see.
+factorization per damping, counted, and one ``eigh`` of the patched
+Hessian per edit).  A ``np.linalg.cholesky`` / ``eigh`` / ``solve`` on
+something Hessian-shaped anywhere else is a second authority — an
+uncached O(p³) factorization the session's exactly-once accounting can't
+see.
 
 Matched calls: any ``*.linalg.<fn>`` attribute call (or a bare name
 imported from ``numpy.linalg`` / ``scipy.linalg``) with ``<fn>`` in the
