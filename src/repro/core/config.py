@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from repro.fairness.metrics import list_metrics
+from repro.patterns.lattice import CandidateResult, PatternStats
+from repro.patterns.topk import select_top_k
 
 #: The accepted ``estimator`` and ``engine`` names (the CLI offers the same).
 ESTIMATORS = ("first_order", "second_order", "exact", "series", "one_step_gd", "retrain")
@@ -47,7 +50,7 @@ class GopherConfig:
     support_threshold:
         τ of Algorithm 1 — the paper's experiments use 5%.
     max_predicates:
-        Maximum predicates per pattern (papers' tables use 3–4).
+        Maximum predicates per pattern (papers' tables use 3–4); an int >= 1.
     num_bins:
         Quantile bins per numeric feature for candidate thresholds.
     containment_threshold:
@@ -64,9 +67,11 @@ class GopherConfig:
     max_responsibility:
         Definition 3.1's root-cause upper bound (removal must not overshoot
         the bias past zero), with slack for estimation noise; see
-        :func:`repro.patterns.select_top_k`.
+        :func:`repro.patterns.select_top_k`.  Must be positive; NaN, which
+        would empty the top-k and lift every heuristic-2 bar, is refused.
     exclude_features:
-        Features that must not appear in explanation predicates.
+        Features that must not appear in explanation predicates; a name
+        that is no column of the training table is refused by the search.
     retrain_jobs:
         Worker processes for ground-truth verification retrains (removal
         *and* update explanations).  ``None`` uses one worker per CPU;
@@ -104,9 +109,25 @@ class GopherConfig:
             raise ValueError(
                 f"containment_threshold must be in (0, 1], got {self.containment_threshold}"
             )
-        if self.max_predicates < 1:
-            raise ValueError(f"max_predicates must be >= 1, got {self.max_predicates}")
+        depth = self.max_predicates
+        if isinstance(depth, bool) or not isinstance(depth, Integral) or depth < 1:
+            raise ValueError(f"max_predicates must be an integer >= 1, got {depth!r}")
+        if not self.max_responsibility > 0:
+            raise ValueError(f"max_responsibility must be positive, got {self.max_responsibility}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.retrain_jobs is not None and self.retrain_jobs < 1:
             raise ValueError(f"retrain_jobs must be None or >= 1, got {self.retrain_jobs}")
+
+    def top_k(
+        self, candidates: CandidateResult, k: int, protected_attribute: str
+    ) -> list[PatternStats]:
+        """Algorithm 2 over ``candidates`` with this config's containment
+        threshold, root-cause cap and protected-only rule."""
+        return select_top_k(
+            candidates,
+            k,
+            self.containment_threshold,
+            exclude_features_only={protected_attribute} if self.exclude_protected_only else None,
+            max_responsibility=self.max_responsibility,
+        )

@@ -19,7 +19,6 @@ from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
 from repro.patterns.lattice import CandidateResult, PatternStats, compute_candidates
 from repro.patterns.pattern import Pattern
-from repro.patterns.topk import select_top_k
 
 
 class GopherExplainer:
@@ -173,17 +172,8 @@ class GopherExplainer:
             search_span.set(
                 candidates=lattice.num_candidates, evaluated=lattice.num_evaluated
             )
-        protected_only = (
-            {self.protected_group.attribute} if cfg.exclude_protected_only else None
-        )
         with trace.span("explain.filter", k=k) as filter_span:
-            selected = select_top_k(
-                lattice,
-                k,
-                cfg.containment_threshold,
-                exclude_features_only=protected_only,
-                max_responsibility=cfg.max_responsibility,
-            )
+            selected = cfg.top_k(lattice, k, self.protected_group.attribute)
         return self._answer(selected, lattice, verify, search_span.seconds, filter_span.seconds)
 
     def _answer(

@@ -723,9 +723,11 @@ class AuditSession:
         the test split, encoder, and cached fairness contexts are
         untouched.  Estimators built before the edit are invalidated via
         the artifacts' version stamp; views and estimators must be minted
-        anew (``delta_audit`` does all of this for you).  An edit that
-        leaves the training labels a single class is refused before any
-        cache is patched.
+        anew (``delta_audit`` does all of this for you).  The last-audit
+        bookmark is cleared: a later :meth:`delta_audit` must not diff
+        against, or replay, an audit of older data.  An edit that leaves
+        the training labels a single class is refused before any cache is
+        patched.
         """
         self._require_fitted()
         assert self.train_data is not None and self.encoder is not None
@@ -749,6 +751,8 @@ class AuditSession:
         # re-encoding the edited table (the encoder is row-wise); sharing
         # the instance keeps the estimators' identity fast path.
         self.X_train = self.artifacts.X_train
+        with self._lock:  # the last audit answered the pre-edit data
+            self.last_audit = self._last_audit_key = None
 
     def delta_audit(
         self,
@@ -773,9 +777,10 @@ class AuditSession:
         is shallow enough (``max_predicates <= 2``) for its candidate
         space to be a pure function of the alphabet; level-2 support
         crossings and parent-collapse flips are repaired in place by
-        re-scoring the affected pairs.  A query whose certificate is
-        refused falls back to a fresh engine search through the (patched)
-        session caches, which is always correct.
+        re-scoring the affected pairs (a depth-1 search has no pairs).  A
+        query whose certificate is refused falls back to a fresh engine
+        search through the (patched) session caches, which is always
+        correct.
 
         ``recheck`` tunes the policy: ``"auto"`` (default) falls back only
         on certificate refusal, ``"always"`` re-searches every query,
@@ -783,8 +788,9 @@ class AuditSession:
         paying a re-search — for benchmarks and tests that must stay on
         the fast path.
 
-        The *before* side is the session's last :meth:`audit` of the same
-        grid when one exists, else a fresh pre-edit audit run first.
+        The *before* side is the session's last :meth:`audit` (or delta
+        audit) of the same grid when one exists and no :meth:`apply_edit`
+        came after it, else a fresh pre-edit audit run first.
         Returns a :class:`DeltaAuditResult`; its ``after`` side becomes the
         session's ``last_audit``, so successive edits chain naturally.
         A query whose original bias is zero is refused on the after side
@@ -818,7 +824,7 @@ class AuditSession:
                 )
 
             # Certificate input (1): the level-1 alphabet of the audit's search
-            # key, captured on both sides of the edit.
+            # key, captured on both sides of the edit (it is patched in place).
             cfg = self.config
             assert self.alphabet_cache is not None
             alphabet = self.alphabet_cache.get(
@@ -834,16 +840,15 @@ class AuditSession:
             self.apply_edit(edit)
             if traced:
                 audit_span.set(grad_norm_after=self._gradient_norm())
-            alphabet = self.alphabet_cache.get(
-                cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None
-            )
             level1_stable = specs_before == [predicate for predicate, _ in alphabet.entries]
-            # The replay's structural state (level-1 rows, skeleton AND, support
-            # filter) is metric-independent: build it once for the whole grid.
+            # The replay's structural state (level 1 and the level-2 gather over
+            # the skeleton) is metric-independent: build it once for the grid.
             geometry = None
             if level1_stable and recheck != "always" and cfg.max_predicates <= 2:
                 with trace.span("delta.geometry"):
-                    geometry = replay_geometry(alphabet, cfg.support_threshold)
+                    geometry = replay_geometry(
+                        alphabet, cfg.support_threshold, cfg.max_predicates
+                    )
 
             delta_queries: list[DeltaQuery] = []
             after_queries: list[AuditQuery] = []
@@ -928,10 +933,9 @@ class AuditSession:
             return view.explain(k=k, verify=verify), False, True, "recheck forced"
 
         if level1_stable:
-            record = getattr(before_query.explanations.lattice, "record", None)
             with trace.span("delta.replay", metric=cfg.metric) as replay_span:
                 replay, reason = replay_search(
-                    record,
+                    before_query.explanations.lattice.record,
                     alphabet,
                     view.estimator,
                     cfg,

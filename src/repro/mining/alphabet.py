@@ -77,7 +77,8 @@ class PredicateAlphabet:
     level-1 merges tried.  Masks are shared read-only across queries —
     consumers combine them with fresh ANDs and never mutate them in place.
     Every search and cache path builds its level 1 here, so this
-    constructor is where a τ outside [0, 1) is rejected.
+    constructor is where a τ outside [0, 1) and an excluded feature the
+    table does not have are rejected.
 
     Every evaluated mask — including below-support ones — is retained in
     ``_evaluated``: an edit can push a predicate across the support
@@ -107,6 +108,9 @@ class PredicateAlphabet:
         self.support_threshold = float(support_threshold)
         self.num_bins = int(num_bins)
         self.exclude_features = normalize_exclude_features(exclude_features)
+        unknown = sorted(self.exclude_features - set(table.column_names))
+        if unknown:
+            raise ValueError(f"exclude_features names no column of the table: {unknown}")
         self._stats = stats if stats is not None else StatsView(namespace="mining")
         self._stats.setdefault("tidlist_builds", 0)
         self._stats.setdefault("tidlist_patches", 0)
@@ -218,8 +222,9 @@ class PredicateAlphabet:
         the lattice's enumeration order) whose merge is a genuine
         two-predicate, satisfiable, not-yet-seen pattern, the parallel
         entry index arrays — the lattice's own level-2 enumeration
-        (:func:`repro.patterns.lattice.merge_pairs`), so skeleton order is
-        the order of ``LatticeRecord.pair_left/right``.  Pair ``(i, j)``
+        (:func:`repro.patterns.lattice.merge_pairs`), so a level-2 merge's
+        position in the lattice's gather is its skeleton position
+        (``LatticeRecord.pair_positions``).  Pair ``(i, j)``
         is the pattern of entries i and j's predicates; callers build
         :class:`Pattern` objects only for the pairs they report.  The
         skeleton depends only on the entry *predicates* — never on masks or

@@ -165,6 +165,7 @@ from repro.mining.bitset import (
 )
 from repro.obs import trace
 from repro.patterns.lattice import (
+    _MIN_RESPONSIBILITY,
     CandidateResult,
     LatticeLevelStats,
     LevelState,
@@ -326,7 +327,6 @@ def mine_closed_candidates(
     num_bins: int = 4,
     exclude_features: set[str] | None = None,
     prune_by_responsibility: bool = True,
-    min_responsibility: float = 0.0,
     max_responsibility: float = 1.25,
     batch_size: int = 1024,
     alphabet=None,
@@ -771,7 +771,7 @@ def mine_closed_candidates(
                 survived[key] = node.responsibility
                 defeated.discard(key)
                 survivors.add(node.depth, 1)
-                if node.responsibility >= min_responsibility:
+                if node.responsibility >= _MIN_RESPONSIBILITY:
                     if key not in emitted_keys:
                         # The same extent can be revisited through another
                         # branch; the representative is extent-determined, so

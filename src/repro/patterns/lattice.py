@@ -29,13 +29,18 @@ in row order.  That order is part of the answer: a candidate reachable
 through several parent pairs is evaluated once, against the first pair
 that produces it, and that pair's parents set its responsibility bar.
 Only the two predicates the parents do not share can conflict, so
-satisfiability is one lookup in a K×K conflict table; support is an AND of
-packed rows plus a popcount.  The result is columns too: each level hands
-its in-result rows, packed masks and scores to :class:`CandidateResult`,
-and no :class:`Pattern` or :class:`PatternStats` is built during the
-search.  Algorithm 2 (:func:`repro.patterns.topk.select_top_k`) builds
-them for the k rows it selects; :attr:`CandidateResult.candidates` builds
-the whole list once, on first read.
+satisfiability is one lookup in a K×K conflict table (:func:`merge_pairs`).
+:func:`gather_level` ANDs the packed rows of the pairs it is handed and
+keeps the supported ones; :func:`score_level` is the scoring tail (collapsed
+merges take their parent's scores, then heuristic 2 and the result filter).
+The delta replay (:mod:`repro.core.delta`) runs the same level-2 gather and
+tail over the alphabet's cached pair skeleton.  The result is columns too:
+each level hands its in-result rows, packed masks and scores to
+:class:`CandidateResult`, and no :class:`Pattern` or :class:`PatternStats`
+is built during the search.  Algorithm 2
+(:func:`repro.patterns.topk.select_top_k`) builds them for the k rows it
+selects; :attr:`CandidateResult.candidates` builds the whole list once, on
+first read.
 
 Influence queries are *batched*: each level first gathers every merge that
 survives the structural checks (dedup, satisfiability, support), then hands
@@ -47,7 +52,7 @@ thousands of tiny per-candidate queries (see the cost model in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -63,6 +68,9 @@ if TYPE_CHECKING:  # repro.influence imports repro.mining.bitset
 
 # Bytes of packed pair masks ANDed at a time during a level's gather.
 _GATHER_BYTES = 1 << 22
+# The result filter of both engines and the delta replay: a candidate below
+# this responsibility stays out of the result but may still merge upward.
+_MIN_RESPONSIBILITY = 0.0
 
 
 @dataclass
@@ -113,37 +121,38 @@ class LatticeLevelStats:
 class LatticeRecord:
     """Replay state of a depth-≤2 search, for incremental re-audits.
 
-    When the search runs over a shared alphabet with ``max_predicates <= 2``
-    its candidate space is a pure function of the level-1 entry list: the
-    level-2 pair enumeration, dedup, and satisfiability checks never look at
-    the data, only the support filter and the scores do.  Recording, per
-    evaluated level-2 merge, the entry indices of its parents plus its
-    extent size, score, and filter outcome therefore captures everything an
-    incremental re-certification (:meth:`repro.core.AuditSession.delta_audit`)
-    needs to replay the search against patched masks without re-running the
-    merge loop.  All ``pair_*`` arrays are parallel, in the search's
-    deterministic enumeration order.
-
-    ``pair_known`` mirrors the parent-reuse short-circuit (0 = evaluated,
-    1/2 = extent collapsed onto the left/right parent, whose evaluation was
-    reused verbatim); a replayed record writes −1 for a pair the replay
-    did not re-score, whose stored score is therefore stale and must not
-    seed the next replay; ``pair_in_result`` marks merges that survived the
-    responsibility bar and the minimum-responsibility filter into
-    ``candidates``.  Searches deeper than two levels do not record — their
-    level-3+ frontier depends on scores and cannot be replayed structurally.
+    Such a search is structurally a pure function of the level-1 entry
+    list: its level-2 pairs are the alphabet's pair skeleton
+    (:meth:`~repro.mining.alphabet.PredicateAlphabet.pair_skeleton`, this
+    module's :func:`merge_pairs` over the entries); only the support filter
+    and the scores look at the data.  The record keeps what the replay
+    (:mod:`repro.core.delta`) reads: each entry's responsibility, and per
+    supported level-2 merge its skeleton position (ascending), collapse
+    flag (:attr:`LevelMerges.known`; −1 for a pair a replay left unscored,
+    whose responsibility is NaN and must not seed the next replay),
+    responsibility and in-result flag.  A depth-1 search records no pairs;
+    deeper searches record nothing, as their level-3+ frontier depends on
+    scores.
     """
 
-    num_entries: int
     level1_responsibilities: np.ndarray
-    level1_bias_changes: np.ndarray
-    pair_left: np.ndarray
-    pair_right: np.ndarray
-    pair_sizes: np.ndarray
+    pair_positions: np.ndarray
     pair_known: np.ndarray
     pair_responsibilities: np.ndarray
-    pair_bias_changes: np.ndarray
     pair_in_result: np.ndarray
+
+    @classmethod
+    def of(
+        cls, level1_responsibilities: np.ndarray, merges: LevelMerges | None = None,
+        responsibilities: np.ndarray | None = None, in_result: np.ndarray | None = None,
+    ) -> LatticeRecord:
+        """The record of a search's scored level 1 and level-2 ``merges``
+        (None: a depth-1 search); an unscored (NaN) pair gets −1."""
+        if merges is None:
+            empty = (np.zeros(0, dtype=dtype) for dtype in (np.int64, np.int8, float, bool))
+            return cls(level1_responsibilities, *empty)
+        known = np.where(np.isnan(responsibilities), -1, merges.known).astype(np.int8)
+        return cls(level1_responsibilities, merges.positions, known, responsibilities, in_result)
 
 
 @dataclass(frozen=True)
@@ -166,11 +175,11 @@ class PredicateIndex:
     @classmethod
     def of(cls, predicates: list[Predicate]) -> tuple["PredicateIndex", np.ndarray]:
         """The index over ``predicates`` and each one's id (equal ones share)."""
-        keyed = sorted(((p.sort_key(), p) for p in set(predicates)), key=lambda kp: kp[0])
-        ordered = [predicate for _, predicate in keyed]
-        ranks = np.zeros(len(keyed), dtype=np.int64)
-        for i in range(1, len(keyed)):
-            ranks[i] = ranks[i - 1] + (keyed[i][0] != keyed[i - 1][0])
+        ordered = sorted(set(predicates), key=Predicate.order_key)
+        keys = [predicate.sort_key() for predicate in ordered]
+        ranks = np.zeros(len(ordered), dtype=np.int64)
+        for i in range(1, len(ordered)):
+            ranks[i] = ranks[i - 1] + (keys[i] != keys[i - 1])
         ids = {predicate: i for i, predicate in enumerate(ordered)}
         return cls(ordered, ranks), np.array([ids[p] for p in predicates], dtype=np.int64)
 
@@ -204,13 +213,7 @@ class LevelState:
 
     def take(self, keep: np.ndarray) -> "LevelState":
         """The rows ``keep`` selects, in order (copies)."""
-        return LevelState(
-            self.rows[keep],
-            self.packed[keep],
-            self.sizes[keep],
-            self.responsibilities[keep],
-            self.bias_changes[keep],
-        )
+        return LevelState(*(getattr(self, column.name)[keep] for column in fields(self)))
 
 
 @dataclass
@@ -358,16 +361,15 @@ class CandidateResult:
 
 @dataclass
 class LevelMerges:
-    """A level's merges that pass dedup, satisfiability and support, in pair order."""
+    """The supported merges among the pairs a level's gather was handed, in pair order."""
 
+    positions: np.ndarray  # each merge's index into the pairs handed
     left: np.ndarray  # parent indices into the LevelState
     right: np.ndarray
     rows: np.ndarray  # (m, level + 1) merged predicate ids
     packed: np.ndarray
     sizes: np.ndarray
     known: np.ndarray  # 0 = evaluate; 1/2 = extent collapsed onto the left/right parent
-    bars: np.ndarray  # the responsibility each merge must strictly exceed
-    tried: int  # pairs enumerated: the level's num_merges_tried
 
 
 def merge_pairs(
@@ -426,22 +428,35 @@ def _row_codes(rows: np.ndarray) -> np.ndarray:
     return codes
 
 
+def level_one(alphabet) -> tuple[PredicateIndex, LevelState]:
+    """The alphabet's entries as level 1: the index numbering them, and
+    their id rows, packed masks and sizes, unscored (NaN)."""
+    from repro.mining.bitset import popcount  # repro.mining imports this module
+
+    index, ids = PredicateIndex.of([predicate for predicate, _ in alphabet.entries])
+    packed = alphabet.entry_matrix()
+    unscored = np.full((2, len(ids)), np.nan)
+    return index, LevelState(ids[:, None], packed, popcount(packed), *unscored)
+
+
 def gather_level(
     level: LevelState,
-    index: PredicateIndex,
+    left: np.ndarray,
+    right: np.ndarray,
+    rows: np.ndarray,
     num_rows: int,
     support_threshold: float,
-    max_responsibility: float,
 ) -> LevelMerges:
-    """The next level's merges that pass the structural checks and support.
+    """The supported merges among the pairs ``(left, right)`` of ``level``,
+    whose merged id rows are ``rows``: the lattice's :func:`merge_pairs`
+    output, or the alphabet's level-2 pair skeleton in the delta replay.
 
     Masks are ANDed ``_GATHER_BYTES`` of packed pairs at a time and only
     supported merges keep theirs.  A merge whose extent equals a parent's
-    (``known`` 1 or 2) reuses that parent's evaluation downstream.
+    (``known`` 1 or 2) takes that parent's scores in :func:`score_level`.
     """
     from repro.mining.bitset import popcount  # repro.mining imports this module
 
-    left, right, rows, tried = merge_pairs(level.rows, index.conflicts)
     step = max(1, _GATHER_BYTES // max(level.packed.shape[1], 1))
     kept = [np.zeros(0, dtype=np.int64)]
     packed = [level.packed[:0]]
@@ -461,18 +476,45 @@ def gather_level(
         sizes == level.sizes[left], 1, np.where(sizes == level.sizes[right], 2, 0)
     ).astype(np.int8)
     return LevelMerges(
+        positions=kept,
         left=left,
         right=right,
         rows=rows[kept],
         packed=np.concatenate(packed),
         sizes=sizes,
         known=known,
-        bars=np.maximum(
-            _root_cause(level.responsibilities[left], max_responsibility),
-            _root_cause(level.responsibilities[right], max_responsibility),
-        ),
-        tried=tried,
     )
+
+
+def score_level(
+    parents: LevelState,
+    merges: LevelMerges,
+    responsibilities: np.ndarray,
+    bias_changes: np.ndarray,
+    max_responsibility: float,
+    prune_by_responsibility: bool,
+) -> tuple[LevelState, np.ndarray, np.ndarray]:
+    """The scored merges, the survivors of heuristic 2 and the in-result rows.
+
+    ``responsibilities`` and ``bias_changes`` hold the scores of the merges
+    with ``known == 0`` (NaN: not scored, kept out of the result).  A merge
+    collapsed onto a parent has *exactly* its scores, so they are copied in,
+    in place: a query would reproduce them only up to floating-point noise,
+    and heuristic 2's strict comparison must not hinge on it.  A merge
+    survives unless its responsibility is at or below the larger of its
+    parents' inside the root-cause window (:func:`_root_cause`).
+    """
+    for code, parent in ((1, merges.left), (2, merges.right)):
+        collapsed = merges.known == code
+        responsibilities[collapsed] = parents.responsibilities[parent[collapsed]]
+        bias_changes[collapsed] = parents.bias_changes[parent[collapsed]]
+    bars = np.maximum(
+        _root_cause(parents.responsibilities[merges.left], max_responsibility),
+        _root_cause(parents.responsibilities[merges.right], max_responsibility),
+    )
+    survive = ~(responsibilities <= bars) if prune_by_responsibility else np.ones(len(bars), bool)
+    scored = LevelState(merges.rows, merges.packed, merges.sizes, responsibilities, bias_changes)
+    return scored, survive, survive & (responsibilities >= _MIN_RESPONSIBILITY)
 
 
 def _parent_bar(resp_a: float, resp_b: float, cap: float) -> float:
@@ -480,7 +522,7 @@ def _parent_bar(resp_a: float, resp_b: float, cap: float) -> float:
 
     Only parents inside the root-cause window (0, cap] count; children of
     two out-of-window parents face no responsibility bar (support pruning
-    still applies).  :func:`gather_level` applies the same rule to whole
+    still applies).  :func:`score_level` applies the same rule to whole
     arrays through :func:`_root_cause`.
     """
     valid = [r for r in (resp_a, resp_b) if 0.0 < r <= cap]
@@ -501,7 +543,6 @@ def compute_candidates(
     num_bins: int = 4,
     exclude_features: set[str] | None = None,
     prune_by_responsibility: bool = True,
-    min_responsibility: float = 0.0,
     max_responsibility: float = 1.25,
     batch_size: int = 1024,
     alphabet=None,
@@ -528,10 +569,6 @@ def compute_candidates(
     prune_by_responsibility:
         Toggle for heuristic 2 — exposed so the ablation bench can measure
         how much of the space it removes.
-    min_responsibility:
-        Candidates below this responsibility are kept out of the *result*
-        (but still allowed to merge upward), letting callers drop
-        bias-increasing patterns early.
     max_responsibility:
         Root-cause cap for the pruning comparison: parents whose estimated
         responsibility falls outside (0, max_responsibility] do not veto
@@ -566,40 +603,28 @@ def compute_candidates(
 
     # --- level 1 ---------------------------------------------------------
     with trace.span("lattice.level", level=1) as level_span:
-        # repro.mining imports this module.
-        from repro.mining.alphabet import search_alphabet
-        from repro.mining.bitset import popcount
+        from repro.mining.alphabet import search_alphabet  # repro.mining imports this module
 
         alphabet = search_alphabet(
             table, alphabet, support_threshold, num_bins, exclude_features
         )
         # Full-coverage predicates (which would "remove the entire data")
         # are already filtered out of the alphabet's entries.
-        entries = alphabet.entries
-        predicates = [predicate for predicate, _ in entries]
-        index, ids = PredicateIndex.of(predicates)
-        packed = alphabet.entry_matrix()
-        responsibilities, bias_changes = _evaluate_all(estimator, packed, num_rows, batch_size)
-        num_evaluated = len(entries)
-        current = LevelState(ids[:, None], packed, popcount(packed), responsibilities, bias_changes)
-        blocks.append(current.take(responsibilities >= min_responsibility))
-        level_span.set(candidates=len(entries), evaluated=len(entries))
+        index, current = level_one(alphabet)
+        num_evaluated = len(current.rows)
+        current.responsibilities, current.bias_changes = _evaluate_all(
+            estimator, current.packed, num_rows, batch_size
+        )
+        blocks.append(current.take(current.responsibilities >= _MIN_RESPONSIBILITY))
+        level_span.set(candidates=num_evaluated, evaluated=num_evaluated)
     levels.append(
-        LatticeLevelStats(1, len(entries), alphabet.num_generated, level_span.seconds)
+        LatticeLevelStats(1, num_evaluated, alphabet.num_generated, level_span.seconds)
     )
 
-    # Depth-2 searches are structurally replayable under data edits; record
-    # the per-merge state the incremental re-audit needs (see LatticeRecord).
-    recording = max_predicates <= 2
-    pairs = dict(
-        pair_left=np.zeros(0, dtype=np.int64),
-        pair_right=np.zeros(0, dtype=np.int64),
-        pair_sizes=np.zeros(0, dtype=np.int64),
-        pair_known=np.zeros(0, dtype=np.int8),
-        pair_responsibilities=np.zeros(0),
-        pair_bias_changes=np.zeros(0),
-        pair_in_result=np.zeros(0, dtype=bool),
-    )
+    # Depth-≤2 searches are structurally replayable under data edits; they
+    # record what the incremental re-audit reads (see LatticeRecord).
+    level1_resp = current.responsibilities
+    record = LatticeRecord.of(level1_resp) if max_predicates <= 2 else None
 
     # --- levels 2..max ----------------------------------------------------
     level = 2
@@ -608,66 +633,32 @@ def compute_candidates(
             # Gather phase: structural pruning only (dedup, satisfiability,
             # support).  Influence is deferred so the whole level is one batch.
             with trace.span("lattice.gather"):
-                merges = gather_level(
-                    current, index, num_rows, support_threshold, max_responsibility
-                )
+                left, right, rows, tried = merge_pairs(current.rows, index.conflicts)
+                merges = gather_level(current, left, right, rows, num_rows, support_threshold)
 
-            # Evaluate phase: one batched influence query per chunk.  A merge
-            # whose row set collapses onto one parent's (a redundant
-            # predicate) has *exactly* that parent's responsibility, so the
-            # parent's evaluation is reused — the influence query would only
-            # reproduce it up to floating-point noise, and the strict pruning
-            # comparison must not hinge on that noise.
+            # Evaluate phase: one batched influence query per chunk; a merge
+            # collapsed onto a parent takes the parent's scores instead.
             fresh = merges.known == 0
-            resp = np.empty(len(merges.sizes))
-            dbias = np.empty(len(merges.sizes))
+            resp, dbias = np.empty((2, len(merges.sizes)))
             resp[fresh], dbias[fresh] = _evaluate_all(
                 estimator, merges.packed[fresh], num_rows, batch_size
             )
             num_evaluated += int(fresh.sum())
-            for code, parents in ((1, merges.left), (2, merges.right)):
-                collapsed = merges.known == code
-                resp[collapsed] = current.responsibilities[parents[collapsed]]
-                dbias[collapsed] = current.bias_changes[parents[collapsed]]
 
-            # Prune phase: heuristic 2 against the recorded parent bars.
+            # Prune phase: the scoring tail (heuristic 2, the result filter).
             with trace.span("lattice.prune"):
-                survive = (
-                    ~(resp <= merges.bars)
-                    if prune_by_responsibility
-                    else np.ones(len(resp), dtype=bool)
+                scored, survive, in_result = score_level(
+                    current, merges, resp, dbias, max_responsibility, prune_by_responsibility
                 )
-                in_result = survive & (resp >= min_responsibility)
-                scored = LevelState(merges.rows, merges.packed, merges.sizes, resp, dbias)
+                if record is not None:
+                    record = LatticeRecord.of(level1_resp, merges, resp, in_result)
                 current = scored.take(survive)
                 blocks.append(scored.take(in_result))
-                if recording:
-                    pairs.update(
-                        pair_left=merges.left,
-                        pair_right=merges.right,
-                        pair_sizes=merges.sizes,
-                        pair_known=merges.known,
-                        pair_responsibilities=resp,
-                        pair_bias_changes=dbias,
-                        pair_in_result=in_result,
-                    )
 
-            level_span.set(
-                candidates=len(current.rows), merges=merges.tried, evaluated=int(fresh.sum())
-            )
-        levels.append(
-            LatticeLevelStats(level, len(current.rows), merges.tried, level_span.seconds)
-        )
+            level_span.set(candidates=len(current.rows), merges=tried, evaluated=int(fresh.sum()))
+        levels.append(LatticeLevelStats(level, len(current.rows), tried, level_span.seconds))
         level += 1
 
-    record = None
-    if recording:
-        record = LatticeRecord(
-            num_entries=len(entries),
-            level1_responsibilities=np.asarray(responsibilities, dtype=np.float64),
-            level1_bias_changes=np.asarray(bias_changes, dtype=np.float64),
-            **pairs,
-        )
     return CandidateResult.of_blocks(index, blocks, num_rows, levels, num_evaluated, record)
 
 

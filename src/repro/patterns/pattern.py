@@ -20,7 +20,7 @@ class Pattern:
     __slots__ = ("predicates",)
 
     def __init__(self, predicates: tuple[Predicate, ...] | list[Predicate]) -> None:
-        unique = sorted(set(predicates), key=Predicate.sort_key)
+        unique = sorted(set(predicates), key=Predicate.order_key)
         if not unique:
             raise ValueError("a pattern needs at least one predicate")
         object.__setattr__(self, "predicates", tuple(unique))

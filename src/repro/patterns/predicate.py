@@ -89,8 +89,13 @@ class Predicate:
 
     # ------------------------------------------------------------------
     def sort_key(self) -> tuple[str, str, str]:
-        """Total order used for canonical pattern representations."""
+        """Order used for canonical pattern representations and tie-breaks."""
         return (self.feature, self.op, str(self.value))
+
+    def order_key(self) -> tuple[tuple[str, str, str], str]:
+        """:meth:`sort_key`, with ties between values that print alike
+        (``1`` and ``"1"``) broken by type name rather than by hash order."""
+        return self.sort_key(), type(self.value).__name__
 
     def __str__(self) -> str:
         value = self.value

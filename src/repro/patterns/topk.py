@@ -66,7 +66,7 @@ def select_top_k(
         raise ValueError(
             f"containment_threshold must be in (0, 1], got {containment_threshold}"
         )
-    if max_responsibility <= 0:
+    if not max_responsibility > 0:  # NaN too
         raise ValueError(f"max_responsibility must be positive, got {max_responsibility}")
     if not isinstance(candidates, CandidateResult):
         candidates = CandidateResult.of_stats(list(candidates))

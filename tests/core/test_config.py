@@ -40,6 +40,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_predicates"):
             GopherConfig(max_predicates=0)
 
+    @pytest.mark.parametrize("depth", [2.5, True])
+    def test_non_integer_max_predicates(self, depth):
+        """2.5 died inside NumPy on the miner and True ran at depth 1."""
+        with pytest.raises(ValueError, match="max_predicates must be an integer"):
+            GopherConfig(max_predicates=depth)
+
+    @pytest.mark.parametrize("cap", [float("nan"), 0.0, -1.0])
+    def test_bad_max_responsibility(self, cap):
+        """NaN emptied the top-k and lifted every heuristic-2 bar."""
+        with pytest.raises(ValueError, match="max_responsibility must be positive"):
+            GopherConfig(max_responsibility=cap)
+
+    def test_unknown_excluded_feature_refused_by_the_search(
+        self, lr_model, german_train, german_test
+    ):
+        from repro.core import AuditSession
+
+        session = AuditSession(
+            lr_model, estimator="first_order", max_predicates=2, exclude_features={"nope"}
+        )
+        # The first alphabet build refuses: the audit's, or a sanitized
+        # run's warm() inside fit().
+        with pytest.raises(ValueError, match="exclude_features"):
+            session.fit(german_train, german_test).audit(metrics=["statistical_parity"], k=2)
+
     def test_bad_test_fraction(self):
         with pytest.raises(ValueError, match="test_fraction"):
             GopherConfig(test_fraction=0.0)

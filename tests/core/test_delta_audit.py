@@ -105,6 +105,18 @@ class TestDeltaEqualsFreshReaudit:
         fresh = sess.audit(metrics=METRICS, k=3)
         assert_matching_audits(delta.after, fresh)
 
+    @pytest.mark.parametrize("kind", ["remove", "relabel", "add"])
+    def test_depth_one(self, lr_model, german_train, german_test, kind):
+        """A depth-1 search merges no pairs, and neither does its replay
+        (it once scored every supported skeleton pair into the result)."""
+        sess = make_session(lr_model, german_train, german_test, max_predicates=1)
+        edit = random_edit(sess.train_data, kind, count=8, seed=EDIT_SEED)
+        delta = sess.delta_audit(edit, metrics=METRICS, k=3, recheck="never")
+        assert delta.num_certified == len(delta.queries)
+        for q in delta.queries:
+            assert {len(c.pattern) for c in q.after.lattice.candidates} == {1}
+        assert_matching_audits(delta.after, sess.audit(metrics=METRICS, k=3))
+
     def test_large_edit(self, lr_model, german_train, german_test):
         sess = make_session(lr_model, german_train, german_test)
         edit = random_edit(sess.train_data, "remove", count=64, seed=EDIT_SEED)
@@ -147,6 +159,28 @@ class TestDeltaEqualsFreshReaudit:
         sess = AuditSession(LogisticRegression(l2_reg=1e-3), **REPAIR_LOOP).fit(train, test)
         edits = [("relabel", 8, edit_seed + step) for step in range(6)]
         assert_chain_matches_oracle(sess, edits, REPAIR_METRICS)
+
+
+class TestLastAuditBookmark:
+    def test_apply_edit_clears_it(self, lr_model, german_train, german_test):
+        """After audit → apply_edit(e1) → delta_audit(e2), the before side
+        is the post-e1 data's audit, not the pre-e1 one, and the after side
+        is still a fresh audit's answer."""
+        sess = make_session(lr_model, german_train, german_test)
+        oracle = AuditSession(sess.model, sess.config).fit(
+            sess.train_data, sess.test_data, encoder=sess.encoder
+        ).warm()
+        sess.audit(metrics=METRICS, k=3)
+        first = random_edit(sess.train_data, "remove", count=8, seed=EDIT_SEED)
+        sess.apply_edit(first)
+        assert sess.last_audit is None
+        oracle.apply_edit(first)
+        second = random_edit(sess.train_data, "remove", count=8, seed=EDIT_SEED + 1)
+        delta = sess.delta_audit(second, metrics=METRICS, k=3)
+        assert_matching_audits(delta.before, oracle.audit(metrics=METRICS, k=3))
+        oracle.apply_edit(second)
+        assert_matching_audits(delta.after, oracle.audit(metrics=METRICS, k=3))
+        assert sess.last_audit is delta.after
 
 
 class TestRelabelFullPipelineOracle:
@@ -365,28 +399,27 @@ class TestSelectionBuildsOnlyTheTopK:
         cfg = sess.config
         alphabet = sess.alphabet_cache.get(cfg.support_threshold, cfg.num_bins, None)
         entries, n = alphabet.entries, alphabet.num_rows
+        skeleton_left, skeleton_right = alphabet.pair_skeleton()
         for query in delta.queries:
             record = query.after.lattice.record
             want = [
                 (Pattern([predicate]), popcount(mask) / n, popcount(mask),
-                 record.level1_responsibilities[i], record.level1_bias_changes[i],
-                 mask.tobytes())
+                 record.level1_responsibilities[i], mask.tobytes())
                 for i, (predicate, mask) in enumerate(entries)
                 if record.level1_responsibilities[i] >= 0.0
             ]
             for e in np.flatnonzero(record.pair_in_result):
+                position = record.pair_positions[e]
                 (left, left_mask), (right, right_mask) = (
-                    entries[record.pair_left[e]], entries[record.pair_right[e]]
+                    entries[skeleton_left[position]], entries[skeleton_right[position]]
                 )
-                size = int(record.pair_sizes[e])
+                size = popcount(left_mask & right_mask)
                 want.append(
                     (Pattern([left, right]), size / n, size,
-                     record.pair_responsibilities[e], record.pair_bias_changes[e],
-                     (left_mask & right_mask).tobytes())
+                     record.pair_responsibilities[e], (left_mask & right_mask).tobytes())
                 )
             got = [
-                (c.pattern, c.support, c.size, c.responsibility, c.bias_change,
-                 c._packed_mask.tobytes())
+                (c.pattern, c.support, c.size, c.responsibility, c._packed_mask.tobytes())
                 for c in query.after.lattice.candidates
             ]
             assert got == want

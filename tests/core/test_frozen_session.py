@@ -81,8 +81,8 @@ def _geometry_key(session: AuditSession):
     alphabet = session.alphabet_cache.get(
         cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None
     )
-    geometry = replay_geometry(alphabet, cfg.support_threshold)
-    return geometry.pairs, geometry.sizes2, geometry.supports2
+    merges = replay_geometry(alphabet, cfg.support_threshold, cfg.max_predicates).merges
+    return merges.positions, merges.sizes, merges.known
 
 
 def _mixed_tasks(session: AuditSession):

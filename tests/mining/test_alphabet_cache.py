@@ -90,6 +90,22 @@ def test_support_threshold_outside_unit_interval_rejected(
         search()
 
 
+@pytest.mark.parametrize("path", ["mining_engine", "alphabet_cache", "bare_lattice"])
+def test_unknown_excluded_feature_rejected(path, cache, german_train, fo_estimator):
+    """An excluded name that is no column would silently exclude nothing."""
+    search = {
+        "mining_engine": lambda: mine_closed_candidates(
+            german_train.table, fo_estimator, exclude_features={"age", "nope"}
+        ),
+        "alphabet_cache": lambda: cache.get(TAU, exclude_features={"age", "nope"}),
+        "bare_lattice": lambda: compute_candidates(
+            german_train.table, fo_estimator, exclude_features={"age", "nope"}
+        ),
+    }[path]
+    with pytest.raises(ValueError, match=r"exclude_features names no column .*\['nope'\]"):
+        search()
+
+
 class TestSuppliedAlphabetMustMatch:
     """A search handed an alphabet built for other parameters refuses it,
     naming the field, instead of searching the wrong predicates: an

@@ -1,19 +1,23 @@
-"""The per-merge lattice gather: the reference for ``gather_level``.
+"""The per-merge lattice level: the reference for ``merge_pairs`` and
+``gather_level``.
 
-This is the level gather the lattice ran before it moved to arrays: every
+This is the level step the lattice ran before it moved to arrays: every
 mergeable pair of :class:`Pattern` objects from :func:`_mergeable_pairs`,
-merged with :meth:`Pattern.merge`, deduplicated with a ``seen`` set,
-checked with :meth:`Pattern.is_satisfiable`, and its boolean masks ANDed
-and summed.  :func:`gather_level` takes and returns the same types as
-:func:`repro.patterns.lattice.gather_level`, so tests can run both on one
-level, or swap this one into a whole search.
+merged with :meth:`Pattern.merge`, deduplicated with a ``seen`` set and
+checked with :meth:`Pattern.is_satisfiable` (:func:`merges_of`), then each
+merge's boolean masks ANDed and summed (:func:`gather_level`).  The
+oracle's :func:`gather_level` takes and returns the same types as
+:func:`repro.patterns.lattice.gather_level`, so tests can run both on the
+pairs one level hands them, or swap this one into a whole search.  Heuristic
+2 and the result filter are not here: both engines and the delta replay
+share them in :func:`repro.patterns.lattice.score_level`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.patterns.lattice import LevelMerges, LevelState, PredicateIndex, _parent_bar
+from repro.patterns.lattice import LevelMerges, LevelState
 from repro.patterns.pattern import Pattern
 
 
@@ -53,56 +57,53 @@ def _mergeable_pairs(patterns: list[tuple]):
                     yield pair
 
 
-def gather_level(
-    level: LevelState,
-    index: PredicateIndex,
-    num_rows: int,
-    support_threshold: float,
-    max_responsibility: float,
-) -> LevelMerges:
-    """One level's gather, one merge at a time."""
-    ids = {predicate: i for i, predicate in enumerate(index.predicates)}
-    current = [
-        (
-            index.pattern(row),
-            np.unpackbits(packed, count=num_rows).astype(bool),
-            int(size),
-            resp,
-        )
-        for row, packed, size, resp in zip(
-            level.rows, level.packed, level.sizes, level.responsibilities
-        )
-    ]
-    out = []
-    merges_tried = 0
+def merges_of(patterns: list[Pattern]) -> tuple[list[tuple[int, int, Pattern]], int]:
+    """One level's structural merges, one pair at a time.
+
+    ``(i, j, merged)`` for every mergeable pair, in :func:`_mergeable_pairs`
+    order, whose merge is one predicate longer, not produced by an earlier
+    pair, and satisfiable; plus the number of pairs tried.
+    """
+    out: list[tuple[int, int, Pattern]] = []
     seen: set[Pattern] = set()
-    target = level.rows.shape[1] + 1
-    for i_a, i_b in _mergeable_pairs(current):
-        pattern_a, mask_a, size_a, resp_a = current[i_a]
-        pattern_b, mask_b, size_b, resp_b = current[i_b]
-        merges_tried += 1
-        merged = pattern_a.merge(pattern_b)
-        if len(merged) != target or merged in seen:
+    tried = 0
+    for i, j in _mergeable_pairs([(pattern,) for pattern in patterns]):
+        tried += 1
+        merged = patterns[i].merge(patterns[j])
+        if len(merged) != len(patterns[i]) + 1 or merged in seen:
             continue
         seen.add(merged)
-        if not merged.is_satisfiable():
-            continue
-        mask = mask_a & mask_b
+        if merged.is_satisfiable():
+            out.append((i, j, merged))
+    return out, tried
+
+
+def gather_level(
+    level: LevelState,
+    left: np.ndarray,
+    right: np.ndarray,
+    rows: np.ndarray,
+    num_rows: int,
+    support_threshold: float,
+) -> LevelMerges:
+    """The supported merges among the handed pairs, one merge at a time."""
+    masks = [np.unpackbits(packed, count=num_rows).astype(bool) for packed in level.packed]
+    out = []
+    for position, (i, j) in enumerate(zip(left.tolist(), right.tolist())):
+        mask = masks[i] & masks[j]
         size = int(mask.sum())
         if size / num_rows <= support_threshold:
             continue
-        known = 1 if size == size_a else 2 if size == size_b else 0
-        bar = _parent_bar(resp_a, resp_b, max_responsibility)
-        row = [ids[p] for p in merged.predicates]
-        out.append((i_a, i_b, row, np.packbits(mask), size, known, bar))
-    width = level.packed.shape[1]
+        known = 1 if size == masks[i].sum() else 2 if size == masks[j].sum() else 0
+        out.append((position, i, j, rows[position], np.packbits(mask), size, known))
     return LevelMerges(
-        left=np.array([r[0] for r in out], dtype=np.int64),
-        right=np.array([r[1] for r in out], dtype=np.int64),
-        rows=np.array([r[2] for r in out], dtype=np.int64).reshape(len(out), target),
-        packed=np.array([r[3] for r in out], dtype=np.uint8).reshape(len(out), width),
-        sizes=np.array([r[4] for r in out], dtype=np.int64),
-        known=np.array([r[5] for r in out], dtype=np.int8),
-        bars=np.array([r[6] for r in out], dtype=np.float64),
-        tried=merges_tried,
+        positions=np.array([r[0] for r in out], dtype=np.int64),
+        left=np.array([r[1] for r in out], dtype=np.int64),
+        right=np.array([r[2] for r in out], dtype=np.int64),
+        rows=np.array([r[3] for r in out], dtype=np.int64).reshape(len(out), rows.shape[1]),
+        packed=np.array([r[4] for r in out], dtype=np.uint8).reshape(
+            len(out), level.packed.shape[1]
+        ),
+        sizes=np.array([r[5] for r in out], dtype=np.int64),
+        known=np.array([r[6] for r in out], dtype=np.int8),
     )

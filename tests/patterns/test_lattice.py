@@ -92,13 +92,6 @@ class TestPruning:
         high = compute_candidates(german_train.table, fo_estimator, 0.25, max_predicates=2)
         assert high.num_candidates < low.num_candidates
 
-    def test_min_responsibility_filters_results(self, german_train, fo_estimator):
-        filtered = compute_candidates(
-            german_train.table, fo_estimator, 0.05, max_predicates=2,
-            min_responsibility=0.05,
-        )
-        assert all(s.responsibility >= 0.05 for s in filtered.candidates)
-
 
 class TestFullCoveragePatterns:
     def test_full_coverage_single_predicate_skipped(self, german_train, fo_estimator):

@@ -5,19 +5,21 @@ set* — patterns, supports, responsibilities — and identical per-level
 accounting as the per-candidate query loop of ``oracles.influence_loop``, on
 the seeded synthetic dataset.  Plus the support-threshold boundary: a
 pattern covering exactly τ of the rows is excluded at every lattice level,
-on both paths, matching the "strictly more than τ" contract.
+in the array gather and the per-merge oracle alike, matching the "strictly
+more than τ" contract.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import lattice_gather as oracle_gather
 from oracles.influence_loop import LoopEstimator
 
-from repro.fairness import FairnessContext, get_metric
 from repro.influence import make_estimator
-from repro.models import LogisticRegression
+from repro.mining.alphabet import PredicateAlphabet
 from repro.patterns import compute_candidates
+from repro.patterns.lattice import gather_level, level_one, merge_pairs
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Predicate
 from repro.tabular import Table
@@ -118,63 +120,53 @@ class TestGoldenEquivalence:
 # Support-threshold boundary: strictly-more-than τ at every level.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def boundary_setup():
+def boundary_table():
     """20-row table engineered so several patterns sit exactly at τ = 0.2.
 
     Level 1: ``b = w`` covers exactly 4/20 rows.  Level 2: ``a = x ∧ b = u``
     covers exactly 4/20, while ``a = x ∧ b = v`` (6/20) and ``a = y ∧ b = u``
-    (6/20) clear the bar.  The thresholded bias of this model is exactly
-    zero, which no search may score, so the estimator measures the smooth
-    surrogate.
+    (6/20) clear the bar.
     """
     a = ["x"] * 10 + ["y"] * 10
     b = ["u"] * 4 + ["v"] * 6 + ["u"] * 6 + ["w"] * 4
-    table = Table.from_dict({"a": a, "b": b})
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(20, 3))
-    y = np.array([0, 1] * 10)
-    model = LogisticRegression(l2_reg=1e-2).fit(X, y)
-    ctx = FairnessContext(
-        X=X, y=y, privileged=np.array([True] * 10 + [False] * 10), favorable_label=1
-    )
-    estimator = make_estimator(
-        "first_order", model, X, y, get_metric("statistical_parity"), ctx, evaluation="smooth"
-    )
-    return table, estimator
+    return Table.from_dict({"a": a, "b": b})
 
 
-@pytest.mark.parametrize("batch", [True, False])
+@pytest.mark.parametrize(
+    "gather", [gather_level, oracle_gather.gather_level], ids=["array", "oracle"]
+)
 class TestSupportBoundary:
+    """Level 1 is the alphabet's entries; level 2 is the gather over their
+    merge pairs, in the array form and the per-merge oracle alike."""
+
     TAU = 0.2
 
-    def _candidates(self, boundary_setup, batch):
-        table, estimator = boundary_setup
-        searched = estimator if batch else LoopEstimator(estimator)
-        result = compute_candidates(
-            table,
-            searched,
-            support_threshold=self.TAU,
-            max_predicates=2,
-            prune_by_responsibility=False,
-            min_responsibility=-np.inf,
-        )
-        if not batch:
-            assert searched.scalar_calls == result.num_evaluated > 0
-        return result.candidates
+    def _levels(self, table, gather) -> list[list[tuple[Pattern, int]]]:
+        index, level1 = level_one(PredicateAlphabet(table, self.TAU, 4))
+        left, right, rows, _ = merge_pairs(level1.rows, index.conflicts)
+        level2 = gather(level1, left, right, rows, table.num_rows, self.TAU)
+        return [
+            [(index.pattern(row), int(size)) for row, size in zip(level.rows, level.sizes)]
+            for level in (level1, level2)
+        ]
 
-    def test_no_candidate_at_exactly_tau(self, boundary_setup, batch):
-        for stats in self._candidates(boundary_setup, batch):
-            assert stats.support > self.TAU
+    def test_no_candidate_at_exactly_tau(self, boundary_table, gather):
+        for level in self._levels(boundary_table, gather):
+            assert level
+            for _, size in level:
+                assert size / boundary_table.num_rows > self.TAU
 
-    def test_level1_boundary_predicate_excluded(self, boundary_setup, batch):
-        patterns = {s.pattern for s in self._candidates(boundary_setup, batch)}
-        assert Pattern([Predicate("b", "=", "w")]) not in patterns
+    def test_level1_boundary_predicate_excluded(self, boundary_table, gather):
+        level1, _ = self._levels(boundary_table, gather)
+        assert Pattern([Predicate("b", "=", "w")]) not in {p for p, _ in level1}
 
-    def test_level2_boundary_merge_excluded(self, boundary_setup, batch):
-        patterns = {s.pattern for s in self._candidates(boundary_setup, batch)}
+    def test_level2_boundary_merge_excluded(self, boundary_table, gather):
+        _, level2 = self._levels(boundary_table, gather)
+        patterns = {p for p, _ in level2}
         assert Pattern([Predicate("a", "=", "x"), Predicate("b", "=", "u")]) not in patterns
 
-    def test_level2_above_boundary_kept(self, boundary_setup, batch):
-        patterns = {s.pattern for s in self._candidates(boundary_setup, batch)}
+    def test_level2_above_boundary_kept(self, boundary_table, gather):
+        _, level2 = self._levels(boundary_table, gather)
+        patterns = {p for p, _ in level2}
         assert Pattern([Predicate("a", "=", "x"), Predicate("b", "=", "v")]) in patterns
         assert Pattern([Predicate("a", "=", "y"), Predicate("b", "=", "u")]) in patterns

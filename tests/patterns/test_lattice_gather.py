@@ -1,14 +1,17 @@
-"""The array gather equals the per-merge reference gather.
+"""The array level step equals the per-merge reference.
 
-``repro.patterns.lattice.gather_level`` enumerates, deduplicates, checks
-and ANDs a whole level on arrays.  ``oracles.lattice_gather`` keeps the
-per-merge loop it replaced.  Every level of a search runs through both on
-the same input, and the merges must agree field for field: pair sequence,
-merged patterns, packed masks, sizes, collapse codes, parent bars and
-pairs tried.  Pair order is part of the answer — heuristic 2 takes a
-candidate's bar from the first pair that produces it — so it is compared
-exactly.  A whole search with the oracle swapped in must also return the
-same candidates, level stats and :class:`LatticeRecord`.
+``repro.patterns.lattice.merge_pairs`` enumerates, deduplicates and checks
+a whole level on arrays, and ``gather_level`` ANDs the pairs it is handed
+and keeps the supported ones.  ``oracles.lattice_gather`` keeps the
+per-merge loop they replaced.  Every level of a search runs through both on
+the same input, and they must agree: pair sequence, merged patterns and
+pairs tried, then positions, parents, packed masks, sizes and collapse
+codes.  Pair order is part of the answer — heuristic 2 takes a candidate's
+bar from the first pair that produces it — so it is compared exactly.  A
+whole search with the oracle gather swapped in must also return the same
+candidates, level stats and :class:`LatticeRecord`, and the delta
+replay's level 2 after an edit must be the oracle's over the patched
+entries.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import lattice_gather as oracle
 
-from repro.datasets import TabularEncoder
+from repro.core.delta import replay_geometry
+from repro.datasets import TabularEncoder, random_edit
 from repro.fairness import FairnessContext, get_metric
 from repro.influence import make_estimator
 from repro.mining.alphabet import PredicateAlphabet
@@ -29,28 +33,42 @@ from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Predicate
 from repro.tabular import Table
 
-FIELDS = ("left", "right", "rows", "packed", "sizes", "known", "bars")
+FIELDS = ("positions", "left", "right", "rows", "packed", "sizes", "known")
 
 
-def _checked_gather(calls: list):
-    """``gather_level`` that also runs the oracle and asserts they agree."""
-    array_gather = lattice.gather_level
+def _assert_same_merges(got, want):
+    for name in FIELDS:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
-    def gather(level, index, num_rows, support_threshold, max_responsibility):
-        got = array_gather(level, index, num_rows, support_threshold, max_responsibility)
-        want = oracle.gather_level(level, index, num_rows, support_threshold, max_responsibility)
-        for name in FIELDS:
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
-        assert got.tried == want.tried
-        calls.append(got.tried)
+
+def _checked_level(calls: list, index):
+    """``merge_pairs`` and ``gather_level`` that also run the oracle and
+    assert they agree; ``index`` numbers the search's level 1."""
+    array_merge, array_gather = lattice.merge_pairs, lattice.gather_level
+
+    def merge_pairs(rows, conflicts):
+        left, right, merged, tried = array_merge(rows, conflicts)
+        want, want_tried = oracle.merges_of([index.pattern(row) for row in rows])
+        assert tried == want_tried
+        assert list(zip(left.tolist(), right.tolist())) == [(i, j) for i, j, _ in want]
+        assert [index.pattern(row) for row in merged] == [pattern for _, _, pattern in want]
+        calls.append(tried)
+        return left, right, merged, tried
+
+    def gather(level, left, right, rows, num_rows, support_threshold):
+        got = array_gather(level, left, right, rows, num_rows, support_threshold)
+        _assert_same_merges(
+            got, oracle.gather_level(level, left, right, rows, num_rows, support_threshold)
+        )
         return got
 
-    return gather
+    return merge_pairs, gather
 
 
-def _search(table, estimator, monkeypatch, gather, **kwargs):
+def _search(table, estimator, monkeypatch, patches: dict, **kwargs):
     with monkeypatch.context() as patch:
-        patch.setattr(lattice, "gather_level", gather)
+        for name, value in patches.items():
+            patch.setattr(lattice, name, value)
         return lattice.compute_candidates(table, estimator, **kwargs)
 
 
@@ -70,8 +88,15 @@ def _assert_same_search(a, b):
 
 def _check_search(table, estimator, monkeypatch, **kwargs):
     calls: list[int] = []
-    checked = _search(table, estimator, monkeypatch, _checked_gather(calls), **kwargs)
-    reference = _search(table, estimator, monkeypatch, oracle.gather_level, **kwargs)
+    index, _ = lattice.level_one(PredicateAlphabet(table, kwargs["support_threshold"], 4))
+    merge_pairs, gather = _checked_level(calls, index)
+    checked = _search(
+        table, estimator, monkeypatch,
+        dict(merge_pairs=merge_pairs, gather_level=gather), **kwargs,
+    )
+    reference = _search(
+        table, estimator, monkeypatch, dict(gather_level=oracle.gather_level), **kwargs
+    )
     _assert_same_search(checked, reference)
     return calls
 
@@ -135,7 +160,6 @@ def test_random_tables_match_oracle(problem, depth, prune, tau, monkeypatch):
     _check_search(
         table, estimator, monkeypatch,
         support_threshold=tau, max_predicates=depth, prune_by_responsibility=prune,
-        min_responsibility=-np.inf,
     )
 
 
@@ -167,13 +191,32 @@ def test_pair_skeleton_is_the_level_two_enumeration(german_train):
     """The delta-audit skeleton reuses the lattice's level-1 merges."""
     alphabet = PredicateAlphabet(german_train.table, 0.05, 4)
     left, right = alphabet.pair_skeleton()
-    entries = [(Pattern([predicate]),) for predicate, _ in alphabet.entries]
-    seen, expected = set(), []
-    for i, j in oracle._mergeable_pairs(entries):
-        merged = entries[i][0].merge(entries[j][0])
-        if len(merged) != 2 or merged in seen:
-            continue
-        seen.add(merged)
-        if merged.is_satisfiable():
-            expected.append((i, j))
-    assert list(zip(left.tolist(), right.tolist())) == expected
+    want, _ = oracle.merges_of([Pattern([predicate]) for predicate, _ in alphabet.entries])
+    assert list(zip(left.tolist(), right.tolist())) == [(i, j) for i, j, _ in want]
+
+
+def test_replay_geometry_is_the_oracle_level_two_after_an_edit(german_train):
+    """The delta replay's level 2 over the cached skeleton, after an edit
+    that keeps the entry list, is the oracle's enumeration and gather over
+    the patched alphabet's level 1."""
+    alphabet = PredicateAlphabet(german_train.table, 0.05, 4)
+    skeleton = alphabet.pair_skeleton()
+    edit = random_edit(german_train, "remove", count=8, seed=3)
+    alphabet.apply_edit(edit, german_train.apply_edit(edit).table)
+    assert alphabet.pair_skeleton() is skeleton
+
+    geometry = replay_geometry(alphabet, 0.05, max_predicates=2)
+    index, level1 = lattice.level_one(alphabet)
+    want, tried = oracle.merges_of([index.pattern(row) for row in level1.rows])
+    assert geometry.num_skeleton == len(want) and tried > len(want)
+    left = np.array([i for i, _, _ in want], dtype=np.int64)
+    right = np.array([j for _, j, _ in want], dtype=np.int64)
+    ids = {predicate: i for i, predicate in enumerate(index.predicates)}
+    rows = np.array([sorted(ids[p] for p in pattern.predicates) for _, _, pattern in want])
+    _assert_same_merges(
+        geometry.merges,
+        oracle.gather_level(level1, left, right, rows, alphabet.num_rows, 0.05),
+    )
+    assert 0 < len(geometry.merges.positions) < geometry.num_skeleton
+    # A depth-1 search gathers no level 2.
+    assert len(replay_geometry(alphabet, 0.05, max_predicates=1).merges.positions) == 0

@@ -1,10 +1,27 @@
 """Tests for repro.patterns.pattern."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.patterns import Pattern, Predicate
 from repro.tabular import Table
+
+# Prints the canonical order of a pattern and of a predicate index over
+# predicates whose sort keys tie (1 and "1" print alike).
+_TIED_ORDER = """
+from repro.patterns import Pattern, Predicate
+from repro.patterns.lattice import PredicateIndex
+vocabulary = [Predicate(f, "=", v) for f in ("age", "gender", "job") for v in (0, 1, 2, "1")]
+print([p.value for p in Pattern(vocabulary).predicates])
+index, ids = PredicateIndex.of(vocabulary)
+print([p.value for p in index.predicates], index.ranks.tolist(), ids.tolist())
+"""
 
 
 @pytest.fixture
@@ -27,6 +44,20 @@ class TestConstruction:
         b = P(Predicate("a", ">", 1.0), Predicate("b", "=", "x"))
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_tied_sort_keys_order_by_type_not_hash_seed(self):
+        """Set order follows the hash seed; the canonical order must not."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", _TIED_ORDER],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("0", "8")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[0] == str([0, 1, "1", 2] * 3)
 
     def test_duplicates_collapse(self):
         p = P(Predicate("a", "=", 1), Predicate("a", "=", 1))

@@ -237,6 +237,10 @@ class TestColumnsMatchTheLoop:
         with pytest.raises(ValueError, match="max_responsibility must be positive"):
             select_top_k(candidates, k=1, max_responsibility=0.0)
 
+    def test_nan_max_responsibility(self, candidates):
+        with pytest.raises(ValueError, match="max_responsibility must be positive"):
+            select_top_k(candidates, k=1, max_responsibility=float("nan"))
+
 
 class TestFilterSpan:
     def test_records_pool_and_visited(self, candidates):
