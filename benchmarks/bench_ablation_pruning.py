@@ -17,6 +17,7 @@ import pytest
 
 from repro.bench import build_pipeline, emit, render_table
 from repro.influence import FirstOrderInfluence
+from repro.mining import PredicateAlphabet
 from repro.patterns import compute_candidates, select_top_k
 
 
@@ -37,7 +38,7 @@ def test_ablation_responsibility_pruning(benchmark, setup):
         for prune in (True, False):
             start = time.perf_counter()
             result = compute_candidates(
-                bundle.train.table, estimator, 0.05, max_predicates=3,
+                PredicateAlphabet(bundle.train.table, 0.05), estimator, max_predicates=3,
                 prune_by_responsibility=prune,
             )
             seconds = time.perf_counter() - start
@@ -70,7 +71,7 @@ def test_ablation_support_threshold(benchmark, setup):
         rows = []
         for tau in (0.01, 0.05, 0.10, 0.25):
             result = compute_candidates(
-                bundle.train.table, estimator, tau, max_predicates=2
+                PredicateAlphabet(bundle.train.table, tau), estimator, max_predicates=2
             )
             top = select_top_k(result.candidates, 3, 0.5)
             best = top[0].responsibility if top else float("nan")
@@ -93,7 +94,9 @@ def test_ablation_support_threshold(benchmark, setup):
 
 def test_ablation_containment_threshold(benchmark, setup):
     bundle, estimator = setup
-    result = compute_candidates(bundle.train.table, estimator, 0.05, max_predicates=2)
+    result = compute_candidates(
+        PredicateAlphabet(bundle.train.table, 0.05), estimator, max_predicates=2
+    )
 
     def run():
         rows = []

@@ -28,7 +28,8 @@ Section-5 repairs, everything recomputed from scratch.  Claims:
 3. **Amortization accounting** — every distinct extent's Δθ is computed
    exactly once (the miss counter equals the cache population and a
    repeated audit over the same grid recomputes nothing), and exactly
-   one ``update_context_builds`` across all repair views.
+   one ``learning_rate_builds`` (the step size η every §5 update-search
+   context shares) across all repair views.
 
 ``--smoke`` shrinks the dataset; every assertion is kept.
 """
@@ -106,8 +107,8 @@ def _run_workload(rows: int, k: int = 3):
 
     _assert_identical(fresh_answers, result, view_updates)
     stats = session.stats
-    assert stats["influence.update_context_builds"] == 1, (
-        f"update context built {stats['influence.update_context_builds']}× across "
+    assert stats["influence.learning_rate_builds"] == 1, (
+        f"update-search step size built {stats['influence.learning_rate_builds']}× across "
         f"{len(METRICS)} repair views; the shared half failed to amortize"
     )
     assert stats["influence.param_change_cache_hits"] > 0

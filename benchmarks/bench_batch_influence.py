@@ -33,6 +33,7 @@ from oracles.influence_loop import LoopEstimator
 
 from repro.bench import build_pipeline, emit, render_table, subset_mask_matrix
 from repro.influence import make_estimator
+from repro.mining import PredicateAlphabet
 from repro.patterns.lattice import compute_candidates
 from repro.utils.rng import ensure_rng
 
@@ -114,11 +115,11 @@ def _lattice_rows() -> list[list[object]]:
         )
         oracle = LoopEstimator(estimator)
         start = time.perf_counter()
-        loop = compute_candidates(bundle.train.table, oracle, 0.05, 3)
+        loop = compute_candidates(PredicateAlphabet(bundle.train.table, 0.05), oracle, 3)
         loop_s = time.perf_counter() - start
         assert oracle.scalar_calls == loop.num_evaluated, "the loop search did not run its loop"
         start = time.perf_counter()
-        batched = compute_candidates(bundle.train.table, estimator, 0.05, 3)
+        batched = compute_candidates(PredicateAlphabet(bundle.train.table, 0.05), estimator, 3)
         batch_s = time.perf_counter() - start
         identical = [s.pattern for s in loop.candidates] == [
             s.pattern for s in batched.candidates

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.bench import build_pipeline, emit, render_table
 from repro.influence import make_estimator
-from repro.mining import mine_closed_candidates
+from repro.mining import PredicateAlphabet, mine_closed_candidates
 from repro.mining.bitset import _FOLD_BUFFER_BYTES, packed_width
 from repro.patterns import compute_candidates, select_top_k
 
@@ -78,8 +78,7 @@ def _traced_generate(engine_name: str, table, estimator, max_predicates: int):
     tracemalloc.start()
     start = time.perf_counter()
     result = search(
-        table, estimator,
-        support_threshold=SEARCH["support_threshold"],
+        PredicateAlphabet(table, SEARCH["support_threshold"]), estimator,
         max_predicates=max_predicates,
     )
     seconds = time.perf_counter() - start

@@ -38,6 +38,7 @@ from oracles.influence_loop import LoopEstimator
 
 from repro.bench import build_pipeline, emit, render_table, subset_mask_matrix
 from repro.influence import make_estimator
+from repro.mining import PredicateAlphabet
 from repro.obs import trace
 from repro.obs.trace import Tracer
 from repro.patterns import select_top_k
@@ -117,11 +118,13 @@ def _parity_rows(bundle, estimator, max_predicates):
     rows = []
     oracle = LoopEstimator(estimator)
     start = time.perf_counter()
-    loop = compute_candidates(bundle.train.table, oracle, 0.05, max_predicates)
+    loop = compute_candidates(PredicateAlphabet(bundle.train.table, 0.05), oracle, max_predicates)
     loop_s = time.perf_counter() - start
     assert oracle.scalar_calls == loop.num_evaluated, "the oracle search did not run its loop"
     start = time.perf_counter()
-    batched = compute_candidates(bundle.train.table, estimator, 0.05, max_predicates)
+    batched = compute_candidates(
+        PredicateAlphabet(bundle.train.table, 0.05), estimator, max_predicates
+    )
     batch_s = time.perf_counter() - start
     top_loop = select_top_k(loop, TOP_K, containment_threshold=0.5)
     top_batch = select_top_k(batched, TOP_K, containment_threshold=0.5)

@@ -77,12 +77,9 @@ def _build(dataset: str, n_rows: int, support_threshold: float):
     return bundle, estimator, alphabet
 
 
-def _mine(table, estimator, alphabet, search):
+def _mine(estimator, alphabet, search):
     return mine_closed_candidates(
-        table, estimator,
-        support_threshold=search["support_threshold"],
-        max_predicates=search["max_predicates"],
-        alphabet=alphabet, batch_size=BATCH_SIZE,
+        alphabet, estimator, max_predicates=search["max_predicates"], batch_size=BATCH_SIZE
     )
 
 
@@ -101,7 +98,7 @@ def _run(smoke: bool):
         )
         table = bundle.train.table
         start = time.perf_counter()
-        mined = _mine(table, estimator, alphabet, search)
+        mined = _mine(estimator, alphabet, search)
         mine_s = time.perf_counter() - start
 
         projections = alphabet._stats["projection_builds"]
@@ -113,7 +110,7 @@ def _run(smoke: bool):
         # Traced peak of a full search, warm caches: the memory the mining
         # layer itself is responsible for.
         tracemalloc.start()
-        repeat = _mine(table, estimator, alphabet, search)
+        repeat = _mine(estimator, alphabet, search)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert _signature(repeat) == _signature(mined), (

@@ -15,6 +15,7 @@ import os
 
 from repro.bench import build_pipeline, emit, render_table
 from repro.influence import FirstOrderInfluence
+from repro.mining import PredicateAlphabet
 from repro.obs import trace
 from repro.patterns import compute_candidates, select_top_k
 
@@ -29,11 +30,9 @@ def _run(max_level: int) -> list[list[object]]:
     rows = []
     for level in range(1, max_level + 1):
         result = compute_candidates(
-            bundle.train.table,
+            PredicateAlphabet(bundle.train.table, 0.05, num_bins=6),
             estimator,
-            support_threshold=0.05,
             max_predicates=level,
-            num_bins=6,
         )
         with trace.span("explain.filter", k=5) as filter_span:
             select_top_k(result.candidates, k=5, containment_threshold=0.5)

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 from repro.fairness.metrics import list_metrics
-from repro.patterns.lattice import CandidateResult, PatternStats
+from repro.patterns.lattice import CandidateResult, PatternStats, check_depth
 from repro.patterns.topk import select_top_k
 
 #: The accepted ``estimator`` and ``engine`` names (the CLI offers the same).
@@ -71,7 +70,7 @@ class GopherConfig:
         would empty the top-k and lift every heuristic-2 bar, is refused.
     exclude_features:
         Features that must not appear in explanation predicates; a name
-        that is no column of the training table is refused by the search.
+        that is no column of the training table is refused by the alphabet.
     retrain_jobs:
         Worker processes for ground-truth verification retrains (removal
         *and* update explanations).  ``None`` uses one worker per CPU;
@@ -109,9 +108,7 @@ class GopherConfig:
             raise ValueError(
                 f"containment_threshold must be in (0, 1], got {self.containment_threshold}"
             )
-        depth = self.max_predicates
-        if isinstance(depth, bool) or not isinstance(depth, Integral) or depth < 1:
-            raise ValueError(f"max_predicates must be an integer >= 1, got {depth!r}")
+        check_depth(self.max_predicates)
         if not self.max_responsibility > 0:
             raise ValueError(f"max_responsibility must be positive, got {self.max_responsibility}")
         if not 0.0 < self.test_fraction < 1.0:

@@ -105,11 +105,11 @@ def _batch_scores(estimator, packed: np.ndarray, num_rows: int) -> tuple[np.ndar
 class ReplayGeometry:
     """Metric-independent structural state shared by one edit's replays.
 
-    A function of the patched alphabet, τ and the depth alone: the index
-    numbering the entries, the unscored level 1, the level-2
+    A function of the patched alphabet (τ included) and the depth alone:
+    the index numbering the entries, the unscored level 1, the level-2
     :func:`~repro.patterns.lattice.gather_level` over the alphabet's pair
     skeleton (over no pairs at depth 1) and the skeleton's length.  One
-    ``delta_audit`` builds it once for every query of its grid.
+    lattice ``delta_audit`` builds it once for every query of its grid.
     """
 
     index: PredicateIndex
@@ -118,16 +118,14 @@ class ReplayGeometry:
     num_skeleton: int
 
 
-def replay_geometry(
-    alphabet: PredicateAlphabet, support_threshold: float, max_predicates: int
-) -> ReplayGeometry:
+def replay_geometry(alphabet: PredicateAlphabet, max_predicates: int) -> ReplayGeometry:
     """Build the shared structural state for replays against ``alphabet``."""
     index, level1 = level_one(alphabet)
     no_pairs = (np.zeros(0, dtype=np.int64),) * 2
     left, right = alphabet.pair_skeleton() if max_predicates >= 2 else no_pairs
     ids = level1.rows[:, 0]
     rows = np.sort(np.column_stack([ids[left], ids[right]]), axis=1)
-    merges = gather_level(level1, left, right, rows, alphabet.num_rows, support_threshold)
+    merges = gather_level(level1, left, right, rows, alphabet.num_rows, alphabet.support_threshold)
     return ReplayGeometry(index, level1, merges, len(left))
 
 
@@ -153,7 +151,7 @@ def replay_search(
     if config.max_predicates > 2:
         return None, "search depth > 2 is not replayable"
     if geometry is None:
-        geometry = replay_geometry(alphabet, config.support_threshold, config.max_predicates)
+        geometry = replay_geometry(alphabet, config.max_predicates)
     n = alphabet.num_rows
     prune = config.prune_by_responsibility
     cap = config.max_responsibility

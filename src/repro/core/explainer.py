@@ -13,7 +13,6 @@ from repro.fairness.metrics import FairnessContext, get_metric
 from repro.fairness.report import FairnessReport, fairness_report
 from repro.influence.estimators import InfluenceEstimator
 from repro.influence.retrain import RetrainInfluence
-from repro.mining.alphabet import resolve_alphabet
 from repro.mining.closed import mine_closed_candidates
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
@@ -135,7 +134,8 @@ class GopherExplainer:
         ``engine="lattice"`` (the paper's level-wise search),
         :func:`~repro.mining.closed.mine_closed_candidates` for
         ``engine="mining"`` (the packed-bitset closed-pattern miner) — over
-        the session's cached predicate alphabet.  The two can return
+        the session's cached predicate alphabet of its current table
+        (:meth:`AuditSession.alphabet_for`).  The two can return
         different top-k at depth 3 (see ``GopherConfig.engine``).  With
         ``verify=True`` each selected
         explanation's subset is actually removed and the model retrained,
@@ -148,26 +148,14 @@ class GopherExplainer:
 
         # Looked up per call, so a wrapper rebinding either name is honoured.
         search = compute_candidates if cfg.engine == "lattice" else mine_closed_candidates
-        table = self.train_data.table
-        exclude = cfg.exclude_features or None
         self.session.metrics.inc(f"engine.{cfg.engine}_searches")
         with trace.span("explain.search", engine=cfg.engine) as search_span:
             lattice = search(
-                table,
+                self.session.alphabet_for(cfg),
                 self.estimator,
-                support_threshold=cfg.support_threshold,
                 max_predicates=cfg.max_predicates,
-                num_bins=cfg.num_bins,
-                exclude_features=exclude,
                 prune_by_responsibility=cfg.prune_by_responsibility,
                 max_responsibility=cfg.max_responsibility,
-                alphabet=resolve_alphabet(
-                    table,
-                    self.session.alphabet_cache,
-                    cfg.support_threshold,
-                    cfg.num_bins,
-                    exclude,
-                ),
             )
             search_span.set(
                 candidates=lattice.num_candidates, evaluated=lattice.num_evaluated
@@ -294,12 +282,12 @@ class GopherExplainer:
         )
 
     def _update_context(self):
-        """The §5 start-up state (∇F, Hessian, η, train grads), built once.
+        """The §5 start-up state (∇F, η, train grads), built once per view.
 
         The metric-independent half rides the session's shared
-        ``ModelArtifacts`` (one ``update.context`` build per audit however
-        many explainer views run ``explain_updates``); only ∇F and the
-        original bias are computed per view.
+        ``ModelArtifacts`` (one η build, ``learning_rate_builds``, per audit
+        however many explainer views run ``explain_updates``); only ∇F and
+        the original bias are computed per view.
         """
         if self._update_ctx is None:
             from repro.updates.projected_gd import UpdateSearchContext

@@ -43,7 +43,7 @@ from repro.fairness.metrics import FairnessContext, get_metric, list_metrics
 from repro.fairness.report import FairnessReport, fairness_report
 from repro.influence.artifacts import ModelArtifacts
 from repro.influence.estimators import InfluenceEstimator, ZeroBiasError, make_estimator
-from repro.mining.alphabet import AlphabetCache
+from repro.mining.alphabet import AlphabetCache, PredicateAlphabet
 from repro.models.base import TwiceDifferentiableClassifier
 from repro.obs import trace
 from repro.obs.cost import CostReport
@@ -484,17 +484,13 @@ class AuditSession:
         that build's own stats entry.
         """
         self._require_fitted()
-        assert self.alphabet_cache is not None and self.test_data is not None
+        assert self.test_data is not None
         if groups is None:
             groups = [self.test_data.protected]
         for group in groups:
             self.context_for(group)
         self.estimator_for(group=groups[0] if groups else None, estimator=estimator).warm()
-        cfg = self.config
-        alphabet = self.alphabet_cache.get(
-            cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None
-        )
-        alphabet.warm(miner=True, skeleton=skeleton)
+        self.alphabet_for().warm(miner=True, skeleton=skeleton)
         return self
 
     def _require_fitted(self) -> None:
@@ -546,6 +542,16 @@ class AuditSession:
                 "privileged category/threshold against this split"
             )
         return self.test_data.fairness_context(self.X_test, group)
+
+    def alphabet_for(self, config: GopherConfig | None = None) -> PredicateAlphabet:
+        """The session's one alphabet lookup: the cached alphabet of its
+        current table for ``config``'s τ, bins and exclusions (default: the
+        session's), read by :meth:`warm`, every view's ``explain`` and
+        :meth:`delta_audit`, and patched in place by :meth:`apply_edit`."""
+        self._require_fitted()
+        assert self.alphabet_cache is not None
+        cfg = config if config is not None else self.config
+        return self.alphabet_cache.get(cfg.support_threshold, cfg.num_bins, cfg.exclude_features)
 
     def estimator_for(
         self,
@@ -826,10 +832,7 @@ class AuditSession:
             # Certificate input (1): the level-1 alphabet of the audit's search
             # key, captured on both sides of the edit (it is patched in place).
             cfg = self.config
-            assert self.alphabet_cache is not None
-            alphabet = self.alphabet_cache.get(
-                cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None
-            )
+            alphabet = self.alphabet_for()
             specs_before = [predicate for predicate, _ in alphabet.entries]
             # apply_edit never refits, so every answer after the edit is
             # expanded around a θ that is no longer the optimum; the trace
@@ -843,12 +846,12 @@ class AuditSession:
             level1_stable = specs_before == [predicate for predicate, _ in alphabet.entries]
             # The replay's structural state (level 1 and the level-2 gather over
             # the skeleton) is metric-independent: build it once for the grid.
+            # Only a lattice search records a replay.
             geometry = None
-            if level1_stable and recheck != "always" and cfg.max_predicates <= 2:
+            replayable = cfg.engine == "lattice" and cfg.max_predicates <= 2
+            if level1_stable and recheck != "always" and replayable:
                 with trace.span("delta.geometry"):
-                    geometry = replay_geometry(
-                        alphabet, cfg.support_threshold, cfg.max_predicates
-                    )
+                    geometry = replay_geometry(alphabet, cfg.max_predicates)
 
             delta_queries: list[DeltaQuery] = []
             after_queries: list[AuditQuery] = []

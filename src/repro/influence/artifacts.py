@@ -23,8 +23,8 @@ a private one, so the single-estimator construction path is unchanged.
 Each cache is a :class:`~repro.obs.lazy.Lazy` slot, and ``stats`` counts
 its builds: ``per_sample_grad_builds``, ``hessian_builds``,
 ``hessian_factorizations`` (one per damping), ``rank_one_factor_builds``,
-``curvature_row_builds``, ``learning_rate_builds`` and
-``update_context_builds``.  Callers — the
+``curvature_row_builds`` and ``learning_rate_builds`` (η, which the §5
+update search reads too).  Callers — the
 audit benchmark in particular — can *assert* that a multi-query workload
 paid for each exactly once.  Edits count under ``edits``; an edit
 replaces each cached solver by one ``eigh`` of the patched Hessian, counted
@@ -98,14 +98,13 @@ class ModelArtifacts:
                 "solver_updates": 0,
                 "param_change_cache_hits": 0,
                 "param_change_cache_misses": 0,
-                "update_context_builds": 0,
             },
             registry=metrics,
             namespace="influence",
         )
         # One re-entrant lock covers every slot and the extent cache, so a
-        # cold bundle can serve mixed concurrent queries: update_search_state
-        # re-enters hessian/auto_learning_rate while held.
+        # cold bundle can serve mixed concurrent queries: auto_learning_rate
+        # re-enters hessian while held.
         self._lock = threading.RLock()
         stats, lock = self.stats, self._lock
         self._per_sample_grads = Lazy(
@@ -116,7 +115,6 @@ class ModelArtifacts:
         self._factors = Lazy("artifacts.hessian_factors", stats, "rank_one_factor_builds", lock)
         self._curvature = Lazy("artifacts.curvature_rows", stats, "curvature_row_builds", lock)
         self._learning_rate = Lazy("artifacts.learning_rate", stats, "learning_rate_builds", lock)
-        self._update_state = Lazy("update.context", stats, "update_context_builds", lock)
         # Extent cache: estimator spec → (packed-row bytes → row number, Δθ
         # rows).  Off by default so bare estimators keep per-instance
         # accounting; sessions switch it on via enable_extent_caching().
@@ -349,14 +347,13 @@ class ModelArtifacts:
         self.y_train = y_new
         self.num_train = n_new
         # Extent keys refer to pre-edit row indices and the cached rows to
-        # pre-edit gradients; the cache restarts empty.  V, η and the update-
-        # search state hold pre-edit rows or Hessian; their rebuilds name the edit.
+        # pre-edit gradients; the cache restarts empty.  V and η hold pre-edit
+        # rows or Hessian; their rebuilds name the edit.
         self._param_change_cache.clear()
         counts = (("relabel", relabel.size), ("remove", remove.size), ("add", k_add))
         reason = "edit(" + ", ".join(f"{kind} {k}" for kind, k in counts if k) + ")"
         self._curvature.drop(reason)
         self._learning_rate.drop(reason)
-        self._update_state.drop(reason)
         self.version += 1
         self.stats.inc("edits")
 
@@ -451,16 +448,3 @@ class ModelArtifacts:
                 store[size : len(index)] = computed
                 self._param_change_cache[spec] = (index, store)
             return store[rows]
-
-    def update_search_state(self) -> tuple[np.ndarray, float]:
-        """The metric-independent half of the §5 update-search context.
-
-        ``(hessian, learning_rate)`` — with the per-sample training
-        gradients reachable via :attr:`per_sample_grads` — is everything
-        :class:`repro.updates.projected_gd.UpdateSearchContext` needs that
-        does not depend on the metric; only ∇F and the original bias stay
-        per-view.  Built once per bundle under the ``update.context`` span
-        so a profiled audit shows exactly one build however many explainer
-        views call ``explain_updates``.
-        """
-        return self._update_state.get(lambda: (self.hessian, self.auto_learning_rate()))

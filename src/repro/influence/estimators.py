@@ -224,7 +224,9 @@ class InfluenceEstimator(ABC):
     def nonzero_baseline(self) -> float:
         """:attr:`baseline`, or :class:`ZeroBiasError` naming the metric when
         it is 0: Definition 3.2 divides by it, and an unbiased model has
-        nothing to explain.  The searches call it once before they score."""
+        nothing to explain.  The searches call it once before they score,
+        so it first refuses a stale estimator (:meth:`_check_fresh`)."""
+        self._check_fresh()
         if self.baseline == 0.0:
             raise ZeroBiasError(
                 f"original {self.metric.name} bias is zero under {self.evaluation} "

@@ -11,11 +11,13 @@ The subsystem has two layers:
   :func:`repro.patterns.lattice.compute_candidates`, and
   ``GopherConfig(engine="mining")`` selects it.
 
-Both searches read their level-1 predicates from
-:mod:`repro.mining.alphabet`, the per-dataset cache of packed masks.
+Both searches take a :class:`PredicateAlphabet`
+(:mod:`repro.mining.alphabet`) as their first argument: the level-1
+predicates with packed masks, their τ and the row count.
+:class:`AlphabetCache` keeps one alphabet per parameter key of a table.
 """
 
-from repro.mining.alphabet import AlphabetCache, PredicateAlphabet, resolve_alphabet
+from repro.mining.alphabet import AlphabetCache, PredicateAlphabet
 from repro.mining.bitset import (
     covers_all,
     extent_key,
@@ -30,7 +32,6 @@ from repro.mining.closed import mine_closed_candidates
 __all__ = [
     "AlphabetCache",
     "PredicateAlphabet",
-    "resolve_alphabet",
     "covers_all",
     "extent_key",
     "intersect",

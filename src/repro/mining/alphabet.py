@@ -13,15 +13,18 @@ only on the training table and the generation parameters (τ, bins,
 excluded features) — so an interactive audit re-running the search for
 every (metric, group, engine) pair should pay it once.
 
-:class:`PredicateAlphabet` is the built state for one parameter key;
-:class:`AlphabetCache` owns one table and hands out alphabets keyed by
-``(support_threshold, num_bins, exclude_features)`` — the exclude part
-normalized through
+:class:`PredicateAlphabet` is the built state for one parameter key, and
+it is the first argument of both searches
+(:func:`repro.patterns.lattice.compute_candidates`,
+:func:`repro.mining.closed.mine_closed_candidates`): their only source of
+τ and of the row count.  :class:`AlphabetCache` owns one table and hands
+out alphabets keyed by ``(support_threshold, num_bins, exclude_features)``
+— the exclude part normalized through
 :func:`repro.patterns.candidates.normalize_exclude_features`, so lists,
-tuples, sets, and single names all hit one cache entry.
-:meth:`repro.core.GopherExplainer.explain` resolves the session's alphabet
-through :func:`resolve_alphabet` and hands it to either search; without
-one, each search builds a throwaway alphabet.
+tuples, sets, and single names all hit one cache entry.  An
+:class:`repro.core.AuditSession` keeps one cache and hands every search it
+runs the alphabet of its current table (``AuditSession.alphabet_for``); a
+search outside a session builds its own ``PredicateAlphabet(table, τ)``.
 
 Under a :class:`repro.datasets.DataEdit` the cache is *patched*, not
 rebuilt: every predicate's mask keeps its bits for surviving rows, gains
@@ -76,7 +79,7 @@ class PredicateAlphabet:
     ``num_generated`` keeps the pre-filter count the lattice reports as
     level-1 merges tried.  Masks are shared read-only across queries —
     consumers combine them with fresh ANDs and never mutate them in place.
-    Every search and cache path builds its level 1 here, so this
+    Every search reads its level 1, its τ and its row count here, so this
     constructor is where a τ outside [0, 1) and an excluded feature the
     table does not have are rejected.
 
@@ -99,7 +102,7 @@ class PredicateAlphabet:
         self,
         table: Table,
         support_threshold: float,
-        num_bins: int,
+        num_bins: int = 4,
         exclude_features=None,
         stats: MutableMapping[str, int] | None = None,
     ) -> None:
@@ -379,45 +382,13 @@ class ExtentIdentities:
         self.generators[(max_predicates, key)] = combos
 
 
-def search_alphabet(
-    table: Table,
-    alphabet: PredicateAlphabet | None,
-    support_threshold: float,
-    num_bins: int,
-    exclude_features,
-) -> PredicateAlphabet:
-    """The alphabet one search runs on.
-
-    ``None`` builds a throwaway alphabet for the search's parameters.  A
-    supplied alphabet must have been built for them: one built for another
-    τ, bin count, exclusion set or row count would search (and key extents
-    over) the wrong predicates, so the ``ValueError`` names the first field
-    that differs.
-    """
-    if alphabet is None:
-        return PredicateAlphabet(table, support_threshold, num_bins, exclude_features)
-    exclude = normalize_exclude_features(exclude_features)
-    for name, built, asked in (
-        ("support_threshold", alphabet.support_threshold, float(support_threshold)),
-        ("num_bins", alphabet.num_bins, int(num_bins)),
-        ("exclude_features", sorted(alphabet.exclude_features), sorted(exclude)),
-        ("num_rows", alphabet.num_rows, table.num_rows),
-    ):
-        if built != asked:
-            raise ValueError(
-                f"alphabet was built with {name}={built!r} but the search asks "
-                f"for {name}={asked!r}"
-            )
-    return alphabet
-
-
 class AlphabetCache:
     """Alphabets of one training table, shared across search queries.
 
-    The cache is bound to a table *instance*: :func:`resolve_alphabet`
-    refuses a cache built for a different table rather than silently
-    serving masks for the wrong rows.  :meth:`apply_edit` rebinds the cache to the edited table
-    after patching every cached alphabet in place.
+    Every alphabet is built on the cache's ``table``.  :meth:`apply_edit`
+    patches every cached alphabet in place and rebinds the cache to the
+    edited table, so an alphabet from :meth:`get` always describes the
+    current rows.
     """
 
     def __init__(self, table: Table, metrics: MetricsRegistry | None = None) -> None:
@@ -467,9 +438,9 @@ class AlphabetCache:
 
         Row-changing edits patch each alphabet (counted under
         ``alphabet_patches``); relabel-only edits leave masks untouched.
-        ``new_table`` must be the edited table the session now serves —
-        for relabel-only edits that is the *same* table instance, so
-        :meth:`check_table`'s identity check keeps passing.
+        ``new_table`` must be the edited table the session now serves (for
+        a relabel-only edit, the same table instance); later :meth:`get`
+        builds run on it.
         """
         if edit.changes_rows:
             for _, alphabet in self._alphabets.items():
@@ -477,25 +448,3 @@ class AlphabetCache:
                     alphabet.apply_edit(edit, new_table)
                 self.stats.inc("alphabet_patches")
         self.table = new_table
-
-    def check_table(self, table: Table) -> None:
-        """Raise unless ``table`` is the table this cache was built on."""
-        if table is not self.table:
-            raise ValueError(
-                "alphabet cache was built for a different table; per-dataset caches "
-                "cannot be shared across training tables"
-            )
-
-
-def resolve_alphabet(
-    table: Table,
-    alphabet_cache: AlphabetCache | None,
-    support_threshold: float,
-    num_bins: int,
-    exclude_features,
-) -> PredicateAlphabet:
-    """One alphabet for a search: from the cache if given, else throwaway."""
-    if alphabet_cache is None:
-        return PredicateAlphabet(table, support_threshold, num_bins, exclude_features)
-    alphabet_cache.check_table(table)
-    return alphabet_cache.get(support_threshold, num_bins, exclude_features)

@@ -148,7 +148,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.mining.alphabet import ExtentIdentities, search_alphabet
+from repro.mining.alphabet import ExtentIdentities, PredicateAlphabet
 from repro.mining.bitset import (
     bit_test,
     covers_all,
@@ -171,9 +171,9 @@ from repro.patterns.lattice import (
     LevelState,
     PredicateIndex,
     _parent_bar,
+    check_search,
 )
 from repro.patterns.predicate import Predicate
-from repro.tabular import Table
 
 if TYPE_CHECKING:  # repro.influence imports repro.mining.bitset
     from repro.influence.estimators import InfluenceEstimator
@@ -320,31 +320,26 @@ class _InfluenceCache:
 
 
 def mine_closed_candidates(
-    table: Table,
+    alphabet: PredicateAlphabet,
     estimator: InfluenceEstimator,
-    support_threshold: float = 0.05,
     max_predicates: int = 3,
-    num_bins: int = 4,
-    exclude_features: set[str] | None = None,
     prune_by_responsibility: bool = True,
     max_responsibility: float = 1.25,
     batch_size: int = 1024,
-    alphabet=None,
 ) -> CandidateResult:
-    """Mine all closed candidate explanations of ``table``.
+    """Mine all closed candidate explanations over ``alphabet``.
 
     Parameters mirror :func:`repro.patterns.lattice.compute_candidates`
-    exactly — the two are interchangeable candidate searches, and
+    exactly, and so does the refusal
+    (:func:`~repro.patterns.lattice.check_search`) — the two are
+    interchangeable candidate searches, and
     :meth:`repro.core.GopherExplainer.explain` calls the one
-    ``GopherConfig.engine`` names.  ``batch_size``
-    bounds how many extents are buffered per influence call.  ``alphabet`` is
-    an optional pre-built :class:`repro.mining.alphabet.PredicateAlphabet`
-    whose frequency-ascending packed tidlists and extent identities are
-    reused instead of re-generated — how an :class:`repro.core.AuditSession`
-    shares one tidlist build and one identity store across every query of
-    an audit.  It must have been built for this table's row count and this
-    τ, bin count and exclusion set; a mismatch raises ``ValueError`` naming
-    the field.
+    ``GopherConfig.engine`` names.  The alphabet's τ is the support
+    threshold, and its frequency-ascending packed tidlists and extent
+    identities are built once and reused by every search on it — how an
+    :class:`repro.core.AuditSession` shares one tidlist build and one
+    identity store across every query of an audit.  ``batch_size`` bounds
+    how many extents are buffered per influence call.
 
     The search projects a node's extent into a dense local coordinate
     space once it has shrunk below ``1/_PROJECT_SHRINK`` of its current
@@ -368,19 +363,9 @@ def mine_closed_candidates(
     span, and the number of conditional databases built its
     ``projections``.
     """
-    if max_predicates < 1:
-        raise ValueError(f"max_predicates must be >= 1, got {max_predicates}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    num_rows = table.num_rows
-    if num_rows != estimator.num_train:
-        raise ValueError(
-            f"table rows ({num_rows}) must match estimator training rows "
-            f"({estimator.num_train}); patterns quantify over the training data"
-        )
-    estimator.nonzero_baseline()  # an unbiased model has nothing to explain
+    check_search(alphabet, estimator, max_predicates, batch_size)
+    num_rows, support_threshold = alphabet.num_rows, alphabet.support_threshold
 
-    alphabet = search_alphabet(table, alphabet, support_threshold, num_bins, exclude_features)
     # Frequency-ascending item order (LCM's standard heuristic), sort-key
     # tie-broken for determinism, full-coverage predicates dropped.
     # Rarest-first matters beyond speed here: an item subsumed by another

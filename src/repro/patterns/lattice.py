@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -61,10 +62,10 @@ import numpy as np
 from repro.obs import trace
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Predicate
-from repro.tabular import Table
 
-if TYPE_CHECKING:  # repro.influence imports repro.mining.bitset
+if TYPE_CHECKING:  # repro.mining imports this module; repro.influence imports repro.mining
     from repro.influence.estimators import InfluenceEstimator
+    from repro.mining.alphabet import PredicateAlphabet
 
 # Bytes of packed pair masks ANDed at a time during a level's gather.
 _GATHER_BYTES = 1 << 22
@@ -535,37 +536,51 @@ def _root_cause(responsibilities: np.ndarray, cap: float) -> np.ndarray:
     return np.where(inside, responsibilities, -np.inf)
 
 
+def check_search(
+    alphabet: PredicateAlphabet, estimator: InfluenceEstimator, max_predicates, batch_size: int
+) -> None:
+    """The one refusal of both engines, before anything is scored: the depth,
+    the batch size, a stale or unbiased estimator (staleness first, so a
+    view minted before an edit names the edit), then the row count."""
+    check_depth(max_predicates)
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    estimator.nonzero_baseline()
+    if alphabet.num_rows != estimator.num_train:
+        raise ValueError(
+            f"alphabet rows ({alphabet.num_rows}) must match estimator training rows "
+            f"({estimator.num_train}); patterns quantify over the training data"
+        )
+
+
+def check_depth(depth) -> None:
+    """Refuse a ``max_predicates`` that is not an integer >= 1 (bools included)."""
+    if isinstance(depth, bool) or not isinstance(depth, Integral) or depth < 1:
+        raise ValueError(f"max_predicates must be an integer >= 1, got {depth!r}")
+
+
 def compute_candidates(
-    table: Table,
+    alphabet: PredicateAlphabet,
     estimator: InfluenceEstimator,
-    support_threshold: float = 0.05,
     max_predicates: int = 3,
-    num_bins: int = 4,
-    exclude_features: set[str] | None = None,
     prune_by_responsibility: bool = True,
     max_responsibility: float = 1.25,
     batch_size: int = 1024,
-    alphabet=None,
 ) -> CandidateResult:
-    """Run Algorithm 1 over ``table`` and return all surviving candidates.
+    """Run Algorithm 1 over ``alphabet`` and return all surviving candidates.
 
     Parameters
     ----------
-    table:
-        The *training* feature table the patterns quantify over.
+    alphabet:
+        The *training* table's level-1
+        :class:`repro.mining.alphabet.PredicateAlphabet`, shared by many
+        searches.  Its τ is the support threshold at every level (support
+        equal to τ is dropped); level 1 is its packed ``entry_matrix``.
     estimator:
-        Influence estimator bound to the model trained on this table; its
-        ``responsibility`` drives both pruning and ranking.
-    support_threshold:
-        τ — patterns must cover strictly more than this fraction of rows;
-        a candidate whose support equals τ exactly is dropped, at every
-        level of the lattice.
+        Influence estimator bound to the model trained on the alphabet's
+        table; its ``responsibility`` drives both pruning and ranking.
     max_predicates:
-        Lattice depth cap (the "level" axis of Table 7).
-    num_bins:
-        Quantile bins per numeric feature for level-1 thresholds.
-    exclude_features:
-        Features never used in predicates (e.g. identifiers).
+        Lattice depth cap (the "level" axis of Table 7), an int >= 1.
     prune_by_responsibility:
         Toggle for heuristic 2 — exposed so the ablation bench can measure
         how much of the space it removes.
@@ -576,38 +591,15 @@ def compute_candidates(
     batch_size:
         Maximum candidates per batched influence call; bounds each call's
         Δθ matrix.
-    alphabet:
-        A pre-built level-1 :class:`repro.mining.alphabet.PredicateAlphabet`
-        for *this* table and *these* generation parameters, letting many
-        searches (different metrics, groups, estimators) share one
-        predicate/mask build; level 1 is its packed
-        :meth:`~repro.mining.alphabet.PredicateAlphabet.entry_matrix`.
-        ``None`` builds a throwaway alphabet for this call; an alphabet
-        built for another τ, bin count, exclusion set or row count raises
-        ``ValueError`` naming the field.
     """
-    if max_predicates < 1:
-        raise ValueError(f"max_predicates must be >= 1, got {max_predicates}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    num_rows = table.num_rows
-    if num_rows != estimator.num_train:
-        raise ValueError(
-            f"table rows ({num_rows}) must match estimator training rows "
-            f"({estimator.num_train}); patterns quantify over the training data"
-        )
-    estimator.nonzero_baseline()  # an unbiased model has nothing to explain
+    check_search(alphabet, estimator, max_predicates, batch_size)
+    num_rows, tau = alphabet.num_rows, alphabet.support_threshold
 
     levels: list[LatticeLevelStats] = []
     blocks: list[LevelState] = []  # each level's in-result rows
 
     # --- level 1 ---------------------------------------------------------
     with trace.span("lattice.level", level=1) as level_span:
-        from repro.mining.alphabet import search_alphabet  # repro.mining imports this module
-
-        alphabet = search_alphabet(
-            table, alphabet, support_threshold, num_bins, exclude_features
-        )
         # Full-coverage predicates (which would "remove the entire data")
         # are already filtered out of the alphabet's entries.
         index, current = level_one(alphabet)
@@ -634,7 +626,7 @@ def compute_candidates(
             # support).  Influence is deferred so the whole level is one batch.
             with trace.span("lattice.gather"):
                 left, right, rows, tried = merge_pairs(current.rows, index.conflicts)
-                merges = gather_level(current, left, right, rows, num_rows, support_threshold)
+                merges = gather_level(current, left, right, rows, num_rows, tau)
 
             # Evaluate phase: one batched influence query per chunk; a merge
             # collapsed onto a parent takes the parent's scores instead.

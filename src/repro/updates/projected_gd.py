@@ -199,20 +199,19 @@ class UpdateSearchContext:
     The per-pattern loop used to rebuild and eigendecompose the training
     Hessian for every backoff scale (4× per pattern) and re-derive ∇F per
     ascent.  All of that depends only on (model, training data, metric,
-    test context), so one context owns it: ∇_θF, the training Hessian, the
-    auto step size η = 1/λ_max(H) — obtained through the *same*
+    test context), so one context owns it: ∇_θF, the auto step size
+    η = 1/λ_max(H) of the training Hessian H — obtained through the *same*
     :func:`repro.influence.one_step_gd.auto_learning_rate` helper as the §4
     one-step estimator, so the two surrogates can never disagree on η — the
     original bias, and the per-sample training gradients that seed every
     update's old-gradient sums.
 
-    The metric-*independent* half (Hessian, η, train grads) is served
-    from a :class:`~repro.influence.artifacts.ModelArtifacts` bundle's
-    :meth:`~repro.influence.artifacts.ModelArtifacts.update_search_state`
-    — built once per bundle however many metric views call
-    ``explain_updates`` — and only ∇F plus the original bias are computed
-    per context.  Without a shared bundle the context builds a private
-    one, as :class:`~repro.influence.estimators.InfluenceEstimator` does.
+    The metric-*independent* half (η and the train grads) is read from a
+    :class:`~repro.influence.artifacts.ModelArtifacts` bundle, which builds
+    each once however many metric views call ``explain_updates``; only ∇F
+    plus the original bias are computed per context.  Without a shared
+    bundle the context builds a private one, as
+    :class:`~repro.influence.estimators.InfluenceEstimator` does.
     """
 
     def __init__(
@@ -238,7 +237,7 @@ class UpdateSearchContext:
         else:
             artifacts.check_compatible(model, X_train, y_train)
         self._artifacts = artifacts
-        self.hessian, self.learning_rate = artifacts.update_search_state()
+        self.learning_rate = artifacts.auto_learning_rate()
         with trace.span("update.grad_f", n=self.num_train, metric=metric.name):
             self.grad_f = metric.grad_theta(model, test_ctx)
             self.original_bias = float(metric.value(model, test_ctx))

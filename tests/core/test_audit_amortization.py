@@ -156,9 +156,9 @@ class TestAccounting:
         for query in result.queries:
             view = session.explainer(metric=query.metric)
             view.explain_updates(query.explanations, verify=False)
-        # Three metric views repaired their explanations; the Hessian/η
+        # Three metric views repaired their explanations; the shared η
         # half of the search context was built exactly once.
-        assert session.stats["influence.update_context_builds"] == 1
+        assert session.stats["influence.learning_rate_builds"] == 1
 
     def test_bare_estimator_keeps_per_call_accounting(self, fo_estimator):
         # Estimators built outside a session never key or cache extents:

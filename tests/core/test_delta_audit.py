@@ -297,6 +297,23 @@ class TestRecheckPolicies:
         with pytest.raises(RuntimeError, match="certificate refused"):
             sess.delta_audit(edit, metrics=["statistical_parity"], recheck="never")
 
+    def test_mining_session_builds_no_replay_geometry(
+        self, lr_model, german_train, german_test
+    ):
+        """Only a lattice search records a replay: a mining session's delta
+        audit builds neither the replay geometry nor the pair skeleton, and
+        each query re-searches to a fresh audit's answer."""
+        sess = make_session(lr_model, german_train, german_test, engine="mining")
+        sess.audit(metrics=METRICS, k=3)
+        edit = random_edit(sess.train_data, "relabel", count=8, seed=EDIT_SEED)
+        with trace.tracing(Tracer()) as tracer:
+            delta = sess.delta_audit(edit, metrics=METRICS, k=3)
+        assert sess.stats["mining.skeleton_builds"] == 0
+        assert "delta.geometry" not in {span.name for span in tracer.walk()}
+        for q in delta.queries:
+            assert q.recheck_ran and not q.certified
+        assert_matching_audits(delta.after, sess.audit(metrics=METRICS, k=3))
+
     def test_auto_falls_back_and_stays_correct(
         self, lr_model, german_train, german_test
     ):

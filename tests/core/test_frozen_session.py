@@ -81,7 +81,7 @@ def _geometry_key(session: AuditSession):
     alphabet = session.alphabet_cache.get(
         cfg.support_threshold, cfg.num_bins, cfg.exclude_features or None
     )
-    merges = replay_geometry(alphabet, cfg.support_threshold, cfg.max_predicates).merges
+    merges = replay_geometry(alphabet, cfg.max_predicates).merges
     return merges.positions, merges.sizes, merges.known
 
 

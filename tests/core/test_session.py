@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 from repro.core import AuditResult, AuditSession, GopherExplainer
-from repro.datasets import DataEdit, ProtectedGroup, load_german, train_test_split
+from repro.datasets import DataEdit, ProtectedGroup, load_german, random_edit, train_test_split
 from repro.fairness import list_metrics
 from repro.models import LogisticRegression
+from repro.obs import trace
+from repro.obs.trace import Tracer
 
 SEARCH = dict(max_predicates=2, support_threshold=0.05)
 ESTIMATORS = ["first_order", "series", "exact"]
@@ -247,6 +249,23 @@ class TestStaleModelRejected:
         AuditSession(lr_model, max_predicates=1).fit(german_train, german_test)
         np.testing.assert_array_equal(lr_model.theta, theta_before)
 
+    @pytest.mark.parametrize("kind", ["remove", "relabel"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_view_minted_before_an_edit_refuses_to_search(
+        self, lr_model, german_train, german_test, engine, kind
+    ):
+        """A view minted before ``apply_edit`` holds an estimator of the
+        pre-edit artifacts.  Its search refuses with the staleness error,
+        which names the edit, before any subset is scored."""
+        sess = AuditSession(lr_model, engine=engine, **SEARCH).fit(german_train, german_test)
+        view = sess.explainer()
+        sess.apply_edit(random_edit(sess.train_data, kind, count=8, seed=3))
+        with trace.tracing(Tracer()) as tracer:
+            with pytest.raises(RuntimeError, match="edited after this estimator was built"):
+                view.explain(k=3, verify=False)
+        spans = {span.name for span in tracer.walk()}
+        assert not spans & {"influence.batch", "influence.batch_indices"}
+
 
 class TestReviewRegressions:
     def test_group_declared_on_test_split_is_honored(self, lr_model, german_train, german_test):
@@ -337,6 +356,22 @@ class TestReviewRegressions:
 
 
 class TestSessionSurface:
+    def test_alphabet_for_keys_on_the_view_config(self, lr_model, german_train, german_test):
+        """``alphabet_for`` is the session's one alphabet lookup: the
+        session's key by default, a view's key for that view's search, so a
+        view that excludes a feature searches an alphabet without it."""
+        session = AuditSession(lr_model, **SEARCH).fit(german_train, german_test)
+        assert session.alphabet_for() is session.alphabet_for(session.config)
+        view = session.explainer()
+        view.config.exclude_features.add("purpose")
+        result = view.explain(k=3, verify=False)
+        excluding = session.alphabet_for(view.config)
+        assert excluding is not session.alphabet_for()
+        assert excluding.exclude_features == {"purpose"}
+        features = {p.feature for c in result.lattice.candidates for p in c.pattern.predicates}
+        assert features and "purpose" not in features
+        assert session.stats["mining.alphabet_builds"] == 2
+
     def test_report_rides_session(self, session):
         report = session.report()
         assert "statistical_parity" in report.metrics

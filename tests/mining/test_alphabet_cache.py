@@ -65,99 +65,46 @@ class TestKeyNormalization:
         cache.get(TAU, num_bins=6)
         assert cache.stats["alphabet_builds"] == 4
 
-    def test_foreign_table_refused(self, cache, german_test):
-        with pytest.raises(ValueError, match="different table"):
-            cache.check_table(german_test.table)
-
 
 @pytest.mark.parametrize("tau", [-0.2, 1.0, 1.5])
-@pytest.mark.parametrize("path", ["mining_engine", "alphabet_cache", "bare_lattice"])
-def test_support_threshold_outside_unit_interval_rejected(
-    path, tau, cache, german_train, fo_estimator
-):
-    """Every level-1 build validates τ, so no path searches with a τ that
+@pytest.mark.parametrize("path", ["alphabet_cache", "predicate_alphabet"])
+def test_support_threshold_outside_unit_interval_rejected(path, tau, cache, german_train):
+    """Every level-1 build validates τ, so no search runs with a τ that
     keeps nothing (≥ 1) or everything (< 0)."""
-    search = {
-        "mining_engine": lambda: mine_closed_candidates(
-            german_train.table, fo_estimator, support_threshold=tau
-        ),
+    build = {
         "alphabet_cache": lambda: cache.get(tau),
-        "bare_lattice": lambda: compute_candidates(
-            german_train.table, fo_estimator, support_threshold=tau
-        ),
+        "predicate_alphabet": lambda: PredicateAlphabet(german_train.table, tau),
     }[path]
     with pytest.raises(ValueError, match=r"support_threshold must be in \[0, 1\)"):
-        search()
+        build()
 
 
-@pytest.mark.parametrize("path", ["mining_engine", "alphabet_cache", "bare_lattice"])
-def test_unknown_excluded_feature_rejected(path, cache, german_train, fo_estimator):
+@pytest.mark.parametrize("path", ["alphabet_cache", "predicate_alphabet"])
+def test_unknown_excluded_feature_rejected(path, cache, german_train):
     """An excluded name that is no column would silently exclude nothing."""
-    search = {
-        "mining_engine": lambda: mine_closed_candidates(
-            german_train.table, fo_estimator, exclude_features={"age", "nope"}
-        ),
+    build = {
         "alphabet_cache": lambda: cache.get(TAU, exclude_features={"age", "nope"}),
-        "bare_lattice": lambda: compute_candidates(
-            german_train.table, fo_estimator, exclude_features={"age", "nope"}
+        "predicate_alphabet": lambda: PredicateAlphabet(
+            german_train.table, TAU, exclude_features={"age", "nope"}
         ),
     }[path]
     with pytest.raises(ValueError, match=r"exclude_features names no column .*\['nope'\]"):
-        search()
+        build()
 
 
 class TestSuppliedAlphabetMustMatch:
-    """A search handed an alphabet built for other parameters refuses it,
-    naming the field, instead of searching the wrong predicates: an
-    unmatched exclusion set lets the protected attribute into the
-    candidates, and an unmatched τ or bin count changes the language."""
+    """A search handed an alphabet over other rows than its estimator's
+    refuses it instead of keying extents over the wrong rows."""
 
     ENGINES = {"lattice": compute_candidates, "mining": mine_closed_candidates}
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
-    @pytest.mark.parametrize(
-        "field,built,asked",
-        [
-            ("support_threshold", {"support_threshold": 0.2}, {}),
-            ("support_threshold", {"support_threshold": 0.01}, {}),
-            ("num_bins", {"num_bins": 8}, {}),
-            ("exclude_features", {}, {"exclude_features": {"age"}}),
-            ("num_rows", {"rows": 8}, {}),
-        ],
-        ids=["tau-above", "tau-below", "num_bins", "exclude_features", "num_rows"],
-    )
-    def test_mismatch_named(self, engine, field, built, asked, german_train, fo_estimator):
+    @pytest.mark.parametrize("dropped", [8], ids=["num_rows"])
+    def test_mismatch_named(self, engine, dropped, german_train, fo_estimator):
         table = german_train.table
-        params = {"support_threshold": TAU, "num_bins": 4, "exclude_features": None}
-        alphabet_table = table.take(np.arange(table.num_rows - built.get("rows", 0)))
-        alphabet = PredicateAlphabet(
-            alphabet_table,
-            built.get("support_threshold", TAU),
-            built.get("num_bins", 4),
-            built.get("exclude_features"),
-        )
-        params.update(asked)
-        with pytest.raises(ValueError, match=f"alphabet was built with {field}="):
-            self.ENGINES[engine](
-                table, fo_estimator, max_predicates=2, alphabet=alphabet, **params
-            )
-
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_equivalent_spellings_accepted(self, engine, german_train, fo_estimator):
-        """The check compares normalized parameters, as the cache keys them."""
-        table = german_train.table
-        alphabet = PredicateAlphabet(table, TAU, 4, ["age"])
-        supplied = self.ENGINES[engine](
-            table, fo_estimator, support_threshold=np.float64(TAU), num_bins=4,
-            exclude_features="age", max_predicates=2, alphabet=alphabet,
-        )
-        own = self.ENGINES[engine](
-            table, fo_estimator, support_threshold=TAU, num_bins=4,
-            exclude_features={"age"}, max_predicates=2,
-        )
-        assert [str(c.pattern) for c in supplied.candidates] == [
-            str(c.pattern) for c in own.candidates
-        ]
+        alphabet = PredicateAlphabet(table.take(np.arange(table.num_rows - dropped)), TAU)
+        with pytest.raises(ValueError, match=r"alphabet rows \(\d+\) must match estimator"):
+            self.ENGINES[engine](alphabet, fo_estimator, max_predicates=2)
 
 
 class TestFrozenLanguageUnderEdits:
@@ -197,13 +144,13 @@ class TestFrozenLanguageUnderEdits:
         masks_before = {p: m for p, m in alphabet._evaluated.items()}
         edit = random_edit(german_train, "relabel", count=10, seed=5)
         edited = german_train.apply_edit(edit)
-        # Relabel shares the table instance, so the identity check keeps passing.
+        # Relabel shares the table instance, and the cache stays bound to it.
         assert edited.table is german_train.table
         cache.apply_edit(edit, edited.table)
         for predicate, mask in alphabet._evaluated.items():
             assert mask is masks_before[predicate]
         assert cache.stats["alphabet_patches"] == 0
-        cache.check_table(edited.table)
+        assert cache.table is edited.table
 
     def test_miner_view_repacked_not_rebuilt(self, cache, german_train):
         alphabet = cache.get(TAU)

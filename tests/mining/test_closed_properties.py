@@ -58,7 +58,7 @@ def random_instance(seed):
 def mined_instance(request):
     table, estimator = random_instance(request.param)
     result = mine_closed_candidates(
-        table, estimator, support_threshold=TAU, max_predicates=MAX_PREDICATES
+        PredicateAlphabet(table, TAU), estimator, max_predicates=MAX_PREDICATES
     )
     return table, estimator, result
 
@@ -134,8 +134,7 @@ class TestClosedEnumerationProperties:
 class TestClosedEnumerationOnGerman:
     def test_invariants_hold(self, german_train, german_series_estimator):
         result = mine_closed_candidates(
-            german_train.table, german_series_estimator,
-            support_threshold=0.05, max_predicates=2,
+            PredicateAlphabet(german_train.table, 0.05), german_series_estimator, max_predicates=2
         )
         assert result.num_evaluated > 100
         extents = {c.mask().tobytes() for c in result.candidates}
@@ -147,15 +146,14 @@ class TestClosedEnumerationOnGerman:
             )
 
     def test_validation(self, german_train, german_series_estimator):
+        alphabet = PredicateAlphabet(german_train.table, 0.05)
         with pytest.raises(ValueError, match="max_predicates"):
-            mine_closed_candidates(
-                german_train.table, german_series_estimator, max_predicates=0
-            )
+            mine_closed_candidates(alphabet, german_series_estimator, max_predicates=0)
         with pytest.raises(ValueError, match="batch_size"):
-            mine_closed_candidates(
-                german_train.table, german_series_estimator, batch_size=0
-            )
+            mine_closed_candidates(alphabet, german_series_estimator, batch_size=0)
 
     def test_table_estimator_mismatch_rejected(self, german_test, german_series_estimator):
         with pytest.raises(ValueError, match="must match estimator training rows"):
-            mine_closed_candidates(german_test.table, german_series_estimator)
+            mine_closed_candidates(
+                PredicateAlphabet(german_test.table, 0.05), german_series_estimator
+            )

@@ -12,7 +12,7 @@ import pytest
 from repro.cli import build_parser
 from repro.core import GopherConfig, GopherExplainer
 from repro.core.config import ENGINES
-from repro.mining import mine_closed_candidates
+from repro.mining import PredicateAlphabet, mine_closed_candidates
 from repro.models import LogisticRegression
 from repro.patterns import CandidateResult, compute_candidates, select_top_k
 
@@ -37,12 +37,12 @@ def assert_identical_top_k(lattice, mined, k):
 class TestGermanEquivalence:
     @pytest.fixture(scope="class", params=[2, 3], ids=["mp2", "mp3"])
     def engine_pair(self, request, german_train, german_series_estimator):
-        opts = dict(support_threshold=0.05, max_predicates=request.param)
+        alphabet = PredicateAlphabet(german_train.table, 0.05)
         lattice = compute_candidates(
-            german_train.table, german_series_estimator, **opts
+            alphabet, german_series_estimator, max_predicates=request.param
         )
         mined = mine_closed_candidates(
-            german_train.table, german_series_estimator, **opts
+            alphabet, german_series_estimator, max_predicates=request.param
         )
         return lattice, mined
 
@@ -59,26 +59,17 @@ class TestGermanEquivalence:
         assert mined.num_candidates > 0
 
     def test_prune_off_equivalence(self, german_train, german_series_estimator):
-        opts = dict(
-            support_threshold=0.05, max_predicates=2, prune_by_responsibility=False
-        )
-        lattice = compute_candidates(
-            german_train.table, german_series_estimator, **opts
-        )
-        mined = mine_closed_candidates(
-            german_train.table, german_series_estimator, **opts
-        )
+        alphabet = PredicateAlphabet(german_train.table, 0.05)
+        opts = dict(max_predicates=2, prune_by_responsibility=False)
+        lattice = compute_candidates(alphabet, german_series_estimator, **opts)
+        mined = mine_closed_candidates(alphabet, german_series_estimator, **opts)
         assert_identical_top_k(lattice, mined, 5)
         assert mined.num_evaluated < lattice.num_evaluated
 
     def test_fewer_candidates_evaluated(self, german_train, german_series_estimator):
-        opts = dict(support_threshold=0.05, max_predicates=2)
-        lattice = compute_candidates(
-            german_train.table, german_series_estimator, **opts
-        )
-        mined = mine_closed_candidates(
-            german_train.table, german_series_estimator, **opts
-        )
+        alphabet = PredicateAlphabet(german_train.table, 0.05)
+        lattice = compute_candidates(alphabet, german_series_estimator, max_predicates=2)
+        mined = mine_closed_candidates(alphabet, german_series_estimator, max_predicates=2)
         assert mined.num_evaluated < lattice.num_evaluated
 
     @pytest.mark.parametrize("mp", [2, 3])
@@ -94,13 +85,9 @@ class TestGermanEquivalence:
         descent-bar cache reconstructs the lattice's merge-pair bars and
         formability, closing the gap — pinned here at both depths.
         """
-        opts = dict(support_threshold=0.05, max_predicates=mp)
-        lattice = compute_candidates(
-            german_train.table, german_series_estimator, **opts
-        )
-        mined = mine_closed_candidates(
-            german_train.table, german_series_estimator, **opts
-        )
+        alphabet = PredicateAlphabet(german_train.table, 0.05)
+        lattice = compute_candidates(alphabet, german_series_estimator, max_predicates=mp)
+        mined = mine_closed_candidates(alphabet, german_series_estimator, max_predicates=mp)
         assert mined.num_evaluated <= lattice.num_evaluated
 
 
@@ -108,9 +95,9 @@ class TestSyntheticEquivalence:
     @pytest.fixture(scope="class", params=[2, 3], ids=["mp2", "mp3"])
     def engine_pair(self, request, synth_setup):
         table, estimator = synth_setup
-        opts = dict(support_threshold=0.05, max_predicates=request.param)
-        lattice = compute_candidates(table, estimator, **opts)
-        mined = mine_closed_candidates(table, estimator, **opts)
+        alphabet = PredicateAlphabet(table, 0.05)
+        lattice = compute_candidates(alphabet, estimator, max_predicates=request.param)
+        mined = mine_closed_candidates(alphabet, estimator, max_predicates=request.param)
         return lattice, mined
 
     @pytest.mark.parametrize("k", [1, 3, 5, 10])
@@ -131,21 +118,17 @@ class TestProjectedEngineEquivalence:
     def test_projected_mining_matches_lattice(
         self, german_train, german_series_estimator
     ):
-        opts = dict(support_threshold=0.05, max_predicates=3)
-        lattice = compute_candidates(
-            german_train.table, german_series_estimator, **opts
-        )
-        mined = mine_closed_candidates(
-            german_train.table, german_series_estimator, **opts
-        )
+        alphabet = PredicateAlphabet(german_train.table, 0.05)
+        lattice = compute_candidates(alphabet, german_series_estimator, max_predicates=3)
+        mined = mine_closed_candidates(alphabet, german_series_estimator, max_predicates=3)
         assert_identical_top_k(lattice, mined, 5)
         assert mined.num_evaluated <= lattice.num_evaluated
 
     def test_projected_mining_matches_lattice_synthetic(self, synth_setup):
         table, estimator = synth_setup
-        opts = dict(support_threshold=0.05, max_predicates=3)
-        lattice = compute_candidates(table, estimator, **opts)
-        mined = mine_closed_candidates(table, estimator, **opts)
+        alphabet = PredicateAlphabet(table, 0.05)
+        lattice = compute_candidates(alphabet, estimator, max_predicates=3)
+        mined = mine_closed_candidates(alphabet, estimator, max_predicates=3)
         assert_identical_top_k(lattice, mined, 5)
 
 
@@ -163,19 +146,27 @@ class TestEngineProtocol:
         self, german_train, german_series_estimator
     ):
         direct = compute_candidates(
-            german_train.table, german_series_estimator,
-            support_threshold=0.05, max_predicates=1,
+            PredicateAlphabet(german_train.table, 0.05), german_series_estimator, max_predicates=1
         )
         assert isinstance(direct, CandidateResult)
         assert direct.num_candidates == len(direct.candidates) > 0
         assert direct.record is not None  # depth <= 2: replayable
 
+    @pytest.mark.parametrize("depth", [2.5, True, 0])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_depth_must_be_a_positive_integer(self, engine, depth, german_train, fo_estimator):
+        """Both engines refuse the depths ``GopherConfig`` refuses: a float,
+        a bool and zero."""
+        search = compute_candidates if engine == "lattice" else mine_closed_candidates
+        alphabet = PredicateAlphabet(german_train.table, 0.05)
+        with pytest.raises(ValueError, match="max_predicates must be an integer >= 1"):
+            search(alphabet, fo_estimator, max_predicates=depth)
+
     def test_select_top_k_accepts_candidate_result(
         self, german_train, german_series_estimator
     ):
         result = mine_closed_candidates(
-            german_train.table, german_series_estimator,
-            support_threshold=0.05, max_predicates=1,
+            PredicateAlphabet(german_train.table, 0.05), german_series_estimator, max_predicates=1
         )
         selected = select_top_k(result, 2, containment_threshold=0.99)
         assert 1 <= len(selected) <= 2
@@ -215,12 +206,11 @@ class TestExplainerIntegration:
         cfg = gopher.config
         search = compute_candidates if engine == "lattice" else mine_closed_candidates
         direct = search(
-            german_train.table,
+            PredicateAlphabet(
+                german_train.table, cfg.support_threshold, cfg.num_bins, cfg.exclude_features
+            ),
             gopher.estimator,
-            support_threshold=cfg.support_threshold,
             max_predicates=cfg.max_predicates,
-            num_bins=cfg.num_bins,
-            exclude_features=cfg.exclude_features or None,
             prune_by_responsibility=cfg.prune_by_responsibility,
             max_responsibility=cfg.max_responsibility,
         )

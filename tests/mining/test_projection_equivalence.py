@@ -176,9 +176,7 @@ def mine_counted(spec, tau, depth):
     """Mine ``spec`` on a fresh alphabet: (result, closed extents, counters)."""
     table, estimator = instance(*spec)
     alphabet = PredicateAlphabet(table, tau, 4, None)
-    result, closed_extents = mine(
-        table, estimator, support_threshold=tau, max_predicates=depth, alphabet=alphabet
-    )
+    result, closed_extents = mine(alphabet, estimator, max_predicates=depth)
     counters = {name: alphabet._stats[name] for name in SWITCHES["both"]}
     return result, closed_extents, counters
 
@@ -199,12 +197,12 @@ def by_extent(candidates):
     return out
 
 
-def mine(table, estimator, **kwargs):
+def mine(alphabet, estimator, **kwargs):
     """Mine under a tracer; the number of closed extents visited rides the
     ``mining.frontier`` span."""
     tracer = Tracer()
     with tracing(tracer):
-        result = mine_closed_candidates(table, estimator, **kwargs)
+        result = mine_closed_candidates(alphabet, estimator, **kwargs)
     (frontier,) = (s for s in tracer.walk() if s.name == "mining.frontier")
     return result, frontier.attrs["closed"]
 
@@ -264,14 +262,12 @@ class TestRepresentationInvariance:
             assert variant_counters[name] == 0, name
 
     def test_packed_alphabet_equivalence(self):
-        """An alphabet built ahead of the search feeds the same mining
-        results as the one the search builds for itself."""
+        """An alphabet whose miner views were built ahead of the search
+        feeds the same mining results as one the search packs itself."""
         table, estimator = scale_instance(5)
-        supplied = PredicateAlphabet(table, 0.03, 4, None)
-        a = mine(table, estimator, support_threshold=0.03, max_predicates=3)
-        b = mine(
-            table, estimator, support_threshold=0.03, max_predicates=3, alphabet=supplied
-        )
+        warmed = PredicateAlphabet(table, 0.03, 4, None).warm()
+        a = mine(PredicateAlphabet(table, 0.03, 4, None), estimator, max_predicates=3)
+        b = mine(warmed, estimator, max_predicates=3)
         assert_identical(a, b)
 
 
@@ -290,7 +286,7 @@ class TestIndexTidlistsInConditionalDatabases:
         stores for it."""
         table, estimator = instance("synth_scale")
         tau = 0.002
-        search = dict(support_threshold=tau, max_predicates=3)
+        search = dict(max_predicates=3)
         keyed = []
 
         def probe(tid):
@@ -309,14 +305,14 @@ class TestIndexTidlistsInConditionalDatabases:
         default = PredicateAlphabet(table, tau, 4, None)
         with monkeypatch.context() as patch:
             patch.setattr(closed, "is_sparse", probe)
-            reference = mine(table, estimator, alphabet=default, **search)
+            reference = mine(default, estimator, **search)
         assert keyed, "no index tidlist was keyed inside a conditional database"
         assert reference[0].candidates
         for switch in ("projection", "index"):
             with monkeypatch.context() as patch:
                 switch_off(patch, switch)
                 alphabet = PredicateAlphabet(table, tau, 4, None)
-                assert_identical(reference, mine(table, estimator, alphabet=alphabet, **search))
+                assert_identical(reference, mine(alphabet, estimator, **search))
             for name in SWITCHES[switch]:
                 assert alphabet._stats[name] == 0, name
             if switch == "projection":
@@ -339,13 +335,10 @@ class TestLatticeReference:
     @pytest.mark.parametrize("spec,tau,depth", DEPTH3_INSTANCES)
     def test_miner_extents_match_the_lattice(self, spec, tau, depth, prune, search_depth):
         table, estimator = instance(*spec)
-        search = dict(
-            support_threshold=tau,
-            max_predicates=search_depth,
-            prune_by_responsibility=prune,
-        )
-        mined = mine_closed_candidates(table, estimator, **search).candidates
-        lattice = by_extent(compute_candidates(table, estimator, **search).candidates)
+        alphabet = PredicateAlphabet(table, tau)
+        search = dict(max_predicates=search_depth, prune_by_responsibility=prune)
+        mined = mine_closed_candidates(alphabet, estimator, **search).candidates
+        lattice = by_extent(compute_candidates(alphabet, estimator, **search).candidates)
         extents = by_extent(mined)
         assert len(extents) == len(mined)  # one candidate per extent
         assert extents.keys() == lattice.keys()
@@ -370,11 +363,11 @@ class TestObservabilityAndCounters:
         candidates.
         """
         table, estimator = correlated_instance()
-        search = dict(support_threshold=0.015, max_predicates=3)
+        search = dict(max_predicates=3)
         alphabet = PredicateAlphabet(table, 0.015, 4, None)
         tracer = Tracer()
         with tracing(tracer):
-            first = mine_closed_candidates(table, estimator, alphabet=alphabet, **search)
+            first = mine_closed_candidates(alphabet, estimator, **search)
         names = {span.name for span in tracer.walk()}
         assert "mining.project" not in names
         assert "mining.sparse_and" not in names
@@ -390,7 +383,7 @@ class TestObservabilityAndCounters:
         dispatches = stats["sparse_dispatch_hits"] + stats["dense_dispatch_hits"]
 
         misses, hits = stats["identity_misses"], stats["identity_hits"]
-        second = mine_closed_candidates(table, estimator, alphabet=alphabet, **search)
+        second = mine_closed_candidates(alphabet, estimator, **search)
         assert stats["identity_misses"] == misses
         assert stats["identity_hits"] > hits
         assert stats["identity_builds"] == 1
@@ -399,7 +392,7 @@ class TestObservabilityAndCounters:
         monkeypatch.setattr(ExtentIdentities, "key_of", lambda self, path: None)
         switch_off(monkeypatch, "projection")
         missed = PredicateAlphabet(table, 0.015, 4, None)
-        mine_closed_candidates(table, estimator, alphabet=missed, **search)
+        mine_closed_candidates(missed, estimator, **search)
         lookups = missed._stats["sparse_dispatch_hits"] + missed._stats["dense_dispatch_hits"]
         assert lookups > 0
         assert frontier.attrs["coparent_hits"] + dispatches == lookups
@@ -411,10 +404,7 @@ class TestObservabilityAndCounters:
         alphabet = PredicateAlphabet(table, 0.015, 4, None)
         tracer = Tracer()
         with tracing(tracer):
-            mine_closed_candidates(
-                table, estimator, support_threshold=0.015, max_predicates=3,
-                alphabet=alphabet,
-            )
+            mine_closed_candidates(alphabet, estimator, max_predicates=3)
         (frontier,) = (s for s in tracer.walk() if s.name == "mining.frontier")
         assert frontier.children
         assert {child.name for child in frontier.children} == {"mining.batch"}
@@ -425,13 +415,13 @@ class TestObservabilityAndCounters:
         """With every store lookup missing, each co-parent refinement runs —
         sparse and dense both — and the candidates do not change."""
         table, estimator = correlated_instance()
-        search = dict(support_threshold=0.015, max_predicates=3)
+        search = dict(max_predicates=3)
         reference = mine_closed_candidates(
-            table, estimator, alphabet=PredicateAlphabet(table, 0.015, 4, None), **search
+            PredicateAlphabet(table, 0.015, 4, None), estimator, **search
         )
         monkeypatch.setattr(ExtentIdentities, "key_of", lambda self, path: None)
         alphabet = PredicateAlphabet(table, 0.015, 4, None)
-        missed = mine_closed_candidates(table, estimator, alphabet=alphabet, **search)
+        missed = mine_closed_candidates(alphabet, estimator, **search)
         assert_bit_identical(reference, missed)
         assert alphabet._stats["identity_hits"] == 0
         assert alphabet._stats["sparse_dispatch_hits"] > 0
@@ -439,7 +429,7 @@ class TestObservabilityAndCounters:
 
 
 class TestSharedIdentityStore:
-    SEARCH = dict(support_threshold=0.02, max_predicates=3)
+    SEARCH = dict(max_predicates=3)
 
     def test_metric_queries_share_one_store(self):
         """Four metric searches on one alphabet return, bit for bit, what
@@ -452,8 +442,8 @@ class TestSharedIdentityStore:
             if shared is None:
                 shared = PredicateAlphabet(table, 0.02, 4, None)
             own = PredicateAlphabet(table, 0.02, 4, None)
-            alone = mine_closed_candidates(table, estimator, alphabet=own, **self.SEARCH)
-            reused = mine_closed_candidates(table, estimator, alphabet=shared, **self.SEARCH)
+            alone = mine_closed_candidates(own, estimator, **self.SEARCH)
+            reused = mine_closed_candidates(shared, estimator, **self.SEARCH)
             assert_bit_identical(alone, reused)
             assert alone.candidates
             fresh_misses += own._stats["identity_misses"]
@@ -466,16 +456,13 @@ class TestSharedIdentityStore:
         and the reverse.  Pruning is off, so every extent is reported under
         the smallest of all its generators and a stale set shows at once."""
         table, estimator = correlated_instance()
-        search = dict(support_threshold=0.015, prune_by_responsibility=False)
+        search = dict(prune_by_responsibility=False)
         shared = PredicateAlphabet(table, 0.015, 4, None)
         for depth in (3, 2, 4):
             alone = mine_closed_candidates(
-                table, estimator, max_predicates=depth,
-                alphabet=PredicateAlphabet(table, 0.015, 4, None), **search,
+                PredicateAlphabet(table, 0.015, 4, None), estimator, max_predicates=depth, **search
             )
-            reused = mine_closed_candidates(
-                table, estimator, max_predicates=depth, alphabet=shared, **search
-            )
+            reused = mine_closed_candidates(shared, estimator, max_predicates=depth, **search)
             assert_bit_identical(alone, reused)
         assert shared._stats["identity_builds"] == 1
 
@@ -489,9 +476,7 @@ class TestSharedIdentityStore:
         table, estimator = scale_instance(2)
         exclude = {"score"}
         alphabet = PredicateAlphabet(table, 0.02, 4, exclude)
-        before = mine_closed_candidates(
-            table, estimator, alphabet=alphabet, exclude_features=exclude, **self.SEARCH
-        )
+        before = mine_closed_candidates(alphabet, estimator, **self.SEARCH)
         deep = max(
             (c for c in before.candidates if len(c.pattern) >= 2), key=lambda c: c.size
         )
@@ -505,13 +490,9 @@ class TestSharedIdentityStore:
             "first_order", estimator.model, estimator.X_train[keep],
             estimator.y_train[keep], estimator.metric, estimator.test_ctx,
         )
-        after = mine_closed_candidates(
-            edited, edited_estimator, alphabet=alphabet, exclude_features=exclude,
-            **self.SEARCH,
-        )
+        after = mine_closed_candidates(alphabet, edited_estimator, **self.SEARCH)
         fresh = mine_closed_candidates(
-            edited, edited_estimator, alphabet=PredicateAlphabet(edited, 0.02, 4, exclude),
-            exclude_features=exclude, **self.SEARCH,
+            PredicateAlphabet(edited, 0.02, 4, exclude), edited_estimator, **self.SEARCH
         )
         assert_bit_identical(fresh, after)
         # The edit shrank an extent the first search keyed and emitted.

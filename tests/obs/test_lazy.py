@@ -150,7 +150,7 @@ class TestSessionReasons:
             artifacts = session.artifacts
             artifacts.solver(0.0)
             artifacts.solver(0.1)
-            artifacts.update_search_state()
+            artifacts.auto_learning_rate()
             cache = session.alphabet_cache
             cache.get(0.05)
             cache.get(0.1)
@@ -163,7 +163,7 @@ class TestSessionReasons:
         assert set(reasons) == {
             "artifacts.per_sample_grads", "artifacts.hessian", "artifacts.solver",
             "artifacts.hessian_factors", "artifacts.curvature_rows",
-            "artifacts.learning_rate", "update.context",
+            "artifacts.learning_rate",
             "alphabet.get", "alphabet.pack_tidlists", "alphabet.pair_skeleton",
             "alphabet.extent_identities", "audit.context", "influence.grad_f",
             "influence.point_influences",
@@ -195,7 +195,6 @@ class TestSessionReasons:
             )
         reasons = _reasons(tracer)
         assert reasons["artifacts.learning_rate"] == ["first use", "edit(remove 8)"]
-        assert reasons["update.context"] == ["first use", "edit(remove 8)"]
         # Patched in place by the edit, never rebuilt.
         assert reasons["artifacts.hessian"] == ["first use"]
         assert reasons["artifacts.per_sample_grads"] == ["first use"]

@@ -16,7 +16,7 @@ the estimator's public pieces (its gradients, solver, model and metric):
 :func:`bias_change` turns the Δθ into ΔF under the estimator's evaluation
 mode with the scalar metric calls.  :class:`LoopEstimator` wraps an
 estimator so that every query, batched ones included, runs these one
-subset at a time; so ``compute_candidates(table, LoopEstimator(est))`` is
+subset at a time; so ``compute_candidates(alphabet, LoopEstimator(est))`` is
 the per-candidate loop search.  ``scalar_calls`` counts the per-subset
 steps, so a test can check the loop really ran.
 """

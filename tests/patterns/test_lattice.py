@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles.lattice_gather import _mergeable_pairs
 
+from repro.mining import PredicateAlphabet
 from repro.patterns import compute_candidates
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Predicate
@@ -12,10 +13,7 @@ from repro.patterns.predicate import Predicate
 @pytest.fixture(scope="module")
 def lattice(german_train, so_estimator):
     return compute_candidates(
-        german_train.table,
-        so_estimator,
-        support_threshold=0.05,
-        max_predicates=3,
+        PredicateAlphabet(german_train.table, 0.05), so_estimator, max_predicates=3
     )
 
 
@@ -58,18 +56,18 @@ class TestComputeCandidates:
 class TestPruning:
     def test_responsibility_prune_reduces_candidates(self, german_train, fo_estimator):
         pruned = compute_candidates(
-            german_train.table, fo_estimator, 0.05, max_predicates=2,
+            PredicateAlphabet(german_train.table, 0.05), fo_estimator, max_predicates=2,
             prune_by_responsibility=True,
         )
         unpruned = compute_candidates(
-            german_train.table, fo_estimator, 0.05, max_predicates=2,
+            PredicateAlphabet(german_train.table, 0.05), fo_estimator, max_predicates=2,
             prune_by_responsibility=False,
         )
         assert pruned.num_candidates < unpruned.num_candidates
 
     def test_responsibility_increases_along_merges(self, german_train, fo_estimator):
         result = compute_candidates(
-            german_train.table, fo_estimator, 0.05, max_predicates=2,
+            PredicateAlphabet(german_train.table, 0.05), fo_estimator, max_predicates=2,
             prune_by_responsibility=True,
         )
         singles = {
@@ -88,8 +86,12 @@ class TestPruning:
                     assert stats.responsibility > max(valid)
 
     def test_higher_threshold_fewer_candidates(self, german_train, fo_estimator):
-        low = compute_candidates(german_train.table, fo_estimator, 0.05, max_predicates=2)
-        high = compute_candidates(german_train.table, fo_estimator, 0.25, max_predicates=2)
+        low, high = (
+            compute_candidates(
+                PredicateAlphabet(german_train.table, tau), fo_estimator, max_predicates=2
+            )
+            for tau in (0.05, 0.25)
+        )
         assert high.num_candidates < low.num_candidates
 
 
@@ -98,7 +100,7 @@ class TestFullCoveragePatterns:
         """foreign_worker = Yes covers ~96% but a constant column would cover
         100%; full-coverage patterns must never reach the estimator."""
         result = compute_candidates(
-            german_train.table, fo_estimator, 0.05, max_predicates=1
+            PredicateAlphabet(german_train.table, 0.05), fo_estimator, max_predicates=1
         )
         assert all(s.support < 1.0 for s in result.candidates)
 
@@ -106,11 +108,13 @@ class TestFullCoveragePatterns:
 class TestValidation:
     def test_row_mismatch_rejected(self, german_test, so_estimator):
         with pytest.raises(ValueError, match="must match"):
-            compute_candidates(german_test.table, so_estimator, 0.05)
+            compute_candidates(PredicateAlphabet(german_test.table, 0.05), so_estimator)
 
     def test_invalid_max_predicates(self, german_train, so_estimator):
         with pytest.raises(ValueError, match="max_predicates"):
-            compute_candidates(german_train.table, so_estimator, 0.05, max_predicates=0)
+            compute_candidates(
+                PredicateAlphabet(german_train.table, 0.05), so_estimator, max_predicates=0
+            )
 
 
 class TestMergeablePairs:

@@ -28,12 +28,12 @@ from repro.tabular import Table
 @pytest.fixture(scope="module", params=["first_order", "second_order"])
 def lattice_pair(request, german_train, fo_estimator, so_estimator):
     estimator = {"first_order": fo_estimator, "second_order": so_estimator}[request.param]
-    kwargs = dict(support_threshold=0.05, max_predicates=3)
+    alphabet = PredicateAlphabet(german_train.table, 0.05)
     oracle = LoopEstimator(estimator)
-    loop = compute_candidates(german_train.table, oracle, **kwargs)
+    loop = compute_candidates(alphabet, oracle, max_predicates=3)
     # Every evaluation went through the oracle's scalar loop.
     assert oracle.scalar_calls == loop.num_evaluated > 0
-    batched = compute_candidates(german_train.table, estimator, **kwargs)
+    batched = compute_candidates(alphabet, estimator, max_predicates=3)
     return loop, batched
 
 
@@ -77,9 +77,10 @@ class TestGoldenEquivalence:
             "exact", lr_model, X_train, german_train.labels, sp_metric, test_ctx
         )
         oracle = LoopEstimator(estimator)
-        loop = compute_candidates(german_train.table, oracle, 0.05, max_predicates=2)
+        alphabet = PredicateAlphabet(german_train.table, 0.05)
+        loop = compute_candidates(alphabet, oracle, max_predicates=2)
         assert oracle.scalar_calls == loop.num_evaluated > 0
-        batched = compute_candidates(german_train.table, estimator, 0.05, max_predicates=2)
+        batched = compute_candidates(alphabet, estimator, max_predicates=2)
         assert [s.pattern for s in loop.candidates] == [s.pattern for s in batched.candidates]
         np.testing.assert_allclose(
             [s.responsibility for s in batched.candidates],
@@ -90,7 +91,9 @@ class TestGoldenEquivalence:
 
     def test_batched_search_is_deterministic(self, german_train, fo_estimator):
         runs = [
-            compute_candidates(german_train.table, fo_estimator, 0.05, max_predicates=2)
+            compute_candidates(
+                PredicateAlphabet(german_train.table, 0.05), fo_estimator, max_predicates=2
+            )
             for _ in range(2)
         ]
         assert [s.pattern for s in runs[0].candidates] == [s.pattern for s in runs[1].candidates]
@@ -99,10 +102,9 @@ class TestGoldenEquivalence:
         ]
 
     def test_small_batch_size_chunks_identically(self, german_train, fo_estimator):
-        whole = compute_candidates(german_train.table, fo_estimator, 0.05, max_predicates=2)
-        chunked = compute_candidates(
-            german_train.table, fo_estimator, 0.05, max_predicates=2, batch_size=7
-        )
+        alphabet = PredicateAlphabet(german_train.table, 0.05)
+        whole = compute_candidates(alphabet, fo_estimator, max_predicates=2)
+        chunked = compute_candidates(alphabet, fo_estimator, max_predicates=2, batch_size=7)
         assert [s.pattern for s in whole.candidates] == [s.pattern for s in chunked.candidates]
         np.testing.assert_allclose(
             [s.responsibility for s in whole.candidates],
@@ -113,7 +115,9 @@ class TestGoldenEquivalence:
 
     def test_invalid_batch_size(self, german_train, fo_estimator):
         with pytest.raises(ValueError, match="batch_size"):
-            compute_candidates(german_train.table, fo_estimator, 0.05, batch_size=0)
+            compute_candidates(
+                PredicateAlphabet(german_train.table, 0.05), fo_estimator, batch_size=0
+            )
 
 
 # ----------------------------------------------------------------------

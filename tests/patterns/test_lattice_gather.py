@@ -65,11 +65,11 @@ def _checked_level(calls: list, index):
     return merge_pairs, gather
 
 
-def _search(table, estimator, monkeypatch, patches: dict, **kwargs):
+def _search(alphabet, estimator, monkeypatch, patches: dict, **kwargs):
     with monkeypatch.context() as patch:
         for name, value in patches.items():
             patch.setattr(lattice, name, value)
-        return lattice.compute_candidates(table, estimator, **kwargs)
+        return lattice.compute_candidates(alphabet, estimator, **kwargs)
 
 
 def _assert_same_search(a, b):
@@ -86,16 +86,17 @@ def _assert_same_search(a, b):
             np.testing.assert_array_equal(value, getattr(b.record, name), err_msg=name)
 
 
-def _check_search(table, estimator, monkeypatch, **kwargs):
+def _check_search(table, estimator, monkeypatch, support_threshold, **kwargs):
     calls: list[int] = []
-    index, _ = lattice.level_one(PredicateAlphabet(table, kwargs["support_threshold"], 4))
+    alphabet = PredicateAlphabet(table, support_threshold)
+    index, _ = lattice.level_one(alphabet)
     merge_pairs, gather = _checked_level(calls, index)
     checked = _search(
-        table, estimator, monkeypatch,
+        alphabet, estimator, monkeypatch,
         dict(merge_pairs=merge_pairs, gather_level=gather), **kwargs,
     )
     reference = _search(
-        table, estimator, monkeypatch, dict(gather_level=oracle.gather_level), **kwargs
+        alphabet, estimator, monkeypatch, dict(gather_level=oracle.gather_level), **kwargs
     )
     _assert_same_search(checked, reference)
     return calls
@@ -155,7 +156,7 @@ def test_random_tables_match_oracle(problem, depth, prune, tau, monkeypatch):
     if estimator.baseline == 0.0:
         # A model that ignores every feature has no bias to explain.
         with pytest.raises(ZeroDivisionError, match="bias is zero"):
-            lattice.compute_candidates(table, estimator, support_threshold=tau)
+            lattice.compute_candidates(PredicateAlphabet(table, tau), estimator)
         return
     _check_search(
         table, estimator, monkeypatch,
@@ -205,7 +206,7 @@ def test_replay_geometry_is_the_oracle_level_two_after_an_edit(german_train):
     alphabet.apply_edit(edit, german_train.apply_edit(edit).table)
     assert alphabet.pair_skeleton() is skeleton
 
-    geometry = replay_geometry(alphabet, 0.05, max_predicates=2)
+    geometry = replay_geometry(alphabet, max_predicates=2)
     index, level1 = lattice.level_one(alphabet)
     want, tried = oracle.merges_of([index.pattern(row) for row in level1.rows])
     assert geometry.num_skeleton == len(want) and tried > len(want)
@@ -219,4 +220,4 @@ def test_replay_geometry_is_the_oracle_level_two_after_an_edit(german_train):
     )
     assert 0 < len(geometry.merges.positions) < geometry.num_skeleton
     # A depth-1 search gathers no level 2.
-    assert len(replay_geometry(alphabet, 0.05, max_predicates=1).merges.positions) == 0
+    assert len(replay_geometry(alphabet, max_predicates=1).merges.positions) == 0

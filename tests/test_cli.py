@@ -114,9 +114,9 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         # One repair block per audit query, all sharing the session's
-        # update context (built exactly once for the whole audit).
+        # step size η (built exactly once for the whole audit).
         assert out.count("Update-based explanations") >= 2
-        assert "update_context_builds=1" in out
+        assert "learning_rate_builds=1" in out
 
     def test_explain_updates_runs(self, capsys):
         # --no-verify leaves gt_bias_change empty, so this also exercises

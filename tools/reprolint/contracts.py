@@ -102,6 +102,7 @@ REPRO_CONTRACTS = ContractSet(
         ("AuditSession", "audit"),
         ("AuditSession", "report"),
         ("AuditSession", "estimator_for"),
+        ("AuditSession", "alphabet_for"),
         ("AuditSession", "explainer"),
         ("AuditSession", "stats"),
         # Delta replay: read-only re-scoring of a recorded search.
