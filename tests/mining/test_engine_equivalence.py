@@ -162,6 +162,16 @@ class TestEngineProtocol:
         with pytest.raises(ValueError, match="max_predicates must be an integer >= 1"):
             search(alphabet, fo_estimator, max_predicates=depth)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_batch_size_must_be_positive(self, engine, batch_size, german_train, fo_estimator):
+        """Both engines refuse a batch that could score no subset, through
+        the same check that refuses a bad depth."""
+        search = compute_candidates if engine == "lattice" else mine_closed_candidates
+        alphabet = PredicateAlphabet(german_train.table, 0.05)
+        with pytest.raises(ValueError, match=r"batch_size must be >= 1, got -?\d+"):
+            search(alphabet, fo_estimator, max_predicates=2, batch_size=batch_size)
+
     def test_select_top_k_accepts_candidate_result(
         self, german_train, german_series_estimator
     ):
