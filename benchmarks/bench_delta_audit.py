@@ -21,9 +21,9 @@ Three claims, asserted:
    independent rounds, every round on a freshly fitted session.
 2. **Identical answers** — the replayed ranking equals re-running the
    engine search through the patched session, patterns and
-   responsibilities to 1e-8, with ``recheck="never"`` pinning the fast
-   path (any certificate refusal fails the run instead of silently
-   re-searching).  The cold rebuild is a *timing* baseline only: it
+   responsibilities to 1e-8, and every query is certified: a refused
+   certificate, which re-searches, fails the run.  The cold rebuild is a
+   *timing* baseline only: it
    re-derives quantile bin edges from the edited table, so after a
    row-changing edit it speaks a slightly different pattern language by
    design (the frozen-language tests pin cold equality for relabel
@@ -90,9 +90,9 @@ def test_delta_audit(benchmark, smoke):
         edit = random_edit(session.train_data, "remove", max(1, rows // 100), seed=0)
 
         delta_start = time.perf_counter()
-        delta = session.delta_audit(edit, metrics=METRICS, k=3, recheck="never")
+        delta = session.delta_audit(edit, metrics=METRICS, k=3)
         delta_seconds = time.perf_counter() - delta_start
-        assert delta.num_certified == len(delta.queries)
+        assert delta.num_certified == len(delta.queries), [q.reason for q in delta.queries]
 
         # Claim 3: nothing heavy rebuilt — the edit cost is patch-shaped.
         stats = session.stats
@@ -173,8 +173,7 @@ def test_delta_audit(benchmark, smoke):
             f"only — a cold session re-bins the edited table); totals are the "
             f"best of {rounds} rounds.  Asserted: the "
             "replay equals re-running the engine through the patched session "
-            "(patterns + responsibilities to 1e-8) and every query certified "
-            "under recheck='never'",
+            "(patterns + responsibilities to 1e-8) and every query certified",
         ),
         filename="delta_audit.txt",
     )

@@ -28,6 +28,7 @@ import numpy as np
 from oracles import update_loop
 
 from repro.bench import build_pipeline, emit, render_table
+from repro.influence import ModelArtifacts
 from repro.patterns import Pattern, Predicate
 from repro.updates import UpdateSearchContext, find_update_explanations
 
@@ -71,15 +72,12 @@ def _run(smoke: bool):
     repeats = 2 if smoke else 3
     bundle = build_pipeline("german", "logistic_regression", n_rows=n_rows, seed=1)
     subsets = [np.flatnonzero(p.mask(bundle.train.table)) for p in PATTERNS]
-    context = UpdateSearchContext(
-        bundle.model, bundle.X_train, bundle.train.labels, bundle.metric, bundle.test_ctx
-    )
+    artifacts = ModelArtifacts(bundle.model, bundle.X_train, bundle.train.labels)
+    context = UpdateSearchContext(artifacts, bundle.metric, bundle.test_ctx)
 
     def search(engine=find_update_explanations, **kwargs):
         return engine(
-            bundle.model, bundle.encoder, bundle.X_train, bundle.train.labels,
-            bundle.metric, bundle.test_ctx, PATTERNS, subsets,
-            num_steps=num_steps, context=context, **kwargs,
+            context, bundle.encoder, PATTERNS, subsets, num_steps=num_steps, **kwargs
         )
 
     all_features = set(bundle.train.table.column_names)

@@ -54,20 +54,10 @@ class GopherConfig:
         Quantile bins per numeric feature for candidate thresholds.
     containment_threshold:
         c of Algorithm 2 — maximum allowed overlap with already-selected
-        explanations.
+        explanations; the one default of c (``select_top_k`` requires it).
     prune_by_responsibility:
         Heuristic 2 of Algorithm 1 (merged patterns must strictly improve
         responsibility); exposed for the ablation benchmark.
-    exclude_protected_only:
-        Drop top-k candidates whose predicates mention *only* the protected
-        attribute — "the protected group is responsible" is a vacuous
-        explanation (the paper's tables never contain one).  The attribute
-        still appears freely in combination with other predicates.
-    max_responsibility:
-        Definition 3.1's root-cause upper bound (removal must not overshoot
-        the bias past zero), with slack for estimation noise; see
-        :func:`repro.patterns.select_top_k`.  Must be positive; NaN, which
-        would empty the top-k and lift every heuristic-2 bar, is refused.
     exclude_features:
         Features that must not appear in explanation predicates; a name
         that is no column of the training table is refused by the alphabet.
@@ -88,8 +78,6 @@ class GopherConfig:
     num_bins: int = 4
     containment_threshold: float = 0.5
     prune_by_responsibility: bool = True
-    exclude_protected_only: bool = True
-    max_responsibility: float = 1.25
     exclude_features: set[str] = field(default_factory=set)
     retrain_jobs: int | None = None
     test_fraction: float = 0.2
@@ -109,8 +97,6 @@ class GopherConfig:
                 f"containment_threshold must be in (0, 1], got {self.containment_threshold}"
             )
         check_depth(self.max_predicates)
-        if not self.max_responsibility > 0:
-            raise ValueError(f"max_responsibility must be positive, got {self.max_responsibility}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.retrain_jobs is not None and self.retrain_jobs < 1:
@@ -120,11 +106,10 @@ class GopherConfig:
         self, candidates: CandidateResult, k: int, protected_attribute: str
     ) -> list[PatternStats]:
         """Algorithm 2 over ``candidates`` with this config's containment
-        threshold, root-cause cap and protected-only rule."""
+        threshold.  Patterns that mention only the protected attribute are
+        dropped: "the protected group is responsible" is a vacuous
+        explanation (the paper's tables never contain one), while the
+        attribute still appears freely combined with other predicates."""
         return select_top_k(
-            candidates,
-            k,
-            self.containment_threshold,
-            exclude_features_only={protected_attribute} if self.exclude_protected_only else None,
-            max_responsibility=self.max_responsibility,
+            candidates, k, self.containment_threshold, exclude_features_only={protected_attribute}
         )

@@ -16,9 +16,10 @@ lattice's own level-2 step:
    the fresh search's, computed from the patched masks.  Pairs the edit
    pushed below the support threshold simply drop out; pairs it pushed
    above are scored from scratch (there is nothing below depth 2 to
-   cascade).  An edit that changes the level-1 entry list itself — and
-   with it the skeleton — is refused by the session, which falls back to
-   a fresh engine search;
+   cascade).  The session decides whether a query replays
+   (:meth:`~repro.core.AuditSession.delta_audit`): an edit that changes the
+   level-1 entry list itself — and with it the skeleton — or a before side
+   without a record falls back to a fresh engine search;
 2. **scores** — every level-1 entry, every pair that was in the pre-edit
    result, and every pair without a usable pre-edit score (newly passing,
    or freshly un-collapsed from a parent) is re-scored exactly through
@@ -48,8 +49,9 @@ whose score moved past its boundary by more than twice the largest drift
 observed among its several hundred exactly-re-scored, same-support-band
 neighbours could in principle be missed.  Everything the *selection* can
 see is exact — the screen only decides which pairs provably cannot reach
-it; ``recheck="always"`` forces the full search, and the equivalence
-suite fuzzes edit sequences against from-scratch audits.
+it; a fresh :meth:`~repro.core.AuditSession.audit` of the patched session
+is the full search, and the equivalence suite fuzzes edit sequences
+against it.
 """
 from __future__ import annotations
 
@@ -60,6 +62,7 @@ import numpy as np
 from repro.mining.alphabet import PredicateAlphabet
 from repro.obs import trace
 from repro.patterns.lattice import (
+    _MAX_RESPONSIBILITY,
     _MIN_RESPONSIBILITY,
     CandidateResult,
     LatticeRecord,
@@ -108,14 +111,16 @@ class ReplayGeometry:
     A function of the patched alphabet (τ included) and the depth alone:
     the index numbering the entries, the unscored level 1, the level-2
     :func:`~repro.patterns.lattice.gather_level` over the alphabet's pair
-    skeleton (over no pairs at depth 1) and the skeleton's length.  One
-    lattice ``delta_audit`` builds it once for every query of its grid.
+    skeleton (over no pairs at depth 1), the skeleton's length and the
+    alphabet's row count.  One lattice ``delta_audit`` builds it once for
+    every query of its grid.
     """
 
     index: PredicateIndex
     level1: LevelState
     merges: LevelMerges
     num_skeleton: int
+    num_rows: int
 
 
 def replay_geometry(alphabet: PredicateAlphabet, max_predicates: int) -> ReplayGeometry:
@@ -125,36 +130,26 @@ def replay_geometry(alphabet: PredicateAlphabet, max_predicates: int) -> ReplayG
     left, right = alphabet.pair_skeleton() if max_predicates >= 2 else no_pairs
     ids = level1.rows[:, 0]
     rows = np.sort(np.column_stack([ids[left], ids[right]]), axis=1)
-    merges = gather_level(level1, left, right, rows, alphabet.num_rows, alphabet.support_threshold)
-    return ReplayGeometry(index, level1, merges, len(left))
+    n = alphabet.num_rows
+    merges = gather_level(level1, left, right, rows, n, alphabet.support_threshold)
+    return ReplayGeometry(index, level1, merges, len(left), n)
 
 
 def replay_search(
-    record: LatticeRecord | None,
-    alphabet: PredicateAlphabet,
+    record: LatticeRecord,
+    geometry: ReplayGeometry,
     estimator,
     config,
     k: int,
-    protected_attribute: str | None,
-    geometry: ReplayGeometry | None = None,
-) -> tuple[DeltaReplay | None, str]:
-    """Replay one search against the patched alphabet, or refuse.
+    protected_attribute: str,
+) -> DeltaReplay:
+    """Replay one depth-≤2 lattice search from its pre-edit ``record``.
 
-    Returns ``(replay, "")`` on success, ``(None, reason)`` when the
-    certificate does not cover the edit (the reason strings surface in
-    :class:`repro.core.DeltaQuery` diagnostics).  ``record`` must describe
-    the alphabet's current entry list.  ``geometry`` shares the structural
-    work across the queries of one edit; when omitted it is built here.
-    """
-    if record is None:
-        return None, "no replay record (engine or search depth unsupported)"
-    if config.max_predicates > 2:
-        return None, "search depth > 2 is not replayable"
-    if geometry is None:
-        geometry = replay_geometry(alphabet, config.max_predicates)
-    n = alphabet.num_rows
+    ``record`` and ``geometry`` (shared by one edit's queries) must describe
+    one level-1 entry list; :meth:`~repro.core.AuditSession.delta_audit`
+    replays only then."""
+    n = geometry.num_rows
     prune = config.prune_by_responsibility
-    cap = config.max_responsibility
     merges = geometry.merges
 
     def recorded(column: np.ndarray, missing) -> np.ndarray:
@@ -202,7 +197,7 @@ def replay_search(
         return result, chosen, filter_span.seconds
 
     # Phase-1 selection over the exactly-scored pool.
-    scored, _, in_result = score_level(level1, merges, resp2, bias2, cap, prune)
+    scored, _, in_result = score_level(level1, merges, resp2, bias2, prune)
     result, selected, filter_seconds = select(scored, in_result)
 
     # Boundary screen for pairs the pre-edit search evaluated but filtered
@@ -229,14 +224,14 @@ def replay_search(
         # In the result with score + margin (the tail's filter), and able
         # to overtake the k-th selection without leaving the window.
         _, _, reachable = score_level(
-            level1, merges, rec_resp + margin, np.zeros(len(margin)), cap, prune
+            level1, merges, rec_resp + margin, np.zeros(len(margin)), prune
         )
         reachable &= (rec_resp + margin) / supports2 >= kth_interest
-        reachable &= rec_resp - margin <= cap
+        reachable &= rec_resp - margin <= _MAX_RESPONSIBILITY
     rescore = screenable & reachable
     if np.any(rescore):
         resp2[rescore], bias2[rescore] = _batch_scores(estimator, merges.packed[rescore], n)
-        scored, _, in_result = score_level(level1, merges, resp2, bias2, cap, prune)
+        scored, _, in_result = score_level(level1, merges, resp2, bias2, prune)
         if np.any(rescore & in_result):
             # An actual entrant: select again over the grown columns.
             result, selected, reselect_seconds = select(scored, in_result)
@@ -247,4 +242,4 @@ def replay_search(
     # calibrates against one edit's drift, so it must score them exactly.
     result.num_evaluated = int(batch.shape[0] + np.count_nonzero(rescore))
     result.record = LatticeRecord.of(level1.responsibilities, merges, resp2, in_result)
-    return DeltaReplay(result=result, selected=selected, filter_seconds=filter_seconds), ""
+    return DeltaReplay(result=result, selected=selected, filter_seconds=filter_seconds)

@@ -111,6 +111,12 @@ class GopherExplainer:
         if self.estimator is None:
             raise RuntimeError("explainer is not fitted; call fit() first")
 
+    def _check_fresh(self) -> None:
+        """Refuse a view minted before its session's last ``apply_edit``."""
+        self._require_fitted()
+        assert self.estimator is not None
+        self.estimator.artifacts.check_fresh(self.estimator.artifacts_version, "explainer view")
+
     # ------------------------------------------------------------------
     @property
     def original_bias(self) -> float:
@@ -155,7 +161,6 @@ class GopherExplainer:
                 self.estimator,
                 max_predicates=cfg.max_predicates,
                 prune_by_responsibility=cfg.prune_by_responsibility,
-                max_responsibility=cfg.max_responsibility,
             )
             search_span.set(
                 candidates=lattice.num_candidates, evaluated=lattice.num_evaluated
@@ -250,25 +255,21 @@ class GopherExplainer:
         Each update's ``removal_bias_change`` reference comes from the
         explanation's ground-truth retrain when available, else from the
         fitted estimator in one batched query; ``removal_source`` records
-        which.
+        which.  A view minted before :meth:`AuditSession.apply_edit` refuses
+        before it reads a training row (:meth:`_check_fresh`).
         """
         from repro.updates.projected_gd import find_update_explanations
 
-        self._require_fitted()
+        self._check_fresh()
         assert self.train_data is not None and self.encoder is not None
-        assert self.X_train is not None and self.test_ctx is not None
         patterns, subsets = [], []
         for explanation in explanations:
             patterns.append(explanation.pattern)
             subsets.append(np.flatnonzero(explanation.pattern.mask(self.train_data.table)))
         removal_changes, removal_sources = self._removal_references(explanations, subsets)
         return find_update_explanations(
-            self.model,
+            self._update_context(),
             self.encoder,
-            self.X_train,
-            self.train_data.labels,
-            self.metric,
-            self.test_ctx,
             patterns,
             subsets,
             allowed_features=allowed_features,
@@ -277,7 +278,6 @@ class GopherExplainer:
             verify=verify,
             removal_bias_changes=removal_changes,
             removal_sources=removal_sources,
-            context=self._update_context(),
             n_jobs=self.config.retrain_jobs,
         )
 
@@ -292,11 +292,9 @@ class GopherExplainer:
         if self._update_ctx is None:
             from repro.updates.projected_gd import UpdateSearchContext
 
-            assert self.train_data is not None and self.X_train is not None
             assert self.test_ctx is not None and self.session is not None
             self._update_ctx = UpdateSearchContext(
-                self.model, self.X_train, self.train_data.labels, self.metric,
-                self.test_ctx, artifacts=self.session.artifacts,
+                self.session.artifacts, self.metric, self.test_ctx
             )
         return self._update_ctx
 
@@ -342,9 +340,10 @@ class GopherExplainer:
         estimator's batched influence API in a single call — for the
         closed-form estimators the whole query is one GEMM regardless of
         how many patterns are asked about.  Returns an array aligned with
-        ``patterns``.
+        ``patterns``.  A view minted before :meth:`AuditSession.apply_edit`
+        refuses on either path before it reads a training row.
         """
-        self._require_fitted()
+        self._check_fresh()
         assert self.train_data is not None and self.estimator is not None
         masks = []
         for pattern in patterns:

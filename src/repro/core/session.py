@@ -204,9 +204,9 @@ class DeltaQuery:
     ``certified`` records that the incremental certificate held — the
     ``after`` ranking was produced by replaying the previous search
     against the patched artifacts (see :mod:`repro.core.delta`);
-    ``recheck_ran`` records that a fresh engine search ran instead (on
-    certificate refusal, and for every query under ``recheck="always"``),
-    with ``reason`` carrying the refusal diagnostic.
+    ``recheck_ran`` records that a fresh engine search ran instead, with
+    ``reason`` naming why the query could not replay.  A query refused for
+    a zero bias has neither.
     """
 
     metric: str
@@ -768,7 +768,6 @@ class AuditSession:
         k: int = 3,
         verify: bool = False,
         estimator: str | None = None,
-        recheck: str = "auto",
     ) -> DeltaAuditResult:
         """Re-audit after a data edit without redoing the start-up work.
 
@@ -778,21 +777,15 @@ class AuditSession:
         artifacts — re-scoring its recorded candidates with one packed
         batched influence call and re-running the top-k selection — instead
         of re-running the engine (:mod:`repro.core.delta` documents the
-        replay and its certificate).  The replay is *certified* when the
-        edit left the level-1 predicate alphabet unchanged and the search
-        is shallow enough (``max_predicates <= 2``) for its candidate
-        space to be a pure function of the alphabet; level-2 support
-        crossings and parent-collapse flips are repaired in place by
-        re-scoring the affected pairs (a depth-1 search has no pairs).  A
-        query whose certificate is refused falls back to a fresh engine
-        search through the (patched) session caches, which is always
-        correct.
-
-        ``recheck`` tunes the policy: ``"auto"`` (default) falls back only
-        on certificate refusal, ``"always"`` re-searches every query,
-        ``"never"`` raises ``RuntimeError`` on refusal instead of silently
-        paying a re-search — for benchmarks and tests that must stay on
-        the fast path.
+        replay and its certificate).  A query replays, *certified*, when
+        the edit left the level-1 predicate alphabet unchanged, the
+        session's search records a replay (the lattice engine at
+        ``max_predicates <= 2``, whose candidate space is a pure function
+        of the alphabet) and the before side carries that record; level-2
+        support crossings and parent-collapse flips are repaired in place
+        by re-scoring the affected pairs (a depth-1 search has no pairs).
+        Every other query re-searches through the (patched) session
+        caches, which is always correct, and its ``reason`` says why.
 
         The *before* side is the session's last :meth:`audit` (or delta
         audit) of the same grid when one exists and no :meth:`apply_edit`
@@ -810,10 +803,6 @@ class AuditSession:
         :class:`repro.obs.Lazy`).
         """
         self._require_fitted()
-        if recheck not in ("auto", "always", "never"):
-            raise ValueError(
-                f'recheck must be "auto", "always", or "never", got {recheck!r}'
-            )
         with trace.span("delta.audit") as audit_span:
             assert self.test_data is not None and self.artifacts is not None
             metric_names = list(metrics) if metrics is not None else list_metrics()
@@ -846,10 +835,9 @@ class AuditSession:
             level1_stable = specs_before == [predicate for predicate, _ in alphabet.entries]
             # The replay's structural state (level 1 and the level-2 gather over
             # the skeleton) is metric-independent: build it once for the grid.
-            # Only a lattice search records a replay.
+            # Only a lattice search of depth <= 2 records a replay.
             geometry = None
-            replayable = cfg.engine == "lattice" and cfg.max_predicates <= 2
-            if level1_stable and recheck != "always" and replayable:
+            if level1_stable and cfg.engine == "lattice" and cfg.max_predicates <= 2:
                 with trace.span("delta.geometry"):
                     geometry = replay_geometry(alphabet, cfg.max_predicates)
 
@@ -864,7 +852,7 @@ class AuditSession:
                             metric=bq.metric, group=bq.group, estimator=estimator
                         )
                         after_set, certified, recheck_ran, reason = self._delta_query(
-                            bq, view, k, verify, recheck, level1_stable, alphabet, geometry
+                            bq, view, k, verify, level1_stable, geometry
                         )
                         query_span.set(certified=certified, recheck_ran=recheck_ran)
                         if reason:
@@ -922,43 +910,28 @@ class AuditSession:
         view,
         k: int,
         verify: bool,
-        recheck: str,
         level1_stable: bool,
-        alphabet,
         geometry,
     ) -> tuple[ExplanationSet, bool, bool, str]:
-        """Answer one delta-audit cell: replay, or fall back to re-search."""
+        """One delta-audit cell, ``(answer, certified, recheck_ran, reason)``:
+        a replay when the session can certify it, else a re-search."""
         refused = _refused(view)
         if refused is not None:
             return refused, False, False, ""
-        cfg = view.config
-        if recheck == "always":
-            return view.explain(k=k, verify=verify), False, True, "recheck forced"
-
-        if level1_stable:
-            with trace.span("delta.replay", metric=cfg.metric) as replay_span:
-                replay, reason = replay_search(
-                    before_query.explanations.lattice.record,
-                    alphabet,
-                    view.estimator,
-                    cfg,
-                    k,
-                    view.protected_group.attribute,
-                    geometry=geometry,
-                )
-                if replay is not None:
-                    replay_span.set(evaluated=replay.result.num_evaluated)
+        record = before_query.explanations.lattice.record
+        if not level1_stable:
+            reason = "the edit changed the level-1 alphabet"
+        elif geometry is None or record is None:
+            reason = "no replay record (engine or search depth unsupported)"
         else:
-            replay, reason = None, "the edit changed the level-1 alphabet"
-        if replay is None:
-            if recheck == "never":
-                raise RuntimeError(
-                    f"delta_audit certificate refused for {before_query.metric!r} "
-                    f"({reason}) and recheck='never' forbids the fresh search"
+            cfg = view.config
+            with trace.span("delta.replay", metric=cfg.metric) as replay_span:
+                replay = replay_search(
+                    record, geometry, view.estimator, cfg, k, view.protected_group.attribute
                 )
-            return view.explain(k=k, verify=verify), False, True, reason
-
-        after_set = view._answer(
-            replay.selected, replay.result, verify, replay_span.seconds, replay.filter_seconds
-        )
-        return after_set, True, False, ""
+                replay_span.set(evaluated=replay.result.num_evaluated)
+            after_set = view._answer(
+                replay.selected, replay.result, verify, replay_span.seconds, replay.filter_seconds
+            )
+            return after_set, True, False, ""
+        return view.explain(k=k, verify=verify), False, True, reason

@@ -158,6 +158,18 @@ class ModelArtifacts:
         if y is not self.y_train and not np.array_equal(y, self.y_train):
             raise ValueError("artifacts were built on different training labels")
 
+    def check_fresh(self, version: int, reader: str) -> None:
+        """Refuse a ``reader`` (an estimator, an update-search context, an
+        explainer view) that recorded ``version`` before an :meth:`apply_edit`:
+        its pre-edit state would silently answer for the wrong rows.  Readers
+        call this before they touch a cache or a training row."""
+        if version != self.version:
+            raise RuntimeError(
+                f"the shared ModelArtifacts were edited after this {reader} was built "
+                f"(version {version} vs {self.version}); construct a new {reader} "
+                "against the edited artifacts"
+            )
+
     # ------------------------------------------------------------------
     @property
     def per_sample_grads(self) -> np.ndarray:
@@ -237,7 +249,8 @@ class ModelArtifacts:
         θ is *not* refit — influence debugging asks "how would the bias
         move if we trained on the edited data", and every estimator measures
         that from the current optimum.  The bump of :attr:`version`
-        invalidates estimators constructed against the pre-edit state.
+        invalidates every reader built against the pre-edit state
+        (:meth:`check_fresh`).
         """
         if self.model.theta is None or not np.array_equal(self.theta, self.model.theta):
             raise ValueError(

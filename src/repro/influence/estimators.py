@@ -159,7 +159,8 @@ class InfluenceEstimator(ABC):
         self.evaluation = evaluation
         self.theta = artifacts.theta
         self.num_train = artifacts.num_train
-        self._artifacts_version = artifacts.version
+        # The bundle version this estimator answers for (ModelArtifacts.check_fresh).
+        self.artifacts_version = artifacts.version
         self.original_bias = metric.value(model, test_ctx)
         self.original_surrogate = metric.surrogate(model, test_ctx)
         self._grad_f = Lazy("influence.grad_f")
@@ -225,8 +226,9 @@ class InfluenceEstimator(ABC):
         """:attr:`baseline`, or :class:`ZeroBiasError` naming the metric when
         it is 0: Definition 3.2 divides by it, and an unbiased model has
         nothing to explain.  The searches call it once before they score,
-        so it first refuses a stale estimator (:meth:`_check_fresh`)."""
-        self._check_fresh()
+        so it first refuses a stale estimator
+        (:meth:`~repro.influence.artifacts.ModelArtifacts.check_fresh`)."""
+        self.artifacts.check_fresh(self.artifacts_version, "estimator")
         if self.baseline == 0.0:
             raise ZeroBiasError(
                 f"original {self.metric.name} bias is zero under {self.evaluation} "
@@ -354,23 +356,6 @@ class InfluenceEstimator(ABC):
             return np.concatenate(after) - origin
 
     # -- helpers ----------------------------------------------------------
-    def _check_fresh(self) -> None:
-        """Raise if the shared artifacts were edited after this estimator.
-
-        ``ModelArtifacts.apply_edit`` bumps the bundle's version; an
-        estimator built before the edit still holds pre-edit references
-        (training matrix shape, cached solvers, the original bias of the
-        old data) and would silently score subsets of the wrong dataset.
-        Query entry points call this before touching any cache.
-        """
-        if self._artifacts_version != self.artifacts.version:
-            raise RuntimeError(
-                "the shared ModelArtifacts were edited after this estimator was "
-                "built (version "
-                f"{self._artifacts_version} vs {self.artifacts.version}); "
-                "construct a new estimator against the edited artifacts"
-            )
-
     def _batch(self, subsets, num_rows: int | None):
         """Validate a batch into one of the two internal forms.
 
@@ -383,7 +368,7 @@ class InfluenceEstimator(ABC):
         subsets.  Packed rows, however they arrived, pass one popcount
         guard against removing the entire training set.
         """
-        self._check_fresh()
+        self.artifacts.check_fresh(self.artifacts_version, "estimator")
         n = self.num_train
         if num_rows is None:
             packed = self._pack(subsets)
@@ -478,7 +463,7 @@ class InfluenceEstimator(ABC):
         return np.stack(rows) if rows else np.zeros((0, packed_width(n)), dtype=np.uint8)
 
     def _check_indices(self, indices: np.ndarray) -> np.ndarray:
-        self._check_fresh()
+        self.artifacts.check_fresh(self.artifacts_version, "estimator")
         indices = np.asarray(indices)
         if indices.dtype == bool:
             if indices.shape != (self.num_train,):

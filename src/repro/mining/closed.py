@@ -102,8 +102,8 @@ candidates.
 Pruning mirrors Algorithm 1: support must stay strictly above τ
 (anti-monotone, kills the subtree), and with ``prune_by_responsibility`` a
 node survives only when its estimated responsibility strictly exceeds the
-responsibility of its in-window ancestors (see
-:func:`repro.patterns.lattice._parent_bar` for the root-cause window).
+responsibility of its in-window ancestors (the root-cause window is
+:func:`repro.patterns.lattice._in_window`, shared with the lattice).
 At depth 2 the DFS parent and extension item are exactly the lattice's
 two merge parents.  Deeper, a *descent-bar cache* reconstructs the
 lattice's merge-pair bars extent-wise: the traversal records every scored
@@ -170,6 +170,7 @@ from repro.patterns.lattice import (
     LatticeLevelStats,
     LevelState,
     PredicateIndex,
+    _in_window,
     _parent_bar,
     check_search,
 )
@@ -324,7 +325,6 @@ def mine_closed_candidates(
     estimator: InfluenceEstimator,
     max_predicates: int = 3,
     prune_by_responsibility: bool = True,
-    max_responsibility: float = 1.25,
     batch_size: int = 1024,
 ) -> CandidateResult:
     """Mine all closed candidate explanations over ``alphabet``.
@@ -637,7 +637,7 @@ def mine_closed_candidates(
             elif node.depth == 1:
                 # A depth-2 node's DFS parent and extension item are
                 # exactly the lattice's two level-1 merge parents.
-                bar = _parent_bar(node.responsibility, item_resp[j], max_responsibility)
+                bar = _parent_bar(node.responsibility, item_resp[j])
             else:
                 # Deeper, the lattice's merge parents are the (k−1)-sub-
                 # patterns (P∖{x})∪{j}, not the level-1 extension item.
@@ -654,7 +654,7 @@ def mine_closed_candidates(
                 # still an extent-level approximation of the lattice's
                 # pattern-level, first-producing-pair bar — the engine
                 # equivalence suite pins the workloads where they agree.
-                bar = _parent_bar(node.responsibility, -np.inf, max_responsibility)
+                bar = _parent_bar(node.responsibility, -np.inf)
                 formable = False
                 for drop, (anc, co) in enumerate(co_parents):
                     sub_path = node.items[:drop] + node.items[drop + 1 :] + (j,)
@@ -680,7 +680,7 @@ def mine_closed_candidates(
                     resp = survived.get(sub_key)
                     if resp is not None:
                         formable = True
-                        if 0.0 < resp <= max_responsibility:
+                        if _in_window(resp):
                             bar = max(bar, resp)
                     elif sub_key not in defeated:
                         formable = True
@@ -783,7 +783,6 @@ def mine_closed_candidates(
         global_key,
         max_predicates,
         prune_by_responsibility,
-        max_responsibility,
         store,
     )
     # The result's id rows number the items in canonical sort-key order.
@@ -887,7 +886,6 @@ class _GeneratorReplay:
         key_fn,
         max_predicates: int,
         prune_by_responsibility: bool,
-        max_responsibility: float,
         store: ExtentIdentities,
     ) -> None:
         self.predicates = predicates
@@ -896,7 +894,6 @@ class _GeneratorReplay:
         self.key_fn = key_fn
         self.max_predicates = max_predicates
         self.prune_by_responsibility = prune_by_responsibility
-        self.max_responsibility = max_responsibility
         self.store = store
         self._survives: dict[tuple[int, ...], bool] = {}
         self.hits = self.misses = 0
@@ -989,8 +986,7 @@ class _GeneratorReplay:
         bars = [
             resp
             for p in surviving
-            if (resp := self._responsibility(p)) is not None
-            and 0.0 < resp <= self.max_responsibility
+            if (resp := self._responsibility(p)) is not None and _in_window(resp)
         ]
         alive = formable and (not bars or responsibility > max(bars))
         self._survives[combo] = alive

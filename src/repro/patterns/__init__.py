@@ -5,10 +5,9 @@ a coherent training-data subset.  :func:`compute_candidates` implements the
 paper's Algorithm 1 — an Apriori-style bottom-up lattice search with two
 pruning heuristics (support threshold, responsibility must increase on
 merge) — and :func:`select_top_k` implements Algorithm 2, the diversity
-filter based on containment scores.
+filter based on containment scores (Def. 3.6), computed on packed rows.
 """
 
-from repro.patterns.containment import containment, max_containment
 from repro.patterns.lattice import (
     CandidateResult,
     LatticeLevelStats,
@@ -26,7 +25,5 @@ __all__ = [
     "PatternStats",
     "Predicate",
     "compute_candidates",
-    "containment",
-    "max_containment",
     "select_top_k",
 ]

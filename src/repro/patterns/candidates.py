@@ -8,10 +8,13 @@ yield equality predicates (e.g. ``installment_rate = 4`` in German Credit).
 
 This module holds the *spec* enumeration (which predicates exist, in which
 canonical order), :func:`iter_predicate_specs`.  Mask evaluation and the
-support filter live in :class:`repro.mining.alphabet.PredicateAlphabet`,
-which re-enumerates specs over an edited table and patches masks per
-predicate while reproducing the fresh build byte for byte — including its
-ordering.
+support filter live in :class:`repro.mining.alphabet.PredicateAlphabet`.
+Specs are enumerated once, when an alphabet is built; a data edit
+(:meth:`~repro.mining.alphabet.PredicateAlphabet.apply_edit`) freezes that
+language — the spec set, its order and the bin edges stay the pre-edit
+table's — and only patches each predicate's mask and re-runs the support
+filter, so an edit can move a predicate across τ but never mint or retire
+one.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ def iter_predicate_specs(
     the ``=`` predicates of low-cardinality columns followed by the
     ``>=``/``<`` pair per quantile threshold (integer-rounded thresholds for
     integer-valued columns).  No masks are evaluated and no support filter
-    is applied — this is the *spec* half of level-1 generation, shared by
-    the fresh build and the edit-patch path of the alphabet cache.
+    is applied — this is the *spec* half of level-1 generation, run when an
+    alphabet is built.
     """
     exclude = normalize_exclude_features(exclude_features)
     for name in table.column_names:

@@ -12,10 +12,13 @@ prune the exponential space (paper §4.2):
    interestingness also exceeds theirs and keeps longer patterns only when
    the extra predicate pays for itself.  A parent only constrains the merge
    when it is itself a plausible *root cause* (Definition 3.1: removal
-   reduces the bias without overshooting it past zero, 0 < R ≤ cap) —
-   influence estimates for very large subsets routinely overshoot far past
-   R = 1, and letting such junk estimates veto every refinement would cut
-   off exactly the coherent subgroups the search exists to find.
+   reduces the bias without overshooting it past zero) — influence
+   estimates for very large subsets routinely overshoot far past R = 1, and
+   letting such junk estimates veto every refinement would cut off exactly
+   the coherent subgroups the search exists to find.
+
+The window (0, ``_MAX_RESPONSIBILITY``] is read through one predicate,
+:func:`_in_window`, by both engines' parent bars and Algorithm 2.
 
 Each level's gather runs on arrays.  A level stores its patterns as rows
 of predicate ids — the level-1 predicates numbered in canonical sort
@@ -72,6 +75,9 @@ _GATHER_BYTES = 1 << 22
 # The result filter of both engines and the delta replay: a candidate below
 # this responsibility stays out of the result but may still merge upward.
 _MIN_RESPONSIBILITY = 0.0
+# Definition 3.1's root-cause window is (0, _MAX_RESPONSIBILITY] (_in_window);
+# the slack above R = 1 absorbs the estimates of near-total fixes.
+_MAX_RESPONSIBILITY = 1.25
 
 
 @dataclass
@@ -492,7 +498,6 @@ def score_level(
     merges: LevelMerges,
     responsibilities: np.ndarray,
     bias_changes: np.ndarray,
-    max_responsibility: float,
     prune_by_responsibility: bool,
 ) -> tuple[LevelState, np.ndarray, np.ndarray]:
     """The scored merges, the survivors of heuristic 2 and the in-result rows.
@@ -510,30 +515,36 @@ def score_level(
         responsibilities[collapsed] = parents.responsibilities[parent[collapsed]]
         bias_changes[collapsed] = parents.bias_changes[parent[collapsed]]
     bars = np.maximum(
-        _root_cause(parents.responsibilities[merges.left], max_responsibility),
-        _root_cause(parents.responsibilities[merges.right], max_responsibility),
+        _root_cause(parents.responsibilities[merges.left]),
+        _root_cause(parents.responsibilities[merges.right]),
     )
     survive = ~(responsibilities <= bars) if prune_by_responsibility else np.ones(len(bars), bool)
     scored = LevelState(merges.rows, merges.packed, merges.sizes, responsibilities, bias_changes)
     return scored, survive, survive & (responsibilities >= _MIN_RESPONSIBILITY)
 
 
-def _parent_bar(resp_a: float, resp_b: float, cap: float) -> float:
+def _in_window(responsibilities):
+    """Whether a responsibility (a float, or each of an array's) lies in
+    Definition 3.1's root-cause window (0, ``_MAX_RESPONSIBILITY``]; NaN
+    does not."""
+    return (responsibilities > 0.0) & (responsibilities <= _MAX_RESPONSIBILITY)
+
+
+def _parent_bar(resp_a: float, resp_b: float) -> float:
     """The responsibility a merged child must strictly exceed.
 
-    Only parents inside the root-cause window (0, cap] count; children of
-    two out-of-window parents face no responsibility bar (support pruning
+    Only parents inside the root-cause window count; children of two
+    out-of-window parents face no responsibility bar (support pruning
     still applies).  :func:`score_level` applies the same rule to whole
     arrays through :func:`_root_cause`.
     """
-    valid = [r for r in (resp_a, resp_b) if 0.0 < r <= cap]
+    valid = [r for r in (resp_a, resp_b) if _in_window(r)]
     return max(valid) if valid else -np.inf
 
 
-def _root_cause(responsibilities: np.ndarray, cap: float) -> np.ndarray:
-    """Responsibilities inside the root-cause window (0, cap]; −inf outside."""
-    inside = (responsibilities > 0.0) & (responsibilities <= cap)
-    return np.where(inside, responsibilities, -np.inf)
+def _root_cause(responsibilities: np.ndarray) -> np.ndarray:
+    """Responsibilities inside the root-cause window; −inf outside."""
+    return np.where(_in_window(responsibilities), responsibilities, -np.inf)
 
 
 def check_search(
@@ -564,7 +575,6 @@ def compute_candidates(
     estimator: InfluenceEstimator,
     max_predicates: int = 3,
     prune_by_responsibility: bool = True,
-    max_responsibility: float = 1.25,
     batch_size: int = 1024,
 ) -> CandidateResult:
     """Run Algorithm 1 over ``alphabet`` and return all surviving candidates.
@@ -583,11 +593,8 @@ def compute_candidates(
         Lattice depth cap (the "level" axis of Table 7), an int >= 1.
     prune_by_responsibility:
         Toggle for heuristic 2 — exposed so the ablation bench can measure
-        how much of the space it removes.
-    max_responsibility:
-        Root-cause cap for the pruning comparison: parents whose estimated
-        responsibility falls outside (0, max_responsibility] do not veto
-        their children (see the module docstring).
+        how much of the space it removes.  Only parents inside the
+        root-cause window (:func:`_in_window`) veto their children.
     batch_size:
         Maximum candidates per batched influence call; bounds each call's
         Δθ matrix.
@@ -640,7 +647,7 @@ def compute_candidates(
             # Prune phase: the scoring tail (heuristic 2, the result filter).
             with trace.span("lattice.prune"):
                 scored, survive, in_result = score_level(
-                    current, merges, resp, dbias, max_responsibility, prune_by_responsibility
+                    current, merges, resp, dbias, prune_by_responsibility
                 )
                 if record is not None:
                     record = LatticeRecord.of(level1_resp, merges, resp, in_result)

@@ -2,9 +2,11 @@
 
 Selection runs on the columns of a
 :class:`~repro.patterns.lattice.CandidateResult`, the form every search
-and the delta replay return: the root-cause window and the protected-only
-filter are array masks, the visit order is one stable ``np.lexsort``, and
-containment is read off packed rows as ``popcount(a & b) / popcount(a)``.
+and the delta replay return: the root-cause window
+(:func:`~repro.patterns.lattice._in_window`) and the protected-only filter
+are array masks, the visit order is one stable ``np.lexsort``, and
+containment (Definition 3.6) is read off packed rows as
+``popcount(a & b) / popcount(a)``.
 A :class:`~repro.patterns.lattice.PatternStats` is built only for each row
 selected.  A plain list of candidates is converted to columns on entry
 (:meth:`~repro.patterns.lattice.CandidateResult.of_stats`), and its own
@@ -16,16 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs import trace
-from repro.patterns.lattice import CandidateResult, PatternStats
+from repro.patterns.lattice import CandidateResult, PatternStats, _in_window
 
 
 def select_top_k(
     candidates: list[PatternStats] | CandidateResult,
     k: int,
-    containment_threshold: float = 0.75,
-    require_positive_responsibility: bool = True,
+    containment_threshold: float,
     exclude_features_only: set[str] | None = None,
-    max_responsibility: float = 1.25,
 ) -> list[PatternStats]:
     """Pick the k most interesting, mutually diverse candidates.
 
@@ -36,16 +36,16 @@ def select_top_k(
     back to the canonical pattern order (the deterministic tie-break
     Definition 3.7 requires: the id rows ranked by predicate sort key,
     a prefix first), then to candidate order.  A candidate is skipped when
-    its containment in any already-selected explanation exceeds the
-    threshold.
+    its containment in any already-selected explanation exceeds
+    ``containment_threshold`` (c of Algorithm 2; ``GopherConfig`` holds its
+    default).
 
-    Definition 3.1 requires a *root cause* to satisfy
-    ``0 <= F(after) < F(before)`` — removing it must reduce the bias, not
-    overshoot past zero and flip its sign.  ``require_positive_responsibility``
-    enforces the lower bound and ``max_responsibility`` the upper one; the
-    default allows 25% slack above R = 1 because the lattice works with
-    *estimated* responsibilities, and near-total fixes routinely estimate
-    slightly above 1.  Set ``max_responsibility=float("inf")`` to disable.
+    Only root causes are selected: Definition 3.1 requires
+    ``0 <= F(after) < F(before)`` — removing the subset must reduce the
+    bias, not overshoot past zero and flip its sign — so a candidate is
+    selectable only inside the root-cause window
+    (:func:`~repro.patterns.lattice._in_window`), whose 25% slack above
+    R = 1 absorbs the estimation noise of near-total fixes.
 
     ``exclude_features_only`` drops candidates whose predicates mention
     *only* the given features.  The explainer passes the protected attribute
@@ -66,16 +66,12 @@ def select_top_k(
         raise ValueError(
             f"containment_threshold must be in (0, 1], got {containment_threshold}"
         )
-    if not max_responsibility > 0:  # NaN too
-        raise ValueError(f"max_responsibility must be positive, got {max_responsibility}")
     if not isinstance(candidates, CandidateResult):
         candidates = CandidateResult.of_stats(list(candidates))
     from repro.mining.bitset import popcount  # repro.mining imports this package
 
     responsibilities = candidates.responsibilities
-    window = responsibilities <= max_responsibility
-    if require_positive_responsibility:
-        window &= responsibilities > 0.0
+    window = _in_window(responsibilities)
     if exclude_features_only:
         predicates = candidates.index.predicates
         # A trailing True answers the −1 padding of shorter rows.

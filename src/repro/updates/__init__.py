@@ -6,8 +6,10 @@ the pattern covers — that maximally reduces model bias.  The search is a
 projected gradient ascent in encoded feature space (Eq. 16–18) followed by a
 projection of the updated points back onto the valid input domain (Eq. 19).
 The vectorized engine (:func:`find_update_explanations`) searches many
-patterns per call, sharing one :class:`UpdateSearchContext` of start-up work
-and batching the backoff-scale scoring and verification retrains.
+patterns per call.  Its one input besides the encoder and the patterns is
+an :class:`UpdateSearchContext` — the model, training rows, metric, test
+split and shared start-up work, read off a ``ModelArtifacts`` bundle — and
+it batches the backoff-scale scoring and verification retrains.
 """
 
 from repro.updates.domain import UpdateDomain

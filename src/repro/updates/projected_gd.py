@@ -21,7 +21,10 @@ The search splits into a subset-independent **start-up** — ∇_θF, the
 training Hessian and its auto step size η = 1/λ_max(H), the original bias,
 and the per-sample training gradients — owned by one
 :class:`UpdateSearchContext` shared across every pattern and backoff scale,
-and a per-pattern **search**:
+and a per-pattern **search**.  The context is the search's only source of
+the model, θ, the training rows, the metric and the test split: it reads
+the first three off a :class:`~repro.influence.artifacts.ModelArtifacts`
+bundle and refuses once that bundle is edited.
 
 * **ascent** — each step needs ∇_δJ over the active coordinates of every
   still-live pattern, which the model contract's closed-form
@@ -196,56 +199,44 @@ class UpdateExplanationSet:
 class UpdateSearchContext:
     """Subset-independent state of the §5 search, computed once and shared.
 
-    The per-pattern loop used to rebuild and eigendecompose the training
-    Hessian for every backoff scale (4× per pattern) and re-derive ∇F per
-    ascent.  All of that depends only on (model, training data, metric,
-    test context), so one context owns it: ∇_θF, the auto step size
-    η = 1/λ_max(H) of the training Hessian H — obtained through the *same*
-    :func:`repro.influence.one_step_gd.auto_learning_rate` helper as the §4
-    one-step estimator, so the two surrogates can never disagree on η — the
-    original bias, and the per-sample training gradients that seed every
-    update's old-gradient sums.
+    It depends only on (model, training data, metric, test context), so
+    one context owns it for every pattern and backoff scale: ∇_θF, the auto
+    step size η = 1/λ_max(H) of the training Hessian H — obtained through
+    the *same* :func:`repro.influence.one_step_gd.auto_learning_rate`
+    helper as the §4 one-step estimator, so the two surrogates can never
+    disagree on η — the original bias, and the per-sample training
+    gradients that seed every update's old-gradient sums.
 
-    The metric-*independent* half (η and the train grads) is read from a
-    :class:`~repro.influence.artifacts.ModelArtifacts` bundle, which builds
-    each once however many metric views call ``explain_updates``; only ∇F
-    plus the original bias are computed per context.  Without a shared
-    bundle the context builds a private one, as
-    :class:`~repro.influence.estimators.InfluenceEstimator` does.
+    The model, θ and the training rows are read off ``artifacts``, and so
+    is the metric-*independent* half (η and the train grads), which the
+    bundle builds once however many metric views call ``explain_updates``;
+    only ∇F plus the original bias are computed per context.  The context
+    records the bundle's version: once
+    :meth:`~repro.influence.artifacts.ModelArtifacts.apply_edit` runs, the
+    search refuses it (:meth:`~repro.influence.artifacts.ModelArtifacts.check_fresh`).
     """
 
     def __init__(
-        self,
-        model: TwiceDifferentiableClassifier,
-        X_train: np.ndarray,
-        y_train: np.ndarray,
-        metric: FairnessMetric,
-        test_ctx: FairnessContext,
-        artifacts: ModelArtifacts | None = None,
+        self, artifacts: ModelArtifacts, metric: FairnessMetric, test_ctx: FairnessContext
     ) -> None:
-        if model.theta is None:
-            raise ValueError("model must be fitted before building an update-search context")
-        self.model = model
-        self.X_train = np.asarray(X_train, dtype=np.float64)
-        self.y_train = np.asarray(y_train)
+        self.artifacts = artifacts
+        self.version = artifacts.version
+        self.model = artifacts.model
+        self.theta = artifacts.theta
+        self.X_train = artifacts.X_train
+        self.y_train = artifacts.y_train
+        self.num_train = artifacts.num_train
         self.metric = metric
         self.test_ctx = test_ctx
-        self.theta = np.asarray(model.theta, dtype=np.float64)
-        self.num_train = len(self.X_train)
-        if artifacts is None:
-            artifacts = ModelArtifacts(model, X_train, y_train)
-        else:
-            artifacts.check_compatible(model, X_train, y_train)
-        self._artifacts = artifacts
         self.learning_rate = artifacts.auto_learning_rate()
         with trace.span("update.grad_f", n=self.num_train, metric=metric.name):
-            self.grad_f = metric.grad_theta(model, test_ctx)
-            self.original_bias = float(metric.value(model, test_ctx))
+            self.grad_f = metric.grad_theta(self.model, test_ctx)
+            self.original_bias = float(metric.value(self.model, test_ctx))
 
     @property
     def train_grads(self) -> np.ndarray:
         """∇_θℓ(z_i, θ*) for all training rows, shape (n, p) (cached)."""
-        return self._artifacts.per_sample_grads
+        return self.artifacts.per_sample_grads
 
     @property
     def ascent_grad_f(self) -> np.ndarray:
@@ -267,12 +258,8 @@ class UpdateSearchContext:
 
 
 def find_update_explanations(
-    model: TwiceDifferentiableClassifier,
+    context: UpdateSearchContext,
     encoder: TabularEncoder,
-    X_train: np.ndarray,
-    y_train: np.ndarray,
-    metric: FairnessMetric,
-    test_ctx: FairnessContext,
     patterns: list[Pattern],
     subset_indices: list[np.ndarray],
     *,
@@ -282,13 +269,16 @@ def find_update_explanations(
     verify: bool = False,
     removal_bias_changes: list[float | None] | None = None,
     removal_sources: list[str | None] | None = None,
-    context: UpdateSearchContext | None = None,
     n_jobs: int | None = None,
 ) -> UpdateExplanationSet:
     """Run the Section-5 optimization for many patterns in one engine pass.
 
     Parameters
     ----------
+    context:
+        The :class:`UpdateSearchContext`: the model, θ, training rows,
+        metric and test split of the search, and its shared start-up work.
+        A context built before its artifacts were edited is refused.
     patterns / subset_indices:
         Aligned lists: one update search per (pattern, covered-rows) pair.
     allowed_features:
@@ -305,10 +295,8 @@ def find_update_explanations(
         Optional aligned reference ΔF's of *removing* each subset (and where
         each number came from, e.g. ``"ground_truth"`` / ``"estimated"``),
         enabling ``direction_vs_removal``.
-    context:
-        A pre-built :class:`UpdateSearchContext` to share start-up work
-        across calls; one is built on the fly when omitted.
     """
+    context.artifacts.check_fresh(context.version, "update-search context")
     if len(patterns) != len(subset_indices):
         raise ValueError("patterns and subset_indices must be aligned")
     removal_bias_changes = _aligned(removal_bias_changes, len(patterns), "removal_bias_changes")
@@ -319,17 +307,10 @@ def find_update_explanations(
         if indices.size == 0:
             raise ValueError("cannot compute an update for an empty subset")
         subsets.append(indices)
-    if context is None:
-        context = UpdateSearchContext(model, X_train, y_train, metric, test_ctx)
-    elif context.model is not model:
-        # The ascent evaluates the argument model while η, ∇F, scoring, and
-        # the original bias come from the context — a mismatch would produce
-        # a silently inconsistent hybrid.
-        raise ValueError("context was built for a different model instance")
     if not patterns:
         return UpdateExplanationSet(
             updates=[],
-            metric_name=metric.name,
+            metric_name=context.metric.name,
             original_bias=context.original_bias,
             search_seconds=0.0,
         )
@@ -356,7 +337,7 @@ def find_update_explanations(
             rows=int(sum(indices.size for indices in subsets)),
         ):
             deltas = _ascend_all(
-                model, subset_Xs, subset_ys, context.ascent_grad_f, domains,
+                context.model, subset_Xs, subset_ys, context.ascent_grad_f, domains,
                 learning_rate, num_steps,
             )
         with trace.span(
@@ -372,10 +353,10 @@ def find_update_explanations(
                 RetrainTask(indices, rows) for indices, rows in zip(subsets, best_rows)
             ]
             thetas = retrain_thetas(
-                model, context.X_train, context.y_train, tasks,
+                context.model, context.X_train, context.y_train, tasks,
                 warm_start=context.theta, n_jobs=n_jobs,
             )
-            after = metric.value_batch(model, test_ctx, thetas)
+            after = context.metric.value_batch(context.model, context.test_ctx, thetas)
             gt_changes = [float(a - context.original_bias) for a in after]
         verify_seconds = verify_span.seconds
 
@@ -398,7 +379,7 @@ def find_update_explanations(
         )
     return UpdateExplanationSet(
         updates=updates,
-        metric_name=metric.name,
+        metric_name=context.metric.name,
         original_bias=context.original_bias,
         search_seconds=search_span.seconds,
         verify_seconds=verify_seconds,

@@ -14,9 +14,10 @@ The delta-audit contract has three pinned halves:
   untouched and the edit cost lands under ``*_patches`` /
   ``solver_updates``, with the replay evaluating far fewer masks than the
   engine did;
-* **policy** — ``recheck="never"`` holds the fast path (and raises when
-  the certificate is refused), ``"always"`` forces the fresh search,
-  anything else is rejected.
+* **policy** — one, decided by the session: a query replays when the
+  edit left the level-1 alphabet unchanged and the before side recorded
+  a depth-≤2 lattice search; every other query re-searches, names its
+  reason, and still equals a fresh audit of the patched session.
 """
 
 import numpy as np
@@ -43,7 +44,7 @@ REPAIR_LOOP = dict(
 REPAIR_METRICS = ["statistical_parity", "equal_opportunity", "average_odds"]
 # Edit seed chosen so every kind leaves the level-1 alphabet stable on the
 # fixture split (most seeds do; a crossing seed would merely exercise the
-# fallback path, which test_recheck_never_raises_* pins separately).
+# fallback path, which TestReplayPolicy pins separately).
 EDIT_SEED = 3
 
 
@@ -111,7 +112,7 @@ class TestDeltaEqualsFreshReaudit:
         (it once scored every supported skeleton pair into the result)."""
         sess = make_session(lr_model, german_train, german_test, max_predicates=1)
         edit = random_edit(sess.train_data, kind, count=8, seed=EDIT_SEED)
-        delta = sess.delta_audit(edit, metrics=METRICS, k=3, recheck="never")
+        delta = sess.delta_audit(edit, metrics=METRICS, k=3)
         assert delta.num_certified == len(delta.queries)
         for q in delta.queries:
             assert {len(c.pattern) for c in q.after.lattice.candidates} == {1}
@@ -217,8 +218,8 @@ class TestCertificateAndCounters:
         before_audit = sess.audit(metrics=METRICS, k=3)
         before_stats = dict(sess.stats)
         edit = random_edit(sess.train_data, "remove", count=8, seed=EDIT_SEED)
-        # recheck="never" turns any silent fallback into a hard failure.
-        delta = sess.delta_audit(edit, metrics=METRICS, k=3, recheck="never")
+        # test_every_query_certified fails on any fallback to a search.
+        delta = sess.delta_audit(edit, metrics=METRICS, k=3)
         return sess, before_audit, before_stats, delta
 
     def test_every_query_certified(self, certified):
@@ -266,36 +267,59 @@ class TestCertificateAndCounters:
         assert "Delta audit after edit(remove 8)" in text
 
 
-class TestRecheckPolicies:
-    def test_invalid_recheck_rejected(self, lr_model, german_train, german_test):
-        sess = make_session(lr_model, german_train, german_test)
-        edit = random_edit(sess.train_data, "remove", count=4, seed=EDIT_SEED)
-        with pytest.raises(ValueError, match="recheck"):
-            sess.delta_audit(edit, metrics=METRICS, recheck="sometimes")
+NO_RECORD = "no replay record (engine or search depth unsupported)"
 
-    def test_always_forces_fresh_search(self, lr_model, german_train, german_test):
-        sess = make_session(lr_model, german_train, german_test)
-        edit = random_edit(sess.train_data, "remove", count=8, seed=EDIT_SEED)
-        delta = sess.delta_audit(edit, metrics=METRICS, k=3, recheck="always")
-        for q in delta.queries:
-            assert q.recheck_ran and not q.certified
-            assert q.reason == "recheck forced"
-        assert_matching_audits(delta.after, sess.audit(metrics=METRICS, k=3))
 
-    def test_never_raises_without_replay_record(
+def assert_re_searched(delta, reason):
+    for q in delta.queries:
+        assert q.recheck_ran and not q.certified
+        assert q.reason == reason
+        assert q.after.lattice.levels  # a search ran
+
+
+class TestReplayPolicy:
+    def test_fresh_audit_re_searches_what_the_replay_certified(
         self, lr_model, german_train, german_test
     ):
-        """The mining engine records no lattice, so its certificate refuses."""
+        """A fresh audit of the patched session is the full search: it
+        runs the engine and agrees with every certified replay."""
+        sess = make_session(lr_model, german_train, german_test)
+        edit = random_edit(sess.train_data, "remove", count=8, seed=EDIT_SEED)
+        delta = sess.delta_audit(edit, metrics=METRICS, k=3)
+        for q in delta.queries:
+            assert q.certified and not q.recheck_ran and q.reason == ""
+        fresh = sess.audit(metrics=METRICS, k=3)
+        assert all(q.explanations.lattice.levels for q in fresh.queries)
+        assert_matching_audits(delta.after, fresh)
+
+    def test_mining_session_re_searches(self, lr_model, german_train, german_test):
+        """The mining engine records no lattice, so no query replays."""
         sess = make_session(lr_model, german_train, german_test, engine="mining")
         edit = random_edit(sess.train_data, "remove", count=4, seed=EDIT_SEED)
-        with pytest.raises(RuntimeError, match="certificate refused"):
-            sess.delta_audit(edit, metrics=["statistical_parity"], recheck="never")
+        delta = sess.delta_audit(edit, metrics=["statistical_parity"], k=3)
+        assert_re_searched(delta, NO_RECORD)
+        assert_matching_audits(delta.after, sess.audit(metrics=["statistical_parity"], k=3))
 
-    def test_never_raises_beyond_depth_two(self, lr_model, german_train, german_test):
+    def test_depth_three_re_searches(self, lr_model, german_train, german_test):
         sess = make_session(lr_model, german_train, german_test, max_predicates=3)
         edit = random_edit(sess.train_data, "remove", count=4, seed=EDIT_SEED)
-        with pytest.raises(RuntimeError, match="certificate refused"):
-            sess.delta_audit(edit, metrics=["statistical_parity"], recheck="never")
+        delta = sess.delta_audit(edit, metrics=["statistical_parity"], k=3)
+        assert_re_searched(delta, NO_RECORD)
+        assert_matching_audits(delta.after, sess.audit(metrics=["statistical_parity"], k=3))
+
+    def test_a_level_one_change_re_searches(self, lr_model, german_train, german_test):
+        """Removing most rows of the rarest entry pushes it below τ: the
+        entry list, hence the pair skeleton, changed."""
+        from repro.datasets import DataEdit
+        from repro.mining.bitset import unpack_rows
+
+        sess = make_session(lr_model, german_train, german_test)
+        alphabet = sess.alphabet_for()
+        _, mask = min(alphabet.entries, key=lambda entry: popcount(entry[1]))
+        rows = np.flatnonzero(unpack_rows(mask, alphabet.num_rows))
+        delta = sess.delta_audit(DataEdit.remove(rows[2:]), metrics=METRICS, k=3)
+        assert_re_searched(delta, "the edit changed the level-1 alphabet")
+        assert_matching_audits(delta.after, sess.audit(metrics=METRICS, k=3))
 
     def test_mining_session_builds_no_replay_geometry(
         self, lr_model, german_train, german_test
@@ -380,7 +404,8 @@ class TestSelectionBuildsOnlyTheTopK:
     def test_replayed_queries_build_at_most_k_per_selection(self, replayed, built):
         sess, edit = replayed
         with trace.tracing() as tracer:
-            delta = sess.delta_audit(edit, metrics=METRICS, k=3, recheck="never")
+            delta = sess.delta_audit(edit, metrics=METRICS, k=3)
+        assert delta.num_certified == len(delta.queries)
         filters = [s for s in tracer.walk() if s.name == "delta.filter"]
         assert len(METRICS) <= len(filters) <= 2 * len(METRICS)
         assert 0 < len(built) <= 3 * len(filters)
@@ -412,7 +437,8 @@ class TestSelectionBuildsOnlyTheTopK:
         """Read, a replayed query's candidates are its record's level-1
         entries with R >= 0, then its in-result pairs, in skeleton order."""
         sess, edit = replayed
-        delta = sess.delta_audit(edit, metrics=METRICS, k=3, recheck="never")
+        delta = sess.delta_audit(edit, metrics=METRICS, k=3)
+        assert delta.num_certified == len(delta.queries)
         cfg = sess.config
         alphabet = sess.alphabet_cache.get(cfg.support_threshold, cfg.num_bins, None)
         entries, n = alphabet.entries, alphabet.num_rows

@@ -266,6 +266,35 @@ class TestStaleModelRejected:
         spans = {span.name for span in tracer.walk()}
         assert not spans & {"influence.batch", "influence.batch_indices"}
 
+    @pytest.mark.parametrize("query", ["explain_updates", "ground_truth"])
+    @pytest.mark.parametrize("kind", ["remove", "relabel", "add"])
+    def test_view_minted_before_an_edit_refuses_to_read_rows(self, kind, query):
+        """A view's table, training rows and estimator describe the data it
+        was minted on.  After an edit, its update search and its retrained
+        responsibility refuse before they read a row: they used to die with
+        an IndexError after a removal (a cached update context) or answer
+        from the pre-edit rows."""
+        train, test = train_test_split(load_german(600, seed=0), 0.25, 0)
+        sess = AuditSession(
+            LogisticRegression(l2_reg=1e-3), estimator="series", retrain_jobs=1, **SEARCH
+        ).fit(train, test)
+        view = sess.explainer()
+        # Verified, so the update search takes its removal references from
+        # the retrains and never asks the view's (stale) estimator.
+        explanations = view.explain(k=3, verify=True)
+
+        def ask():
+            if query == "explain_updates":
+                return view.explain_updates(explanations, verify=False, num_steps=5)
+            return view.responsibility_of(explanations[0].pattern, ground_truth=True)
+
+        ask()  # the update search caches its context on the view
+        sess.apply_edit(random_edit(sess.train_data, kind, count=8, seed=1))
+        with pytest.raises(RuntimeError, match="edited after this explainer view was built"):
+            ask()
+        # A view minted after the edit answers.
+        assert np.isfinite(sess.explainer().responsibility_of(explanations[0].pattern))
+
 
 class TestReviewRegressions:
     def test_group_declared_on_test_split_is_honored(self, lr_model, german_train, german_test):

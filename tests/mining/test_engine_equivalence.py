@@ -222,7 +222,6 @@ class TestExplainerIntegration:
             gopher.estimator,
             max_predicates=cfg.max_predicates,
             prune_by_responsibility=cfg.prune_by_responsibility,
-            max_responsibility=cfg.max_responsibility,
         )
         via_explainer = explanations[engine].lattice
         assert isinstance(via_explainer, CandidateResult)

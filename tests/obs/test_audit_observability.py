@@ -71,7 +71,7 @@ def run_lifecycle(lr_model, train, test):
         result[0].explanations, verify=True, num_steps=10
     )
     edit = random_edit(session.train_data, "remove", count=4, seed=EDIT_SEED)
-    delta = session.delta_audit(edit, metrics=LIFECYCLE_METRICS, k=2, recheck="never")
+    delta = session.delta_audit(edit, metrics=LIFECYCLE_METRICS, k=2)
     return session, result, updates, delta
 
 

@@ -203,17 +203,19 @@ class TestSessionReasons:
         self, lr_model, german_train, german_test
     ):
         """``reason`` on a span is a cache miss's; a delta query's refusal
-        rides its own attribute."""
-        session = AuditSession(lr_model, **SEARCH).fit(german_train, german_test)
+        rides its own attribute.  A mining search records no replay, so
+        every query of its delta audit is refused."""
+        session = AuditSession(lr_model, engine="mining", **SEARCH).fit(
+            german_train, german_test
+        )
         session.audit(metrics=[METRIC], k=2)
         tracer = Tracer()
         with trace.tracing(tracer):
-            delta = session.delta_audit(
-                DataEdit.remove(range(8)), metrics=[METRIC], k=2, recheck="always"
-            )
+            delta = session.delta_audit(DataEdit.remove(range(8)), metrics=[METRIC], k=2)
         assert "delta.query" not in _reasons(tracer)
         spans = [span for span in tracer.walk() if span.name == "delta.query"]
         assert len(spans) == len(delta.queries) > 0
         for query, span in zip(delta.queries, spans):
-            assert query.reason == "recheck forced"
+            assert query.recheck_ran and not query.certified
+            assert query.reason == "no replay record (engine or search depth unsupported)"
             assert span.attrs["refusal"] == query.reason

@@ -6,7 +6,8 @@ step, and scores every backoff scale in one pass.  This module keeps the
 slow form: per pattern and ascent step, two objective evaluations per
 active coordinate; then one Eq.-14 evaluation per backoff scale; and, when
 verifying, one retrain per pattern.  :func:`find_update_explanations`
-takes the engine's arguments and returns its updates as a list.
+takes the engine's arguments (the context first) and returns its updates
+as a list.
 """
 
 from __future__ import annotations
@@ -59,12 +60,8 @@ def one_step_bias_change(context: UpdateSearchContext, indices, updated_rows) ->
 
 
 def find_update_explanations(
-    model,
+    context: UpdateSearchContext,
     encoder,
-    X_train,
-    y_train,
-    metric,
-    test_ctx,
     patterns,
     subset_indices,
     *,
@@ -72,11 +69,9 @@ def find_update_explanations(
     learning_rate: float = 0.25,
     num_steps: int = 120,
     verify: bool = False,
-    context: UpdateSearchContext | None = None,
 ) -> list[UpdateExplanation]:
     """One update per pattern, searched and scored one pattern at a time."""
-    if context is None:
-        context = UpdateSearchContext(model, X_train, y_train, metric, test_ctx)
+    model, metric, test_ctx = context.model, context.metric, context.test_ctx
     updates = []
     for pattern, indices in zip(patterns, subset_indices):
         indices = np.asarray(indices, dtype=np.int64)

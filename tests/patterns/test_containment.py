@@ -1,9 +1,8 @@
-"""Tests for repro.patterns.containment."""
+"""Tests for the reference containment score of the top-k oracle (Def. 3.6)."""
 
 import numpy as np
 import pytest
-
-from repro.patterns import containment, max_containment
+from oracles.topk_loop import containment
 
 
 class TestContainment:
@@ -35,21 +34,3 @@ class TestContainment:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes"):
             containment(np.ones(3, dtype=bool), np.ones(4, dtype=bool))
-
-
-class TestMaxContainment:
-    def test_empty_set_is_zero(self):
-        assert max_containment(np.array([True, False]), []) == 0.0
-
-    def test_takes_maximum(self):
-        target = np.array([True, True, False, False])
-        others = [
-            np.array([True, False, False, False]),   # 0.5
-            np.array([True, True, True, False]),      # 1.0
-        ]
-        assert max_containment(target, others) == 1.0
-
-    def test_short_circuits_at_one(self):
-        target = np.array([True, False])
-        others = iter([np.array([True, True]), np.array([False, False])])
-        assert max_containment(target, others) == 1.0

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import topk_loop
 
-from repro.patterns import Pattern, Predicate, containment, select_top_k
+from repro.patterns import Pattern, Predicate, select_top_k
 from repro.patterns.lattice import CandidateResult, PatternStats
 
 
@@ -60,17 +60,6 @@ class TestSelectTopK:
         selected = select_top_k(candidates, k=5, containment_threshold=0.99)
         assert all(s.responsibility > 0 for s in selected)
 
-    def test_negative_allowed_when_requested(self):
-        pool = [
-            make_stats("p", [1, 1, 0, 0], 0.3),
-            make_stats("q", [0, 0, 1, 1], -0.5),  # disjoint, negative R
-        ]
-        selected = select_top_k(
-            pool, k=5, containment_threshold=0.99,
-            require_positive_responsibility=False,
-        )
-        assert any(s.responsibility < 0 for s in selected)
-
     def test_k_respected(self, candidates):
         selected = select_top_k(candidates, k=2, containment_threshold=0.99)
         assert len(selected) == 2
@@ -82,10 +71,10 @@ class TestSelectTopK:
         for i, a in enumerate(masks):
             for j, b in enumerate(masks):
                 if i < j:
-                    assert containment(b, a) <= threshold
+                    assert topk_loop.containment(b, a) <= threshold
 
     def test_returns_a_list_of_pattern_stats(self, candidates):
-        selected = select_top_k(candidates, k=2)
+        selected = select_top_k(candidates, k=2, containment_threshold=0.75)
         assert isinstance(selected, list)
         assert len(selected) == 2
         assert all(isinstance(s, PatternStats) for s in selected)
@@ -100,14 +89,14 @@ class TestSelectTopK:
 
     def test_invalid_k(self, candidates):
         with pytest.raises(ValueError, match="k must be"):
-            select_top_k(candidates, k=0)
+            select_top_k(candidates, k=0, containment_threshold=0.75)
 
     def test_invalid_threshold(self, candidates):
         with pytest.raises(ValueError, match="containment_threshold"):
             select_top_k(candidates, k=1, containment_threshold=0.0)
 
     def test_empty_candidates(self):
-        selected = select_top_k([], k=3)
+        selected = select_top_k([], k=3, containment_threshold=0.75)
         assert selected == []
 
     def test_exclude_features_only_drops_vacuous(self):
@@ -196,18 +185,10 @@ class TestColumnsMatchTheLoop:
         pool=pools(),
         k=st.integers(-1, 12),
         threshold=st.sampled_from([0.0, 0.25, 0.5, 2 / 3, 0.75, 1.0, 1.5]),
-        positive=st.booleans(),
         protected=st.sampled_from([None, {"gender"}, {"gender", "job"}]),
-        cap=st.sampled_from([1.25, float("inf"), 0.6, 0.0, -1.0]),
     )
-    def test_random_pools(self, pool, k, threshold, positive, protected, cap):
-        kwargs = dict(
-            k=k,
-            containment_threshold=threshold,
-            require_positive_responsibility=positive,
-            exclude_features_only=protected,
-            max_responsibility=cap,
-        )
+    def test_random_pools(self, pool, k, threshold, protected):
+        kwargs = dict(k=k, containment_threshold=threshold, exclude_features_only=protected)
         want = _outcome(topk_loop.select_top_k, pool, **kwargs)
         # A list keeps its own objects.
         got = _outcome(select_top_k, pool, **kwargs)
@@ -231,15 +212,7 @@ class TestColumnsMatchTheLoop:
         full = make_pattern_stats(Pattern([Predicate("a", "=", 1)]), [1, 1, 0, 0], 0.5)
         empty = make_pattern_stats(Pattern([Predicate("b", "=", 1)]), [0, 0, 0, 0], 0.4)
         with pytest.raises(ValueError, match="containment is undefined for an empty pattern"):
-            select_top_k([full, empty], k=2)
-
-    def test_invalid_max_responsibility(self, candidates):
-        with pytest.raises(ValueError, match="max_responsibility must be positive"):
-            select_top_k(candidates, k=1, max_responsibility=0.0)
-
-    def test_nan_max_responsibility(self, candidates):
-        with pytest.raises(ValueError, match="max_responsibility must be positive"):
-            select_top_k(candidates, k=1, max_responsibility=float("nan"))
+            select_top_k([full, empty], k=2, containment_threshold=0.75)
 
 
 class TestFilterSpan:

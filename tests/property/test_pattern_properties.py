@@ -3,8 +3,9 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.topk_loop import containment
 
-from repro.patterns import Pattern, Predicate, containment
+from repro.patterns import Pattern, Predicate
 from repro.tabular import Table
 
 FEATURES = ["age", "hours", "grade"]

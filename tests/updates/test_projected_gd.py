@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.fairness import FairnessContext
+from repro.influence import ModelArtifacts
 from repro.patterns import Pattern, Predicate
-from repro.updates import UpdateExplanation, find_update_explanations
+from repro.updates import UpdateExplanation, UpdateSearchContext, find_update_explanations
 
 
 @pytest.fixture(scope="module")
@@ -18,21 +19,20 @@ def pattern_and_indices(german_train):
 
 
 @pytest.fixture(scope="module")
-def update(
-    lr_model, encoder, X_train, german_train, sp_metric, test_ctx, pattern_and_indices
-):
+def artifacts(lr_model, X_train, german_train):
+    return ModelArtifacts(lr_model, X_train, german_train.labels)
+
+
+@pytest.fixture(scope="module")
+def context(artifacts, sp_metric, test_ctx):
+    return UpdateSearchContext(artifacts, sp_metric, test_ctx)
+
+
+@pytest.fixture(scope="module")
+def update(context, encoder, pattern_and_indices):
     pattern, indices = pattern_and_indices
     return find_update_explanations(
-        lr_model,
-        encoder,
-        X_train,
-        german_train.labels,
-        sp_metric,
-        test_ctx,
-        [pattern],
-        [indices],
-        num_steps=40,
-        verify=True,
+        context, encoder, [pattern], [indices], num_steps=40, verify=True
     )[0]
 
 
@@ -75,36 +75,22 @@ class TestUpdateSearch:
 
 
 class TestUpdateOptions:
-    def test_allowed_features_override(
-        self, lr_model, encoder, X_train, german_train, sp_metric, test_ctx,
-        pattern_and_indices,
-    ):
+    def test_allowed_features_override(self, context, encoder, pattern_and_indices):
         pattern, indices = pattern_and_indices
         update = find_update_explanations(
-            lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-            [pattern], [indices], allowed_features={"gender"}, num_steps=25,
+            context, encoder, [pattern], [indices], allowed_features={"gender"}, num_steps=25,
         )[0]
         assert set(update.changed_features) <= {"gender"}
 
-    def test_empty_subset_rejected(
-        self, lr_model, encoder, X_train, german_train, sp_metric, test_ctx,
-        pattern_and_indices,
-    ):
+    def test_empty_subset_rejected(self, context, encoder, pattern_and_indices):
         pattern, _ = pattern_and_indices
         with pytest.raises(ValueError, match="empty"):
-            find_update_explanations(
-                lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-                [pattern], [np.array([], dtype=int)],
-            )
+            find_update_explanations(context, encoder, [pattern], [np.array([], dtype=int)])
 
-    def test_direction_vs_removal(
-        self, lr_model, encoder, X_train, german_train, sp_metric, test_ctx,
-        pattern_and_indices,
-    ):
+    def test_direction_vs_removal(self, context, encoder, pattern_and_indices):
         pattern, indices = pattern_and_indices
         update = find_update_explanations(
-            lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-            [pattern], [indices], num_steps=10,
+            context, encoder, [pattern], [indices], num_steps=10
         )[0]
         # A removal that exactly zeroes the bias beats any projected update.
         update.removal_bias_change = -update.original_bias
@@ -115,13 +101,11 @@ class TestUpdateOptions:
         assert update.direction_vs_removal == "more"
 
     def test_direction_vs_removal_requires_reference(
-        self, lr_model, encoder, X_train, german_train, sp_metric, test_ctx,
-        pattern_and_indices,
+        self, context, encoder, pattern_and_indices
     ):
         pattern, indices = pattern_and_indices
         update = find_update_explanations(
-            lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-            [pattern], [indices], num_steps=5,
+            context, encoder, [pattern], [indices], num_steps=5
         )[0]
         with pytest.raises(ValueError, match="removal_bias_change"):
             _ = update.direction_vs_removal
@@ -179,8 +163,7 @@ class TestSignConventions:
         assert legacy.direction == "decrease"
 
     def test_negative_bias_end_to_end(
-        self, lr_model, encoder, X_train, german_train, sp_metric, test_ctx,
-        pattern_and_indices,
+        self, artifacts, encoder, sp_metric, test_ctx, pattern_and_indices
     ):
         """With the privileged groups swapped the signed bias is negative;
         the search must still shrink |bias| and say so."""
@@ -192,21 +175,17 @@ class TestSignConventions:
         )
         pattern, indices = pattern_and_indices
         update = find_update_explanations(
-            lr_model, encoder, X_train, german_train.labels, sp_metric, flipped,
+            UpdateSearchContext(artifacts, sp_metric, flipped), encoder,
             [pattern], [indices], num_steps=40,
         )[0]
         assert update.original_bias < 0
         assert update.est_bias_change > 0  # pushed toward zero
         assert update.direction == "decrease"
 
-    def test_record_carries_sources(
-        self, lr_model, encoder, X_train, german_train, sp_metric, test_ctx,
-        pattern_and_indices,
-    ):
+    def test_record_carries_sources(self, context, encoder, pattern_and_indices):
         pattern, indices = pattern_and_indices
         update = find_update_explanations(
-            lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-            [pattern], [indices], num_steps=5,
+            context, encoder, [pattern], [indices], num_steps=5,
             removal_bias_changes=[-0.05], removal_sources=["estimated"],
         )[0]
         record = update.to_record()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from oracles import update_loop
 
+from repro.influence import ModelArtifacts
 from repro.patterns import Pattern, Predicate
 from repro.updates import UpdateSearchContext, find_update_explanations
 
@@ -35,22 +36,21 @@ def subsets(german_train):
     return subsets
 
 
+def make_context(lr_model, X_train, german_train, sp_metric, test_ctx):
+    artifacts = ModelArtifacts(lr_model, X_train, german_train.labels)
+    return UpdateSearchContext(artifacts, sp_metric, test_ctx)
+
+
 @pytest.fixture(scope="module")
 def context(lr_model, X_train, german_train, sp_metric, test_ctx):
-    return UpdateSearchContext(
-        lr_model, X_train, german_train.labels, sp_metric, test_ctx
-    )
+    return make_context(lr_model, X_train, german_train, sp_metric, test_ctx)
 
 
 @pytest.fixture(scope="module")
-def engine(encoder, X_train, german_train, sp_metric, test_ctx, subsets, context):
+def engine(encoder, subsets, context):
     def run(search=find_update_explanations, **kwargs):
         kwargs.setdefault("num_steps", 40)
-        kwargs.setdefault("context", context)
-        return search(
-            kwargs["context"].model, encoder, X_train, german_train.labels, sp_metric,
-            test_ctx, PATTERNS, subsets, **kwargs,
-        )
+        return search(context, encoder, PATTERNS, subsets, **kwargs)
 
     return run
 
@@ -96,63 +96,48 @@ class TestBatchEquivalence:
     ):
         shared = engine()
         fresh = find_update_explanations(
-            lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-            PATTERNS, subsets, num_steps=40,
+            make_context(lr_model, X_train, german_train, sp_metric, test_ctx),
+            encoder, PATTERNS, subsets, num_steps=40,
         )
         _assert_equivalent(fresh, shared)
 
-    def test_single_pattern_matches_engine(
-        self, lr_model, encoder, X_train, german_train, sp_metric, test_ctx,
-        subsets, engine, context,
-    ):
+    def test_single_pattern_matches_engine(self, encoder, subsets, engine, context):
         single = find_update_explanations(
-            lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-            PATTERNS[:1], subsets[:1], num_steps=40, context=context,
+            context, encoder, PATTERNS[:1], subsets[:1], num_steps=40
         )
         _assert_equivalent(single, engine()[:1])
 
 
 class TestEngineResult:
-    def test_misaligned_inputs_rejected(self, engine, subsets,
-                                        lr_model, encoder, X_train, german_train,
-                                        sp_metric, test_ctx):
+    def test_misaligned_inputs_rejected(self, subsets, encoder, context):
         with pytest.raises(ValueError, match="aligned"):
-            find_update_explanations(
-                lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-                PATTERNS, subsets[:-1],
-            )
+            find_update_explanations(context, encoder, PATTERNS, subsets[:-1])
         with pytest.raises(ValueError, match="one entry per pattern"):
             find_update_explanations(
-                lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-                PATTERNS, subsets, removal_bias_changes=[0.0],
+                context, encoder, PATTERNS, subsets, removal_bias_changes=[0.0]
             )
 
-    def test_foreign_context_rejected(self, lr_model, encoder, X_train, german_train,
-                                      sp_metric, test_ctx, subsets, context):
-        other = lr_model.clone().fit(X_train, german_train.labels)
-        with pytest.raises(ValueError, match="different model"):
-            find_update_explanations(
-                other, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-                PATTERNS, subsets, context=context,
-            )
+    def test_context_built_before_an_edit_refuses(
+        self, lr_model, encoder, X_train, german_train, sp_metric, test_ctx, subsets
+    ):
+        """The context's rows, η and train grads describe the data its
+        artifacts held when it was built."""
+        stale = make_context(lr_model, X_train, german_train, sp_metric, test_ctx)
+        stale.artifacts.apply_edit(remove_indices=[0])
+        with pytest.raises(RuntimeError, match="edited after this update-search context"):
+            find_update_explanations(stale, encoder, PATTERNS, subsets)
 
-    def test_empty_pattern_list(self, lr_model, encoder, X_train, german_train,
-                                sp_metric, test_ctx, context):
+    def test_empty_pattern_list(self, encoder, context):
         # Zero surviving explanations (e.g. an over-tight support threshold)
         # must yield an empty set, not a concatenate crash.
-        result = find_update_explanations(
-            lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-            [], [], context=context,
-        )
+        result = find_update_explanations(context, encoder, [], [])
         assert len(result) == 0
         assert result.original_bias == pytest.approx(context.original_bias)
 
-    def test_empty_subset_rejected(self, lr_model, encoder, X_train, german_train,
-                                   sp_metric, test_ctx):
+    def test_empty_subset_rejected(self, encoder, context):
         with pytest.raises(ValueError, match="empty"):
             find_update_explanations(
-                lr_model, encoder, X_train, german_train.labels, sp_metric, test_ctx,
-                [PATTERNS[0]], [np.array([], dtype=np.int64)],
+                context, encoder, [PATTERNS[0]], [np.array([], dtype=np.int64)]
             )
 
     def test_set_protocol_and_timings(self, engine):
